@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-smoke bench-compare bench-topk bench-ann bench-quant bench-refresh bench-ooc bench-similar bench-pytest lint-dense examples quicktest profile-smoke serve-smoke clean
+.PHONY: install test test-fast bench bench-smoke bench-compare bench-pytest lint-dense examples quicktest profile-smoke serve-smoke clean
 
 # Kernel-level suites that must hold under a parallel executor; `make test`
 # reruns them with REPRO_NUM_THREADS=4 after the default serial pass.  The
@@ -35,7 +35,7 @@ install:
 	  echo $(CURDIR)/src > $$($(PYTHON) -c 'import site; print(site.getsitepackages()[0])')/repro-editable.pth; \
 	}
 
-test: bench-smoke bench-ooc bench-similar lint-dense
+test: bench-smoke lint-dense
 	$(PYTHON) -m pytest tests/
 	REPRO_NUM_THREADS=4 $(PYTHON) -m pytest $(THREADED_TESTS) -q
 
@@ -52,78 +52,22 @@ profile-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro embed --method gebe_p --dataset toy \
 	  --profile --profile-out /tmp/gebe-profile.json
 
-# Full perf snapshot: GEBE + GEBE^p on the zoo stand-ins, workspace vs
-# legacy kernels A/B'd in the same run, plus every serving/scale axis —
-# HTTP serving latency, the 1.2M-item ANN and quantized-artifact
-# stand-ins, the incremental-refresh pipeline, and the out-of-core axis
-# on the 1.2M-item ingest stand-in — written to BENCH_gebe.json at the
-# repo root.  See docs/BENCHMARKS.md.
+# Full perf snapshot: GEBE + GEBE^p on the zoo stand-ins (float64, float32
+# and threaded fits) plus every serving/scale axis — HTTP serving latency,
+# the 1.2M-item ANN and quantized-artifact stand-ins, the incremental-refresh
+# pipeline, the out-of-core axis on the 1.2M-item ingest stand-in, and the
+# similarity axis — written to BENCH_gebe.json at the repo root.  Needs
+# more than 8 GB of RAM at the ANN axis.  See docs/BENCHMARKS.md.
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro bench --serve-smoke --ann --quant \
 	  --refresh --ooc --similar --output BENCH_gebe.json
 
-# Seconds-scale harness exercise (toy graph) so the bench path can't rot;
-# part of the default `make test`.
+# Every axis at seconds scale (toy graph, small stand-ins; about 4 s), so
+# no axis can rot and every hard gate runs: the run exits 1 when any gate
+# of the axis table fails.  Part of the default `make test`.
 bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --output /tmp/gebe-bench-smoke.json
-
-# The top-k retrieval axis alone (per-user vs batched serving read-out) on
-# the toy graph — a seconds-scale check that the batched engine still beats
-# the reference path and produces identical lists.  See docs/SERVING.md.
-bench-topk:
-	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --topk-only \
-	  --output /tmp/gebe-bench-topk.json
-
-# The ANN axis alone: IVF recall/latency sweep against the exact engine on
-# a small clustered stand-in — a seconds-scale check that recall@n is
-# monotone in nprobe and the full-probe row stays element-identical.  The
-# committed snapshot's ann rows use the full 1.2M-item stand-in (`make
-# bench`-scale); see docs/BENCHMARKS.md.
-bench-ann:
-	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --ann-only \
-	  --output /tmp/gebe-bench-ann.json
-
-# The quantized-artifact axis alone: publish/load/query per codec on a
-# small stand-in — a seconds-scale check that mmap loads work, the margin
-# rerank keeps every list element-identical to the exact engine over the
-# dequantized arrays (the run exits 1 on any lists_equal violation), and
-# the exact/eager anchor row stays the load baseline.  The committed
-# snapshot's quant rows use the full 1.2M-item stand-in (`make
-# bench`-scale); see docs/BENCHMARKS.md and docs/SERVING.md.
-bench-quant:
-	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --quant-only \
-	  --output /tmp/gebe-bench-quant.json
-
-# The incremental-refresh axis alone: cold anchor fit, then a warm refit
-# over a small edge-delta batch — a seconds-scale check that the warm path
-# saves matvecs and QR sweeps, the delta publish stays smaller than a full
-# one, and the refreshed top-k lists keep >= 0.9 overlap with cold (the
-# run exits 1 on any violation).  See docs/SERVING.md and
-# docs/BENCHMARKS.md.
-bench-refresh:
-	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --refresh-only \
-	  --output /tmp/gebe-bench-refresh.json
-
-# The out-of-core axis alone: streaming-ingest a stand-in edge list to an
-# on-disk store, then fit memory-mapped under tight staging budgets against
-# the resident anchor — a seconds-scale check that every mmap row stays
-# bit-identical and matvec-equal with peak RSS inside budget+slack (the
-# run exits 1 on any violation).  The committed snapshot's ooc rows use
-# the full 1.2M-item stand-in (`make bench`-scale); see docs/SCALING.md
-# and docs/BENCHMARKS.md.
-bench-ooc:
-	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --ooc-only \
-	  --output /tmp/gebe-bench-ooc.json
-
-# The similarity axis alone: blocked matrix-free MHS/MHP queries on a
-# seeded stand-in graph — a seconds-scale check that per-query latency is
-# measured and every top-n list stays element-identical to the dense
-# measure reference at each block size and thread count (the run exits 1
-# on any lists_equal violation).  See docs/SERVING.md and
-# docs/BENCHMARKS.md.
-bench-similar:
-	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --similar-only \
-	  --output /tmp/gebe-bench-similar.json
+	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --serve-smoke --ann --quant \
+	  --refresh --ooc --similar --output /tmp/gebe-bench-smoke.json
 
 # Grep lint: dense materializations (`.toarray()`/`.todense()`) are only
 # allowed in the modules below — reference paths guarded by

@@ -1,20 +1,22 @@
-"""Bench-to-bench diffing: flag regressions against a committed snapshot.
+"""Bench-to-bench diffing and the hard gates of one document.
 
 ``repro bench --compare OLD.json`` (and ``make bench-compare``) runs a fresh
 benchmark grid and diffs it against a previously written ``BENCH_*.json`` —
-typically the snapshot committed at the repo root.  Two failure classes:
+typically the snapshot committed at the repo root.  Every axis with a
+compare label contributes cells keyed by ``(method, dataset, label,
+threads)``.  Two failure classes:
 
 * **wall-time regressions** — a cell got slower than the old snapshot by
   more than the noise threshold.  Wall time on shared machines is noisy
   (hence the min-over-repeats estimator and a generous default threshold);
   regressions are advisory unless the environment matches.
-* **matvec drift** — a cell performs a *different number of operations*
-  than the snapshot, or the fresh run's own ``matvecs_equal`` invariant is
-  violated.  These are deterministic counters, so any drift is a real
-  schedule change and always fails.
+* **matvec drift** — a cell performs a *different number of operations* (its
+  axis's op counter: matvecs, scored candidates) than the snapshot.  These
+  are deterministic counters, so any drift is a real schedule change.
 
-Old documents are upgraded via :func:`~repro.bench.schema.upgrade_bench`,
-so v1 snapshots (which predate the threads axis) remain comparable.
+Separately, :func:`violations` checks the hard gates of :data:`AXES`
+inside one document; ``compare_bench`` reports the fresh run's failures as
+``invariant_violations`` and the CLI exits 1 on them.
 """
 
 from __future__ import annotations
@@ -22,15 +24,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Tuple
 
-from .schema import upgrade_bench, validate_bench
+from .axes import AXES, Axis
+from .schema import validate_bench
 
 __all__ = [
     "load_bench",
+    "violations",
     "compare_bench",
     "render_compare",
-    "refresh_violations",
-    "ooc_violations",
-    "similar_violations",
     "DEFAULT_NOISE",
     "DEFAULT_MIN_SECONDS",
 ]
@@ -45,201 +46,29 @@ DEFAULT_MIN_SECONDS = 0.05
 
 
 def load_bench(path: str) -> Dict[str, Any]:
-    """Read, upgrade, and validate a bench document from ``path``."""
+    """Read and validate a bench document from ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return validate_bench(upgrade_bench(payload))
+        return validate_bench(json.load(handle))
 
 
-def _run_key(run: Dict[str, Any]) -> Tuple[str, str, str, int]:
-    return (run["method"], run["dataset"], run["policy"], run["threads"])
+def violations(payload: Dict[str, Any]) -> List[Tuple[Axis, str, Dict[str, Any]]]:
+    """Every ``(axis, gate, row)`` whose hard gate fails in ``payload``."""
+    failed = []
+    for axis in AXES:
+        rows = payload.get(axis.key, [])
+        for gate, ok in axis.gates:
+            failed.extend((axis, gate, row) for row in rows if not ok(row, rows))
+    return failed
 
 
-def _topk_as_run(row: Dict[str, Any]) -> Dict[str, Any]:
-    """A topk row viewed as a regular run row for the diff machinery.
-
-    The ``policy`` slot encodes the retrieval configuration
-    (``topk:batched/b256`` / ``topk:per_user``, ``/nomask`` when exclusion
-    was off) and the deterministic ``candidates`` counter stands in for
-    ``matvecs`` — both are exact operation tallies, so drift means a real
-    schedule change either way.
-    """
-    label = f"topk:{row['mode']}"
-    if row["block_rows"] is not None:
-        label += f"/b{row['block_rows']}"
-    if not row["exclude"]:
-        label += "/nomask"
+def _cells(payload: Dict[str, Any]) -> Dict[Tuple[str, str, str, int], Dict[str, Any]]:
     return {
-        "method": row["method"],
-        "dataset": row["dataset"],
-        "policy": label,
-        "threads": row["threads"],
-        "wall_seconds": row["wall_seconds"],
-        "matvecs": row["candidates"],
+        (row["method"], row["dataset"], axis.label(row), row.get("threads", 1)):
+        {"wall": row["wall_seconds"], "ops": axis.ops(row)}
+        for axis in AXES
+        if axis.label is not None
+        for row in payload.get(axis.key, [])
     }
-
-
-def _ann_as_run(row: Dict[str, Any]) -> Dict[str, Any]:
-    """An ann row viewed as a regular run row for the diff machinery.
-
-    The ``policy`` slot encodes the retrieval mode (``ann:exact`` /
-    ``ann:ivf/p16``) and the deterministic reranked-``candidates``
-    counter stands in for ``matvecs`` — the stand-in and the quantizer
-    are both seeded, so any candidate drift between runs of the same
-    config is a real routing change.
-    """
-    label = (
-        "ann:exact" if row["mode"] == "exact" else f"ann:ivf/p{row['nprobe']}"
-    )
-    return {
-        "method": row["method"],
-        "dataset": row["dataset"],
-        "policy": label,
-        "threads": 1,
-        "wall_seconds": row["wall_seconds"],
-        "matvecs": row["candidates"],
-    }
-
-
-def _quant_as_run(row: Dict[str, Any]) -> Dict[str, Any]:
-    """A quant row viewed as a regular run row for the diff machinery.
-
-    The ``policy`` slot encodes codec and load mode (``quant:int8/mmap``,
-    ``quant:exact/eager``) and the deterministic margin-reranked
-    ``candidates`` counter stands in for ``matvecs`` — the stand-in and
-    codec are seeded, so candidate drift between runs of the same config
-    means the margin itself moved.
-    """
-    label = f"quant:{row['mode']}/{'mmap' if row['mmap'] else 'eager'}"
-    return {
-        "method": row["method"],
-        "dataset": row["dataset"],
-        "policy": label,
-        "threads": 1,
-        "wall_seconds": row["wall_seconds"],
-        "matvecs": row["candidates"],
-    }
-
-
-def _refresh_as_run(row: Dict[str, Any]) -> Dict[str, Any]:
-    """A refresh row viewed as a regular run row for the diff machinery.
-
-    The ``policy`` slot encodes the refit mode (``refresh:cold`` /
-    ``refresh:warm``) and the obs ``matvecs`` counter carries straight
-    through — the delta is seeded, so matvec drift between runs of the
-    same config means the refresh schedule itself changed.
-    """
-    return {
-        "method": row["method"],
-        "dataset": row["dataset"],
-        "policy": f"refresh:{row['mode']}",
-        "threads": 1,
-        "wall_seconds": row["wall_seconds"],
-        "matvecs": row["matvecs"],
-    }
-
-
-def refresh_violations(runs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The refresh axis's hard invariants, checked within one document.
-
-    A warm row must (1) pass the top-n quality gate against the cold refit
-    (``quality_ok``) and (2) actually save matvecs over the cold row for
-    the same method/dataset — a warm refresh that does neither is the
-    tentpole claim failing, not noise.  Cold rows only carry the quality
-    flag (trivially true unless the harness was modified).
-    """
-    cold = {
-        (row["method"], row["dataset"]): row["matvecs"]
-        for row in runs
-        if row["mode"] == "cold"
-    }
-    violations: List[Dict[str, Any]] = []
-    for row in runs:
-        if not row["quality_ok"]:
-            violations.append(row)
-            continue
-        if row["mode"] != "warm":
-            continue
-        cold_matvecs = cold.get((row["method"], row["dataset"]))
-        if cold_matvecs is not None and row["matvecs"] >= cold_matvecs:
-            violations.append(row)
-    return violations
-
-
-def _ooc_as_run(row: Dict[str, Any]) -> Dict[str, Any]:
-    """An ooc row viewed as a regular run row for the diff machinery.
-
-    The ``policy`` slot encodes the storage mode and budget
-    (``ooc:resident`` / ``ooc:mmap/b8``) and the obs ``matvecs`` counter
-    carries straight through — the stand-in and the store build are both
-    seeded, so matvec drift between runs of the same config means the
-    out-of-core schedule itself changed.
-    """
-    label = "ooc:resident"
-    if row["mode"] == "mmap":
-        budget = "-" if row["budget_mb"] is None else f"{row['budget_mb']:g}"
-        label = f"ooc:mmap/b{budget}"
-    return {
-        "method": row["method"],
-        "dataset": row["dataset"],
-        "policy": label,
-        "threads": row["threads"],
-        "wall_seconds": row["wall_seconds"],
-        "matvecs": row["matvecs"],
-    }
-
-
-def ooc_violations(runs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The out-of-core axis's hard invariants, checked within one document.
-
-    Every mmap row must (1) reproduce the resident anchor's embeddings
-    bitwise (``bit_identical``), (2) perform the identical operation
-    schedule (``matvecs_equal``), and (3) keep its peak-RSS growth under
-    the anchor's growth plus the staging budget plus the documented slack
-    (``rss_within_budget``).  Any failure is the tentpole claim failing —
-    the mapped kernels drifting from the resident arithmetic or the
-    budget not actually bounding staging — not noise.
-    """
-    return [
-        row
-        for row in runs
-        if not (
-            row["bit_identical"]
-            and row["matvecs_equal"]
-            and row["rss_within_budget"]
-        )
-    ]
-
-
-def _similar_as_run(row: Dict[str, Any]) -> Dict[str, Any]:
-    """A similarity row viewed as a regular run row for the diff machinery.
-
-    The ``policy`` slot encodes the engine configuration
-    (``similar:b8/t1``), the ``method`` slot the query mode
-    (``similarity:mhs``), and the total obs matvec count (per-query cost
-    times query count) stands in for ``matvecs`` — the stand-in graph and
-    query sample are seeded, so matvec drift between runs of the same
-    config means the operator schedule itself changed.
-    """
-    return {
-        "method": f"{row['method']}:{row['mode']}",
-        "dataset": row["dataset"],
-        "policy": f"similar:b{row['block_sources']}/t{row['threads']}",
-        "threads": row["threads"],
-        "wall_seconds": row["wall_seconds"],
-        "matvecs": int(round(row["matvecs_per_query"] * row["num_queries"])),
-    }
-
-
-def similar_violations(runs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The similarity axis's hard invariant, checked within one document.
-
-    Every row's lists — the blocked multi-source sweep and each timed
-    single-source query — must be element-identical to ``select_topn``
-    over the dense measures (``lists_equal``).  A failure is the engine's
-    exactness claim failing, not noise.
-    """
-    return [row for row in runs if not row["lists_equal"]]
 
 
 def compare_bench(
@@ -255,136 +84,50 @@ def compare_bench(
 
     * ``rows`` — one entry per cell present in both documents:
       ``{method, dataset, policy, threads, old_wall, new_wall, ratio,
-      matvecs_equal, regression}`` (``ratio`` is new/old; > 1 is slower);
+      matvecs_equal, regression}`` (``ratio`` is new/old; > 1 is slower;
+      ``policy`` is the axis's cell label, ``matvecs_equal`` compares its
+      op counter);
     * ``regressions`` — the subset that is *both* relatively and absolutely
       slower: ``ratio > 1 + noise`` and ``new - old > min_seconds``;
-    * ``matvec_drift`` — cells whose operation counts changed vs the
-      snapshot (always a real schedule change);
-    * ``invariant_violations`` — ``matvecs_equal`` failures inside the
-      fresh run's own comparisons, ``lists_equal`` failures inside its
-      topk comparisons (batched retrieval diverging from per-user),
-      full-probe ann rows whose lists diverge from the exact engine,
-      quant rows whose lists diverge from the exact engine over the
-      dequantized arrays, refresh rows that fail the warm-vs-cold
-      quality gate or whose warm refit did not save matvecs, ooc
-      mmap rows that are not bit-identical/matvec-equal to the resident
-      anchor or that blow the peak-RSS budget, and similarity rows whose
-      lists diverge from the dense measures reference;
+    * ``matvec_drift`` — cells whose op counts changed vs the snapshot;
+    * ``invariant_violations`` — the fresh run's rows that fail a hard gate
+      (:func:`violations`), each row once;
     * ``missing`` / ``added`` — cell keys only in the old / new document;
-    * ``noise`` — the threshold used.
+    * ``noise`` / ``min_seconds`` — the thresholds used.
     """
     if noise < 0:
         raise ValueError("noise threshold must be non-negative")
     if min_seconds < 0:
         raise ValueError("min_seconds must be non-negative")
-    old_runs = {_run_key(run): run for run in old["runs"]}
-    new_runs = {_run_key(run): run for run in new["runs"]}
-    old_runs.update(
-        (_run_key(row), row)
-        for row in map(_topk_as_run, old.get("topk_runs", []))
-    )
-    new_runs.update(
-        (_run_key(row), row)
-        for row in map(_topk_as_run, new.get("topk_runs", []))
-    )
-    old_runs.update(
-        (_run_key(row), row)
-        for row in map(_ann_as_run, old.get("ann_runs", []))
-    )
-    new_runs.update(
-        (_run_key(row), row)
-        for row in map(_ann_as_run, new.get("ann_runs", []))
-    )
-    old_runs.update(
-        (_run_key(row), row)
-        for row in map(_quant_as_run, old.get("quant_runs", []))
-    )
-    new_runs.update(
-        (_run_key(row), row)
-        for row in map(_quant_as_run, new.get("quant_runs", []))
-    )
-    old_runs.update(
-        (_run_key(row), row)
-        for row in map(_refresh_as_run, old.get("refresh_runs", []))
-    )
-    new_runs.update(
-        (_run_key(row), row)
-        for row in map(_refresh_as_run, new.get("refresh_runs", []))
-    )
-    old_runs.update(
-        (_run_key(row), row)
-        for row in map(_ooc_as_run, old.get("ooc_runs", []))
-    )
-    new_runs.update(
-        (_run_key(row), row)
-        for row in map(_ooc_as_run, new.get("ooc_runs", []))
-    )
-    old_runs.update(
-        (_run_key(row), row)
-        for row in map(_similar_as_run, old.get("similar_runs", []))
-    )
-    new_runs.update(
-        (_run_key(row), row)
-        for row in map(_similar_as_run, new.get("similar_runs", []))
-    )
+    old_cells, new_cells = _cells(old), _cells(new)
     rows: List[Dict[str, Any]] = []
-    for key in new_runs:
-        if key not in old_runs:
+    for key, cell in new_cells.items():
+        if key not in old_cells:
             continue
-        old_run, new_run = old_runs[key], new_runs[key]
-        ratio = new_run["wall_seconds"] / max(old_run["wall_seconds"], 1e-12)
+        base = old_cells[key]
+        ratio = cell["wall"] / max(base["wall"], 1e-12)
         rows.append(
             {
                 "method": key[0],
                 "dataset": key[1],
                 "policy": key[2],
                 "threads": key[3],
-                "old_wall": old_run["wall_seconds"],
-                "new_wall": new_run["wall_seconds"],
+                "old_wall": base["wall"],
+                "new_wall": cell["wall"],
                 "ratio": ratio,
-                "matvecs_equal": new_run["matvecs"] == old_run["matvecs"],
-                "regression": (
-                    ratio > 1.0 + noise
-                    and new_run["wall_seconds"] - old_run["wall_seconds"]
-                    > min_seconds
-                ),
+                "matvecs_equal": cell["ops"] == base["ops"],
+                "regression": ratio > 1.0 + noise
+                and cell["wall"] - base["wall"] > min_seconds,
             }
         )
+    failing = {id(row): row for _, _, row in violations(new)}
     return {
         "rows": rows,
         "regressions": [row for row in rows if row["regression"]],
         "matvec_drift": [row for row in rows if not row["matvecs_equal"]],
-        "invariant_violations": [
-            row for row in new["comparisons"] if not row["matvecs_equal"]
-        ]
-        + [
-            row
-            for row in new.get("topk_comparisons", [])
-            if not row["lists_equal"]
-        ]
-        + [
-            # A full probe reranks every item through the exact engine's
-            # kernels, so its lists must be element-identical — a mismatch
-            # here is the ANN differential anchor failing, not noise.
-            row
-            for row in new.get("ann_runs", [])
-            if row["mode"] == "ivf"
-            and row["nprobe"] >= row["cells"]
-            and not row["exact_match"]
-        ]
-        + [
-            # The quant axis's hard invariant: every row's lists must be
-            # element-identical to the exact engine over the dequantized
-            # arrays — a mismatch is the margin rerank failing, not noise.
-            row
-            for row in new.get("quant_runs", [])
-            if not row["lists_equal"]
-        ]
-        + refresh_violations(new.get("refresh_runs", []))
-        + ooc_violations(new.get("ooc_runs", []))
-        + similar_violations(new.get("similar_runs", [])),
-        "missing": sorted(key for key in old_runs if key not in new_runs),
-        "added": sorted(key for key in new_runs if key not in old_runs),
+        "invariant_violations": list(failing.values()),
+        "missing": sorted(key for key in old_cells if key not in new_cells),
+        "added": sorted(key for key in new_cells if key not in old_cells),
         "noise": noise,
         "min_seconds": min_seconds,
     }
@@ -398,38 +141,29 @@ def render_compare(result: Dict[str, Any]) -> str:
         f"(+{result['min_seconds']:.3g}s absolute floor)"
     ]
     header = (
-        f"{'method':<18}{'dataset':<10}{'policy':<20}{'thr':>4}"
+        f"{'method':<18}{'dataset':<18}{'policy':<24}{'thr':>4}"
         f"{'old':>10}{'new':>10}{'ratio':>8}"
     )
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines += [header, "-" * len(header)]
     for row in result["rows"]:
-        flags = []
-        if row["regression"]:
-            flags.append("REGRESSION")
-        if not row["matvecs_equal"]:
-            flags.append("MATVEC-DRIFT")
+        flags = ["REGRESSION"] * row["regression"] + ["MATVEC-DRIFT"] * (
+            not row["matvecs_equal"]
+        )
         lines.append(
-            f"{row['method']:<18}{row['dataset']:<10}{row['policy']:<20}"
+            f"{row['method']:<18}{row['dataset']:<18}{row['policy']:<24}"
             f"{row['threads']:>4}{row['old_wall']:>9.3f}s{row['new_wall']:>9.3f}s"
-            f"{row['ratio']:>8.2f}"
-            + ("  " + " ".join(flags) if flags else "")
+            f"{row['ratio']:>8.2f}" + "".join("  " + flag for flag in flags)
         )
-    for key in result["missing"]:
-        lines.append(f"  missing from fresh run: {key}")
-    for key in result["added"]:
-        lines.append(f"  new cell (not in baseline): {key}")
-    if result["invariant_violations"]:
-        lines.append(
-            f"  {len(result['invariant_violations'])} matvecs_equal violations "
-            "inside the fresh run"
-        )
+    lines += [f"  missing from fresh run: {key}" for key in result["missing"]]
+    lines += [f"  new cell (not in baseline): {key}" for key in result["added"]]
     verdict = []
     if result["regressions"]:
         verdict.append(f"{len(result['regressions'])} wall-time regressions")
     if result["matvec_drift"]:
         verdict.append(f"{len(result['matvec_drift'])} matvec drifts")
     if result["invariant_violations"]:
-        verdict.append("internal matvec invariant violated")
+        verdict.append(
+            f"{len(result['invariant_violations'])} rows violate a hard gate"
+        )
     lines.append("verdict: " + ("; ".join(verdict) if verdict else "ok"))
     return "\n".join(lines)

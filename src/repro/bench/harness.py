@@ -1,1494 +1,58 @@
 """The reproducible benchmark harness behind ``make bench`` / ``repro bench``.
 
-Runs the proposed methods over zoo stand-ins under each configured
-:class:`~repro.linalg.DtypePolicy`, reads wall time + matvec/FLOP/peak-RSS
-from :mod:`repro.obs` (via :func:`~repro.experiments.runner.profile_method`),
-and emits one schema-validated ``BENCH_gebe.json`` document.
+:func:`run_bench` walks :data:`~repro.bench.axes.AXES`: every axis switched
+on in the :class:`~repro.bench.axes.BenchConfig` runs its runner (once per
+dataset, or once for the stand-in axes), each row lands in its axis's rows
+list, and the whole document is schema-validated before it is returned.
 
-Noise control: every (method, dataset, policy) cell is fitted ``repeats``
-times and the **minimum** wall time is recorded — the standard estimator for
-"how fast can this code go" on a shared machine (mean/max pick up scheduler
-noise).  All repeats are retained in ``wall_seconds_all``.
-
-The default configuration A/B-compares every new-kernel policy (the
-float64 workspace default and the opt-out float32 row) against the legacy
-allocation-per-call path *in the same run* (``ab_compare=True``) and
-asserts the obs matvec counts are identical across all of them — a
-refactor guarantee, not a statistical one.
-
-The ``threads`` axis additionally runs the default (float64 workspace)
-policy at each configured thread count and pairs every multi-thread row
-against its serial twin, so ``BENCH_gebe.json`` records the scaling curve.
-Matvec counts must be identical across the threads axis too — parallel
-execution shards work, it never changes the operation schedule.  (On a
-single-core container the curve is flat; the counts invariant still binds.)
+Noise control: every fit cell is run ``repeats`` times and the **minimum**
+wall time is recorded — the standard estimator for "how fast can this code
+go" on a shared machine (mean/max pick up scheduler noise).  All repeats
+are retained in ``wall_seconds_all``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
 import sys
-import tempfile
-import threading
 import time
-import urllib.error
-import urllib.request
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 import scipy
 
-from .. import obs
-from ..baselines import make_method
-from ..datasets import DATASETS, toy_graph
-from ..experiments.runner import ProfiledRun, profile_method
-from ..graph import BipartiteGraph
-from ..linalg import DtypePolicy
-from ..tasks import TopKEngine
+from .axes import AXES, Axis, BenchConfig
 from .schema import BENCH_SCHEMA_NAME, BENCH_SCHEMA_VERSION, validate_bench
 
 __all__ = ["BenchConfig", "run_bench", "write_bench", "render_bench"]
 
-#: Methods whose constructors take ``max_iterations`` (the KSI budget);
-#: benchmarks cap it so the truncated-series methods finish in seconds.
-_ITERATIVE_PREFIX = "GEBE ("
 
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """Configuration of one benchmark run (all fields JSON-serializable).
-
-    Attributes
-    ----------
-    datasets:
-        Zoo stand-in names (plus ``"toy"``) to run, smallest first.
-    methods:
-        Proposed-method names (registry table names or slugs resolve).
-    dimension:
-        Embedding dimension ``k`` for every cell.
-    seed:
-        Shared seed for dataset generation and method initialization.
-    repeats:
-        Fits per cell; the minimum wall time is recorded.
-    gebe_iterations:
-        KSI budget for the iterative GEBE variants (``None`` keeps each
-        method's default of 200 — only sensible for tiny graphs).
-    ab_compare:
-        Also run every cell under the legacy (allocation-per-call) kernels
-        and record workspace-vs-legacy comparisons.
-    float32:
-        Also run every cell under the float32 compute policy.
-    threads:
-        Executor thread counts to sweep.  The dtype-policy grid always runs
-        serial (one thread, pinned — the environment never leaks into the
-        A/B rows); every additional count here runs the default float64
-        workspace policy again with that many threads and records a
-        serial-vs-threaded comparison.
-    fit_grid:
-        Run the training grid above (``False``: ``--topk-only``).
-    topk:
-        Run the top-k retrieval axis: fit the first method once per dataset,
-        then sweep the batched serving read-out against the per-user
-        reference path.
-    topk_block_rows:
-        Block sizes for the batched top-k rows.
-    topk_n:
-        Recommendation list length for the top-k axis.
-    serve_smoke:
-        Run the serving axis: publish the first method's embeddings to a
-        throwaway artifact store, stand up an in-process
-        :class:`~repro.serve.server.EmbeddingServer`, and measure HTTP
-        round-trip latency sequentially and under concurrent clients.
-    serve_requests:
-        Requests per serving mode (sequential and concurrent each issue
-        this many).
-    ann:
-        Run the ANN axis: build an IVF index over a synthetic clustered
-        item matrix (a million-item zoo stand-in — far past what the fit
-        grid's graphs reach) and sweep ``nprobe`` against the exact
-        blocked-GEMM engine, recording per-query p50/p95 latency and
-        measured recall@``ann_n``.  A full-probe row always rides along;
-        its lists must be element-identical to the exact engine
-        (``exact_match`` — the differential anchor).
-    ann_items, ann_queries:
-        Stand-in item-matrix rows and query count for the ANN axis.
-    ann_cells:
-        IVF cell count (``None``: the ``sqrt(n)`` heuristic).
-    ann_nprobe:
-        The probed-cell counts to sweep (each clipped to the cell count).
-    ann_n:
-        Recommendation list length for the ANN axis (recall@``ann_n``).
-    quant:
-        Run the quantized-artifact axis: publish the stand-in embeddings
-        exact and per-codec (float16/int8), time eager vs memory-mapped
-        artifact loads, measure per-query retrieval latency and resident
-        bytes, and hard-check every quantized row's lists against the
-        exact engine over the dequantized arrays (``lists_equal`` — the
-        differential anchor; the compare machinery treats a mismatch as an
-        invariant violation).
-    quant_items, quant_queries:
-        Stand-in item-matrix rows and query count for the quant axis.
-    quant_dtypes:
-        The codecs to sweep (subset of ``{"float16", "int8"}``).
-    quant_n:
-        Recommendation list length for the quant axis.
-    refresh:
-        Run the incremental-refresh axis: fit the first method cold,
-        publish it, apply a seeded ``refresh_fraction`` edge delta through
-        :func:`~repro.graph.delta.apply_deltas`, then refit both cold and
-        warm (basis recovered from the published embeddings), recording
-        matvec/QR counts, delta-publish bytes vs a from-scratch publish,
-        and a top-``refresh_n`` quality gate of the warm lists against the
-        cold refit (``quality_ok`` — the compare machinery treats a
-        failure, or a warm row that does *not* save matvecs, as an
-        invariant violation).
-    refresh_fraction:
-        Fraction of base edges the seeded delta reweights (paper-realistic
-        refreshes are ~1%).
-    refresh_n:
-        Recommendation list length for the refresh quality gate.
-    ooc:
-        Run the out-of-core axis: stream a seeded edge-list stand-in
-        through :func:`~repro.graph.ingest.build_graph_store` into an
-        on-disk :class:`~repro.graph.store.GraphStore`, fit the first
-        method once from the fully resident graph (the differential
-        anchor) and once per configured staging budget from the
-        memory-mapped store.  Every mmap row's embeddings must be
-        *bitwise* equal to the anchor's and its matvec counts identical
-        (``bit_identical`` / ``matvecs_equal`` — the compare machinery
-        treats either failing as an invariant violation), and its
-        peak-RSS growth must stay under the anchor's growth plus the
-        budget plus a documented slack (``rss_within_budget``).
-    ooc_items:
-        Stand-in item count for the OOC axis (users are ``items / 8``,
-        eight edges per user, so edges scale with the item count).
-    ooc_budgets_mb:
-        The staging budgets (MB) to sweep on the mmap rows.
-    similar:
-        Run the similarity axis: build a seeded Erdos-Renyi stand-in
-        graph, answer same-side (MHS) and opposite-side (MHP) top-``n``
-        queries through the blocked matrix-free
-        :class:`~repro.tasks.similarity.SimilarityEngine`, and record
-        per-query p50/p95 latency plus obs-measured matvecs per query.
-        Every row's lists — the blocked multi-source sweep *and* each
-        single-source query — must be element-identical to the dense
-        :mod:`repro.core.measures` reference ranked through
-        :func:`~repro.core.selection.select_topn` (``lists_equal``; the
-        compare machinery treats a mismatch as an invariant violation).
-    similar_users, similar_items:
-        Stand-in graph sides for the similarity axis (kept dense-checkable:
-        the reference materializes the ``|U| x |U|`` MHS matrix).
-    similar_queries:
-        Single-source queries timed per row.
-    similar_tau:
-        Series truncation for the similarity axis.
-    similar_n:
-        Neighbor-list length for the similarity axis.
-    similar_block_sources:
-        Engine one-hot block widths to sweep (serial), plus one row per
-        mode at the widest configured thread count at the largest block.
-    similar_seed:
-        Seed for the similarity stand-in graph and query sample.
-    """
-
-    datasets: Tuple[str, ...] = ("dblp", "mag")
-    methods: Tuple[str, ...] = ("GEBE^p", "GEBE (Poisson)")
-    dimension: int = 32
-    seed: int = 0
-    repeats: int = 3
-    gebe_iterations: Optional[int] = 15
-    ab_compare: bool = True
-    float32: bool = True
-    threads: Tuple[int, ...] = (1, 2, 4)
-    fit_grid: bool = True
-    topk: bool = True
-    topk_block_rows: Tuple[int, ...] = (64, 256, 1024)
-    topk_n: int = 10
-    serve_smoke: bool = False
-    serve_requests: int = 32
-    ann: bool = False
-    ann_items: int = 1_200_000
-    ann_queries: int = 256
-    ann_cells: Optional[int] = None
-    ann_nprobe: Tuple[int, ...] = (1, 4, 16, 64)
-    ann_n: int = 100
-    quant: bool = False
-    quant_items: int = 1_200_000
-    quant_queries: int = 64
-    quant_dtypes: Tuple[str, ...] = ("float16", "int8")
-    quant_n: int = 100
-    refresh: bool = False
-    refresh_fraction: float = 0.01
-    refresh_n: int = 10
-    ooc: bool = False
-    ooc_items: int = 1_200_000
-    ooc_budgets_mb: Tuple[float, ...] = (8.0, 64.0)
-    similar: bool = False
-    similar_users: int = 600
-    similar_items: int = 400
-    similar_queries: int = 64
-    similar_tau: int = 5
-    similar_n: int = 10
-    similar_block_sources: Tuple[int, ...] = (8, 64)
-    similar_seed: int = 7
-
-    @classmethod
-    def smoke(cls) -> "BenchConfig":
-        """A seconds-scale configuration for CI (``make bench-smoke``)."""
-        return cls(
-            datasets=("toy",),
-            methods=("GEBE^p", "GEBE (Poisson)"),
-            dimension=8,
-            repeats=1,
-            gebe_iterations=5,
-            threads=(1, 2),
-            topk_block_rows=(4, 64),
-            ann_items=5_000,
-            ann_queries=16,
-            ann_nprobe=(1, 2, 8),
-            ann_n=10,
-            quant_items=5_000,
-            quant_queries=16,
-            quant_n=10,
-            ooc_items=2_000,
-            ooc_budgets_mb=(0.25, 4.0),
-            similar_users=60,
-            similar_items=40,
-            similar_queries=12,
-            similar_tau=4,
-            similar_n=5,
-            similar_block_sources=(4, 16),
-        )
-
-    def policies(self) -> List[DtypePolicy]:
-        """The dtype-policy grid, candidate (workspace float64) first.
-
-        Every policy is pinned to one executor thread so the dtype A/B rows
-        measure kernel arithmetic, not whatever ``REPRO_NUM_THREADS`` the
-        environment happens to set; the threads axis is swept separately.
-        """
-        grid = [DtypePolicy.default()]
-        if self.ab_compare:
-            grid.append(DtypePolicy.legacy())
-        if self.float32:
-            grid.append(DtypePolicy.float32())
-        return [policy.with_threads(1) for policy in grid]
-
-    def thread_counts(self) -> List[int]:
-        """The validated threads axis (>= 1 each, deduplicated, sorted)."""
-        counts = sorted(set(self.threads))
-        if not counts or counts[0] < 1:
-            raise ValueError(f"threads must be integers >= 1, got {self.threads}")
-        return counts
-
-
-def _load_graph(name: str, seed: int) -> BipartiteGraph:
-    if name == "toy":
-        return toy_graph()
-    if name not in DATASETS:
-        raise KeyError(f"unknown dataset {name!r}; choices: toy, {list(DATASETS)}")
-    return DATASETS[name].load(seed)
-
-
-def _make_bench_method(name: str, config: BenchConfig, policy: DtypePolicy):
-    kwargs: Dict[str, Any] = {"dtype_policy": policy}
-    if name.startswith(_ITERATIVE_PREFIX) and config.gebe_iterations is not None:
-        kwargs["max_iterations"] = config.gebe_iterations
-    return make_method(name, dimension=config.dimension, seed=config.seed, **kwargs)
-
-
-def _run_cell(
-    name: str, graph: BipartiteGraph, dataset: str, config: BenchConfig, policy: DtypePolicy
-) -> Dict[str, Any]:
-    walls: List[float] = []
-    best: Optional[ProfiledRun] = None
-    peak_rss = 0
-    workspace = 0
-    for _ in range(config.repeats):
-        method = _make_bench_method(name, config, policy)
-        run = profile_method(method, graph, dataset=dataset)
-        walls.append(float(run.result.elapsed_seconds))
-        peak_rss = max(peak_rss, int(run.report.memory.get("peak_rss_bytes", 0)))
-        workspace = max(workspace, int(run.report.memory.get("workspace_bytes", 0)))
-        if best is None or walls[-1] == min(walls):
-            best = run
-    ops = best.report.ops
-    return {
-        "method": best.result.method,
-        "dataset": dataset,
-        "policy": policy.describe(),
-        "threads": policy.n_threads,
-        "dimension": config.dimension,
-        "seed": config.seed,
-        "repeats": config.repeats,
-        "wall_seconds": min(walls),
-        "wall_seconds_all": walls,
-        "matvecs": int(ops.get("sparse_matvecs", 0)),
-        "gemms": int(ops.get("gemms", 0)),
-        "flops": float(ops.get("flops", 0.0)),
-        "peak_rss_bytes": peak_rss,
-        "workspace_bytes": workspace,
-        "graph": {
-            "num_u": graph.num_u,
-            "num_v": graph.num_v,
-            "num_edges": graph.num_edges,
-        },
-    }
-
-
-def _topk_progress(row: Dict[str, Any]) -> None:
-    block = "-" if row["block_rows"] is None else str(row["block_rows"])
-    mask = "mask" if row["exclude"] else "nomask"
-    print(
-        f"  topk {row['mode']:<9} {row['dataset']:<8} b={block:<5} "
-        f"x{row['threads']} {mask:<7} {row['wall_seconds']:8.3f}s",
-        file=sys.stderr,
-    )
-
-
-def _run_topk_axis(
-    dataset: str,
-    graph: BipartiteGraph,
-    config: BenchConfig,
-    *,
-    progress: bool = False,
-) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
-    """The retrieval axis for one dataset: per-user reference vs batched.
-
-    Fits ``config.methods[0]`` once (serial default policy), then times full
-    top-``topk_n`` sweeps over every user with the training edges (the whole
-    graph here — serving semantics) masked out:
-
-    * ``per_user`` — the reference read-out, one
-      :meth:`~repro.core.base.EmbeddingResult.top_items` call per user.
-      This path is uninstrumented, so its counter fields are zero.
-    * ``batched`` at each configured ``block_rows`` (serial), plus one
-      unmasked row (isolating the masking cost) and one row at the widest
-      configured thread count, both at the largest block size.
-
-    Every masked batched row is paired with the per-user reference;
-    ``lists_equal`` asserts the recommendation lists are element-for-element
-    identical — the determinism contract, measured on real embeddings.
-    """
-    name = config.methods[0]
-    method = _make_bench_method(name, config, DtypePolicy.default().with_threads(1))
-    result = method.fit(graph)
-    n = min(config.topk_n, graph.num_v)
-    base = {
-        "method": result.method,
-        "dataset": dataset,
-        "n": n,
-        "num_users": graph.num_u,
-        "num_items": graph.num_v,
-    }
-
-    walls: List[float] = []
-    reference: Optional[np.ndarray] = None
-    for _ in range(config.repeats):
-        started = time.perf_counter()
-        lists = [
-            result.top_items(user, n, exclude=graph.u_neighbors(user))
-            for user in range(graph.num_u)
-        ]
-        walls.append(time.perf_counter() - started)
-        if reference is None:
-            reference = np.stack(lists)
-    per_user_row = {
-        **base,
-        "mode": "per_user",
-        "block_rows": None,
-        "threads": 1,
-        "exclude": True,
-        "wall_seconds": min(walls),
-        "wall_seconds_all": walls,
-        "candidates": 0,
-        "gemms": 0,
-        "workspace_bytes": 0,
-    }
-    rows = [per_user_row]
-    comparisons: List[Dict[str, Any]] = []
-    if progress:
-        _topk_progress(per_user_row)
-
-    def batched_row(
-        block_rows: int, threads: int, exclude: bool
-    ) -> Dict[str, Any]:
-        policy = DtypePolicy.default().with_threads(threads)
-        walls: List[float] = []
-        lists: Optional[np.ndarray] = None
-        counters = {"candidates": 0, "gemms": 0, "workspace_bytes": 0}
-        for _ in range(config.repeats):
-            # A fresh engine per repeat: the buffer allocation and V.T
-            # staging are part of what a cold serving sweep pays.
-            engine = TopKEngine.from_result(
-                result, policy=policy, block_rows=block_rows
-            )
-            with obs.collect() as collector:
-                started = time.perf_counter()
-                out = engine.top_items(
-                    n, exclude=graph if exclude else None
-                )
-                walls.append(time.perf_counter() - started)
-            counters = {
-                "candidates": int(collector.ops.topk_candidates),
-                "gemms": int(collector.ops.gemms),
-                "workspace_bytes": int(collector.memory.workspace_bytes),
-            }
-            if lists is None:
-                lists = out
-        row = {
-            **base,
-            **counters,
-            "mode": "batched",
-            "block_rows": block_rows,
-            "threads": threads,
-            "exclude": exclude,
-            "wall_seconds": min(walls),
-            "wall_seconds_all": walls,
-        }
-        rows.append(row)
-        if progress:
-            _topk_progress(row)
-        if exclude:
-            comparisons.append(
-                {
-                    "method": row["method"],
-                    "dataset": dataset,
-                    "baseline_mode": "per_user",
-                    "candidate_mode": "batched",
-                    "candidate_block_rows": block_rows,
-                    "candidate_threads": threads,
-                    "speedup": per_user_row["wall_seconds"]
-                    / max(row["wall_seconds"], 1e-12),
-                    "lists_equal": bool(np.array_equal(lists, reference)),
-                }
-            )
-        return row
-
-    block_sizes = sorted(set(config.topk_block_rows))
-    if not block_sizes or block_sizes[0] < 1:
-        raise ValueError(
-            f"topk_block_rows must be integers >= 1, got {config.topk_block_rows}"
-        )
-    for block in block_sizes:
-        batched_row(block, 1, True)
-    widest = block_sizes[-1]
-    batched_row(widest, 1, False)
-    max_threads = max(config.thread_counts())
-    if max_threads > 1:
-        batched_row(widest, max_threads, True)
-    return rows, comparisons
-
-
-def _serve_progress(row: Dict[str, Any]) -> None:
-    print(
-        f"  serve {row['mode']:<11} {row['dataset']:<8} "
-        f"c={row['clients']} p50={row['p50_ms']:7.2f}ms "
-        f"p95={row['p95_ms']:7.2f}ms shed={row['shed']}",
-        file=sys.stderr,
-    )
-
-
-def _run_serve_axis(
-    dataset: str,
-    graph: BipartiteGraph,
-    config: BenchConfig,
-    *,
-    progress: bool = False,
-) -> List[Dict[str, Any]]:
-    """The serving axis for one dataset: HTTP round-trip latency.
-
-    Fits ``config.methods[0]`` once, publishes the embeddings (plus the
-    training graph, so the server masks edges exactly like the offline
-    read-out) to a throwaway :class:`~repro.serve.artifacts.ArtifactStore`,
-    and stands up an in-process
-    :class:`~repro.serve.server.EmbeddingServer`.  Two rows per dataset:
-
-    * ``sequential`` — one client issuing ``serve_requests`` single-user
-      requests back to back (per-request latency floor);
-    * ``concurrent`` — four client threads issuing the same total, which
-      exercises the micro-batcher's coalescing under contention.
-
-    Every 200-response's item list is compared against the offline
-    :class:`~repro.tasks.topk.TopKEngine` sweep (``lists_equal``); shed
-    responses (429/503) are counted, not retried — on an idle bench box the
-    expected count is zero.
-    """
-    from ..serve import (
-        ArtifactStore,
-        EmbeddingServer,
-        EmbeddingService,
-        ServerConfig,
-    )
-    from ..serve.service import percentile
-
-    name = config.methods[0]
-    method = _make_bench_method(name, config, DtypePolicy.default().with_threads(1))
-    result = method.fit(graph)
-    n = min(config.topk_n, graph.num_v)
-    engine = TopKEngine.from_result(
-        result, policy=DtypePolicy.default().with_threads(1)
-    )
-    reference = engine.top_items(n, exclude=graph)
-    users = [index % graph.num_u for index in range(max(1, config.serve_requests))]
-    rows: List[Dict[str, Any]] = []
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store = ArtifactStore(tmp)
-        store.publish(
-            "bench",
-            result.u,
-            result.v,
-            graph=graph,
-            method=result.method,
-            dataset=dataset,
-        )
-        service = EmbeddingService(store, "bench")
-        with EmbeddingServer(service, ServerConfig()) as server:
-            url = server.url + "/v1/topk"
-
-            def request(user: int):
-                """One POST /v1/topk; returns (latency, items | None for shed)."""
-                body = json.dumps({"user": user, "n": n}).encode("utf-8")
-                req = urllib.request.Request(
-                    url,
-                    data=body,
-                    headers={"Content-Type": "application/json"},
-                    method="POST",
-                )
-                started = time.perf_counter()
-                try:
-                    with urllib.request.urlopen(req, timeout=30) as response:
-                        payload = json.loads(response.read())
-                    return time.perf_counter() - started, payload["items"][0]
-                except urllib.error.HTTPError as error:
-                    error.read()
-                    if error.code in (429, 503):
-                        return time.perf_counter() - started, None
-                    raise
-
-            def mode_row(mode: str, clients: int) -> Dict[str, Any]:
-                outcomes: List[Optional[Tuple[float, Any]]] = [None] * len(users)
-
-                def client(slots: range) -> None:
-                    for index in slots:
-                        outcomes[index] = request(users[index])
-
-                started = time.perf_counter()
-                if clients == 1:
-                    client(range(len(users)))
-                else:
-                    workers = [
-                        threading.Thread(
-                            target=client,
-                            args=(range(offset, len(users), clients),),
-                            name=f"bench-serve-client-{offset}",
-                        )
-                        for offset in range(clients)
-                    ]
-                    for worker in workers:
-                        worker.start()
-                    for worker in workers:
-                        worker.join()
-                wall = time.perf_counter() - started
-                latencies = [outcome[0] for outcome in outcomes]
-                answered = [
-                    (index, outcome[1])
-                    for index, outcome in enumerate(outcomes)
-                    if outcome[1] is not None
-                ]
-                row = {
-                    "method": result.method,
-                    "dataset": dataset,
-                    "mode": mode,
-                    "clients": clients,
-                    "requests": len(answered),
-                    "n": n,
-                    "batched": True,
-                    "wall_seconds": wall,
-                    "p50_ms": percentile(latencies, 50) * 1e3,
-                    "p95_ms": percentile(latencies, 95) * 1e3,
-                    "shed": len(users) - len(answered),
-                    "lists_equal": all(
-                        items == reference[users[index]].tolist()
-                        for index, items in answered
-                    ),
-                }
-                rows.append(row)
-                if progress:
-                    _serve_progress(row)
-                return row
-
-            mode_row("sequential", 1)
-            mode_row("concurrent", 4)
-    return rows
-
-
-def _ann_progress(row: Dict[str, Any]) -> None:
-    probe = "-" if row["nprobe"] is None else str(row["nprobe"])
-    print(
-        f"  ann   {row['mode']:<6} {row['dataset']:<16} p={probe:<6} "
-        f"p50={row['p50_ms']:7.2f}ms p95={row['p95_ms']:7.2f}ms "
-        f"recall={row['recall_at_n']:.3f}",
-        file=sys.stderr,
-    )
-
-
-def _ann_standin(
-    num_items: int, num_queries: int, dimension: int, seed: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A clustered million-item stand-in for the ANN axis.
-
-    Items are drawn around 64 unit-norm centers with isotropic noise and
-    queries around the same centers, so inner-product neighborhoods are
-    genuinely clustered — the regime IVF indexes exist for.  Uniform
-    random points would make every probe sweep look equally bad; this
-    stand-in gives the recall@n-vs-nprobe curve an actual knee, and it is
-    fully seeded, so the candidate counters are deterministic.
-    """
-    rng = np.random.default_rng(seed)
-    n_centers = 64
-    centers = rng.standard_normal((n_centers, dimension))
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    v = centers[rng.integers(0, n_centers, size=num_items)]
-    v = v + 0.15 * rng.standard_normal(v.shape)
-    queries = centers[rng.integers(0, n_centers, size=num_queries)]
-    queries = queries + 0.15 * rng.standard_normal(queries.shape)
-    return v, queries
-
-
-def _run_ann_axis(
-    config: BenchConfig, *, progress: bool = False
-) -> List[Dict[str, Any]]:
-    """The ANN axis: exact engine vs IVF probes on the clustered stand-in.
-
-    One exact row (per-query :class:`~repro.tasks.topk.TopKEngine` sweeps —
-    the latency an exact server pays per request at this scale), then one
-    IVF row per configured ``nprobe`` plus an always-on full-probe row.
-    Every IVF row records measured recall@``ann_n`` against the exact
-    lists and whether its lists are *element-identical* (``exact_match``);
-    the full-probe row must be, by the rerank's construction — the
-    compare machinery treats a full-probe mismatch as an invariant
-    violation, same class as matvec drift.
-
-    Latency is measured per query (batch size 1, the serving shape) and
-    summarized as p50/p95; ``build_seconds`` prices the k-means + layout
-    work the exact path never pays.
-    """
-    from ..ann import IVFIndex
-    from ..serve.service import percentile
-
-    num_items = int(config.ann_items)
-    num_queries = max(1, int(config.ann_queries))
-    if num_items < 1:
-        raise ValueError(f"ann_items must be >= 1, got {config.ann_items}")
-    v, queries = _ann_standin(
-        num_items, num_queries, config.dimension, config.seed
-    )
-    dataset = f"standin_{num_items}"
-    n = max(1, min(int(config.ann_n), num_items))
-    base = {
-        "method": "ivf-flat",
-        "dataset": dataset,
-        "num_items": num_items,
-        "num_queries": num_queries,
-        "n": n,
-    }
-    rows: List[Dict[str, Any]] = []
-
-    def finish(row: Dict[str, Any]) -> Dict[str, Any]:
-        rows.append(row)
-        if progress:
-            _ann_progress(row)
-        return row
-
-    # Exact baseline: one bulk sweep pins the reference lists, then a
-    # per-query loop measures the single-request latency distribution.
-    engine = TopKEngine(
-        queries, v, policy=DtypePolicy.default().with_threads(1)
-    )
-    reference = engine.top_items(n)
-    latencies: List[float] = []
-    for row in range(num_queries):
-        started = time.perf_counter()
-        engine.top_items(n, users=np.array([row], dtype=np.int64))
-        latencies.append(time.perf_counter() - started)
-    finish(
-        {
-            **base,
-            "mode": "exact",
-            "nprobe": None,
-            "cells": 0,
-            "build_seconds": 0.0,
-            "wall_seconds": sum(latencies),
-            "p50_ms": percentile(latencies, 50) * 1e3,
-            "p95_ms": percentile(latencies, 95) * 1e3,
-            "recall_at_n": 1.0,
-            "candidates": num_items * num_queries,
-            "exact_match": True,
-        }
-    )
-
-    started = time.perf_counter()
-    index = IVFIndex.build(v, n_cells=config.ann_cells, seed=config.seed)
-    build_seconds = time.perf_counter() - started
-    cells = index.n_cells
-
-    def ivf_row(nprobe: int) -> Dict[str, Any]:
-        latencies: List[float] = []
-        lists = np.empty((num_queries, n), dtype=np.int64)
-        candidates = 0
-        for row in range(num_queries):
-            started = time.perf_counter()
-            items, stats = index.search(
-                queries[row : row + 1], n, nprobe=nprobe, return_stats=True
-            )
-            latencies.append(time.perf_counter() - started)
-            lists[row] = items[0]
-            candidates += int(stats["candidates"])
-        # Per-query overlap with the exact list, averaged — the measured
-        # recall@n knob.  -1 padding (a starved partial probe) never
-        # matches a real id, so it counts against recall as it should.
-        recall = float(
-            np.mean(
-                [
-                    np.isin(reference[i], lists[i]).mean()
-                    for i in range(num_queries)
-                ]
-            )
-        )
-        return finish(
-            {
-                **base,
-                "mode": "ivf",
-                "nprobe": int(nprobe),
-                "cells": cells,
-                "build_seconds": build_seconds,
-                "wall_seconds": sum(latencies),
-                "p50_ms": percentile(latencies, 50) * 1e3,
-                "p95_ms": percentile(latencies, 95) * 1e3,
-                "recall_at_n": recall,
-                "candidates": candidates,
-                "exact_match": bool(np.array_equal(lists, reference)),
-            }
-        )
-
-    probes = sorted({min(int(p), cells) for p in config.ann_nprobe} | {cells})
-    if probes[0] < 1:
-        raise ValueError(
-            f"ann_nprobe must be integers >= 1, got {config.ann_nprobe}"
-        )
-    for nprobe in probes:
-        ivf_row(nprobe)
-    return rows
-
-
-def _quant_progress(row: Dict[str, Any]) -> None:
-    print(
-        f"  quant {row['mode']:<8} {row['dataset']:<16} "
-        f"{'mmap' if row['mmap'] else 'eager':<6} "
-        f"load={row['load_seconds'] * 1e3:8.1f}ms "
-        f"(x{row['load_speedup']:.1f}) "
-        f"res={row['resident_bytes'] / 1e6:7.1f}MB "
-        f"p50={row['p50_ms']:7.2f}ms "
-        f"lists={'ok' if row['lists_equal'] else 'MISMATCH'}",
-        file=sys.stderr,
-    )
-
-
-def _run_quant_axis(
-    config: BenchConfig, *, progress: bool = False
-) -> List[Dict[str, Any]]:
-    """The quantized-artifact axis on the clustered item stand-in.
-
-    Four rows: the exact artifact loaded eagerly (the pre-mmap baseline
-    every ``load_speedup`` is measured against), the same artifact
-    memory-mapped, then one memory-mapped row per configured codec served
-    through :class:`~repro.tasks.topk.QuantizedTopKEngine`.  Load times
-    use ``verify=False`` — the hot verify-then-swap reload path, where
-    mmap's page-cache sharing is the whole point.
-
-    ``lists_equal`` is the axis's hard invariant: each quantized row's
-    top-``n`` lists must be element-identical to a plain
-    :class:`~repro.tasks.topk.TopKEngine` over the dequantized arrays
-    (the margin rerank's exactness claim, exercised at bench scale); the
-    exact mmap row must match the eager row the same way.  The compare
-    machinery treats a ``false`` as an invariant violation, same class as
-    matvec drift.
-    """
-    from ..serve.artifacts import ArtifactStore
-    from ..serve.service import percentile
-    from ..tasks.topk import QuantizedTopKEngine
-
-    num_items = int(config.quant_items)
-    num_queries = max(1, int(config.quant_queries))
-    if num_items < 1:
-        raise ValueError(f"quant_items must be >= 1, got {config.quant_items}")
-    for quant_dtype in config.quant_dtypes:
-        if quant_dtype not in ("float16", "int8"):
-            raise ValueError(
-                f"quant_dtypes must be float16/int8, got {quant_dtype!r}"
-            )
-    v, u = _ann_standin(
-        num_items, num_queries, config.dimension, config.seed
-    )
-    dataset = f"standin_{num_items}"
-    n = max(1, min(int(config.quant_n), num_items))
-    policy = DtypePolicy.default().with_threads(1)
-    base = {
-        "method": "quant-artifact",
-        "dataset": dataset,
-        "num_users": num_queries,
-        "num_items": num_items,
-        "n": n,
-    }
-    rows: List[Dict[str, Any]] = []
-
-    def finish(row: Dict[str, Any]) -> Dict[str, Any]:
-        rows.append(row)
-        if progress:
-            _quant_progress(row)
-        return row
-
-    def latency_sweep(engine) -> Tuple[np.ndarray, List[float]]:
-        lists = engine.top_items(n)
-        latencies: List[float] = []
-        for row in range(num_queries):
-            started = time.perf_counter()
-            engine.top_items(n, users=np.array([row], dtype=np.int64))
-            latencies.append(time.perf_counter() - started)
-        return lists, latencies
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-quant-") as tmp:
-        store = ArtifactStore(tmp)
-
-        def publish_and_load(quantize, mmap):
-            started = time.perf_counter()
-            ref = store.publish(
-                "standin", u, v, dataset=dataset, quantize=quantize
-            )
-            publish_seconds = time.perf_counter() - started
-            artifact_bytes = sum(
-                entry.stat().st_size for entry in ref.path.iterdir()
-            )
-            started = time.perf_counter()
-            loaded = store.load(
-                "standin", ref.version, verify=False, mmap=mmap
-            )
-            load_seconds = time.perf_counter() - started
-            return loaded, publish_seconds, load_seconds, artifact_bytes
-
-        # The eager exact row anchors every load_speedup.
-        loaded, publish_s, eager_load, artifact_bytes = publish_and_load(
-            None, False
-        )
-        engine = TopKEngine(
-            loaded.u, loaded.v, policy=policy
-        )
-        reference, latencies = latency_sweep(engine)
-        finish(
-            {
-                **base,
-                "mode": "exact",
-                "mmap": False,
-                "publish_seconds": publish_s,
-                "load_seconds": eager_load,
-                "load_speedup": 1.0,
-                "artifact_bytes": artifact_bytes,
-                "resident_bytes": engine.resident_bytes(),
-                "wall_seconds": sum(latencies),
-                "p50_ms": percentile(latencies, 50) * 1e3,
-                "p95_ms": percentile(latencies, 95) * 1e3,
-                "candidates": 0,
-                "lists_equal": True,
-            }
-        )
-
-        # The same artifact memory-mapped: the pure-mmap load win.
-        started = time.perf_counter()
-        loaded = store.load("standin", verify=False, mmap=True)
-        mmap_load = time.perf_counter() - started
-        engine = TopKEngine(loaded.u, loaded.v, policy=policy)
-        lists, latencies = latency_sweep(engine)
-        finish(
-            {
-                **base,
-                "mode": "exact",
-                "mmap": True,
-                "publish_seconds": publish_s,
-                "load_seconds": mmap_load,
-                "load_speedup": eager_load / max(mmap_load, 1e-9),
-                "artifact_bytes": artifact_bytes,
-                "resident_bytes": engine.resident_bytes(),
-                "wall_seconds": sum(latencies),
-                "p50_ms": percentile(latencies, 50) * 1e3,
-                "p95_ms": percentile(latencies, 95) * 1e3,
-                "candidates": 0,
-                "lists_equal": bool(np.array_equal(lists, reference)),
-            }
-        )
-
-        for quant_dtype in config.quant_dtypes:
-            loaded, publish_s, load_s, artifact_bytes = publish_and_load(
-                quant_dtype, True
-            )
-            engine = QuantizedTopKEngine(
-                loaded.u,
-                loaded.u_scales,
-                loaded.v,
-                loaded.v_scales,
-                quant_dtype=quant_dtype,
-                policy=policy,
-            )
-            lists, latencies = latency_sweep(engine)
-            # The exactness claim is against the engine's *dequantized*
-            # matrices (quantization legitimately moves the embeddings;
-            # the rerank must not move the lists on top of that).
-            exact_engine = TopKEngine(*engine.dequantized(), policy=policy)
-            finish(
-                {
-                    **base,
-                    "mode": quant_dtype,
-                    "mmap": True,
-                    "publish_seconds": publish_s,
-                    "load_seconds": load_s,
-                    "load_speedup": eager_load / max(load_s, 1e-9),
-                    "artifact_bytes": artifact_bytes,
-                    "resident_bytes": engine.resident_bytes(),
-                    "wall_seconds": sum(latencies),
-                    "p50_ms": percentile(latencies, 50) * 1e3,
-                    "p95_ms": percentile(latencies, 95) * 1e3,
-                    "candidates": int(engine.reranked_candidates),
-                    "lists_equal": bool(
-                        np.array_equal(lists, exact_engine.top_items(n))
-                    ),
-                }
-            )
-    return rows
-
-
-def _refresh_progress(row: Dict[str, Any]) -> None:
-    sub = "-" if row["refresh_mode"] is None else row["refresh_mode"]
-    print(
-        f"  refresh {row['mode']:<5} {row['dataset']:<8} ({sub}) "
-        f"{row['wall_seconds']:8.3f}s {row['matvecs']:>6} matvecs "
-        f"publish={row['publish_bytes']}/{row['full_publish_bytes']}B "
-        f"quality={'ok' if row['quality_ok'] else 'BAD'}",
-        file=sys.stderr,
-    )
-
-
-def _seeded_delta_log(graph: BipartiteGraph, fraction: float, seed: int):
-    """A deterministic reweight-only delta touching ``fraction`` of edges.
-
-    Reweighting (rather than add/remove) keeps the sparsity pattern fixed,
-    which is the common refresh shape — interaction counts drift, the
-    incidence structure mostly does not — and it perturbs the spectrum
-    gently enough that the warm basis should be accepted.
-    """
-    from ..graph import DeltaLog
-
-    coo = graph.w.tocoo()
-    num_edges = int(coo.nnz)
-    count = max(1, min(num_edges, int(round(fraction * num_edges))))
-    rng = np.random.default_rng(seed + 1)
-    chosen = np.sort(rng.choice(num_edges, size=count, replace=False))
-    log = DeltaLog.for_graph(graph)
-    for pos in chosen:
-        log.reweight(
-            int(coo.row[pos]), int(coo.col[pos]), float(coo.data[pos]) * 1.25
-        )
-    return log
-
-
-def _warm_basis(result) -> np.ndarray:
-    """The fit's U factor column-normalized back to the orthonormal Phi."""
-    from ..linalg import warm_basis_from_embedding
-
-    return warm_basis_from_embedding(
-        result.u, result.metadata.get("effective_dimension")
-    )
-
-
-def _run_refresh_axis(
-    dataset: str,
-    graph: BipartiteGraph,
-    config: BenchConfig,
-    *,
-    progress: bool = False,
-) -> List[Dict[str, Any]]:
-    """The incremental-refresh axis for one dataset: cold vs warm refit.
-
-    Pipeline (the serving lifecycle in miniature): fit the base graph cold
-    and publish it in full, apply a seeded ``refresh_fraction`` reweight
-    delta, ingest-publish the new graph as a delta artifact (embeddings
-    unchanged — only ``graph.npz`` is written), then refit the new graph
-    twice:
-
-    * ``cold`` — a from-scratch fit, its embeddings published in full.
-      This row's publish bytes anchor every delta-publish saving.
-    * ``warm`` — the same fit warm-started from the base artifact's basis
-      (:func:`_warm_basis`), its embeddings delta-published against the
-      ingest version (graph unchanged — only the embedding arrays are
-      written).
-
-    Both rows record obs matvec/QR counts; ``quality_ok`` gates the warm
-    row's top-``refresh_n`` lists against the cold refit's (mean per-user
-    overlap >= 0.9 — warm and cold are *different* eps-approximations, so
-    element-identity is not the contract; heavy list divergence is).  The
-    compare machinery treats a failed gate or a warm row with no matvec
-    saving as an invariant violation.
-    """
-    from ..core import GEBEPoisson
-    from ..graph import apply_deltas
-    from ..serve.artifacts import ArtifactStore
-
-    policy = DtypePolicy.default().with_threads(1)
-
-    def fit(target: BipartiteGraph, warm_start=None):
-        walls: List[float] = []
-        fitted = None
-        counters = {"matvecs": 0, "qr_factorizations": 0}
-        for _ in range(config.repeats):
-            method = GEBEPoisson(
-                dimension=config.dimension,
-                seed=config.seed,
-                dtype_policy=policy,
-                warm_start=warm_start,
-            )
-            with obs.collect() as collector:
-                started = time.perf_counter()
-                out = method.fit(target)
-                walls.append(time.perf_counter() - started)
-            counters = {
-                "matvecs": int(collector.ops.sparse_matvecs),
-                "qr_factorizations": int(collector.ops.qr_factorizations),
-            }
-            if fitted is None:
-                fitted = out
-        return fitted, walls, counters
-
-    def artifact_bytes(ref) -> int:
-        return sum(entry.stat().st_size for entry in ref.path.iterdir())
-
-    base_fit, _, _ = fit(graph)
-    log = _seeded_delta_log(graph, config.refresh_fraction, config.seed)
-    new_graph = apply_deltas(graph, log)
-    delta_edges = len(log.deltas)
-    base = {
-        "method": base_fit.method,
-        "dataset": dataset,
-        "delta_edges": delta_edges,
-        "delta_fraction": delta_edges / max(1, graph.num_edges),
-    }
-    n = max(1, min(int(config.refresh_n), graph.num_v))
-    rows: List[Dict[str, Any]] = []
-
-    def finish(row: Dict[str, Any]) -> Dict[str, Any]:
-        rows.append(row)
-        if progress:
-            _refresh_progress(row)
-        return row
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-refresh-") as tmp:
-        store = ArtifactStore(tmp)
-        store.publish(
-            "refresh", base_fit.u, base_fit.v, graph=graph,
-            method=base_fit.method, dataset=dataset,
-        )
-        # Ingest publish: new graph, unchanged embeddings — only graph.npz
-        # is written, the embedding arrays become base-version references.
-        ingest = store.publish(
-            "refresh", base_fit.u, base_fit.v, graph=new_graph,
-            method=base_fit.method, dataset=dataset, base_version=1,
-        )
-
-        cold_fit, cold_walls, cold_counters = fit(new_graph)
-        cold_ref = store.publish(
-            "refresh", cold_fit.u, cold_fit.v, graph=new_graph,
-            method=cold_fit.method, dataset=dataset,
-        )
-        full_bytes = artifact_bytes(cold_ref)
-        finish(
-            {
-                **base,
-                **cold_counters,
-                "mode": "cold",
-                "refresh_mode": None,
-                "wall_seconds": min(cold_walls),
-                "wall_seconds_all": cold_walls,
-                "publish_bytes": full_bytes,
-                "full_publish_bytes": full_bytes,
-                "quality_ok": True,
-            }
-        )
-
-        warm_fit, warm_walls, warm_counters = fit(
-            new_graph, warm_start=_warm_basis(base_fit)
-        )
-        warm_ref = store.publish(
-            "refresh", warm_fit.u, warm_fit.v, graph=new_graph,
-            method=warm_fit.method, dataset=dataset,
-            base_version=ingest.version,
-        )
-        cold_lists = TopKEngine.from_result(cold_fit, policy=policy).top_items(n)
-        warm_lists = TopKEngine.from_result(warm_fit, policy=policy).top_items(n)
-        overlap = float(
-            np.mean(
-                [
-                    np.isin(warm_lists[i], cold_lists[i]).mean()
-                    for i in range(warm_lists.shape[0])
-                ]
-            )
-        )
-        finish(
-            {
-                **base,
-                **warm_counters,
-                "mode": "warm",
-                "refresh_mode": warm_fit.metadata["refresh"]["mode"],
-                "wall_seconds": min(warm_walls),
-                "wall_seconds_all": warm_walls,
-                "publish_bytes": artifact_bytes(warm_ref),
-                "full_publish_bytes": full_bytes,
-                "quality_ok": overlap >= 0.9,
-            }
-        )
-    return rows
-
-
-def _ooc_progress(row: Dict[str, Any]) -> None:
-    budget = "-" if row["budget_mb"] is None else f"{row['budget_mb']:g}MB"
-    print(
-        f"  ooc   {row['mode']:<9} {row['dataset']:<16} b={budget:<8} "
-        f"x{row['threads']} {row['wall_seconds']:8.3f}s "
-        f"rss+{row['peak_rss_bytes'] / 1e6:7.1f}MB "
-        f"copy={row['bytes_copied_in'] / 1e6:7.1f}MB "
-        f"bits={'ok' if row['bit_identical'] else 'MISMATCH'}",
-        file=sys.stderr,
-    )
-
-
-def _write_ooc_standin(path: str, num_items: int, seed: int) -> None:
-    """Write the seeded bipartite edge-list stand-in for the OOC axis.
-
-    ``num_items / 8`` users with eight random items each (duplicates sum
-    on ingest, unobserved items compact away — both deliberate: the axis
-    exercises the real streaming-ingest semantics, not a pre-cleaned
-    matrix).  Fully seeded, so reruns rebuild the identical store.
-    """
-    rng = np.random.default_rng(seed)
-    num_u = max(4, num_items // 8)
-    degree = 8
-    block = 65_536
-    with open(path, "w", encoding="utf-8") as handle:
-        for start in range(0, num_u, block):
-            stop = min(num_u, start + block)
-            items = rng.integers(0, num_items, size=(stop - start, degree))
-            weights = rng.uniform(0.5, 1.5, size=items.shape)
-            lines = []
-            for offset in range(stop - start):
-                user = start + offset
-                for j in range(degree):
-                    lines.append(
-                        f"u{user}\ti{items[offset, j]}\t"
-                        f"{float(weights[offset, j])!r}\n"
-                    )
-            handle.writelines(lines)
-
-
-def _run_ooc_axis(
-    config: BenchConfig, *, progress: bool = False
-) -> List[Dict[str, Any]]:
-    """The out-of-core axis: resident anchor vs budget-bounded mmap fits.
-
-    Streams the seeded stand-in edge list through
-    :func:`~repro.graph.ingest.build_graph_store` (bounded-memory ingest —
-    part of what the axis prices), then fits ``config.methods[0]``:
-
-    * ``resident`` — from :meth:`~repro.graph.store.GraphStore.resident_graph`
-      (the store materialized as an ordinary in-memory scipy graph).  This
-      row anchors every wall-overhead ratio, the matvec counts, and the
-      bitwise embedding reference.
-    * ``mmap`` — from the memory-mapped store, once per configured staging
-      budget (serial), plus one row at the widest configured thread count
-      at the largest budget.
-
-    Hard invariants, per mmap row: ``bit_identical`` (embeddings bitwise
-    equal to the anchor's), ``matvecs_equal`` (identical op schedule), and
-    ``rss_within_budget`` — peak RSS growth over the row's pre-fit RSS
-    must stay under the anchor's growth plus the staging budget plus a
-    slack of 64 MB + 25% of the anchor growth (allocator noise and page
-    cache attribution are real; a mapped fit re-paying the whole graph
-    resident is what the gate catches).  The compare machinery treats any
-    of the three failing as an invariant violation, same class as matvec
-    drift.
-    """
-    from ..graph.ingest import build_graph_store
-
-    num_items = int(config.ooc_items)
-    if num_items < 4:
-        raise ValueError(f"ooc_items must be >= 4, got {config.ooc_items}")
-    budgets = [float(b) for b in config.ooc_budgets_mb]
-    if not budgets or any(b <= 0 for b in budgets):
-        raise ValueError(
-            f"ooc_budgets_mb must be positive, got {config.ooc_budgets_mb}"
-        )
-    budgets = sorted(set(budgets))
-    name = config.methods[0]
-    dataset = f"standin_{num_items}"
-    rows: List[Dict[str, Any]] = []
-
-    def finish(row: Dict[str, Any]) -> Dict[str, Any]:
-        rows.append(row)
-        if progress:
-            _ooc_progress(row)
-        return row
-
-    def fit_rows(graph, policy, budget_mb):
-        """Fit ``repeats`` times; return walls + counters + embeddings."""
-        baseline = obs.current_rss_bytes() or 0
-        walls: List[float] = []
-        fitted = None
-        matvecs = 0
-        copied = 0
-        peak = 0
-        for _ in range(config.repeats):
-            method = _make_bench_method(name, config, policy)
-            with obs.collect() as collector:
-                started = time.perf_counter()
-                out = method.fit(graph)
-                walls.append(time.perf_counter() - started)
-                section = collector.ooc_section(budget_mb=budget_mb)
-            matvecs = int(collector.ops.sparse_matvecs)
-            copied = max(copied, int(section["bytes_copied_in"]))
-            peak = max(peak, int(section["peak_rss_bytes"]))
-            if fitted is None:
-                fitted = out
-        return fitted, walls, matvecs, copied, max(0, peak - baseline)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-ooc-") as tmp:
-        edges_path = os.path.join(tmp, "standin.tsv")
-        _write_ooc_standin(edges_path, num_items, config.seed)
-        store, _stats = build_graph_store(
-            edges_path, os.path.join(tmp, "store"), weighted=True
-        )
-        base = {
-            "method": name,
-            "dataset": dataset,
-            "num_u": int(store.num_u),
-            "num_v": int(store.num_v),
-            "nnz": int(store.nnz),
-        }
-
-        anchor_fit, anchor_walls, anchor_matvecs, _, anchor_delta = fit_rows(
-            store.resident_graph(), DtypePolicy.default().with_threads(1), None
-        )
-        anchor_wall = min(anchor_walls)
-        finish(
-            {
-                **base,
-                "method": anchor_fit.method,
-                "mode": "resident",
-                "budget_mb": None,
-                "threads": 1,
-                "wall_seconds": anchor_wall,
-                "wall_seconds_all": anchor_walls,
-                "wall_overhead": 1.0,
-                "matvecs": anchor_matvecs,
-                "bytes_copied_in": 0,
-                "peak_rss_bytes": anchor_delta,
-                "rss_budget_bytes": None,
-                "rss_within_budget": True,
-                "matvecs_equal": True,
-                "bit_identical": True,
-            }
-        )
-        slack = 64 * 1024 * 1024 + anchor_delta // 4
-
-        def mmap_row(budget_mb: float, threads: int) -> Dict[str, Any]:
-            policy = (
-                DtypePolicy.default()
-                .with_threads(threads)
-                .with_ooc_budget(budget_mb)
-            )
-            fitted, walls, matvecs, copied, delta = fit_rows(
-                store.graph(), policy, budget_mb
-            )
-            rss_budget = anchor_delta + int(budget_mb * 1024 * 1024) + slack
-            return finish(
-                {
-                    **base,
-                    "method": fitted.method,
-                    "mode": "mmap",
-                    "budget_mb": float(budget_mb),
-                    "threads": threads,
-                    "wall_seconds": min(walls),
-                    "wall_seconds_all": walls,
-                    "wall_overhead": min(walls) / max(anchor_wall, 1e-12),
-                    "matvecs": matvecs,
-                    "bytes_copied_in": copied,
-                    "peak_rss_bytes": delta,
-                    "rss_budget_bytes": rss_budget,
-                    "rss_within_budget": delta <= rss_budget,
-                    "matvecs_equal": matvecs == anchor_matvecs,
-                    "bit_identical": bool(
-                        np.array_equal(fitted.u, anchor_fit.u)
-                        and np.array_equal(fitted.v, anchor_fit.v)
-                    ),
-                }
-            )
-
-        for budget in budgets:
-            mmap_row(budget, 1)
-        max_threads = max(config.thread_counts())
-        if max_threads > 1:
-            mmap_row(budgets[-1], max_threads)
-    return rows
-
-
-def _similar_progress(row: Dict[str, Any]) -> None:
-    print(
-        f"  simil {row['mode']:<5} {row['dataset']:<16} "
-        f"b={row['block_sources']:<4} x{row['threads']} "
-        f"p50={row['p50_ms']:7.2f}ms p95={row['p95_ms']:7.2f}ms "
-        f"mv/q={row['matvecs_per_query']:6.1f} "
-        f"lists={'ok' if row['lists_equal'] else 'MISMATCH'}",
-        file=sys.stderr,
-    )
-
-
-def _run_similar_axis(
-    config: BenchConfig, *, progress: bool = False
-) -> List[Dict[str, Any]]:
-    """The similarity axis: blocked matrix-free MHS/MHP vs the dense truth.
-
-    Builds a seeded Erdos-Renyi stand-in (weighted, eight edges per user on
-    average, sized so the dense ``|U| x |U|`` reference stays cheap) and,
-    per mode (``mhs`` same-side, ``mhp`` opposite-side), sweeps the engine's
-    one-hot block width serially plus one row at the widest configured
-    thread count at the largest block.  ``normalization="none"`` throughout:
-    the dense :func:`~repro.core.measures.mhs_matrix` /
-    :func:`~repro.core.measures.mhp_matrix` references implement the raw
-    Eq. 3-5 definitions.
-
-    Per row: one blocked multi-source sweep over all sampled sources, then
-    ``similar_queries`` single-source queries timed individually (the
-    serving shape) inside one obs window, so ``matvecs_per_query`` is the
-    *measured* operator cost, not a formula.  ``lists_equal`` is the axis's
-    hard invariant — blocked AND single-source lists element-identical to
-    ``select_topn`` over the dense rows (self masked to ``-inf`` for MHS,
-    exactly as the engine does).
-    """
-    from ..core import PoissonPMF
-    from ..core.measures import mhp_matrix, mhs_matrix
-    from ..core.selection import select_topn
-    from ..datasets import erdos_renyi_bipartite
-    from ..serve.service import percentile
-    from ..tasks import SimilarityEngine
-
-    num_u = int(config.similar_users)
-    num_v = int(config.similar_items)
-    if num_u < 2 or num_v < 2:
-        raise ValueError(
-            f"similar_users/similar_items must be >= 2, got "
-            f"{config.similar_users}/{config.similar_items}"
-        )
-    num_queries = max(1, int(config.similar_queries))
-    tau = int(config.similar_tau)
-    num_edges = min(num_u * num_v, num_u * 8)
-    graph = erdos_renyi_bipartite(
-        num_u, num_v, num_edges, weighted=True, seed=config.similar_seed
-    )
-    pmf = PoissonPMF(lam=1.5)
-    n = max(1, min(int(config.similar_n), num_u - 1, num_v))
-    rng = np.random.default_rng(config.similar_seed + 1)
-    sources = np.sort(rng.choice(num_u, size=min(num_queries, num_u), replace=False))
-    dataset = f"standin_{num_u}x{num_v}"
-    base = {
-        "method": "similarity",
-        "dataset": dataset,
-        "num_u": num_u,
-        "num_v": num_v,
-        "tau": tau,
-        "n": n,
-        "num_queries": int(sources.size),
-    }
-    rows: List[Dict[str, Any]] = []
-
-    # Dense references, ranked exactly like the engine ranks.
-    s_dense = mhs_matrix(graph, pmf, tau)
-    np.fill_diagonal(s_dense, -np.inf)
-    p_dense = mhp_matrix(graph, pmf, tau)
-    reference = {
-        "mhs": select_topn(s_dense[sources], n),
-        "mhp": select_topn(p_dense[sources], n),
-    }
-
-    def finish(row: Dict[str, Any]) -> Dict[str, Any]:
-        rows.append(row)
-        if progress:
-            _similar_progress(row)
-        return row
-
-    def similar_row(mode: str, block: int, threads: int) -> Dict[str, Any]:
-        engine = SimilarityEngine(
-            graph,
-            pmf,
-            tau,
-            normalization="none",
-            policy=DtypePolicy.default().with_threads(threads),
-            block_sources=block,
-        )
-        if mode == "mhs":
-            # The one-time diagonal is amortized serving state, not
-            # per-query cost — computed outside the obs window.
-            engine.h_diagonal(seed=config.similar_seed)
-        blocked, _ = engine.query(sources, n, mode=mode)
-        lists_equal = bool(np.array_equal(blocked, reference[mode]))
-        latencies: List[float] = []
-        with obs.collect() as collector:
-            for index, source in enumerate(sources):
-                started = time.perf_counter()
-                single, _ = engine.query([int(source)], n, mode=mode)
-                latencies.append(time.perf_counter() - started)
-                lists_equal = lists_equal and bool(
-                    np.array_equal(single[0], reference[mode][index])
-                )
-        return finish(
-            {
-                **base,
-                "mode": mode,
-                "block_sources": int(block),
-                "threads": int(threads),
-                "wall_seconds": sum(latencies),
-                "p50_ms": percentile(latencies, 50) * 1e3,
-                "p95_ms": percentile(latencies, 95) * 1e3,
-                "matvecs_per_query": int(collector.ops.sparse_matvecs)
-                / max(1, sources.size),
-                "lists_equal": lists_equal,
-            }
-        )
-
-    blocks = sorted(set(int(b) for b in config.similar_block_sources))
-    if not blocks or blocks[0] < 1:
-        raise ValueError(
-            f"similar_block_sources must be integers >= 1, got "
-            f"{config.similar_block_sources}"
-        )
-    max_threads = max(config.thread_counts())
-    for mode in ("mhs", "mhp"):
-        for block in blocks:
-            similar_row(mode, block, 1)
-        if max_threads > 1:
-            similar_row(mode, blocks[-1], max_threads)
-    return rows
+def _format(value: Any, fmt: str) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if fmt == "MB":
+        return f"{value / 1e6:.1f}"
+    if fmt == "ms":
+        return f"{value * 1e3:.1f}"
+    return format(value, fmt)
+
+
+def _table_row(axis: Axis, row: Optional[Dict[str, Any]]) -> List[str]:
+    """The header cells (``row`` is ``None``) or one row's cells."""
+    if row is None:
+        return ["method", "dataset"] + [header for header, _, _ in axis.columns]
+    return [str(row["method"]), str(row["dataset"])] + [
+        _format(row[key], fmt) for _, key, fmt in axis.columns
+    ]
 
 
 def _environment() -> Dict[str, Any]:
+    import platform
+
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -1498,158 +62,59 @@ def _environment() -> Dict[str, Any]:
     }
 
 
-def _comparison_row(
-    baseline: Dict[str, Any], candidate: Dict[str, Any]
-) -> Dict[str, Any]:
-    return {
-        "method": candidate["method"],
-        "dataset": candidate["dataset"],
-        "baseline_policy": baseline["policy"],
-        "candidate_policy": candidate["policy"],
-        "baseline_threads": baseline["threads"],
-        "candidate_threads": candidate["threads"],
-        "speedup": baseline["wall_seconds"] / max(candidate["wall_seconds"], 1e-12),
-        "matvecs_equal": candidate["matvecs"] == baseline["matvecs"],
-    }
-
-
-def _comparisons(runs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Comparison rows along both benchmark axes.
-
-    *Dtype axis*: each serial non-legacy run (``float64/workspace``,
-    ``float32/workspace``) is paired with the serial ``float64/legacy`` cell
-    for the same method and dataset — the pre-change kernel path, measured
-    in the same run.  *Threads axis*: each multi-thread run is paired with
-    the serial run of the same policy.  ``matvecs_equal`` must hold across
-    all pairs: dtype changes arithmetic precision and threading changes
-    wall time, but neither ever changes the operation schedule.
-    """
-    baseline = DtypePolicy.legacy().describe()
-    by_key = {
-        (r["method"], r["dataset"], r["policy"], r["threads"]): r for r in runs
-    }
-    rows: List[Dict[str, Any]] = []
-    for run in runs:
-        key = (run["method"], run["dataset"])
-        if run["threads"] > 1:
-            serial = by_key.get((*key, run["policy"], 1))
-            if serial is not None:
-                rows.append(_comparison_row(serial, run))
-            continue
-        if run["policy"] == baseline:
-            continue
-        legacy = by_key.get((*key, baseline, 1))
-        if legacy is not None:
-            rows.append(_comparison_row(legacy, run))
-    return rows
-
-
 def run_bench(
     config: Optional[BenchConfig] = None, *, progress: bool = False
 ) -> Dict[str, Any]:
-    """Execute the benchmark grid; return the validated document.
+    """Execute every axis the config switches on; return the validated document.
 
     Parameters
     ----------
     config:
         The grid to run (``None`` means :class:`BenchConfig` defaults).
     progress:
-        Print a one-liner per completed cell to stderr.
+        Print a one-liner per completed row to stderr.
     """
+    from . import runners
+
     config = config if config is not None else BenchConfig()
-    runs: List[Dict[str, Any]] = []
-    topk_runs: List[Dict[str, Any]] = []
-    topk_comparisons: List[Dict[str, Any]] = []
-    serve_runs: List[Dict[str, Any]] = []
-    refresh_runs: List[Dict[str, Any]] = []
-    # The dtype-policy grid (all serial) plus the threads axis (default
-    # policy re-run at each multi-thread count).
-    grid: List[DtypePolicy] = config.policies()
-    default_policy = DtypePolicy.default()
-    grid.extend(
-        default_policy.with_threads(count)
-        for count in config.thread_counts()
-        if count > 1
-    )
-    for dataset in config.datasets:
-        graph = _load_graph(dataset, config.seed)
-        if config.fit_grid:
-            for name in config.methods:
-                for policy in grid:
-                    cell = _run_cell(name, graph, dataset, config, policy)
-                    runs.append(cell)
-                    if progress:
-                        print(
-                            f"  {cell['method']:<16} {dataset:<8} "
-                            f"{cell['policy']:<18} x{cell['threads']} "
-                            f"{cell['wall_seconds']:8.3f}s "
-                            f"({cell['matvecs']} matvecs)",
-                            file=sys.stderr,
-                        )
-        if config.topk:
-            axis_rows, axis_comparisons = _run_topk_axis(
-                dataset, graph, config, progress=progress
-            )
-            topk_runs.extend(axis_rows)
-            topk_comparisons.extend(axis_comparisons)
-        if config.serve_smoke:
-            serve_runs.extend(
-                _run_serve_axis(dataset, graph, config, progress=progress)
-            )
-        if config.refresh:
-            refresh_runs.extend(
-                _run_refresh_axis(dataset, graph, config, progress=progress)
-            )
-    ann_runs: List[Dict[str, Any]] = []
-    if config.ann:
-        # The ANN axis runs once, not per dataset: its workload is the
-        # synthetic clustered stand-in, sized past any zoo graph.
-        ann_runs = _run_ann_axis(config, progress=progress)
-    quant_runs: List[Dict[str, Any]] = []
-    if config.quant:
-        # Like the ANN axis, once and dataset-independent.
-        quant_runs = _run_quant_axis(config, progress=progress)
-    ooc_runs: List[Dict[str, Any]] = []
-    if config.ooc:
-        # Once and dataset-independent: the workload is the streamed
-        # stand-in store, sized past any zoo graph.
-        ooc_runs = _run_ooc_axis(config, progress=progress)
-    similar_runs: List[Dict[str, Any]] = []
-    if config.similar:
-        # Once and dataset-independent: the workload is the seeded
-        # stand-in, sized so the dense reference stays checkable.
-        similar_runs = _run_similar_axis(config, progress=progress)
-    payload = {
+    payload: Dict[str, Any] = {
         "schema": BENCH_SCHEMA_NAME,
         "version": BENCH_SCHEMA_VERSION,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config": {**asdict(config), "datasets": list(config.datasets),
-                   "methods": list(config.methods),
-                   "threads": list(config.threads),
-                   "topk_block_rows": list(config.topk_block_rows),
-                   "ann_nprobe": list(config.ann_nprobe),
-                   "quant_dtypes": list(config.quant_dtypes),
-                   "ooc_budgets_mb": list(config.ooc_budgets_mb),
-                   "similar_block_sources": list(config.similar_block_sources)},
+        "config": {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(config).items()
+        },
         "environment": _environment(),
-        "runs": runs,
-        "comparisons": _comparisons(runs),
-        "topk_runs": topk_runs,
-        "topk_comparisons": topk_comparisons,
-        "serve_runs": serve_runs,
-        "ann_runs": ann_runs,
-        "quant_runs": quant_runs,
-        "refresh_runs": refresh_runs,
-        "ooc_runs": ooc_runs,
-        "similar_runs": similar_runs,
+        **{axis.key: [] for axis in AXES},
     }
+    by_name = {axis.name: axis for axis in AXES}
+
+    def emit(name: str, row: Dict[str, Any]) -> None:
+        axis = by_name[name]
+        payload[axis.key].append(row)
+        if progress:
+            cells = zip(_table_row(axis, None)[2:], _table_row(axis, row)[2:])
+            print(
+                f"  {name:<16} {row['method']} {row['dataset']} "
+                + " ".join(f"{header}={cell}" for header, cell in cells),
+                file=sys.stderr,
+            )
+
+    selected = [a for a in AXES if a.run is not None and getattr(config, a.switch)]
+    per_dataset = [axis for axis in selected if axis.per_dataset]
+    for dataset in config.datasets if per_dataset else ():
+        graph = runners.load_graph(dataset, config.seed)
+        for axis in per_dataset:
+            getattr(runners, axis.run)(config, emit, dataset, graph)
+    for axis in selected:
+        if not axis.per_dataset:
+            getattr(runners, axis.run)(config, emit)
     return validate_bench(payload)
 
 
 def write_bench(payload: Dict[str, Any], path: str) -> None:
     """Write a validated bench document to ``path`` as stable JSON."""
-    import json
-
     validate_bench(payload)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -1657,175 +122,27 @@ def write_bench(payload: Dict[str, Any], path: str) -> None:
 
 
 def render_bench(payload: Dict[str, Any]) -> str:
-    """A human-readable summary of a bench document (for the CLI)."""
+    """A human-readable summary of a bench document: one table per axis."""
+    env = payload["environment"]
     lines = [
-        f"bench {payload['created']}  (numpy {payload['environment']['numpy']}, "
-        f"scipy {payload['environment']['scipy']}, "
-        f"{payload['environment']['cpu_count']} cpu)"
+        f"bench {payload['created']}  (numpy {env['numpy']}, "
+        f"scipy {env['scipy']}, {env['cpu_count']} cpu)"
     ]
-    header = (
-        f"{'method':<18}{'dataset':<10}{'policy':<20}{'thr':>4}"
-        f"{'wall':>10}{'matvecs':>10}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for run in payload["runs"]:
-        lines.append(
-            f"{run['method']:<18}{run['dataset']:<10}{run['policy']:<20}"
-            f"{run['threads']:>4}{run['wall_seconds']:>9.3f}s{run['matvecs']:>10}"
-        )
-    for row in payload["comparisons"]:
-        marker = "ok" if row["matvecs_equal"] else "MISMATCH"
-        if row["candidate_threads"] != row["baseline_threads"]:
-            label = (
-                f"{row['candidate_policy']} x{row['candidate_threads']} "
-                f"vs x{row['baseline_threads']}"
-            )
-        else:
-            label = f"{row['candidate_policy']} vs legacy"
-        lines.append(
-            f"{label:>34}  {row['method']:<16} "
-            f"{row['dataset']:<8} speedup x{row['speedup']:.2f}  matvecs {marker}"
-        )
-    if payload.get("topk_runs"):
-        header = (
-            f"{'topk mode':<12}{'dataset':<10}{'block':>7}{'thr':>4}"
-            f"{'mask':>6}{'wall':>10}{'candidates':>12}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for run in payload["topk_runs"]:
-            block = "-" if run["block_rows"] is None else str(run["block_rows"])
+    for axis in AXES:
+        rows = payload.get(axis.key) or []
+        if not rows:
+            continue
+        gates = ", ".join(gate for gate, _ in axis.gates)
+        lines += ["", axis.title + (f"; hard gates: {gates}" if gates else "")]
+        table = [_table_row(axis, None)] + [_table_row(axis, row) for row in rows]
+        widths = [max(len(cells[i]) for cells in table) for i in range(len(table[0]))]
+        for index, cells in enumerate(table):
             lines.append(
-                f"{run['mode']:<12}{run['dataset']:<10}{block:>7}"
-                f"{run['threads']:>4}{'y' if run['exclude'] else 'n':>6}"
-                f"{run['wall_seconds']:>9.3f}s{run['candidates']:>12}"
+                "  ".join(
+                    cell.ljust(width) if column < 2 else cell.rjust(width)
+                    for column, (cell, width) in enumerate(zip(cells, widths))
+                )
             )
-        for row in payload["topk_comparisons"]:
-            marker = "ok" if row["lists_equal"] else "MISMATCH"
-            lines.append(
-                f"{'batched b=' + str(row['candidate_block_rows']):>34}  "
-                f"{row['method']:<16} {row['dataset']:<8} "
-                f"x{row['candidate_threads']} speedup x{row['speedup']:.2f}  "
-                f"lists {marker}"
-            )
-    if payload.get("serve_runs"):
-        header = (
-            f"{'serve mode':<13}{'dataset':<10}{'clients':>8}{'reqs':>6}"
-            f"{'p50 ms':>9}{'p95 ms':>9}{'shed':>6}{'lists':>9}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for run in payload["serve_runs"]:
-            marker = "ok" if run["lists_equal"] else "MISMATCH"
-            lines.append(
-                f"{run['mode']:<13}{run['dataset']:<10}{run['clients']:>8}"
-                f"{run['requests']:>6}{run['p50_ms']:>9.2f}{run['p95_ms']:>9.2f}"
-                f"{run['shed']:>6}{marker:>9}"
-            )
-    if payload.get("ann_runs"):
-        header = (
-            f"{'ann mode':<10}{'dataset':<17}{'nprobe':>8}{'cells':>7}"
-            f"{'build':>9}{'p50 ms':>9}{'p95 ms':>9}{'recall':>8}{'exact':>7}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for run in payload["ann_runs"]:
-            probe = "-" if run["nprobe"] is None else str(run["nprobe"])
-            lines.append(
-                f"{run['mode']:<10}{run['dataset']:<17}{probe:>8}"
-                f"{run['cells']:>7}{run['build_seconds']:>8.2f}s"
-                f"{run['p50_ms']:>9.2f}{run['p95_ms']:>9.2f}"
-                f"{run['recall_at_n']:>8.3f}"
-                f"{'y' if run['exact_match'] else 'n':>7}"
-            )
-    if payload.get("quant_runs"):
-        lines.append(
-            "quantized artifacts (exact/eager row is the load baseline; "
-            "lists hard-checked against the exact engine)"
-        )
-        header = (
-            f"{'quant mode':<12}{'dataset':<17}{'mmap':>6}{'load ms':>10}"
-            f"{'x load':>8}{'res MB':>9}{'p50 ms':>9}{'p95 ms':>9}{'lists':>7}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for run in payload["quant_runs"]:
-            lines.append(
-                f"{run['mode']:<12}{run['dataset']:<17}"
-                f"{'y' if run['mmap'] else 'n':>6}"
-                f"{run['load_seconds'] * 1e3:>10.1f}"
-                f"{run['load_speedup']:>8.1f}"
-                f"{run['resident_bytes'] / 1e6:>9.1f}"
-                f"{run['p50_ms']:>9.2f}{run['p95_ms']:>9.2f}"
-                f"{'ok' if run['lists_equal'] else 'BAD':>7}"
-            )
-    if payload.get("refresh_runs"):
-        lines.append(
-            "incremental refresh (warm rows must save matvecs and pass the "
-            "top-n quality gate vs the cold refit)"
-        )
-        header = (
-            f"{'refresh':<8}{'dataset':<10}{'outcome':<15}{'edges':>7}"
-            f"{'wall':>10}{'matvecs':>9}{'qr':>5}{'publish B':>11}"
-            f"{'full B':>9}{'quality':>9}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for run in payload["refresh_runs"]:
-            outcome = "-" if run["refresh_mode"] is None else run["refresh_mode"]
-            lines.append(
-                f"{run['mode']:<8}{run['dataset']:<10}{outcome:<15}"
-                f"{run['delta_edges']:>7}{run['wall_seconds']:>9.3f}s"
-                f"{run['matvecs']:>9}{run['qr_factorizations']:>5}"
-                f"{run['publish_bytes']:>11}{run['full_publish_bytes']:>9}"
-                f"{'ok' if run['quality_ok'] else 'BAD':>9}"
-            )
-    if payload.get("ooc_runs"):
-        lines.append(
-            "out-of-core fits (mmap rows must be bit-identical to the "
-            "resident anchor, matvec-equal, and inside the RSS budget)"
-        )
-        header = (
-            f"{'ooc mode':<10}{'dataset':<17}{'budget':>9}{'thr':>4}"
-            f"{'wall':>10}{'x wall':>8}{'rss MB':>9}{'copy MB':>9}"
-            f"{'rss':>5}{'mv':>4}{'bits':>6}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for run in payload["ooc_runs"]:
-            budget = (
-                "-" if run["budget_mb"] is None else f"{run['budget_mb']:g}"
-            )
-            lines.append(
-                f"{run['mode']:<10}{run['dataset']:<17}{budget:>9}"
-                f"{run['threads']:>4}{run['wall_seconds']:>9.3f}s"
-                f"{run['wall_overhead']:>8.2f}"
-                f"{run['peak_rss_bytes'] / 1e6:>9.1f}"
-                f"{run['bytes_copied_in'] / 1e6:>9.1f}"
-                f"{'ok' if run['rss_within_budget'] else 'BAD':>5}"
-                f"{'ok' if run['matvecs_equal'] else 'NO':>4}"
-                f"{'ok' if run['bit_identical'] else 'BAD':>6}"
-            )
-    if payload.get("similar_runs"):
-        lines.append(
-            "similarity queries (blocked matrix-free MHS/MHP; lists "
-            "hard-checked against the dense reference)"
-        )
-        header = (
-            f"{'similar':<9}{'dataset':<17}{'block':>7}{'thr':>4}"
-            f"{'queries':>9}{'p50 ms':>9}{'p95 ms':>9}{'mv/query':>10}"
-            f"{'lists':>7}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for run in payload["similar_runs"]:
-            lines.append(
-                f"{run['mode']:<9}{run['dataset']:<17}"
-                f"{run['block_sources']:>7}{run['threads']:>4}"
-                f"{run['num_queries']:>9}"
-                f"{run['p50_ms']:>9.2f}{run['p95_ms']:>9.2f}"
-                f"{run['matvecs_per_query']:>10.1f}"
-                f"{'ok' if run['lists_equal'] else 'BAD':>7}"
-            )
+            if index == 0:
+                lines.append("-" * len(lines[-1]))
     return "\n".join(lines)

@@ -1,582 +1,68 @@
-"""The ``BENCH_*.json`` document: schema constants, validation, upgrade.
+"""The ``BENCH_*.json`` document: schema constants and validation.
 
-Every benchmark run serializes to one JSON document so future PRs have a
-perf trajectory to compare against.  Like :mod:`repro.obs.report`, the
-schema is fixed and versioned, validated on the write path (the harness) and
-the read path (tooling that compares runs), and changes must bump
-``BENCH_SCHEMA_VERSION``.  Older documents are read through
-:func:`upgrade_bench`, which fills the fields newer versions added.
-
-Schema (see ``docs/BENCHMARKS.md`` for the narrative version)::
+Every benchmark run serializes to one JSON document.  Like
+:mod:`repro.obs.report`, the schema is fixed and versioned and is validated
+on the write path (the harness) and the read path (``load_bench``)::
 
     {
       "schema": "repro.bench.results",
-      "version": 5,
+      "version": 9,
       "created": str,             # ISO-8601 UTC timestamp
-      "config": {"datasets": [str], "methods": [str], "dimension": int,
-                 "seed": int, "repeats": int,
-                 "gebe_iterations": int | null,
-                 "ab_compare": bool, "float32": bool,
-                 "threads": [int],
-                 "fit_grid": bool, "topk": bool,
-                 "topk_block_rows": [int], "topk_n": int,
-                 "serve_smoke": bool, "serve_requests": int,
-                 "ann": bool, "ann_items": int, "ann_queries": int,
-                 "ann_cells": int | null, "ann_nprobe": [int],
-                 "ann_n": int},
+      "config": {...},            # every BenchConfig field
       "environment": {"python": str, "numpy": str, "scipy": str,
                       "platform": str, "cpu_count": int},
-      "runs": [Run, ...],
-      "comparisons": [Comparison, ...],
-      "topk_runs": [TopkRun, ...],
-      "topk_comparisons": [TopkComparison, ...],
-      "serve_runs": [ServeRun, ...],
-      "ann_runs": [AnnRun, ...],
-      "quant_runs": [QuantRun, ...],
-      "refresh_runs": [RefreshRun, ...],
-      "ooc_runs": [OocRun, ...],
-      "similar_runs": [SimilarRun, ...]
+      "<axis.key>": [row, ...]    # one rows list per axis of AXES
     }
 
-    Run: {
-      "method": str, "dataset": str,
-      "policy": str,              # DtypePolicy.describe(), e.g. "float64/workspace"
-      "threads": int,             # executor thread count for this row
-      "dimension": int, "seed": int, "repeats": int,
-      "wall_seconds": float,      # min over repeats (noise-robust)
-      "wall_seconds_all": [float, ...],
-      "matvecs": int, "gemms": int, "flops": float,
-      "peak_rss_bytes": int,
-      "workspace_bytes": int,     # kernel buffer watermark, all thread pools
-      "graph": {"num_u": int, "num_v": int, "num_edges": int}
-    }
-
-    Comparison: {                 # candidate kernel path vs. its baseline
-      "method": str, "dataset": str,
-      "baseline_policy": str, "candidate_policy": str,
-      "baseline_threads": int, "candidate_threads": int,
-      "speedup": float,           # baseline wall / candidate wall
-      "matvecs_equal": bool       # obs counters identical across paths
-    }
-
-    TopkRun: {                    # one retrieval sweep over all users
-      "method": str, "dataset": str,
-      "mode": str,                # "per_user" | "batched"
-      "block_rows": int | null,   # null for the per-user reference path
-      "threads": int, "exclude": bool, "n": int,
-      "num_users": int, "num_items": int,
-      "wall_seconds": float,      # min over repeats
-      "wall_seconds_all": [float, ...],
-      "candidates": int,          # obs coverage (0: uninstrumented path)
-      "gemms": int, "workspace_bytes": int
-    }
-
-    TopkComparison: {             # batched sweep vs. the per-user reference
-      "method": str, "dataset": str,
-      "baseline_mode": str, "candidate_mode": str,
-      "candidate_block_rows": int | null, "candidate_threads": int,
-      "speedup": float,           # per-user wall / batched wall
-      "lists_equal": bool         # recommendation lists identical
-    }
-
-    ServeRun: {                   # HTTP round-trips against an in-process
-      "method": str, "dataset": str,            # repro.serve server
-      "mode": str,                # "sequential" | "concurrent"
-      "clients": int,             # client threads issuing the requests
-      "requests": int,            # completed 200-responses measured
-      "n": int,                   # list length per request
-      "batched": bool,            # micro-batcher on the single-user path
-      "wall_seconds": float,      # whole-mode wall clock
-      "p50_ms": float,            # per-request round-trip percentiles
-      "p95_ms": float,
-      "shed": int,                # 429/503 responses observed (0 expected)
-      "lists_equal": bool         # responses identical to offline TopKEngine
-    }
-
-    AnnRun: {                     # per-query retrieval over the scaled-up
-      "method": str, "dataset": str,      # item stand-in (1M+ items)
-      "mode": str,                # "exact" | "ivf"
-      "nprobe": int | null,       # probed cells (null for exact rows)
-      "cells": int,               # quantizer cells (0 for exact rows)
-      "num_items": int, "num_queries": int, "n": int,
-      "build_seconds": float,     # index build (0.0 for exact rows)
-      "wall_seconds": float,      # whole query loop
-      "p50_ms": float,            # per-query latency percentiles
-      "p95_ms": float,
-      "recall_at_n": float,       # mean recall@n vs the exact lists
-      "candidates": int,          # exactly reranked (user, item) pairs
-      "exact_match": bool         # lists element-identical to exact
-    }
-
-    QuantRun: {                   # the quantized-artifact axis: publish,
-      "method": str, "dataset": str,      # load, and query one codec
-      "mode": str,                # "exact" | "float16" | "int8"
-      "mmap": bool,               # arrays memory-mapped at load
-      "num_users": int, "num_items": int, "n": int,
-      "publish_seconds": float,   # ArtifactStore.publish wall
-      "load_seconds": float,      # ArtifactStore.load wall (verify off —
-                                  # the hot verify-then-swap reload path)
-      "load_speedup": float,      # exact eager load_seconds / this row's
-      "artifact_bytes": int,      # on-disk bytes of the version directory
-      "resident_bytes": int,      # engine-resident bytes after staging
-      "wall_seconds": float,      # whole query sweep
-      "p50_ms": float,            # per-query-block latency percentiles
-      "p95_ms": float,
-      "candidates": int,          # margin-reranked (user, item) pairs
-      "lists_equal": bool         # HARD invariant: lists identical to the
-    }                             # exact engine's (scores included)
-
-    RefreshRun: {                 # the incremental-refresh axis: refit
-      "method": str, "dataset": str,      # after a small edge delta
-      "mode": str,                # "cold" | "warm"
-      "refresh_mode": str | null, # RunReport refresh.mode for warm rows
-                                  # ("warm" | "cold_fallback"; null for cold)
-      "delta_edges": int,         # edges the delta log touched
-      "delta_fraction": float,    # delta_edges / base num_edges
-      "wall_seconds": float,      # min over repeats
-      "wall_seconds_all": [float, ...],
-      "matvecs": int,             # obs sparse_matvecs of the refit
-      "qr_factorizations": int,
-      "publish_bytes": int,       # on-disk bytes this row's publish wrote
-      "full_publish_bytes": int,  # bytes a from-scratch publish writes
-      "quality_ok": bool          # HARD invariant: warm top-n lists match
-    }                             # the cold refit's (cold rows: trivially
-                                  # true)
-
-    OocRun: {                     # the out-of-core axis: the same fit from
-      "method": str, "dataset": str,      # a resident graph (the anchor)
-      "mode": str,                # "resident" | "mmap"
-      "budget_mb": float | null,  # staging budget (null: resident anchor,
-                                  # or an unbudgeted mmap row)
-      "threads": int,
-      "num_u": int, "num_v": int, "nnz": int,
-      "wall_seconds": float,      # min over repeats
-      "wall_seconds_all": [float, ...],
-      "wall_overhead": float,     # this row's wall / anchor wall (1.0 for
-                                  # the anchor itself)
-      "matvecs": int,             # obs sparse_matvecs of the fit
-      "bytes_copied_in": int,     # OOC staging traffic (0 for resident)
-      "peak_rss_bytes": int,      # peak RSS growth over the pre-fit RSS
-      "rss_budget_bytes": int | null,   # anchor growth + budget + slack
-                                  # (null when no gate applies to the row)
-      "rss_within_budget": bool,  # HARD invariant for budgeted mmap rows:
-                                  # peak_rss_bytes <= rss_budget_bytes
-      "matvecs_equal": bool,      # HARD invariant: op counts identical to
-                                  # the resident anchor
-      "bit_identical": bool       # HARD invariant: embeddings bitwise
-    }                             # equal to the resident anchor's
-
-    SimilarRun: {                 # the similarity axis: blocked matrix-free
-      "method": str, "dataset": str,      # MHS/MHP queries on a seeded
-      "mode": str,                # "mhs" | "mhp"       # stand-in graph
-      "block_sources": int,       # one-hot block width of the engine
-      "threads": int,
-      "num_u": int, "num_v": int, "tau": int, "n": int,
-      "num_queries": int,         # single-source queries timed
-      "wall_seconds": float,      # whole single-source query loop
-      "p50_ms": float,            # per-query latency percentiles
-      "p95_ms": float,
-      "matvecs_per_query": float, # obs sparse_matvecs / num_queries
-      "lists_equal": bool         # HARD invariant: single-source AND
-    }                             # blocked multi-source lists element-
-                                  # identical to dense mhs/mhp + select_topn
-
-Version history: v9 added the similarity axis (``similar_runs`` and the
-``similar``/``similar_users``/``similar_items``/``similar_queries``/
-``similar_tau``/``similar_n``/``similar_block_sources``/``similar_seed``
-config switches): per-query latency and matvec cost of the blocked
-matrix-free MHS/MHP engine of :mod:`repro.tasks.similarity` over a seeded
-random stand-in, with every row's top-k lists hard-gated element-identical
-to the dense ``repro.core.measures`` reference.  Older documents upgrade
-with the axis absent.
-v8 added the out-of-core axis (``ooc_runs`` and the
-``ooc``/``ooc_items``/``ooc_budgets_mb`` config switches): the first
-method fitted once from a resident graph (the differential anchor) and
-once per staging budget from a memory-mapped
-:class:`~repro.graph.store.GraphStore`, with every mmap row's embeddings
-pinned bitwise to the anchor, its matvec counts pinned equal, and its
-peak-RSS growth gated under the anchor's growth plus the budget plus a
-documented slack.  Older documents upgrade with the axis absent.
-v7 added the incremental-refresh axis (``refresh_runs``
-and the ``refresh``/``refresh_fraction``/``refresh_n`` config switches):
-cold-vs-warm refit rows after a seeded ~1% edge delta, with warm matvec
-counts, delta-publish bytes vs a full publish, and the warm rows'
-recommendation lists gated against the cold refit.  Older documents
-upgrade with the axis absent.
-v6 added the quantized-artifact axis (``quant_runs`` and
-the ``quant_*`` config switches): per-codec publish/load/query rows over a
-large item stand-in, with memory-mapped loads timed against the exact
-eager baseline and every quantized row's recommendation lists hard-checked
-against the exact engine.  Older documents upgrade with the axis absent.
-v5 added the ANN axis (``ann_runs`` and the ``ann_*``
-config switches): per-query p50/p95 latency and measured recall@n of the
-IVF index of :mod:`repro.ann` over a 1M+ item synthetic stand-in, with the
-full-probe row pinned element-identical to the exact engine.  Older
-documents upgrade with the axis absent.
-v4 added the serving axis (``serve_runs`` and the
-``serve_smoke``/``serve_requests`` config switches): end-to-end HTTP
-latency through :mod:`repro.serve` measured sequentially and under
-concurrent clients, with every response checked against the offline
-engine.  Older documents upgrade with the axis absent.
-v3 added the top-k retrieval axis (``topk_runs`` /
-``topk_comparisons`` and the ``fit_grid``/``topk``/``topk_block_rows``/
-``topk_n`` config switches); ``runs`` may now be empty as long as
-``topk_runs`` is not (``--topk-only``).  Older documents upgrade with the
-axis absent (empty lists, ``topk: false``).  v2 added the ``threads`` axis
-(``config.threads``, ``Run.threads``,
-``Comparison.baseline_threads``/``candidate_threads``) and
-``Run.workspace_bytes``.  v1 documents upgrade by pinning every run and
-comparison to one thread and a zero workspace watermark.
+The rows of each list follow their axis's field spec in
+:mod:`repro.bench.axes`, which is also the narrative reference (see
+``docs/BENCHMARKS.md``).  At least one rows list must be non-empty.  Only
+version 9 is read: an older document is rejected with a message naming its
+version.  v9 is the version of the committed ``BENCH_gebe.json``; the
+table-driven validation accepts it unchanged (its ``config`` also carries
+the retired ``ab_compare`` switch, and extra config keys are allowed).
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Dict
 
-__all__ = [
-    "BENCH_SCHEMA_NAME",
-    "BENCH_SCHEMA_VERSION",
-    "validate_bench",
-    "upgrade_bench",
-]
+from ..obs import check_fields
+from .axes import AXES, BenchConfig
+
+__all__ = ["BENCH_SCHEMA_NAME", "BENCH_SCHEMA_VERSION", "validate_bench"]
 
 BENCH_SCHEMA_NAME = "repro.bench.results"
 BENCH_SCHEMA_VERSION = 9
 
-_CONFIG_KEYS = {
-    "datasets": list,
-    "methods": list,
-    "dimension": int,
-    "seed": int,
-    "repeats": int,
-    "gebe_iterations": (int, type(None)),
-    "ab_compare": bool,
-    "float32": bool,
-    "threads": list,
-    "fit_grid": bool,
-    "topk": bool,
-    "topk_block_rows": list,
-    "topk_n": int,
-    "serve_smoke": bool,
-    "serve_requests": int,
-    "ann": bool,
-    "ann_items": int,
-    "ann_queries": int,
-    "ann_cells": (int, type(None)),
-    "ann_nprobe": list,
-    "ann_n": int,
-    "quant": bool,
-    "quant_items": int,
-    "quant_queries": int,
-    "quant_dtypes": list,
-    "quant_n": int,
-    "refresh": bool,
-    "refresh_fraction": (int, float),
-    "refresh_n": int,
-    "ooc": bool,
-    "ooc_items": int,
-    "ooc_budgets_mb": list,
-    "similar": bool,
-    "similar_users": int,
-    "similar_items": int,
-    "similar_queries": int,
-    "similar_tau": int,
-    "similar_n": int,
-    "similar_block_sources": list,
-    "similar_seed": int,
+_ENVIRONMENT = {
+    "python": "str",
+    "numpy": "str",
+    "scipy": "str",
+    "platform": "str",
+    "cpu_count": "int",
 }
-_ENVIRONMENT_KEYS = {
-    "python": str,
-    "numpy": str,
-    "scipy": str,
-    "platform": str,
-    "cpu_count": int,
-}
-_RUN_KEYS = {
-    "method": str,
-    "dataset": str,
-    "policy": str,
-    "threads": int,
-    "dimension": int,
-    "seed": int,
-    "repeats": int,
-    "wall_seconds": (int, float),
-    "wall_seconds_all": list,
-    "matvecs": int,
-    "gemms": int,
-    "flops": (int, float),
-    "peak_rss_bytes": int,
-    "workspace_bytes": int,
-    "graph": dict,
-}
-_GRAPH_KEYS = ("num_u", "num_v", "num_edges")
-_COMPARISON_KEYS = {
-    "method": str,
-    "dataset": str,
-    "baseline_policy": str,
-    "candidate_policy": str,
-    "baseline_threads": int,
-    "candidate_threads": int,
-    "speedup": (int, float),
-    "matvecs_equal": bool,
-}
-_TOPK_RUN_KEYS = {
-    "method": str,
-    "dataset": str,
-    "mode": str,
-    "block_rows": (int, type(None)),
-    "threads": int,
-    "exclude": bool,
-    "n": int,
-    "num_users": int,
-    "num_items": int,
-    "wall_seconds": (int, float),
-    "wall_seconds_all": list,
-    "candidates": int,
-    "gemms": int,
-    "workspace_bytes": int,
-}
-_TOPK_COMPARISON_KEYS = {
-    "method": str,
-    "dataset": str,
-    "baseline_mode": str,
-    "candidate_mode": str,
-    "candidate_block_rows": (int, type(None)),
-    "candidate_threads": int,
-    "speedup": (int, float),
-    "lists_equal": bool,
-}
-_TOPK_MODES = ("per_user", "batched")
-_SERVE_RUN_KEYS = {
-    "method": str,
-    "dataset": str,
-    "mode": str,
-    "clients": int,
-    "requests": int,
-    "n": int,
-    "batched": bool,
-    "wall_seconds": (int, float),
-    "p50_ms": (int, float),
-    "p95_ms": (int, float),
-    "shed": int,
-    "lists_equal": bool,
-}
-_SERVE_MODES = ("sequential", "concurrent")
-_ANN_RUN_KEYS = {
-    "method": str,
-    "dataset": str,
-    "mode": str,
-    "nprobe": (int, type(None)),
-    "cells": int,
-    "num_items": int,
-    "num_queries": int,
-    "n": int,
-    "build_seconds": (int, float),
-    "wall_seconds": (int, float),
-    "p50_ms": (int, float),
-    "p95_ms": (int, float),
-    "recall_at_n": (int, float),
-    "candidates": int,
-    "exact_match": bool,
-}
-_ANN_MODES = ("exact", "ivf")
-_QUANT_RUN_KEYS = {
-    "method": str,
-    "dataset": str,
-    "mode": str,
-    "mmap": bool,
-    "num_users": int,
-    "num_items": int,
-    "n": int,
-    "publish_seconds": (int, float),
-    "load_seconds": (int, float),
-    "load_speedup": (int, float),
-    "artifact_bytes": int,
-    "resident_bytes": int,
-    "wall_seconds": (int, float),
-    "p50_ms": (int, float),
-    "p95_ms": (int, float),
-    "candidates": int,
-    "lists_equal": bool,
-}
-_QUANT_MODES = ("exact", "float16", "int8")
-_REFRESH_RUN_KEYS = {
-    "method": str,
-    "dataset": str,
-    "mode": str,
-    "refresh_mode": (str, type(None)),
-    "delta_edges": int,
-    "delta_fraction": (int, float),
-    "wall_seconds": (int, float),
-    "wall_seconds_all": list,
-    "matvecs": int,
-    "qr_factorizations": int,
-    "publish_bytes": int,
-    "full_publish_bytes": int,
-    "quality_ok": bool,
-}
-_REFRESH_MODES = ("cold", "warm")
-_REFRESH_SUBMODES = ("warm", "cold_fallback")
-_OOC_RUN_KEYS = {
-    "method": str,
-    "dataset": str,
-    "mode": str,
-    "budget_mb": (int, float, type(None)),
-    "threads": int,
-    "num_u": int,
-    "num_v": int,
-    "nnz": int,
-    "wall_seconds": (int, float),
-    "wall_seconds_all": list,
-    "wall_overhead": (int, float),
-    "matvecs": int,
-    "bytes_copied_in": int,
-    "peak_rss_bytes": int,
-    "rss_budget_bytes": (int, type(None)),
-    "rss_within_budget": bool,
-    "matvecs_equal": bool,
-    "bit_identical": bool,
-}
-_OOC_MODES = ("resident", "mmap")
-_SIMILAR_RUN_KEYS = {
-    "method": str,
-    "dataset": str,
-    "mode": str,
-    "block_sources": int,
-    "threads": int,
-    "num_u": int,
-    "num_v": int,
-    "tau": int,
-    "n": int,
-    "num_queries": int,
-    "wall_seconds": (int, float),
-    "p50_ms": (int, float),
-    "p95_ms": (int, float),
-    "matvecs_per_query": (int, float),
-    "lists_equal": bool,
-}
-_SIMILAR_MODES = ("mhs", "mhp")
+
+
+def _config_spec() -> Dict[str, str]:
+    """Every :class:`BenchConfig` field, typed after its default."""
+    spec = {}
+    for item in fields(BenchConfig):
+        default = item.default
+        if isinstance(default, tuple):
+            spec[item.name] = "list"
+        elif isinstance(default, bool):
+            spec[item.name] = "bool"
+        elif isinstance(default, float):
+            spec[item.name] = "num"
+        else:
+            spec[item.name] = "int?"
+    return spec
 
 
 def _fail(message: str) -> None:
     raise ValueError(f"invalid bench document: {message}")
-
-
-def _check_object(obj: Any, spec: Dict[str, Any], where: str) -> None:
-    if not isinstance(obj, dict):
-        _fail(f"{where} must be an object, got {type(obj).__name__}")
-    for key, expected in spec.items():
-        if key not in obj:
-            _fail(f"{where} is missing {key!r}")
-        if not isinstance(obj[key], expected):
-            _fail(f"{where}.{key} has wrong type {type(obj[key]).__name__}")
-        # bool is an int subclass; reject it where an int is required.
-        if expected is int and isinstance(obj[key], bool):
-            _fail(f"{where}.{key} must be an integer, got a bool")
-
-
-def upgrade_bench(payload: Any) -> Any:
-    """Upgrade an older bench document in place to the current version.
-
-    Upgrades chain one version at a time.  v1 predates the threads axis:
-    every run was serial, so runs and comparisons get
-    ``threads``/``baseline_threads``/``candidate_threads`` of 1,
-    ``config.threads`` of ``[1]``, and a zero ``workspace_bytes`` watermark
-    (v1 did not record it).  v2 predates the top-k retrieval axis: the axis
-    upgrades as *absent* (``topk: false``, empty ``topk_runs`` /
-    ``topk_comparisons``) rather than pretending it ran.  v3 likewise
-    predates the serving axis (``serve_smoke: false``, empty
-    ``serve_runs``), v4 the ANN axis (``ann: false``, empty ``ann_runs``),
-    v5 the quantized-artifact axis (``quant: false``, empty
-    ``quant_runs``), v6 the incremental-refresh axis
-    (``refresh: false``, empty ``refresh_runs``), v7 the out-of-core
-    axis (``ooc: false``, empty ``ooc_runs``), and v8 the similarity axis
-    (``similar: false``, empty ``similar_runs``).  Current-version documents
-    pass through untouched; unknown versions fail validation downstream.
-    """
-    if not isinstance(payload, dict):
-        return payload
-    if payload.get("version") == 1:
-        payload["version"] = 2
-        config = payload.get("config")
-        if isinstance(config, dict):
-            config.setdefault("threads", [1])
-        for run in payload.get("runs") or []:
-            if isinstance(run, dict):
-                run.setdefault("threads", 1)
-                run.setdefault("workspace_bytes", 0)
-        for comparison in payload.get("comparisons") or []:
-            if isinstance(comparison, dict):
-                comparison.setdefault("baseline_threads", 1)
-                comparison.setdefault("candidate_threads", 1)
-    if payload.get("version") == 2:
-        payload["version"] = 3
-        config = payload.get("config")
-        if isinstance(config, dict):
-            config.setdefault("fit_grid", True)
-            config.setdefault("topk", False)
-            config.setdefault("topk_block_rows", [])
-            config.setdefault("topk_n", 10)
-        payload.setdefault("topk_runs", [])
-        payload.setdefault("topk_comparisons", [])
-    if payload.get("version") == 3:
-        payload["version"] = 4
-        config = payload.get("config")
-        if isinstance(config, dict):
-            config.setdefault("serve_smoke", False)
-            config.setdefault("serve_requests", 32)
-        payload.setdefault("serve_runs", [])
-    if payload.get("version") == 4:
-        payload["version"] = 5
-        config = payload.get("config")
-        if isinstance(config, dict):
-            config.setdefault("ann", False)
-            config.setdefault("ann_items", 0)
-            config.setdefault("ann_queries", 0)
-            config.setdefault("ann_cells", None)
-            config.setdefault("ann_nprobe", [])
-            config.setdefault("ann_n", 100)
-        payload.setdefault("ann_runs", [])
-    if payload.get("version") == 5:
-        payload["version"] = 6
-        config = payload.get("config")
-        if isinstance(config, dict):
-            config.setdefault("quant", False)
-            config.setdefault("quant_items", 0)
-            config.setdefault("quant_queries", 0)
-            config.setdefault("quant_dtypes", [])
-            config.setdefault("quant_n", 100)
-        payload.setdefault("quant_runs", [])
-    if payload.get("version") == 6:
-        payload["version"] = 7
-        config = payload.get("config")
-        if isinstance(config, dict):
-            config.setdefault("refresh", False)
-            config.setdefault("refresh_fraction", 0.01)
-            config.setdefault("refresh_n", 10)
-        payload.setdefault("refresh_runs", [])
-    if payload.get("version") == 7:
-        payload["version"] = 8
-        config = payload.get("config")
-        if isinstance(config, dict):
-            config.setdefault("ooc", False)
-            config.setdefault("ooc_items", 0)
-            config.setdefault("ooc_budgets_mb", [])
-        payload.setdefault("ooc_runs", [])
-    if payload.get("version") == 8:
-        payload["version"] = BENCH_SCHEMA_VERSION
-        config = payload.get("config")
-        if isinstance(config, dict):
-            config.setdefault("similar", False)
-            config.setdefault("similar_users", 0)
-            config.setdefault("similar_items", 0)
-            config.setdefault("similar_queries", 0)
-            config.setdefault("similar_tau", 5)
-            config.setdefault("similar_n", 10)
-            config.setdefault("similar_block_sources", [])
-            config.setdefault("similar_seed", 7)
-        payload.setdefault("similar_runs", [])
-    return payload
 
 
 def validate_bench(payload: Any) -> Dict[str, Any]:
@@ -595,241 +81,25 @@ def validate_bench(payload: Any) -> Dict[str, Any]:
         _fail(f"version must be {BENCH_SCHEMA_VERSION}, got {payload.get('version')!r}")
     if not isinstance(payload.get("created"), str) or not payload["created"]:
         _fail("created must be a non-empty string")
-    _check_object(payload.get("config"), _CONFIG_KEYS, "config")
+    check_fields(payload.get("config"), _config_spec(), "config", _fail)
     threads = payload["config"]["threads"]
     if not threads or not all(
         isinstance(t, int) and not isinstance(t, bool) and t >= 1 for t in threads
     ):
         _fail("config.threads must be a non-empty list of integers >= 1")
-    _check_object(payload.get("environment"), _ENVIRONMENT_KEYS, "environment")
-    runs = payload.get("runs")
-    if not isinstance(runs, list):
-        _fail("runs must be a list")
-    topk_runs = payload.get("topk_runs")
-    if not isinstance(topk_runs, list):
-        _fail("topk_runs must be a list")
-    serve_runs = payload.get("serve_runs")
-    if not isinstance(serve_runs, list):
-        _fail("serve_runs must be a list")
-    ann_runs = payload.get("ann_runs")
-    if not isinstance(ann_runs, list):
-        _fail("ann_runs must be a list")
-    quant_runs = payload.get("quant_runs")
-    if not isinstance(quant_runs, list):
-        _fail("quant_runs must be a list")
-    refresh_runs = payload.get("refresh_runs")
-    if not isinstance(refresh_runs, list):
-        _fail("refresh_runs must be a list")
-    ooc_runs = payload.get("ooc_runs")
-    if not isinstance(ooc_runs, list):
-        _fail("ooc_runs must be a list")
-    similar_runs = payload.get("similar_runs")
-    if not isinstance(similar_runs, list):
-        _fail("similar_runs must be a list")
-    if (
-        not runs
-        and not topk_runs
-        and not serve_runs
-        and not ann_runs
-        and not quant_runs
-        and not refresh_runs
-        and not ooc_runs
-        and not similar_runs
-    ):
-        _fail(
-            "runs, topk_runs, serve_runs, ann_runs, quant_runs, "
-            "refresh_runs, ooc_runs, and similar_runs must not all be empty"
-        )
-    for index, run in enumerate(runs):
-        where = f"runs[{index}]"
-        _check_object(run, _RUN_KEYS, where)
-        if run["wall_seconds"] < 0:
-            _fail(f"{where}.wall_seconds must be non-negative")
-        if run["threads"] < 1:
-            _fail(f"{where}.threads must be >= 1")
-        if run["workspace_bytes"] < 0:
-            _fail(f"{where}.workspace_bytes must be non-negative")
-        if not run["wall_seconds_all"] or not all(
-            isinstance(t, (int, float)) and t >= 0 for t in run["wall_seconds_all"]
-        ):
-            _fail(f"{where}.wall_seconds_all must be non-empty non-negative numbers")
-        for key in _GRAPH_KEYS:
-            value = run["graph"].get(key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                _fail(f"{where}.graph.{key} must be a non-negative integer")
-    comparisons = payload.get("comparisons")
-    if not isinstance(comparisons, list):
-        _fail("comparisons must be a list")
-    for index, comparison in enumerate(comparisons):
-        where = f"comparisons[{index}]"
-        _check_object(comparison, _COMPARISON_KEYS, where)
-        if comparison["speedup"] <= 0:
-            _fail(f"{where}.speedup must be positive")
-        if comparison["baseline_threads"] < 1 or comparison["candidate_threads"] < 1:
-            _fail(f"{where} thread counts must be >= 1")
-    for index, run in enumerate(topk_runs):
-        where = f"topk_runs[{index}]"
-        _check_object(run, _TOPK_RUN_KEYS, where)
-        if run["mode"] not in _TOPK_MODES:
-            _fail(f"{where}.mode must be one of {_TOPK_MODES}")
-        if run["mode"] == "batched" and run["block_rows"] is None:
-            _fail(f"{where}.block_rows is required for batched rows")
-        if run["block_rows"] is not None and run["block_rows"] < 1:
-            _fail(f"{where}.block_rows must be >= 1")
-        if run["wall_seconds"] < 0:
-            _fail(f"{where}.wall_seconds must be non-negative")
-        if run["threads"] < 1:
-            _fail(f"{where}.threads must be >= 1")
-        if not run["wall_seconds_all"] or not all(
-            isinstance(t, (int, float)) and t >= 0 for t in run["wall_seconds_all"]
-        ):
-            _fail(f"{where}.wall_seconds_all must be non-empty non-negative numbers")
-        for key in ("n", "num_users", "num_items", "candidates", "gemms",
-                    "workspace_bytes"):
-            if run[key] < 0:
-                _fail(f"{where}.{key} must be non-negative")
-    topk_comparisons = payload.get("topk_comparisons")
-    if not isinstance(topk_comparisons, list):
-        _fail("topk_comparisons must be a list")
-    for index, comparison in enumerate(topk_comparisons):
-        where = f"topk_comparisons[{index}]"
-        _check_object(comparison, _TOPK_COMPARISON_KEYS, where)
-        if comparison["speedup"] <= 0:
-            _fail(f"{where}.speedup must be positive")
-        if comparison["candidate_threads"] < 1:
-            _fail(f"{where}.candidate_threads must be >= 1")
-    for index, run in enumerate(serve_runs):
-        where = f"serve_runs[{index}]"
-        _check_object(run, _SERVE_RUN_KEYS, where)
-        if run["mode"] not in _SERVE_MODES:
-            _fail(f"{where}.mode must be one of {_SERVE_MODES}")
-        if run["clients"] < 1:
-            _fail(f"{where}.clients must be >= 1")
-        for key in ("requests", "n", "shed"):
-            if run[key] < 0:
-                _fail(f"{where}.{key} must be non-negative")
-        for key in ("wall_seconds", "p50_ms", "p95_ms"):
-            if run[key] < 0:
-                _fail(f"{where}.{key} must be non-negative")
-    for index, run in enumerate(ann_runs):
-        where = f"ann_runs[{index}]"
-        _check_object(run, _ANN_RUN_KEYS, where)
-        if run["mode"] not in _ANN_MODES:
-            _fail(f"{where}.mode must be one of {_ANN_MODES}")
-        if run["mode"] == "ivf" and run["nprobe"] is None:
-            _fail(f"{where}.nprobe is required for ivf rows")
-        if run["nprobe"] is not None and run["nprobe"] < 1:
-            _fail(f"{where}.nprobe must be >= 1")
-        for key in ("cells", "num_items", "num_queries", "n", "candidates"):
-            if run[key] < 0:
-                _fail(f"{where}.{key} must be non-negative")
-        for key in ("build_seconds", "wall_seconds", "p50_ms", "p95_ms"):
-            if run[key] < 0:
-                _fail(f"{where}.{key} must be non-negative")
-        if not 0.0 <= run["recall_at_n"] <= 1.0:
-            _fail(f"{where}.recall_at_n must be within [0, 1]")
-    for index, run in enumerate(quant_runs):
-        where = f"quant_runs[{index}]"
-        _check_object(run, _QUANT_RUN_KEYS, where)
-        if run["mode"] not in _QUANT_MODES:
-            _fail(f"{where}.mode must be one of {_QUANT_MODES}")
-        if run["load_speedup"] <= 0:
-            _fail(f"{where}.load_speedup must be positive")
-        for key in (
-            "num_users",
-            "num_items",
-            "n",
-            "artifact_bytes",
-            "resident_bytes",
-            "candidates",
-        ):
-            if run[key] < 0:
-                _fail(f"{where}.{key} must be non-negative")
-        for key in (
-            "publish_seconds",
-            "load_seconds",
-            "wall_seconds",
-            "p50_ms",
-            "p95_ms",
-        ):
-            if run[key] < 0:
-                _fail(f"{where}.{key} must be non-negative")
-    for index, run in enumerate(refresh_runs):
-        where = f"refresh_runs[{index}]"
-        _check_object(run, _REFRESH_RUN_KEYS, where)
-        if run["mode"] not in _REFRESH_MODES:
-            _fail(f"{where}.mode must be one of {_REFRESH_MODES}")
-        if run["mode"] == "warm":
-            if run["refresh_mode"] not in _REFRESH_SUBMODES:
-                _fail(
-                    f"{where}.refresh_mode must be one of {_REFRESH_SUBMODES} "
-                    "for warm rows"
-                )
-        elif run["refresh_mode"] is not None:
-            _fail(f"{where}.refresh_mode must be null for cold rows")
-        if not 0.0 <= run["delta_fraction"] <= 1.0:
-            _fail(f"{where}.delta_fraction must be within [0, 1]")
-        if not run["wall_seconds_all"] or not all(
-            isinstance(t, (int, float)) and t >= 0 for t in run["wall_seconds_all"]
-        ):
-            _fail(f"{where}.wall_seconds_all must be non-empty non-negative numbers")
-        for key in (
-            "delta_edges",
-            "matvecs",
-            "qr_factorizations",
-            "publish_bytes",
-            "full_publish_bytes",
-        ):
-            if run[key] < 0:
-                _fail(f"{where}.{key} must be non-negative")
-        if run["wall_seconds"] < 0:
-            _fail(f"{where}.wall_seconds must be non-negative")
-    for index, run in enumerate(ooc_runs):
-        where = f"ooc_runs[{index}]"
-        _check_object(run, _OOC_RUN_KEYS, where)
-        if run["mode"] not in _OOC_MODES:
-            _fail(f"{where}.mode must be one of {_OOC_MODES}")
-        if run["mode"] == "resident" and run["budget_mb"] is not None:
-            _fail(f"{where}.budget_mb must be null for resident rows")
-        if run["budget_mb"] is not None and run["budget_mb"] <= 0:
-            _fail(f"{where}.budget_mb must be positive")
-        if run["rss_budget_bytes"] is not None and run["rss_budget_bytes"] < 0:
-            _fail(f"{where}.rss_budget_bytes must be non-negative")
-        if run["threads"] < 1:
-            _fail(f"{where}.threads must be >= 1")
-        if run["wall_overhead"] <= 0:
-            _fail(f"{where}.wall_overhead must be positive")
-        if not run["wall_seconds_all"] or not all(
-            isinstance(t, (int, float)) and t >= 0 for t in run["wall_seconds_all"]
-        ):
-            _fail(f"{where}.wall_seconds_all must be non-empty non-negative numbers")
-        for key in (
-            "num_u",
-            "num_v",
-            "nnz",
-            "matvecs",
-            "bytes_copied_in",
-            "peak_rss_bytes",
-        ):
-            if run[key] < 0:
-                _fail(f"{where}.{key} must be non-negative")
-        if run["wall_seconds"] < 0:
-            _fail(f"{where}.wall_seconds must be non-negative")
-    for index, run in enumerate(similar_runs):
-        where = f"similar_runs[{index}]"
-        _check_object(run, _SIMILAR_RUN_KEYS, where)
-        if run["mode"] not in _SIMILAR_MODES:
-            _fail(f"{where}.mode must be one of {_SIMILAR_MODES}")
-        if run["block_sources"] < 1:
-            _fail(f"{where}.block_sources must be >= 1")
-        if run["threads"] < 1:
-            _fail(f"{where}.threads must be >= 1")
-        if run["num_queries"] < 1:
-            _fail(f"{where}.num_queries must be >= 1")
-        for key in ("num_u", "num_v", "tau", "n"):
-            if run[key] < 0:
-                _fail(f"{where}.{key} must be non-negative")
-        for key in ("wall_seconds", "p50_ms", "p95_ms", "matvecs_per_query"):
-            if run[key] < 0:
-                _fail(f"{where}.{key} must be non-negative")
+    check_fields(payload.get("environment"), _ENVIRONMENT, "environment", _fail)
+    for axis in AXES:
+        rows = payload.get(axis.key)
+        if not isinstance(rows, list):
+            _fail(f"{axis.key} must be a list")
+        spec = {"method": "str", "dataset": "str", **axis.fields}
+        for index, row in enumerate(rows):
+            where = f"{axis.key}[{index}]"
+            check_fields(row, spec, where, _fail)
+            for mode, key, required in axis.rules:
+                if row["mode"] == mode and (row[key] is None) == required:
+                    need = "is required" if required else "must be null"
+                    _fail(f"{where}.{key} {need} for {mode} rows")
+    if not any(payload[axis.key] for axis in AXES):
+        _fail(f"{', '.join(axis.key for axis in AXES)} must not all be empty")
     return payload

@@ -65,8 +65,13 @@ def _load_cli_dataset(name: str, seed: int) -> BipartiteGraph:
     return load_dataset(name, seed=seed)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for tests and docs)."""
+def build_parser(*, bench_axes: bool = True) -> argparse.ArgumentParser:
+    """The CLI argument parser (exposed for tests and docs).
+
+    ``bench_axes=False`` leaves out the ``bench`` axis-selection flags,
+    which are built from the bench's axis table: :func:`main` passes it for
+    every other command, so they start without importing the bench.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="GEBE: scalable bipartite network embedding (SIGMOD 2022 reproduction)",
@@ -409,11 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output path (default: BENCH_gebe.json)",
     )
     bench.add_argument(
-        "--no-ab",
-        action="store_true",
-        help="skip the legacy-kernel A/B rows",
-    )
-    bench.add_argument(
         "--no-float32",
         action="store_true",
         help="skip the float32 policy rows",
@@ -441,154 +441,23 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="seconds-scale CI configuration (toy graph, one repeat)",
     )
-    bench.add_argument(
-        "--no-topk",
-        action="store_true",
-        help="skip the top-k retrieval axis",
-    )
-    bench.add_argument(
-        "--topk-only",
-        action="store_true",
-        help="run only the top-k retrieval axis (skip the fit grid)",
-    )
-    bench.add_argument(
-        "--topk-block-rows",
-        nargs="+",
-        type=int,
-        metavar="B",
-        help="block sizes for the top-k axis (default: 64 256 1024)",
-    )
-    bench.add_argument(
-        "--serve-smoke",
-        action="store_true",
-        help="also measure end-to-end HTTP serving latency (sequential and "
-        "concurrent requests against an in-process repro.serve server)",
-    )
-    bench.add_argument(
-        "--ann",
-        action="store_true",
-        help="also run the ANN axis: IVF recall/latency sweep against the "
-        "exact engine on the million-item clustered stand-in",
-    )
-    bench.add_argument(
-        "--ann-only",
-        action="store_true",
-        help="run only the ANN axis (implies --ann; skips the fit grid and "
-        "the top-k axis)",
-    )
-    bench.add_argument(
-        "--ann-items",
-        type=int,
-        metavar="N",
-        help="stand-in item count for the ANN axis (default: 1200000)",
-    )
-    bench.add_argument(
-        "--ann-nprobe",
-        nargs="+",
-        type=int,
-        metavar="P",
-        help="probed-cell counts to sweep (default: 1 4 16 64; a full-probe "
-        "row always rides along)",
-    )
-    bench.add_argument(
-        "--quant",
-        action="store_true",
-        help="also run the quantized-artifact axis: publish float32/float16/"
-        "int8 artifacts of a large stand-in, measure mmap vs eager load "
-        "time, resident bytes, and query latency, and hard-assert the "
-        "quantized engines' lists match the exact engine's",
-    )
-    bench.add_argument(
-        "--quant-only",
-        action="store_true",
-        help="run only the quantized-artifact axis (implies --quant)",
-    )
-    bench.add_argument(
-        "--quant-items",
-        type=int,
-        metavar="N",
-        help="stand-in item count for the quant axis (default: 1200000)",
-    )
-    bench.add_argument(
-        "--quant-dtypes",
-        nargs="+",
-        choices=("float16", "int8"),
-        metavar="DTYPE",
-        help="codecs to sweep on the quant axis (default: float16 int8)",
-    )
-    bench.add_argument(
-        "--refresh",
-        action="store_true",
-        help="also run the incremental-refresh axis: apply a seeded ~1%% "
-        "edge delta, refit cold and warm-started, and hard-assert the warm "
-        "refit saves matvecs, delta publishes fewer bytes than a full "
-        "publish, and passes the top-n quality gate vs the cold refit",
-    )
-    bench.add_argument(
-        "--refresh-only",
-        action="store_true",
-        help="run only the incremental-refresh axis (implies --refresh)",
-    )
-    bench.add_argument(
-        "--refresh-fraction",
-        type=float,
-        metavar="F",
-        help="fraction of base edges the seeded delta reweights "
-        "(default: 0.01)",
-    )
-    bench.add_argument(
-        "--ooc",
-        action="store_true",
-        help="also run the out-of-core axis: ingest a streamed edge-list "
-        "stand-in into an on-disk graph store, fit from the memory-mapped "
-        "store under each staging budget, and hard-assert each mmap fit is "
-        "bit-identical and matvec-equal to the resident anchor with peak "
-        "RSS inside the budget gate",
-    )
-    bench.add_argument(
-        "--ooc-only",
-        action="store_true",
-        help="run only the out-of-core axis (implies --ooc)",
-    )
-    bench.add_argument(
-        "--ooc-items",
-        type=int,
-        metavar="N",
-        help="stand-in item count for the ooc axis (default: 1200000)",
-    )
-    bench.add_argument(
-        "--ooc-budgets-mb",
-        nargs="+",
-        type=float,
-        metavar="MB",
-        help="staging budgets to sweep on the mmap rows (default: 8 64)",
-    )
-    bench.add_argument(
-        "--similar",
-        action="store_true",
-        help="also run the similarity axis: blocked matrix-free MHS/MHP "
-        "queries on a seeded stand-in graph, per-query latency and matvec "
-        "cost per block size and thread count, hard-asserting every top-n "
-        "list element-identical to the dense measure reference",
-    )
-    bench.add_argument(
-        "--similar-only",
-        action="store_true",
-        help="run only the similarity axis (implies --similar)",
-    )
-    bench.add_argument(
-        "--similar-users",
-        type=int,
-        metavar="N",
-        help="stand-in user count for the similarity axis (default: 600)",
-    )
-    bench.add_argument(
-        "--similar-block-sources",
-        nargs="+",
-        type=int,
-        metavar="B",
-        help="source-block sizes to sweep (default: 8 64)",
-    )
+    # Axis selection, generated from the bench's axis table (which loads no
+    # runner code); every hard gate of a selected axis can exit 1.
+    if bench_axes:
+        from .bench.axes import AXES, BenchConfig
+
+        for axis in AXES:
+            if axis.flag is None:
+                continue
+            if getattr(BenchConfig, axis.switch):
+                bench.add_argument(f"--no-{axis.flag}", action="store_true",
+                                   help=f"skip the {axis.title}")
+            else:
+                bench.add_argument(f"--{axis.flag}", action="store_true",
+                                   help=f"also run the {axis.title}")
+            if axis.only:
+                bench.add_argument(f"--{axis.flag}-only", action="store_true",
+                                   help=f"run only the {axis.title} (not the default axes)")
 
     publish = commands.add_parser(
         "publish",
@@ -910,7 +779,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
             dimension=args.dimension,
             seed=args.seed,
             wall_seconds=result.elapsed_seconds,
-            ooc=ooc_section,
+            sections={"ooc": ooc_section},
             metadata={"num_u": graph.num_u, "num_v": graph.num_v,
                       "num_edges": graph.num_edges},
         )
@@ -1294,7 +1163,7 @@ def _cmd_similar(args: argparse.Namespace) -> int:
             dataset=source,
             seed=args.seed,
             wall_seconds=elapsed,
-            similarity=section,
+            sections={"similarity": section},
             metadata={
                 "num_u": graph.num_u,
                 "num_v": graph.num_v,
@@ -1383,151 +1252,51 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from collections import Counter
     from dataclasses import replace
 
     from .bench import (
+        AXES,
         BenchConfig,
         compare_bench,
         load_bench,
-        ooc_violations,
-        refresh_violations,
         render_bench,
         render_compare,
         run_bench,
-        similar_violations,
+        violations,
         write_bench,
     )
 
     config = BenchConfig.smoke() if args.smoke else BenchConfig()
-    overrides = {}
-    if args.datasets is not None:
-        overrides["datasets"] = tuple(args.datasets)
-    if args.methods is not None:
-        overrides["methods"] = tuple(args.methods)
-    if args.dimension is not None:
-        overrides["dimension"] = args.dimension
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.no_ab:
-        overrides["ab_compare"] = False
+    overrides = {
+        key: tuple(value) if isinstance(value, list) else value
+        for key in ("datasets", "methods", "dimension", "seed", "repeats", "threads")
+        if (value := getattr(args, key)) is not None
+    }
     if args.no_float32:
         overrides["float32"] = False
-    if args.threads is not None:
-        if any(t < 1 for t in args.threads):
-            print("error: --threads values must be >= 1", file=sys.stderr)
-            return 2
-        overrides["threads"] = tuple(args.threads)
-    if args.no_topk and args.topk_only:
-        print("error: --no-topk and --topk-only conflict", file=sys.stderr)
+    if any(t < 1 for t in overrides.get("threads", ())):
+        print("error: --threads values must be >= 1", file=sys.stderr)
         return 2
-    if args.no_topk:
-        overrides["topk"] = False
-    if args.topk_only:
-        overrides["fit_grid"] = False
-    if args.topk_block_rows is not None:
-        if any(b < 1 for b in args.topk_block_rows):
-            print("error: --topk-block-rows values must be >= 1", file=sys.stderr)
-            return 2
-        overrides["topk_block_rows"] = tuple(args.topk_block_rows)
-    if args.serve_smoke:
-        overrides["serve_smoke"] = True
-    if args.ann or args.ann_only:
-        overrides["ann"] = True
-    if args.ann_only:
-        overrides["fit_grid"] = False
-        overrides["topk"] = False
-    if args.ann_items is not None:
-        if args.ann_items < 1:
-            print("error: --ann-items must be >= 1", file=sys.stderr)
-            return 2
-        overrides["ann_items"] = args.ann_items
-    if args.ann_nprobe is not None:
-        if any(p < 1 for p in args.ann_nprobe):
-            print("error: --ann-nprobe values must be >= 1", file=sys.stderr)
-            return 2
-        overrides["ann_nprobe"] = tuple(args.ann_nprobe)
-    only_flags = [
-        flag
-        for flag in (
-            "topk_only",
-            "ann_only",
-            "quant_only",
-            "refresh_only",
-            "ooc_only",
-            "similar_only",
-        )
-        if getattr(args, flag)
-    ]
-    if len(only_flags) > 1:
-        print(
-            "error: "
-            + " and ".join("--" + flag.replace("_", "-") for flag in only_flags)
-            + " conflict",
-            file=sys.stderr,
-        )
+    flags = [axis for axis in AXES if axis.flag is not None]
+    dest = {axis.name: axis.flag.replace("-", "_") for axis in flags}
+    only = [a for a in flags if a.only and getattr(args, f"{dest[a.name]}_only")]
+    off = [a for a in flags if getattr(args, f"no_{dest[a.name]}", False)]
+    if len(only) > 1 or (only and only[0] in off):
+        named = [f"--{a.flag}-only" for a in only] + [f"--no-{a.flag}" for a in off]
+        print(f"error: {' and '.join(named)} conflict", file=sys.stderr)
         return 2
-    if args.quant or args.quant_only:
-        overrides["quant"] = True
-    if args.quant_only:
-        overrides["fit_grid"] = False
-        overrides["topk"] = False
-    if args.refresh or args.refresh_only:
-        overrides["refresh"] = True
-    if args.refresh_only:
-        overrides["fit_grid"] = False
-        overrides["topk"] = False
-    if args.refresh_fraction is not None:
-        if not 0.0 < args.refresh_fraction <= 1.0:
-            print(
-                "error: --refresh-fraction must be in (0, 1]", file=sys.stderr
-            )
-            return 2
-        overrides["refresh_fraction"] = args.refresh_fraction
-    if args.quant_items is not None:
-        if args.quant_items < 1:
-            print("error: --quant-items must be >= 1", file=sys.stderr)
-            return 2
-        overrides["quant_items"] = args.quant_items
-    if args.quant_dtypes is not None:
-        overrides["quant_dtypes"] = tuple(dict.fromkeys(args.quant_dtypes))
-    if args.ooc or args.ooc_only:
-        overrides["ooc"] = True
-    if args.ooc_only:
-        overrides["fit_grid"] = False
-        overrides["topk"] = False
-    if args.ooc_items is not None:
-        if args.ooc_items < 4:
-            print("error: --ooc-items must be >= 4", file=sys.stderr)
-            return 2
-        overrides["ooc_items"] = args.ooc_items
-    if args.ooc_budgets_mb is not None:
-        if any(b <= 0 for b in args.ooc_budgets_mb):
-            print(
-                "error: --ooc-budgets-mb values must be positive",
-                file=sys.stderr,
-            )
-            return 2
-        overrides["ooc_budgets_mb"] = tuple(args.ooc_budgets_mb)
-    if args.similar or args.similar_only:
-        overrides["similar"] = True
-    if args.similar_only:
-        overrides["fit_grid"] = False
-        overrides["topk"] = False
-    if args.similar_users is not None:
-        if args.similar_users < 2:
-            print("error: --similar-users must be >= 2", file=sys.stderr)
-            return 2
-        overrides["similar_users"] = args.similar_users
-    if args.similar_block_sources is not None:
-        if any(b < 1 for b in args.similar_block_sources):
-            print(
-                "error: --similar-block-sources values must be >= 1",
-                file=sys.stderr,
-            )
-            return 2
-        overrides["similar_block_sources"] = tuple(args.similar_block_sources)
+    for axis in flags:
+        if getattr(args, dest[axis.name], False):
+            overrides[axis.switch] = True
+    for axis in off:
+        overrides[axis.switch] = False
+    if only:
+        # --X-only: the default-on axes off, X on (explicit --Y flags stay).
+        for axis in AXES:
+            if axis.switch is not None and getattr(BenchConfig, axis.switch):
+                overrides[axis.switch] = False
+        overrides[only[0].switch] = True
     config = replace(config, **overrides)
 
     baseline = None
@@ -1541,109 +1310,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     payload = run_bench(config, progress=True)
     write_bench(payload, args.output)
     print(render_bench(payload))
-    print(
-        f"wrote {len(payload['runs'])} runs + "
-        f"{len(payload['topk_runs'])} topk runs + "
-        f"{len(payload['serve_runs'])} serve runs + "
-        f"{len(payload['ann_runs'])} ann runs + "
-        f"{len(payload['quant_runs'])} quant runs + "
-        f"{len(payload['refresh_runs'])} refresh runs + "
-        f"{len(payload['ooc_runs'])} ooc runs + "
-        f"{len(payload['similar_runs'])} similar runs -> {args.output}"
-    )
+    counts = " + ".join(f"{len(payload[a.key])} {a.name} rows" for a in AXES)
+    print(f"wrote {counts} -> {args.output}")
     status = 0
-    mismatches = [
-        row for row in payload["comparisons"] if not row["matvecs_equal"]
-    ]
-    if mismatches:
-        print(
-            "error: matvec counts differ between kernel paths "
-            f"({len(mismatches)} cells)",
-            file=sys.stderr,
-        )
-        status = 1
-    topk_mismatches = [
-        row for row in payload["topk_comparisons"] if not row["lists_equal"]
-    ]
-    if topk_mismatches:
-        print(
-            "error: batched top-k lists diverge from the per-user path "
-            f"({len(topk_mismatches)} cells)",
-            file=sys.stderr,
-        )
-        status = 1
-    serve_mismatches = [
-        row for row in payload["serve_runs"] if not row["lists_equal"]
-    ]
-    if serve_mismatches:
-        print(
-            "error: served lists diverge from the offline engine path "
-            f"({len(serve_mismatches)} rows)",
-            file=sys.stderr,
-        )
-        status = 1
-    ann_mismatches = [
-        row
-        for row in payload["ann_runs"]
-        if row["mode"] == "ivf"
-        and row["nprobe"] >= row["cells"]
-        and not row["exact_match"]
-    ]
-    if ann_mismatches:
-        print(
-            "error: full-probe ANN lists diverge from the exact engine "
-            f"({len(ann_mismatches)} rows)",
-            file=sys.stderr,
-        )
-        status = 1
-    quant_mismatches = [
-        row for row in payload["quant_runs"] if not row["lists_equal"]
-    ]
-    if quant_mismatches:
-        print(
-            "error: quantized top-k lists diverge from the exact engine "
-            f"({len(quant_mismatches)} rows)",
-            file=sys.stderr,
-        )
-        status = 1
-    refresh_bad = refresh_violations(payload["refresh_runs"])
-    if refresh_bad:
-        print(
-            "error: refresh invariants violated — warm refit must save "
-            "matvecs and pass the quality gate vs the cold refit "
-            f"({len(refresh_bad)} rows)",
-            file=sys.stderr,
-        )
-        status = 1
-    delta_publish_bad = [
-        row
-        for row in payload["refresh_runs"]
-        if row["mode"] == "warm"
-        and row["publish_bytes"] >= row["full_publish_bytes"]
-    ]
-    if delta_publish_bad:
-        print(
-            "error: delta publish wrote no fewer bytes than a full publish "
-            f"({len(delta_publish_bad)} rows)",
-            file=sys.stderr,
-        )
-        status = 1
-    similar_bad = similar_violations(payload["similar_runs"])
-    if similar_bad:
-        print(
-            "error: similarity engine top-n lists diverge from the dense "
-            f"measure reference ({len(similar_bad)} rows)",
-            file=sys.stderr,
-        )
-        status = 1
-    ooc_bad = ooc_violations(payload["ooc_runs"])
-    if ooc_bad:
-        print(
-            "error: out-of-core invariants violated — mmap fits must be "
-            "bit-identical and matvec-equal to the resident anchor with "
-            f"peak RSS inside the budget gate ({len(ooc_bad)} rows)",
-            file=sys.stderr,
-        )
+    failed = Counter((axis.name, gate) for axis, gate, _ in violations(payload))
+    for (name, gate), count in failed.items():
+        print(f"error: {name} hard gate {gate} failed ({count} rows)", file=sys.stderr)
         status = 1
     if baseline is not None:
         kwargs = {} if args.noise is None else {"noise": args.noise}
@@ -1775,7 +1447,9 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
     if collector is not None:
         refresh_section = None
         if refresh_meta is not None:
-            refresh_section = dict(refresh_meta)
+            refresh_section = {
+                **refresh_meta, "warm_matvecs": None, "cold_matvecs": None
+            }
             counter_key = (
                 "warm_matvecs"
                 if refresh_section["mode"] == "warm"
@@ -1788,7 +1462,7 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
             dimension=dimension,
             seed=args.seed,
             wall_seconds=result.elapsed_seconds,
-            refresh=refresh_section,
+            sections={"refresh": refresh_section},
             metadata={
                 "base_version": ref.version,
                 "delta_counts": log.counts(),
@@ -2123,7 +1797,8 @@ _HANDLERS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(bench_axes=argv[:1] == ["bench"]).parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except BrokenPipeError:

@@ -6,14 +6,11 @@ implement those products with the re-association trick from Algorithm 1:
 ``(W W^T) Q`` is evaluated as ``W @ (W.T @ Q)`` which costs ``O(|E| k)``
 instead of ``O(|U|^2 k)``.
 
-Two implementations sit behind the same operator API, selected by the
-:class:`~repro.linalg.policy.DtypePolicy` configured on the operator:
-
-* the module-level :func:`gram_apply` / :func:`pmf_weighted_apply` — the
-  allocation-per-call *reference* path (also the legacy A/B baseline for the
-  benchmark harness);
-* the workspace-reusing blocked kernels of
-  :mod:`repro.linalg.kernels` — the default, bit-identical in float64.
+The operators run on the workspace-reusing blocked kernels of
+:mod:`repro.linalg.kernels`, configured by the operator's
+:class:`~repro.linalg.policy.DtypePolicy`.  The module-level
+:func:`gram_apply` / :func:`pmf_weighted_apply` are the allocation-per-call
+*reference* products the kernels are pinned bit-identical to in float64.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ def gram_apply(
     """Compute ``(W @ W.T) @ block`` without forming ``W @ W.T``.
 
     This is the reference (allocation-per-call) implementation; solvers go
-    through :class:`MatrixFreeOperator`, which defaults to the
+    through :class:`MatrixFreeOperator`, which runs on the
     workspace-reusing kernels of :mod:`repro.linalg.kernels`.
 
     Parameters
@@ -154,11 +151,7 @@ class MatrixFreeOperator:
             raise ValueError(
                 f"block has {block.shape[0]} rows, operator expects {self.w.shape[0]}"
             )
-        if self.policy.workspace:
-            return self._gram_kernel().pmf_apply(block, self.weights)
-        return pmf_weighted_apply(
-            self._w_compute, block, self.weights, dtype=self.policy.compute_dtype
-        )
+        return self._gram_kernel().pmf_apply(block, self.weights)
 
     def matvec(self, vector: np.ndarray) -> np.ndarray:
         """Apply the operator to a single vector."""
@@ -217,14 +210,11 @@ class ProximityOperator:
         block = np.asarray(block)
         cols = block.shape[1] if block.ndim == 2 else 1
         _obs_active().count_spmv(self._w.nnz, cols)
-        if self._policy.workspace:
-            # The intermediate W @ x goes straight into a reused buffer; the
-            # H-apply copies it into its own workspace immediately.
-            kernel = self._w_kernel()
-            wx = kernel.matmul(block, reuse=True)
-            _obs_active().note_threads(kernel.threads_used)
-        else:
-            wx = np.asarray(self._w @ block)
+        # The intermediate W @ x goes straight into a reused buffer; the
+        # H-apply copies it into its own workspace immediately.
+        kernel = self._w_kernel()
+        wx = kernel.matmul(block, reuse=True)
+        _obs_active().note_threads(kernel.threads_used)
         return self._h.matmat(wx)
 
     def __rmatmul__(self, block: np.ndarray) -> np.ndarray:
@@ -258,10 +248,8 @@ class _TransposedProximity:
         parent = self._parent
         _obs_active().count_spmv(parent._w.nnz, cols)
         hy = parent._h.matmat(block)
-        if parent._policy.workspace:
-            # Fresh output (reuse=False): this is a public API return value.
-            kernel = parent._w_kernel()
-            out = kernel.t_matmul(hy, reuse=False)
-            _obs_active().note_threads(kernel.threads_used)
-            return out
-        return parent._w.T @ hy
+        # Fresh output (reuse=False): this is a public API return value.
+        kernel = parent._w_kernel()
+        out = kernel.t_matmul(hy, reuse=False)
+        _obs_active().note_threads(kernel.threads_used)
+        return out

@@ -1,22 +1,20 @@
 """Dtype and workspace policy for the linear-algebra hot path.
 
 Every solver in the library funnels its floating-point work through the
-blocked kernels in :mod:`repro.linalg.kernels`.  :class:`DtypePolicy` is the
+blocked kernels in :mod:`repro.linalg.kernels`, which reuse preallocated
+ping-pong buffers and in-place sparse products instead of allocating fresh
+temporaries on every hop (bit-identical in float64 to the
+allocation-per-call reference products of :mod:`repro.linalg.ops`, pinned
+by the property suite).  :class:`DtypePolicy` is the
 single configuration object that decides how those kernels run:
 
 * ``compute`` — the dtype of the blocked ``W (W^T Q)`` applies.  The default
   ``"float64"`` reproduces the paper's arithmetic exactly; ``"float32"``
   halves the memory traffic of the memory-bound sparse products (the usual
   win on large graphs) at the cost of ~7 decimal digits.
-* ``accumulate`` — the dtype of the numerically sensitive reductions
-  (QR re-orthonormalization, Rayleigh-Ritz projections).  Fixed to
-  ``"float64"`` so a float32 compute policy still orthonormalizes and
-  extracts Ritz values in full precision.
-* ``workspace`` — whether operators reuse preallocated ping-pong buffers and
-  in-place sparse products instead of allocating fresh temporaries on every
-  hop.  The workspace path is bit-identical to the allocation-heavy path in
-  float64 (pinned by the property suite); the flag exists as the A/B lever
-  for the benchmark harness.
+  The numerically sensitive reductions (QR re-orthonormalization,
+  Rayleigh-Ritz projections) always run in float64, so a float32 compute
+  policy still orthonormalizes and extracts Ritz values in full precision.
 * ``block_cols`` — column-chunk width for very wide blocks, bounding
   workspace memory at ``O((|U| + |V|) * block_cols)``.
 
@@ -41,18 +39,13 @@ _COMPUTE_DTYPES = ("float32", "float64")
 
 @dataclass(frozen=True)
 class DtypePolicy:
-    """How the linalg substrate runs: dtypes, workspaces, chunking.
+    """How the linalg substrate runs: dtype, chunking, threads, staging.
 
     Attributes
     ----------
     compute:
         Dtype of the blocked sparse applies: ``"float64"`` (default, exact
         reproduction) or ``"float32"`` (opt-in fast path).
-    accumulate:
-        Dtype of QR / Rayleigh-Ritz reductions; must be ``"float64"``.
-    workspace:
-        Reuse preallocated buffers with in-place sparse products (default).
-        ``False`` selects the allocation-per-call reference path.
     block_cols:
         Column-chunk width for blocks wider than this; bounds workspace
         memory for very large ``k``.
@@ -78,8 +71,6 @@ class DtypePolicy:
     """
 
     compute: str = "float64"
-    accumulate: str = "float64"
-    workspace: bool = True
     block_cols: int = 256
     exec_policy: ExecPolicy = field(default_factory=ExecPolicy.from_env)
     ooc_budget_mb: Optional[float] = None
@@ -88,11 +79,6 @@ class DtypePolicy:
         if self.compute not in _COMPUTE_DTYPES:
             raise ValueError(
                 f"compute dtype must be one of {_COMPUTE_DTYPES}, got {self.compute!r}"
-            )
-        if self.accumulate != "float64":
-            raise ValueError(
-                "accumulate dtype must be 'float64' (QR/Rayleigh-Ritz steps "
-                "always run in full precision)"
             )
         if self.block_cols < 1:
             raise ValueError("block_cols must be positive")
@@ -107,11 +93,6 @@ class DtypePolicy:
         return np.dtype(self.compute)
 
     @property
-    def accumulate_dtype(self) -> np.dtype:
-        """The accumulation dtype as a numpy dtype object."""
-        return np.dtype(self.accumulate)
-
-    @property
     def is_exact(self) -> bool:
         """Whether the compute dtype matches the float64 reference path."""
         return self.compute == "float64"
@@ -120,10 +101,6 @@ class DtypePolicy:
     def n_threads(self) -> int:
         """Worker threads of the kernel executor (1 = serial legacy path)."""
         return self.exec_policy.n_threads
-
-    def with_workspace(self, workspace: bool) -> "DtypePolicy":
-        """A copy of this policy with the workspace flag replaced."""
-        return replace(self, workspace=workspace)
 
     def with_threads(self, n_threads: int) -> "DtypePolicy":
         """A copy of this policy pinned to ``n_threads`` executor threads."""
@@ -145,12 +122,10 @@ class DtypePolicy:
         """Float32 compute, float64 accumulation, workspace kernels."""
         return cls(compute="float32")
 
-    @classmethod
-    def legacy(cls) -> "DtypePolicy":
-        """Float64 compute on the allocation-per-call reference path."""
-        return cls(workspace=False)
-
     def describe(self) -> str:
-        """A short slug for reports, e.g. ``"float64/workspace"``."""
-        kernel = "workspace" if self.workspace else "legacy"
-        return f"{self.compute}/{kernel}"
+        """A short slug for reports, e.g. ``"float64/workspace"``.
+
+        The ``/workspace`` suffix names the kernel path; it is the only one,
+        and it stays in the slug so bench cell keys match older snapshots.
+        """
+        return f"{self.compute}/workspace"

@@ -78,8 +78,8 @@ def _make_appliers(
     """``(apply, apply_t)`` closures computing ``A @ B`` and ``A.T @ B``.
 
     Sparse matrices route through the workspace-reusing
-    :class:`~repro.linalg.kernels.SparseKernel` when the policy enables it
-    (bit-identical to scipy's ``@`` in float64); dense arrays and
+    :class:`~repro.linalg.kernels.SparseKernel` (bit-identical to scipy's
+    ``@`` in float64); dense arrays and
     matrix-free operators (e.g. :class:`~repro.linalg.ops.ProximityOperator`)
     keep the generic ``matrix @ block`` path.  Memory-mapped
     :class:`~repro.graph.store.StoreCSR` inputs take the same kernel route,
@@ -89,7 +89,7 @@ def _make_appliers(
     per-apply granularity as before.
     """
     store = _is_store(matrix)
-    if (sp.issparse(matrix) or store) and policy.workspace:
+    if sp.issparse(matrix) or store:
         kernel = SparseKernel(matrix, policy)
         matrix_t = matrix.T  # only consulted by _count_apply (for .nnz)
         ooc_reported = [0]

@@ -30,8 +30,9 @@ from .memory import MemorySampler, current_rss_bytes
 from .report import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
+    SECTIONS,
     RunReport,
-    upgrade_report,
+    check_fields,
     validate_report,
 )
 from .timer import StageRecord, StageTimer
@@ -46,7 +47,8 @@ __all__ = [
     "MemorySampler",
     "current_rss_bytes",
     "RunReport",
-    "upgrade_report",
+    "SECTIONS",
+    "check_fields",
     "validate_report",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",

@@ -181,26 +181,18 @@ class ProfileCollector(NullCollector):
         dimension: Optional[int] = None,
         seed: Optional[int] = None,
         wall_seconds: Optional[float] = None,
-        service: Optional[Dict[str, Any]] = None,
-        refresh: Optional[Dict[str, Any]] = None,
-        ooc: Optional[Dict[str, Any]] = None,
-        similarity: Optional[Dict[str, Any]] = None,
+        sections: Optional[Dict[str, Optional[Dict[str, Any]]]] = None,
         metadata: Optional[Dict[str, Any]] = None,
     ) -> RunReport:
         """Freeze the collected data into a :class:`RunReport`.
 
-        ``service`` attaches a serving-tier section (the dict produced by
-        :meth:`repro.serve.service.ServiceMetrics.service_report`); leave it
-        ``None`` for pure solver runs.  ``refresh`` attaches an incremental
-        warm-refresh section (the ``metadata["refresh"]`` dict a warm
-        :class:`~repro.core.gebe_p.GEBEPoisson` fit records, optionally
-        augmented with ``warm_matvecs`` / ``cold_matvecs`` counters); leave
-        it ``None`` for cold fits.  ``ooc`` attaches the out-of-core fit
-        section (budget, staging traffic, peak RSS — see
-        :func:`ooc_section`); leave it ``None`` for resident fits.
-        ``similarity`` attaches the matrix-free MHS/MHP query section (see
-        :func:`similarity_section`); leave it ``None`` for runs that answer
-        no similarity queries.
+        ``sections`` attaches the report's optional sections by name (see
+        :data:`repro.obs.report.SECTIONS`): ``service`` from
+        :meth:`repro.serve.service.ServiceMetrics.service_report`,
+        ``refresh`` from a warm :class:`~repro.core.gebe_p.GEBEPoisson`
+        fit's ``metadata["refresh"]``, ``ooc`` from :meth:`ooc_section`,
+        ``similarity`` from :meth:`similarity_section`.  ``None`` values are
+        dropped, so callers can pass a section they may not have.
         """
         self.memory.sample()
         elapsed = (
@@ -218,15 +210,16 @@ class ProfileCollector(NullCollector):
             ops=self.ops.to_dict(),
             memory=self.memory.to_dict(),
             threads=self.threads,
-            service=dict(service) if service is not None else None,
-            refresh=dict(refresh) if refresh is not None else None,
-            ooc=dict(ooc) if ooc is not None else None,
-            similarity=dict(similarity) if similarity is not None else None,
+            sections={
+                name: dict(section)
+                for name, section in (sections or {}).items()
+                if section is not None
+            },
             metadata=dict(metadata or {}),
         )
 
     def ooc_section(self, *, budget_mb: Optional[float]) -> Dict[str, Any]:
-        """The RunReport v7 ``ooc`` section for an out-of-core fit.
+        """The RunReport ``ooc`` section for an out-of-core fit.
 
         ``budget_mb`` is the configured staging budget (``None`` means the
         module default was in effect); ``bytes_copied_in`` is the total
@@ -244,7 +237,7 @@ class ProfileCollector(NullCollector):
     def similarity_section(
         self, *, mode: str, side: str, tau: int, sources: int, block_sources: int
     ) -> Dict[str, Any]:
-        """The RunReport v8 ``similarity`` section for an MHS/MHP query run.
+        """The RunReport ``similarity`` section for an MHS/MHP query run.
 
         ``matvecs`` is read off this collector's sparse-matvec counter, so
         call it after the queries finish and with the collection window

@@ -10,7 +10,7 @@ Schema (see ``docs/OBSERVABILITY.md`` for the narrative version)::
 
     {
       "schema": "repro.obs.run_report",
-      "version": 8,
+      "version": 9,
       "method": str,              # display name, e.g. "GEBE^p"
       "dataset": str | null,
       "dimension": int | null,
@@ -25,76 +25,46 @@ Schema (see ``docs/OBSERVABILITY.md`` for the narrative version)::
               "ann_candidates": int, "flops": float},
       "memory": {"peak_rss_bytes": int, "max_tracked_array_bytes": int,
                  "workspace_bytes": int, "samples": int},
-      "service": null | {         # serving-tier tallies (repro.serve)
-          "requests": int, "batched_requests": int, "batches": int,
-          "shed": int, "deadline_exceeded": int, "reloads": int,
-          "queue_depth_max": int,
-          "latency_ms": {"p50": float, "p95": float}},
-      "refresh": null | {         # incremental warm-refresh outcome
-          "mode": "warm" | "cold_fallback",
-          "reason": str,          # "ok" | "residual" | "incompatible" | ...
-          "residual": float | null,
-          "tolerance": float,
-          "warm_rank": int,
-          "warm_matvecs": int | null,   # matvecs the warm attempt consumed
-          "cold_matvecs": int | null},  # matvecs of a cold fit, when one ran
-      "ooc": null | {             # out-of-core (mmap GraphStore) fit
-          "budget_mb": float | null,    # configured staging budget (null =
-                                        #   module default was in effect)
-          "bytes_copied_in": int, # CSR bytes block-copied into staging
-          "peak_rss_bytes": int}, # sampler high-water mark over the run
-      "similarity": null | {      # matrix-free MHS/MHP query workload
-          "mode": "mhs" | "mhp",  # same-side vs opposite-side ranking
-          "side": "u" | "v",      # which side the sources live on
-          "tau": int,             # truncation of the H series
-          "sources": int,         # number of source nodes queried
-          "block_sources": int,   # one-hot block width used
-          "matvecs": int},        # sparse matvecs the queries consumed
+      "sections": {name: Section},  # only the sections this run produced
       "metadata": {...}           # free-form, JSON-serializable
     }
 
-Version history: v8 added the nullable ``similarity`` section (the
-matrix-free MHS/MHP query workload of
-:class:`repro.tasks.similarity.SimilarityEngine` — mode, source side/count,
-block width, and the matvecs consumed; ``null`` for non-similarity runs and
-backfilled when reading older documents).
-v7 added the nullable ``ooc`` section (staging budget,
-block-copy traffic, and peak RSS of a fit against a memory-mapped
-:class:`~repro.graph.store.GraphStore`; ``null`` for resident fits and
-backfilled when reading older documents).
-v6 added the nullable ``refresh`` section (warm/cold
-matvec counters and the residual-check outcome of an incremental refresh —
-see :mod:`repro.linalg.refresh`; ``null`` for non-refresh runs and
-backfilled when reading older documents).
-v5 added ``ops.ann_probes`` / ``ops.ann_candidates``
-(inverted-list cells probed and candidates exactly reranked by the IVF
-index of :mod:`repro.ann`; zero-backfilled when reading older documents).
-v4 added the nullable ``service`` section (request /
-batching / load-shedding tallies of a :mod:`repro.serve` run; ``null`` for
-pure solver runs — :func:`upgrade_report` backfills it when reading older
-documents).  v3 added ``ops.topk_candidates`` ((user, item) pairs
-scored by the batched retrieval read-out of :mod:`repro.tasks.topk`).
-v2 added ``threads`` (the widest kernel sharding the run actually used;
-1 = fully serial) and ``memory.workspace_bytes`` (watermark of the kernels'
-reusable buffers, summed across per-thread pools).
+``sections`` holds the optional parts of a report, keyed by name; a run
+carries only the sections it produced.  :data:`SECTIONS` is the field spec
+of each (see :func:`check_fields` for the notation):
+
+* ``service`` — serving-tier tallies of a :mod:`repro.serve` run;
+* ``refresh`` — the warm/cold outcome and matvec counters of an
+  incremental refresh (:mod:`repro.linalg.refresh`);
+* ``ooc`` — staging budget, block-copy traffic and peak RSS of a fit
+  against a memory-mapped :class:`~repro.graph.store.GraphStore`;
+* ``similarity`` — the matrix-free MHS/MHP query workload of
+  :class:`repro.tasks.similarity.SimilarityEngine`.
+
+Only the current version is read: a document of any other version is
+rejected with a message naming it.  v9 replaced v8's four nullable
+top-level ``service`` / ``refresh`` / ``ooc`` / ``similarity`` fields with
+the ``sections`` map.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "RunReport",
-    "upgrade_report",
+    "SECTIONS",
+    "check_fields",
     "validate_report",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
 ]
 
 SCHEMA_NAME = "repro.obs.run_report"
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 _OPS_KEYS = (
     "sparse_matvecs",
@@ -113,18 +83,105 @@ _MEMORY_KEYS = (
     "samples",
 )
 _STAGE_KEYS = ("name", "path", "seconds", "calls", "children")
-_SERVICE_KEYS = (
-    "requests",
-    "batched_requests",
-    "batches",
-    "shed",
-    "deadline_exceeded",
-    "reloads",
-    "queue_depth_max",
-)
-_REFRESH_MODES = ("warm", "cold_fallback")
-_SIMILARITY_MODES = ("mhs", "mhp")
-_SIMILARITY_SIDES = ("u", "v")
+
+#: Field spec of every optional report section (notation: :func:`check_fields`).
+SECTIONS: Dict[str, Dict[str, Any]] = {
+    "service": {
+        "requests": "int>=0",
+        "batched_requests": "int>=0",
+        "batches": "int>=0",
+        "shed": "int>=0",
+        "deadline_exceeded": "int>=0",
+        "reloads": "int>=0",
+        "queue_depth_max": "int>=0",
+        "latency_ms": {"p50": "num>=0", "p95": "num>=0"},
+    },
+    "refresh": {
+        "mode": ("warm", "cold_fallback"),
+        "reason": "text",
+        "residual": "num?",
+        "tolerance": "num>=0",
+        "warm_rank": "int>=0",
+        "warm_matvecs": "int?>=0",
+        "cold_matvecs": "int?>=0",
+    },
+    "ooc": {
+        "budget_mb": "num?>0",
+        "bytes_copied_in": "int>=0",
+        "peak_rss_bytes": "int>=0",
+    },
+    "similarity": {
+        "mode": ("mhs", "mhp"),
+        "side": ("u", "v"),
+        "tau": "int>=0",
+        "sources": "int>=0",
+        "block_sources": "int>=0",
+        "matvecs": "int>=0",
+    },
+}
+
+_KINDS = {
+    "str": str,
+    "text": str,
+    "bool": bool,
+    "int": int,
+    "num": (int, float),
+    "list": list,
+    "nums": list,
+}
+_BOUNDS: Dict[str, Any] = {
+    ">=0": (lambda v: v >= 0, "must be non-negative"),
+    ">0": (lambda v: v > 0, "must be positive"),
+    ">=1": (lambda v: v >= 1, "must be >= 1"),
+    "[0,1]": (lambda v: 0 <= v <= 1, "must be within [0, 1]"),
+}
+
+
+def check_fields(
+    value: Any, spec: Any, where: str, fail: Callable[[str], None]
+) -> None:
+    """Check ``value`` against a field spec; call ``fail(message)`` on a violation.
+
+    A spec is a dict (an object whose keys must all be present, each checked
+    against its own spec), a tuple (the allowed values), or a string
+    ``kind[?][bound]``: ``kind`` is ``str``, ``text`` (non-empty string),
+    ``bool``, ``int``, ``num``, ``list`` or ``nums`` (a non-empty list of
+    non-negative numbers); ``?`` also allows ``null``; ``bound`` is one of
+    ``>=0``, ``>0``, ``>=1`` or ``[0,1]``.  A bool never passes as a number.
+    """
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            fail(f"{where} must be an object, got {type(value).__name__}")
+        for key, rule in spec.items():
+            if key not in value:
+                fail(f"{where} is missing {key!r}")
+            check_fields(value[key], rule, f"{where}.{key}", fail)
+        return
+    if isinstance(spec, tuple):
+        if value not in spec:
+            fail(f"{where} must be one of {spec}, got {value!r}")
+        return
+    kind, nullable, bound = re.fullmatch(r"(\w+)(\??)(.*)", spec).groups()
+    if value is None and nullable:
+        return
+    if not isinstance(value, _KINDS[kind]) or (
+        kind in ("int", "num") and isinstance(value, bool)
+    ):
+        fail(f"{where} has wrong type {type(value).__name__}")
+    if kind == "text" and not value:
+        fail(f"{where} must be a non-empty string")
+    if kind == "nums" and not (
+        value
+        and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
+            for v in value
+        )
+    ):
+        fail(f"{where} must be non-empty non-negative numbers")
+    if bound:
+        holds, message = _BOUNDS[bound]
+        if not holds(value):
+            fail(f"{where} {message}")
 
 
 def _fail(message: str) -> None:
@@ -197,123 +254,15 @@ def validate_report(payload: Any) -> Dict[str, Any]:
         value = memory.get(key)
         if not isinstance(value, int) or value < 0:
             _fail(f"memory.{key} must be a non-negative integer")
-    if "service" not in payload:
-        _fail("service must be present (null for non-serving runs)")
-    service = payload["service"]
-    if service is not None:
-        if not isinstance(service, dict):
-            _fail("service must be an object or null")
-        for key in _SERVICE_KEYS:
-            value = service.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                _fail(f"service.{key} must be a non-negative integer")
-        latency = service.get("latency_ms")
-        if not isinstance(latency, dict):
-            _fail("service.latency_ms must be an object")
-        for key in ("p50", "p95"):
-            value = latency.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                _fail(f"service.latency_ms.{key} must be a non-negative number")
-    if "refresh" not in payload:
-        _fail("refresh must be present (null for non-refresh runs)")
-    refresh = payload["refresh"]
-    if refresh is not None:
-        if not isinstance(refresh, dict):
-            _fail("refresh must be an object or null")
-        if refresh.get("mode") not in _REFRESH_MODES:
-            _fail(
-                f"refresh.mode must be one of {_REFRESH_MODES}, "
-                f"got {refresh.get('mode')!r}"
-            )
-        if not isinstance(refresh.get("reason"), str) or not refresh["reason"]:
-            _fail("refresh.reason must be a non-empty string")
-        residual = refresh.get("residual")
-        if residual is not None and not isinstance(residual, (int, float)):
-            _fail("refresh.residual must be a number or null")
-        tolerance = refresh.get("tolerance")
-        if not isinstance(tolerance, (int, float)) or tolerance < 0:
-            _fail("refresh.tolerance must be a non-negative number")
-        warm_rank = refresh.get("warm_rank")
-        if not isinstance(warm_rank, int) or isinstance(warm_rank, bool) or warm_rank < 0:
-            _fail("refresh.warm_rank must be a non-negative integer")
-        for key in ("warm_matvecs", "cold_matvecs"):
-            value = refresh.get(key)
-            if value is not None and (
-                not isinstance(value, int) or isinstance(value, bool) or value < 0
-            ):
-                _fail(f"refresh.{key} must be a non-negative integer or null")
-    if "ooc" not in payload:
-        _fail("ooc must be present (null for resident fits)")
-    ooc = payload["ooc"]
-    if ooc is not None:
-        if not isinstance(ooc, dict):
-            _fail("ooc must be an object or null")
-        budget = ooc.get("budget_mb")
-        if budget is not None and (
-            not isinstance(budget, (int, float)) or budget <= 0
-        ):
-            _fail("ooc.budget_mb must be a positive number or null")
-        for key in ("bytes_copied_in", "peak_rss_bytes"):
-            value = ooc.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                _fail(f"ooc.{key} must be a non-negative integer")
-    if "similarity" not in payload:
-        _fail("similarity must be present (null for non-similarity runs)")
-    similarity = payload["similarity"]
-    if similarity is not None:
-        if not isinstance(similarity, dict):
-            _fail("similarity must be an object or null")
-        if similarity.get("mode") not in _SIMILARITY_MODES:
-            _fail(
-                f"similarity.mode must be one of {_SIMILARITY_MODES}, "
-                f"got {similarity.get('mode')!r}"
-            )
-        if similarity.get("side") not in _SIMILARITY_SIDES:
-            _fail(
-                f"similarity.side must be one of {_SIMILARITY_SIDES}, "
-                f"got {similarity.get('side')!r}"
-            )
-        for key in ("tau", "sources", "block_sources", "matvecs"):
-            value = similarity.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                _fail(f"similarity.{key} must be a non-negative integer")
+    sections = payload.get("sections")
+    if not isinstance(sections, dict):
+        _fail("sections must be an object")
+    for name, section in sections.items():
+        if name not in SECTIONS:
+            _fail(f"sections.{name} is not one of {tuple(SECTIONS)}")
+        check_fields(section, SECTIONS[name], f"sections.{name}", _fail)
     if not isinstance(payload.get("metadata"), dict):
         _fail("metadata must be an object")
-    return payload
-
-
-def upgrade_report(payload: Any) -> Any:
-    """Upgrade an older report document in place to the current version.
-
-    v3 -> v4 backfills ``service: null`` (the section did not exist before
-    the serving tier).  v4 -> v5 backfills zero ``ops.ann_probes`` /
-    ``ops.ann_candidates`` (no ANN index existed, so the counts really are
-    zero).  v5 -> v6 backfills ``refresh: null`` (no incremental refresh
-    pipeline existed).  v6 -> v7 backfills ``ooc: null`` (no out-of-core
-    fit path existed, so every older run was resident).  v7 -> v8 backfills
-    ``similarity: null`` (no similarity query subsystem existed).
-    Unknown or newer versions are returned untouched —
-    :func:`validate_report` rejects them with a pointed message.
-    """
-    if isinstance(payload, dict) and payload.get("schema") == SCHEMA_NAME:
-        if payload.get("version") == 3 and "service" not in payload:
-            payload["version"] = 4
-            payload["service"] = None
-        if payload.get("version") == 4:
-            payload["version"] = 5
-            ops = payload.get("ops")
-            if isinstance(ops, dict):
-                ops.setdefault("ann_probes", 0)
-                ops.setdefault("ann_candidates", 0)
-        if payload.get("version") == 5:
-            payload["version"] = 6
-            payload.setdefault("refresh", None)
-        if payload.get("version") == 6:
-            payload["version"] = 7
-            payload.setdefault("ooc", None)
-        if payload.get("version") == 7:
-            payload["version"] = 8
-            payload.setdefault("similarity", None)
     return payload
 
 
@@ -330,10 +279,7 @@ class RunReport:
     dimension: Optional[int] = None
     seed: Optional[int] = None
     threads: int = 1
-    service: Optional[Dict[str, Any]] = None
-    refresh: Optional[Dict[str, Any]] = None
-    ooc: Optional[Dict[str, Any]] = None
-    similarity: Optional[Dict[str, Any]] = None
+    sections: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     metadata: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -352,10 +298,7 @@ class RunReport:
             "stages": self.stages,
             "ops": ops,
             "memory": memory,
-            "service": self.service,
-            "refresh": self.refresh,
-            "ooc": self.ooc,
-            "similarity": self.similarity,
+            "sections": self.sections,
             "metadata": self.metadata,
         }
         return validate_report(payload)
@@ -372,12 +315,8 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunReport":
-        """Rebuild a report from a decoded document (older versions upgraded)."""
-        validate_report(upgrade_report(payload))
-        service = payload.get("service")
-        refresh = payload.get("refresh")
-        ooc = payload.get("ooc")
-        similarity = payload.get("similarity")
+        """Rebuild a report from a decoded document of the current version."""
+        validate_report(payload)
         return cls(
             method=payload["method"],
             wall_seconds=float(payload["wall_seconds"]),
@@ -388,10 +327,7 @@ class RunReport:
             dimension=payload.get("dimension"),
             seed=payload.get("seed"),
             threads=int(payload.get("threads", 1)),
-            service=dict(service) if service is not None else None,
-            refresh=dict(refresh) if refresh is not None else None,
-            ooc=dict(ooc) if ooc is not None else None,
-            similarity=dict(similarity) if similarity is not None else None,
+            sections={name: dict(s) for name, s in payload["sections"].items()},
             metadata=dict(payload.get("metadata", {})),
         )
 

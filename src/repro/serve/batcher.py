@@ -18,7 +18,7 @@ slices each caller's prefix — element-identical to the direct
 the hypothesis suite in ``tests/test_serve_batcher.py``).
 
 The batcher owns no engine: it is constructed over a ``score_fn`` callable
-(users, n) -> (items, scores), which the service binds to its per-thread
+(users, n) -> (items, scores, model), which the service binds to its per-thread
 engine clone — the single worker thread gets a private clone, and artifact
 hot-swaps propagate through the closure with no batcher involvement.
 """
@@ -30,7 +30,7 @@ import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,9 +92,11 @@ class MicroBatcher:
     Parameters
     ----------
     score_fn:
-        ``(users: int64 array, n: int) -> (items, scores)`` — typically a
-        closure over a per-thread :class:`~repro.tasks.topk.TopKEngine`
-        clone.  Called only from the single worker thread.
+        ``(users: int64 array, n: int) -> (items, scores, model)`` —
+        typically a closure over a per-thread
+        :class:`~repro.tasks.topk.TopKEngine` clone; ``model`` names the
+        model version that scored the batch and is handed to every caller
+        as is.  Called only from the single worker thread.
     max_batch:
         Most requests coalesced into one scoring call.
     max_wait_ms:
@@ -107,7 +109,7 @@ class MicroBatcher:
 
     def __init__(
         self,
-        score_fn: Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray]],
+        score_fn: Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray, Any]],
         *,
         max_batch: int = 64,
         max_wait_ms: float = 2.0,
@@ -140,8 +142,11 @@ class MicroBatcher:
     ) -> "Future":
         """Enqueue one single-user top-``n`` request; returns its future.
 
-        The future resolves to ``(items, scores)`` — 1-D int64 indices plus
-        the matching scores (``None`` unless ``with_scores``).  Raises
+        The future resolves to ``(items, scores, model)`` — 1-D int64
+        indices, the matching scores (``None`` unless ``with_scores``), and
+        the ``model`` the batch's ``score_fn`` call returned, so a reply
+        names the version that scored it even when a reload lands before
+        the reply is sent.  Raises
         :class:`QueueFull` when the queue is at capacity and
         :class:`BatcherClosed` after :meth:`close`.
         """
@@ -218,7 +223,7 @@ class MicroBatcher:
         users = np.array([pending.user for pending in batch], dtype=np.int64)
         n_max = max(pending.n for pending in batch)
         try:
-            items, scores = self._score_fn(users, n_max)
+            items, scores, model = self._score_fn(users, n_max)
         except BaseException as exc:  # propagate to every caller, keep serving
             for pending in batch:
                 try:
@@ -234,7 +239,7 @@ class MicroBatcher:
                 else None
             )
             try:
-                pending.future.set_result((row_items, row_scores))
+                pending.future.set_result((row_items, row_scores, model))
             except InvalidStateError:
                 pass  # caller gave up (deadline) while we were scoring
 

@@ -149,6 +149,9 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes requests into the owning :class:`EmbeddingServer`."""
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a reply is two writes (headers, then body); with Nagle on,
+    # a client that delays its ACKs stalls the body about 40 ms per answer.
+    disable_nagle_algorithm = True
     server: "_ServeHTTPServer"
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -294,11 +297,11 @@ class EmbeddingServer:
     # ------------------------------------------------------------------
     def _score_batch(
         self, users: np.ndarray, n: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, str]:
         response = self.service.top_items(users, n, with_scores=True)
         self.service.metrics.count("batches")
         self.service.metrics.count("batched_requests", users.size)
-        return response["items"], response["scores"]
+        return response["items"], response["scores"], response["model"]
 
     def _similar_batcher(self, side: str, mode: str) -> Optional[MicroBatcher]:
         """The lazily created micro-batcher for one (side, mode) pair."""
@@ -314,7 +317,7 @@ class EmbeddingServer:
 
                 def score_fn(
                     sources: np.ndarray, n: int
-                ) -> Tuple[np.ndarray, np.ndarray]:
+                ) -> Tuple[np.ndarray, np.ndarray, str]:
                     response = self.service.similar(
                         sources, n, mode=mode, side=side, with_scores=True
                     )
@@ -322,7 +325,7 @@ class EmbeddingServer:
                     self.service.metrics.count(
                         "batched_requests", sources.size
                     )
-                    return response["items"], response["scores"]
+                    return response["items"], response["scores"], response["model"]
 
                 batcher = MicroBatcher(
                     score_fn,
@@ -512,7 +515,7 @@ class EmbeddingServer:
                 raise _HttpError(503, "server shutting down") from None
             timeout = max(deadline - time.perf_counter(), 0.0)
             try:
-                items, scores = future.result(timeout=timeout)
+                items, scores, model = future.result(timeout=timeout)
             except FutureTimeoutError:
                 future.cancel()
                 self.service.metrics.count("deadline_exceeded")
@@ -521,7 +524,7 @@ class EmbeddingServer:
                 self.service.metrics.count("deadline_exceeded")
                 raise _HttpError(503, "request cancelled") from None
             payload: Dict[str, Any] = {
-                "model": self.service.artifact.tag,
+                "model": model,
                 "sources": [int(sources[0])],
                 "side": side,
                 "mode": mode,
@@ -585,7 +588,7 @@ class EmbeddingServer:
                 raise _HttpError(503, "server shutting down") from None
             timeout = max(deadline - time.perf_counter(), 0.0)
             try:
-                items, scores = future.result(timeout=timeout)
+                items, scores, model = future.result(timeout=timeout)
             except FutureTimeoutError:
                 future.cancel()
                 self.service.metrics.count("deadline_exceeded")
@@ -595,9 +598,10 @@ class EmbeddingServer:
                 raise _HttpError(503, "request cancelled") from None
             # ``requests`` counts scoring calls: the coalesced batch already
             # counted one inside ``top_items``; this HTTP request is tallied
-            # under ``batched_requests`` by ``_score_batch``.
+            # under ``batched_requests`` by ``_score_batch``.  ``model`` is
+            # the version that scored the batch, not the one served now.
             payload = {
-                "model": self.service.artifact.tag,
+                "model": model,
                 "users": [int(users[0])],
                 "items": [[int(i) for i in items]],
                 "n": int(items.size),

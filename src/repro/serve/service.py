@@ -168,7 +168,7 @@ class ServiceMetrics:
         }
 
     def service_report(self) -> Dict[str, Any]:
-        """The ``service`` section of a v4 RunReport (see repro.obs.report)."""
+        """The ``service`` section of a RunReport (see repro.obs.report)."""
         snap = self.snapshot()
         request_stage = snap["stages"].get("request", {})
         return {
@@ -224,8 +224,8 @@ class _Model:
         self.ref = loaded.ref
         self.quantize: Optional[str] = loaded.quantize
         self.graph: Optional[BipartiteGraph] = loaded.graph
-        # Per-side similarity templates, built on the first /v1/similar
-        # (the diagonal probe is too expensive to pay on every load).
+        # Per-side similarity templates, built on the first /v1/similar of
+        # that side; the H diagonal is probed on the side's first mhs query.
         self._similarity: Dict[str, SimilarityEngine] = {}
         self._similarity_lock = threading.Lock()
         if loaded.quantize is not None:
@@ -300,11 +300,13 @@ class _Model:
     ) -> SimilarityEngine:
         """The per-side similarity engine template, built once and cached.
 
-        Building pays the one-time exact ``H`` diagonal (blocked one-hot
-        probing) up front, so every worker clone shares the cached diagonal
-        and per-query latency stays at the per-source matvec cost.  Only
-        graph-bearing artifacts qualify: the engine queries the *graph's*
-        multi-hop measures, which the embedding arrays alone cannot answer.
+        The exact ``H`` diagonal (blocked one-hot probing, ``2 tau |U|``
+        matvecs) is not probed here: only MHS reads it, so the first mhs
+        query of this model and side probes it, once, and every worker clone
+        shares the result.  A side only ever queried by mhp never pays it.
+        Only graph-bearing artifacts qualify: the engine queries the
+        *graph's* multi-hop measures, which the embedding arrays alone
+        cannot answer.
         """
         if self.graph is None:
             raise ArtifactError(
@@ -325,7 +327,6 @@ class _Model:
                     normalization=normalization,
                     policy=policy,
                 )
-                engine.h_diagonal()
                 self._similarity[side] = engine
         return engine
 
@@ -504,8 +505,8 @@ class EmbeddingService:
     def _similarity_engine(self, side: str) -> Tuple[SimilarityEngine, _Model]:
         """This thread's similarity clone for ``side`` (re-cloned on swap).
 
-        The model-level template (shared exact diagonal, one build per
-        side) is cloned per worker thread because the engine's one-hot and
+        The model-level template (one build per side, its lazily probed
+        diagonal shared by every clone) is cloned per worker thread because the engine's one-hot and
         hop workspaces must never be shared across threads — the same
         discipline as :meth:`_engine`.
         """

@@ -27,6 +27,7 @@ the store's ``v2u`` orientation.
 
 from __future__ import annotations
 
+import threading
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,6 +66,14 @@ def transposed_graph(graph: GraphLike) -> GraphLike:
     if isinstance(graph, StoreBackedGraph):
         return StoreBackedGraph(graph.store, graph.store.csr("v2u"))
     return graph.transpose()
+
+
+class _SharedDiagonal:
+    """The exact H diagonal one engine and all its clones share, once probed."""
+
+    def __init__(self) -> None:
+        self.value: Optional[np.ndarray] = None
+        self.lock = threading.Lock()
 
 
 class SimilarityEngine:
@@ -120,7 +129,7 @@ class SimilarityEngine:
         self._proximity = ProximityOperator(self._w, self._weights, policy=self.policy)
         self._operator = self._proximity._h
         self._onehot: Optional[np.ndarray] = None
-        self._diag: Optional[np.ndarray] = None
+        self._shared = _SharedDiagonal()
 
     # ------------------------------------------------------------------
     # Shape
@@ -138,9 +147,11 @@ class SimilarityEngine:
     def clone_for_worker(self) -> "SimilarityEngine":
         """A clone for another thread: shared W/weights/diagonal, own buffers.
 
-        The sparse matrix, PMF weights, and (if already computed) the exact
-        H diagonal are shared read-only; the kernel workspaces and the
-        one-hot block buffer are per-clone, so clones never contend.
+        The sparse matrix and PMF weights are shared read-only, and so is
+        the exact H diagonal — even one not probed yet: whichever of the
+        engine and its clones needs it first probes it, once, for all of
+        them.  The kernel workspaces and the one-hot block buffer are
+        per-clone, so clones never contend.
         """
         clone = SimilarityEngine.__new__(SimilarityEngine)
         clone.graph = self.graph
@@ -156,7 +167,7 @@ class SimilarityEngine:
         )
         clone._operator = clone._proximity._h
         clone._onehot = None
-        clone._diag = self._diag
+        clone._shared = self._shared
         return clone
 
     # ------------------------------------------------------------------
@@ -246,24 +257,30 @@ class SimilarityEngine:
         count.  ``seed`` fixes the probe-block *schedule* (a seeded
         permutation of the blocks); it exists so the schedule is
         reproducible under randomized probing policies, not because the
-        values depend on it.
+        values depend on it.  The cache is shared with every
+        :meth:`clone_for_worker` clone; concurrent first calls probe once.
         """
-        if self._diag is None:
+        shared = self._shared
+        if shared.value is None:
             if block_size < 1:
                 raise ValueError("block_size must be >= 1")
-            n = self.num_u
-            diagonal = np.empty(n, dtype=np.float64)
-            starts = np.arange(0, n, block_size)
-            if seed is not None:
-                starts = np.random.default_rng(seed).permutation(starts)
-            for start in starts:
-                stop = min(int(start) + block_size, n)
-                chunk = np.arange(start, stop, dtype=np.int64)
-                block = self._one_hot_block(chunk)
-                result = self._operator.matmat(block)
-                diagonal[chunk] = result[chunk, np.arange(chunk.size)]
-            self._diag = diagonal
-        return self._diag
+            with shared.lock:
+                if shared.value is None:
+                    shared.value = self._probe_diagonal(block_size, seed)
+        return shared.value
+
+    def _probe_diagonal(self, block_size: int, seed: Optional[int]) -> np.ndarray:
+        n = self.num_u
+        diagonal = np.empty(n, dtype=np.float64)
+        starts = np.arange(0, n, block_size)
+        if seed is not None:
+            starts = np.random.default_rng(seed).permutation(starts)
+        for start in starts:
+            stop = min(int(start) + block_size, n)
+            chunk = np.arange(start, stop, dtype=np.int64)
+            result = self._operator.matmat(self._one_hot_block(chunk))
+            diagonal[chunk] = result[chunk, np.arange(chunk.size)]
+        return diagonal
 
     # ------------------------------------------------------------------
     # Top-k queries

@@ -98,8 +98,7 @@ class TopKEngine:
     With workspace reuse on (the policy default) the score buffer is grown
     once and overwritten by every block, so score views yielded by
     :meth:`iter_top_items` are only valid until the next block is produced —
-    the standard streaming contract.  ``policy.workspace=False`` selects the
-    allocation-per-block reference path (the bench A/B lever).
+    the standard streaming contract.
 
     **A single engine instance must not be shared across threads.**  The
     grow-once score workspace is overwritten by every block, so two threads
@@ -217,8 +216,6 @@ class TopKEngine:
     def _score_buffer(self, rows: int) -> np.ndarray:
         """A C-contiguous ``rows x num_items`` score block."""
         needed = rows * self.num_items
-        if not self.policy.workspace:
-            return np.empty((rows, self.num_items), dtype=self.dtype)
         if self._scores_flat is None or self._scores_flat.size < needed:
             self._scores_flat = np.empty(
                 self.block_rows * self.num_items, dtype=self.dtype

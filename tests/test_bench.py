@@ -1,54 +1,96 @@
-"""Tests for the benchmark harness and the BENCH_*.json schema."""
+"""Tests for the benchmark harness, its axis table and the BENCH_*.json schema.
 
+Most tests share one seconds-scale document with every axis switched on
+(``full``); schema tests mutate copies of its real rows.
+"""
+
+import copy
 import json
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-import copy
-
+import repro.bench
 from repro.bench import (
+    AXES,
     BENCH_SCHEMA_NAME,
     BENCH_SCHEMA_VERSION,
     BenchConfig,
     compare_bench,
     load_bench,
-    ooc_violations,
-    refresh_violations,
     render_bench,
     render_compare,
     run_bench,
-    similar_violations,
-    upgrade_bench,
     validate_bench,
+    violations,
     write_bench,
 )
-from repro.cli import main
+from repro.cli import build_parser, main
+
+ALL = replace(
+    BenchConfig.smoke(), serve_smoke=True, ann=True, quant=True, refresh=True,
+    ooc=True, similar=True,
+)
+AXIS = {axis.key: axis for axis in AXES}
+SNAPSHOT = Path(__file__).resolve().parent.parent / "BENCH_gebe.json"
+#: Every hard gate of the table, as (rows key, gate name).
+GATES = [
+    ("comparisons", "matvecs_equal"),
+    ("topk_comparisons", "lists_equal"),
+    ("serve_runs", "lists_equal"),
+    ("ann_runs", "exact_match"),
+    ("quant_runs", "lists_equal"),
+    ("refresh_runs", "quality_ok"),
+    ("refresh_runs", "warm_saves_matvecs"),
+    ("refresh_runs", "delta_publish_smaller"),
+    ("ooc_runs", "bit_identical"),
+    ("ooc_runs", "matvecs_equal"),
+    ("ooc_runs", "rss_within_budget"),
+    ("similar_runs", "lists_equal"),
+]
 
 
 @pytest.fixture(scope="module")
-def smoke_payload():
-    return run_bench(BenchConfig.smoke())
+def full():
+    return run_bench(ALL)
 
 
-@pytest.fixture(scope="module")
-def ann_payload():
-    """A seconds-scale ANN-axis-only document (tiny clustered stand-in)."""
-    return run_bench(
-        BenchConfig(
-            datasets=("toy",),
-            methods=("GEBE^p",),
-            dimension=8,
-            repeats=1,
-            fit_grid=False,
-            topk=False,
-            ann=True,
-            ann_items=2_000,
-            ann_queries=8,
-            ann_cells=16,
-            ann_nprobe=(1, 4),
-            ann_n=5,
-        )
-    )
+def _row(doc, key, index=-1, **overrides):
+    """A copy of one real row of ``doc[key]`` with fields replaced."""
+    return dict(doc[key][index], **overrides)
+
+
+def _rejects(doc, match, **lists):
+    with pytest.raises(ValueError, match=match):
+        validate_bench(dict(doc, **lists))
+
+
+def _alone(doc, key, rows):
+    """``doc`` with ``rows`` as its only non-empty rows list."""
+    return validate_bench({**doc, **{axis.key: [] for axis in AXES}, key: rows})
+
+
+def _broken(doc, key, index=-1, **overrides):
+    broken = copy.deepcopy(doc)
+    broken[key][index].update(overrides)
+    return broken, broken[key][index]
+
+
+def _policies(doc):
+    return {row["policy"] for row in compare_bench(doc, doc)["rows"]}
+
+
+def _gate_rows(doc, key):
+    return [row for axis, _, row in violations(doc) if axis.key == key]
+
+
+def _json_round_trip(doc, key, tmp_path):
+    path = tmp_path / "bench.json"
+    write_bench(doc, str(path))
+    assert load_bench(str(path))[key] == doc[key]
 
 
 class TestBenchConfig:
@@ -60,8 +102,8 @@ class TestBenchConfig:
 
     def test_policy_grid(self):
         policies = [p.describe() for p in BenchConfig().policies()]
-        assert policies == ["float64/workspace", "float64/legacy", "float32/workspace"]
-        lean = BenchConfig(ab_compare=False, float32=False).policies()
+        assert policies == ["float64/workspace", "float32/workspace"]
+        lean = BenchConfig(float32=False).policies()
         assert [p.describe() for p in lean] == ["float64/workspace"]
 
     def test_unknown_dataset_rejected(self):
@@ -69,8 +111,7 @@ class TestBenchConfig:
             run_bench(BenchConfig(datasets=("nope",), repeats=1))
 
     def test_policy_rows_pinned_serial(self):
-        # The dtype A/B axis must not inherit REPRO_NUM_THREADS: dtype
-        # rows are always serial, threads get their own rows.
+        # Dtype rows never inherit REPRO_NUM_THREADS; threads get own rows.
         assert all(p.n_threads == 1 for p in BenchConfig().policies())
 
     def test_thread_counts_sorted_unique(self):
@@ -80,121 +121,79 @@ class TestBenchConfig:
 
 
 class TestRunBench:
-    def test_smoke_document_validates(self, smoke_payload):
-        assert smoke_payload["schema"] == BENCH_SCHEMA_NAME
-        assert smoke_payload["version"] == BENCH_SCHEMA_VERSION
-        validate_bench(smoke_payload)
+    def test_smoke_document_validates(self, full):
+        assert full["schema"] == BENCH_SCHEMA_NAME
+        assert full["version"] == BENCH_SCHEMA_VERSION
+        assert all(full[axis.key] for axis in AXES)
+        validate_bench(full)
 
-    def test_covers_grid(self, smoke_payload):
-        config = BenchConfig.smoke()
-        thread_rows = len([t for t in config.thread_counts() if t > 1])
-        per_cell = len(config.policies()) + thread_rows
-        assert len(smoke_payload["runs"]) == (
-            len(config.datasets) * len(config.methods) * per_cell
-        )
+    def test_covers_grid(self, full):
+        per_cell = len(ALL.policies()) + len([t for t in ALL.thread_counts() if t > 1])
+        assert len(full["runs"]) == len(ALL.datasets) * len(ALL.methods) * per_cell
 
-    def test_thread_rows_present(self, smoke_payload):
-        config = BenchConfig.smoke()
-        expected = set(config.thread_counts())
-        assert {run["threads"] for run in smoke_payload["runs"]} == expected
-        # Thread rows always use the default (workspace float64) policy.
-        for run in smoke_payload["runs"]:
+    def test_thread_rows_present(self, full):
+        assert {run["threads"] for run in full["runs"]} == set(ALL.thread_counts())
+        for run in full["runs"]:
             if run["threads"] > 1:
                 assert run["policy"] == "float64/workspace"
             assert run["workspace_bytes"] >= 0
 
-    def test_matvec_counts_identical_across_kernel_paths(self, smoke_payload):
-        assert smoke_payload["comparisons"], "A/B comparisons missing"
-        for row in smoke_payload["comparisons"]:
-            assert row["matvecs_equal"], (
-                f"{row['method']}/{row['dataset']}: matvec counts diverged "
-                "between workspace and legacy kernels"
-            )
+    def test_matvec_counts_identical_across_kernel_paths(self, full):
+        assert full["comparisons"]
+        assert all(row["matvecs_equal"] for row in full["comparisons"])
 
-    def test_comparisons_cover_every_new_kernel_policy(self, smoke_payload):
-        # Both the float64 workspace default and the float32 row are
-        # A/B'd against the legacy baseline, per (method, dataset) cell.
-        dtype_rows = [
-            row for row in smoke_payload["comparisons"]
-            if row["candidate_threads"] == 1
-        ]
-        candidates = {row["candidate_policy"] for row in dtype_rows}
-        assert candidates == {"float64/workspace", "float32/workspace"}
-        config = BenchConfig.smoke()
-        cells = len(config.datasets) * len(config.methods)
-        assert len(dtype_rows) == cells * len(candidates)
-        assert all(row["baseline_policy"] == "float64/legacy" for row in dtype_rows)
-        assert all(row["baseline_threads"] == 1 for row in dtype_rows)
+    def test_comparisons_cover_every_new_kernel_policy(self, full):
+        # The float32 row is compared against the float64 row per cell.
+        dtype_rows = [r for r in full["comparisons"] if r["candidate_threads"] == 1]
+        assert {r["candidate_policy"] for r in dtype_rows} == {"float32/workspace"}
+        assert len(dtype_rows) == len(ALL.datasets) * len(ALL.methods)
+        assert all(r["baseline_policy"] == "float64/workspace" for r in dtype_rows)
+        assert all(r["baseline_threads"] == 1 for r in dtype_rows)
 
-    def test_comparisons_cover_every_thread_count(self, smoke_payload):
-        # Every threads > 1 row is compared against its serial twin: same
-        # method, dataset, and policy, threads pinned to 1.
-        config = BenchConfig.smoke()
-        cells = len(config.datasets) * len(config.methods)
-        thread_rows = [
-            row for row in smoke_payload["comparisons"]
-            if row["candidate_threads"] > 1
-        ]
-        extra = [t for t in config.thread_counts() if t > 1]
-        assert len(thread_rows) == cells * len(extra)
+    def test_comparisons_cover_every_thread_count(self, full):
+        thread_rows = [r for r in full["comparisons"] if r["candidate_threads"] > 1]
+        extra = [t for t in ALL.thread_counts() if t > 1]
+        assert len(thread_rows) == len(ALL.datasets) * len(ALL.methods) * len(extra)
         for row in thread_rows:
             assert row["baseline_threads"] == 1
             assert row["baseline_policy"] == row["candidate_policy"]
-            assert row["matvecs_equal"], (
-                f"{row['method']}/{row['dataset']}: op counts changed with "
-                f"{row['candidate_threads']} threads"
-            )
+            assert row["matvecs_equal"]
 
-    def test_float32_rows_present(self, smoke_payload):
-        policies = {run["policy"] for run in smoke_payload["runs"]}
-        assert "float32/workspace" in policies
+    def test_float32_rows_present(self, full):
+        assert "float32/workspace" in {run["policy"] for run in full["runs"]}
 
-    def test_topk_axis_rows(self, smoke_payload):
-        config = BenchConfig.smoke()
-        per_dataset = {}
-        for row in smoke_payload["topk_runs"]:
-            per_dataset.setdefault(row["dataset"], []).append(row)
-        assert set(per_dataset) == set(config.datasets)
-        blocks = sorted(set(config.topk_block_rows))
-        for rows in per_dataset.values():
-            modes = [row["mode"] for row in rows]
-            assert modes.count("per_user") == 1
-            # One masked row per block size, one unmasked, one threaded.
-            masked_serial = [
-                r["block_rows"] for r in rows
-                if r["mode"] == "batched" and r["exclude"] and r["threads"] == 1
-            ]
-            assert masked_serial == blocks
-            assert sum(1 for r in rows if not r["exclude"]) == 1
-            assert any(r["threads"] > 1 for r in rows)
-            for row in rows:
-                if row["mode"] == "batched":
-                    assert row["candidates"] == row["num_users"] * row["num_items"]
-                    assert row["gemms"] >= 1
+    def test_topk_axis_rows(self, full):
+        rows = full["topk_runs"]
+        assert {row["dataset"] for row in rows} == set(ALL.datasets)
+        assert [row["mode"] for row in rows].count("per_user") == 1
+        # One masked row per block size, one unmasked, one threaded.
+        masked_serial = [
+            r["block_rows"] for r in rows
+            if r["mode"] == "batched" and r["exclude"] and r["threads"] == 1
+        ]
+        assert masked_serial == sorted(set(ALL.topk_block_rows))
+        assert sum(1 for r in rows if not r["exclude"]) == 1
+        assert any(r["threads"] > 1 for r in rows)
+        for row in rows[1:]:
+            assert row["candidates"] == row["num_users"] * row["num_items"]
+            assert row["gemms"] >= 1
 
-    def test_topk_lists_identical_to_per_user(self, smoke_payload):
-        assert smoke_payload["topk_comparisons"], "topk comparisons missing"
-        for row in smoke_payload["topk_comparisons"]:
-            assert row["baseline_mode"] == "per_user"
-            assert row["lists_equal"], (
-                f"{row['dataset']} b={row['candidate_block_rows']} "
-                f"x{row['candidate_threads']}: batched lists diverged"
-            )
+    def test_topk_lists_identical_to_per_user(self, full):
+        assert full["topk_comparisons"]
+        for row in full["topk_comparisons"]:
+            assert row["baseline_mode"] == "per_user" and row["lists_equal"]
 
-    def test_topk_render_mentions_modes(self, smoke_payload):
-        text = render_bench(smoke_payload)
-        assert "per_user" in text
-        assert "batched" in text
+    def test_topk_render_mentions_modes(self, full):
+        text = render_bench(full)
+        assert "per_user" in text and "batched" in text
 
-    def test_json_round_trip(self, smoke_payload, tmp_path):
-        path = tmp_path / "BENCH_test.json"
-        write_bench(smoke_payload, str(path))
-        validate_bench(json.loads(path.read_text()))
+    def test_json_round_trip(self, full, tmp_path):
+        _json_round_trip(full, "runs", tmp_path)
 
-    def test_render_mentions_every_run(self, smoke_payload):
-        text = render_bench(smoke_payload)
+    def test_render_mentions_every_run(self, full):
+        text = render_bench(full)
         assert "GEBE^p" in text
-        assert "workspace vs legacy" in text
+        assert all(axis.title in text for axis in AXES)
 
 
 class TestBenchSchemaValidation:
@@ -202,1304 +201,653 @@ class TestBenchSchemaValidation:
         with pytest.raises(ValueError, match="top level"):
             validate_bench([])
 
-    def test_rejects_wrong_schema_name(self, smoke_payload):
-        bad = dict(smoke_payload, schema="other")
-        with pytest.raises(ValueError, match="schema"):
-            validate_bench(bad)
+    def test_rejects_wrong_schema_name(self, full):
+        _rejects(full, "schema", schema="other")
 
-    def test_rejects_wrong_version(self, smoke_payload):
-        bad = dict(smoke_payload, version=99)
-        with pytest.raises(ValueError, match="version"):
-            validate_bench(bad)
+    def test_rejects_wrong_version(self, full):
+        # Only v9 is read; older snapshots are not upgraded.
+        for version in (1, 8, 99):
+            _rejects(full, f"version must be 9, got {version}", version=version)
 
-    def test_rejects_both_axes_empty(self, smoke_payload):
-        bad = dict(smoke_payload, runs=[], topk_runs=[])
-        with pytest.raises(ValueError, match="runs"):
-            validate_bench(bad)
+    def test_rejects_both_axes_empty(self, full):
+        _rejects(full, "must not all be empty", **{axis.key: [] for axis in AXES})
 
-    def test_single_axis_documents_validate(self, smoke_payload):
-        # --topk-only writes runs=[]; a topk-less run writes topk_runs=[].
-        validate_bench(dict(smoke_payload, runs=[]))
-        validate_bench(dict(smoke_payload, topk_runs=[], topk_comparisons=[]))
+    def test_single_axis_documents_validate(self, full):
+        for axis in AXES:
+            _alone(full, axis.key, full[axis.key])
 
-    def test_rejects_bad_topk_mode(self, smoke_payload):
-        rows = [dict(smoke_payload["topk_runs"][0], mode="vectorized")]
-        bad = dict(smoke_payload, topk_runs=rows)
-        with pytest.raises(ValueError, match="mode"):
-            validate_bench(bad)
+    def test_rejects_bad_topk_mode(self, full):
+        _rejects(full, "mode", topk_runs=[_row(full, "topk_runs", mode="vectorized")])
 
-    def test_rejects_batched_row_without_block(self, smoke_payload):
-        batched = next(
-            row for row in smoke_payload["topk_runs"] if row["mode"] == "batched"
-        )
-        bad = dict(smoke_payload, topk_runs=[dict(batched, block_rows=None)])
-        with pytest.raises(ValueError, match="block_rows"):
-            validate_bench(bad)
+    def test_rejects_batched_row_without_block(self, full):
+        row = _row(full, "topk_runs", block_rows=None)
+        _rejects(full, "block_rows is required for batched rows", topk_runs=[row])
 
-    def test_rejects_missing_topk_comparison_key(self, smoke_payload):
-        row = dict(smoke_payload["topk_comparisons"][0])
+    def test_rejects_missing_topk_comparison_key(self, full):
+        row = _row(full, "topk_comparisons")
         del row["lists_equal"]
-        bad = dict(smoke_payload, topk_comparisons=[row])
-        with pytest.raises(ValueError, match="lists_equal"):
-            validate_bench(bad)
+        _rejects(full, "missing 'lists_equal'", topk_comparisons=[row])
 
-    def test_rejects_missing_run_key(self, smoke_payload):
-        runs = [dict(smoke_payload["runs"][0])]
-        del runs[0]["matvecs"]
-        bad = dict(smoke_payload, runs=runs)
-        with pytest.raises(ValueError, match="matvecs"):
-            validate_bench(bad)
+    def test_rejects_missing_run_key(self, full):
+        row = _row(full, "runs")
+        del row["matvecs"]
+        _rejects(full, "matvecs", runs=[row])
 
-    def test_rejects_negative_wall(self, smoke_payload):
-        runs = [dict(smoke_payload["runs"][0], wall_seconds=-1.0)]
-        bad = dict(smoke_payload, runs=runs)
-        with pytest.raises(ValueError, match="wall_seconds"):
-            validate_bench(bad)
+    def test_rejects_negative_wall(self, full):
+        _rejects(full, "wall_seconds", runs=[_row(full, "runs", wall_seconds=-1.0)])
 
-    def test_rejects_bool_as_int(self, smoke_payload):
-        runs = [dict(smoke_payload["runs"][0], matvecs=True)]
-        bad = dict(smoke_payload, runs=runs)
-        with pytest.raises(ValueError, match="matvecs"):
-            validate_bench(bad)
+    def test_rejects_bool_as_int(self, full):
+        _rejects(full, "matvecs", runs=[_row(full, "runs", matvecs=True)])
 
 
 class TestBenchCli:
     def test_smoke_writes_valid_file(self, tmp_path, capsys):
         out = tmp_path / "BENCH_cli.json"
-        code = main(["bench", "--smoke", "--output", str(out)])
-        assert code == 0
+        assert main(["bench", "--smoke", "--output", str(out)]) == 0
         validate_bench(json.loads(out.read_text()))
-        captured = capsys.readouterr()
-        assert "wrote" in captured.out
+        assert "wrote" in capsys.readouterr().out
 
     def test_overrides_apply(self, tmp_path):
         out = tmp_path / "BENCH_cli.json"
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--no-float32",
-                "--repeats",
-                "1",
-                "--output",
-                str(out),
-            ]
-        )
-        assert code == 0
+        argv = ["bench", "--smoke", "--no-float32", "--repeats", "1", "--output", str(out)]
+        assert main(argv) == 0
         payload = json.loads(out.read_text())
         assert payload["config"]["float32"] is False
-        policies = {run["policy"] for run in payload["runs"]}
-        assert "float32/workspace" not in policies
+        assert "float32/workspace" not in {run["policy"] for run in payload["runs"]}
 
     def test_threads_override(self, tmp_path):
         out = tmp_path / "BENCH_cli.json"
-        code = main(
-            ["bench", "--smoke", "--threads", "1", "--output", str(out)]
-        )
-        assert code == 0
+        assert main(["bench", "--smoke", "--threads", "1", "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["config"]["threads"] == [1]
         assert {run["threads"] for run in payload["runs"]} == {1}
 
     def test_threads_rejects_zero(self, tmp_path, capsys):
         out = tmp_path / "BENCH_cli.json"
-        code = main(["bench", "--smoke", "--threads", "0", "--output", str(out)])
-        assert code == 2
+        assert main(["bench", "--smoke", "--threads", "0", "--output", str(out)]) == 2
         assert "threads" in capsys.readouterr().err
 
     def test_compare_against_self_passes(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_a.json"
+        out, fresh = tmp_path / "BENCH_a.json", tmp_path / "BENCH_b.json"
         assert main(["bench", "--smoke", "--output", str(out)]) == 0
-        fresh = tmp_path / "BENCH_b.json"
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--output",
-                str(fresh),
-                "--compare",
-                str(out),
-                # Smoke cells run in milliseconds, so relative wall noise
-                # is huge; a wide threshold keeps this deterministic.
-                "--noise",
-                "25",
-            ]
-        )
+        # Smoke cells run in milliseconds; a wide threshold keeps this stable.
+        argv = ["bench", "--smoke", "--output", str(fresh), "--compare", str(out)]
+        assert main(argv + ["--noise", "25"]) == 0
         captured = capsys.readouterr()
-        assert code == 0
-        assert "bench compare" in captured.out
-        assert "verdict: ok" in captured.out
+        assert "bench compare" in captured.out and "verdict: ok" in captured.out
 
     def test_topk_only(self, tmp_path):
         out = tmp_path / "BENCH_cli.json"
-        code = main(["bench", "--smoke", "--topk-only", "--output", str(out)])
-        assert code == 0
+        assert main(["bench", "--smoke", "--topk-only", "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["runs"] == []
-        assert payload["topk_runs"]
+        assert payload["runs"] == [] and payload["topk_runs"]
 
     def test_no_topk(self, tmp_path):
         out = tmp_path / "BENCH_cli.json"
-        code = main(["bench", "--smoke", "--no-topk", "--output", str(out)])
-        assert code == 0
+        assert main(["bench", "--smoke", "--no-topk", "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["topk_runs"] == []
-        assert payload["runs"]
+        assert payload["topk_runs"] == [] and payload["runs"]
 
-    def test_no_topk_conflicts_with_topk_only(self, tmp_path, capsys):
-        code = main(["bench", "--smoke", "--no-topk", "--topk-only"])
-        assert code == 2
+    def test_no_topk_conflicts_with_topk_only(self, capsys):
+        assert main(["bench", "--smoke", "--no-topk", "--topk-only"]) == 2
         assert "conflict" in capsys.readouterr().err
 
-    def test_topk_block_rows_override(self, tmp_path):
-        out = tmp_path / "BENCH_cli.json"
-        code = main(
-            ["bench", "--smoke", "--topk-only", "--topk-block-rows", "2", "8",
-             "--output", str(out)]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["config"]["topk_block_rows"] == [2, 8]
-        masked = {
-            row["block_rows"] for row in payload["topk_runs"]
-            if row["mode"] == "batched" and row["exclude"]
-        }
-        assert masked == {2, 8}
-
     def test_compare_missing_baseline_errors(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_cli.json"
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--output",
-                str(out),
-                "--compare",
-                str(tmp_path / "nope.json"),
-            ]
-        )
-        assert code == 2
+        argv = ["bench", "--smoke", "--output", str(tmp_path / "BENCH_cli.json"),
+                "--compare", str(tmp_path / "nope.json")]
+        assert main(argv) == 2
         assert "cannot load" in capsys.readouterr().err
 
+    def test_axis_flags_come_from_the_table(self):
+        flags = {
+            option
+            for action in build_parser()._subparsers._group_actions[0]
+            .choices["bench"]._actions
+            for option in action.option_strings
+        }
+        for axis in AXES:
+            if axis.flag is not None:
+                on = getattr(BenchConfig, axis.switch)
+                assert (f"--no-{axis.flag}" if on else f"--{axis.flag}") in flags
+                assert (f"--{axis.flag}-only" in flags) == axis.only
 
-class TestBenchUpgrade:
-    def _as_v2(self, payload):
-        doc = copy.deepcopy(payload)
-        doc["version"] = 2
-        # v2 predates the top-k axis entirely.
-        for key in ("topk_runs", "topk_comparisons"):
-            doc.pop(key)
-        for key in ("fit_grid", "topk", "topk_block_rows", "topk_n"):
-            doc["config"].pop(key)
-        return doc
+    def test_other_commands_do_not_load_the_bench(self):
+        code = ("import sys, repro.cli; print('repro.bench' in sys.modules); "
+                "repro.cli.main(['datasets']); print('repro.bench' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert (out[0], out[-1]) == ("False", "False")
 
-    def _as_v1(self, payload):
-        doc = self._as_v2(payload)
-        doc["version"] = 1
-        doc["config"].pop("threads")
-        # v1 had exactly one serial row per (method, dataset, policy).
-        doc["runs"] = [
-            {k: v for k, v in run.items()
-             if k not in ("threads", "workspace_bytes")}
-            for run in doc["runs"] if run["threads"] == 1
-        ]
-        doc["comparisons"] = [
-            {k: v for k, v in row.items()
-             if k not in ("baseline_threads", "candidate_threads")}
-            for row in doc["comparisons"] if row["candidate_threads"] == 1
-        ]
-        return doc
 
-    def test_v1_document_upgrades_through_the_chain(self, smoke_payload):
-        upgraded = upgrade_bench(self._as_v1(smoke_payload))
-        validate_bench(upgraded)
-        assert upgraded["version"] == BENCH_SCHEMA_VERSION
-        assert upgraded["config"]["threads"] == [1]
-        assert all(run["threads"] == 1 for run in upgraded["runs"])
-        assert all(run["workspace_bytes"] == 0 for run in upgraded["runs"])
-        assert upgraded["config"]["topk"] is False
-        assert upgraded["topk_runs"] == []
+class TestGates:
+    def test_table_declares_exactly_the_hard_gates(self):
+        declared = [(axis.key, gate) for axis in AXES for gate, _ in axis.gates]
+        assert declared == GATES
 
-    def test_v2_document_upgrades_with_topk_axis_absent(self, smoke_payload):
-        upgraded = upgrade_bench(self._as_v2(smoke_payload))
-        validate_bench(upgraded)
-        assert upgraded["version"] == BENCH_SCHEMA_VERSION
-        assert upgraded["config"]["topk"] is False
-        assert upgraded["config"]["fit_grid"] is True
-        assert upgraded["topk_runs"] == []
-        assert upgraded["topk_comparisons"] == []
+    @pytest.mark.parametrize("key, gate", GATES, ids=[f"{k}-{g}" for k, g in GATES])
+    def test_each_gate_fails_compare_and_the_cli(
+        self, full, key, gate, tmp_path, monkeypatch, capsys
+    ):
+        assert violations(full) == []
+        change = {gate: False}
+        if gate == "warm_saves_matvecs":  # warm (last) as costly as cold (first)
+            change = {"matvecs": full[key][0]["matvecs"]}
+        if gate == "delta_publish_smaller":
+            change = {"publish_bytes": full[key][-1]["full_publish_bytes"]}
+        broken, row = _broken(full, key, **change)
+        assert [(a.key, g) for a, g, r in violations(broken)] == [(key, gate)]
+        assert compare_bench(full, broken)["invariant_violations"] == [row]
+        monkeypatch.setattr(repro.bench, "run_bench", lambda config, progress: broken)
+        out = str(tmp_path / "bench.json")
+        assert main(["bench", "--smoke", "--output", out]) == 1
+        assert f"hard gate {gate} failed" in capsys.readouterr().err
 
-    def test_current_version_passes_through(self, smoke_payload):
-        assert upgrade_bench(smoke_payload) is smoke_payload
 
-    def test_load_bench_upgrades_v1_file(self, smoke_payload, tmp_path):
-        path = tmp_path / "BENCH_v1.json"
-        path.write_text(json.dumps(self._as_v1(smoke_payload)))
-        doc = load_bench(str(path))
-        assert doc["version"] == BENCH_SCHEMA_VERSION
+class TestSnapshot:
+    def test_committed_snapshot_loads_and_self_compares(self):
+        snapshot = load_bench(str(SNAPSHOT))
+        result = compare_bench(snapshot, snapshot)
+        assert len(result["rows"]) >= 56
+        assert result["matvec_drift"] == [] and result["invariant_violations"] == []
+        assert result["regressions"] == [] and "verdict: ok" in render_compare(result)
 
 
 class TestCompareBench:
-    def test_self_compare_is_clean(self, smoke_payload):
-        result = compare_bench(smoke_payload, smoke_payload)
-        assert len(result["rows"]) == len(smoke_payload["runs"]) + len(
-            smoke_payload["topk_runs"]
-        )
-        assert result["regressions"] == []
-        assert result["matvec_drift"] == []
+    def test_self_compare_is_clean(self, full):
+        result = compare_bench(full, full)
+        assert len(result["rows"]) == sum(len(full[a.key]) for a in AXES if a.label)
+        assert result["regressions"] == [] and result["matvec_drift"] == []
         assert result["missing"] == [] and result["added"] == []
         assert "verdict: ok" in render_compare(result)
 
-    def test_flags_wall_time_regression(self, smoke_payload):
-        slow = copy.deepcopy(smoke_payload)
-        slow["runs"][0]["wall_seconds"] *= 10.0
-        result = compare_bench(smoke_payload, slow, noise=0.25, min_seconds=0.0)
+    def test_flags_wall_time_regression(self, full):
+        slow, row = _broken(full, "runs", 0)
+        row["wall_seconds"] *= 10.0
+        result = compare_bench(full, slow, noise=0.25, min_seconds=0.0)
         assert len(result["regressions"]) == 1
         assert result["regressions"][0]["ratio"] == pytest.approx(10.0)
         assert "REGRESSION" in render_compare(result)
 
-    def test_noise_threshold_suppresses_small_slowdowns(self, smoke_payload):
-        slow = copy.deepcopy(smoke_payload)
-        slow["runs"][0]["wall_seconds"] *= 1.2
-        clean = compare_bench(smoke_payload, slow, noise=0.25, min_seconds=0.0)
-        assert clean["regressions"] == []
-        tight = compare_bench(smoke_payload, slow, noise=0.1, min_seconds=0.0)
-        assert tight["regressions"]
+    def test_noise_threshold_suppresses_small_slowdowns(self, full):
+        slow, row = _broken(full, "runs", 0)
+        row["wall_seconds"] *= 1.2
+        assert compare_bench(full, slow, noise=0.25, min_seconds=0.0)["regressions"] == []
+        assert compare_bench(full, slow, noise=0.1, min_seconds=0.0)["regressions"]
 
-    def test_absolute_floor_suppresses_millisecond_jitter(self, smoke_payload):
-        # A 2x slowdown on a 3 ms cell is scheduler noise, not a
-        # regression; the same ratio on a 3 s cell is real.
-        slow = copy.deepcopy(smoke_payload)
-        slow["runs"][0]["wall_seconds"] = smoke_payload["runs"][0][
-            "wall_seconds"
-        ] + 0.01
-        assert compare_bench(smoke_payload, slow, noise=0.0)["regressions"] == []
-        big_old = copy.deepcopy(smoke_payload)
-        big_old["runs"][0]["wall_seconds"] = 3.0
-        big_new = copy.deepcopy(smoke_payload)
-        big_new["runs"][0]["wall_seconds"] = 6.0
+    def test_absolute_floor_suppresses_millisecond_jitter(self, full):
+        # A 10 ms slowdown is scheduler noise; 3 s -> 6 s is real.
+        wall = full["runs"][0]["wall_seconds"]
+        slow, _ = _broken(full, "runs", 0, wall_seconds=wall + 0.01)
+        assert compare_bench(full, slow, noise=0.0)["regressions"] == []
+        big_old, _ = _broken(full, "runs", 0, wall_seconds=3.0)
+        big_new, _ = _broken(full, "runs", 0, wall_seconds=6.0)
         assert compare_bench(big_old, big_new)["regressions"]
 
-    def test_rejects_negative_min_seconds(self, smoke_payload):
+    def test_rejects_negative_min_seconds(self, full):
         with pytest.raises(ValueError, match="min_seconds"):
-            compare_bench(smoke_payload, smoke_payload, min_seconds=-1.0)
+            compare_bench(full, full, min_seconds=-1.0)
 
-    def test_flags_matvec_drift(self, smoke_payload):
-        drifted = copy.deepcopy(smoke_payload)
-        drifted["runs"][0]["matvecs"] += 7
-        result = compare_bench(smoke_payload, drifted)
+    def test_rejects_negative_noise(self, full):
+        with pytest.raises(ValueError, match="noise"):
+            compare_bench(full, full, noise=-0.1)
+
+    def test_flags_matvec_drift(self, full):
+        drifted, row = _broken(full, "runs", 0)
+        row["matvecs"] += 7
+        result = compare_bench(full, drifted)
         assert len(result["matvec_drift"]) == 1
         assert "MATVEC-DRIFT" in render_compare(result)
 
-    def test_reports_missing_and_added_cells(self, smoke_payload):
-        pruned = copy.deepcopy(smoke_payload)
+    def test_reports_missing_and_added_cells(self, full):
+        pruned = copy.deepcopy(full)
         dropped = pruned["runs"].pop()
-        result = compare_bench(smoke_payload, pruned)
+        result = compare_bench(full, pruned)
         assert result["missing"] == [
-            (dropped["method"], dropped["dataset"], dropped["policy"],
-             dropped["threads"])
+            (dropped["method"], dropped["dataset"], dropped["policy"], dropped["threads"])
         ]
-        assert compare_bench(pruned, smoke_payload)["added"] == result["missing"]
+        assert compare_bench(pruned, full)["added"] == result["missing"]
 
-    def test_surfaces_internal_invariant_violations(self, smoke_payload):
-        broken = copy.deepcopy(smoke_payload)
-        broken["comparisons"][0]["matvecs_equal"] = False
-        result = compare_bench(smoke_payload, broken)
-        assert len(result["invariant_violations"]) == 1
-        assert "invariant violated" in render_compare(result)
+    def test_surfaces_internal_invariant_violations(self, full):
+        broken, row = _broken(full, "comparisons", 0, matvecs_equal=False)
+        result = compare_bench(full, broken)
+        assert result["invariant_violations"] == [row]
+        assert "violate a hard gate" in render_compare(result)
 
-    def test_surfaces_topk_list_divergence(self, smoke_payload):
-        broken = copy.deepcopy(smoke_payload)
-        broken["topk_comparisons"][0]["lists_equal"] = False
-        result = compare_bench(smoke_payload, broken)
-        assert len(result["invariant_violations"]) == 1
+    def test_surfaces_topk_list_divergence(self, full):
+        broken, row = _broken(full, "topk_comparisons", 0, lists_equal=False)
+        assert compare_bench(full, broken)["invariant_violations"] == [row]
 
-    def test_flags_topk_wall_time_regression(self, smoke_payload):
-        slow = copy.deepcopy(smoke_payload)
-        slow["topk_runs"][0]["wall_seconds"] = (
-            smoke_payload["topk_runs"][0]["wall_seconds"] + 10.0
-        )
-        result = compare_bench(smoke_payload, slow)
+    def test_flags_topk_wall_time_regression(self, full):
+        wall = full["topk_runs"][0]["wall_seconds"]
+        slow, _ = _broken(full, "topk_runs", 0, wall_seconds=wall + 10.0)
+        result = compare_bench(full, slow)
         assert len(result["regressions"]) == 1
         assert result["regressions"][0]["policy"].startswith("topk:")
 
-    def test_flags_topk_candidate_drift(self, smoke_payload):
-        drifted = copy.deepcopy(smoke_payload)
-        batched = next(
-            row for row in drifted["topk_runs"] if row["mode"] == "batched"
-        )
-        batched["candidates"] += 3
-        result = compare_bench(smoke_payload, drifted)
-        assert len(result["matvec_drift"]) == 1
-
-    def test_rejects_negative_noise(self, smoke_payload):
-        with pytest.raises(ValueError, match="noise"):
-            compare_bench(smoke_payload, smoke_payload, noise=-0.1)
-
-
-def _serve_row(**overrides):
-    row = {
-        "method": "GEBE^p", "dataset": "toy", "mode": "sequential",
-        "clients": 1, "requests": 16, "n": 10, "batched": True,
-        "wall_seconds": 0.5, "p50_ms": 3.0, "p95_ms": 6.0,
-        "shed": 0, "lists_equal": True,
-    }
-    row.update(overrides)
-    return row
+    def test_flags_topk_candidate_drift(self, full):
+        drifted, row = _broken(full, "topk_runs")
+        row["candidates"] += 3
+        assert len(compare_bench(full, drifted)["matvec_drift"]) == 1
 
 
 class TestServeSchema:
-    def test_valid_serve_rows_accepted(self, smoke_payload):
-        doc = dict(smoke_payload, serve_runs=[
-            _serve_row(), _serve_row(mode="concurrent", clients=4),
-        ])
-        validate_bench(doc)
+    def test_valid_serve_rows_accepted(self, full):
+        modes = {row["mode"]: row["clients"] for row in full["serve_runs"]}
+        assert modes["sequential"] == 1 and modes["concurrent"] > 1
+        assert all(row["shed"] == 0 and row["lists_equal"] for row in full["serve_runs"])
 
-    def test_serve_axis_alone_suffices(self, smoke_payload):
-        doc = dict(
-            smoke_payload, runs=[], comparisons=[], topk_runs=[],
-            topk_comparisons=[], serve_runs=[_serve_row()],
-        )
-        validate_bench(doc)
+    def test_serve_axis_alone_suffices(self, full):
+        _alone(full, "serve_runs", [_row(full, "serve_runs")])
 
-    def test_rejects_bad_serve_mode(self, smoke_payload):
-        doc = dict(smoke_payload, serve_runs=[_serve_row(mode="burst")])
-        with pytest.raises(ValueError, match="mode must be one of"):
-            validate_bench(doc)
+    def test_rejects_bad_serve_mode(self, full):
+        _rejects(full, "mode must be one of", serve_runs=[_row(full, "serve_runs", mode="burst")])
 
-    def test_rejects_zero_clients(self, smoke_payload):
-        doc = dict(smoke_payload, serve_runs=[_serve_row(clients=0)])
-        with pytest.raises(ValueError, match="clients must be >= 1"):
-            validate_bench(doc)
+    def test_rejects_zero_clients(self, full):
+        _rejects(full, "clients must be >= 1", serve_runs=[_row(full, "serve_runs", clients=0)])
 
-    def test_rejects_negative_latency(self, smoke_payload):
-        doc = dict(smoke_payload, serve_runs=[_serve_row(p95_ms=-1.0)])
-        with pytest.raises(ValueError, match="p95_ms must be non-negative"):
-            validate_bench(doc)
+    def test_rejects_negative_latency(self, full):
+        rows = [_row(full, "serve_runs", p95_ms=-1.0)]
+        _rejects(full, "p95_ms must be non-negative", serve_runs=rows)
 
-    def test_rejects_missing_serve_key(self, smoke_payload):
-        row = _serve_row()
+    def test_rejects_missing_serve_key(self, full):
+        row = _row(full, "serve_runs")
         del row["lists_equal"]
-        doc = dict(smoke_payload, serve_runs=[row])
-        with pytest.raises(ValueError, match="missing 'lists_equal'"):
-            validate_bench(doc)
-
-    def test_v3_document_upgrades_with_serve_axis_absent(self, smoke_payload):
-        doc = copy.deepcopy(smoke_payload)
-        doc["version"] = 3
-        doc.pop("serve_runs")
-        doc.pop("ann_runs")
-        for key in ("serve_smoke", "serve_requests", "ann", "ann_items",
-                    "ann_queries", "ann_cells", "ann_nprobe", "ann_n"):
-            doc["config"].pop(key)
-        upgraded = upgrade_bench(doc)
-        validate_bench(upgraded)
-        assert upgraded["version"] == BENCH_SCHEMA_VERSION
-        assert upgraded["config"]["serve_smoke"] is False
-        assert upgraded["serve_runs"] == []
-        assert upgraded["config"]["ann"] is False
-        assert upgraded["ann_runs"] == []
-
-
-def _ann_row(**overrides):
-    row = {
-        "method": "ivf-flat", "dataset": "standin_2000", "mode": "ivf",
-        "nprobe": 4, "cells": 16, "num_items": 2000, "num_queries": 8,
-        "n": 5, "build_seconds": 0.2, "wall_seconds": 0.1,
-        "p50_ms": 1.0, "p95_ms": 2.0, "recall_at_n": 0.9,
-        "candidates": 4000, "exact_match": False,
-    }
-    row.update(overrides)
-    return row
+        _rejects(full, "missing 'lists_equal'", serve_runs=[row])
 
 
 class TestAnnAxis:
-    def test_document_validates(self, ann_payload):
-        validate_bench(ann_payload)
-        assert ann_payload["ann_runs"]
-        assert ann_payload["runs"] == []
-        assert ann_payload["topk_runs"] == []
+    def test_document_validates(self, full):
+        assert full["ann_runs"]
+        _alone(full, "ann_runs", full["ann_runs"])
 
-    def test_exact_row_first(self, ann_payload):
-        exact = ann_payload["ann_runs"][0]
-        assert exact["mode"] == "exact"
-        assert exact["nprobe"] is None
-        assert exact["recall_at_n"] == 1.0
-        assert exact["exact_match"] is True
+    def test_exact_row_first(self, full):
+        exact = full["ann_runs"][0]
+        assert exact["mode"] == "exact" and exact["nprobe"] is None
+        assert exact["recall_at_n"] == 1.0 and exact["exact_match"] is True
         assert exact["candidates"] == exact["num_items"] * exact["num_queries"]
 
-    def test_full_probe_row_rides_along_and_is_exact(self, ann_payload):
-        # The configured sweep is (1, 4); the full-probe row (nprobe ==
-        # cells) is always appended — and it must be element-identical.
-        ivf = [r for r in ann_payload["ann_runs"] if r["mode"] == "ivf"]
-        assert [r["nprobe"] for r in ivf] == [1, 4, 16]
-        full = ivf[-1]
-        assert full["nprobe"] == full["cells"]
-        assert full["exact_match"] is True
-        assert full["recall_at_n"] == 1.0
-        assert full["candidates"] == full["num_items"] * full["num_queries"]
+    def test_full_probe_row_rides_along_and_is_exact(self, full):
+        ivf = full["ann_runs"][1:]
+        cells = ivf[0]["cells"]
+        expected = sorted({min(p, cells) for p in ALL.ann_nprobe} | {cells})
+        assert [r["nprobe"] for r in ivf] == expected
+        assert ivf[-1]["exact_match"] is True and ivf[-1]["recall_at_n"] == 1.0
+        assert ivf[-1]["candidates"] == ivf[-1]["num_items"] * ivf[-1]["num_queries"]
 
-    def test_recall_monotone_in_nprobe(self, ann_payload):
-        ivf = [r for r in ann_payload["ann_runs"] if r["mode"] == "ivf"]
-        recalls = [r["recall_at_n"] for r in ivf]
-        assert recalls == sorted(recalls)
-        candidates = [r["candidates"] for r in ivf]
-        assert candidates == sorted(candidates)
+    def test_recall_monotone_in_nprobe(self, full):
+        ivf = full["ann_runs"][1:]
+        for field in ("recall_at_n", "candidates"):
+            assert [r[field] for r in ivf] == sorted(r[field] for r in ivf)
 
-    def test_build_seconds_shared_across_ivf_rows(self, ann_payload):
-        ivf = [r for r in ann_payload["ann_runs"] if r["mode"] == "ivf"]
-        assert len({r["build_seconds"] for r in ivf}) == 1
-        assert ivf[0]["build_seconds"] > 0
+    def test_build_seconds_shared_across_ivf_rows(self, full):
+        builds = {r["build_seconds"] for r in full["ann_runs"][1:]}
+        assert len(builds) == 1 and builds.pop() > 0
 
-    def test_render_mentions_ann_rows(self, ann_payload):
-        text = render_bench(ann_payload)
-        assert "ann mode" in text
-        assert "standin_2000" in text
-        assert "recall" in text
+    def test_render_mentions_ann_rows(self, full):
+        text = render_bench(full)
+        assert AXIS["ann_runs"].title in text and "recall" in text
+        assert full["ann_runs"][0]["dataset"] in text
 
-    def test_json_round_trip(self, ann_payload, tmp_path):
-        path = tmp_path / "BENCH_ann.json"
-        write_bench(ann_payload, str(path))
-        validate_bench(json.loads(path.read_text()))
-
-
-class TestAnnSchema:
-    def test_valid_ann_rows_accepted(self, smoke_payload):
-        doc = dict(smoke_payload, ann_runs=[
-            _ann_row(mode="exact", nprobe=None, cells=0, build_seconds=0.0,
-                     recall_at_n=1.0, exact_match=True),
-            _ann_row(),
-        ])
-        validate_bench(doc)
-
-    def test_ann_axis_alone_suffices(self, smoke_payload):
-        doc = dict(
-            smoke_payload, runs=[], comparisons=[], topk_runs=[],
-            topk_comparisons=[], serve_runs=[], ann_runs=[_ann_row()],
-        )
-        validate_bench(doc)
-
-    def test_rejects_bad_ann_mode(self, smoke_payload):
-        doc = dict(smoke_payload, ann_runs=[_ann_row(mode="hnsw")])
-        with pytest.raises(ValueError, match="mode must be one of"):
-            validate_bench(doc)
-
-    def test_rejects_ivf_row_without_nprobe(self, smoke_payload):
-        doc = dict(smoke_payload, ann_runs=[_ann_row(nprobe=None)])
-        with pytest.raises(ValueError, match="nprobe is required"):
-            validate_bench(doc)
-
-    def test_rejects_zero_nprobe(self, smoke_payload):
-        doc = dict(smoke_payload, ann_runs=[_ann_row(nprobe=0)])
-        with pytest.raises(ValueError, match="nprobe must be >= 1"):
-            validate_bench(doc)
-
-    def test_rejects_recall_out_of_range(self, smoke_payload):
-        doc = dict(smoke_payload, ann_runs=[_ann_row(recall_at_n=1.5)])
-        with pytest.raises(ValueError, match="recall_at_n"):
-            validate_bench(doc)
-
-    def test_rejects_negative_latency(self, smoke_payload):
-        doc = dict(smoke_payload, ann_runs=[_ann_row(p95_ms=-1.0)])
-        with pytest.raises(ValueError, match="p95_ms must be non-negative"):
-            validate_bench(doc)
-
-    def test_rejects_missing_ann_key(self, smoke_payload):
-        row = _ann_row()
-        del row["exact_match"]
-        doc = dict(smoke_payload, ann_runs=[row])
-        with pytest.raises(ValueError, match="missing 'exact_match'"):
-            validate_bench(doc)
-
-    def test_v4_document_upgrades_with_ann_axis_absent(self, smoke_payload):
-        doc = copy.deepcopy(smoke_payload)
-        doc["version"] = 4
-        doc.pop("ann_runs")
-        for key in ("ann", "ann_items", "ann_queries", "ann_cells",
-                    "ann_nprobe", "ann_n"):
-            doc["config"].pop(key)
-        upgraded = upgrade_bench(doc)
-        validate_bench(upgraded)
-        assert upgraded["version"] == BENCH_SCHEMA_VERSION
-        assert upgraded["config"]["ann"] is False
-        assert upgraded["ann_runs"] == []
+    def test_json_round_trip(self, full, tmp_path):
+        _json_round_trip(full, "ann_runs", tmp_path)
 
 
 class TestAnnCompare:
-    def test_self_compare_includes_ann_rows(self, ann_payload):
-        result = compare_bench(ann_payload, ann_payload)
-        assert len(result["rows"]) == len(ann_payload["ann_runs"])
-        policies = {row["policy"] for row in result["rows"]}
+    def test_self_compare_includes_ann_rows(self, full):
+        policies = _policies(full)
         assert "ann:exact" in policies
         assert any(p.startswith("ann:ivf/p") for p in policies)
-        assert result["regressions"] == []
-        assert result["matvec_drift"] == []
-        assert "verdict: ok" in render_compare(result)
 
-    def test_flags_ann_candidate_drift(self, ann_payload):
-        drifted = copy.deepcopy(ann_payload)
-        ivf = next(r for r in drifted["ann_runs"] if r["mode"] == "ivf")
-        ivf["candidates"] += 11
-        result = compare_bench(ann_payload, drifted)
-        assert len(result["matvec_drift"]) == 1
+    def test_flags_ann_candidate_drift(self, full):
+        drifted, row = _broken(full, "ann_runs", 1)
+        row["candidates"] += 11
+        assert len(compare_bench(full, drifted)["matvec_drift"]) == 1
 
-    def test_full_probe_mismatch_is_invariant_violation(self, ann_payload):
-        broken = copy.deepcopy(ann_payload)
-        full = next(
-            r for r in broken["ann_runs"]
-            if r["mode"] == "ivf" and r["nprobe"] == r["cells"]
-        )
-        full["exact_match"] = False
-        result = compare_bench(ann_payload, broken)
-        assert len(result["invariant_violations"]) == 1
+    def test_full_probe_mismatch_is_invariant_violation(self, full):
+        broken, row = _broken(full, "ann_runs", exact_match=False)
+        assert compare_bench(full, broken)["invariant_violations"] == [row]
         # A *partial* probe's mismatch is expected, not a violation.
-        partial = copy.deepcopy(ann_payload)
-        row = next(
-            r for r in partial["ann_runs"]
-            if r["mode"] == "ivf" and r["nprobe"] < r["cells"]
-        )
-        row["exact_match"] = False
-        assert compare_bench(ann_payload, partial)["invariant_violations"] == []
+        partial, _ = _broken(full, "ann_runs", 1, exact_match=False)
+        assert compare_bench(full, partial)["invariant_violations"] == []
 
 
-@pytest.fixture(scope="module")
-def quant_payload():
-    """A seconds-scale quant-axis-only document (tiny stand-in)."""
-    return run_bench(
-        BenchConfig(
-            datasets=("toy",),
-            methods=("GEBE^p",),
-            dimension=8,
-            repeats=1,
-            fit_grid=False,
-            topk=False,
-            quant=True,
-            quant_items=2_000,
-            quant_queries=8,
-            quant_n=5,
-        )
-    )
+class TestAnnSchema:
+    def test_valid_ann_rows_accepted(self, full):
+        validate_bench(dict(full, ann_runs=[_row(full, "ann_runs", 0), _row(full, "ann_runs")]))
 
+    def test_ann_axis_alone_suffices(self, full):
+        _alone(full, "ann_runs", [_row(full, "ann_runs")])
 
-def _quant_row(**overrides):
-    row = {
-        "method": "quantized-topk", "dataset": "standin_2000",
-        "mode": "int8", "mmap": True, "num_users": 8, "num_items": 2000,
-        "n": 5, "publish_seconds": 0.05, "load_seconds": 0.002,
-        "load_speedup": 3.0, "artifact_bytes": 70000,
-        "resident_bytes": 30000, "wall_seconds": 0.1, "p50_ms": 1.0,
-        "p95_ms": 2.0, "candidates": 400, "lists_equal": True,
-    }
-    row.update(overrides)
-    return row
+    def test_rejects_bad_ann_mode(self, full):
+        _rejects(full, "mode must be one of", ann_runs=[_row(full, "ann_runs", mode="hnsw")])
+
+    def test_rejects_ivf_row_without_nprobe(self, full):
+        _rejects(full, "nprobe is required", ann_runs=[_row(full, "ann_runs", nprobe=None)])
+
+    def test_rejects_zero_nprobe(self, full):
+        _rejects(full, "nprobe must be >= 1", ann_runs=[_row(full, "ann_runs", nprobe=0)])
+
+    def test_rejects_recall_out_of_range(self, full):
+        _rejects(full, "recall_at_n", ann_runs=[_row(full, "ann_runs", recall_at_n=1.5)])
+
+    def test_rejects_negative_latency(self, full):
+        rows = [_row(full, "ann_runs", p95_ms=-1.0)]
+        _rejects(full, "p95_ms must be non-negative", ann_runs=rows)
+
+    def test_rejects_missing_ann_key(self, full):
+        row = _row(full, "ann_runs")
+        del row["exact_match"]
+        _rejects(full, "missing 'exact_match'", ann_runs=[row])
 
 
 class TestQuantAxis:
-    def test_document_validates(self, quant_payload):
-        validate_bench(quant_payload)
-        assert quant_payload["quant_runs"]
-        assert quant_payload["runs"] == []
-        assert quant_payload["topk_runs"] == []
+    def test_document_validates(self, full):
+        _alone(full, "quant_runs", full["quant_runs"])
 
-    def test_exact_eager_anchor_row_first(self, quant_payload):
-        anchor = quant_payload["quant_runs"][0]
-        assert anchor["mode"] == "exact"
-        assert anchor["mmap"] is False
-        assert anchor["load_speedup"] == 1.0
-        assert anchor["candidates"] == 0
+    def test_exact_eager_anchor_row_first(self, full):
+        anchor = full["quant_runs"][0]
+        assert (anchor["mode"], anchor["mmap"]) == ("exact", False)
+        assert anchor["load_speedup"] == 1.0 and anchor["candidates"] == 0
 
-    def test_covers_both_codecs_plus_exact_mmap(self, quant_payload):
-        cells = [
-            (row["mode"], row["mmap"]) for row in quant_payload["quant_runs"]
-        ]
-        assert cells == [
-            ("exact", False),
-            ("exact", True),
-            ("float16", True),
-            ("int8", True),
-        ]
+    def test_covers_both_codecs_plus_exact_mmap(self, full):
+        cells = [(row["mode"], row["mmap"]) for row in full["quant_runs"]]
+        assert cells == [("exact", False), ("exact", True), ("float16", True), ("int8", True)]
 
-    def test_every_row_list_identical(self, quant_payload):
-        # The hard invariant the CLI exits non-zero on.
-        assert all(row["lists_equal"] for row in quant_payload["quant_runs"])
+    def test_every_row_list_identical(self, full):
+        assert all(row["lists_equal"] for row in full["quant_runs"])
 
-    def test_quantized_artifacts_smaller_and_margin_bounded(
-        self, quant_payload
-    ):
-        rows = {row["mode"]: row for row in quant_payload["quant_runs"][1:]}
-        exact = rows["exact"]
+    def test_quantized_artifacts_smaller_and_margin_bounded(self, full):
+        rows = {row["mode"]: row for row in full["quant_runs"][1:]}
         for codec in ("float16", "int8"):
-            assert rows[codec]["artifact_bytes"] < exact["artifact_bytes"]
-            assert rows[codec]["resident_bytes"] < exact["resident_bytes"]
+            assert rows[codec]["artifact_bytes"] < rows["exact"]["artifact_bytes"]
+            assert rows[codec]["resident_bytes"] < rows["exact"]["resident_bytes"]
             # The margin reranks a strict subset of the cross product.
-            full = rows[codec]["num_users"] * rows[codec]["num_items"]
-            assert 0 < rows[codec]["candidates"] < full
+            assert 0 < rows[codec]["candidates"] < rows[codec]["num_users"] * rows[codec]["num_items"]
 
-    def test_render_mentions_quant_rows(self, quant_payload):
-        text = render_bench(quant_payload)
-        assert "quantized artifacts" in text
-        assert "int8" in text and "float16" in text
+    def test_render_mentions_quant_rows(self, full):
+        text = render_bench(full)
+        assert "quantized artifacts" in text and "int8" in text and "float16" in text
 
-    def test_json_round_trip(self, quant_payload, tmp_path):
-        path = tmp_path / "quant.json"
-        write_bench(quant_payload, str(path))
-        assert load_bench(str(path))["quant_runs"] == (
-            quant_payload["quant_runs"]
-        )
-
-
-class TestQuantSchema:
-    def test_valid_quant_rows_accepted(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["quant_runs"] = [
-            _quant_row(mode="exact", mmap=False, load_speedup=1.0),
-            _quant_row(),
-        ]
-        validate_bench(payload)
-
-    def test_quant_axis_alone_suffices(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload.update(
-            runs=[], comparisons=[], topk_runs=[], topk_comparisons=[],
-            serve_runs=[], ann_runs=[], quant_runs=[_quant_row()],
-        )
-        validate_bench(payload)
-
-    def test_rejects_bad_mode(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["quant_runs"] = [_quant_row(mode="int4")]
-        with pytest.raises(ValueError, match="mode must be one of"):
-            validate_bench(payload)
-
-    def test_rejects_non_positive_speedup(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["quant_runs"] = [_quant_row(load_speedup=0.0)]
-        with pytest.raises(ValueError, match="load_speedup"):
-            validate_bench(payload)
-
-    def test_rejects_negative_latency(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["quant_runs"] = [_quant_row(p95_ms=-1.0)]
-        with pytest.raises(ValueError, match="p95_ms"):
-            validate_bench(payload)
-
-    def test_rejects_missing_key(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        row = _quant_row()
-        del row["lists_equal"]
-        payload["quant_runs"] = [row]
-        with pytest.raises(ValueError, match="lists_equal"):
-            validate_bench(payload)
-
-    def test_v5_document_upgrades_with_quant_axis_absent(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["version"] = 5
-        del payload["quant_runs"]
-        for key in (
-            "quant", "quant_items", "quant_queries", "quant_dtypes",
-            "quant_n",
-        ):
-            del payload["config"][key]
-        upgraded = validate_bench(upgrade_bench(payload))
-        assert upgraded["version"] == BENCH_SCHEMA_VERSION
-        assert upgraded["quant_runs"] == []
-        assert upgraded["config"]["quant"] is False
-        assert upgraded["config"]["quant_dtypes"] == []
+    def test_json_round_trip(self, full, tmp_path):
+        _json_round_trip(full, "quant_runs", tmp_path)
 
 
 class TestQuantCompare:
-    def test_self_compare_includes_quant_rows(self, quant_payload):
-        result = compare_bench(quant_payload, quant_payload)
-        policies = {row["policy"] for row in result["rows"]}
-        assert "quant:exact/eager" in policies
-        assert "quant:int8/mmap" in policies
-        assert "quant:float16/mmap" in policies
-        assert result["regressions"] == []
-        assert result["matvec_drift"] == []
-        assert result["invariant_violations"] == []
+    def test_self_compare_includes_quant_rows(self, full):
+        assert {"quant:exact/eager", "quant:int8/mmap", "quant:float16/mmap"} <= _policies(full)
 
-    def test_flags_quant_candidate_drift(self, quant_payload):
-        fresh = copy.deepcopy(quant_payload)
-        for row in fresh["quant_runs"]:
-            if row["mode"] == "int8":
-                row["candidates"] += 7
-        result = compare_bench(quant_payload, fresh)
-        drifted = {row["policy"] for row in result["matvec_drift"]}
-        assert drifted == {"quant:int8/mmap"}
+    def test_flags_quant_candidate_drift(self, full):
+        drifted, row = _broken(full, "quant_runs")
+        row["candidates"] += 7
+        drift = compare_bench(full, drifted)["matvec_drift"]
+        assert {row["policy"] for row in drift} == {"quant:int8/mmap"}
 
-    def test_lists_mismatch_is_invariant_violation(self, quant_payload):
-        fresh = copy.deepcopy(quant_payload)
-        fresh["quant_runs"][-1]["lists_equal"] = False
-        result = compare_bench(quant_payload, fresh)
-        assert fresh["quant_runs"][-1] in result["invariant_violations"]
+    def test_lists_mismatch_is_invariant_violation(self, full):
+        broken, row = _broken(full, "quant_runs", lists_equal=False)
+        assert compare_bench(full, broken)["invariant_violations"] == [row]
 
 
-@pytest.fixture(scope="module")
-def refresh_payload():
-    """A seconds-scale refresh-axis-only document (toy graph delta)."""
-    return run_bench(
-        BenchConfig(
-            datasets=("toy",),
-            methods=("GEBE^p",),
-            dimension=8,
-            repeats=1,
-            fit_grid=False,
-            topk=False,
-            refresh=True,
-        )
-    )
+class TestQuantSchema:
+    def test_valid_quant_rows_accepted(self, full):
+        validate_bench(dict(full, quant_runs=[_row(full, "quant_runs", 0), _row(full, "quant_runs")]))
 
+    def test_quant_axis_alone_suffices(self, full):
+        _alone(full, "quant_runs", [_row(full, "quant_runs")])
 
-def _refresh_row(**overrides):
-    row = {
-        "method": "GEBE^p", "dataset": "toy", "mode": "warm",
-        "refresh_mode": "warm", "delta_edges": 1, "delta_fraction": 0.01,
-        "wall_seconds": 0.01, "wall_seconds_all": [0.01], "matvecs": 40,
-        "qr_factorizations": 3, "publish_bytes": 2800,
-        "full_publish_bytes": 3700, "quality_ok": True,
-    }
-    row.update(overrides)
-    return row
+    def test_rejects_bad_mode(self, full):
+        _rejects(full, "mode must be one of", quant_runs=[_row(full, "quant_runs", mode="int4")])
+
+    def test_rejects_non_positive_speedup(self, full):
+        _rejects(full, "load_speedup", quant_runs=[_row(full, "quant_runs", load_speedup=0.0)])
+
+    def test_rejects_negative_latency(self, full):
+        _rejects(full, "p95_ms", quant_runs=[_row(full, "quant_runs", p95_ms=-1.0)])
+
+    def test_rejects_missing_key(self, full):
+        row = _row(full, "quant_runs")
+        del row["lists_equal"]
+        _rejects(full, "lists_equal", quant_runs=[row])
 
 
 class TestRefreshAxis:
-    def test_document_validates(self, refresh_payload):
-        validate_bench(refresh_payload)
-        assert refresh_payload["refresh_runs"]
-        assert refresh_payload["runs"] == []
+    def test_document_validates(self, full):
+        _alone(full, "refresh_runs", full["refresh_runs"])
 
-    def test_cold_anchor_row_first(self, refresh_payload):
-        anchor = refresh_payload["refresh_runs"][0]
-        assert anchor["mode"] == "cold"
-        assert anchor["refresh_mode"] is None
+    def test_cold_anchor_row_first(self, full):
+        anchor = full["refresh_runs"][0]
+        assert anchor["mode"] == "cold" and anchor["refresh_mode"] is None
 
-    def test_warm_refit_saves_matvecs_and_qr(self, refresh_payload):
-        rows = {row["mode"]: row for row in refresh_payload["refresh_runs"]}
-        assert rows["warm"]["refresh_mode"] == "warm"  # accepted, not fallback
-        assert rows["warm"]["matvecs"] < rows["cold"]["matvecs"]
-        assert (
-            rows["warm"]["qr_factorizations"]
-            < rows["cold"]["qr_factorizations"]
-        )
+    def test_warm_refit_saves_matvecs_and_qr(self, full):
+        cold, warm = full["refresh_runs"]
+        assert warm["refresh_mode"] == "warm"  # accepted, not the fallback
+        assert warm["matvecs"] < cold["matvecs"]
+        assert warm["qr_factorizations"] < cold["qr_factorizations"]
 
-    def test_delta_publish_smaller_than_full(self, refresh_payload):
-        warm = next(
-            row
-            for row in refresh_payload["refresh_runs"]
-            if row["mode"] == "warm"
-        )
+    def test_delta_publish_smaller_than_full(self, full):
+        warm = full["refresh_runs"][1]
         assert 0 < warm["publish_bytes"] < warm["full_publish_bytes"]
 
-    def test_quality_gate_passes(self, refresh_payload):
-        assert all(
-            row["quality_ok"] for row in refresh_payload["refresh_runs"]
-        )
+    def test_quality_gate_passes(self, full):
+        assert all(row["quality_ok"] for row in full["refresh_runs"])
 
-    def test_delta_touches_requested_fraction(self, refresh_payload):
-        for row in refresh_payload["refresh_runs"]:
-            assert row["delta_edges"] >= 1
-            assert 0.0 <= row["delta_fraction"] <= 1.0
+    def test_delta_touches_requested_fraction(self, full):
+        for row in full["refresh_runs"]:
+            assert row["delta_edges"] >= 1 and 0.0 <= row["delta_fraction"] <= 1.0
 
-    def test_render_mentions_refresh_rows(self, refresh_payload):
-        text = render_bench(refresh_payload)
-        assert "incremental refresh" in text
-        assert "cold" in text and "warm" in text
+    def test_render_mentions_refresh_rows(self, full):
+        text = render_bench(full)
+        assert "incremental refresh" in text and "cold" in text and "warm" in text
 
-    def test_json_round_trip(self, refresh_payload, tmp_path):
-        path = tmp_path / "refresh.json"
-        write_bench(refresh_payload, str(path))
-        assert load_bench(str(path))["refresh_runs"] == (
-            refresh_payload["refresh_runs"]
-        )
-
-
-class TestRefreshSchema:
-    def test_valid_refresh_rows_accepted(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["refresh_runs"] = [
-            _refresh_row(mode="cold", refresh_mode=None, matvecs=88),
-            _refresh_row(),
-            _refresh_row(refresh_mode="cold_fallback", matvecs=88),
-        ]
-        validate_bench(payload)
-
-    def test_refresh_axis_alone_suffices(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload.update(
-            runs=[], comparisons=[], topk_runs=[], topk_comparisons=[],
-            serve_runs=[], ann_runs=[], quant_runs=[],
-            refresh_runs=[_refresh_row()],
-        )
-        validate_bench(payload)
-
-    def test_rejects_bad_mode(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["refresh_runs"] = [_refresh_row(mode="lukewarm")]
-        with pytest.raises(ValueError, match="mode must be one of"):
-            validate_bench(payload)
-
-    def test_warm_row_needs_submode(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["refresh_runs"] = [_refresh_row(refresh_mode=None)]
-        with pytest.raises(ValueError, match="refresh_mode must be one of"):
-            validate_bench(payload)
-
-    def test_cold_row_must_have_null_submode(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["refresh_runs"] = [
-            _refresh_row(mode="cold", refresh_mode="warm")
-        ]
-        with pytest.raises(ValueError, match="must be null for cold rows"):
-            validate_bench(payload)
-
-    def test_rejects_out_of_range_fraction(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["refresh_runs"] = [_refresh_row(delta_fraction=1.5)]
-        with pytest.raises(ValueError, match="delta_fraction"):
-            validate_bench(payload)
-
-    def test_rejects_missing_key(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        row = _refresh_row()
-        del row["quality_ok"]
-        payload["refresh_runs"] = [row]
-        with pytest.raises(ValueError, match="quality_ok"):
-            validate_bench(payload)
-
-    def test_v6_document_upgrades_with_refresh_axis_absent(
-        self, smoke_payload
-    ):
-        payload = copy.deepcopy(smoke_payload)
-        payload["version"] = 6
-        del payload["refresh_runs"]
-        for key in ("refresh", "refresh_fraction", "refresh_n"):
-            del payload["config"][key]
-        upgraded = upgrade_bench(payload)
-        validate_bench(upgraded)
-        assert upgraded["version"] == BENCH_SCHEMA_VERSION
-        assert upgraded["refresh_runs"] == []
-        assert upgraded["config"]["refresh"] is False
+    def test_json_round_trip(self, full, tmp_path):
+        _json_round_trip(full, "refresh_runs", tmp_path)
 
 
 class TestRefreshCompare:
-    def test_no_violations_on_real_document(self, refresh_payload):
-        assert refresh_violations(refresh_payload["refresh_runs"]) == []
+    def test_no_violations_on_real_document(self, full):
+        assert _gate_rows(full, "refresh_runs") == []
 
-    def test_flags_quality_failure(self):
-        rows = [
-            _refresh_row(mode="cold", refresh_mode=None, matvecs=88),
-            _refresh_row(quality_ok=False),
-        ]
-        assert refresh_violations(rows) == [rows[1]]
+    def test_flags_quality_failure(self, full):
+        broken, row = _broken(full, "refresh_runs", quality_ok=False)
+        assert _gate_rows(broken, "refresh_runs") == [row]
 
-    def test_flags_warm_without_matvec_savings(self):
-        rows = [
-            _refresh_row(mode="cold", refresh_mode=None, matvecs=88),
-            _refresh_row(matvecs=88),
-        ]
-        assert refresh_violations(rows) == [rows[1]]
+    def test_flags_warm_without_matvec_savings(self, full):
+        cold_matvecs = full["refresh_runs"][0]["matvecs"]
+        broken, row = _broken(full, "refresh_runs", matvecs=cold_matvecs)
+        assert [(g, r) for _, g, r in violations(broken)] == [("warm_saves_matvecs", row)]
 
-    def test_self_compare_includes_refresh_rows(self, refresh_payload):
-        result = compare_bench(refresh_payload, refresh_payload)
-        policies = {row["policy"] for row in result["rows"]}
-        assert "refresh:cold" in policies
-        assert "refresh:warm" in policies
-        assert result["invariant_violations"] == []
+    def test_self_compare_includes_refresh_rows(self, full):
+        assert {"refresh:cold", "refresh:warm"} <= _policies(full)
 
-    def test_violation_propagates_to_compare(self, refresh_payload):
-        broken = copy.deepcopy(refresh_payload)
-        warm = next(
-            row for row in broken["refresh_runs"] if row["mode"] == "warm"
-        )
-        warm["quality_ok"] = False
-        result = compare_bench(refresh_payload, broken)
-        assert warm in result["invariant_violations"]
+    def test_violation_propagates_to_compare(self, full):
+        broken, row = _broken(full, "refresh_runs", quality_ok=False)
+        assert row in compare_bench(full, broken)["invariant_violations"]
 
 
-@pytest.fixture(scope="module")
-def ooc_payload():
-    """A seconds-scale ooc-axis-only document (tiny ingest stand-in)."""
-    return run_bench(
-        BenchConfig(
-            datasets=("toy",),
-            methods=("GEBE^p",),
-            dimension=8,
-            repeats=1,
-            fit_grid=False,
-            topk=False,
-            ooc=True,
-            ooc_items=2_000,
-            ooc_budgets_mb=(0.25, 4.0),
-        )
-    )
+class TestRefreshSchema:
+    def test_valid_refresh_rows_accepted(self, full):
+        rows = full["refresh_runs"] + [_row(full, "refresh_runs", refresh_mode="cold_fallback")]
+        validate_bench(dict(full, refresh_runs=rows))
 
+    def test_refresh_axis_alone_suffices(self, full):
+        _alone(full, "refresh_runs", [_row(full, "refresh_runs")])
 
-def _ooc_row(**overrides):
-    row = {
-        "method": "GEBE^p", "dataset": "standin_2000", "mode": "mmap",
-        "budget_mb": 4.0, "threads": 1, "num_u": 250, "num_v": 2000,
-        "nnz": 2000, "wall_seconds": 0.05, "wall_seconds_all": [0.05],
-        "wall_overhead": 1.2, "matvecs": 88, "bytes_copied_in": 32000,
-        "peak_rss_bytes": 1 << 20, "rss_budget_bytes": 1 << 26,
-        "rss_within_budget": True, "matvecs_equal": True,
-        "bit_identical": True,
-    }
-    row.update(overrides)
-    return row
+    def test_rejects_bad_mode(self, full):
+        rows = [_row(full, "refresh_runs", mode="lukewarm")]
+        _rejects(full, "mode must be one of", refresh_runs=rows)
+
+    def test_warm_row_needs_submode(self, full):
+        rows = [_row(full, "refresh_runs", refresh_mode=None)]
+        _rejects(full, "refresh_mode is required for warm rows", refresh_runs=rows)
+
+    def test_cold_row_must_have_null_submode(self, full):
+        rows = [_row(full, "refresh_runs", 0, refresh_mode="warm")]
+        _rejects(full, "must be null for cold rows", refresh_runs=rows)
+
+    def test_rejects_out_of_range_fraction(self, full):
+        rows = [_row(full, "refresh_runs", delta_fraction=1.5)]
+        _rejects(full, "delta_fraction", refresh_runs=rows)
+
+    def test_rejects_missing_key(self, full):
+        row = _row(full, "refresh_runs")
+        del row["quality_ok"]
+        _rejects(full, "quality_ok", refresh_runs=[row])
 
 
 class TestOocAxis:
-    def test_document_validates(self, ooc_payload):
-        validate_bench(ooc_payload)
-        assert ooc_payload["ooc_runs"]
-        assert ooc_payload["runs"] == []
-        assert ooc_payload["topk_runs"] == []
+    def test_document_validates(self, full):
+        _alone(full, "ooc_runs", full["ooc_runs"])
 
-    def test_resident_anchor_row_first(self, ooc_payload):
-        anchor = ooc_payload["ooc_runs"][0]
-        assert anchor["mode"] == "resident"
-        assert anchor["budget_mb"] is None
-        assert anchor["wall_overhead"] == 1.0
-        assert anchor["bytes_copied_in"] == 0
+    def test_resident_anchor_row_first(self, full):
+        anchor = full["ooc_runs"][0]
+        assert anchor["mode"] == "resident" and anchor["budget_mb"] is None
+        assert anchor["wall_overhead"] == 1.0 and anchor["bytes_copied_in"] == 0
 
-    def test_one_serial_mmap_row_per_budget(self, ooc_payload):
-        serial = [
-            row["budget_mb"]
-            for row in ooc_payload["ooc_runs"]
-            if row["mode"] == "mmap" and row["threads"] == 1
-        ]
-        assert serial == [0.25, 4.0]
+    def test_one_serial_mmap_row_per_budget(self, full):
+        serial = [r["budget_mb"] for r in full["ooc_runs"] if r["mode"] == "mmap" and r["threads"] == 1]
+        assert serial == sorted(ALL.ooc_budgets_mb)
 
-    def test_threaded_row_rides_along_at_largest_budget(self, ooc_payload):
-        threaded = [
-            row
-            for row in ooc_payload["ooc_runs"]
-            if row["threads"] > 1
-        ]
-        assert len(threaded) == 1
-        assert threaded[0]["mode"] == "mmap"
-        assert threaded[0]["budget_mb"] == 4.0
+    def test_threaded_row_rides_along_at_largest_budget(self, full):
+        threaded = [row for row in full["ooc_runs"] if row["threads"] > 1]
+        assert len(threaded) == 1 and threaded[0]["mode"] == "mmap"
+        assert threaded[0]["budget_mb"] == max(ALL.ooc_budgets_mb)
 
-    def test_every_gate_passes(self, ooc_payload):
-        for row in ooc_payload["ooc_runs"]:
-            assert row["bit_identical"]
-            assert row["matvecs_equal"]
-            assert row["rss_within_budget"]
+    def test_every_gate_passes(self, full):
+        for row in full["ooc_runs"]:
+            assert row["bit_identical"] and row["matvecs_equal"] and row["rss_within_budget"]
 
-    def test_mmap_rows_copy_the_stream_in(self, ooc_payload):
-        anchor = ooc_payload["ooc_runs"][0]
-        for row in ooc_payload["ooc_runs"][1:]:
-            assert row["matvecs"] == anchor["matvecs"]
-            assert row["bytes_copied_in"] > 0
+    def test_mmap_rows_copy_the_stream_in(self, full):
+        anchor, *mapped = full["ooc_runs"]
+        for row in mapped:
+            assert row["matvecs"] == anchor["matvecs"] and row["bytes_copied_in"] > 0
 
-    def test_render_mentions_ooc_rows(self, ooc_payload):
-        text = render_bench(ooc_payload)
-        assert "out-of-core" in text
-        assert "resident" in text and "mmap" in text
+    def test_render_mentions_ooc_rows(self, full):
+        text = render_bench(full)
+        assert "out-of-core" in text and "resident" in text and "mmap" in text
 
-    def test_json_round_trip(self, ooc_payload, tmp_path):
-        path = tmp_path / "ooc.json"
-        write_bench(ooc_payload, str(path))
-        assert load_bench(str(path))["ooc_runs"] == ooc_payload["ooc_runs"]
-
-
-class TestOocSchema:
-    def test_valid_ooc_rows_accepted(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["ooc_runs"] = [
-            _ooc_row(mode="resident", budget_mb=None, wall_overhead=1.0,
-                     bytes_copied_in=0, rss_budget_bytes=None),
-            _ooc_row(),
-            _ooc_row(budget_mb=0.25, threads=4),
-        ]
-        validate_bench(payload)
-
-    def test_ooc_axis_alone_suffices(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload.update(
-            runs=[], comparisons=[], topk_runs=[], topk_comparisons=[],
-            serve_runs=[], ann_runs=[], quant_runs=[], refresh_runs=[],
-            ooc_runs=[_ooc_row()],
-        )
-        validate_bench(payload)
-
-    def test_rejects_bad_mode(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["ooc_runs"] = [_ooc_row(mode="paged")]
-        with pytest.raises(ValueError, match="mode must be one of"):
-            validate_bench(payload)
-
-    def test_resident_row_must_have_null_budget(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["ooc_runs"] = [_ooc_row(mode="resident")]
-        with pytest.raises(ValueError, match="must be null for resident"):
-            validate_bench(payload)
-
-    def test_rejects_non_positive_budget(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["ooc_runs"] = [_ooc_row(budget_mb=0.0)]
-        with pytest.raises(ValueError, match="budget_mb must be positive"):
-            validate_bench(payload)
-
-    def test_rejects_missing_key(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        row = _ooc_row()
-        del row["bit_identical"]
-        payload["ooc_runs"] = [row]
-        with pytest.raises(ValueError, match="bit_identical"):
-            validate_bench(payload)
-
-    def test_rejects_bool_gate_as_int(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["ooc_runs"] = [_ooc_row(rss_within_budget=1)]
-        with pytest.raises(ValueError, match="rss_within_budget"):
-            validate_bench(payload)
-
-    def test_v7_document_upgrades_with_ooc_axis_absent(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["version"] = 7
-        del payload["ooc_runs"]
-        for key in ("ooc", "ooc_items", "ooc_budgets_mb"):
-            del payload["config"][key]
-        upgraded = upgrade_bench(payload)
-        validate_bench(upgraded)
-        assert upgraded["version"] == BENCH_SCHEMA_VERSION
-        assert upgraded["ooc_runs"] == []
-        assert upgraded["config"]["ooc"] is False
+    def test_json_round_trip(self, full, tmp_path):
+        _json_round_trip(full, "ooc_runs", tmp_path)
 
 
 class TestOocCompare:
-    def test_no_violations_on_real_document(self, ooc_payload):
-        assert ooc_violations(ooc_payload["ooc_runs"]) == []
+    def test_no_violations_on_real_document(self, full):
+        assert _gate_rows(full, "ooc_runs") == []
 
-    @pytest.mark.parametrize(
-        "gate", ["bit_identical", "matvecs_equal", "rss_within_budget"]
-    )
-    def test_flags_each_gate_failure(self, gate):
-        rows = [
-            _ooc_row(mode="resident", budget_mb=None, wall_overhead=1.0,
-                     bytes_copied_in=0, rss_budget_bytes=None),
-            _ooc_row(**{gate: False}),
-        ]
-        assert ooc_violations(rows) == [rows[1]]
+    @pytest.mark.parametrize("gate", ["bit_identical", "matvecs_equal", "rss_within_budget"])
+    def test_flags_each_gate_failure(self, full, gate):
+        broken, row = _broken(full, "ooc_runs", **{gate: False})
+        assert [(g, r) for _, g, r in violations(broken)] == [(gate, row)]
 
-    def test_self_compare_includes_ooc_rows(self, ooc_payload):
-        result = compare_bench(ooc_payload, ooc_payload)
-        policies = {row["policy"] for row in result["rows"]}
-        assert "ooc:resident" in policies
-        assert "ooc:mmap/b0.25" in policies
-        assert "ooc:mmap/b4" in policies
-        assert result["invariant_violations"] == []
+    def test_self_compare_includes_ooc_rows(self, full):
+        assert {"ooc:resident", "ooc:mmap/b0.25", "ooc:mmap/b4"} <= _policies(full)
 
-    def test_violation_propagates_to_compare(self, ooc_payload):
-        broken = copy.deepcopy(ooc_payload)
-        row = next(
-            r for r in broken["ooc_runs"] if r["mode"] == "mmap"
-        )
-        row["bit_identical"] = False
-        result = compare_bench(ooc_payload, broken)
-        assert row in result["invariant_violations"]
+    def test_violation_propagates_to_compare(self, full):
+        broken, row = _broken(full, "ooc_runs", 1, bit_identical=False)
+        assert row in compare_bench(full, broken)["invariant_violations"]
 
 
-@pytest.fixture(scope="module")
-def similar_payload():
-    """A seconds-scale similarity-axis-only document (tiny stand-in graph)."""
-    return run_bench(
-        BenchConfig(
-            datasets=("toy",),
-            methods=("GEBE^p",),
-            dimension=8,
-            repeats=1,
-            threads=(1, 2),
-            fit_grid=False,
-            topk=False,
-            similar=True,
-            similar_users=60,
-            similar_items=40,
-            similar_queries=12,
-            similar_tau=4,
-            similar_n=5,
-            similar_block_sources=(4, 16),
-        )
-    )
+class TestOocSchema:
+    def test_valid_ooc_rows_accepted(self, full):
+        validate_bench(dict(full, ooc_runs=[_row(full, "ooc_runs", 0), _row(full, "ooc_runs")]))
 
+    def test_ooc_axis_alone_suffices(self, full):
+        _alone(full, "ooc_runs", [_row(full, "ooc_runs")])
 
-def _similar_row(**overrides):
-    row = {
-        "method": "similarity", "dataset": "standin_600x400", "mode": "mhs",
-        "block_sources": 8, "threads": 1, "num_u": 600, "num_v": 400,
-        "tau": 5, "n": 10, "num_queries": 64, "wall_seconds": 0.05,
-        "p50_ms": 0.2, "p95_ms": 0.5, "matvecs_per_query": 10.0,
-        "lists_equal": True,
-    }
-    row.update(overrides)
-    return row
+    def test_rejects_bad_mode(self, full):
+        _rejects(full, "mode must be one of", ooc_runs=[_row(full, "ooc_runs", mode="paged")])
+
+    def test_resident_row_must_have_null_budget(self, full):
+        rows = [_row(full, "ooc_runs", mode="resident")]
+        _rejects(full, "must be null for resident", ooc_runs=rows)
+
+    def test_rejects_non_positive_budget(self, full):
+        rows = [_row(full, "ooc_runs", budget_mb=0.0)]
+        _rejects(full, "budget_mb must be positive", ooc_runs=rows)
+
+    def test_rejects_missing_key(self, full):
+        row = _row(full, "ooc_runs")
+        del row["bit_identical"]
+        _rejects(full, "bit_identical", ooc_runs=[row])
+
+    def test_rejects_bool_gate_as_int(self, full):
+        rows = [_row(full, "ooc_runs", rss_within_budget=1)]
+        _rejects(full, "rss_within_budget", ooc_runs=rows)
 
 
 class TestSimilarAxis:
-    def test_document_validates(self, similar_payload):
-        validate_bench(similar_payload)
-        assert similar_payload["similar_runs"]
-        assert similar_payload["runs"] == []
-        assert similar_payload["topk_runs"] == []
+    def test_document_validates(self, full):
+        _alone(full, "similar_runs", full["similar_runs"])
 
-    def test_one_serial_row_per_mode_and_block(self, similar_payload):
+    def test_one_serial_row_per_mode_and_block(self, full):
         for mode in ("mhs", "mhp"):
-            serial = [
-                row["block_sources"]
-                for row in similar_payload["similar_runs"]
-                if row["mode"] == mode and row["threads"] == 1
-            ]
-            assert serial == [4, 16]
+            serial = [r["block_sources"] for r in full["similar_runs"]
+                      if r["mode"] == mode and r["threads"] == 1]
+            assert serial == sorted(ALL.similar_block_sources)
 
-    def test_threaded_row_rides_along_at_largest_block(self, similar_payload):
+    def test_threaded_row_rides_along_at_largest_block(self, full):
         for mode in ("mhs", "mhp"):
-            threaded = [
-                row
-                for row in similar_payload["similar_runs"]
-                if row["mode"] == mode and row["threads"] > 1
-            ]
-            assert len(threaded) == 1
-            assert threaded[0]["block_sources"] == 16
+            threaded = [r for r in full["similar_runs"] if r["mode"] == mode and r["threads"] > 1]
+            assert [r["block_sources"] for r in threaded] == [max(ALL.similar_block_sources)]
 
-    def test_every_list_gate_passes(self, similar_payload):
-        assert similar_payload["similar_runs"]
-        for row in similar_payload["similar_runs"]:
-            assert row["lists_equal"] is True
+    def test_every_list_gate_passes(self, full):
+        assert all(row["lists_equal"] is True for row in full["similar_runs"])
 
-    def test_matvec_cost_matches_engine_formula(self, similar_payload):
-        # tau=4: 8 matvecs per MHS query, 9 per MHP query (the +1 is W^T).
-        for row in similar_payload["similar_runs"]:
-            expected = 8.0 if row["mode"] == "mhs" else 9.0
+    def test_matvec_cost_matches_engine_formula(self, full):
+        # 2*tau matvecs per MHS query, 2*tau + 1 per MHP query (the W^T).
+        for row in full["similar_runs"]:
+            expected = 2 * ALL.similar_tau + (row["mode"] == "mhp")
             assert row["matvecs_per_query"] == expected
 
-    def test_latency_percentiles_ordered(self, similar_payload):
-        for row in similar_payload["similar_runs"]:
-            assert 0.0 <= row["p50_ms"] <= row["p95_ms"]
+    def test_latency_percentiles_ordered(self, full):
+        assert all(0.0 <= r["p50_ms"] <= r["p95_ms"] for r in full["similar_runs"])
 
-    def test_render_mentions_similar_rows(self, similar_payload):
-        text = render_bench(similar_payload)
-        assert "similarity queries" in text
-        assert "mhs" in text and "mhp" in text
+    def test_render_mentions_similar_rows(self, full):
+        text = render_bench(full)
+        assert "similarity queries" in text and "mhs" in text and "mhp" in text
 
-    def test_json_round_trip(self, similar_payload, tmp_path):
-        path = tmp_path / "similar.json"
-        write_bench(similar_payload, str(path))
-        loaded = load_bench(str(path))
-        assert loaded["similar_runs"] == similar_payload["similar_runs"]
-
-
-class TestSimilarSchema:
-    def test_valid_similar_rows_accepted(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["similar_runs"] = [
-            _similar_row(),
-            _similar_row(mode="mhp", matvecs_per_query=11.0),
-            _similar_row(block_sources=64, threads=4),
-        ]
-        validate_bench(payload)
-
-    def test_similar_axis_alone_suffices(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload.update(
-            runs=[], comparisons=[], topk_runs=[], topk_comparisons=[],
-            serve_runs=[], ann_runs=[], quant_runs=[], refresh_runs=[],
-            ooc_runs=[], similar_runs=[_similar_row()],
-        )
-        validate_bench(payload)
-
-    def test_rejects_bad_mode(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["similar_runs"] = [_similar_row(mode="cosine")]
-        with pytest.raises(ValueError, match="mode must be one of"):
-            validate_bench(payload)
-
-    def test_rejects_non_positive_block(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["similar_runs"] = [_similar_row(block_sources=0)]
-        with pytest.raises(ValueError, match="block_sources must be >= 1"):
-            validate_bench(payload)
-
-    def test_rejects_missing_key(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        row = _similar_row()
-        del row["lists_equal"]
-        payload["similar_runs"] = [row]
-        with pytest.raises(ValueError, match="lists_equal"):
-            validate_bench(payload)
-
-    def test_rejects_bool_gate_as_int(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["similar_runs"] = [_similar_row(lists_equal=1)]
-        with pytest.raises(ValueError, match="lists_equal"):
-            validate_bench(payload)
-
-    def test_rejects_negative_latency(self, smoke_payload):
-        payload = copy.deepcopy(smoke_payload)
-        payload["similar_runs"] = [_similar_row(p95_ms=-0.1)]
-        with pytest.raises(ValueError, match="p95_ms must be non-negative"):
-            validate_bench(payload)
-
-    def test_v8_document_upgrades_with_similar_axis_absent(
-        self, smoke_payload
-    ):
-        payload = copy.deepcopy(smoke_payload)
-        payload["version"] = 8
-        del payload["similar_runs"]
-        for key in (
-            "similar", "similar_users", "similar_items", "similar_queries",
-            "similar_tau", "similar_n", "similar_block_sources",
-            "similar_seed",
-        ):
-            del payload["config"][key]
-        upgraded = upgrade_bench(payload)
-        validate_bench(upgraded)
-        assert upgraded["version"] == BENCH_SCHEMA_VERSION
-        assert upgraded["similar_runs"] == []
-        assert upgraded["config"]["similar"] is False
-
-    def test_v7_document_upgrades_through_both_steps(self, smoke_payload):
-        # v7 -> v8 (ooc absent) -> v9 (similar absent) in one upgrade call.
-        payload = copy.deepcopy(smoke_payload)
-        payload["version"] = 7
-        del payload["ooc_runs"]
-        del payload["similar_runs"]
-        for key in ("ooc", "ooc_items", "ooc_budgets_mb"):
-            del payload["config"][key]
-        for key in (
-            "similar", "similar_users", "similar_items", "similar_queries",
-            "similar_tau", "similar_n", "similar_block_sources",
-            "similar_seed",
-        ):
-            del payload["config"][key]
-        upgraded = upgrade_bench(payload)
-        validate_bench(upgraded)
-        assert upgraded["version"] == BENCH_SCHEMA_VERSION
-        assert upgraded["ooc_runs"] == []
-        assert upgraded["similar_runs"] == []
+    def test_json_round_trip(self, full, tmp_path):
+        _json_round_trip(full, "similar_runs", tmp_path)
 
 
 class TestSimilarCompare:
-    def test_no_violations_on_real_document(self, similar_payload):
-        assert similar_violations(similar_payload["similar_runs"]) == []
+    def test_no_violations_on_real_document(self, full):
+        assert _gate_rows(full, "similar_runs") == []
 
-    def test_flags_lists_mismatch(self):
-        rows = [_similar_row(), _similar_row(mode="mhp", lists_equal=False)]
-        assert similar_violations(rows) == [rows[1]]
+    def test_flags_lists_mismatch(self, full):
+        broken, row = _broken(full, "similar_runs", lists_equal=False)
+        assert _gate_rows(broken, "similar_runs") == [row]
 
-    def test_self_compare_includes_similar_rows(self, similar_payload):
-        result = compare_bench(similar_payload, similar_payload)
-        policies = {row["policy"] for row in result["rows"]}
-        assert "similar:b4/t1" in policies
-        assert "similar:b16/t1" in policies
-        assert "similar:b16/t2" in policies
-        methods = {row["method"] for row in result["rows"]}
-        assert "similarity:mhs" in methods and "similarity:mhp" in methods
-        assert result["invariant_violations"] == []
+    def test_self_compare_includes_similar_rows(self, full):
+        expected = {"similar:mhs/b4/t1", "similar:mhs/b16/t1", "similar:mhp/b16/t2"}
+        assert expected <= _policies(full)
 
-    def test_violation_propagates_to_compare(self, similar_payload):
-        broken = copy.deepcopy(similar_payload)
-        row = broken["similar_runs"][0]
-        row["lists_equal"] = False
-        result = compare_bench(similar_payload, broken)
-        assert row in result["invariant_violations"]
+    def test_violation_propagates_to_compare(self, full):
+        broken, row = _broken(full, "similar_runs", 0, lists_equal=False)
+        assert row in compare_bench(full, broken)["invariant_violations"]
+
+
+class TestSimilarSchema:
+    def test_valid_similar_rows_accepted(self, full):
+        validate_bench(dict(full, similar_runs=full["similar_runs"][:2]))
+
+    def test_similar_axis_alone_suffices(self, full):
+        _alone(full, "similar_runs", [_row(full, "similar_runs")])
+
+    def test_rejects_bad_mode(self, full):
+        rows = [_row(full, "similar_runs", mode="cosine")]
+        _rejects(full, "mode must be one of", similar_runs=rows)
+
+    def test_rejects_non_positive_block(self, full):
+        rows = [_row(full, "similar_runs", block_sources=0)]
+        _rejects(full, "block_sources must be >= 1", similar_runs=rows)
+
+    def test_rejects_missing_key(self, full):
+        row = _row(full, "similar_runs")
+        del row["lists_equal"]
+        _rejects(full, "lists_equal", similar_runs=[row])
+
+    def test_rejects_bool_gate_as_int(self, full):
+        _rejects(full, "lists_equal", similar_runs=[_row(full, "similar_runs", lists_equal=1)])
+
+    def test_rejects_negative_latency(self, full):
+        rows = [_row(full, "similar_runs", p95_ms=-0.1)]
+        _rejects(full, "p95_ms must be non-negative", similar_runs=rows)

@@ -382,8 +382,7 @@ class TestQuantizedCli:
     def test_bench_quant_only_writes_rows(self, tmp_path, capsys):
         out_path = str(tmp_path / "bench.json")
         code = main(
-            ["bench", "--smoke", "--quant-only", "--quant-items", "1500",
-             "--output", out_path]
+            ["bench", "--smoke", "--quant-only", "--output", out_path]
         )
         assert code == 0
         import json as json_mod
@@ -464,7 +463,7 @@ class TestRefreshCli:
 
         with open(report_path) as handle:
             report = json_mod.load(handle)
-        refresh = report["refresh"]
+        refresh = report["sections"]["refresh"]
         assert refresh["mode"] in ("warm", "cold_fallback")
         counter_key = (
             "warm_matvecs" if refresh["mode"] == "warm" else "cold_matvecs"
@@ -589,12 +588,6 @@ class TestBenchRefreshCli:
     def test_refresh_flags_conflict(self, capsys):
         assert main(["bench", "--refresh-only", "--topk-only"]) == 2
         assert "conflict" in capsys.readouterr().err
-
-    def test_refresh_fraction_validated(self, capsys):
-        assert main(
-            ["bench", "--smoke", "--refresh-only", "--refresh-fraction", "2"]
-        ) == 2
-        assert "--refresh-fraction" in capsys.readouterr().err
 
     def test_bench_refresh_only_writes_rows(self, tmp_path, capsys):
         out_path = str(tmp_path / "bench.json")

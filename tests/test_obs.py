@@ -267,7 +267,7 @@ class TestRunReport:
         # Schema v2: effective thread count and the kernel workspace
         # watermark (summed over per-thread pools) are part of the report.
         payload = profiled_toy_report().to_dict()
-        assert payload["version"] == 8
+        assert payload["version"] == 9
         assert payload["threads"] >= 1
         assert payload["memory"]["workspace_bytes"] >= 0
 
@@ -281,10 +281,27 @@ class TestRunReport:
         assert "thread" in restored.summary()
         assert "workspace" in restored.summary()
 
+    def test_older_versions_rejected_with_their_version(self):
+        payload = profiled_toy_report().to_dict()
+        payload["version"] = 8
+        with pytest.raises(ValueError, match="version must be 9, got 8"):
+            RunReport.from_dict(payload)
+
+    def test_unknown_section_rejected(self):
+        payload = profiled_toy_report().to_dict()
+        payload["sections"]["bogus"] = {}
+        with pytest.raises(ValueError, match="sections.bogus"):
+            validate_report(payload)
+
+    def _with_section(self, name, section):
+        report = profiled_toy_report()
+        report.sections[name] = section
+        return report.to_dict()
+
     def test_v4_service_section_null_for_solver_runs(self):
         payload = profiled_toy_report().to_dict()
-        assert payload["service"] is None
-        assert RunReport.from_dict(payload).service is None
+        assert payload["sections"] == {}
+        assert "service" not in RunReport.from_dict(payload).sections
 
     def test_v4_service_section_round_trips(self):
         service = {
@@ -297,26 +314,23 @@ class TestRunReport:
             "queue_depth_max": 4,
             "latency_ms": {"p50": 1.5, "p95": 9.0},
         }
-        report = profiled_toy_report()
-        report.service = service
-        payload = report.to_dict()
-        assert payload["service"]["requests"] == 12
-        assert RunReport.from_dict(payload).service == service
+        payload = self._with_section("service", service)
+        assert payload["sections"]["service"]["requests"] == 12
+        assert RunReport.from_dict(payload).sections["service"] == service
 
     @pytest.mark.parametrize(
         "mutate, match",
         [
-            (lambda p: p.pop("service"), "service"),
-            (lambda p: p.update(service=[]), "service"),
-            (lambda p: p["service"].pop("shed"), "shed"),
-            (lambda p: p["service"].update(requests=-1), "requests"),
-            (lambda p: p["service"].pop("latency_ms"), "latency_ms"),
-            (lambda p: p["service"]["latency_ms"].update(p95=-2.0), "p95"),
+            (lambda p: p["sections"].update(service=None), "service"),
+            (lambda p: p["sections"].update(service=[]), "service"),
+            (lambda p: p["sections"]["service"].pop("shed"), "shed"),
+            (lambda p: p["sections"]["service"].update(requests=-1), "requests"),
+            (lambda p: p["sections"]["service"].pop("latency_ms"), "latency_ms"),
+            (lambda p: p["sections"]["service"]["latency_ms"].update(p95=-2.0), "p95"),
         ],
     )
     def test_v4_service_violations_rejected(self, mutate, match):
-        report = profiled_toy_report()
-        report.service = {
+        payload = self._with_section("service", {
             "requests": 1,
             "batched_requests": 0,
             "batches": 0,
@@ -325,78 +339,28 @@ class TestRunReport:
             "reloads": 0,
             "queue_depth_max": 1,
             "latency_ms": {"p50": 0.1, "p95": 0.2},
-        }
-        payload = report.to_dict()
+        })
         mutate(payload)
         with pytest.raises(ValueError, match=match):
             validate_report(payload)
 
-    def test_v3_documents_upgrade_to_current(self):
-        payload = profiled_toy_report().to_dict()
-        payload["version"] = 3
-        del payload["service"]
-        del payload["refresh"]
-        del payload["ops"]["ann_probes"]
-        del payload["ops"]["ann_candidates"]
-        restored = RunReport.from_dict(payload)
-        assert restored.service is None
-        assert restored.refresh is None
-        assert restored.ops["ann_probes"] == 0
-        assert restored.to_dict()["version"] == 8
-
-    def test_v4_documents_upgrade_to_current(self):
-        payload = profiled_toy_report().to_dict()
-        payload["version"] = 4
-        del payload["refresh"]
-        del payload["ops"]["ann_probes"]
-        del payload["ops"]["ann_candidates"]
-        restored = RunReport.from_dict(payload)
-        assert restored.ops["ann_probes"] == 0
-        assert restored.ops["ann_candidates"] == 0
-        assert restored.to_dict()["version"] == 8
-
-    def test_v5_documents_upgrade_to_current(self):
-        payload = profiled_toy_report().to_dict()
-        payload["version"] = 5
-        del payload["refresh"]
-        restored = RunReport.from_dict(payload)
-        assert restored.refresh is None
-        assert restored.to_dict()["version"] == 8
-
     def test_v6_refresh_section_null_for_plain_fits(self):
         payload = profiled_toy_report().to_dict()
-        assert payload["refresh"] is None
-        assert RunReport.from_dict(payload).refresh is None
-
-    def test_v6_documents_upgrade_to_v7(self):
-        payload = profiled_toy_report().to_dict()
-        payload["version"] = 6
-        del payload["ooc"]
-        restored = RunReport.from_dict(payload)
-        assert restored.ooc is None
-        assert restored.to_dict()["version"] == 8
+        assert "refresh" not in payload["sections"]
+        assert "refresh" not in RunReport.from_dict(payload).sections
 
     def test_v7_ooc_section_null_for_plain_fits(self):
         payload = profiled_toy_report().to_dict()
-        assert payload["ooc"] is None
-        assert RunReport.from_dict(payload).ooc is None
-
-    def test_v7_documents_upgrade_to_v8(self):
-        payload = profiled_toy_report().to_dict()
-        payload["version"] = 7
-        del payload["similarity"]
-        restored = RunReport.from_dict(payload)
-        assert restored.similarity is None
-        assert restored.to_dict()["version"] == 8
+        assert "ooc" not in payload["sections"]
+        assert "ooc" not in RunReport.from_dict(payload).sections
 
     def test_v8_similarity_section_null_for_plain_fits(self):
         payload = profiled_toy_report().to_dict()
-        assert payload["similarity"] is None
-        assert RunReport.from_dict(payload).similarity is None
+        assert "similarity" not in payload["sections"]
+        assert "similarity" not in RunReport.from_dict(payload).sections
 
     def test_v8_similarity_section_round_trips(self):
-        report = profiled_toy_report()
-        report.similarity = {
+        similarity = {
             "mode": "mhs",
             "side": "u",
             "tau": 5,
@@ -404,65 +368,60 @@ class TestRunReport:
             "block_sources": 8,
             "matvecs": 160,
         }
-        payload = report.to_dict()
-        assert payload["similarity"]["mode"] == "mhs"
-        assert RunReport.from_dict(payload).similarity == report.similarity
+        payload = self._with_section("similarity", similarity)
+        assert payload["sections"]["similarity"]["mode"] == "mhs"
+        assert RunReport.from_dict(payload).sections["similarity"] == similarity
 
     @pytest.mark.parametrize(
         "mutate, match",
         [
-            (lambda p: p.pop("similarity"), "similarity"),
-            (lambda p: p.update(similarity=[]), "similarity"),
-            (lambda p: p["similarity"].update(mode="cosine"), "mode"),
-            (lambda p: p["similarity"].update(side="w"), "side"),
-            (lambda p: p["similarity"].update(tau=-1), "tau"),
-            (lambda p: p["similarity"].pop("matvecs"), "matvecs"),
+            (lambda p: p["sections"].update(similarity=None), "similarity"),
+            (lambda p: p["sections"].update(similarity=[]), "similarity"),
+            (lambda p: p["sections"]["similarity"].update(mode="cosine"), "mode"),
+            (lambda p: p["sections"]["similarity"].update(side="w"), "side"),
+            (lambda p: p["sections"]["similarity"].update(tau=-1), "tau"),
+            (lambda p: p["sections"]["similarity"].pop("matvecs"), "matvecs"),
         ],
     )
     def test_v8_similarity_violations_rejected(self, mutate, match):
-        report = profiled_toy_report()
-        report.similarity = {
+        payload = self._with_section("similarity", {
             "mode": "mhp",
             "side": "v",
             "tau": 3,
             "sources": 4,
             "block_sources": 4,
             "matvecs": 28,
-        }
-        payload = report.to_dict()
+        })
         mutate(payload)
         with pytest.raises(ValueError, match=match):
             validate_report(payload)
 
     def test_v7_ooc_section_round_trips(self):
-        report = profiled_toy_report()
-        report.ooc = {
+        ooc = {
             "budget_mb": 64.0,
             "bytes_copied_in": 1 << 20,
             "peak_rss_bytes": 1 << 24,
         }
-        payload = report.to_dict()
-        assert payload["ooc"]["budget_mb"] == 64.0
-        assert RunReport.from_dict(payload).ooc == report.ooc
+        payload = self._with_section("ooc", ooc)
+        assert payload["sections"]["ooc"]["budget_mb"] == 64.0
+        assert RunReport.from_dict(payload).sections["ooc"] == ooc
 
     @pytest.mark.parametrize(
         "mutate, match",
         [
-            (lambda p: p.pop("ooc"), "ooc"),
-            (lambda p: p.update(ooc=[]), "ooc"),
-            (lambda p: p["ooc"].update(budget_mb=-1.0), "budget_mb"),
-            (lambda p: p["ooc"].pop("bytes_copied_in"), "bytes_copied_in"),
-            (lambda p: p["ooc"].update(peak_rss_bytes=-5), "peak_rss_bytes"),
+            (lambda p: p["sections"].update(ooc=None), "ooc"),
+            (lambda p: p["sections"].update(ooc=[]), "ooc"),
+            (lambda p: p["sections"]["ooc"].update(budget_mb=-1.0), "budget_mb"),
+            (lambda p: p["sections"]["ooc"].pop("bytes_copied_in"), "bytes_copied_in"),
+            (lambda p: p["sections"]["ooc"].update(peak_rss_bytes=-5), "peak_rss_bytes"),
         ],
     )
     def test_v7_ooc_violations_rejected(self, mutate, match):
-        report = profiled_toy_report()
-        report.ooc = {
+        payload = self._with_section("ooc", {
             "budget_mb": None,
             "bytes_copied_in": 0,
             "peak_rss_bytes": 0,
-        }
-        payload = report.to_dict()
+        })
         mutate(payload)
         with pytest.raises(ValueError, match=match):
             validate_report(payload)
@@ -477,26 +436,23 @@ class TestRunReport:
             "warm_matvecs": 152,
             "cold_matvecs": 448,
         }
-        report = profiled_toy_report()
-        report.refresh = refresh
-        payload = report.to_dict()
-        assert payload["refresh"]["mode"] == "warm"
-        assert RunReport.from_dict(payload).refresh == refresh
+        payload = self._with_section("refresh", refresh)
+        assert payload["sections"]["refresh"]["mode"] == "warm"
+        assert RunReport.from_dict(payload).sections["refresh"] == refresh
 
     @pytest.mark.parametrize(
         "mutate, match",
         [
-            (lambda p: p.pop("refresh"), "refresh"),
-            (lambda p: p["refresh"].update(mode="hot"), "mode"),
-            (lambda p: p["refresh"].update(reason=""), "reason"),
-            (lambda p: p["refresh"].update(tolerance=-0.1), "tolerance"),
-            (lambda p: p["refresh"].update(warm_rank=-1), "warm_rank"),
-            (lambda p: p["refresh"].update(warm_matvecs=1.5), "warm_matvecs"),
+            (lambda p: p["sections"].update(refresh=[]), "refresh"),
+            (lambda p: p["sections"]["refresh"].update(mode="hot"), "mode"),
+            (lambda p: p["sections"]["refresh"].update(reason=""), "reason"),
+            (lambda p: p["sections"]["refresh"].update(tolerance=-0.1), "tolerance"),
+            (lambda p: p["sections"]["refresh"].update(warm_rank=-1), "warm_rank"),
+            (lambda p: p["sections"]["refresh"].update(warm_matvecs=1.5), "warm_matvecs"),
         ],
     )
     def test_v6_refresh_violations_rejected(self, mutate, match):
-        report = profiled_toy_report()
-        report.refresh = {
+        payload = self._with_section("refresh", {
             "mode": "cold_fallback",
             "reason": "residual",
             "residual": 0.7,
@@ -504,8 +460,7 @@ class TestRunReport:
             "warm_rank": 8,
             "warm_matvecs": None,
             "cold_matvecs": 300,
-        }
-        payload = report.to_dict()
+        })
         mutate(payload)
         with pytest.raises(ValueError, match=match):
             validate_report(payload)

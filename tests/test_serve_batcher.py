@@ -62,7 +62,8 @@ def reference(result, graph):
 
 @pytest.fixture(scope="module")
 def score_fn(result, graph):
-    """What the service binds in production: a masked engine read-out."""
+    """What the service binds in production: a masked engine read-out,
+    tagged with the model version that scored it."""
     engine = TopKEngine.from_result(result)
 
     def score(users, n):
@@ -72,7 +73,7 @@ def score_fn(result, graph):
         ):
             item_blocks.append(items)
             score_blocks.append(scores)
-        return np.concatenate(item_blocks), np.concatenate(score_blocks)
+        return np.concatenate(item_blocks), np.concatenate(score_blocks), "toy@v1"
 
     return score
 
@@ -101,7 +102,8 @@ class TestEquivalence:
         ) as batcher:
             futures = [batcher.submit(u, n) for u, n in requests]
             for (u, n), future in zip(requests, futures):
-                items, scores = future.result(timeout=30)
+                items, scores, model = future.result(timeout=30)
+                assert model == "toy@v1"
                 np.testing.assert_array_equal(items, expected_items[u][:n])
                 assert scores is None
 
@@ -116,7 +118,7 @@ class TestEquivalence:
                 for _ in range(20):
                     user = int(rng.integers(NUM_USERS))
                     n = int(rng.integers(1, N_CAP + 1))
-                    items, _ = batcher.submit(user, n).result(timeout=30)
+                    items, _, _ = batcher.submit(user, n).result(timeout=30)
                     if not np.array_equal(items, expected_items[user][:n]):
                         mismatches.append((user, n))
 
@@ -140,7 +142,8 @@ class TestEquivalence:
             for (user, n), future in zip(
                 [(0, 3), (1, N_CAP), (0, 1), (5, 7)], futures
             ):
-                items, scores = future.result(timeout=30)
+                items, scores, model = future.result(timeout=30)
+                assert model == "toy@v1"
                 np.testing.assert_array_equal(items, expected_items[user][:n])
                 np.testing.assert_allclose(
                     scores, expected_scores[user][:n], rtol=1e-12
@@ -197,7 +200,7 @@ class TestLifecycle:
         futures = [batcher.submit(u, 4) for u in range(6)]
         batcher.close()
         for user, future in enumerate(futures):
-            items, _ = future.result(timeout=30)
+            items, _, _ = future.result(timeout=30)
             np.testing.assert_array_equal(items, expected_items[user][:4])
         # The typed subclass the HTTP tier maps to a clean 503 — a request
         # racing stop() is an availability event, not a 500.
@@ -228,7 +231,7 @@ class TestLifecycle:
                 with pytest.raises(ValueError, match="model exploded"):
                     future.result(timeout=30)
             # The worker survives a scoring failure and keeps serving.
-            items, _ = batcher.submit(0, 3).result(timeout=30)
+            items, _, _ = batcher.submit(0, 3).result(timeout=30)
             assert items.shape == (3,)
 
     def test_invalid_parameters_rejected(self, score_fn):

@@ -12,6 +12,7 @@ whole tier must hold regardless of how the scoring executor is sized.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -183,6 +184,26 @@ class TestRoundTrip:
             "requests", "batched_requests", "batches", "shed",
             "deadline_exceeded", "reloads", "gemms", "topk_candidates",
         }
+
+
+class TestTransport:
+    def test_connections_set_tcp_nodelay(self, server, monkeypatch):
+        """Replies are two writes (headers, then body); Nagle must be off so
+        a delayed-ACK client never stalls the body."""
+        from repro.serve import server as server_module
+
+        seen = []
+        original = server_module._Handler.handle
+
+        def handle(handler):
+            seen.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            original(handler)
+
+        monkeypatch.setattr(server_module._Handler, "handle", handle)
+        assert _call(server, "/healthz")[0] == 200
+        assert seen and all(flag != 0 for flag in seen)
 
 
 class TestValidation:
@@ -359,6 +380,43 @@ class TestReload:
         assert status == 200
         assert failures == []
         assert _call(server, "/healthz")[1]["model"] == "toy@v2"
+
+
+    @pytest.mark.parametrize(
+        "path, method, body",
+        [
+            ("/v1/topk", "top_items", {"user": 3, "n": 5}),
+            ("/v1/similar", "similar", {"source": 3, "n": 5}),
+        ],
+    )
+    def test_batched_answer_names_the_model_that_scored_it(
+        self, server, service, store, result, graph, path, method, body
+    ):
+        """A reload between scoring and reply: the answer still names the
+        version whose lists it carries, not the one served when it is sent."""
+        store.publish("toy", -result.u, result.v, graph=graph, method="random")
+        original = getattr(service, method)
+        scored, release, seen = threading.Event(), threading.Event(), []
+
+        def gated(*args, **kwargs):
+            response = original(*args, **kwargs)
+            seen.append(response)
+            scored.set()
+            release.wait(10)
+            return response
+
+        setattr(service, method, gated)
+        answer = []
+        client = threading.Thread(target=lambda: answer.append(_call(server, path, body)))
+        client.start()
+        assert scored.wait(10)
+        assert service.reload() == ("toy@v1", "toy@v2")
+        release.set()
+        client.join(10)
+        status, reply = answer[0]
+        assert status == 200 and reply["batched"]
+        assert reply["model"] == seen[0]["model"] == "toy@v1"
+        assert reply["items"] == [seen[0]["items"][0].tolist()]
 
 
 class TestShutdownRace:

@@ -279,11 +279,11 @@ class TestEmbeddingService:
         service.metrics.observe("request", 0.01)
         report = RunReport(
             method="serve", wall_seconds=0.1,
-            service=service.metrics.service_report(),
+            sections={"service": service.metrics.service_report()},
         )
         payload = report.to_dict()  # validates
-        assert payload["service"]["requests"] == 1
-        assert payload["service"]["latency_ms"]["p50"] > 0
+        assert payload["sections"]["service"]["requests"] == 1
+        assert payload["sections"]["service"]["latency_ms"]["p50"] > 0
 
 
 class TestServiceMetrics:
@@ -423,6 +423,37 @@ class TestSimilarQueries:
         # PoissonPMF tau=5 MHP: 2*5 hops + 1 W^T apply per source.
         assert counters["similar_matvecs"] == 11 * 4
         assert counters["requests"] >= 1
+
+    def test_diagonal_probed_once_and_only_for_mhs(self, service, monkeypatch):
+        from repro.tasks import SimilarityEngine
+
+        probes = []
+        original = SimilarityEngine._probe_diagonal
+
+        def probe(engine, *args):
+            probes.append(engine.num_u)
+            return original(engine, *args)
+
+        monkeypatch.setattr(SimilarityEngine, "_probe_diagonal", probe)
+        service.similar(np.array([0, 3]), 5, mode="mhp")
+        service.similar(np.array([1]), 5, mode="mhp", side="v")
+        assert probes == []  # mhp never reads the H diagonal
+        expected = service.similar(np.arange(8), 5, mode="mhs")["items"]
+        failures = []
+
+        def worker(offset):
+            for source in range(offset, 8, 4):
+                items = service.similar(np.array([source]), 5, mode="mhs")["items"]
+                if items[0].tolist() != expected[source].tolist():
+                    failures.append(source)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert failures == []
+        assert probes == [service.num_users]  # one probe, shared by every clone
 
     def test_rejects_bad_arguments(self, service):
         with pytest.raises(ValueError, match="mode"):

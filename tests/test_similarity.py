@@ -287,7 +287,7 @@ class TestClone:
         engine = _engine(graph)
         diag = engine.h_diagonal()
         clone = engine.clone_for_worker()
-        assert clone._diag is diag
+        assert clone.h_diagonal() is diag  # shared, not re-probed
         sources = np.arange(graph.num_u, dtype=np.int64)
         for mode in SIMILARITY_MODES:
             expected, _ = engine.query(sources, 8, mode=mode)

@@ -256,17 +256,6 @@ class TestObsContract:
         # One block_rows x num_items compute-dtype buffer.
         assert collector.memory.workspace_bytes == block * num_items * 8
 
-    def test_no_workspace_policy_allocates_per_block(self, random_result):
-        policy = DtypePolicy.legacy()
-        assert not policy.workspace
-        with obs.collect() as collector:
-            engine = TopKEngine.from_result(
-                random_result, policy=policy, block_rows=16
-            )
-            engine.top_items(5)
-        assert engine.workspace_bytes() == 0
-        assert collector.memory.workspace_bytes == 0
-
     def test_null_collector_path_unaffected(self, random_result):
         # No collector active: the engine still produces correct output.
         engine = TopKEngine.from_result(random_result, block_rows=16)
