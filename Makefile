@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-smoke bench-compare bench-pytest lint-dense examples quicktest profile-smoke serve-smoke clean
+.PHONY: install test test-fast bench bench-smoke bench-compare bench-pytest perf perf-trace lint-dense examples quicktest profile-smoke serve-smoke clean
 
 # Kernel-level suites that must hold under a parallel executor; `make test`
 # reruns them with REPRO_NUM_THREADS=4 after the default serial pass.  The
@@ -103,6 +103,16 @@ serve-smoke:
 bench-compare:
 	PYTHONPATH=src $(PYTHON) -m repro bench --noise 0.5 \
 	  --output /tmp/gebe-bench-fresh.json --compare BENCH_gebe.json
+
+# The benchmark of record (BENCHMARK.json, perf/README.md): every workload
+# in a fresh child process, about 2 minutes; exit 1 on a failed correctness
+# gate.  `perf-trace` adds a traced run that prints the per-layer metrics
+# and attribution lines.
+perf:
+	python3 perf/run.py --seed 0
+
+perf-trace:
+	python3 perf/run.py --seed 0 --trace 1
 
 # Legacy pytest-benchmark microbenchmarks.
 bench-pytest:

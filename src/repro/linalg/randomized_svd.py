@@ -18,6 +18,13 @@ Two strategies are provided:
   Rayleigh-Ritz project.  This is the paper's reference ``RandomizedSVD``
   (faster convergence per iteration, but the ``(q+1)(k+p)``-wide final
   orthogonalization makes it the costlier choice on wide blocks).
+
+Every sweep re-orthonormalizes its ``m x b`` (or ``n x b``) block with
+:func:`~repro.linalg.qr.thin_qr` — the ``|U| k^2`` term of the paper's
+cost, and the dominant one on low-degree graphs.  Those blocks are tall and
+well conditioned, so they take its CholeskyQR2 path (GEMM-bound); the
+concatenated, nearly dependent Krylov block of ``"block_krylov"`` falls
+back to Householder inside ``thin_qr``.
 """
 
 from __future__ import annotations
@@ -107,8 +114,9 @@ def _make_appliers(
 
         def apply(block: np.ndarray) -> np.ndarray:
             _count_apply(matrix, block.shape[1])
-            # reuse=True is safe: every product is consumed (copied) by the
-            # immediately following thin_qr before the next product runs.
+            # reuse=True is safe: every product is consumed by the
+            # immediately following thin_qr, whose Q never aliases its
+            # input, before the next product runs.
             out = kernel.matmul(block, reuse=True)
             _note_kernel()
             return out

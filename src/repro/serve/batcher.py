@@ -7,7 +7,9 @@ batched :class:`~repro.tasks.topk.TopKEngine` exists to amortize.
 :class:`MicroBatcher` closes the loop: requests enter a bounded queue, a
 single worker thread drains up to ``max_batch`` of them (waiting at most
 ``max_wait_ms`` for stragglers after the first arrival), stacks the user
-indices, and issues **one** blocked GEMM for the whole batch.
+indices, and issues **one** blocked GEMM for the whole batch.  A request
+whose caller cancelled its future (the HTTP tier does on a deadline) before
+its batch started is dropped from the batch instead of being scored.
 
 Correctness is inherited, not re-proved: the batch is scored with
 ``select_topn``'s total order (score descending, index ascending), so the
@@ -28,9 +30,9 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,19 +64,30 @@ class _Pending:
 
 @dataclass
 class BatchStats:
-    """Lock-guarded running tallies of the batcher's coalescing behavior."""
+    """Lock-guarded running tallies of the batcher's coalescing behavior.
+
+    Only scored requests count: a request whose caller gave up before its
+    batch started is dropped, not tallied.  Queue wait is the time from
+    :meth:`MicroBatcher.submit` to the start of the batch that scores it.
+    """
 
     batches: int = 0
     requests: int = 0
     max_batch_observed: int = 0
+    queue_wait_s_total: float = 0.0
+    queue_wait_s_max: float = 0.0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def record(self, size: int) -> None:
+    def record(self, queue_waits: Sequence[float]) -> None:
+        """Tally one scored batch from its requests' queue waits (seconds)."""
+        size = len(queue_waits)
         with self._lock:
             self.batches += 1
             self.requests += size
             if size > self.max_batch_observed:
                 self.max_batch_observed = size
+            self.queue_wait_s_total += sum(queue_waits)
+            self.queue_wait_s_max = max([self.queue_wait_s_max, *queue_waits])
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -83,6 +96,12 @@ class BatchStats:
                 "requests": self.requests,
                 "max_batch_observed": self.max_batch_observed,
                 "mean_batch": self.requests / self.batches if self.batches else 0.0,
+                "queue_wait_ms_mean": (
+                    1e3 * self.queue_wait_s_total / self.requests
+                    if self.requests
+                    else 0.0
+                ),
+                "queue_wait_ms_max": 1e3 * self.queue_wait_s_max,
             }
 
 
@@ -219,17 +238,25 @@ class MicroBatcher:
         return batch
 
     def _run_batch(self, batch: List[_Pending]) -> None:
-        self.stats.record(len(batch))
+        # Claim every future before scoring: a caller that already gave up
+        # (deadline -> cancel()) is dropped here, and once claimed a future
+        # can no longer be cancelled, so the results below always land.
+        started = time.perf_counter()
+        batch = [
+            pending
+            for pending in batch
+            if pending.future.set_running_or_notify_cancel()
+        ]
+        if not batch:
+            return
+        self.stats.record([started - pending.enqueued for pending in batch])
         users = np.array([pending.user for pending in batch], dtype=np.int64)
         n_max = max(pending.n for pending in batch)
         try:
             items, scores, model = self._score_fn(users, n_max)
         except BaseException as exc:  # propagate to every caller, keep serving
             for pending in batch:
-                try:
-                    pending.future.set_exception(exc)
-                except InvalidStateError:
-                    pass  # caller gave up (deadline) while we were scoring
+                pending.future.set_exception(exc)
             return
         for row, pending in enumerate(batch):
             row_items = np.asarray(items[row][: pending.n])
@@ -238,10 +265,7 @@ class MicroBatcher:
                 if pending.with_scores
                 else None
             )
-            try:
-                pending.future.set_result((row_items, row_scores, model))
-            except InvalidStateError:
-                pass  # caller gave up (deadline) while we were scoring
+            pending.future.set_result((row_items, row_scores, model))
 
     def _loop(self) -> None:
         while True:

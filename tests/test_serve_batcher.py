@@ -15,6 +15,7 @@ itself runs on a parallel executor.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.base import EmbeddingResult
 from repro.graph import BipartiteGraph
-from repro.serve import BatcherClosed, MicroBatcher, QueueFull
+from repro.serve import BatcherClosed, BatchStats, MicroBatcher, QueueFull
 from repro.tasks import TopKEngine
 
 NUM_USERS = 30
@@ -169,6 +170,45 @@ class TestEquivalence:
         assert stats["mean_batch"] > 1.0
 
 
+class TestQueueWait:
+    def test_stats_accumulate_queue_waits(self):
+        stats = BatchStats()
+        assert stats.snapshot()["queue_wait_ms_mean"] == 0.0
+        assert stats.snapshot()["queue_wait_ms_max"] == 0.0
+        stats.record([0.001, 0.003])
+        stats.record([0.002])
+        snapshot = stats.snapshot()
+        assert snapshot["batches"] == 2
+        assert snapshot["requests"] == 3
+        assert snapshot["queue_wait_ms_mean"] == pytest.approx(2.0)
+        assert snapshot["queue_wait_ms_max"] == pytest.approx(3.0)
+
+    def test_queue_wait_spans_submit_to_batch_start(self, score_fn):
+        """Requests queued behind a batch held for >= 50 ms wait at least
+        that long; no wait exceeds the wall time of the whole run."""
+        started, gate = threading.Event(), threading.Event()
+
+        def held(users, n):
+            started.set()
+            gate.wait(10)
+            return score_fn(users, n)
+
+        begin = time.perf_counter()
+        with MicroBatcher(held, max_batch=8, max_wait_ms=0.0) as batcher:
+            first = batcher.submit(0, 3)
+            assert started.wait(10)
+            queued = [batcher.submit(u, 3) for u in (1, 2)]
+            time.sleep(0.05)
+            gate.set()
+            for future in (first, *queued):
+                future.result(timeout=30)
+            snapshot = batcher.stats.snapshot()
+        elapsed_ms = 1e3 * (time.perf_counter() - begin)
+        assert snapshot["queue_wait_ms_max"] >= 50.0
+        assert 0.0 <= snapshot["queue_wait_ms_mean"] <= snapshot["queue_wait_ms_max"]
+        assert snapshot["queue_wait_ms_max"] <= elapsed_ms
+
+
 class TestLifecycle:
     def test_queue_full_sheds_instead_of_blocking(self, score_fn):
         started, gate = threading.Event(), threading.Event()
@@ -233,6 +273,57 @@ class TestLifecycle:
             # The worker survives a scoring failure and keeps serving.
             items, _, _ = batcher.submit(0, 3).result(timeout=30)
             assert items.shape == (3,)
+
+    def test_cancelled_request_is_not_scored(self, score_fn):
+        """A caller that gave up before its batch started is dropped: the
+        scoring call sees only live users and the stats count only them."""
+        started, gate = threading.Event(), threading.Event()
+        seen = []
+
+        def recording(users, n):
+            seen.append(users.tolist())
+            started.set()
+            gate.wait(10)
+            return score_fn(users, n)
+
+        with MicroBatcher(recording, max_batch=8, max_wait_ms=0.0) as batcher:
+            first = batcher.submit(0, 3)
+            assert started.wait(10)  # worker is busy scoring user 0
+            live_a, doomed, live_b = (batcher.submit(u, 3) for u in (1, 2, 3))
+            assert doomed.cancel()
+            gate.set()
+            for future in (first, live_a, live_b):
+                future.result(timeout=30)
+            stats = batcher.stats.snapshot()
+        assert doomed.cancelled()
+        assert seen == [[0], [1, 3]]
+        assert stats["requests"] == 3
+        assert stats["batches"] == 2
+
+    def test_all_cancelled_batch_skips_scoring(self, score_fn):
+        started, gate = threading.Event(), threading.Event()
+        seen = []
+
+        def recording(users, n):
+            seen.append(users.tolist())
+            started.set()
+            gate.wait(10)
+            return score_fn(users, n)
+
+        with MicroBatcher(recording, max_batch=8, max_wait_ms=0.0) as batcher:
+            first = batcher.submit(0, 3)
+            assert started.wait(10)
+            doomed = [batcher.submit(u, 3) for u in (1, 2)]
+            assert all(future.cancel() for future in doomed)
+            gate.set()
+            first.result(timeout=30)
+            # The worker keeps serving after dropping a fully cancelled batch.
+            items, _, _ = batcher.submit(4, 3).result(timeout=30)
+            assert items.shape == (3,)
+            stats = batcher.stats.snapshot()
+        assert seen == [[0], [4]]
+        assert stats["requests"] == 2
+        assert stats["batches"] == 2
 
     def test_invalid_parameters_rejected(self, score_fn):
         with pytest.raises(ValueError, match="max_batch"):

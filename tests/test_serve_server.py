@@ -180,6 +180,11 @@ class TestRoundTrip:
         assert body["model"] == "toy@v1"
         assert body["queue"]["max"] == 64
         assert body["batcher"]["requests"] >= 1
+        assert (
+            0.0
+            <= body["batcher"]["queue_wait_ms_mean"]
+            <= body["batcher"]["queue_wait_ms_max"]
+        )
         assert set(body["counters"]) >= {
             "requests", "batched_requests", "batches", "shed",
             "deadline_exceeded", "reloads", "gemms", "topk_candidates",
