@@ -10,10 +10,9 @@ PYTHON ?= python
 # to the per-user path at any thread count, and the serving tier (per-thread
 # engine clones + micro-batcher) must coalesce correctly however the
 # executor is sized.  Same deal for the ANN rerank (full probe must stay
-# element-identical to the exact engine), the sharded scatter-gather
-# merge (shard count and executor width never change the lists), and the
-# quantized margin rerank (block size, thread count, and codec never move
-# a list or a score bit off the exact engine over the dequantized arrays).
+# element-identical to the exact engine) and the quantized margin rerank
+# (block size, thread count, and codec never move a list or a score bit off
+# the exact engine over the dequantized arrays).
 # The delta-replay and warm-refresh suites ride along too: delta
 # application and the warm/cold refit split are bit-deterministic claims,
 # so they must hold at any executor width.  The out-of-core suite joins
@@ -25,7 +24,7 @@ PYTHON ?= python
 THREADED_TESTS = tests/test_linalg_kernels.py tests/test_linalg_parallel.py \
   tests/test_kernels_fallback.py tests/test_topk.py \
   tests/test_serve_batcher.py tests/test_serve_server.py \
-  tests/test_ann.py tests/test_serve_sharded.py tests/test_quant.py \
+  tests/test_ann.py tests/test_quant.py \
   tests/test_serve_service.py tests/test_graph_delta.py tests/test_refresh.py \
   tests/test_ooc_fit.py tests/test_graph_ingest.py tests/test_similarity.py
 
@@ -35,7 +34,7 @@ install:
 	  echo $(CURDIR)/src > $$($(PYTHON) -c 'import site; print(site.getsitepackages()[0])')/repro-editable.pth; \
 	}
 
-test: bench-smoke lint-dense
+test: bench-smoke lint-dense serve-smoke
 	$(PYTHON) -m pytest tests/
 	REPRO_NUM_THREADS=4 $(PYTHON) -m pytest $(THREADED_TESTS) -q
 
@@ -91,7 +90,8 @@ lint-dense:
 
 # End-to-end serving round trip: fit the toy graph, publish to a throwaway
 # artifact store, answer concurrent HTTP top-k requests in-process, and
-# verify every response against the offline engine.  See docs/SERVING.md.
+# verify every response against the offline engine.  Part of `make test`.
+# See docs/SERVING.md.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve --smoke
 

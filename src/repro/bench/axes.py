@@ -312,22 +312,15 @@ AXES: Tuple[Axis, ...] = (
             "mode": ("cold", "warm"), "refresh_mode": ("warm", "cold_fallback", None),
             "delta_edges": "int>=0", "delta_fraction": "num[0,1]", **_WALLS,
             "matvecs": "int>=0", "qr_factorizations": "int>=0",
-            "publish_bytes": "int>=0", "full_publish_bytes": "int>=0",
             "quality_ok": "bool",
         },
         rules=(("warm", "refresh_mode", True), ("cold", "refresh_mode", False)),
         columns=(("mode", "mode", ""), ("outcome", "refresh_mode", ""),
                  ("edges", "delta_edges", ""), ("wall s", "wall_seconds", ".3f"),
                  ("matvecs", "matvecs", ""), ("qr", "qr_factorizations", ""),
-                 ("publish B", "publish_bytes", ""), ("full B", "full_publish_bytes", ""),
                  ("quality", "quality_ok", "")),
         label=lambda row: f"refresh:{row['mode']}", ops=lambda row: row["matvecs"],
-        gates=(
-            _flag("quality_ok"),
-            ("warm_saves_matvecs", _warm_saves_matvecs),
-            ("delta_publish_smaller", lambda row, rows: row["mode"] != "warm"
-             or row["publish_bytes"] < row["full_publish_bytes"]),
-        ),
+        gates=(_flag("quality_ok"), ("warm_saves_matvecs", _warm_saves_matvecs)),
         run="run_refresh", switch="refresh", per_dataset=True, flag="refresh", only=True,
     ),
     Axis(

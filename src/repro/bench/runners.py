@@ -405,19 +405,16 @@ def run_quant(config, emit: Emit) -> None:
 def run_refresh(config, emit: Emit, dataset: str, graph: BipartiteGraph) -> None:
     """The incremental-refresh axis: cold vs warm refit after an edge delta.
 
-    Fits the graph cold and publishes it, applies a seeded reweight delta to
-    ``refresh_fraction`` of the edges, ingest-publishes the new graph as a
-    delta artifact, then refits twice: ``cold`` (published in full — its
-    bytes anchor every delta-publish saving) and ``warm`` (warm-started
-    from the published basis, delta-published).  ``quality_ok`` gates the
-    warm row's top-``refresh_n`` lists at a mean overlap >= 0.9 with the
-    cold refit's: warm and cold are different eps-approximations, so heavy
-    divergence, not element identity, is the failure.
+    Fits the graph cold, applies a seeded reweight delta to
+    ``refresh_fraction`` of the edges, then refits twice: ``cold`` and
+    ``warm`` (warm-started from the base fit's basis).  ``quality_ok``
+    gates the warm row's top-``refresh_n`` lists at a mean overlap >= 0.9
+    with the cold refit's: warm and cold are different eps-approximations,
+    so heavy divergence, not element identity, is the failure.
     """
     from ..core import GEBEPoisson
     from ..graph import DeltaLog, apply_deltas
     from ..linalg import warm_basis_from_embedding
-    from ..serve.artifacts import ArtifactStore
 
     def fit(target: BipartiteGraph, warm_start=None):
         walls, fitted = [], None
@@ -444,33 +441,17 @@ def run_refresh(config, emit: Emit, dataset: str, graph: BipartiteGraph) -> None
     base = {"method": base_fit.method, "dataset": dataset, "delta_edges": len(log.deltas),
             "delta_fraction": len(log.deltas) / max(1, graph.num_edges)}
     n = max(1, min(int(config.refresh_n), graph.num_v))
-    with tempfile.TemporaryDirectory(prefix="repro-bench-refresh-") as tmp:
-        store = ArtifactStore(tmp)
-
-        def publish(fitted, target, base_version=None):
-            ref = store.publish("refresh", fitted.u, fitted.v, graph=target,
-                                method=fitted.method, dataset=dataset,
-                                base_version=base_version)
-            return ref, sum(entry.stat().st_size for entry in ref.path.iterdir())
-
-        publish(base_fit, graph)
-        # New graph, unchanged embeddings: only graph.npz is written.
-        ingest, _ = publish(base_fit, new_graph, base_version=1)
-        cold_fit, cold = fit(new_graph)
-        _, full_bytes = publish(cold_fit, new_graph)
-        emit("refresh", {**base, **cold, "mode": "cold", "refresh_mode": None,
-                         "publish_bytes": full_bytes, "full_publish_bytes": full_bytes,
-                         "quality_ok": True})
-        warm_fit, warm = fit(new_graph, warm_start=warm_basis_from_embedding(
-            base_fit.u, base_fit.metadata.get("effective_dimension")
-        ))
-        _, warm_bytes = publish(warm_fit, new_graph, base_version=ingest.version)
-        cold_lists = TopKEngine.from_result(cold_fit, policy=_policy()).top_items(n)
-        warm_lists = TopKEngine.from_result(warm_fit, policy=_policy()).top_items(n)
-        emit("refresh", {**base, **warm, "mode": "warm",
-                         "refresh_mode": warm_fit.metadata["refresh"]["mode"],
-                         "publish_bytes": warm_bytes, "full_publish_bytes": full_bytes,
-                         "quality_ok": _overlap(warm_lists, cold_lists) >= 0.9})
+    cold_fit, cold = fit(new_graph)
+    emit("refresh", {**base, **cold, "mode": "cold", "refresh_mode": None,
+                     "quality_ok": True})
+    warm_fit, warm = fit(new_graph, warm_start=warm_basis_from_embedding(
+        base_fit.u, base_fit.metadata.get("effective_dimension")
+    ))
+    cold_lists = TopKEngine.from_result(cold_fit, policy=_policy()).top_items(n)
+    warm_lists = TopKEngine.from_result(warm_fit, policy=_policy()).top_items(n)
+    emit("refresh", {**base, **warm, "mode": "warm",
+                     "refresh_mode": warm_fit.metadata["refresh"]["mode"],
+                     "quality_ok": _overlap(warm_lists, cold_lists) >= 0.9})
 
 
 def _write_edge_standin(path: str, num_items: int, seed: int) -> None:

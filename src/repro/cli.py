@@ -11,7 +11,7 @@ Subcommands::
     python -m repro datasets   # list or materialize the dataset zoo
     python -m repro bench      # perf benchmark -> BENCH_gebe.json
     python -m repro publish    # embeddings .npz -> versioned artifact store
-    python -m repro refresh    # apply an edge-delta log + warm refit + delta publish
+    python -m repro refresh    # apply an edge-delta log + warm refit + publish
     python -m repro artifacts  # store maintenance (gc old versions)
     python -m repro index      # build an IVF ANN index for a published artifact
     python -m repro serve      # long-lived HTTP top-k service (repro.serve)
@@ -488,19 +488,11 @@ def build_parser(*, bench_axes: bool = True) -> argparse.ArgumentParser:
         "lists stay identical to the unquantized artifact's engine over "
         "the same codes",
     )
-    publish.add_argument(
-        "--base-version",
-        type=int,
-        metavar="N",
-        help="delta publish: arrays whose checksums match this existing "
-        "version are stored as references instead of being rewritten "
-        "(load/verify resolve and checksum the whole chain)",
-    )
 
     refresh = commands.add_parser(
         "refresh",
         help="apply an edge-delta log to a published artifact, warm-refit, "
-        "and delta-publish the result",
+        "and publish the result as a new version",
     )
     refresh.add_argument(
         "deltas", help="edge-delta log (JSONL written by DeltaLog.save)"
@@ -521,8 +513,7 @@ def build_parser(*, bench_axes: bool = True) -> argparse.ArgumentParser:
     refresh.add_argument(
         "--cold",
         action="store_true",
-        help="skip the warm start and refit from scratch (still delta-"
-        "publishes against the base version)",
+        help="skip the warm start and refit from scratch",
     )
     refresh.add_argument(
         "--profile",
@@ -553,8 +544,8 @@ def build_parser(*, bench_axes: bool = True) -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="newest versions to retain (default: 2); versions delta-"
-        "referenced by retained manifests are kept too",
+        help="newest versions to retain (default: 2); older versions are "
+        "deleted",
     )
 
     index = commands.add_parser(
@@ -634,30 +625,10 @@ def build_parser(*, bench_axes: bool = True) -> argparse.ArgumentParser:
         help="disable the micro-batcher (single-user requests score directly)",
     )
     serve.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        help="partition the item side across N scatter-gather shard workers "
-        "(merged lists stay element-identical to single-shard scoring)",
-    )
-    serve.add_argument(
-        "--shard-deadline-ms",
-        type=float,
-        metavar="MS",
-        help="per-shard scoring deadline; requires --shards",
-    )
-    serve.add_argument(
-        "--on-shard-failure",
-        choices=("fail", "degrade"),
-        default="fail",
-        help="slow/dead shard policy: 'fail' answers 503, 'degrade' returns "
-        "the surviving shards' merge flagged degraded (default: fail)",
-    )
-    serve.add_argument(
         "--ann",
         action="store_true",
         help="serve through the artifact's IVF index (build it first with "
-        "`repro index`); mutually exclusive with --shards",
+        "`repro index`)",
     )
     serve.add_argument(
         "--nprobe",
@@ -1360,23 +1331,17 @@ def _cmd_publish(args: argparse.Namespace) -> int:
             method=args.method,
             dataset=args.dataset,
             quantize=args.quantize,
-            base_version=args.base_version,
         )
     except (ArtifactError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     manifest = ref.manifest
     quant = f", quantized={ref.quantize}" if ref.quantize else ""
-    delta = (
-        f", delta over v{ref.base_version} ({len(ref.file_refs)} refs)"
-        if ref.base_version is not None
-        else ""
-    )
     print(
         f"published {ref.tag} -> {ref.path} "
         f"(|U|={manifest['num_u']}, |V|={manifest['num_v']}, "
         f"k={manifest['dimension']}, "
-        f"graph={'yes' if ref.has_graph else 'no'}{quant}{delta})"
+        f"graph={'yes' if ref.has_graph else 'no'}{quant})"
     )
     return 0
 
@@ -1438,7 +1403,6 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
             graph=new_graph,
             method=result.method,
             dataset=ref.manifest.get("dataset"),
-            base_version=ref.version,
         )
     except (ArtifactError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1486,8 +1450,7 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
     stream = sys.stderr if args.profile and not args.profile_out else sys.stdout
     print(
         f"refreshed {ref.tag} -> {new_ref.tag}: applied {applied or 'no'} "
-        f"deltas, refit {outcome} in {result.elapsed_seconds:.2f}s, "
-        f"delta-published {len(new_ref.file_refs)} unchanged arrays as refs",
+        f"deltas, refit {outcome} in {result.elapsed_seconds:.2f}s",
         file=stream,
     )
     return 0
@@ -1713,22 +1676,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .linalg import DtypePolicy
 
         policy = DtypePolicy().with_threads(args.threads)
-    shards = None
-    if args.shards is not None:
-        from .serve import ShardConfig
-
-        try:
-            shards = ShardConfig(
-                n_shards=args.shards,
-                deadline_ms=args.shard_deadline_ms,
-                on_failure=args.on_shard_failure,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif args.shard_deadline_ms is not None:
-        print("error: --shard-deadline-ms requires --shards", file=sys.stderr)
-        return 2
     try:
         service = EmbeddingService(
             ArtifactStore(args.store),
@@ -1736,7 +1683,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             version=args.artifact_version,
             policy=policy,
             block_rows=args.block_rows,
-            shards=shards,
             ann=args.ann,
             nprobe=args.nprobe,
             mmap=not args.no_mmap,
@@ -1759,8 +1705,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.ann:
         probe = "all" if args.nprobe is None else str(args.nprobe)
         mode = f"; ann (nprobe={probe})"
-    elif shards is not None:
-        mode = f"; {shards.n_shards} shards ({shards.on_failure})"
     elif service.quantize is not None:
         mode = f"; quantized ({service.quantize}, exact margin rerank)"
     print(

@@ -14,9 +14,6 @@ package is everything *after* that:
 * :mod:`~repro.serve.server` — :class:`EmbeddingServer`, a stdlib
   JSON-over-HTTP front end with admission control and deadline-based
   load-shedding (429 / 503).
-* :mod:`~repro.serve.sharded` — :class:`ShardedTopK`, scatter-gather
-  retrieval over item partitions with an exact merge, per-shard
-  deadlines, and a degrade-or-fail policy (``repro serve --shards``).
 
 The service can also answer through the IVF ANN index of
 :mod:`repro.ann` (``repro serve --ann --nprobe P``): sublinear
@@ -37,7 +34,6 @@ from .artifacts import (
 from .batcher import BatcherClosed, BatchStats, MicroBatcher, QueueFull
 from .server import EmbeddingServer, ServerConfig
 from .service import EmbeddingService, ServiceMetrics
-from .sharded import PoolClosedError, ShardConfig, ShardFailure, ShardedTopK
 
 __all__ = [
     "ArtifactError",
@@ -49,13 +45,9 @@ __all__ = [
     "EmbeddingService",
     "LoadedArtifact",
     "MicroBatcher",
-    "PoolClosedError",
     "QueueFull",
     "ServerConfig",
     "ServiceMetrics",
-    "ShardConfig",
-    "ShardFailure",
-    "ShardedTopK",
     "array_checksum",
     "load_embedding_arrays",
 ]

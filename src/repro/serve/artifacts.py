@@ -18,37 +18,23 @@ version per publish::
         v0002/
           ...
 
-Three schema versions are readable:
+One schema version is readable, v3.  Each embedding array is its own
+uncompressed ``.npy`` file, so :meth:`ArtifactStore.load` memory-maps them
+(``np.load(mmap_mode="r")``).  N worker processes serving the same artifact
+share one page-cache copy, and a verify-then-swap reload stops copying
+hundreds of megabytes — it re-reads bytes only to checksum them.
+``publish(..., quantize="float16"|"int8")`` stores per-column-quantized
+codes plus their scales (:mod:`repro.core.quantize`), cutting the stored
+and resident bytes 4-8x while the serving engine stays exact
+(:class:`~repro.tasks.topk.QuantizedTopKEngine`).
 
-* **v3** (written by every publish since the incremental-refresh pipeline
-  landed) extends v2 with *delta publishes*: ``publish(...,
-  base_version=N)`` compares each would-be file against the base version's
-  manifest and, when the checksums already match, records a
-  ``file_refs[filename] = N`` pointer instead of writing the bytes again.
-  A refresh that re-fits embeddings but keeps the graph (or vice versa —
-  an ingest that swaps the graph under unchanged embeddings) therefore
-  writes only the arrays that actually changed.  References chain
-  (v3 -> v2 -> v1); ``verify``/``load`` resolve the chain, checksum every
-  referenced file against *this* version's manifest, and raise a pointed
-  :class:`ArtifactError` naming the broken base version when a link is
-  missing or corrupt.  :meth:`ArtifactStore.delete` refuses to remove a
-  version that a newer delta manifest still references, and
-  :meth:`ArtifactStore.prune` keeps the newest ``keep`` versions plus the
-  transitive closure of their references.
-* **v2** stores each embedding array as its own uncompressed ``.npy``
-  file, so :meth:`ArtifactStore.load` memory-maps them
-  (``np.load(mmap_mode="r")``).  N worker processes serving the same
-  artifact share one page-cache copy, and a verify-then-swap reload stops
-  copying hundreds of megabytes — it re-reads bytes only to checksum
-  them.  ``publish(..., quantize="float16"|"int8")`` stores
-  per-column-quantized codes plus their scales
-  (:mod:`repro.core.quantize`), cutting the stored and resident bytes 4-8x
-  while the serving engine stays exact
-  (:class:`~repro.tasks.topk.QuantizedTopKEngine`).
-* **v1** (the compressed ``embeddings.npz`` layout of earlier publishes)
-  still resolves, verifies, and loads — eagerly, since compressed NPZ
-  members cannot be memory-mapped.  The upgrade path is publish-time only:
-  republishing any model writes v3.
+Every version directory holds all of its own files; the reader never
+follows references into other versions, so any version can be deleted on
+its own and ``prune`` keeps exactly the newest ``keep``.  Older layouts are
+refused with an :class:`ArtifactError` that says to republish: schema v1
+and v2, and v3 *delta publishes* whose non-empty ``file_refs`` pointed into
+an earlier version.  (A v3 manifest with empty ``file_refs``, whatever its
+``base_version``, is a full publish and loads.)
 
 The manifest records a blake2b digest of every array (dtype + shape + raw
 bytes — the same content-fingerprint idiom as
@@ -64,6 +50,7 @@ Staging directories are torn down on publish failure, and any stale
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -98,9 +85,7 @@ ARTIFACT_SCHEMA_VERSION = 3
 STAGING_PREFIX = ".staging-"
 
 MANIFEST_FILE = "manifest.json"
-#: The v1 embeddings bundle (compressed NPZ); read-only legacy.
-EMBEDDINGS_FILE = "embeddings.npz"
-#: The v2 per-array layout: uncompressed ``.npy``, one array each, so
+#: The per-array layout: uncompressed ``.npy``, one array each, so
 #: ``np.load(mmap_mode="r")`` maps them instead of copying.
 U_FILE = "u.npy"
 V_FILE = "v.npy"
@@ -193,16 +178,6 @@ class ArtifactRef:
         """The quantization codec (``None`` for exact float artifacts)."""
         return self.manifest.get("quantize")
 
-    @property
-    def base_version(self) -> Optional[int]:
-        """The delta publish's base version (``None`` for full publishes)."""
-        return self.manifest.get("base_version")
-
-    @property
-    def file_refs(self) -> Dict[str, int]:
-        """Files whose bytes live in an earlier version: filename -> version."""
-        return self.manifest.get("file_refs") or {}
-
 
 @dataclass(frozen=True)
 class LoadedArtifact:
@@ -231,10 +206,10 @@ def _validate_manifest(payload: Any, where: str) -> Dict[str, Any]:
         fail(f"top level must be an object, got {type(payload).__name__}")
     if payload.get("schema") != ARTIFACT_SCHEMA_NAME:
         fail(f"schema must be {ARTIFACT_SCHEMA_NAME!r}, got {payload.get('schema')!r}")
-    if payload.get("version") not in (1, 2, ARTIFACT_SCHEMA_VERSION):
+    if payload.get("version") != ARTIFACT_SCHEMA_VERSION:
         fail(
-            f"version must be 1, 2, or {ARTIFACT_SCHEMA_VERSION}, "
-            f"got {payload.get('version')!r}"
+            f"schema version {payload.get('version')!r} is not readable "
+            f"(only v{ARTIFACT_SCHEMA_VERSION} is); republish the model"
         )
     if not isinstance(payload.get("name"), str) or not payload["name"]:
         fail("name must be a non-empty string")
@@ -254,22 +229,18 @@ def _validate_manifest(payload: Any, where: str) -> Dict[str, Any]:
     files = payload.get("files")
     if not isinstance(files, dict):
         fail("files must be an object")
-    if payload["version"] == 1:
-        if EMBEDDINGS_FILE not in files:
-            fail(f"files must contain {EMBEDDINGS_FILE!r} (schema v1)")
-    else:
-        quantize = payload.get("quantize", "missing")
-        if quantize is not None and quantize not in QUANT_DTYPES:
-            fail(
-                f"quantize must be null or one of {list(QUANT_DTYPES)}, "
-                f"got {quantize!r}"
-            )
-        required = [U_FILE, V_FILE]
-        if quantize is not None:
-            required += [U_SCALES_FILE, V_SCALES_FILE]
-        missing = [filename for filename in required if filename not in files]
-        if missing:
-            fail(f"files must contain {missing} (schema v2)")
+    quantize = payload.get("quantize", "missing")
+    if quantize is not None and quantize not in QUANT_DTYPES:
+        fail(
+            f"quantize must be null or one of {list(QUANT_DTYPES)}, "
+            f"got {quantize!r}"
+        )
+    required = [U_FILE, V_FILE]
+    if quantize is not None:
+        required += [U_SCALES_FILE, V_SCALES_FILE]
+    missing = [filename for filename in required if filename not in files]
+    if missing:
+        fail(f"files must contain {missing}")
     for filename, arrays in files.items():
         if not isinstance(arrays, dict) or not arrays:
             fail(f"files[{filename!r}] must be a non-empty object")
@@ -294,39 +265,13 @@ def _validate_manifest(payload: Any, where: str) -> Dict[str, Any]:
                 )
     if not isinstance(payload.get("metadata"), dict):
         fail("metadata must be an object")
-    if payload["version"] >= ARTIFACT_SCHEMA_VERSION:
-        artifact_version = payload["artifact_version"]
-        base_version = payload.get("base_version")
-        if base_version is not None:
-            if (
-                not isinstance(base_version, int)
-                or isinstance(base_version, bool)
-                or not 0 < base_version < artifact_version
-            ):
-                fail(
-                    "base_version must be null or an integer in "
-                    f"[1, {artifact_version}), got {base_version!r}"
-                )
-        file_refs = payload.get("file_refs", {})
-        if not isinstance(file_refs, dict):
-            fail("file_refs must be an object")
-        for filename, ref_version in file_refs.items():
-            if filename not in files:
-                fail(
-                    f"file_refs names {filename!r} which is not in files "
-                    "(every referenced file still needs its checksum entry)"
-                )
-            if (
-                not isinstance(ref_version, int)
-                or isinstance(ref_version, bool)
-                or not 0 < ref_version < artifact_version
-            ):
-                fail(
-                    f"file_refs[{filename!r}] must be an integer in "
-                    f"[1, {artifact_version}), got {ref_version!r}"
-                )
-    elif payload.get("file_refs"):
-        fail(f"file_refs requires schema v{ARTIFACT_SCHEMA_VERSION}")
+    if payload.get("file_refs"):
+        fail(
+            f"v{payload['artifact_version']} is a delta publish (file_refs "
+            f"{payload['file_refs']!r}) whose files live in an earlier "
+            "version; references are no longer followed — republish it as "
+            "a full version"
+        )
     return payload
 
 
@@ -440,7 +385,6 @@ class ArtifactStore:
         dataset: Optional[str] = None,
         metadata: Optional[Dict[str, Any]] = None,
         quantize: Optional[str] = None,
-        base_version: Optional[int] = None,
     ) -> ArtifactRef:
         """Publish embeddings (and optionally their graph) as a new version.
 
@@ -455,26 +399,13 @@ class ArtifactStore:
         rerank).  Scales are checksummed in the manifest like every other
         array.
 
-        ``base_version`` makes this a *delta publish*: every file whose
-        array checksums are identical to that version's manifest entry is
-        recorded as a ``file_refs`` pointer instead of being written again
-        — the incremental-refresh pipeline's publish step, where a graph
-        ingest keeps the embeddings byte-identical (only ``graph.npz`` is
-        written) and the subsequent warm refresh keeps the graph
-        byte-identical (only the embedding arrays are written).  The new
-        manifest still carries full checksums for referenced files, so
-        ``verify`` checks the whole chain.
+        Raises
+        ------
+        ArtifactError
+            On invalid input, and when a concurrent publish claimed the
+            same version number first (retry).
         """
         self._check_name(name)
-        base_ref: Optional[ArtifactRef] = None
-        if base_version is not None:
-            try:
-                base_ref = self.resolve(name, base_version)
-            except ArtifactError as exc:
-                raise ArtifactError(
-                    f"cannot delta-publish {name!r} against base "
-                    f"v{base_version}: {exc}"
-                ) from None
         if quantize is not None and quantize not in QUANT_DTYPES:
             raise ArtifactError(
                 f"quantize must be one of {QUANT_DTYPES}, got {quantize!r}"
@@ -515,15 +446,6 @@ class ArtifactStore:
             filename: _file_entry({Path(filename).stem: array})
             for filename, array in stored.items()
         }
-        file_refs: Dict[str, int] = {}
-        if base_ref is not None:
-            # Delta publish: any array file whose checksums match the base
-            # entry becomes a reference instead of bytes on disk.
-            base_files = base_ref.manifest["files"]
-            for filename in list(stored):
-                if base_files.get(filename) == files[filename]:
-                    file_refs[filename] = base_version
-                    del stored[filename]
         staging = Path(
             tempfile.mkdtemp(prefix=f"{STAGING_PREFIX}v{version:04d}-", dir=base)
         )
@@ -538,15 +460,6 @@ class ArtifactStore:
                 files[GRAPH_FILE] = _file_entry(
                     _npz_arrays(staging / GRAPH_FILE)
                 )
-                if (
-                    base_ref is not None
-                    and base_ref.manifest["files"].get(GRAPH_FILE)
-                    == files[GRAPH_FILE]
-                ):
-                    # The graph did not change relative to the base — drop
-                    # the staged copy and reference the base's bytes.
-                    (staging / GRAPH_FILE).unlink()
-                    file_refs[GRAPH_FILE] = base_version
             manifest = {
                 "schema": ARTIFACT_SCHEMA_NAME,
                 "version": ARTIFACT_SCHEMA_VERSION,
@@ -560,8 +473,6 @@ class ArtifactStore:
                 "num_v": int(v.shape[0]),
                 "dtype": files[U_FILE][Path(U_FILE).stem]["dtype"],
                 "quantize": quantize,
-                "base_version": base_version,
-                "file_refs": file_refs,
                 "files": files,
                 "metadata": dict(metadata or {}),
             }
@@ -570,13 +481,18 @@ class ArtifactStore:
                 json.dump(manifest, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             final = base / f"v{version:04d}"
-            os.rename(staging, final)
-        except FileExistsError:
-            # A concurrent publish claimed the version number first.
-            raise ArtifactError(
-                f"version v{version:04d} of {name!r} was published "
-                "concurrently; retry"
-            ) from None
+            try:
+                os.rename(staging, final)
+            except OSError as exc:
+                # A concurrent publish claimed the version number first.
+                # Renaming onto an existing non-empty directory fails with
+                # ENOTEMPTY on Linux, EEXIST elsewhere.
+                if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                    raise
+                raise ArtifactError(
+                    f"version v{version:04d} of {name!r} was published "
+                    "concurrently; retry"
+                ) from None
         finally:
             # Publish failed before the rename: tear the staging directory
             # down unconditionally (rmtree, so a partially written tree or
@@ -613,108 +529,59 @@ class ArtifactStore:
             )
         return ArtifactRef(name=name, version=version, path=path, manifest=manifest)
 
-    def _file_path(self, ref: ArtifactRef, filename: str) -> Path:
-        """On-disk location of ``filename`` for ``ref``, chasing delta refs.
-
-        A delta publish records ``file_refs[filename] = base`` instead of
-        bytes; the base may itself be a delta publish, so the pointer is
-        followed until a version that physically stores the file is found.
-        Every hop re-validates the intermediate manifest.
-
-        Raises
-        ------
-        ArtifactError
-            Naming the base version when a link of the chain is missing,
-            unresolvable, or malformed (the reference-chain analogue of a
-            truncated file).
-        """
-        current = ref
-        while filename in current.file_refs:
-            base_version = current.file_refs[filename]
-            if base_version >= current.version:
-                raise ArtifactError(
-                    f"{ref.tag}: {filename!r} reference chain does not "
-                    f"descend (v{current.version} -> v{base_version})"
-                )
-            try:
-                current = self.resolve(ref.name, base_version)
-            except ArtifactError as exc:
-                raise ArtifactError(
-                    f"{ref.tag}: {filename!r} is delta-referenced from base "
-                    f"version v{base_version}, which cannot be resolved: {exc}"
-                ) from None
-        return current.path / filename
-
     def verify(self, ref: ArtifactRef) -> None:
         """Recompute every array checksum and compare against the manifest.
 
         ``.npy`` members are checksummed straight off the memory map — the
         bytes are *read* (that is the point of verification) but never
-        copied into fresh arrays.  Delta-referenced files are resolved
-        through the reference chain and checksummed against **this**
-        version's manifest, so a delta artifact is verified end to end —
-        base versions included.
+        copied into fresh arrays.
 
         Raises
         ------
         ArtifactError
             Naming the first file/array whose digest, dtype, or shape does
-            not match — a corrupt, truncated, or hand-edited artifact — or
-            the base version of a broken reference chain.
+            not match — a corrupt, truncated, or hand-edited artifact.
         """
         for filename, expected_arrays in ref.manifest["files"].items():
-            path = self._file_path(ref, filename)
-            try:
-                self._verify_file(path, expected_arrays)
-            except ArtifactError as exc:
-                if path.parent != ref.path:
-                    # The broken bytes live in a delta base — say which one.
+            path = ref.path / filename
+            if filename.endswith(".npy"):
+                arrays = {
+                    next(iter(expected_arrays)): _load_npy(path, mmap=True)
+                }
+            else:
+                try:
+                    arrays = _npz_arrays(path)
+                except (OSError, ValueError) as exc:
                     raise ArtifactError(
-                        f"{ref.tag}: delta-referenced {filename!r} failed "
-                        f"verification in base version "
-                        f"{path.parent.name}: {exc}"
-                    ) from None
-                raise
-
-    def _verify_file(
-        self, path: Path, expected_arrays: Dict[str, Any]
-    ) -> None:
-        """Checksum one manifest file entry against the bytes at ``path``."""
-        if path.name.endswith(".npy"):
-            arrays = {
-                next(iter(expected_arrays)): _load_npy(path, mmap=True)
-            }
-        else:
-            try:
-                arrays = _npz_arrays(path)
-            except (OSError, ValueError) as exc:
+                        f"{path}: cannot read bundle: {exc}"
+                    ) from exc
+            for array_name, spec in expected_arrays.items():
+                if array_name not in arrays:
+                    raise ArtifactError(
+                        f"{path}: array {array_name!r} missing "
+                        "(present in manifest)"
+                    )
+                array = arrays[array_name]
+                if (
+                    str(array.dtype) != spec["dtype"]
+                    or list(array.shape) != spec["shape"]
+                ):
+                    raise ArtifactError(
+                        f"{path}: array {array_name!r} is "
+                        f"{array.dtype}{array.shape}, manifest says "
+                        f"{spec['dtype']}{tuple(spec['shape'])}"
+                    )
+                digest = array_checksum(array)
+                if digest != spec["blake2b"]:
+                    raise ArtifactError(
+                        f"{path}: checksum mismatch on array {array_name!r} "
+                        f"({digest} != {spec['blake2b']})"
+                    )
+            extra = sorted(set(arrays) - set(expected_arrays))
+            if extra:
                 raise ArtifactError(
-                    f"{path}: cannot read bundle: {exc}"
-                ) from exc
-        for array_name, spec in expected_arrays.items():
-            if array_name not in arrays:
-                raise ArtifactError(
-                    f"{path}: array {array_name!r} missing "
-                    "(present in manifest)"
+                    f"{path}: unexpected arrays {extra} not in manifest"
                 )
-            array = arrays[array_name]
-            if str(array.dtype) != spec["dtype"] or list(array.shape) != spec["shape"]:
-                raise ArtifactError(
-                    f"{path}: array {array_name!r} is "
-                    f"{array.dtype}{array.shape}, manifest says "
-                    f"{spec['dtype']}{tuple(spec['shape'])}"
-                )
-            digest = array_checksum(array)
-            if digest != spec["blake2b"]:
-                raise ArtifactError(
-                    f"{path}: checksum mismatch on array {array_name!r} "
-                    f"({digest} != {spec['blake2b']})"
-                )
-        extra = sorted(set(arrays) - set(expected_arrays))
-        if extra:
-            raise ArtifactError(
-                f"{path}: unexpected arrays {extra} not in manifest"
-            )
 
     def load(
         self,
@@ -726,20 +593,17 @@ class ArtifactStore:
     ) -> LoadedArtifact:
         """Resolve, (optionally) verify, and load one artifact version.
 
-        Schema-v2 arrays are memory-mapped by default (``mmap=False``
-        forces the eager pre-v2 behavior — the bench's load-time baseline);
-        v1 artifacts always load eagerly (compressed NPZ).  With
-        ``verify=False`` a v2 load touches no array bytes at all — the
-        near-instant reload path when checksums were already checked.
+        Arrays are memory-mapped by default (``mmap=False`` reads them
+        eagerly — the bench's load-time baseline).  With ``verify=False`` a
+        load touches no array bytes at all — the near-instant reload path
+        when checksums were already checked.
         """
         ref = self.resolve(name, version)
         if verify:
             self.verify(ref)
-        if ref.manifest["version"] == 1:
-            return self._load_v1(ref)
         quantize = ref.quantize
-        u = _load_npy(self._file_path(ref, U_FILE), mmap=mmap)
-        v = _load_npy(self._file_path(ref, V_FILE), mmap=mmap)
+        u = _load_npy(ref.path / U_FILE, mmap=mmap)
+        v = _load_npy(ref.path / V_FILE, mmap=mmap)
         expected = (
             ref.manifest["num_u"],
             ref.manifest["num_v"],
@@ -763,8 +627,8 @@ class ArtifactStore:
                     f"{ref.path}: codes are {u.dtype}/{v.dtype}, manifest "
                     f"says quantize={quantize!r}"
                 )
-            u_scales = _load_npy(self._file_path(ref, U_SCALES_FILE), mmap=mmap)
-            v_scales = _load_npy(self._file_path(ref, V_SCALES_FILE), mmap=mmap)
+            u_scales = _load_npy(ref.path / U_SCALES_FILE, mmap=mmap)
+            v_scales = _load_npy(ref.path / V_SCALES_FILE, mmap=mmap)
             k = ref.manifest["dimension"]
             if u_scales.shape != (k,) or v_scales.shape != (k,):
                 raise ArtifactError(
@@ -797,30 +661,9 @@ class ArtifactStore:
         """The manifest's own digest of the ``v`` array.
 
         The IVF index records this as provenance so ``IVFIndex.load`` can
-        prove index and artifact version agree; the digest lives under
-        ``v.npy`` for schema v2 and inside the embeddings bundle for v1.
+        prove index and artifact version agree.
         """
-        files = ref.manifest["files"]
-        if ref.manifest["version"] == 1:
-            return files[EMBEDDINGS_FILE]["v"]["blake2b"]
-        return files[V_FILE]["v"]["blake2b"]
-
-    def _load_v1(self, ref: ArtifactRef) -> LoadedArtifact:
-        """The legacy eager path for schema-v1 (compressed NPZ) artifacts."""
-        u, v = load_embedding_arrays(ref.path / EMBEDDINGS_FILE)
-        expected = (
-            ref.manifest["num_u"],
-            ref.manifest["num_v"],
-            ref.manifest["dimension"],
-        )
-        if (u.shape[0], v.shape[0], u.shape[1]) != expected:
-            raise ArtifactError(
-                f"{ref.path}: embeddings are u{u.shape} / v{v.shape}, "
-                f"manifest says |U|={expected[0]}, |V|={expected[1]}, "
-                f"k={expected[2]}"
-            )
-        graph = self._load_graph(ref, num_u=u.shape[0], num_v=v.shape[0])
-        return LoadedArtifact(ref=ref, u=u, v=v, graph=graph)
+        return ref.manifest["files"][V_FILE]["v"]["blake2b"]
 
     def _load_graph(
         self, ref: ArtifactRef, *, num_u: int, num_v: int
@@ -828,7 +671,7 @@ class ArtifactStore:
         if not ref.has_graph:
             return None
         try:
-            graph = load_npz(self._file_path(ref, GRAPH_FILE))
+            graph = load_npz(ref.path / GRAPH_FILE)
         except ValueError as exc:
             raise ArtifactError(str(exc)) from exc
         if graph.num_u != num_u or graph.num_v > num_v:
@@ -839,58 +682,25 @@ class ArtifactStore:
         return graph
 
     # ------------------------------------------------------------------
-    # Retention (delta versions accumulate; gc keeps disk bounded)
+    # Retention (versions accumulate; gc keeps disk bounded)
     # ------------------------------------------------------------------
-    def _referencing_versions(self, name: str, version: int) -> List[int]:
-        """Versions whose delta manifests directly reference ``version``."""
-        dependents = []
-        for other in self.versions(name):
-            if other == version:
-                continue
-            try:
-                other_ref = self.resolve(name, other)
-            except ArtifactError:
-                # An unreadable sibling cannot prove it needs this version,
-                # but deleting under uncertainty is worse: keep it pinned.
-                dependents.append(other)
-                continue
-            if version in set(other_ref.file_refs.values()):
-                dependents.append(other)
-        return sorted(dependents)
-
     def delete(self, name: str, version: int) -> None:
         """Delete one published version of ``name``.
 
         Raises
         ------
         ArtifactError
-            When the version does not exist, or when another version's
-            delta manifest still references it — deleting it would break
-            that version's reference chain.  The error names the
-            referencing version(s); delete (or prune) those first.
+            When the version does not exist.
         """
-        self._check_name(name)
-        if version not in self.versions(name):
+        published = self.versions(name)
+        if version not in published:
             raise ArtifactError(
-                f"{name!r} has no version {version}; published: "
-                f"{self.versions(name)}"
-            )
-        dependents = self._referencing_versions(name, version)
-        if dependents:
-            tags = ", ".join(f"v{d:04d}" for d in dependents)
-            raise ArtifactError(
-                f"cannot delete {name}@v{version}: delta manifest(s) of "
-                f"{tags} reference its files; delete those versions first "
-                "or use prune()"
+                f"{name!r} has no version {version}; published: {published}"
             )
         shutil.rmtree(self.root / name / f"v{version:04d}")
 
     def prune(self, name: str, *, keep: int) -> Tuple[List[int], List[int]]:
         """Delete old versions of ``name``, keeping the newest ``keep``.
-
-        Every version a kept version's delta chain references (transitively)
-        is retained as well, however old — pruning never breaks a
-        reference chain, so the survivors still ``verify``/``load``.
 
         Returns
         -------
@@ -898,23 +708,10 @@ class ArtifactStore:
             The version numbers removed and the ones still on disk,
             both ascending.
         """
-        self._check_name(name)
         if keep < 1:
             raise ArtifactError(f"keep must be >= 1, got {keep}")
         published = self.versions(name)
-        retained = set(published[-keep:])
-        frontier = list(retained)
-        while frontier:
-            version = frontier.pop()
-            try:
-                ref = self.resolve(name, version)
-            except ArtifactError:
-                continue  # unreadable: keep it, but it pins nothing further
-            for base_version in set(ref.file_refs.values()):
-                if base_version in published and base_version not in retained:
-                    retained.add(base_version)
-                    frontier.append(base_version)
-        deleted = [version for version in published if version not in retained]
+        deleted, retained = published[:-keep], published[-keep:]
         for version in deleted:
             shutil.rmtree(self.root / name / f"v{version:04d}")
-        return deleted, sorted(retained)
+        return deleted, retained

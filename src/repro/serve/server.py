@@ -26,9 +26,10 @@ Load-shedding is explicit and layered:
 * **Admission** — at most ``max_queue`` requests are in flight; request
   ``max_queue + 1`` is answered ``429`` *immediately*, before any work.
 * **Deadline** — every admitted request carries a deadline
-  (``deadline_ms`` in the body, default from config); a request that
-  exceeds it — e.g. it sat behind a long batch — is answered ``503``
-  rather than returning data nobody is waiting for anymore.
+  (``deadline_ms`` in the body, default from config; a finite positive
+  number, else ``400``); a request that exceeds it — e.g. it sat behind a
+  long batch — is answered ``503`` rather than returning data nobody is
+  waiting for anymore.
 
 Single-user requests flow through the
 :class:`~repro.serve.batcher.MicroBatcher` (when enabled), so concurrent
@@ -61,13 +62,16 @@ import numpy as np
 from .artifacts import ArtifactError
 from .batcher import BatcherClosed, MicroBatcher, QueueFull
 from .service import EmbeddingService
-from .sharded import ShardFailure
 
 __all__ = ["Route", "ROUTES", "ServerConfig", "EmbeddingServer"]
 
 #: Request bodies larger than this are rejected outright (a top-k request
 #: is a few hundred bytes; anything bigger is abuse or confusion).
 MAX_BODY_BYTES = 1 << 20
+
+#: The longest request deadline, in milliseconds: the longest timeout a
+#: ``threading`` wait accepts (a batched request waits on its future).
+MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1e3
 
 
 @dataclass(frozen=True)
@@ -385,10 +389,7 @@ class EmbeddingServer:
             raise _HttpError(400, "'n' must be a non-negative integer")
         with_scores = bool(body.get("with_scores", False))
         exclude = bool(body.get("exclude", True))
-        deadline_ms = body.get("deadline_ms", self.config.deadline_ms)
-        if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
-            raise _HttpError(400, "'deadline_ms' must be a positive number")
-        deadline = arrived + float(deadline_ms) / 1e3
+        deadline = self._deadline(body, arrived)
 
         # Admission: over capacity -> 429 before any scoring work.
         if not self._admission.acquire(blocking=False):
@@ -404,13 +405,6 @@ class EmbeddingServer:
             )
             self.service.metrics.observe("request", time.perf_counter() - arrived)
             return 200, payload
-        except ShardFailure as exc:
-            # The scatter-gather tier already counted the failure; under
-            # on_failure="fail" a slow or dead shard is an availability
-            # event, answered like a missed deadline.
-            raise _HttpError(
-                503, f"shard failure: {exc} (failed shards: {exc.failed})"
-            ) from exc
         finally:
             self.service.metrics.queue_left()
             self._admission.release()
@@ -443,6 +437,26 @@ class EmbeddingServer:
             )
         return indices, single
 
+    def _deadline(self, body: Dict[str, Any], arrived: float) -> float:
+        """The request's absolute deadline on the ``perf_counter`` clock.
+
+        ``deadline_ms`` must be a finite positive number: JSON ``NaN`` and
+        ``Infinity`` parse as floats and ``true`` as an int, and none of
+        them is a usable budget.  The chained comparison is false for NaN.
+        """
+        deadline_ms = body.get("deadline_ms", self.config.deadline_ms)
+        if (
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+            or not 0 < deadline_ms <= MAX_DEADLINE_MS
+        ):
+            raise _HttpError(
+                400,
+                "'deadline_ms' must be a finite positive number "
+                f"(at most {MAX_DEADLINE_MS:.0f})",
+            )
+        return arrived + float(deadline_ms) / 1e3
+
     def _parse_users(self, body: Dict[str, Any]) -> Tuple[np.ndarray, bool]:
         return self._parse_indices(
             body, "user", "users", self.service.num_users
@@ -463,10 +477,7 @@ class EmbeddingServer:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise _HttpError(400, "'n' must be a non-negative integer")
         with_scores = bool(body.get("with_scores", False))
-        deadline_ms = body.get("deadline_ms", self.config.deadline_ms)
-        if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
-            raise _HttpError(400, "'deadline_ms' must be a positive number")
-        deadline = arrived + float(deadline_ms) / 1e3
+        deadline = self._deadline(body, arrived)
 
         # Admission: over capacity -> 429 before any scoring work.
         if not self._admission.acquire(blocking=False):
@@ -623,13 +634,6 @@ class EmbeddingServer:
             if with_scores:
                 payload["scores"] = [
                     [float(s) for s in row] for row in response["scores"]
-                ]
-            if "degraded" in response:
-                # Sharded serving under on_failure="degrade": the answer is
-                # partial and says so, instead of 503ing the whole request.
-                payload["degraded"] = bool(response["degraded"])
-                payload["failed_shards"] = [
-                    int(s) for s in response["failed_shards"]
                 ]
             if response.get("mode") == "ann":
                 payload["mode"] = "ann"

@@ -11,8 +11,6 @@ see the engine's class notes), and answers:
 * :meth:`top_items` — batched top-``n`` retrieval, element-identical to the
   offline engine path;
 * :meth:`scores` — raw ``U[u] . V[v]`` scores for one user;
-* :meth:`similar_users` — nearest users by normalized cosine (the MHS
-  approximation of paper Eq. 12);
 * :meth:`similar` — *exact* matrix-free MHS/MHP neighbors through a
   :class:`~repro.tasks.similarity.SimilarityEngine` over the artifact's
   shipped training graph (graph-bearing artifacts only).
@@ -27,8 +25,8 @@ All bookkeeping lives in :class:`ServiceMetrics`, a lock-guarded, always-on
 counterpart of the per-run :mod:`repro.obs` collector (which is
 single-threaded by design and therefore cannot sit on a multi-threaded hot
 path).  Counter names match the RunReport ``ops`` vocabulary
-(``gemms``, ``topk_candidates``) so ``/metrics`` and the v4
-``service`` report section read the same language.
+(``gemms``, ``topk_candidates``) so ``/metrics`` and the ``service`` entry
+of the RunReport ``sections`` map read the same language.
 """
 
 from __future__ import annotations
@@ -43,14 +41,12 @@ import numpy as np
 
 from ..ann import INDEX_FILE, IVFIndex
 from ..core.base import EmbeddingResult
-from ..core.selection import select_topn
 from ..graph import BipartiteGraph
 from ..core.pmf import PathLengthPMF, PoissonPMF
 from ..linalg.policy import DtypePolicy
 from ..tasks.similarity import SIMILARITY_MODES, SimilarityEngine, transposed_graph
 from ..tasks.topk import QuantizedTopKEngine, TopKEngine
 from .artifacts import ArtifactError, ArtifactRef, ArtifactStore, LoadedArtifact
-from .sharded import PoolClosedError, ShardConfig, ShardedTopK
 
 __all__ = ["EmbeddingService", "ServiceMetrics", "percentile"]
 
@@ -96,8 +92,6 @@ class ServiceMetrics:
         "topk_candidates",
         "ann_probes",
         "ann_candidates",
-        "shard_failures",
-        "degraded",
         "similar_queries",
         "similar_matvecs",
     )
@@ -186,26 +180,8 @@ class ServiceMetrics:
         }
 
 
-def _unit_rows_quantized(engine: QuantizedTopKEngine) -> np.ndarray:
-    """Row-normalized dequantized U, built in chunks off the code memmap.
-
-    Matches :meth:`EmbeddingResult.normalized_u` semantics exactly
-    (zero-norm rows pass through unscaled) without ever materializing the
-    full dequantized matrix alongside the result.
-    """
-    num_users = engine.num_users
-    dim = engine._u_scales.size
-    unit = np.empty((num_users, dim))
-    step = max(1, (1 << 22) // max(1, dim))
-    for lo in range(0, num_users, step):
-        block = engine._dequant_u(slice(lo, min(num_users, lo + step)))
-        norms = np.linalg.norm(block, axis=1, keepdims=True)
-        unit[lo : lo + block.shape[0]] = block / np.where(norms > 0, norms, 1.0)
-    return unit
-
-
 class _Model:
-    """One immutable loaded artifact: arrays, engine template, unit-U cache.
+    """One immutable loaded artifact: arrays, engine template, IVF index.
 
     Instances are swapped atomically on reload; nothing in here mutates
     after construction except the template engine's private workspace, which
@@ -217,8 +193,6 @@ class _Model:
         loaded: LoadedArtifact,
         policy: DtypePolicy,
         block_rows: Optional[int],
-        shards: Optional[ShardConfig] = None,
-        shard_hook=None,
         ann: bool = False,
     ):
         self.ref = loaded.ref
@@ -228,12 +202,13 @@ class _Model:
         # that side; the H diagonal is probed on the side's first mhs query.
         self._similarity: Dict[str, SimilarityEngine] = {}
         self._similarity_lock = threading.Lock()
+        self.ivf: Optional[IVFIndex] = None
         if loaded.quantize is not None:
-            if ann or shards is not None:
+            if ann:
                 raise ArtifactError(
                     f"{loaded.ref.tag} is quantized ({loaded.quantize}); the "
-                    "ann and sharded serving modes need a float artifact — "
-                    "republish without --quantize to use them"
+                    "ann serving mode needs a float artifact — republish "
+                    "without --quantize to use it"
                 )
             # No EmbeddingResult over codes: every read-out goes through the
             # quantized engine, which is exact over the dequantized arrays.
@@ -247,9 +222,6 @@ class _Model:
                 policy=policy,
                 block_rows=block_rows,
             )
-            self.unit_u = _unit_rows_quantized(self.template)
-            self.sharded_template: Optional[ShardedTopK] = None
-            self.ivf: Optional[IVFIndex] = None
             return
         self.result = EmbeddingResult(
             u=loaded.u,
@@ -259,19 +231,6 @@ class _Model:
         self.template = TopKEngine(
             self.result.u, self.result.v, policy=policy, block_rows=block_rows
         )
-        self.unit_u = self.result.normalized_u()
-        self.sharded_template: Optional[ShardedTopK] = None
-        if shards is not None:
-            self.sharded_template = ShardedTopK(
-                self.result.u,
-                self.result.v,
-                config=shards,
-                graph=self.graph,
-                policy=policy,
-                block_rows=block_rows,
-                shard_hook=shard_hook,
-            )
-        self.ivf: Optional[IVFIndex] = None
         if ann:
             index_path = loaded.ref.path / INDEX_FILE
             if not index_path.is_file():
@@ -286,8 +245,8 @@ class _Model:
 
     def bytes_resident(self) -> int:
         """Heap bytes this model pins: engine arrays (memmaps excluded,
-        they live in the shared page cache) plus the unit-U cache."""
-        return self.template.resident_bytes() + self.unit_u.nbytes
+        they live in the shared page cache)."""
+        return self.template.resident_bytes()
 
     def similarity_template(
         self,
@@ -350,14 +309,6 @@ class EmbeddingService:
     verify:
         Checksum-verify artifacts on every load (default on; the whole
         point of the manifest).
-    shards:
-        Scatter-gather over item partitions
-        (:class:`~repro.serve.sharded.ShardConfig`); ``None`` serves from
-        one engine.  Merged lists stay element-identical to the
-        single-engine path; see :mod:`repro.serve.sharded`.
-    shard_hook:
-        Test-only per-shard fault injection, forwarded to
-        :class:`~repro.serve.sharded.ShardedTopK`.
     ann, nprobe:
         Serve :meth:`top_items` through the artifact's IVF index
         (``repro index`` must have built one for the served version;
@@ -382,19 +333,12 @@ class EmbeddingService:
         block_rows: Optional[int] = None,
         verify: bool = True,
         mmap: bool = True,
-        shards: Optional[ShardConfig] = None,
-        shard_hook=None,
         ann: bool = False,
         nprobe: Optional[int] = None,
         similar_pmf: Optional[PathLengthPMF] = None,
         similar_tau: int = 5,
         similar_normalization: str = "sym",
     ):
-        if ann and shards is not None:
-            raise ValueError(
-                "ann and shards are mutually exclusive serving modes "
-                "(shard the exact path, or probe the IVF index, not both)"
-            )
         if nprobe is not None and not ann:
             raise ValueError("nprobe requires ann=True")
         self._store = store
@@ -403,8 +347,6 @@ class EmbeddingService:
         self._block_rows = block_rows
         self._verify = verify
         self._mmap = bool(mmap)
-        self._shards = shards
-        self._shard_hook = shard_hook
         self._ann = bool(ann)
         self._nprobe = nprobe
         self._similar_pmf = (
@@ -424,19 +366,7 @@ class EmbeddingService:
         loaded = self._store.load(
             self._name, version, verify=self._verify, mmap=self._mmap
         )
-        return _Model(
-            loaded,
-            self._policy,
-            self._block_rows,
-            shards=self._shards,
-            shard_hook=self._shard_hook,
-            ann=self._ann,
-        )
-
-    def close(self) -> None:
-        """Release the sharded scatter pool, if any (idempotent)."""
-        if self._model.sharded_template is not None:
-            self._model.sharded_template.close()
+        return _Model(loaded, self._policy, self._block_rows, ann=self._ann)
 
     @property
     def artifact(self) -> ArtifactRef:
@@ -468,20 +398,12 @@ class EmbeddingService:
         The swap itself is one reference assignment: requests already
         scoring keep the old arrays alive until they return, and every
         worker thread re-clones its engine on its next call.
-
-        The old model's sharded scatter pool (if any) is closed after the
-        swap — drained, not yanked: waves already scattered finish on it,
-        new waves land on the new model, and no ``n_shards``-thread pool
-        outlives its model (the pre-fix behavior leaked one per reload).
         """
         with self._reload_lock:
-            old = self._model
-            old_tag = old.ref.tag
+            old_tag = self._model.ref.tag
             model = self._load(version)
             self._model = model
             self.metrics.count("reloads")
-        if old.sharded_template is not None:
-            old.sharded_template.close()
         return old_tag, model.ref.tag
 
     def _engine(self) -> Tuple[TopKEngine, _Model]:
@@ -489,18 +411,8 @@ class EmbeddingService:
         model = self._model
         if getattr(self._local, "model", None) is not model:
             self._local.engine = model.template.clone_for_worker()
-            self._local.sharded = (
-                model.sharded_template.clone_for_worker()
-                if model.sharded_template is not None
-                else None
-            )
             self._local.model = model
         return self._local.engine, model
-
-    def _sharded(self) -> Tuple[ShardedTopK, _Model]:
-        """This thread's sharded clone (same swap discipline as `_engine`)."""
-        _, model = self._engine()
-        return self._local.sharded, model
 
     def _similarity_engine(self, side: str) -> Tuple[SimilarityEngine, _Model]:
         """This thread's similarity clone for ``side`` (re-cloned on swap).
@@ -543,11 +455,9 @@ class EmbeddingService:
         artifact ships its graph (a no-op otherwise).  Lists are
         element-identical to the offline
         :meth:`~repro.tasks.topk.TopKEngine.top_items` path — same engine,
-        same :func:`~repro.core.selection.select_topn` ordering.  The
-        sharded mode keeps that identity through the scatter-gather merge
-        (degraded answers excepted — they carry ``degraded: True`` and the
-        failed shard ids); the ANN mode keeps it at full probe and trades
-        measured recall below it.
+        same :func:`~repro.core.selection.select_topn` ordering.  The ANN
+        mode keeps that identity at full probe and trades measured recall
+        below it.
         """
         engine, model = self._engine()
         users_array = np.asarray(users, dtype=np.int64)
@@ -555,10 +465,6 @@ class EmbeddingService:
             raise ValueError("users must be a 1-D index sequence")
         if model.ivf is not None:
             return self._top_items_ann(
-                model, users_array, n, with_scores, exclude_train
-            )
-        if model.sharded_template is not None:
-            return self._top_items_sharded(
                 model, users_array, n, with_scores, exclude_train
             )
         exclude = model.graph if exclude_train else None
@@ -640,65 +546,6 @@ class EmbeddingService:
         }
         if with_scores:
             payload["scores"] = scores
-        return payload
-
-    def _top_items_sharded(
-        self,
-        model: _Model,
-        users: np.ndarray,
-        n: int,
-        with_scores: bool,
-        exclude_train: bool,
-    ) -> Dict[str, Any]:
-        """Scatter-gather read-out; exact merge, flagged degraded answers."""
-        sharded, _ = self._sharded()
-        started = time.perf_counter()
-        try:
-            try:
-                result = sharded.top_items(
-                    n,
-                    users=users,
-                    exclude=exclude_train and model.graph is not None,
-                    with_scores=with_scores,
-                )
-            except PoolClosedError:
-                # Our thread-local clone pointed at a swapped-out model whose
-                # pool was retired between _engine() and the scatter; re-clone
-                # against the current model and retry once.
-                self._local.model = None
-                engine_sharded, model = self._sharded()
-                if engine_sharded is None:  # current model is not sharded
-                    raise
-                sharded = engine_sharded
-                result = sharded.top_items(
-                    n,
-                    users=users,
-                    exclude=exclude_train and model.graph is not None,
-                    with_scores=with_scores,
-                )
-        except Exception:
-            self.metrics.count("shard_failures")
-            raise
-        elapsed = time.perf_counter() - started
-        blocks = (
-            -(-users.size // model.template.block_rows) if users.size else 0
-        )
-        self.metrics.count("requests")
-        self.metrics.count("gemms", blocks * sharded.n_shards)
-        self.metrics.count("topk_candidates", users.size * sharded.num_items)
-        if result["degraded"]:
-            self.metrics.count("degraded")
-        self.metrics.observe("score", elapsed)
-        payload: Dict[str, Any] = {
-            "model": model.ref.tag,
-            "users": users,
-            "items": result["items"],
-            "n": result["items"].shape[1],
-            "degraded": result["degraded"],
-            "failed_shards": result["failed_shards"],
-        }
-        if with_scores:
-            payload["scores"] = result["scores"]
         return payload
 
     def scores(
@@ -790,19 +637,3 @@ class EmbeddingService:
         if with_scores:
             payload["scores"] = scores
         return payload
-
-    def similar_users(self, user: int, n: int = 10) -> np.ndarray:
-        """The ``n`` users nearest to ``user`` by normalized cosine."""
-        _, model = self._engine()
-        user = int(user)
-        unit = model.unit_u
-        if not 0 <= user < unit.shape[0]:
-            raise ValueError(f"user index must be in [0, {unit.shape[0]})")
-        cosines = unit @ unit[user]
-        cosines[user] = -np.inf
-        n_keep = min(int(n), cosines.size - 1)
-        self.metrics.count("requests")
-        self.metrics.count("topk_candidates", cosines.size)
-        if n_keep <= 0:
-            return np.empty(0, dtype=np.int64)
-        return select_topn(cosines, n_keep)

@@ -68,9 +68,8 @@ def neighbor_items(graph: BipartiteGraph, user: int) -> np.ndarray:
     """The item ids adjacent to ``user`` — one CSR ``indptr`` slice.
 
     The per-user complement of :meth:`TopKEngine._mask_exclusions`: the ANN
-    rerank (:mod:`repro.ann.ivf`) and the sharded merge work on candidate
-    *subsets*, where a flat neighbor array to ``isin`` against beats a
-    dense block mask.  Returned ascending (CSR column order), int64.
+    rerank (:mod:`repro.ann.ivf`) works on candidate *subsets*, where a
+    flat neighbor array to ``isin`` against beats a dense block mask.  Returned ascending (CSR column order), int64.
     """
     indptr = graph.w.indptr
     return graph.w.indices[indptr[user] : indptr[user + 1]].astype(np.int64)

@@ -45,7 +45,6 @@ GATES = [
     ("quant_runs", "lists_equal"),
     ("refresh_runs", "quality_ok"),
     ("refresh_runs", "warm_saves_matvecs"),
-    ("refresh_runs", "delta_publish_smaller"),
     ("ooc_runs", "bit_identical"),
     ("ooc_runs", "matvecs_equal"),
     ("ooc_runs", "rss_within_budget"),
@@ -332,8 +331,6 @@ class TestGates:
         change = {gate: False}
         if gate == "warm_saves_matvecs":  # warm (last) as costly as cold (first)
             change = {"matvecs": full[key][0]["matvecs"]}
-        if gate == "delta_publish_smaller":
-            change = {"publish_bytes": full[key][-1]["full_publish_bytes"]}
         broken, row = _broken(full, key, **change)
         assert [(a.key, g) for a, g, r in violations(broken)] == [(key, gate)]
         assert compare_bench(full, broken)["invariant_violations"] == [row]
@@ -622,10 +619,6 @@ class TestRefreshAxis:
         assert warm["refresh_mode"] == "warm"  # accepted, not the fallback
         assert warm["matvecs"] < cold["matvecs"]
         assert warm["qr_factorizations"] < cold["qr_factorizations"]
-
-    def test_delta_publish_smaller_than_full(self, full):
-        warm = full["refresh_runs"][1]
-        assert 0 < warm["publish_bytes"] < warm["full_publish_bytes"]
 
     def test_quality_gate_passes(self, full):
         assert all(row["quality_ok"] for row in full["refresh_runs"])

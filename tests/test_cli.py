@@ -231,19 +231,6 @@ class TestIndex:
         err = capsys.readouterr().err
         assert "checksum" in err and "repro index" in err
 
-    def test_serve_shard_flags_parse(self):
-        args = build_parser().parse_args(
-            ["serve", "--store", "s", "--name", "toy", "--shards", "4",
-             "--shard-deadline-ms", "50", "--on-shard-failure", "degrade"]
-        )
-        assert args.shards == 4
-        assert args.on_shard_failure == "degrade"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve", "--store", "s", "--name", "toy",
-                 "--on-shard-failure", "retry"]
-            )
-
     def test_bench_ann_flags_conflict(self, capsys):
         assert main(["bench", "--ann-only", "--topk-only"]) == 2
         assert "conflict" in capsys.readouterr().err
@@ -395,7 +382,7 @@ class TestQuantizedCli:
 
 
 class TestRefreshCli:
-    """The `repro refresh` verb: delta log in, delta-published refit out."""
+    """The `repro refresh` verb: delta log in, refit published as a new version."""
 
     @pytest.fixture
     def published(self, edge_file, tmp_path):
@@ -427,7 +414,9 @@ class TestRefreshCli:
         log.save(path)
         return str(path)
 
-    def test_warm_refresh_delta_publishes(self, published, delta_file, capsys):
+    def test_warm_refresh_publishes_full_version(
+        self, published, delta_file, capsys
+    ):
         code = main(
             ["refresh", delta_file, "--store", published, "--name", "toy"]
         )
@@ -439,7 +428,11 @@ class TestRefreshCli:
 
         ref = ArtifactStore(published).resolve("toy")
         assert ref.version == 2
-        assert ref.base_version == 1
+        assert "file_refs" not in ref.manifest
+        # Every file lives in the new version directory itself.
+        assert sorted(ref.manifest["files"]) == sorted(
+            path.name for path in ref.path.iterdir() if path.name != "manifest.json"
+        )
         ArtifactStore(published).verify(ref)
 
     def test_cold_flag_skips_warm_start(self, published, delta_file, capsys):
@@ -534,32 +527,6 @@ class TestArtifactsCli:
 
         assert ArtifactStore(store).versions("toy") == [3]
 
-    def test_gc_retains_referenced_bases(
-        self, edge_file, tmp_path, capsys
-    ):
-        """A delta chain pins its bases: gc must not break it."""
-        emb = str(tmp_path / "emb.npz")
-        assert main(["embed", edge_file, emb, "--dimension", "8"]) == 0
-        store = str(tmp_path / "store")
-        assert main(["publish", emb, "--store", store, "--name", "toy"]) == 0
-        # v2 delta-publishes identical arrays: pure references to v1.
-        assert main(
-            ["publish", emb, "--store", store, "--name", "toy",
-             "--base-version", "1"]
-        ) == 0
-        capsys.readouterr()
-        code = main(
-            ["artifacts", "gc", "--store", store, "--name", "toy",
-             "--keep", "1"]
-        )
-        assert code == 0
-        assert "deleted none" in capsys.readouterr().out
-        from repro.serve import ArtifactStore
-
-        store_obj = ArtifactStore(store)
-        assert store_obj.versions("toy") == [1, 2]
-        store_obj.verify(store_obj.resolve("toy", 2))
-
     def test_gc_validates_keep(self, tmp_path, capsys):
         code = main(
             ["artifacts", "gc", "--store", str(tmp_path / "s"),
@@ -567,21 +534,6 @@ class TestArtifactsCli:
         )
         assert code == 2
         assert "--keep" in capsys.readouterr().err
-
-    def test_publish_base_version_reports_refs(
-        self, edge_file, tmp_path, capsys
-    ):
-        emb = str(tmp_path / "emb.npz")
-        assert main(["embed", edge_file, emb, "--dimension", "8"]) == 0
-        store = str(tmp_path / "store")
-        assert main(["publish", emb, "--store", store, "--name", "toy"]) == 0
-        capsys.readouterr()
-        code = main(
-            ["publish", emb, "--store", store, "--name", "toy",
-             "--base-version", "1"]
-        )
-        assert code == 0
-        assert "delta over v1" in capsys.readouterr().out
 
 
 class TestBenchRefreshCli:
@@ -603,10 +555,6 @@ class TestBenchRefreshCli:
         assert rows and payload["runs"] == []
         by_mode = {row["mode"]: row for row in rows}
         assert by_mode["warm"]["matvecs"] < by_mode["cold"]["matvecs"]
-        assert (
-            by_mode["warm"]["publish_bytes"]
-            < by_mode["warm"]["full_publish_bytes"]
-        )
         assert all(row["quality_ok"] for row in rows)
 
 

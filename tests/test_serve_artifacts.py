@@ -1,5 +1,6 @@
 """Tests for the versioned artifact store (repro.serve.artifacts)."""
 
+import errno
 import json
 
 import numpy as np
@@ -16,9 +17,7 @@ from repro.serve import (
     load_embedding_arrays,
 )
 from repro.serve.artifacts import (
-    ARTIFACT_SCHEMA_NAME,
     ARTIFACT_SCHEMA_VERSION,
-    EMBEDDINGS_FILE,
     MANIFEST_FILE,
     STAGING_PREFIX,
 )
@@ -104,6 +103,33 @@ class TestPublishResolve:
         for name in ("", "../escape", "a/b", ".hidden"):
             with pytest.raises(ArtifactError, match="invalid artifact name"):
                 store.publish(name, u, v)
+
+    def test_publish_race_raises_retry_error(self, store, embeddings, monkeypatch):
+        """A publisher working from a stale version list renames onto a
+        version another publisher already claimed: that is the retry error
+        (the rename fails with ENOTEMPTY on Linux), and nothing leaks."""
+        u, v = embeddings
+        store.publish("toy", u, v)
+        monkeypatch.setattr(store, "versions", lambda name: [])
+        with pytest.raises(ArtifactError, match="published concurrently; retry"):
+            store.publish("toy", u * 2, v)
+        monkeypatch.undo()
+        assert store.versions("toy") == [1]
+        np.testing.assert_array_equal(store.load("toy").u, u)
+        assert not [
+            p for p in (store.root / "toy").iterdir()
+            if p.name.startswith(STAGING_PREFIX)
+        ]
+
+    def test_other_rename_errors_pass_through(self, store, embeddings, monkeypatch):
+        import repro.serve.artifacts as artifacts_module
+
+        def deny(src, dst):
+            raise PermissionError(errno.EACCES, "denied")
+
+        monkeypatch.setattr(artifacts_module.os, "rename", deny)
+        with pytest.raises(PermissionError):
+            store.publish("toy", *embeddings)
 
     def test_non_2d_embeddings_rejected(self, store):
         with pytest.raises(ArtifactError, match="2-D"):
@@ -228,7 +254,7 @@ class TestMemoryMappedLoad:
         ref = store.publish("toy", u, v)
         assert (ref.path / "u.npy").is_file()
         assert (ref.path / "v.npy").is_file()
-        assert not (ref.path / EMBEDDINGS_FILE).exists()
+        assert not (ref.path / "embeddings.npz").exists()
         assert ref.manifest["version"] == ARTIFACT_SCHEMA_VERSION
         assert ref.quantize is None
 
@@ -285,71 +311,68 @@ class TestQuantizedArtifacts:
         assert store.load("toy", 2).quantize == "float16"
 
 
-class TestV1LegacyArtifacts:
-    """Hand-built schema-v1 artifacts must still resolve, verify, load."""
+class TestSchemaCompatibility:
+    """Only full schema-v3 manifests are read; older layouts say to republish."""
 
-    def _publish_v1(self, store, u, v):
-        base = store.root / "legacy"
-        path = base / "v0001"
-        path.mkdir(parents=True)
-        np.savez_compressed(path / EMBEDDINGS_FILE, u=u, v=v)
-        manifest = {
-            "schema": ARTIFACT_SCHEMA_NAME,
-            "version": 1,
-            "name": "legacy",
-            "artifact_version": 1,
-            "created": "2026-01-01T00:00:00Z",
-            "method": None,
-            "dataset": None,
-            "dimension": int(u.shape[1]),
-            "num_u": int(u.shape[0]),
-            "num_v": int(v.shape[0]),
-            "dtype": str(u.dtype),
-            "files": {
-                EMBEDDINGS_FILE: {
-                    name: {
-                        "dtype": str(array.dtype),
-                        "shape": [int(dim) for dim in array.shape],
-                        "blake2b": array_checksum(array),
-                    }
-                    for name, array in (("u", u), ("v", v))
-                }
-            },
-            "metadata": {},
-        }
-        (path / MANIFEST_FILE).write_text(json.dumps(manifest))
-        return path
+    @staticmethod
+    def _rewrite(ref, **changes):
+        manifest = json.loads((ref.path / MANIFEST_FILE).read_text())
+        manifest.update(changes)
+        (ref.path / MANIFEST_FILE).write_text(json.dumps(manifest))
 
-    def test_v1_round_trip(self, store, embeddings):
+    def test_writer_omits_delta_keys(self, store, embeddings):
+        ref = store.publish("toy", *embeddings)
+        assert ref.manifest["version"] == ARTIFACT_SCHEMA_VERSION == 3
+        assert "file_refs" not in ref.manifest
+        assert "base_version" not in ref.manifest
+
+    @pytest.mark.parametrize("base_version", [None, 1])
+    def test_full_manifests_with_empty_refs_load(
+        self, store, embeddings, graph, base_version
+    ):
+        """Earlier writers stamped every v3 manifest with ``file_refs: {}``
+        and a ``base_version`` (null, or the version a refresh started
+        from): those are full publishes and must verify and load."""
         u, v = embeddings
-        self._publish_v1(store, u, v)
-        ref = store.resolve("legacy")
-        assert ref.manifest["version"] == 1
-        assert ref.quantize is None
+        store.publish("toy", u, v, graph=graph)
+        self._rewrite(
+            store.publish("toy", u * 2, v, graph=graph),
+            base_version=base_version,
+            file_refs={},
+        )
+        ref = store.resolve("toy", 2)
         store.verify(ref)
-        loaded = store.load("legacy")
-        assert not isinstance(loaded.u, np.memmap)  # npz: always eager
-        np.testing.assert_array_equal(loaded.u, u)
-        np.testing.assert_array_equal(loaded.v, v)
-        assert ArtifactStore.v_checksum(ref) == array_checksum(v)
+        loaded = store.load("toy", 2)
+        np.testing.assert_array_equal(np.asarray(loaded.u), u * 2)
+        assert loaded.graph.num_edges == graph.num_edges
 
-    def test_v1_corruption_detected(self, store, embeddings):
+    def test_delta_manifest_rejected(self, store, embeddings, graph):
         u, v = embeddings
-        path = self._publish_v1(store, u, v)
-        arrays = dict(np.load(path / EMBEDDINGS_FILE))
-        arrays["u"] = arrays["u"].copy()
-        arrays["u"][0, 0] += 1.0
-        np.savez_compressed(path / EMBEDDINGS_FILE, **arrays)
-        with pytest.raises(ArtifactError, match="checksum mismatch"):
-            store.load("legacy")
+        store.publish("toy", u, v, graph=graph)
+        ref = store.publish("toy", u * 2, v, graph=graph)
+        (ref.path / "graph.npz").unlink()
+        self._rewrite(ref, base_version=1, file_refs={"graph.npz": 1})
+        with pytest.raises(ArtifactError, match="v2 is a delta publish") as info:
+            store.load("toy", 2)
+        assert "republish" in str(info.value)
+        store.load("toy", 1)  # the other versions stay readable
+
+    @pytest.mark.parametrize("schema_version", [1, 2])
+    def test_old_schema_versions_rejected(self, store, embeddings, schema_version):
+        self._rewrite(store.publish("toy", *embeddings), version=schema_version)
+        with pytest.raises(
+            ArtifactError, match=f"schema version {schema_version} is not readable"
+        ) as info:
+            store.load("toy")
+        assert "republish" in str(info.value)
 
     def test_republish_upgrades_schema(self, store, embeddings):
         u, v = embeddings
-        self._publish_v1(store, u, v)
-        ref = store.publish("legacy", u, v)
+        self._rewrite(store.publish("toy", u, v), version=1)
+        ref = store.publish("toy", u, v)
         assert ref.version == 2
         assert ref.manifest["version"] == ARTIFACT_SCHEMA_VERSION
-        assert isinstance(store.load("legacy").u, np.memmap)
+        assert isinstance(store.load("toy").u, np.memmap)
 
 
 class TestLoadEmbeddingArrays:
@@ -475,131 +498,27 @@ class TestIndexProvenance:
             EmbeddingService(store, "toy", ann=True, verify=False)
 
 
-def _dir_bytes(path):
-    return sum(p.stat().st_size for p in path.iterdir() if p.is_file())
-
-
-class TestDeltaPublish:
-    """Schema v3: ``publish(..., base_version=)`` records unchanged files
-    as ``file_refs`` pointers instead of rewriting the bytes."""
-
-    def test_unchanged_graph_becomes_a_reference(self, store, embeddings, graph):
-        u, v = embeddings
-        store.publish("toy", u, v, graph=graph)
-        ref = store.publish("toy", u * 2, v * 2, graph=graph, base_version=1)
-        assert ref.base_version == 1
-        assert ref.file_refs == {"graph.npz": 1}
-        assert not (ref.path / "graph.npz").exists()
-        assert (ref.path / "u.npy").is_file()
-
-    def test_unchanged_embeddings_become_references(self, store, embeddings, graph):
-        """The ingest step: new graph, byte-identical embeddings."""
-        u, v = embeddings
-        store.publish("toy", u, v, graph=graph)
-        ref = store.publish("toy", u, v, graph=graph, base_version=1)
-        # Graph is identical too, so everything is a reference.
-        assert set(ref.file_refs) == {"u.npy", "v.npy", "graph.npz"}
-        assert not (ref.path / "u.npy").exists()
-
-    def test_delta_publish_writes_fewer_bytes_than_full(
-        self, store, embeddings, graph
-    ):
-        u, v = embeddings
-        store.publish("toy", u, v, graph=graph)
-        delta_ref = store.publish(
-            "toy", u * 2, v * 2, graph=graph, base_version=1
-        )
-        full_ref = store.publish("toy", u * 2, v * 2, graph=graph)
-        assert _dir_bytes(delta_ref.path) < _dir_bytes(full_ref.path)
-
-    def test_chain_load_round_trips(self, store, embeddings, graph):
-        u, v = embeddings
-        store.publish("toy", u, v, graph=graph)
-        store.publish("toy", u * 2, v, graph=graph, base_version=1)
-        loaded = store.load("toy", 2)
-        np.testing.assert_array_equal(np.asarray(loaded.u), u * 2)
-        np.testing.assert_array_equal(np.asarray(loaded.v), v)
-        assert loaded.graph is not None
-        assert loaded.graph.num_edges == graph.num_edges
-
-    def test_transitive_chain_resolves(self, store, embeddings, graph):
-        """v3 references v2's graph which is itself a reference to v1."""
-        u, v = embeddings
-        store.publish("toy", u, v, graph=graph)
-        store.publish("toy", u * 2, v, graph=graph, base_version=1)
-        ref = store.publish("toy", u * 3, v, graph=graph, base_version=2)
-        assert ref.file_refs["graph.npz"] == 2
-        store.verify(ref)
-        loaded = store.load("toy", 3)
-        np.testing.assert_array_equal(np.asarray(loaded.u), u * 3)
-        assert loaded.graph is not None
-
-    def test_verify_names_base_version_on_tamper(self, store, embeddings, graph):
-        """Corruption in a referenced base must fail the *delta* version's
-        verification and say where the broken bytes live."""
-        u, v = embeddings
-        base = store.publish("toy", u, v, graph=graph)
-        store.publish("toy", u * 2, v, graph=graph, base_version=1)
-        arrays = dict(np.load(base.path / "graph.npz"))
-        arrays["data"] = arrays["data"].copy()
-        arrays["data"][0] += 1.0
-        np.savez_compressed(base.path / "graph.npz", **arrays)
-        with pytest.raises(ArtifactError, match="base version v0001"):
-            store.verify(store.resolve("toy", 2))
-
-    def test_missing_base_fails_pointedly(self, store, embeddings, graph):
-        u, v = embeddings
-        base = store.publish("toy", u, v, graph=graph)
-        store.publish("toy", u * 2, v, graph=graph, base_version=1)
-        # Simulate an out-of-band deletion that bypassed the delete() guard.
-        import shutil
-
-        shutil.rmtree(base.path)
-        with pytest.raises(ArtifactError, match="cannot be resolved"):
-            store.load("toy", 2)
-
-    def test_unknown_base_version_rejected(self, store, embeddings):
-        u, v = embeddings
-        store.publish("toy", u, v)
-        with pytest.raises(ArtifactError, match="cannot delta-publish"):
-            store.publish("toy", u, v, base_version=9)
-
-
 class TestRetention:
-    def test_delete_refuses_referenced_version(self, store, embeddings, graph):
+    def test_delete_removes_any_version(self, store, embeddings, graph):
         u, v = embeddings
-        store.publish("toy", u, v, graph=graph)
-        store.publish("toy", u * 2, v, graph=graph, base_version=1)
-        with pytest.raises(ArtifactError, match="reference its files"):
-            store.delete("toy", 1)
-        # Deleting the referencing version first unblocks the base.
-        store.delete("toy", 2)
+        for scale in (1, 2, 3):
+            store.publish("toy", u * scale, v, graph=graph)
         store.delete("toy", 1)
-        assert store.versions("toy") == []
+        store.delete("toy", 3)
+        assert store.versions("toy") == [2]
+        store.verify(store.resolve("toy", 2))
+        with pytest.raises(ArtifactError, match="no version 3"):
+            store.delete("toy", 3)
 
-    def test_prune_keeps_newest_and_chain_closure(self, store, embeddings, graph):
+    def test_prune_keeps_exactly_the_newest(self, store, embeddings, graph):
         u, v = embeddings
-        store.publish("toy", u, v, graph=graph)  # v1
-        store.publish("toy", u * 2, v, graph=graph, base_version=1)  # v2 -> v1
-        store.publish("toy", u * 3, v, graph=graph)  # v3 (full)
-        store.publish("toy", u * 4, v, graph=graph, base_version=3)  # v4 -> v3
-        deleted, retained = store.prune("toy", keep=1)
-        # v4 is kept, and it pins v3; v1/v2 go.
-        assert deleted == [1, 2]
-        assert retained == [3, 4]
-        # The survivor still verifies and loads through its chain.
-        store.verify(store.resolve("toy", 4))
-        assert store.load("toy", 4).graph is not None
-
-    def test_prune_transitive_pinning(self, store, embeddings, graph):
-        u, v = embeddings
-        store.publish("toy", u, v, graph=graph)  # v1
-        store.publish("toy", u * 2, v, graph=graph, base_version=1)  # v2
-        store.publish("toy", u * 3, v, graph=graph, base_version=2)  # v3
-        deleted, retained = store.prune("toy", keep=1)
-        # v3's graph ref chain is v3 -> v2 -> v1: nothing can go.
-        assert deleted == []
-        assert retained == [1, 2, 3]
+        for scale in (1, 2, 3, 4):
+            store.publish("toy", u * scale, v, graph=graph)
+        assert store.prune("toy", keep=2) == ([1, 2], [3, 4])
+        assert store.versions("toy") == [3, 4]
+        for version in (3, 4):
+            store.verify(store.resolve("toy", version))
+        assert store.prune("toy", keep=5) == ([], [3, 4])
 
     def test_prune_validates_keep(self, store, embeddings):
         u, v = embeddings

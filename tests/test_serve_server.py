@@ -234,6 +234,27 @@ class TestValidation:
         assert status == 400
         assert fragment in body["error"]
 
+    @pytest.mark.parametrize(
+        "path, key", [("/v1/topk", "user"), ("/v1/similar", "source")]
+    )
+    @pytest.mark.parametrize(
+        "deadline_ms",
+        [float("nan"), float("inf"), float("-inf"), True, False, 0, -5,
+         1e300, 10**400, "50", None],
+        ids=["nan", "inf", "-inf", "true", "false", "zero", "negative",
+             "huge", "huge-int", "string", "null"],
+    )
+    def test_bad_deadlines_rejected(self, server, path, key, deadline_ms):
+        """JSON NaN/Infinity parse as floats and true as an int: each is a
+        400, never a 500 or a 503 that counts as a blown deadline."""
+        before = _call(server, "/metrics")[1]["counters"]
+        status, body = _call(server, path, {key: 0, "deadline_ms": deadline_ms})
+        assert status == 400
+        assert "'deadline_ms' must be a finite positive number" in body["error"]
+        after = _call(server, "/metrics")[1]["counters"]
+        assert after["errors"] == before["errors"]
+        assert after["deadline_exceeded"] == before["deadline_exceeded"]
+
     def test_malformed_json_rejected(self, server):
         status, body = _call(server, "/v1/topk", raw=b"{not json")
         assert status == 400

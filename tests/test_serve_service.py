@@ -9,7 +9,7 @@ Two jobs live here:
   :meth:`~repro.tasks.topk.TopKEngine.clone_for_worker` is shown to be the
   fix — clones share the embedding arrays but never the buffer.
 * Exercise :class:`~repro.serve.service.EmbeddingService`: queries identical
-  to the offline engine, hot reload, metrics bookkeeping, and the v4
+  to the offline engine, hot reload, metrics bookkeeping, and the
   RunReport ``service`` section.
 """
 
@@ -171,13 +171,10 @@ class TestEmbeddingService:
         assert neighbors.isdisjoint(masked[: 40 - len(neighbors)].tolist())
         assert not neighbors.isdisjoint(unmasked.tolist())
 
-    def test_scores_and_similar_users(self, store, result):
+    def test_scores(self, store, result):
         service = EmbeddingService(store, "toy")
         np.testing.assert_allclose(
             service.scores(4), result.u[4] @ result.v.T, rtol=1e-12
-        )
-        np.testing.assert_array_equal(
-            service.similar_users(4, 5), result.most_similar_u(4, 5)
         )
         with pytest.raises(ValueError, match="user index"):
             service.scores(60)
@@ -200,52 +197,25 @@ class TestEmbeddingService:
         assert service.artifact.tag == "toy@v1"
         assert service.top_items([1], 3)["items"].shape == (1, 3)
 
-    def test_reload_serves_delta_published_version(self, store, result, graph):
-        """The incremental pipeline's last hop: a warm refresh delta-publishes
-        (graph unchanged -> ``file_refs`` pointer to v1) and a live service
-        picks it up via reload, chain verification included."""
+    def test_reload_rejects_corrupt_version(self, store, result, graph):
+        """A new version whose graph bytes were corrupted must fail
+        verification at reload and leave the old model serving."""
         service = EmbeddingService(store, "toy")
         ref = store.publish(
-            "toy",
-            result.u * 2.0,
-            result.v,
-            graph=graph,
-            method="random",
-            base_version=1,
+            "toy", result.u * 2.0, result.v, graph=graph, method="random"
         )
-        assert ref.file_refs.get("graph.npz") == 1  # genuinely a delta
-        old, new = service.reload()
-        assert (old, new) == ("toy@v1", "toy@v2")
-        # Served results reflect the new embeddings with the referenced
-        # graph still masking training edges.
-        expected = TopKEngine(result.u * 2.0, result.v).top_items(
-            5, exclude=graph
-        )
-        np.testing.assert_array_equal(
-            service.top_items(range(result.u.shape[0]), 5)["items"], expected
-        )
-
-    def test_reload_rejects_broken_delta_chain(self, store, result, graph):
-        """A delta version whose referenced base file was corrupted must fail
-        chain verification at reload and leave the old model serving."""
-        service = EmbeddingService(store, "toy")
-        store.publish(
-            "toy",
-            result.u * 2.0,
-            result.v,
-            graph=graph,
-            method="random",
-            base_version=1,
-        )
-        base_graph_file = store.root / "toy" / "v0001" / "graph.npz"
-        arrays = dict(np.load(base_graph_file))
+        arrays = dict(np.load(ref.path / "graph.npz"))
         arrays["data"] = arrays["data"].copy()
         arrays["data"][0] += 1.0
-        np.savez_compressed(base_graph_file, **arrays)
+        np.savez_compressed(ref.path / "graph.npz", **arrays)
         with pytest.raises(Exception):
             service.reload()
         assert service.artifact.tag == "toy@v1"
         assert service.top_items([1], 3)["items"].shape == (1, 3)
+
+    def test_nprobe_requires_ann(self, store):
+        with pytest.raises(ValueError, match="nprobe requires"):
+            EmbeddingService(store, "toy", nprobe=4)
 
     def test_worker_threads_get_private_engines(self, store):
         service = EmbeddingService(store, "toy")
@@ -352,11 +322,9 @@ class TestQuantizedService:
             service.scores(11), offline.user_scores(11)
         )
 
-    def test_quantized_rejects_sharded_and_ann_modes(self, quant_store):
-        from repro.serve import ArtifactError, ShardConfig
+    def test_quantized_rejects_ann_mode(self, quant_store):
+        from repro.serve import ArtifactError
 
-        with pytest.raises(ArtifactError, match="republish without"):
-            EmbeddingService(quant_store, "toy", shards=ShardConfig(n_shards=2))
         with pytest.raises(ArtifactError, match="republish without"):
             EmbeddingService(quant_store, "toy", ann=True)
 
