@@ -35,11 +35,11 @@ install:
 	}
 
 test: bench-smoke lint-dense serve-smoke
-	$(PYTHON) -m pytest tests/
-	REPRO_NUM_THREADS=4 $(PYTHON) -m pytest $(THREADED_TESTS) -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
+	PYTHONPATH=src REPRO_NUM_THREADS=4 $(PYTHON) -m pytest $(THREADED_TESTS) -q
 
 quicktest:
-	$(PYTHON) -m pytest tests/ -x -q -p no:randomly -k "not learning"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q -p no:randomly -k "not learning"
 
 # Everything except the hypothesis-heavy `slow` suites.
 test-fast:
@@ -119,13 +119,13 @@ bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/theory_verification.py
-	$(PYTHON) examples/movie_recommendation.py
-	$(PYTHON) examples/link_prediction.py
-	$(PYTHON) examples/attributed_embedding.py
-	$(PYTHON) examples/scalability_study.py
-	$(PYTHON) examples/similarity_search.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/theory_verification.py
+	PYTHONPATH=src $(PYTHON) examples/movie_recommendation.py
+	PYTHONPATH=src $(PYTHON) examples/link_prediction.py
+	PYTHONPATH=src $(PYTHON) examples/attributed_embedding.py
+	PYTHONPATH=src $(PYTHON) examples/scalability_study.py
+	PYTHONPATH=src $(PYTHON) examples/similarity_search.py
 
 clean:
 	rm -rf .pytest_cache .benchmarks src/repro.egg-info

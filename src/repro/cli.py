@@ -611,13 +611,9 @@ def build_parser(*, bench_axes: bool = True) -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=64,
-        help="most single-user requests coalesced into one GEMM (default: 64)",
-    )
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="micro-batcher straggler wait after the first request of a batch",
+        help="most single-user requests coalesced into one GEMM (default: "
+        "64); the batcher adds no wait, so requests coalesce only while a "
+        "batch is being scored",
     )
     serve.add_argument(
         "--no-batch",
@@ -1694,7 +1690,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             deadline_ms=args.deadline_ms,
             batch=not args.no_batch,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
         )
         server = EmbeddingServer(service, config)
     except (ArtifactError, ValueError, OSError) as exc:

@@ -4,12 +4,21 @@ A resident service under concurrent load sees many single-user top-``k``
 requests in flight at once.  Answered one by one, each pays a full
 ``1 x |V|`` GEMV plus Python dispatch — exactly the per-user overhead the
 batched :class:`~repro.tasks.topk.TopKEngine` exists to amortize.
-:class:`MicroBatcher` closes the loop: requests enter a bounded queue, a
-single worker thread drains up to ``max_batch`` of them (waiting at most
-``max_wait_ms`` for stragglers after the first arrival), stacks the user
-indices, and issues **one** blocked GEMM for the whole batch.  A request
-whose caller cancelled its future (the HTTP tier does on a deadline) before
-its batch started is dropped from the batch instead of being scored.
+:class:`MicroBatcher` closes the loop: requests enter a bounded queue, and a
+single worker thread dispatches whenever it is idle.  It blocks for the
+first request, takes only what is already queued behind it (up to
+``max_batch``), stacks the user indices, and issues **one** blocked GEMM for
+the whole batch.  A request whose caller cancelled its future (the HTTP tier
+does on a deadline) before its batch started is dropped from the batch
+instead of being scored.
+
+Cost: there is no straggler window.  A lone request waits only for the
+worker's wake-up (a thread hand-off, well under a millisecond) and is scored
+at once.  Under load, requests that arrive while a batch is being scored
+queue up and form the next batch, so coalescing happens exactly when the
+worker is busy, and until more than ``max_batch`` requests queue, a request
+waits at most for the batch in flight.  A batch costs one ``score_fn`` call
+at ``n_max = max(n_i)`` plus a prefix slice per caller.
 
 Correctness is inherited, not re-proved: the batch is scored with
 ``select_topn``'s total order (score descending, index ascending), so the
@@ -118,9 +127,6 @@ class MicroBatcher:
         as is.  Called only from the single worker thread.
     max_batch:
         Most requests coalesced into one scoring call.
-    max_wait_ms:
-        How long the worker waits for more requests after the first one of
-        a batch arrives.  ``0`` batches only what is already queued.
     max_queue:
         Queue capacity; :meth:`submit` raises :class:`QueueFull` beyond it
         instead of blocking (load-shedding stays at the caller).
@@ -131,18 +137,14 @@ class MicroBatcher:
         score_fn: Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray, Any]],
         *,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         max_queue: int = 1024,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self._score_fn = score_fn
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_ms) / 1e3
         self._queue: "queue.Queue[Optional[_Pending]]" = queue.Queue(
             maxsize=max_queue
         )
@@ -210,7 +212,7 @@ class MicroBatcher:
     # Worker side
     # ------------------------------------------------------------------
     def _collect(self) -> List[_Pending]:
-        """Block for the first request, then coalesce until batch or deadline."""
+        """Block for the first request, then take only what is already queued."""
         try:
             first = self._queue.get(timeout=0.1)
         except queue.Empty:
@@ -218,23 +220,14 @@ class MicroBatcher:
         if first is None:
             return []
         batch = [first]
-        deadline = time.perf_counter() + self.max_wait
         while len(batch) < self.max_batch:
-            remaining = deadline - time.perf_counter()
             try:
-                item = (
-                    self._queue.get_nowait()
-                    if remaining <= 0
-                    else self._queue.get(timeout=remaining)
-                )
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is None:
                 break
             batch.append(item)
-            if remaining <= 0:
-                # Past the deadline: take only what is already queued.
-                continue
         return batch
 
     def _run_batch(self, batch: List[_Pending]) -> None:
@@ -250,22 +243,31 @@ class MicroBatcher:
         if not batch:
             return
         self.stats.record([started - pending.enqueued for pending in batch])
-        users = np.array([pending.user for pending in batch], dtype=np.int64)
-        n_max = max(pending.n for pending in batch)
         try:
-            items, scores, model = self._score_fn(users, n_max)
-        except BaseException as exc:  # propagate to every caller, keep serving
+            users = np.array([pending.user for pending in batch], dtype=np.int64)
+            items, scores, model = self._score_fn(
+                users, max(pending.n for pending in batch)
+            )
+            if len(items) != len(batch):
+                raise ValueError(
+                    f"score_fn returned {len(items)} rows for {len(batch)} users"
+                )
+            results = [
+                (
+                    np.asarray(items[row][: pending.n]),
+                    np.asarray(scores[row][: pending.n])
+                    if pending.with_scores
+                    else None,
+                    model,
+                )
+                for row, pending in enumerate(batch)
+            ]
+        except BaseException as exc:  # each result() re-raises; keep serving
             for pending in batch:
                 pending.future.set_exception(exc)
             return
-        for row, pending in enumerate(batch):
-            row_items = np.asarray(items[row][: pending.n])
-            row_scores = (
-                np.asarray(scores[row][: pending.n])
-                if pending.with_scores
-                else None
-            )
-            pending.future.set_result((row_items, row_scores, model))
+        for pending, result in zip(batch, results):
+            pending.future.set_result(result)
 
     def _loop(self) -> None:
         while True:

@@ -49,13 +49,14 @@ answer ``409`` with the republish hint.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -114,8 +115,8 @@ class ServerConfig:
         per request via ``deadline_ms`` in the body.
     batch:
         Route single-user requests through the micro-batcher.
-    max_batch, max_wait_ms:
-        Micro-batcher coalescing parameters (see
+    max_batch:
+        Most single-user requests one micro-batch coalesces (see
         :class:`~repro.serve.batcher.MicroBatcher`).
     default_n:
         List length when a request does not say.
@@ -127,7 +128,6 @@ class ServerConfig:
     deadline_ms: float = 1000.0
     batch: bool = True
     max_batch: int = 64
-    max_wait_ms: float = 2.0
     default_n: int = 10
 
     def __post_init__(self) -> None:
@@ -139,6 +139,18 @@ class ServerConfig:
             )
         if self.default_n < 0:
             raise ValueError(f"default_n must be >= 0, got {self.default_n}")
+
+
+def _json_scores(rows) -> List[List[Optional[float]]]:
+    """Score rows as JSON numbers, ``null`` where a score is not finite.
+
+    ``-inf`` marks an excluded item (a training edge, or the source itself
+    on ``/v1/similar``) that was listed because fewer than ``n`` others
+    remain; JSON (RFC 8259) has no infinity, so it goes out as ``null``.
+    """
+    return [
+        [float(s) if math.isfinite(s) else None for s in row] for row in rows
+    ]
 
 
 class _HttpError(Exception):
@@ -231,7 +243,6 @@ class EmbeddingServer:
             self._batcher = MicroBatcher(
                 self._score_batch,
                 max_batch=self.config.max_batch,
-                max_wait_ms=self.config.max_wait_ms,
                 max_queue=self.config.max_queue,
             )
         # Similarity micro-batchers, one per (side, mode), created on the
@@ -334,7 +345,6 @@ class EmbeddingServer:
                 batcher = MicroBatcher(
                     score_fn,
                     max_batch=self.config.max_batch,
-                    max_wait_ms=self.config.max_wait_ms,
                     max_queue=self.config.max_queue,
                 )
                 self._similar_batchers[key] = batcher
@@ -544,7 +554,7 @@ class EmbeddingServer:
                 "batched": True,
             }
             if with_scores:
-                payload["scores"] = [[float(s) for s in scores]]
+                payload["scores"] = _json_scores([scores])
         else:
             response = self.service.similar(
                 sources, n, mode=mode, side=side, with_scores=with_scores
@@ -559,9 +569,7 @@ class EmbeddingServer:
                 "batched": False,
             }
             if with_scores:
-                payload["scores"] = [
-                    [float(s) for s in row] for row in response["scores"]
-                ]
+                payload["scores"] = _json_scores(response["scores"])
         self._check_deadline(deadline)
         return payload
 
@@ -619,7 +627,7 @@ class EmbeddingServer:
                 "batched": True,
             }
             if with_scores:
-                payload["scores"] = [[float(s) for s in scores]]
+                payload["scores"] = _json_scores([scores])
         else:
             response = self.service.top_items(
                 users, n, with_scores=with_scores, exclude_train=exclude
@@ -632,9 +640,7 @@ class EmbeddingServer:
                 "batched": False,
             }
             if with_scores:
-                payload["scores"] = [
-                    [float(s) for s in row] for row in response["scores"]
-                ]
+                payload["scores"] = _json_scores(response["scores"])
             if response.get("mode") == "ann":
                 payload["mode"] = "ann"
                 payload["nprobe"] = int(response["nprobe"])

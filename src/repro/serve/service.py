@@ -479,10 +479,12 @@ class EmbeddingService:
                 score_blocks.append(block[2])
         elapsed = time.perf_counter() - started
         n_keep = min(max(int(n), 0), engine.num_items)
+        # The engine yields no block for n == 0 (or no users): still one
+        # (empty) row per user.
         items = (
             np.concatenate(item_blocks)
             if item_blocks
-            else np.empty((0, n_keep), dtype=np.int64)
+            else np.empty((users_array.size, n_keep), dtype=np.int64)
         )
         blocks = -(-users_array.size // engine.block_rows) if users_array.size else 0
         self.metrics.count("requests")
@@ -499,7 +501,7 @@ class EmbeddingService:
             payload["scores"] = (
                 np.concatenate(score_blocks)
                 if score_blocks
-                else np.empty((0, n_keep))
+                else np.empty((users_array.size, n_keep))
             )
         return payload
 

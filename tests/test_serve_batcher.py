@@ -90,17 +90,14 @@ class TestEquivalence:
             max_size=32,
         ),
         max_batch=st.integers(1, 16),
-        max_wait_ms=st.sampled_from([0.0, 0.5, 2.0]),
     )
     def test_any_interleaving_matches_top_items_batch(
-        self, score_fn, reference, requests, max_batch, max_wait_ms
+        self, score_fn, reference, requests, max_batch
     ):
-        """Arbitrary request streams, batch sizes, and coalescing windows
-        all reproduce ``top_items_batch`` exactly — mixed ``n`` included."""
+        """Arbitrary request streams and batch sizes all reproduce
+        ``top_items_batch`` exactly — mixed ``n`` included."""
         expected_items, _ = reference
-        with MicroBatcher(
-            score_fn, max_batch=max_batch, max_wait_ms=max_wait_ms
-        ) as batcher:
+        with MicroBatcher(score_fn, max_batch=max_batch) as batcher:
             futures = [batcher.submit(u, n) for u, n in requests]
             for (u, n), future in zip(requests, futures):
                 items, scores, model = future.result(timeout=30)
@@ -112,7 +109,7 @@ class TestEquivalence:
         """4 client threads hammering one batcher — still element-identical."""
         expected_items, _ = reference
         mismatches = []
-        with MicroBatcher(score_fn, max_batch=8, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(score_fn, max_batch=8) as batcher:
 
             def client(seed: int) -> None:
                 rng = np.random.default_rng(seed)
@@ -135,7 +132,7 @@ class TestEquivalence:
 
     def test_with_scores_slices_matching_prefix(self, score_fn, reference):
         expected_items, expected_scores = reference
-        with MicroBatcher(score_fn, max_batch=4, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(score_fn, max_batch=4) as batcher:
             futures = [
                 batcher.submit(user, n, with_scores=True)
                 for user, n in [(0, 3), (1, N_CAP), (0, 1), (5, 7)]
@@ -151,23 +148,44 @@ class TestEquivalence:
                 )
 
     def test_coalescing_actually_happens(self, score_fn):
-        """A pre-filled queue drains as batches, not one GEMM per request."""
-        gate = threading.Event()
+        """Requests queued while a batch is scored drain as one batch, not
+        one GEMM per request."""
+        started, gate = threading.Event(), threading.Event()
 
-        def gated(users, n):
+        def held(users, n):
+            started.set()
             gate.wait(10)
             return score_fn(users, n)
 
-        with MicroBatcher(gated, max_batch=16, max_wait_ms=50.0) as batcher:
-            futures = [batcher.submit(u % NUM_USERS, 3) for u in range(12)]
+        with MicroBatcher(held, max_batch=16) as batcher:
+            first = batcher.submit(0, 3)
+            assert started.wait(10)  # the worker is busy scoring user 0
+            queued = [batcher.submit(u % NUM_USERS, 3) for u in range(1, 12)]
             gate.set()
-            for future in futures:
+            for future in (first, *queued):
                 future.result(timeout=30)
             stats = batcher.stats.snapshot()
         assert stats["requests"] == 12
-        assert stats["batches"] < 12
-        assert stats["max_batch_observed"] > 1
-        assert stats["mean_batch"] > 1.0
+        assert stats["batches"] == 2
+        assert stats["max_batch_observed"] == 11
+        assert stats["mean_batch"] == 6.0
+
+    def test_lone_request_is_scored_without_waiting(self, score_fn):
+        """No straggler window: an idle worker scores a lone request at once
+        instead of waiting for company."""
+        reached = []
+
+        def timed(users, n):
+            reached.append(time.perf_counter())
+            return score_fn(users, n)
+
+        delays = []
+        with MicroBatcher(timed) as batcher:
+            for user in range(20):
+                submitted = time.perf_counter()
+                batcher.submit(user, 3).result(timeout=30)
+                delays.append(reached[-1] - submitted)
+        assert min(delays) < 1e-3
 
 
 class TestQueueWait:
@@ -194,7 +212,7 @@ class TestQueueWait:
             return score_fn(users, n)
 
         begin = time.perf_counter()
-        with MicroBatcher(held, max_batch=8, max_wait_ms=0.0) as batcher:
+        with MicroBatcher(held, max_batch=8) as batcher:
             first = batcher.submit(0, 3)
             assert started.wait(10)
             queued = [batcher.submit(u, 3) for u in (1, 2)]
@@ -218,9 +236,7 @@ class TestLifecycle:
             gate.wait(10)
             return score_fn(users, n)
 
-        batcher = MicroBatcher(
-            blocked, max_batch=1, max_wait_ms=0.0, max_queue=2
-        )
+        batcher = MicroBatcher(blocked, max_batch=1, max_queue=2)
         try:
             first = batcher.submit(0, 3)
             assert started.wait(10)  # worker is busy; queue is free again
@@ -236,7 +252,7 @@ class TestLifecycle:
 
     def test_close_drains_then_rejects(self, score_fn, reference):
         expected_items, _ = reference
-        batcher = MicroBatcher(score_fn, max_batch=4, max_wait_ms=0.0)
+        batcher = MicroBatcher(score_fn, max_batch=4)
         futures = [batcher.submit(u, 4) for u in range(6)]
         batcher.close()
         for user, future in enumerate(futures):
@@ -250,28 +266,57 @@ class TestLifecycle:
         batcher.close()  # idempotent
 
     def test_scoring_error_reaches_every_caller(self, score_fn):
+        started, gate = threading.Event(), threading.Event()
         calls = []
 
         def flaky(users, n):
             calls.append(users.size)
-            if len(calls) == 1:
+            started.set()
+            gate.wait(10)
+            if len(calls) == 2:
                 raise ValueError("model exploded")
             return score_fn(users, n)
 
-        gate = threading.Event()
-
-        def gated(users, n):
-            gate.wait(10)
-            return flaky(users, n)
-
-        with MicroBatcher(gated, max_batch=8, max_wait_ms=50.0) as batcher:
-            doomed = [batcher.submit(u, 3) for u in range(3)]
+        with MicroBatcher(flaky, max_batch=8) as batcher:
+            first = batcher.submit(0, 3)
+            assert started.wait(10)  # the worker is busy scoring user 0
+            doomed = [batcher.submit(u, 3) for u in range(1, 4)]
             gate.set()
+            first.result(timeout=30)
             for future in doomed:
                 with pytest.raises(ValueError, match="model exploded"):
                     future.result(timeout=30)
             # The worker survives a scoring failure and keeps serving.
             items, _, _ = batcher.submit(0, 3).result(timeout=30)
+            assert items.shape == (3,)
+        assert calls == [1, 3, 1]
+
+    def test_short_score_rows_reach_every_caller(self, score_fn):
+        """A scoring call that answers fewer rows than users fails its whole
+        batch — no caller gets another's row — and the worker keeps
+        serving."""
+        started, gate = threading.Event(), threading.Event()
+        calls = []
+
+        def short(users, n):
+            calls.append(users.size)
+            started.set()
+            gate.wait(10)
+            items, scores, model = score_fn(users, n)
+            if len(calls) == 2:
+                return items[:1], scores[:1], model
+            return items, scores, model
+
+        with MicroBatcher(short, max_batch=8) as batcher:
+            first = batcher.submit(0, 3)
+            assert started.wait(10)  # the worker is busy scoring user 0
+            doomed = [batcher.submit(u, 3) for u in (1, 2, 3)]
+            gate.set()
+            first.result(timeout=30)
+            for future in doomed:
+                with pytest.raises(ValueError, match="1 rows for 3 users"):
+                    future.result(timeout=30)
+            items, _, _ = batcher.submit(4, 3).result(timeout=30)
             assert items.shape == (3,)
 
     def test_cancelled_request_is_not_scored(self, score_fn):
@@ -286,7 +331,7 @@ class TestLifecycle:
             gate.wait(10)
             return score_fn(users, n)
 
-        with MicroBatcher(recording, max_batch=8, max_wait_ms=0.0) as batcher:
+        with MicroBatcher(recording, max_batch=8) as batcher:
             first = batcher.submit(0, 3)
             assert started.wait(10)  # worker is busy scoring user 0
             live_a, doomed, live_b = (batcher.submit(u, 3) for u in (1, 2, 3))
@@ -310,7 +355,7 @@ class TestLifecycle:
             gate.wait(10)
             return score_fn(users, n)
 
-        with MicroBatcher(recording, max_batch=8, max_wait_ms=0.0) as batcher:
+        with MicroBatcher(recording, max_batch=8) as batcher:
             first = batcher.submit(0, 3)
             assert started.wait(10)
             doomed = [batcher.submit(u, 3) for u in (1, 2)]
@@ -328,8 +373,6 @@ class TestLifecycle:
     def test_invalid_parameters_rejected(self, score_fn):
         with pytest.raises(ValueError, match="max_batch"):
             MicroBatcher(score_fn, max_batch=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            MicroBatcher(score_fn, max_wait_ms=-1.0)
         with pytest.raises(ValueError, match="max_queue"):
             MicroBatcher(score_fn, max_queue=0)
         with MicroBatcher(score_fn) as batcher:

@@ -72,8 +72,22 @@ def server(service):
         yield srv
 
 
+def _strict_loads(body):
+    """Parse as RFC 8259 JSON: ``NaN`` / ``Infinity`` / ``-Infinity`` raise."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+    return json.loads(body, parse_constant=reject)
+
+
+def _json_scores(scores):
+    """The reply form of a score block: ``None`` where a score is not finite."""
+    return [[float(s) if np.isfinite(s) else None for s in row] for row in scores]
+
+
 def _call(server, path, payload=None, *, method=None, raw=None):
-    """One HTTP round trip; returns (status, decoded JSON body)."""
+    """One HTTP round trip; returns (status, decoded strict-JSON body)."""
     data = raw
     if data is None and payload is not None:
         data = json.dumps(payload).encode("utf-8")
@@ -85,10 +99,10 @@ def _call(server, path, payload=None, *, method=None, raw=None):
     )
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, json.loads(response.read())
+            return response.status, _strict_loads(response.read())
     except urllib.error.HTTPError as error:
         body = error.read()
-        return error.code, json.loads(body) if body else {}
+        return error.code, _strict_loads(body) if body else {}
 
 
 def _slow_service(service, delay):
@@ -154,6 +168,49 @@ class TestRoundTrip:
         engine = TopKEngine.from_result(result)
         expected = engine.top_items(6, users=np.array(users), exclude=graph)
         assert body["items"] == [row.tolist() for row in expected]
+
+    def test_zero_n_single_user_keeps_the_batcher_serving(self, server):
+        status, body = _call(server, "/v1/topk", {"user": 3, "n": 0})
+        assert status == 200
+        assert body["batched"] is True
+        assert body["items"] == [[]]
+        status, body = _call(server, "/v1/topk", {"user": 3, "n": 5})
+        assert status == 200
+        assert len(body["items"][0]) == 5
+
+    def test_zero_n_multi_user_answers_a_row_per_user(self, server):
+        status, body = _call(
+            server,
+            "/v1/topk",
+            {"users": [3, 4], "n": 0, "with_scores": True},
+        )
+        assert status == 200
+        assert body["items"] == [[], []]
+        assert body["scores"] == [[], []]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"user": 3}, {"users": [3, 4]}],
+        ids=["batched", "direct"],
+    )
+    def test_masked_scores_are_json_null(self, server, result, graph, payload):
+        """Past the unmasked items a list reaches the -inf training edges;
+        their scores go out as null, and the reply parses as strict JSON."""
+        users = payload.get("users", [payload.get("user")])
+        status, body = _call(
+            server, "/v1/topk", {**payload, "n": 30, "with_scores": True}
+        )
+        assert status == 200
+        engine = TopKEngine.from_result(result)
+        (_, items, scores), = engine.iter_top_items(
+            30, users=np.array(users), exclude=graph, with_scores=True
+        )
+        assert body["items"] == items.tolist()
+        assert body["scores"] == _json_scores(scores)
+        for user, row in zip(users, body["scores"]):
+            masked = graph.u_neighbors(user).size
+            assert masked > 0 and row[-masked:] == [None] * masked
+            assert None not in row[:-masked]
 
     def test_with_scores_and_no_exclude(self, server, result):
         status, body = _call(
@@ -579,6 +636,27 @@ class TestSimilarEndpoint:
         assert body["batched"] is False
         assert body["items"] == expected.tolist()
         np.testing.assert_allclose(body["scores"], scores, rtol=0, atol=0)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"source": 3}, {"sources": [3, 4]}],
+        ids=["batched", "direct"],
+    )
+    def test_excluded_self_score_is_json_null(self, server, offline, payload):
+        """A full-length mhs list ends at the source itself (-inf); its
+        score goes out as null, and the reply parses as strict JSON."""
+        sources = payload.get("sources", [payload.get("source")])
+        expected, scores = offline["u"].query(
+            sources, 50, mode="mhs", with_scores=True
+        )
+        status, body = _call(
+            server, "/v1/similar", {**payload, "n": 50, "with_scores": True}
+        )
+        assert status == 200
+        assert body["items"] == expected.tolist()
+        assert body["scores"] == _json_scores(scores)
+        assert [row[-1] for row in body["items"]] == sources
+        assert [row[-1] for row in body["scores"]] == [None] * len(sources)
 
     def test_mhp_mode(self, server, offline):
         expected, _ = offline["u"].query([2, 11], 4, mode="mhp")

@@ -71,6 +71,40 @@ def per_user_reference(result, n, graph=None):
 # ---------------------------------------------------------------------------
 # select_topn
 # ---------------------------------------------------------------------------
+#: The score blocks the benchmark's read paths hand to select_topn: one user
+#: over 200 000 items, similarity sources over 500 nodes, a full engine
+#: block over 7 500 items, and an engine block over a 40-item catalogue.
+SERVING_SHAPES = [(1, 200_000), (16, 500), (256, 7_500), (256, 40)]
+
+
+def lexsort_reference(block, n):
+    """(score desc, index asc) per row, NaN last in index order."""
+    rows, m = block.shape
+    order = np.lexsort((np.broadcast_to(np.arange(m), block.shape), -block))
+    return order[:, : min(n, m)]
+
+
+def serving_block(kind, rows, m, n, seed):
+    """A score block of one kind; ``nan`` rows keep at least ``n`` real
+    scores unless ``n == m`` (the parent's defined cases)."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.standard_normal((rows, m))
+    # Six integer levels: every boundary is a wide tie group.
+    block = rng.integers(0, 6, size=(rows, m)).astype(float)
+    if kind in ("masked", "nan"):
+        # Mask shares from none to all of a row, so some rows keep fewer
+        # real scores than n and fill from the -inf tie group.
+        share = np.linspace(0.0, 1.0, rows)[:, None] if rows > 1 else 0.5
+        block[rng.uniform(size=(rows, m)) < share] = -np.inf
+    if kind == "nan":
+        most = m if n >= m else m - n
+        for row in range(0, rows, 2):
+            count = int(rng.integers(1, most + 1)) if most else 0
+            block[row, rng.choice(m, size=count, replace=False)] = np.nan
+    return block
+
+
 class TestSelectTopn:
     def test_matches_lexsort_reference(self):
         # (score desc, index asc) is exactly lexsort((arange, -scores)).
@@ -81,6 +115,20 @@ class TestSelectTopn:
             scores = rng.integers(0, 6, size=m).astype(float)
             want = np.lexsort((np.arange(m), -scores))[: min(n, m)]
             np.testing.assert_array_equal(select_topn(scores, n), want)
+
+    @pytest.mark.parametrize("kind", ["normal", "ties", "masked", "nan"])
+    @pytest.mark.parametrize("rows,m", SERVING_SHAPES)
+    def test_matches_lexsort_reference_at_serving_sizes(self, rows, m, kind):
+        """The benchmark's block shapes, tie-heavy and -inf-masked, and rows
+        holding NaN: NaN is never selected while n real scores remain."""
+        for n in (1, 10, m - 1, m):
+            block = serving_block(kind, rows, m, n, seed=rows + m + n)
+            picked = select_topn(block, n)
+            np.testing.assert_array_equal(picked, lexsort_reference(block, n))
+            if kind == "nan" and n < m:
+                assert not np.isnan(np.take_along_axis(block, picked, 1)).any()
+            if rows == 1:
+                np.testing.assert_array_equal(select_topn(block[0], n), picked[0])
 
     def test_2d_rows_independent(self):
         rng = np.random.default_rng(1)
