@@ -18,15 +18,20 @@ PYTHON ?= python
 # so they must hold at any executor width.  The out-of-core suite joins
 # for the same reason: a store-backed fit must stay bit-identical to the
 # resident anchor at every thread count and staging budget.  The
-# similarity differential suite closes the set: blocked matrix-free
-# MHS/MHP top-n lists are pinned element-identical to the dense measure
-# reference at every block size and thread count.
+# similarity differential suite pins blocked matrix-free MHS/MHP top-n
+# lists element-identical to the dense measure reference at every block
+# size and thread count.  The randomized-SVD and observability suites
+# close the set: the power iteration's QR schedule (one per sweep, on the
+# shorter side), the matvec closed form and the singular-vector sign rule
+# must hold at every executor width, and operations are counted once per
+# logical apply however many threads ran it.
 THREADED_TESTS = tests/test_linalg_kernels.py tests/test_linalg_parallel.py \
   tests/test_kernels_fallback.py tests/test_topk.py \
   tests/test_serve_batcher.py tests/test_serve_server.py \
   tests/test_ann.py tests/test_quant.py \
   tests/test_serve_service.py tests/test_graph_delta.py tests/test_refresh.py \
-  tests/test_ooc_fit.py tests/test_graph_ingest.py tests/test_similarity.py
+  tests/test_ooc_fit.py tests/test_graph_ingest.py tests/test_similarity.py \
+  tests/test_linalg_svd.py tests/test_obs.py
 
 install:
 	pip install -e . || { \
@@ -116,7 +121,7 @@ perf-trace:
 
 # Legacy pytest-benchmark microbenchmarks.
 bench-pytest:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 examples:
 	PYTHONPATH=src $(PYTHON) examples/quickstart.py

@@ -18,6 +18,9 @@ terms of the SVD error parameter ``epsilon``.
 
 Complexity (Section 5.2): ``O((|E| k + |U| k^2) log(|V|) / eps)`` time —
 almost linear in the graph size — and ``O((|U| + |V|) k + |E|)`` space.
+The power-iteration SVD orthonormalizes only the shorter side per sweep,
+which makes the time ``O((|E| k + min(|U|, |V|) k^2) log(|V|) / eps +
+max(|U|, |V|) k^2)``.
 """
 
 from __future__ import annotations

@@ -15,6 +15,12 @@ single configuration object that decides how those kernels run:
   The numerically sensitive reductions (QR re-orthonormalization,
   Rayleigh-Ritz projections) always run in float64, so a float32 compute
   policy still orthonormalizes and extracts Ritz values in full precision.
+  A power sweep of the randomized SVD applies ``W^T W`` between QRs in the
+  compute dtype, so it resolves singular directions down to about
+  ``sqrt(u) sigma_1``: 1.5e-8 ``sigma_1`` in float64 and 3.5e-4
+  ``sigma_1`` under :meth:`DtypePolicy.float32`.  Below that floor a
+  direction is rounding noise; the returned singular-vector signs are
+  fixed by rule, not by rounding.
 * ``block_cols`` — column-chunk width for very wide blocks, bounding
   workspace memory at ``O((|U| + |V|) * block_cols)``.
 

@@ -1,15 +1,21 @@
 """QR utilities: orthonormalization and random semi-unitary starts.
 
-Krylov subspace iteration (Algorithm 1, Line 7) and every power-iteration
-sweep of the randomized SVD (Algorithm 2, Line 1) re-orthonormalize a tall
-``m x n`` iterate block with a thin QR decomposition — the ``|U| k^2`` term
-of GEBE^p's cost.  :func:`thin_qr` computes it with **CholeskyQR2**
-(Fukaya et al., 2014; Yamamoto et al., 2015): two passes of
+Krylov subspace iteration (Algorithm 1, Line 7) re-orthonormalizes a tall
+``m x n`` iterate block with a thin QR decomposition every iteration.  The
+randomized SVD's power iteration (Algorithm 2, Line 1) orthonormalizes one
+block per sweep, the one on the shorter side, plus the ``|U|``-side basis
+once at the end when ``|U| > |V|``: the ``|U| k^2`` term of GEBE^p's cost
+becomes ``min(|U|, |V|) k^2`` per sweep.  :func:`thin_qr` computes it with
+**CholeskyQR2** (Fukaya et al., 2014; Yamamoto et al., 2015): two passes of
 ``R = chol(X^T X)``, ``Q = X R^-1``, so the work is one Gram GEMM, a
 ``n x n`` Cholesky and triangular inverse, and one GEMM per pass — instead
 of LAPACK Householder's level-2 panels plus a separate ``orgqr``.  Two
 passes reach Householder-level orthogonality whenever ``cond(X)`` is well
-inside ``u^-1/2``, which power-iteration blocks of the normalized ``W`` are.
+inside ``u^-1/2``.  A power sweep's block is ``W^T W Q`` (or ``W W^T Q``)
+with no QR in between, so it carries ``cond(W_b)^2``, the square of a
+one-sided block's condition number; the normalized ``W``'s blocks stay
+inside the bound, and more near rank-deficient blocks take the Householder
+fallback below than under a QR on both sides — slower, not less accurate.
 
 Householder QR stays as the fallback for inputs the fast path cannot factor
 stably: blocks that are not tall (``m < 2n``), a failed Cholesky or

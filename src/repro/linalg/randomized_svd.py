@@ -19,12 +19,26 @@ Two strategies are provided:
   (faster convergence per iteration, but the ``(q+1)(k+p)``-wide final
   orthogonalization makes it the costlier choice on wide blocks).
 
-Every sweep re-orthonormalizes its ``m x b`` (or ``n x b``) block with
-:func:`~repro.linalg.qr.thin_qr` — the ``|U| k^2`` term of the paper's
-cost, and the dominant one on low-degree graphs.  Those blocks are tall and
-well conditioned, so they take its CholeskyQR2 path (GEMM-bound); the
-concatenated, nearly dependent Krylov block of ``"block_krylov"`` falls
-back to Householder inside ``thin_qr``.
+Each power sweep orthonormalizes one block, the one on the shorter side,
+with :func:`~repro.linalg.qr.thin_qr`: the ``n x b`` block ``A^T (A Q)``
+when ``m > n``, else the ``m x b`` block ``A (A^T Q)``.  ``span(A Q)``
+depends only on ``span(Q)``, so the skipped QR keeps the subspace; when
+``m > n`` the ``m``-side basis is orthonormalized once, after the last
+sweep.  A cold power fit therefore makes ``q + 1`` QRs, and the paper's
+per-sweep ``|U| k^2`` term becomes ``min(m, n) k^2`` plus one
+``max(m, n) k^2`` at the end.  The price is resolution: an unnormalized
+``A^T A Q`` keeps directions down to about ``sqrt(u) sigma_1`` (``u`` the
+unit roundoff; 1.5e-8 in float64, 3.5e-4 for a float32 compute policy)
+instead of ``u sigma_1`` [Halko-Martinsson-Tropp, Section 4.5], and the QR
+sees the squared condition number of its block.  The blocks are tall, so
+they take ``thin_qr``'s CholeskyQR2 path (GEMM-bound) unless nearly rank
+deficient; the concatenated, nearly dependent Krylov block of
+``"block_krylov"`` falls back to Householder inside ``thin_qr``.
+
+The Rayleigh-Ritz step fixes every singular vector's sign: each column of
+``u`` is flipped, with the matching row of ``vt``, so that its
+largest-magnitude entry is positive.  Rounding otherwise picks the sign of
+a vector whose singular value sits near the resolution floor.
 """
 
 from __future__ import annotations
@@ -114,9 +128,10 @@ def _make_appliers(
 
         def apply(block: np.ndarray) -> np.ndarray:
             _count_apply(matrix, block.shape[1])
-            # reuse=True is safe: every product is consumed by the
-            # immediately following thin_qr, whose Q never aliases its
-            # input, before the next product runs.
+            # reuse=True is safe: apply and apply_t write separate buffers
+            # (out_u and out_v), and each product is consumed — by
+            # thin_qr, whose Q never aliases its input, or by the apply on
+            # the other side — before the next product on its own side.
             out = kernel.matmul(block, reuse=True)
             _note_kernel()
             return out
@@ -152,6 +167,12 @@ class SVDResult:
         Length-``k`` non-increasing singular values (``Sigma'_k`` diagonal).
     vt:
         ``k x n`` right singular vectors, transposed.
+
+    :func:`randomized_svd` makes the signs deterministic: every column of
+    ``u`` has its largest-magnitude entry positive (on a tie between a
+    positive and a negative entry the column is left as computed), and
+    each row of ``vt`` carries the sign of its ``u`` column.
+    :func:`exact_svd` keeps LAPACK's signs.
     """
 
     u: np.ndarray
@@ -269,9 +290,10 @@ def randomized_svd(
         Error parameter controlling the iteration count (Algorithm 2's
         ``eps``); smaller is more accurate and slower.
     n_oversamples:
-        Extra columns in the random start block beyond ``k``.
+        Extra columns (``>= 0``) in the random start block beyond ``k``.
     iterations:
-        Explicit iteration count, overriding the ``epsilon`` schedule.
+        Explicit iteration count (``>= 0``), overriding the ``epsilon``
+        schedule.
     strategy:
         ``"power"`` (HMT randomized subspace iteration, default — same
         guarantee class with lower constants in numpy) or
@@ -307,6 +329,10 @@ def randomized_svd(
         raise ValueError(f"need 0 < k <= min(m, n) = {min(m, n)}, got k={k}")
     if strategy not in ("block_krylov", "power"):
         raise ValueError(f"unknown strategy: {strategy!r}")
+    if n_oversamples < 0:
+        raise ValueError(f"n_oversamples must be >= 0, got {n_oversamples}")
+    if iterations is not None and iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     rng = np.random.default_rng() if rng is None else rng
     policy = policy if policy is not None else DtypePolicy()
     apply, apply_t = _make_appliers(matrix, policy)
@@ -319,6 +345,7 @@ def randomized_svd(
     else:
         q = krylov_iteration_count(n, epsilon, strategy)
 
+    long_u = m > n
     collector = _obs_active()
     with collector.stage("rsvd"):
         if warm_start is not None:
@@ -329,7 +356,9 @@ def randomized_svd(
                     basis = _block_krylov_from(apply, apply_t, block0, q)
             else:
                 with collector.stage("power_iter"):
-                    basis = _power_iteration_from(apply, apply_t, block0, q)
+                    basis = _power_iteration_from(
+                        apply, apply_t, block0, q, long_u
+                    )
         else:
             omega = rng.standard_normal((n, block_size))
             collector.note_array(omega.nbytes)
@@ -338,7 +367,9 @@ def randomized_svd(
                     basis = _block_krylov_basis(apply, apply_t, omega, q)
             else:
                 with collector.stage("power_iter"):
-                    basis = _power_iteration_basis(apply, apply_t, omega, q)
+                    basis = _power_iteration_basis(
+                        apply, apply_t, omega, q, long_u
+                    )
 
         # Rayleigh-Ritz: project onto the basis, solve the small dense SVD.
         # Always against the original (float64) matrix — this is the
@@ -356,6 +387,13 @@ def randomized_svd(
             u_small, s, vt = np.linalg.svd(projected, full_matrices=False)
             collector.count_gemm(basis.shape[0], basis.shape[1], u_small.shape[1])
             u = basis @ u_small
+            # Deterministic signs (see SVDResult): flip a column whose most
+            # negative entry outweighs its most positive one.  The max/min
+            # reductions allocate no |U| x b temporary, nor does the
+            # in-place multiply.
+            signs = np.where(-u.min(axis=0) > u.max(axis=0), -1.0, 1.0)
+            u *= signs
+            vt *= signs[:, np.newaxis]
     s = np.clip(s, 0.0, None)
     return SVDResult(u=u[:, :k], s=s[:k], vt=vt[:k])
 
@@ -376,27 +414,50 @@ def _block_krylov_basis(
 
 
 def _power_iteration_basis(
-    apply: Applier, apply_t: Applier, omega: np.ndarray, q: int
+    apply: Applier, apply_t: Applier, omega: np.ndarray, q: int, long_u: bool
 ) -> np.ndarray:
-    """Orthonormal basis from randomized subspace (power) iteration."""
+    """Orthonormal basis from randomized subspace (power) iteration.
+
+    The ``A @ omega`` lift is orthonormalized only when the ``m`` side is
+    the shorter one (``long_u`` false); otherwise the first sweep's
+    ``n``-side QR normalizes it.  Either way the fit makes ``q + 1`` QRs.
+    """
     block = apply(omega)
-    block, _ = thin_qr(np.asarray(block))
-    return _power_iteration_from(apply, apply_t, block, q)
+    if not long_u:
+        block, _ = thin_qr(np.asarray(block))
+    return _power_iteration_from(
+        apply, apply_t, block, q, long_u, orthonormal=not long_u
+    )
 
 
 def _power_iteration_from(
-    apply: Applier, apply_t: Applier, block: np.ndarray, q: int
+    apply: Applier,
+    apply_t: Applier,
+    block: np.ndarray,
+    q: int,
+    long_u: bool,
+    *,
+    orthonormal: bool = True,
 ) -> np.ndarray:
-    """Power-iteration sweeps starting from an orthonormal ``m``-side block.
+    """Power-iteration sweeps from an ``m``-side block; one QR per sweep.
 
-    This is the cold loop minus the initial ``A @ omega`` lift — a warm
-    start already lives on the left (``m``) side, so the sweeps begin
-    directly with the ``A^T`` / ``A`` alternation.
+    Each ``A^T`` / ``A`` sweep orthonormalizes only the block on the
+    shorter side: the ``n``-side block when ``long_u`` (``m > n``), else
+    the ``m``-side one, so ``block`` must be ``orthonormal`` unless
+    ``long_u``.  When ``long_u`` the ``m``-side block stays unnormalized
+    between sweeps and gets one QR after the last, skipped only when an
+    orthonormal start ran no sweep (a warm start at ``q = 0``).  The warm
+    path enters here directly with its orthonormal start; the cold path
+    after its lift.
     """
     for _ in range(q):
         block = apply_t(block)
-        block, _ = thin_qr(np.asarray(block))
+        if long_u:
+            block, _ = thin_qr(np.asarray(block))
         block = apply(block)
+        if not long_u:
+            block, _ = thin_qr(np.asarray(block))
+    if long_u and (q > 0 or not orthonormal):
         block, _ = thin_qr(np.asarray(block))
     return block
 

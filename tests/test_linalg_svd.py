@@ -94,6 +94,22 @@ class TestRandomizedSVD:
         with pytest.raises(ValueError):
             randomized_svd(low_rank_matrix, 21, rng=rng)
 
+    def test_oversamples_validation(self, rng):
+        # A negative oversample would shrink the block below k and return
+        # fewer than k triplets.
+        matrix = sp.random(60, 40, density=0.2, random_state=0, format="csr")
+        for n_oversamples in (-5, -10):
+            with pytest.raises(ValueError, match="n_oversamples"):
+                randomized_svd(matrix, 10, n_oversamples=n_oversamples, rng=rng)
+        assert randomized_svd(matrix, 10, n_oversamples=0, rng=rng).rank == 10
+
+    def test_iterations_validation(self, rng):
+        # A negative count would silently run zero sweeps.
+        matrix = sp.random(60, 40, density=0.2, random_state=0, format="csr")
+        with pytest.raises(ValueError, match="iterations"):
+            randomized_svd(matrix, 10, iterations=-3, rng=rng)
+        assert randomized_svd(matrix, 10, iterations=0, rng=rng).rank == 10
+
     def test_strategy_validation(self, low_rank_matrix, rng):
         with pytest.raises(ValueError, match="strategy"):
             randomized_svd(low_rank_matrix, 2, strategy="magic", rng=rng)
@@ -103,6 +119,44 @@ class TestRandomizedSVD:
         result = randomized_svd(matrix, 6, epsilon=0.01, rng=rng)
         exact = exact_svd(matrix, 6)
         np.testing.assert_allclose(result.s, exact.s, rtol=1e-5)
+
+
+class TestSignsAndGradedSpectra:
+    @pytest.mark.parametrize("strategy", ["block_krylov", "power"])
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60)])
+    def test_largest_entry_of_each_u_column_positive(self, shape, strategy):
+        matrix = sp.random(*shape, density=0.2, random_state=3, format="csr")
+        result = randomized_svd(
+            matrix, 10, strategy=strategy, rng=np.random.default_rng(0)
+        )
+        cols = np.arange(result.rank)
+        largest = result.u[np.abs(result.u).argmax(axis=0), cols]
+        assert (largest > 0).all()
+        # Each vt row carries its u column's sign: u_i^T A v_i = +s_i.
+        np.testing.assert_allclose(
+            np.diag(result.u.T @ (matrix @ result.vt.T)), result.s, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("strategy", ["block_krylov", "power"])
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60)])
+    def test_graded_spectrum_close_to_exact(self, shape, strategy):
+        # Singular values graded from 1 down to 1e-6, all above the
+        # sqrt(u) * sigma_1 floor of a sweep with one QR: the same
+        # tolerances as test_close_to_exact.
+        rng = np.random.default_rng(7)
+        r = min(shape)
+        u, _ = np.linalg.qr(rng.standard_normal((shape[0], r)))
+        v, _ = np.linalg.qr(rng.standard_normal((shape[1], r)))
+        matrix = (u * np.logspace(0, -6, r)) @ v.T
+        k = 5
+        exact = exact_svd(matrix, k)
+        approx = randomized_svd(
+            matrix, k, epsilon=0.05, strategy=strategy, rng=rng
+        )
+        np.testing.assert_allclose(approx.s, exact.s, rtol=1e-4)
+        np.testing.assert_allclose(
+            approx.u @ approx.u.T, exact.u @ exact.u.T, atol=1e-3
+        )
 
 
 class TestIterationCount:

@@ -7,6 +7,7 @@ the no-op collector.
 """
 
 import json
+import sys
 import time
 
 import numpy as np
@@ -15,7 +16,12 @@ import pytest
 from repro import obs
 from repro.core import GEBEPoisson, PoissonPMF, GEBE
 from repro.datasets import toy_graph
-from repro.linalg import krylov_iteration_count
+from repro.linalg import (
+    krylov_iteration_count,
+    randomized_svd,
+    warm_basis_from_embedding,
+    warm_iteration_count,
+)
 from repro.obs import (
     NULL,
     NullCollector,
@@ -196,6 +202,94 @@ class TestMatvecAccounting:
             GEBEPoisson(dimension=4, seed=0).fit(toy_graph())
         assert collector.memory.peak_rss_bytes > 0
         assert collector.memory.max_tracked_array_bytes > 0
+
+
+# ---------------------------------------------------------------------------
+# QR schedule vs its closed form
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def qr_rows(monkeypatch):
+    """Row counts of every block the randomized SVD hands to ``thin_qr``.
+
+    Patched on the module object: ``import repro.linalg.randomized_svd as
+    m`` would bind the function the package re-exports under that name.
+    """
+    module = sys.modules["repro.linalg.randomized_svd"]
+    rows = []
+    real = module.thin_qr
+
+    def recording(block):
+        rows.append(np.shape(block)[0])
+        return real(block)
+
+    monkeypatch.setattr(module, "thin_qr", recording)
+    return rows
+
+
+# The toy graph has |U| > |V|; its transpose has |U| < |V|.
+ORIENTATIONS = {"long_u": toy_graph(), "long_v": toy_graph().transpose()}
+
+
+class TestQRSchedule:
+    """One ``thin_qr`` per power sweep, on the shorter side, plus one
+    ``|U|``-side QR after the last sweep when ``|U| > |V|``: ``q + 1``
+    calls per cold fit.  The matvec closed form above does not move."""
+
+    @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+    def test_cold_power_fit(self, qr_rows, orientation):
+        graph = ORIENTATIONS[orientation]
+        GEBEPoisson(dimension=6, epsilon=0.1, seed=0).fit(graph)
+        q = krylov_iteration_count(graph.num_v, 0.1, "power")
+        assert len(qr_rows) == q + 1
+        if graph.num_u > graph.num_v:
+            assert qr_rows == [graph.num_v] * q + [graph.num_u]
+        else:
+            assert qr_rows == [graph.num_u] * (q + 1)
+
+    @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+    def test_warm_power_refit(self, qr_rows, orientation):
+        graph = ORIENTATIONS[orientation]
+        epsilon = 0.02  # two warm sweeps on the toy graph
+        cold = GEBEPoisson(dimension=6, epsilon=epsilon, seed=0).fit(graph)
+        basis = warm_basis_from_embedding(
+            cold.u, cold.metadata["effective_dimension"]
+        )
+        del qr_rows[:]
+        warm = GEBEPoisson(
+            dimension=6, epsilon=epsilon, seed=0, warm_start=basis
+        ).fit(graph)
+        assert warm.metadata["refresh"]["mode"] == "warm"
+        q_w = warm_iteration_count(graph.num_v, epsilon, "power")
+        assert q_w == 2
+        # The start-block QR, then one per sweep; when |U| > |V| the
+        # sweeps QR the |V| side and the basis gets one final QR.
+        if graph.num_u > graph.num_v:
+            assert len(qr_rows) == 1 + q_w + 1
+            assert qr_rows == [graph.num_u] + [graph.num_v] * q_w + [graph.num_u]
+        else:
+            assert len(qr_rows) == 1 + q_w
+            assert qr_rows == [graph.num_u] * (1 + q_w)
+
+    @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+    def test_zero_sweeps_make_one_qr(self, qr_rows, orientation):
+        w = ORIENTATIONS[orientation].w
+        m = w.shape[0]
+        randomized_svd(w, 4, iterations=0, rng=np.random.default_rng(0))
+        assert qr_rows == [m]
+        del qr_rows[:]
+        # A warm start is orthonormalized once and not again.
+        randomized_svd(
+            w, 4, iterations=0, warm_start=np.eye(m, 4),
+            rng=np.random.default_rng(0),
+        )
+        assert qr_rows == [m]
+
+    def test_block_krylov_unchanged(self, qr_rows):
+        graph = toy_graph()
+        GEBEPoisson(dimension=6, svd_strategy="block_krylov", seed=0).fit(graph)
+        q = krylov_iteration_count(graph.num_v, 0.1, "block_krylov")
+        # The lift, one per Krylov block, and the stacked basis.
+        assert len(qr_rows) == q + 2
 
 
 # ---------------------------------------------------------------------------
