@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-smoke bench-compare bench-pytest perf perf-trace lint-dense examples quicktest profile-smoke serve-smoke clean
+.PHONY: install test test-fast bench-pytest perf perf-trace lint-dense examples quicktest profile-smoke serve-smoke clean
 
 # Kernel-level suites that must hold under a parallel executor; `make test`
 # reruns them with REPRO_NUM_THREADS=4 after the default serial pass.  The
@@ -39,7 +39,7 @@ install:
 	  echo $(CURDIR)/src > $$($(PYTHON) -c 'import site; print(site.getsitepackages()[0])')/repro-editable.pth; \
 	}
 
-test: bench-smoke lint-dense serve-smoke
+test: lint-dense serve-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 	PYTHONPATH=src REPRO_NUM_THREADS=4 $(PYTHON) -m pytest $(THREADED_TESTS) -q
 
@@ -55,23 +55,6 @@ test-fast:
 profile-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro embed --method gebe_p --dataset toy \
 	  --profile --profile-out /tmp/gebe-profile.json
-
-# Full perf snapshot: GEBE + GEBE^p on the zoo stand-ins (float64, float32
-# and threaded fits) plus every serving/scale axis — HTTP serving latency,
-# the 1.2M-item ANN and quantized-artifact stand-ins, the incremental-refresh
-# pipeline, the out-of-core axis on the 1.2M-item ingest stand-in, and the
-# similarity axis — written to BENCH_gebe.json at the repo root.  Needs
-# more than 8 GB of RAM at the ANN axis.  See docs/BENCHMARKS.md.
-bench:
-	PYTHONPATH=src $(PYTHON) -m repro bench --serve-smoke --ann --quant \
-	  --refresh --ooc --similar --output BENCH_gebe.json
-
-# Every axis at seconds scale (toy graph, small stand-ins; about 4 s), so
-# no axis can rot and every hard gate runs: the run exits 1 when any gate
-# of the axis table fails.  Part of the default `make test`.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --serve-smoke --ann --quant \
-	  --refresh --ooc --similar --output /tmp/gebe-bench-smoke.json
 
 # Grep lint: dense materializations (`.toarray()`/`.todense()`) are only
 # allowed in the modules below — reference paths guarded by
@@ -100,15 +83,6 @@ lint-dense:
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve --smoke
 
-# Fresh run diffed against the committed BENCH_gebe.json: flags wall-time
-# regressions beyond the noise threshold and any matvec drift; exit 1 on
-# failure.  The committed snapshot comes from a shared 1-core container
-# whose sub-second cells jitter by tens of percent, hence the generous
-# threshold; tighten --noise on dedicated hardware.  See docs/BENCHMARKS.md.
-bench-compare:
-	PYTHONPATH=src $(PYTHON) -m repro bench --noise 0.5 \
-	  --output /tmp/gebe-bench-fresh.json --compare BENCH_gebe.json
-
 # The benchmark of record (BENCHMARK.json, perf/README.md): every workload
 # in a fresh child process, about 2 minutes; exit 1 on a failed correctness
 # gate.  `perf-trace` adds a traced run that prints the per-layer metrics
@@ -119,7 +93,8 @@ perf:
 perf-trace:
 	python3 perf/run.py --seed 0 --trace 1
 
-# Legacy pytest-benchmark microbenchmarks.
+# The paper's table and figure suites in benchmarks/ (Tables 2-5,
+# Figs. 2-5; tens of minutes).  See EXPERIMENTS.md.
 bench-pytest:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 

@@ -21,8 +21,8 @@ Everything is deterministic for a fixed ``seed``:
   every point is a singleton.
 * **Subsample training** — for large collections the Lloyd iterations run
   on a seeded subsample (``sample`` points) and only the final assignment
-  sweeps the full collection; the paper-scale bench builds 1M+ item
-  quantizers this way without quadratic training cost.
+  sweeps the full collection, so 1M+ item quantizers build without
+  quadratic training cost.
 
 The quantizer is a *router*, not a compressor: index quality only affects
 recall, never correctness, because the IVF search reranks surviving

@@ -9,7 +9,6 @@ Subcommands::
     python -m repro similar    # matrix-free MHS/MHP similarity search on a graph
     python -m repro evaluate   # run the Table 4 / Table 5 protocol
     python -m repro datasets   # list or materialize the dataset zoo
-    python -m repro bench      # perf benchmark -> BENCH_gebe.json
     python -m repro publish    # embeddings .npz -> versioned artifact store
     python -m repro refresh    # apply an edge-delta log + warm refit + publish
     python -m repro artifacts  # store maintenance (gc old versions)
@@ -54,6 +53,17 @@ def _method_name(name: str) -> str:
         )
 
 
+def _list_length(text: str) -> int:
+    """argparse ``type=`` hook: a top-N list length (an integer >= 0)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cli_dataset_names() -> List[str]:
     """Datasets reachable via ``--dataset``: the zoo plus ``toy``."""
     return ["toy", *DATASETS]
@@ -65,13 +75,8 @@ def _load_cli_dataset(name: str, seed: int) -> BipartiteGraph:
     return load_dataset(name, seed=seed)
 
 
-def build_parser(*, bench_axes: bool = True) -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for tests and docs).
-
-    ``bench_axes=False`` leaves out the ``bench`` axis-selection flags,
-    which are built from the bench's axis table: :func:`main` passes it for
-    every other command, so they start without importing the bench.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="GEBE: scalable bipartite network embedding (SIGMOD 2022 reproduction)",
@@ -167,7 +172,7 @@ def build_parser(*, bench_axes: bool = True) -> argparse.ArgumentParser:
     )
     recommend.add_argument("input", help="TSV edge list")
     recommend.add_argument("user", help="user label as it appears in the file")
-    recommend.add_argument("-n", type=int, default=10)
+    recommend.add_argument("-n", type=_list_length, default=10)
     recommend.add_argument("--method", default="GEBE^p", type=_method_name)
     recommend.add_argument("--dimension", type=int, default=64)
     recommend.add_argument("--seed", type=int, default=0)
@@ -186,7 +191,7 @@ def build_parser(*, bench_axes: bool = True) -> argparse.ArgumentParser:
     query.add_argument(
         "embeddings", help=".npz with arrays u, v (as written by `repro embed`)"
     )
-    query.add_argument("-n", type=int, default=10)
+    query.add_argument("-n", type=_list_length, default=10)
     query.add_argument(
         "--exclude",
         metavar="EDGES.tsv",
@@ -386,78 +391,6 @@ def build_parser(*, bench_axes: bool = True) -> argparse.ArgumentParser:
     datasets.add_argument("--generate", metavar="NAME", help="dataset to write out")
     datasets.add_argument("--output", help="TSV path for --generate")
     datasets.add_argument("--seed", type=int, default=0)
-
-    bench = commands.add_parser(
-        "bench",
-        help="run the perf benchmark grid and write a BENCH_*.json snapshot",
-    )
-    bench.add_argument(
-        "--datasets",
-        nargs="+",
-        metavar="NAME",
-        help="zoo stand-ins (plus 'toy') to run (default: dblp mag)",
-    )
-    bench.add_argument(
-        "--methods",
-        nargs="+",
-        type=_method_name,
-        help="methods to run (default: GEBE^p and GEBE (Poisson))",
-    )
-    bench.add_argument("--dimension", type=int, help="embedding dimension k")
-    bench.add_argument("--seed", type=int, help="dataset + method seed")
-    bench.add_argument(
-        "--repeats", type=int, help="fits per cell; min wall time is recorded"
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_gebe.json",
-        help="output path (default: BENCH_gebe.json)",
-    )
-    bench.add_argument(
-        "--no-float32",
-        action="store_true",
-        help="skip the float32 policy rows",
-    )
-    bench.add_argument(
-        "--threads",
-        nargs="+",
-        type=int,
-        metavar="N",
-        help="thread counts for the scaling axis (default: 1 2 4)",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="OLD.json",
-        help="diff the fresh run against a committed BENCH_*.json snapshot; "
-        "exit 1 on wall-time regressions or matvec drift",
-    )
-    bench.add_argument(
-        "--noise",
-        type=float,
-        help="relative wall-time slack for --compare (default: 0.25)",
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="seconds-scale CI configuration (toy graph, one repeat)",
-    )
-    # Axis selection, generated from the bench's axis table (which loads no
-    # runner code); every hard gate of a selected axis can exit 1.
-    if bench_axes:
-        from .bench.axes import AXES, BenchConfig
-
-        for axis in AXES:
-            if axis.flag is None:
-                continue
-            if getattr(BenchConfig, axis.switch):
-                bench.add_argument(f"--no-{axis.flag}", action="store_true",
-                                   help=f"skip the {axis.title}")
-            else:
-                bench.add_argument(f"--{axis.flag}", action="store_true",
-                                   help=f"also run the {axis.title}")
-            if axis.only:
-                bench.add_argument(f"--{axis.flag}-only", action="store_true",
-                                   help=f"run only the {axis.title} (not the default axes)")
 
     publish = commands.add_parser(
         "publish",
@@ -894,6 +827,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    out_users = (
+        np.arange(u.shape[0], dtype=np.int64) if users is None else users
+    )
 
     collector_cm = obs.collect() if args.profile else None
     collector = collector_cm.__enter__() if collector_cm is not None else None
@@ -910,11 +846,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             except ArtifactError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            out_users = (
-                np.arange(u.shape[0], dtype=np.int64)
-                if users is None
-                else users
-            )
             try:
                 out_items, out_scores = index.search(
                     np.asarray(u, dtype=np.float64)[out_users],
@@ -927,7 +858,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            total_users = out_users.size
             n_keep = min(args.n, index.num_items)
         else:
             try:
@@ -957,27 +887,25 @@ def _cmd_query(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            user_blocks, item_blocks, score_blocks = [], [], []
+            item_blocks, score_blocks = [], []
             try:
-                for block in engine.iter_top_items(
+                for _, items, scores in engine.iter_top_items(
                     args.n, users=users, exclude=exclude, with_scores=True
                 ):
-                    user_blocks.append(block[0])
-                    item_blocks.append(block[1])
-                    score_blocks.append(block[2])
+                    item_blocks.append(items)
+                    score_blocks.append(scores)
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            total_users = engine.num_users if users is None else users.size
             n_keep = min(args.n, engine.num_items)
             if item_blocks:
-                out_users = np.concatenate(user_blocks)
                 out_items = np.concatenate(item_blocks)
                 out_scores = np.concatenate(score_blocks)
             else:
-                out_users = np.empty(0, dtype=np.int64)
-                out_items = np.empty((0, max(n_keep, 0)), dtype=np.int64)
-                out_scores = np.empty((0, max(n_keep, 0)))
+                # n = 0 yields no blocks: one empty row per requested user,
+                # as the ANN path and /v1/topk answer.
+                out_items = np.empty((out_users.size, n_keep), dtype=np.int64)
+                out_scores = np.empty((out_users.size, n_keep))
     finally:
         if collector_cm is not None:
             collector_cm.__exit__(None, None, None)
@@ -1002,8 +930,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             arrays["scores"] = out_scores
         np.savez_compressed(args.output, **arrays)
         print(
-            f"top-{n_keep} for {total_users} users "
-            f"({engine.num_items} items) -> {args.output}"
+            f"top-{n_keep} for {out_users.size} users "
+            f"({v.shape[0]} items) -> {args.output}"
         )
         return 0
     for row_user, row_items, row_scores in zip(out_users, out_items, out_scores):
@@ -1216,87 +1144,6 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     write_edge_list(graph, args.output)
     print(f"wrote {graph} -> {args.output}")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from collections import Counter
-    from dataclasses import replace
-
-    from .bench import (
-        AXES,
-        BenchConfig,
-        compare_bench,
-        load_bench,
-        render_bench,
-        render_compare,
-        run_bench,
-        violations,
-        write_bench,
-    )
-
-    config = BenchConfig.smoke() if args.smoke else BenchConfig()
-    overrides = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key in ("datasets", "methods", "dimension", "seed", "repeats", "threads")
-        if (value := getattr(args, key)) is not None
-    }
-    if args.no_float32:
-        overrides["float32"] = False
-    if any(t < 1 for t in overrides.get("threads", ())):
-        print("error: --threads values must be >= 1", file=sys.stderr)
-        return 2
-    flags = [axis for axis in AXES if axis.flag is not None]
-    dest = {axis.name: axis.flag.replace("-", "_") for axis in flags}
-    only = [a for a in flags if a.only and getattr(args, f"{dest[a.name]}_only")]
-    off = [a for a in flags if getattr(args, f"no_{dest[a.name]}", False)]
-    if len(only) > 1 or (only and only[0] in off):
-        named = [f"--{a.flag}-only" for a in only] + [f"--no-{a.flag}" for a in off]
-        print(f"error: {' and '.join(named)} conflict", file=sys.stderr)
-        return 2
-    for axis in flags:
-        if getattr(args, dest[axis.name], False):
-            overrides[axis.switch] = True
-    for axis in off:
-        overrides[axis.switch] = False
-    if only:
-        # --X-only: the default-on axes off, X on (explicit --Y flags stay).
-        for axis in AXES:
-            if axis.switch is not None and getattr(BenchConfig, axis.switch):
-                overrides[axis.switch] = False
-        overrides[only[0].switch] = True
-    config = replace(config, **overrides)
-
-    baseline = None
-    if args.compare is not None:
-        try:
-            baseline = load_bench(args.compare)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load {args.compare}: {exc}", file=sys.stderr)
-            return 2
-
-    payload = run_bench(config, progress=True)
-    write_bench(payload, args.output)
-    print(render_bench(payload))
-    counts = " + ".join(f"{len(payload[a.key])} {a.name} rows" for a in AXES)
-    print(f"wrote {counts} -> {args.output}")
-    status = 0
-    failed = Counter((axis.name, gate) for axis, gate, _ in violations(payload))
-    for (name, gate), count in failed.items():
-        print(f"error: {name} hard gate {gate} failed ({count} rows)", file=sys.stderr)
-        status = 1
-    if baseline is not None:
-        kwargs = {} if args.noise is None else {"noise": args.noise}
-        result = compare_bench(baseline, payload, **kwargs)
-        print(render_compare(result))
-        if result["regressions"] or result["matvec_drift"]:
-            print(
-                f"error: comparison against {args.compare} failed "
-                f"({len(result['regressions'])} regressions, "
-                f"{len(result['matvec_drift'])} matvec drifts)",
-                file=sys.stderr,
-            )
-            status = 1
-    return status
 
 
 def _cmd_publish(args: argparse.Namespace) -> int:
@@ -1725,7 +1572,6 @@ _HANDLERS = {
     "similar": _cmd_similar,
     "evaluate": _cmd_evaluate,
     "datasets": _cmd_datasets,
-    "bench": _cmd_bench,
     "publish": _cmd_publish,
     "refresh": _cmd_refresh,
     "artifacts": _cmd_artifacts,
@@ -1736,8 +1582,7 @@ _HANDLERS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(bench_axes=argv[:1] == ["bench"]).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except BrokenPipeError:

@@ -132,6 +132,7 @@ class DtypePolicy:
         """A short slug for reports, e.g. ``"float64/workspace"``.
 
         The ``/workspace`` suffix names the kernel path; it is the only one,
-        and it stays in the slug so bench cell keys match older snapshots.
+        and it stays in the slug because fit metadata (``dtype_policy``)
+        carries it.
         """
         return f"{self.compute}/workspace"

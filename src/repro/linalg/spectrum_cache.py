@@ -23,8 +23,8 @@ sweep's usual case is the exact same ``k`` every cell).  Requests with
 entropy, so no two runs are the same computation.
 
 The cache is deliberately *not* threaded through module globals — callers
-that want sharing (``sweep_lambda``, bench grids, user code) construct one
-and hand it to each :class:`~repro.core.gebe_p.GEBEPoisson`.
+that want sharing (``sweep_lambda``, experiment grids, user code)
+construct one and hand it to each :class:`~repro.core.gebe_p.GEBEPoisson`.
 """
 
 from __future__ import annotations

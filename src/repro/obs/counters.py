@@ -20,8 +20,8 @@ units:
 * **ANN probes / candidates** — inverted-list cells probed and surviving
   candidates reranked by the IVF index (:mod:`repro.ann`).  Like the top-k
   counter these measure coverage: ``ann_candidates / topk_candidates`` of
-  an exact sweep over the same items is the work-saving ratio the ANN
-  bench axis reports alongside recall.
+  an exact sweep over the same items is the work-saving ratio of a probe,
+  to be read alongside its recall.
 
 FLOP numbers are *estimates* (leading-order terms of the textbook counts);
 the matvec/GEMM tallies themselves are exact and deterministic, which is

@@ -594,9 +594,9 @@ class ArtifactStore:
         """Resolve, (optionally) verify, and load one artifact version.
 
         Arrays are memory-mapped by default (``mmap=False`` reads them
-        eagerly — the bench's load-time baseline).  With ``verify=False`` a
-        load touches no array bytes at all — the near-instant reload path
-        when checksums were already checked.
+        eagerly).  With ``verify=False`` a load touches no array bytes at
+        all — the near-instant reload path when checksums were already
+        checked.
         """
         ref = self.resolve(name, version)
         if verify:

@@ -228,8 +228,8 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 class EmbeddingServer:
     """The long-lived process: service + batcher + HTTP front end.
 
-    Usable as a context manager in-process (tests, bench, smoke) or driven
-    by :meth:`serve_forever` from the CLI.
+    Usable as a context manager in-process (tests, ``repro serve --smoke``)
+    or driven by :meth:`serve_forever` from the CLI.
     """
 
     def __init__(

@@ -523,7 +523,7 @@ class QuantizedTopKEngine(TopKEngine):
         self._scores_flat: Optional[np.ndarray] = None
         self.threads_used = 1
         #: Cumulative (user, candidate) pairs reranked in float64 — the
-        #: margin cost; the bench's quant axis and /metrics read this.
+        #: margin cost, at most the full ``users x items`` product.
         self.reranked_candidates = 0
 
     def clone_for_worker(self) -> "QuantizedTopKEngine":

@@ -103,6 +103,12 @@ class TestRecommend:
                      "--dimension", "8", "--block-rows", "16"]) == 0
         assert capsys.readouterr().out == per_user
 
+    def test_negative_n_rejected(self, edge_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["recommend", edge_file, "0", "-n", "-2", "--dimension", "4"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
 
 class TestQuery:
     @pytest.fixture
@@ -171,6 +177,25 @@ class TestQuery:
         assert main(["query", embeddings, "-n", "5", "--block-rows", "64"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_negative_n_rejected(self, embeddings, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", embeddings, "-n", "-2", "--users", "0", "1"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_zero_n_gives_one_empty_row_per_user(self, embeddings, tmp_path, capsys):
+        assert main(["query", embeddings, "-n", "0", "--users", "0", "5"]) == 0
+        assert capsys.readouterr().out == "0\t\n5\t\n"
+        out = str(tmp_path / "topk.npz")
+        assert main(
+            ["query", embeddings, "-n", "0", "--users", "0", "5",
+             "--output", out, "--with-scores"]
+        ) == 0
+        with np.load(out) as payload:
+            assert payload["users"].tolist() == [0, 5]
+            assert payload["items"].shape == (2, 0)
+            assert payload["scores"].shape == (2, 0)
+
 
 class TestIndex:
     @pytest.fixture
@@ -210,6 +235,23 @@ class TestIndex:
         assert main(["query", emb, "-n", "6", "--index", index]) == 0
         assert capsys.readouterr().out == exact
 
+    def test_query_index_writes_npz(self, published, tmp_path, capsys):
+        store, emb = published
+        assert main(
+            ["index", "--store", store, "--name", "toy", "--cells", "4"]
+        ) == 0
+        index = f"{store}/toy/v0001/index-ivf.npz"
+        exact, probed = str(tmp_path / "exact.npz"), str(tmp_path / "ivf.npz")
+        assert main(["query", emb, "-n", "6", "--output", exact]) == 0
+        capsys.readouterr()
+        assert main(
+            ["query", emb, "-n", "6", "--index", index, "--output", probed]
+        ) == 0
+        assert "top-6 for 60 users (40 items)" in capsys.readouterr().out
+        with np.load(exact) as want, np.load(probed) as got:
+            np.testing.assert_array_equal(got["users"], want["users"])
+            np.testing.assert_array_equal(got["items"], want["items"])
+
     def test_nprobe_requires_index(self, published, capsys):
         _, emb = published
         assert main(["query", emb, "-n", "3", "--nprobe", "2"]) == 2
@@ -230,10 +272,6 @@ class TestIndex:
         assert main(["query", other, "-n", "3", "--index", index]) == 2
         err = capsys.readouterr().err
         assert "checksum" in err and "repro index" in err
-
-    def test_bench_ann_flags_conflict(self, capsys):
-        assert main(["bench", "--ann-only", "--topk-only"]) == 2
-        assert "conflict" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -361,24 +399,6 @@ class TestQuantizedCli:
              "--index", "whatever.npz"]
         ) == 2
         assert "--quantize" in capsys.readouterr().err
-
-    def test_bench_quant_flags_conflict(self, capsys):
-        assert main(["bench", "--quant-only", "--topk-only"]) == 2
-        assert "conflict" in capsys.readouterr().err
-
-    def test_bench_quant_only_writes_rows(self, tmp_path, capsys):
-        out_path = str(tmp_path / "bench.json")
-        code = main(
-            ["bench", "--smoke", "--quant-only", "--output", out_path]
-        )
-        assert code == 0
-        import json as json_mod
-
-        with open(out_path) as handle:
-            payload = json_mod.load(handle)
-        assert payload["quant_runs"]
-        assert all(row["lists_equal"] for row in payload["quant_runs"])
-        assert payload["runs"] == [] and payload["topk_runs"] == []
 
 
 class TestRefreshCli:
@@ -536,28 +556,6 @@ class TestArtifactsCli:
         assert "--keep" in capsys.readouterr().err
 
 
-class TestBenchRefreshCli:
-    def test_refresh_flags_conflict(self, capsys):
-        assert main(["bench", "--refresh-only", "--topk-only"]) == 2
-        assert "conflict" in capsys.readouterr().err
-
-    def test_bench_refresh_only_writes_rows(self, tmp_path, capsys):
-        out_path = str(tmp_path / "bench.json")
-        code = main(
-            ["bench", "--smoke", "--refresh-only", "--output", out_path]
-        )
-        assert code == 0
-        import json as json_mod
-
-        with open(out_path) as handle:
-            payload = json_mod.load(handle)
-        rows = payload["refresh_runs"]
-        assert rows and payload["runs"] == []
-        by_mode = {row["mode"]: row for row in rows}
-        assert by_mode["warm"]["matvecs"] < by_mode["cold"]["matvecs"]
-        assert all(row["quality_ok"] for row in rows)
-
-
 class TestIngestCli:
     def test_ingest_then_ooc_embed_matches_resident(
         self, edge_file, tmp_path, capsys
@@ -623,27 +621,3 @@ class TestIngestCli:
         )
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
-
-
-class TestBenchOocCli:
-    def test_ooc_flags_conflict(self, capsys):
-        assert main(["bench", "--ooc-only", "--topk-only"]) == 2
-        assert "conflict" in capsys.readouterr().err
-
-    def test_bench_ooc_only_writes_gated_rows(self, tmp_path, capsys):
-        out_path = str(tmp_path / "bench.json")
-        code = main(["bench", "--smoke", "--ooc-only", "--output", out_path])
-        assert code == 0
-        import json as json_mod
-
-        with open(out_path) as handle:
-            payload = json_mod.load(handle)
-        rows = payload["ooc_runs"]
-        assert rows and payload["runs"] == []
-        assert rows[0]["mode"] == "resident"
-        assert all(
-            row["bit_identical"]
-            and row["matvecs_equal"]
-            and row["rss_within_budget"]
-            for row in rows
-        )

@@ -5,9 +5,8 @@ The headline invariants:
 * the workspace kernels are **bit-identical** to the allocation-per-call
   reference path in float64 (hypothesis property tests, including chunked
   application with ``block_cols`` smaller than the block width);
-* the obs matvec counters are **unchanged** by the kernel refactor
-  (differential test: legacy vs workspace policies produce identical
-  counts);
+* the obs matvec counters are **unchanged** by the dtype, column-chunk
+  and thread-count policies (differential test: identical counts);
 * the float32 policy agrees with float64 within a tolerance budget.
 """
 
@@ -23,6 +22,7 @@ from repro.core import GEBEPoisson, PoissonPMF, gebe_poisson
 from repro.datasets import toy_graph
 from repro.linalg import (
     DtypePolicy,
+    ExecPolicy,
     GramKernel,
     MatrixFreeOperator,
     ProximityOperator,
@@ -233,21 +233,24 @@ class TestOperatorPolicyEquivalence:
 class TestObsCounterDifferential:
     """The kernel refactor must not change operation accounting."""
 
-    def _counts(self, policy):
+    def _report(self, policy):
         graph = toy_graph()
         with obs.collect() as collector:
             gebe_poisson(8, seed=0, max_iterations=5, dtype_policy=policy).fit(graph)
             GEBEPoisson(8, seed=0, dtype_policy=policy).fit(graph)
-        report = collector.report(method="differential", wall_seconds=0.0)
-        return report.ops
+        return collector.report(method="differential", wall_seconds=0.0)
 
     def test_matvec_counts_identical_across_policies(self):
-        reference = self._counts(DtypePolicy())
-        for policy in (DtypePolicy.float32(), DtypePolicy(block_cols=3)):
-            candidate = self._counts(policy)
+        reference = self._report(DtypePolicy().with_threads(1)).ops
+        # serial_threshold=0 shards even the toy applies across 4 threads.
+        threaded = DtypePolicy(exec_policy=ExecPolicy(n_threads=4, serial_threshold=0))
+        for policy in (DtypePolicy.float32(), DtypePolicy(block_cols=3), threaded):
+            report = self._report(policy)
+            candidate = report.ops
             assert candidate["sparse_matvecs"] == reference["sparse_matvecs"]
             assert candidate["flops"] == reference["flops"]
             assert candidate["qr_factorizations"] == reference["qr_factorizations"]
+        assert report.threads == 4  # the threaded policy (last) really sharded
 
 
 class TestFloat32Policy:

@@ -5,8 +5,8 @@ blocked product performs, per output element, exactly the floating-point
 operations of the resident scipy path in the same order — so a GEBE^p fit
 over a memory-mapped store must be **bit-identical** to the fit over the
 same store loaded resident, at every thread count and staging budget.
-These tests pin that claim (the bench's ``ooc_runs`` axis gates on the
-same invariant at scale), plus the peak-RSS win the whole path exists for.
+These tests pin that claim, the unchanged operation schedule, and the
+peak-RSS win the whole path exists for.
 """
 
 import tempfile
@@ -51,10 +51,18 @@ def fit_store(tmp_path_factory):
     return store
 
 
+def _counted_fit(graph, **kwargs):
+    """A fit and its operation schedule: (sparse matvecs, QR factorizations)."""
+    with obs.collect() as collector:
+        result = _fit(graph, **kwargs)
+    return result, (collector.ops.sparse_matvecs, collector.ops.qr_factorizations)
+
+
 @pytest.fixture(scope="module")
 def anchor(fit_store):
-    """The resident single-thread fit every out-of-core fit must reproduce."""
-    return _fit(fit_store.resident_graph())
+    """The resident single-thread fit every out-of-core fit must reproduce,
+    with its operation schedule."""
+    return _counted_fit(fit_store.resident_graph())
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +158,23 @@ class TestFitBitIdentity:
     def test_store_fit_matches_resident_anchor(
         self, fit_store, anchor, threads, budget_mb
     ):
-        result = _fit(
+        result, schedule = _counted_fit(
             fit_store.graph(), threads=threads, budget_mb=budget_mb
         )
-        assert np.array_equal(result.u, anchor.u)
-        assert np.array_equal(result.v, anchor.v)
+        anchor_fit, anchor_schedule = anchor
+        assert np.array_equal(result.u, anchor_fit.u)
+        assert np.array_equal(result.v, anchor_fit.v)
+        # Streaming the store changes memory traffic, never the operation
+        # schedule: every matvec and QR is counted as on the resident path.
+        assert schedule == anchor_schedule
 
     def test_resident_fit_is_thread_invariant(self, fit_store, anchor):
         # The anchor itself must not depend on executor width, or the
         # mmap-vs-resident comparison above would be ill-posed.
+        anchor_fit, _ = anchor
         result = _fit(fit_store.resident_graph(), threads=4)
-        assert np.array_equal(result.u, anchor.u)
-        assert np.array_equal(result.v, anchor.v)
+        assert np.array_equal(result.u, anchor_fit.u)
+        assert np.array_equal(result.v, anchor_fit.v)
 
 
 @pytest.mark.slow
