@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench-pytest perf perf-trace lint-dense examples quicktest profile-smoke serve-smoke clean
+.PHONY: install test test-fast bench-pytest perf perf-trace lint-dense lint-durable examples quicktest profile-smoke serve-smoke clean
 
 # Kernel-level suites that must hold under a parallel executor; `make test`
 # reruns them with REPRO_NUM_THREADS=4 after the default serial pass.  The
@@ -39,7 +39,7 @@ install:
 	  echo $(CURDIR)/src > $$($(PYTHON) -c 'import site; print(site.getsitepackages()[0])')/repro-editable.pth; \
 	}
 
-test: lint-dense serve-smoke
+test: lint-dense lint-durable serve-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 	PYTHONPATH=src REPRO_NUM_THREADS=4 $(PYTHON) -m pytest $(THREADED_TESTS) -q
 
@@ -75,6 +75,24 @@ lint-dense:
 	  exit 1; \
 	fi; \
 	echo "lint-dense: OK (dense conversions confined to the allowlist)"
+
+# Grep lint: renames of trusted on-disk state go through repro.durable
+# (commit_dir / replace_file), which fsyncs the data before the rename and
+# the directory after it.  A bare os.rename/os.replace anywhere else in
+# src/repro skips that order.  Part of `make test`.
+DURABLE_MODULE = src/repro/durable\.py
+
+lint-durable:
+	@matches=$$(grep -rn --include='*.py' -E 'os\.(rename|replace)\(' src/repro \
+	  | grep -vE '^($(DURABLE_MODULE)):' || true); \
+	if [ -n "$$matches" ]; then \
+	  echo "lint-durable: renames outside repro.durable:"; \
+	  echo "$$matches"; \
+	  echo "commit a staged directory with repro.durable.commit_dir, or write"; \
+	  echo "one file with repro.durable.replace_file."; \
+	  exit 1; \
+	fi; \
+	echo "lint-durable: OK (renames confined to src/repro/durable.py)"
 
 # End-to-end serving round trip: fit the toy graph, publish to a throwaway
 # artifact store, answer concurrent HTTP top-k requests in-process, and

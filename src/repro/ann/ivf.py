@@ -40,11 +40,13 @@ rerank coverage is deliberately *not* double-counted into
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.selection import select_topn
+from ..durable import replace_file
 from ..graph import BipartiteGraph
 from ..obs import active as _obs_active
 from ..tasks.topk import neighbor_items
@@ -379,14 +381,25 @@ class IVFIndex:
         }
 
     def save(self, path) -> None:
-        """Write the routing structure (not the embeddings) to an NPZ."""
-        np.savez_compressed(
-            path,
-            centroids=self.centroids,
-            cell_offsets=self.cell_offsets,
-            cell_items=self.cell_items,
-            meta=np.array(json.dumps(self.meta(), sort_keys=True)),
-        )
+        """Write the routing structure (not the embeddings) to an NPZ.
+
+        The file is replaced atomically and durably
+        (:func:`repro.durable.replace_file`), so a crash mid-write leaves
+        the previous index, or none, never a torn one that ``serve --ann``
+        refuses.  As with ``np.savez``, ``.npz`` is appended to a path
+        without it.
+        """
+        path = Path(path)
+        if path.suffix != ".npz":
+            path = path.with_name(path.name + ".npz")
+        with replace_file(path) as tmp:
+            np.savez_compressed(
+                tmp,
+                centroids=self.centroids,
+                cell_offsets=self.cell_offsets,
+                cell_items=self.cell_items,
+                meta=np.array(json.dumps(self.meta(), sort_keys=True)),
+            )
 
     @classmethod
     def load(cls, path, v: np.ndarray) -> "IVFIndex":

@@ -1221,6 +1221,12 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
     except (OSError, DeltaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if log.torn_bytes:
+        print(
+            f"warning: {args.deltas}: dropped a torn final line "
+            f"({log.torn_bytes} bytes; an interrupted append)",
+            file=sys.stderr,
+        )
 
     dimension = int(ref.manifest["dimension"])
     warm_start = (

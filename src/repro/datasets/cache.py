@@ -5,7 +5,10 @@ couple of seconds to generate); experiment scripts that iterate on methods
 benefit from generating each (dataset, seed) pair once and memoizing it as
 an ``.npz`` bundle.  The cache key is the dataset name and seed; entries
 are ordinary :func:`repro.graph.save_npz` files, so they double as
-exported datasets.
+exported datasets.  Entries are written atomically
+(:func:`repro.durable.replace_file`): a crash mid-write leaves no entry,
+never a torn one that ``has()`` would report and every ``load`` would fail
+on.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import glob as _glob
 from pathlib import Path
 from typing import List, Optional, Union
 
+from ..durable import replace_file
 from ..graph import BipartiteGraph, load_npz, save_npz
 from .zoo import load_dataset
 
@@ -57,7 +61,8 @@ class DatasetCache:
             return load_npz(path)
         graph = load_dataset(name, seed=seed)
         self.directory.mkdir(parents=True, exist_ok=True)
-        save_npz(graph, path)
+        with replace_file(path) as tmp:
+            save_npz(graph, tmp)
         return graph
 
     def invalidate(self, name: Optional[str] = None, seed: Optional[int] = None) -> int:

@@ -15,7 +15,10 @@ This module provides the ingestion half of the incremental pipeline:
   (:func:`~repro.linalg.spectrum_cache.matrix_fingerprint`).  The on-disk
   format is line-delimited JSON (one header line, one line per delta), so a
   producer can *append* new records with a plain ``open(path, "a")`` —
-  nothing already written is ever rewritten.
+  nothing already written is ever rewritten.  :meth:`DeltaLog.save`
+  replaces the whole file atomically (:func:`repro.durable.replace_file`);
+  an append that died mid-line leaves a torn final line, which
+  :meth:`DeltaLog.load` drops and counts in :attr:`DeltaLog.torn_bytes`.
 * :func:`apply_deltas` — deterministic replay: validates the log against
   the base graph (fingerprint, index ranges, add/remove/reweight
   semantics) and produces the ``W + dW`` graph.  Replaying the same log on
@@ -38,6 +41,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
+from ..durable import replace_file
 from .bipartite import BipartiteGraph
 
 __all__ = [
@@ -154,6 +158,12 @@ class DeltaLog:
         range (deltas never grow the node sets — that is a re-snapshot).
     deltas:
         Initial delta sequence (appendable afterwards).
+
+    Attributes
+    ----------
+    torn_bytes:
+        Bytes of a torn final line that :meth:`load` dropped (0 when the
+        file ended cleanly, and for logs built in memory).
     """
 
     def __init__(
@@ -169,6 +179,7 @@ class DeltaLog:
         self.num_u = int(num_u)
         self.num_v = int(num_v)
         self.deltas: List[EdgeDelta] = []
+        self.torn_bytes = 0
         for delta in deltas:
             self.append(delta)
 
@@ -247,57 +258,81 @@ class DeltaLog:
     # Persistence (line-delimited JSON; appendable)
     # ------------------------------------------------------------------
     def save(self, path: PathLike) -> None:
-        """Write the log as JSONL: one header line, one line per delta."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_canonical(self._header()) + "\n")
-            for delta in self.deltas:
-                handle.write(_canonical(delta.record()) + "\n")
+        """Write the log as JSONL: one header line, one line per delta.
+
+        The file is replaced atomically and durably: a reader, or a crash,
+        sees the old log or the new one, never a mix.
+        """
+        with replace_file(path) as tmp:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(_canonical(self._header()) + "\n")
+                for delta in self.deltas:
+                    handle.write(_canonical(delta.record()) + "\n")
 
     @classmethod
     def load(cls, path: PathLike) -> "DeltaLog":
         """Load a log written by :meth:`save` (or appended to since).
 
+        A final delta line with no trailing newline that does not parse is
+        an append interrupted mid-write: it is dropped, and its length is
+        recorded in :attr:`torn_bytes`.  An unterminated final line that
+        parses is kept, so hand-written logs load.
+
         Raises
         ------
         DeltaError
             On a missing/malformed header, wrong schema identifier or
-            version, or any malformed delta line — each with the file and
-            line number in the message.
+            version, or any other malformed delta line — each with the file
+            and line number in the message.
         """
         path = Path(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-        lines = [line for line in lines if line]
-        if not lines:
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        # lines[-1] follows the last newline: empty unless the file ends in
+        # an unterminated line.
+        numbered = [
+            (line_no, line.strip())
+            for line_no, line in enumerate(lines, start=1)
+            if line.strip()
+        ]
+        if not numbered:
             raise DeltaError(f"{path}: empty delta log (missing header line)")
+        header_no, header_line = numbered[0]
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise DeltaError(f"{path}:1: malformed header: {exc}") from None
+            header = json.loads(header_line)
+        except ValueError as exc:
+            raise DeltaError(f"{path}:{header_no}: malformed header: {exc}") from None
         if not isinstance(header, dict):
-            raise DeltaError(f"{path}:1: header must be a JSON object")
+            raise DeltaError(f"{path}:{header_no}: header must be a JSON object")
         if header.get("schema") != DELTA_SCHEMA:
             raise DeltaError(
-                f"{path}:1: schema {header.get('schema')!r} is not {DELTA_SCHEMA!r}"
+                f"{path}:{header_no}: schema {header.get('schema')!r} is not "
+                f"{DELTA_SCHEMA!r}"
             )
         if header.get("version") != DELTA_SCHEMA_VERSION:
             raise DeltaError(
-                f"{path}:1: unsupported delta log version {header.get('version')!r} "
-                f"(this reader understands {DELTA_SCHEMA_VERSION})"
+                f"{path}:{header_no}: unsupported delta log version "
+                f"{header.get('version')!r} (this reader understands "
+                f"{DELTA_SCHEMA_VERSION})"
             )
         missing = {"base_fingerprint", "num_u", "num_v"} - set(header)
         if missing:
-            raise DeltaError(f"{path}:1: header missing fields {sorted(missing)}")
+            raise DeltaError(
+                f"{path}:{header_no}: header missing fields {sorted(missing)}"
+            )
         log = cls(
             str(header["base_fingerprint"]),
             int(header["num_u"]),
             int(header["num_v"]),
         )
-        for line_no, line in enumerate(lines[1:], start=2):
+        for line_no, line in numbered[1:]:
             where = f"{path}:{line_no}"
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
+                if line_no == len(lines):
+                    log.torn_bytes = len(lines[-1])
+                    break
                 raise DeltaError(f"{where}: malformed delta line: {exc}") from None
             delta = EdgeDelta.from_record(payload, where)
             try:

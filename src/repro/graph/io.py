@@ -4,8 +4,10 @@ Two interchange formats are supported:
 
 * **TSV edge lists** — one ``u<TAB>v[<TAB>weight]`` line per edge, the format
   used by the public releases of the paper's datasets (DBLP, Wikipedia, ...).
-* **NPZ bundles** — a single compressed numpy file holding the CSR arrays and
-  optional label vectors; fast and loss-free for intermediate artifacts.
+* **NPZ bundles** — a single numpy ``.npz`` file holding the CSR arrays and
+  optional label vectors, written with stored (uncompressed) members; fast
+  and loss-free for intermediate artifacts.  The loader also reads the
+  deflated bundles older writers produced.
 """
 
 from __future__ import annotations
@@ -144,13 +146,18 @@ def write_edge_list(
 _LABEL_KEYS = ("u_labels", "v_labels")
 
 
-def save_npz(graph: BipartiteGraph, path: PathLike) -> None:
-    """Save ``graph`` (matrix + labels) to a compressed ``.npz`` bundle.
+def save_npz(graph: BipartiteGraph, path: PathLike) -> Dict[str, np.ndarray]:
+    """Save ``graph`` (matrix + labels) to an ``.npz`` bundle.
 
     The bundle holds exactly the CSR arrays (``shape``, ``indptr``,
     ``indices``, ``data``) plus ``u_labels`` / ``v_labels`` when the graph
     has them.  Label arrays are object-dtype (pickle-dependent); an
     unlabeled graph round-trips without pickle entirely.
+
+    Members are stored, not deflated: on CSR arrays deflate costs tens of
+    times the write it compresses for a 3-5x smaller file (measurements
+    in docs/SERVING.md).  Returns the members as written, so a caller can
+    digest them without reading the file back.
     """
     w = graph.w
     payload = {
@@ -167,7 +174,8 @@ def save_npz(graph: BipartiteGraph, path: PathLike) -> None:
         payload["v_labels"] = np.asarray(
             [json.dumps(label) for label in graph.v_labels], dtype=object
         )
-    np.savez_compressed(path, **payload)
+    np.savez(path, **payload)
+    return payload
 
 
 def _hashable(label):

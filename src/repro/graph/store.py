@@ -10,9 +10,14 @@ CSR arrays, one file per array, in **both** directions:
 A ``manifest.json`` records shapes, dtypes, and a blake2b content digest
 per array (the same digest format as the serving tier's
 :func:`repro.serve.artifacts.array_checksum`), plus ingest statistics.
-Stores are written staging-dir-first and published with one atomic rename,
-mirroring the ``ArtifactStore`` discipline — a crashed ingest never leaves a
-half-written store behind.
+Stores are written staging-dir-first and committed through
+:func:`repro.durable.commit_dir`, mirroring the ``ArtifactStore``
+discipline: every file and the staging directory are fsynced, the rename
+publishes the store, and the parent directory is fsynced.  A crashed ingest
+never leaves a half-written store behind.  A forced publish over an
+existing store moves the old one to ``<dest>.replaced`` first; if it dies
+between the two renames, the next :func:`publish_store` of ``dest`` puts
+the old store back, and :meth:`GraphStore.open` names the leftover.
 
 Loading uses ``np.load(mmap_mode="r")``: opening a store touches only the
 manifest; CSR arrays page in lazily as the kernels stream them.
@@ -43,12 +48,14 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import os
+import shutil
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
+
+from ..durable import commit_dir
 
 __all__ = [
     "GRAPH_STORE_SCHEMA",
@@ -80,6 +87,11 @@ _ARRAY_PARTS = ("indptr", "indices", "data")
 STAGING_PREFIX = ".staging-"
 
 _COPY_BLOCK_BYTES = 1 << 22  # 4 MiB streaming copy granularity
+
+
+def _aside_path(dest: Path) -> Path:
+    """Where a forced publish moves the store it replaces."""
+    return dest.with_name(dest.name + ".replaced")
 
 
 class GraphStoreError(ValueError):
@@ -538,6 +550,14 @@ class GraphStore:
 
         manifest_path = path / "manifest.json"
         if not path.is_dir():
+            aside = _aside_path(path)
+            if aside.is_dir():
+                raise GraphStoreError(
+                    f"{path}: graph store directory does not exist; {aside} "
+                    "holds the store that an interrupted forced publish was "
+                    "replacing — rerun the forced ingest (it puts that "
+                    "store back first) or rename it back"
+                )
             raise GraphStoreError(f"{path}: graph store directory does not exist")
         if not manifest_path.is_file():
             fail("missing manifest.json")
@@ -716,14 +736,23 @@ def publish_store(
     build: "callable",
     force: bool = False,
 ) -> GraphStore:
-    """Build a store into a staging dir and publish it with one atomic rename.
+    """Build a store into a staging dir and publish it with one durable rename.
 
     ``build(staging_path)`` must create every array file inside the staging
     directory and return the manifest's ``arrays``/``labels``/``stats``
     sections.  On any failure the staging directory is removed and nothing
     appears at ``dest``.
+
+    With ``force``, an existing store is moved to ``<dest>.replaced``,
+    the new one renamed into place, and the old one deleted.  A crash
+    between the two renames leaves no store at ``dest``; this function
+    first puts a complete ``<dest>.replaced`` back whenever ``dest`` is
+    missing, so the next publish recovers it.
     """
     dest = Path(dest)
+    aside = _aside_path(dest)
+    if not dest.exists() and (aside / "manifest.json").is_file():
+        commit_dir(aside, dest)
     if dest.exists():
         if not force:
             raise GraphStoreError(
@@ -754,19 +783,13 @@ def publish_store(
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
         if dest.exists():
-            import shutil
-
-            old = dest.with_name(dest.name + ".replaced")
-            if old.exists():
-                shutil.rmtree(old)
-            os.replace(dest, old)
-            os.replace(staging, dest)
-            shutil.rmtree(old)
+            if aside.exists():
+                shutil.rmtree(aside)
+            commit_dir(staging, dest, aside=aside)
+            shutil.rmtree(aside)
         else:
-            os.replace(staging, dest)
+            commit_dir(staging, dest)
     except BaseException:
-        import shutil
-
         shutil.rmtree(staging, ignore_errors=True)
         raise
     return GraphStore.open(dest)

@@ -17,6 +17,7 @@ version per publish::
           graph.npz            # optional: the training graph (CSR bundle)
         v0002/
           ...
+        .publish.lock          # flock'd by publishers of <name>
 
 One schema version is readable, v3.  Each embedding array is its own
 uncompressed ``.npy`` file, so :meth:`ArtifactStore.load` memory-maps them
@@ -40,17 +41,32 @@ The manifest records a blake2b digest of every array (dtype + shape + raw
 bytes — the same content-fingerprint idiom as
 :func:`repro.linalg.spectrum_cache.matrix_fingerprint`), quantization
 scales included, so :meth:`ArtifactStore.verify` detects a corrupt or
-hand-edited artifact before it ever reaches a kernel.  Publishes are
-crash-safe: the version directory is staged under a temporary name and
-renamed into place, so a reader never observes a half-written version and
-``resolve`` (which picks the highest complete version) never serves one.
-Staging directories are torn down on publish failure, and any stale
-``.staging-*`` leftovers (from a hard crash) are swept on store init.
+hand-edited artifact before it ever reaches a kernel.  The digests are
+taken from the arrays publish meant to write, not from the files it wrote,
+so verification compares the disk against intent.  ``graph.npz`` has
+stored (uncompressed) members; deflated bundles from older writers still
+load and verify.
+
+Publishes are crash-safe and durable.  The version directory is staged
+under a temporary name and committed through
+:func:`repro.durable.commit_dir`: every staged file and the staging
+directory are fsynced, the directory is renamed into place, and the name
+directory is fsynced before ``publish`` returns.  A reader never observes
+a half-written version, ``resolve`` (which picks the highest complete
+version) never serves one, and after a power loss a version either is
+absent or holds its complete files.  Publishers of one name hold an
+exclusive ``flock`` on ``<name>/.publish.lock`` from version allocation
+through the rename, so same-host publishers serialize and take consecutive
+versions.  Staging directories are torn down on publish failure, and
+``.staging-*`` leftovers of a hard crash are swept on store init under
+the same lock, taken without waiting: a live publisher's staging
+directory is left alone.
 """
 
 from __future__ import annotations
 
 import errno
+import fcntl
 import hashlib
 import json
 import os
@@ -58,13 +74,16 @@ import re
 import shutil
 import tempfile
 import time
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.quantize import QUANT_DTYPES, quantize_columns
+from ..durable import commit_dir, fsync_dir
 from ..graph import BipartiteGraph, load_npz, save_npz
 
 __all__ = [
@@ -83,6 +102,8 @@ ARTIFACT_SCHEMA_VERSION = 3
 
 #: Prefix of in-flight publish staging directories (swept on store init).
 STAGING_PREFIX = ".staging-"
+#: Per-name lock file; publishers and the staging sweep ``flock`` it.
+LOCK_FILE = ".publish.lock"
 
 MANIFEST_FILE = "manifest.json"
 #: The per-array layout: uncompressed ``.npy``, one array each, so
@@ -286,6 +307,35 @@ def _file_entry(arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
     }
 
 
+@contextmanager
+def _publish_lock(base: Path, *, wait: bool = True) -> Iterator[bool]:
+    """Hold the exclusive ``flock`` on ``base``'s lock file.
+
+    Yields whether the lock is held: always with ``wait``, and without it
+    only when no other publisher holds the lock.  ``flock`` locks belong
+    to an open file, so threads with their own opens exclude each other
+    just as processes do, and the lock dies with the process that held it.
+    """
+    fd = os.open(base / LOCK_FILE, os.O_RDONLY | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | (0 if wait else fcntl.LOCK_NB))
+            held = True
+        except BlockingIOError:
+            held = False
+        yield held
+    finally:
+        os.close(fd)
+
+
+def _staging_dirs(base: Path) -> List[Path]:
+    return [
+        entry
+        for entry in base.iterdir()
+        if entry.is_dir() and entry.name.startswith(STAGING_PREFIX)
+    ]
+
+
 def _npz_arrays(path: Path) -> Dict[str, np.ndarray]:
     """Every non-pickle member of an NPZ bundle, loaded eagerly."""
     with np.load(path, allow_pickle=False) as bundle:
@@ -320,21 +370,23 @@ class ArtifactStore:
     def _sweep_stale_staging(self) -> None:
         """Remove staging directories orphaned by a crashed publish.
 
-        A publish that dies between ``mkdtemp`` and the atomic rename (hard
-        kill, OOM, power loss) leaves a ``.staging-*`` directory behind
-        that no reader ever resolves but that leaks disk forever.  Store
+        A publish that dies between ``mkdtemp`` and the rename (hard kill,
+        OOM, power loss) leaves a ``.staging-*`` directory behind that no
+        reader ever resolves but that leaks disk forever.  Store
         construction is the natural sweep point: a store is opened before
         any publish, and the dot-prefixed staging names can never collide
-        with published ``vNNNN`` directories.  (The sweep assumes no
-        *other* process is mid-publish at init time; a concurrently swept
-        publisher fails its rename and reports the error.)
+        with published ``vNNNN`` directories.  A name is swept only under
+        its publish lock, taken without waiting, so the staging directory
+        of a publisher still running is skipped.  The lock file is opened
+        only when leftovers exist, so a store on a read-only mount opens.
         """
         for entry in self.root.iterdir():
-            if not entry.is_dir():
+            if not entry.is_dir() or not _staging_dirs(entry):
                 continue
-            for stale in entry.iterdir():
-                if stale.is_dir() and stale.name.startswith(STAGING_PREFIX):
-                    shutil.rmtree(stale, ignore_errors=True)
+            with _publish_lock(entry, wait=False) as held:
+                if held:
+                    for stale in _staging_dirs(entry):
+                        shutil.rmtree(stale, ignore_errors=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ArtifactStore({str(self.root)!r})"
@@ -388,9 +440,12 @@ class ArtifactStore:
     ) -> ArtifactRef:
         """Publish embeddings (and optionally their graph) as a new version.
 
-        The new version number is one past the highest published; staging
-        plus an atomic rename means a concurrent ``resolve`` either sees the
-        complete version or not at all.
+        The new version number is one past the highest published, allocated
+        under the name's publish lock, so concurrent same-host publishers
+        take consecutive versions.  Staging plus a durable rename
+        (:func:`repro.durable.commit_dir`) means a concurrent ``resolve``
+        either sees the complete version or not at all, and the version is
+        on stable storage when this returns.
 
         ``quantize`` (``"float16"`` or ``"int8"``) stores per-column
         quantized codes plus their scales instead of the float arrays —
@@ -402,8 +457,8 @@ class ArtifactStore:
         Raises
         ------
         ArtifactError
-            On invalid input, and when a concurrent publish claimed the
-            same version number first (retry).
+            On invalid input, and when a publisher that did not hold the
+            lock (another host, say) claimed the same version first (retry).
         """
         self._check_name(name)
         if quantize is not None and quantize not in QUANT_DTYPES:
@@ -426,11 +481,6 @@ class ArtifactStore:
             )
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise ArtifactError("embeddings contain non-finite values")
-        base = self.root / name
-        base.mkdir(parents=True, exist_ok=True)
-        existing = self.versions(name)
-        version = (existing[-1] + 1) if existing else 1
-
         stored: Dict[str, np.ndarray] = {}
         if quantize is None:
             stored[U_FILE] = u
@@ -446,61 +496,79 @@ class ArtifactStore:
             filename: _file_entry({Path(filename).stem: array})
             for filename, array in stored.items()
         }
-        staging = Path(
-            tempfile.mkdtemp(prefix=f"{STAGING_PREFIX}v{version:04d}-", dir=base)
-        )
-        try:
-            for filename, array in stored.items():
-                np.save(staging / filename, array)
-            if graph is not None:
-                # Only the CSR structure masks training edges at serving
-                # time; labels are dropped so graph.npz stays pickle-free
-                # and every byte of the artifact is checksummable.
-                save_npz(BipartiteGraph(graph.w), staging / GRAPH_FILE)
-                files[GRAPH_FILE] = _file_entry(
-                    _npz_arrays(staging / GRAPH_FILE)
+        base = self.root / name
+        if not base.is_dir():
+            # A first publish creates the name directory; its entry in the
+            # root must be as durable as the version committed inside it.
+            base.mkdir(parents=True, exist_ok=True)
+            fsync_dir(self.root)
+        with _publish_lock(base):
+            existing = self.versions(name)
+            version = (existing[-1] + 1) if existing else 1
+            staging = Path(
+                tempfile.mkdtemp(
+                    prefix=f"{STAGING_PREFIX}v{version:04d}-", dir=base
                 )
-            manifest = {
-                "schema": ARTIFACT_SCHEMA_NAME,
-                "version": ARTIFACT_SCHEMA_VERSION,
-                "name": name,
-                "artifact_version": version,
-                "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "method": method,
-                "dataset": dataset,
-                "dimension": int(u.shape[1]),
-                "num_u": int(u.shape[0]),
-                "num_v": int(v.shape[0]),
-                "dtype": files[U_FILE][Path(U_FILE).stem]["dtype"],
-                "quantize": quantize,
-                "files": files,
-                "metadata": dict(metadata or {}),
-            }
-            _validate_manifest(manifest, str(staging))
-            with open(staging / MANIFEST_FILE, "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            final = base / f"v{version:04d}"
+            )
             try:
-                os.rename(staging, final)
-            except OSError as exc:
-                # A concurrent publish claimed the version number first.
-                # Renaming onto an existing non-empty directory fails with
-                # ENOTEMPTY on Linux, EEXIST elsewhere.
-                if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
-                    raise
-                raise ArtifactError(
-                    f"version v{version:04d} of {name!r} was published "
-                    "concurrently; retry"
-                ) from None
-        finally:
-            # Publish failed before the rename: tear the staging directory
-            # down unconditionally (rmtree, so a partially written tree or
-            # an unlink error cannot leave an orphan behind or mask the
-            # original exception).  Hard crashes that skip even this are
-            # caught by the init-time sweep.
-            if staging.exists():
-                shutil.rmtree(staging, ignore_errors=True)
+                for filename, array in stored.items():
+                    np.save(staging / filename, array)
+                if graph is not None:
+                    # Only the CSR structure masks training edges at
+                    # serving time; labels are dropped so graph.npz stays
+                    # pickle-free and every byte of the artifact is
+                    # checksummable.  The digests come from the arrays
+                    # save_npz wrote; verify() compares the file to them.
+                    files[GRAPH_FILE] = _file_entry(
+                        save_npz(BipartiteGraph(graph.w), staging / GRAPH_FILE)
+                    )
+                manifest = {
+                    "schema": ARTIFACT_SCHEMA_NAME,
+                    "version": ARTIFACT_SCHEMA_VERSION,
+                    "name": name,
+                    "artifact_version": version,
+                    "created": time.strftime(
+                        "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
+                    ),
+                    "method": method,
+                    "dataset": dataset,
+                    "dimension": int(u.shape[1]),
+                    "num_u": int(u.shape[0]),
+                    "num_v": int(v.shape[0]),
+                    "dtype": files[U_FILE][Path(U_FILE).stem]["dtype"],
+                    "quantize": quantize,
+                    "files": files,
+                    "metadata": dict(metadata or {}),
+                }
+                _validate_manifest(manifest, str(staging))
+                with open(
+                    staging / MANIFEST_FILE, "w", encoding="utf-8"
+                ) as handle:
+                    json.dump(manifest, handle, indent=2, sort_keys=True)
+                    handle.write("\n")
+                final = base / f"v{version:04d}"
+                try:
+                    commit_dir(staging, final)
+                except OSError as exc:
+                    # The version is taken although we allocated it under
+                    # the lock: a publisher on another host, or one that
+                    # bypassed the lock.  Renaming onto an existing
+                    # non-empty directory fails with ENOTEMPTY on Linux,
+                    # EEXIST elsewhere.
+                    if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                        raise
+                    raise ArtifactError(
+                        f"version v{version:04d} of {name!r} was published "
+                        "concurrently; retry"
+                    ) from None
+            finally:
+                # Publish failed before the rename: tear the staging
+                # directory down unconditionally (rmtree, so a partially
+                # written tree or an unlink error cannot leave an orphan
+                # behind or mask the original exception).  Hard crashes
+                # that skip even this are caught by the init-time sweep.
+                if staging.exists():
+                    shutil.rmtree(staging, ignore_errors=True)
         return ArtifactRef(name=name, version=version, path=final, manifest=manifest)
 
     def resolve(self, name: str, version: Optional[int] = None) -> ArtifactRef:
@@ -551,7 +619,7 @@ class ArtifactStore:
             else:
                 try:
                     arrays = _npz_arrays(path)
-                except (OSError, ValueError) as exc:
+                except (OSError, ValueError, zipfile.BadZipFile) as exc:
                     raise ArtifactError(
                         f"{path}: cannot read bundle: {exc}"
                     ) from exc
