@@ -26,7 +26,7 @@ PYTHON ?= python
 # must hold at every executor width, and operations are counted once per
 # logical apply however many threads ran it.
 THREADED_TESTS = tests/test_linalg_kernels.py tests/test_linalg_parallel.py \
-  tests/test_kernels_fallback.py tests/test_topk.py \
+  tests/test_topk.py \
   tests/test_serve_batcher.py tests/test_serve_server.py \
   tests/test_ann.py tests/test_quant.py \
   tests/test_serve_service.py tests/test_graph_delta.py tests/test_refresh.py \
@@ -78,21 +78,24 @@ lint-dense:
 
 # Grep lint: renames of trusted on-disk state go through repro.durable
 # (commit_dir / replace_file), which fsyncs the data before the rename and
-# the directory after it.  A bare os.rename/os.replace anywhere else in
-# src/repro skips that order.  Part of `make test`.
+# the directory after it, and so do the directories created on the way to
+# a commit (make_dirs fsyncs the parent of each one it creates).  A bare
+# os.rename/os.replace or .mkdir( anywhere else in src/repro skips that
+# order.  Part of `make test`.
 DURABLE_MODULE = src/repro/durable\.py
 
 lint-durable:
-	@matches=$$(grep -rn --include='*.py' -E 'os\.(rename|replace)\(' src/repro \
+	@matches=$$(grep -rn --include='*.py' -E 'os\.(rename|replace)\(|\.mkdir\(' src/repro \
 	  | grep -vE '^($(DURABLE_MODULE)):' || true); \
 	if [ -n "$$matches" ]; then \
-	  echo "lint-durable: renames outside repro.durable:"; \
+	  echo "lint-durable: renames or mkdirs outside repro.durable:"; \
 	  echo "$$matches"; \
-	  echo "commit a staged directory with repro.durable.commit_dir, or write"; \
-	  echo "one file with repro.durable.replace_file."; \
+	  echo "commit a staged directory with repro.durable.commit_dir, write"; \
+	  echo "one file with repro.durable.replace_file, or create directories"; \
+	  echo "with repro.durable.make_dirs."; \
 	  exit 1; \
 	fi; \
-	echo "lint-durable: OK (renames confined to src/repro/durable.py)"
+	echo "lint-durable: OK (renames and mkdirs confined to src/repro/durable.py)"
 
 # End-to-end serving round trip: fit the toy graph, publish to a throwaway
 # artifact store, answer concurrent HTTP top-k requests in-process, and

@@ -224,7 +224,8 @@ class IVFIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def _resolve_nprobe(self, nprobe: Optional[int]) -> int:
+    def resolve_nprobe(self, nprobe: Optional[int]) -> int:
+        """The cells :meth:`search` probes for ``nprobe`` (``None``: all)."""
         if nprobe is None:
             return self.n_cells
         nprobe = int(nprobe)
@@ -301,7 +302,7 @@ class IVFIndex:
                     f"exclusion graph has {exclude.num_v} items but the "
                     f"index covers only {self.num_items}"
                 )
-        n_probe = self._resolve_nprobe(nprobe)
+        n_probe = self.resolve_nprobe(nprobe)
         n_keep = max(0, min(int(n), self.num_items))
         batch = queries.shape[0]
         out_items = np.full((batch, n_keep), -1, dtype=np.int64)

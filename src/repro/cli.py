@@ -37,6 +37,7 @@ from . import __version__, obs
 from .baselines import make_method, method_names, resolve_method_name
 from .core import select_topn
 from .datasets import DATASETS, load_dataset, toy_graph
+from .durable import replace_file
 from .graph import BipartiteGraph, read_edge_list, write_edge_list
 from .tasks import LinkPredictionTask, RecommendationTask, TopKEngine
 
@@ -73,6 +74,18 @@ def _load_cli_dataset(name: str, seed: int) -> BipartiteGraph:
     if name == "toy":
         return toy_graph()
     return load_dataset(name, seed=seed)
+
+
+def _save_npz(path: str, **arrays: np.ndarray) -> None:
+    """``np.savez_compressed`` to ``path``, replaced atomically.
+
+    The destination is the one numpy names (``.npz`` appended when
+    missing), and a write that fails leaves an existing file as it was.
+    """
+    if not path.endswith(".npz"):
+        path += ".npz"
+    with replace_file(path) as tmp:
+        np.savez_compressed(tmp, **arrays)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,14 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=64,
-        help="most single-user requests coalesced into one GEMM (default: "
-        "64); the batcher adds no wait, so requests coalesce only while a "
-        "batch is being scored",
-    )
-    serve.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable the micro-batcher (single-user requests score directly)",
+        help="most single-user or single-source requests of one query class "
+        "coalesced into one scoring call (default: 64); the batcher adds no "
+        "wait, so requests coalesce only while a batch is being scored",
     )
     serve.add_argument(
         "--ann",
@@ -691,7 +699,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     else:
         result = method.fit(graph)
     if args.output is not None:
-        np.savez_compressed(args.output, u=result.u, v=result.v)
+        _save_npz(args.output, u=result.u, v=result.v)
         destination = f" -> {args.output}"
     else:
         destination = ""
@@ -928,7 +936,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         arrays = {"users": out_users, "items": out_items}
         if args.with_scores:
             arrays["scores"] = out_scores
-        np.savez_compressed(args.output, **arrays)
+        _save_npz(args.output, **arrays)
         print(
             f"top-{n_keep} for {out_users.size} users "
             f"({v.shape[0]} items) -> {args.output}"
@@ -1075,7 +1083,7 @@ def _cmd_similar(args: argparse.Namespace) -> int:
         arrays = {"sources": sources, "items": items}
         if args.with_scores:
             arrays["scores"] = scores
-        np.savez_compressed(args.output, **arrays)
+        _save_npz(args.output, **arrays)
         if report is not None:
             print(report.to_json())
         stream = sys.stderr if report is not None else sys.stdout
@@ -1141,7 +1149,8 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
         print("error: --generate requires --output", file=sys.stderr)
         return 2
     graph = load_dataset(args.generate, seed=args.seed)
-    write_edge_list(graph, args.output)
+    with replace_file(args.output) as tmp:
+        write_edge_list(graph, tmp)
     print(f"wrote {graph} -> {args.output}")
     return 0
 
@@ -1541,7 +1550,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             max_queue=args.max_queue,
             deadline_ms=args.deadline_ms,
-            batch=not args.no_batch,
             max_batch=args.max_batch,
         )
         server = EmbeddingServer(service, config)

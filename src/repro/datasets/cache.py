@@ -17,7 +17,7 @@ import glob as _glob
 from pathlib import Path
 from typing import List, Optional, Union
 
-from ..durable import replace_file
+from ..durable import make_dirs, replace_file
 from ..graph import BipartiteGraph, load_npz, save_npz
 from .zoo import load_dataset
 
@@ -60,7 +60,7 @@ class DatasetCache:
         if path.exists():
             return load_npz(path)
         graph = load_dataset(name, seed=seed)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        make_dirs(self.directory)
         with replace_file(path) as tmp:
             save_npz(graph, tmp)
         return graph

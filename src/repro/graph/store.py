@@ -54,8 +54,9 @@ from pathlib import Path
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
+from scipy.sparse import _sparsetools  # in-place csr/csc_matvecs (scipy >= 1.7)
 
-from ..durable import commit_dir
+from ..durable import commit_dir, make_dirs
 
 __all__ = [
     "GRAPH_STORE_SCHEMA",
@@ -297,19 +298,6 @@ class OocWorkspace:
         return indptr, indices, data
 
 
-def _sparsetools_or_none():
-    try:
-        from scipy.sparse import _sparsetools
-
-        if hasattr(_sparsetools, "csr_matvecs") and hasattr(
-            _sparsetools, "csc_matvecs"
-        ):
-            return _sparsetools
-    except ImportError:  # pragma: no cover - scipy always ships it
-        pass
-    return None
-
-
 class StoreCSR:
     """A (possibly memory-mapped) CSR triplet with blocked operator support.
 
@@ -387,9 +375,6 @@ class StoreCSR:
 
     def __matmul__(self, block: np.ndarray) -> np.ndarray:
         """``W @ block`` — serial row-blocked sweep, bit-identical to scipy."""
-        tools = _sparsetools_or_none()
-        if tools is None:  # pragma: no cover - exercised via fallback test
-            return np.asarray(self.to_scipy() @ block)
         block = np.asarray(block)
         squeeze = block.ndim == 1
         x = np.ascontiguousarray(block.reshape(block.shape[0], -1), dtype=self.dtype)
@@ -402,7 +387,9 @@ class StoreCSR:
         xr = x.ravel()
         for r0, r1 in row_blocks(self.indptr, 0, m, ws.max_nnz):
             ipb, ixb, db = ws.stage(self, r0, r1)
-            tools.csr_matvecs(r1 - r0, n, cols, ipb, ixb, db, xr, out[r0:r1].ravel())
+            _sparsetools.csr_matvecs(
+                r1 - r0, n, cols, ipb, ixb, db, xr, out[r0:r1].ravel()
+            )
         return out[:, 0] if squeeze else out
 
     def __rmatmul__(self, block: np.ndarray) -> np.ndarray:
@@ -447,9 +434,6 @@ class _TransposedStoreCSR:
         every budget.
         """
         parent = self._parent
-        tools = _sparsetools_or_none()
-        if tools is None:  # pragma: no cover - exercised via fallback test
-            return np.asarray(parent.to_scipy().T @ block)
         block = np.asarray(block)
         squeeze = block.ndim == 1
         x = np.ascontiguousarray(
@@ -463,7 +447,7 @@ class _TransposedStoreCSR:
         ws = OocWorkspace(parent._budget_bytes(), parent.indices.dtype, parent.dtype)
         for r0, r1 in row_blocks(parent.indptr, 0, m, ws.max_nnz):
             ipb, ixb, db = ws.stage(parent, r0, r1)
-            tools.csc_matvecs(
+            _sparsetools.csc_matvecs(
                 n, r1 - r0, cols, ipb, ixb, db, x[r0:r1].ravel(), out.ravel()
             )
         return out[:, 0] if squeeze else out
@@ -764,7 +748,7 @@ def publish_store(
                 f"{dest}: refusing to replace a directory that is not a "
                 "graph store (no manifest.json)"
             )
-    dest.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(dest.parent)
     staging = Path(
         tempfile.mkdtemp(prefix=STAGING_PREFIX, dir=str(dest.parent))
     )

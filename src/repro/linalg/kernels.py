@@ -58,21 +58,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools  # in-place csr/csc_matvecs (scipy >= 1.7)
 
 from ..graph.store import DEFAULT_OOC_BUDGET_MB, OocWorkspace, row_blocks
 from ..obs import active as _obs_active
 from .parallel import ParallelExecutor, column_shards, row_shards
 from .policy import DtypePolicy
-
-try:  # scipy's low-level in-place routines (present in all supported scipys)
-    from scipy.sparse import _sparsetools
-
-    _HAVE_SPARSETOOLS = hasattr(_sparsetools, "csr_matvecs") and hasattr(
-        _sparsetools, "csc_matvecs"
-    )
-except ImportError:  # pragma: no cover - defensive; scipy always ships it
-    _sparsetools = None
-    _HAVE_SPARSETOOLS = False
 
 __all__ = ["SparseKernel", "GramKernel"]
 
@@ -301,9 +292,6 @@ class SparseKernel:
         block = np.asarray(block)
         if block.ndim == 1:
             return self.matmul(block.reshape(-1, 1), reuse=reuse)[:, 0]
-        if not _HAVE_SPARSETOOLS:  # pragma: no cover - exercised via fallback test
-            out = w @ block.astype(self.dtype, copy=False)
-            return np.asarray(out)
         x = self._as_input(block, "in_v")
         m, n = w.shape
         cols = x.shape[1]
@@ -318,9 +306,6 @@ class SparseKernel:
         block = np.asarray(block)
         if block.ndim == 1:
             return self.t_matmul(block.reshape(-1, 1), reuse=reuse)[:, 0]
-        if not _HAVE_SPARSETOOLS:  # pragma: no cover - exercised via fallback test
-            out = w.T @ block.astype(self.dtype, copy=False)
-            return np.asarray(out)
         m, n = w.shape
         cols = block.shape[1]
         out = self._buf("out_v", n, cols) if reuse else np.empty((n, cols), self.dtype)
@@ -544,10 +529,7 @@ class GramKernel:
             v = kernel.t_matmul(cur, reuse=True)
             nxt = kernel._buf("hop_b" if use_b else "hop_a", m, c)
             nxt.fill(0.0)
-            if _HAVE_SPARSETOOLS:
-                kernel._csr_into(v, nxt)
-            else:  # pragma: no cover - exercised via fallback test
-                nxt[...] = kernel.w @ v
+            kernel._csr_into(v, nxt)
             # Same two-step rounding as the reference `acc += omega * q`.
             np.multiply(nxt, omega_ell, out=scratch)
             np.add(acc_view, scratch, out=acc_view)

@@ -83,7 +83,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.quantize import QUANT_DTYPES, quantize_columns
-from ..durable import commit_dir, fsync_dir
+from ..durable import commit_dir, make_dirs
 from ..graph import BipartiteGraph, load_npz, save_npz
 
 __all__ = [
@@ -364,7 +364,7 @@ class ArtifactStore:
 
     def __init__(self, root: PathLike):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        make_dirs(self.root)
         self._sweep_stale_staging()
 
     def _sweep_stale_staging(self) -> None:
@@ -497,11 +497,7 @@ class ArtifactStore:
             for filename, array in stored.items()
         }
         base = self.root / name
-        if not base.is_dir():
-            # A first publish creates the name directory; its entry in the
-            # root must be as durable as the version committed inside it.
-            base.mkdir(parents=True, exist_ok=True)
-            fsync_dir(self.root)
+        make_dirs(base)
         with _publish_lock(base):
             existing = self.versions(name)
             version = (existing[-1] + 1) if existing else 1

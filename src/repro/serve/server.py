@@ -7,12 +7,12 @@ JSON to :class:`~repro.serve.service.EmbeddingService`.  Endpoints::
                         {"users": [0, 1, 2], "n": 10,
                          "with_scores": true,
                          "exclude": true,
-                         "deadline_ms": 50}              -> many users (direct)
+                         "deadline_ms": 50}              -> many users (inline)
     POST /v1/similar    {"source": 3}                    -> one source (micro-batched)
                         {"sources": [0, 1, 2], "n": 10,
                          "side": "u", "mode": "mhs",
                          "with_scores": true,
-                         "deadline_ms": 50}              -> many sources (direct)
+                         "deadline_ms": 50}              -> many sources (inline)
     GET  /healthz       liveness + the served artifact tag
     GET  /metrics       ServiceMetrics snapshot + queue/batcher gauges
     POST /admin/reload  {"version": 2}  (omit for latest) -> hot swap
@@ -20,6 +20,20 @@ JSON to :class:`~repro.serve.service.EmbeddingService`.  Endpoints::
 Routes live in the declarative :data:`ROUTES` table — one
 :class:`Route` row per (HTTP verb, path, handler method), so a new verb
 registers by adding a row, not by editing the handler class.
+
+Both read endpoints share one request path (:meth:`EmbeddingServer._answer`):
+body fields, admission, deadline, answering and the reply.  A request
+belongs to a *query class* — ``("topk", exclude)`` or ``("similar", side,
+mode)`` — and one scoring function answers every class.  A single index
+goes to the :class:`~repro.serve.batcher.MicroBatcher` of its class, built
+on first use, so concurrent clients coalesce into blocked GEMMs or blocked
+matrix-free applies.  Several indices already are a batch and score inline
+on the handler thread; queued behind the batcher they would block the
+single-index requests.  Either way the lists returned are element-identical
+to the offline ``TopKEngine`` and
+:class:`~repro.tasks.similarity.SimilarityEngine` paths — pinned end-to-end
+by ``tests/test_serve_server.py``.  Graph-less artifacts answer
+``/v1/similar`` with ``409`` and the republish hint.
 
 Load-shedding is explicit and layered:
 
@@ -30,24 +44,11 @@ Load-shedding is explicit and layered:
   number, else ``400``); a request that exceeds it — e.g. it sat behind a
   long batch — is answered ``503`` rather than returning data nobody is
   waiting for anymore.
-
-Single-user requests flow through the
-:class:`~repro.serve.batcher.MicroBatcher` (when enabled), so concurrent
-clients coalesce into blocked GEMMs; multi-user requests already are
-batches and go straight to the service.  Either way the lists returned are
-element-identical to the offline ``TopKEngine`` path — pinned end-to-end by
-``tests/test_serve_server.py``.
-
-``/v1/similar`` follows the same shape over the similarity tier:
-single-source requests coalesce through one lazily created micro-batcher
-per ``(side, mode)`` into a blocked matrix-free apply, multi-source
-requests go direct, and both are element-identical to the offline
-:class:`~repro.tasks.similarity.SimilarityEngine`.  Graph-less artifacts
-answer ``409`` with the republish hint.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
@@ -56,7 +57,7 @@ from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,6 +74,14 @@ MAX_BODY_BYTES = 1 << 20
 #: The longest request deadline, in milliseconds: the longest timeout a
 #: ``threading`` wait accepts (a batched request waits on its future).
 MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1e3
+
+#: What a request asks: ``("topk", exclude)`` or ``("similar", side, mode)``.
+QueryClass = Tuple[Any, ...]
+
+#: Service response keys that carry rows or the request; every other key
+#: (``model``, and ``mode``/``nprobe`` or ``side``/``mode``) goes into the
+#: reply as is.
+_ROW_KEYS = frozenset({"users", "sources", "items", "scores", "n"})
 
 
 @dataclass(frozen=True)
@@ -113,10 +122,8 @@ class ServerConfig:
     deadline_ms:
         Default per-request deadline; ``503`` when exceeded.  Overridable
         per request via ``deadline_ms`` in the body.
-    batch:
-        Route single-user requests through the micro-batcher.
     max_batch:
-        Most single-user requests one micro-batch coalesces (see
+        Most single-index requests one micro-batch coalesces (see
         :class:`~repro.serve.batcher.MicroBatcher`).
     default_n:
         List length when a request does not say.
@@ -126,7 +133,6 @@ class ServerConfig:
     port: int = 0
     max_queue: int = 64
     deadline_ms: float = 1000.0
-    batch: bool = True
     max_batch: int = 64
     default_n: int = 10
 
@@ -137,6 +143,10 @@ class ServerConfig:
             raise ValueError(
                 f"deadline_ms must be positive, got {self.deadline_ms}"
             )
+        # Batchers are built on first use; a bad size must fail here, not
+        # as a 500 on the first request.
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.default_n < 0:
             raise ValueError(f"default_n must be >= 0, got {self.default_n}")
 
@@ -151,6 +161,26 @@ def _json_scores(rows) -> List[List[Optional[float]]]:
     return [
         [float(s) if math.isfinite(s) else None for s in row] for row in rows
     ]
+
+
+def _batcher_name(query_class: QueryClass) -> str:
+    """A query class's ``/metrics`` key: ``topk``, ``topk/unmasked``, ``similar/u/mhs``."""
+    if query_class[0] == "topk":
+        return "topk" if query_class[1] else "topk/unmasked"
+    return "/".join(query_class)
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``true``/``false`` parse as Python ints but are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _flag(body: Dict[str, Any], key: str, default: bool) -> bool:
+    """A JSON boolean field; ``"false"`` or ``0`` is a 400, not a truthy value."""
+    value = body.get(key, default)
+    if not isinstance(value, bool):
+        raise _HttpError(400, f"'{key}' must be true or false")
+    return value
 
 
 class _HttpError(Exception):
@@ -226,7 +256,7 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 
 
 class EmbeddingServer:
-    """The long-lived process: service + batcher + HTTP front end.
+    """The long-lived process: service + batchers + HTTP front end.
 
     Usable as a context manager in-process (tests, ``repro serve --smoke``)
     or driven by :meth:`serve_forever` from the CLI.
@@ -238,20 +268,11 @@ class EmbeddingServer:
         self.service = service
         self.config = config if config is not None else ServerConfig()
         self._admission = threading.Semaphore(self.config.max_queue)
-        self._batcher: Optional[MicroBatcher] = None
-        if self.config.batch:
-            self._batcher = MicroBatcher(
-                self._score_batch,
-                max_batch=self.config.max_batch,
-                max_queue=self.config.max_queue,
-            )
-        # Similarity micro-batchers, one per (side, mode), created on the
-        # first single-source request for that pair: each coalesces its
-        # requests into one blocked matrix-free apply, and side/mode are
-        # bound in the score closure because the batcher protocol only
-        # carries (sources, n).
-        self._similar_batchers: Dict[Tuple[str, str], MicroBatcher] = {}
-        self._similar_lock = threading.Lock()
+        # One micro-batcher per query class, built on the class's first
+        # single-index request; closed for good once stop() begins.
+        self._batchers: Dict[QueryClass, MicroBatcher] = {}
+        self._batchers_lock = threading.Lock()
+        self._stopping = False
         self._httpd = _ServeHTTPServer(
             (self.config.host, self.config.port), _Handler
         )
@@ -291,10 +312,9 @@ class EmbeddingServer:
         """Shut down the listener, drain the batchers, release sockets."""
         self._httpd.shutdown()
         self._httpd.server_close()
-        if self._batcher is not None:
-            self._batcher.close()
-        with self._similar_lock:
-            batchers = list(self._similar_batchers.values())
+        with self._batchers_lock:
+            self._stopping = True
+            batchers = list(self._batchers.values())
         for batcher in batchers:
             batcher.close()
         if self._thread is not None:
@@ -308,47 +328,55 @@ class EmbeddingServer:
         self.stop()
 
     # ------------------------------------------------------------------
-    # Batch scoring (runs on the batcher's worker thread)
+    # Scoring: one function for every query class
     # ------------------------------------------------------------------
+    def _score(
+        self,
+        query_class: QueryClass,
+        indices: np.ndarray,
+        n: int,
+        with_scores: bool = True,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Dict[str, Any]]:
+        """``(items, scores, fields)`` for ``indices``; ``fields`` names the
+        model that scored them (and the ANN or similarity fields)."""
+        if query_class[0] == "topk":
+            response = self.service.top_items(
+                indices, n, with_scores=with_scores, exclude_train=query_class[1]
+            )
+        else:
+            _, side, mode = query_class
+            response = self.service.similar(
+                indices, n, side=side, mode=mode, with_scores=with_scores
+            )
+        fields = {k: v for k, v in response.items() if k not in _ROW_KEYS}
+        return response["items"], response.get("scores"), fields
+
     def _score_batch(
-        self, users: np.ndarray, n: int
-    ) -> Tuple[np.ndarray, np.ndarray, str]:
-        response = self.service.top_items(users, n, with_scores=True)
+        self, query_class: QueryClass, indices: np.ndarray, n: int
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Dict[str, Any]]:
+        """The batcher's call (on its worker thread): counts each batch once."""
+        scored = self._score(query_class, indices, n)
         self.service.metrics.count("batches")
-        self.service.metrics.count("batched_requests", users.size)
-        return response["items"], response["scores"], response["model"]
+        self.service.metrics.count("batched_requests", indices.size)
+        return scored
 
-    def _similar_batcher(self, side: str, mode: str) -> Optional[MicroBatcher]:
-        """The lazily created micro-batcher for one (side, mode) pair."""
-        if not self.config.batch:
-            return None
-        key = (side, mode)
-        batcher = self._similar_batchers.get(key)
-        if batcher is not None:
-            return batcher
-        with self._similar_lock:
-            batcher = self._similar_batchers.get(key)
+    def _batcher(self, query_class: QueryClass) -> MicroBatcher:
+        """The micro-batcher of ``query_class``, built on first use.
+
+        Raises :class:`BatcherClosed` once :meth:`stop` has begun, so a
+        request racing shutdown starts no new worker thread.
+        """
+        with self._batchers_lock:
+            if self._stopping:
+                raise BatcherClosed("server is stopping")
+            batcher = self._batchers.get(query_class)
             if batcher is None:
-
-                def score_fn(
-                    sources: np.ndarray, n: int
-                ) -> Tuple[np.ndarray, np.ndarray, str]:
-                    response = self.service.similar(
-                        sources, n, mode=mode, side=side, with_scores=True
-                    )
-                    self.service.metrics.count("batches")
-                    self.service.metrics.count(
-                        "batched_requests", sources.size
-                    )
-                    return response["items"], response["scores"], response["model"]
-
-                batcher = MicroBatcher(
-                    score_fn,
+                batcher = self._batchers[query_class] = MicroBatcher(
+                    functools.partial(self._score_batch, query_class),
                     max_batch=self.config.max_batch,
                     max_queue=self.config.max_queue,
                 )
-                self._similar_batchers[key] = batcher
-        return batcher
+            return batcher
 
     # ------------------------------------------------------------------
     # Endpoints (return (status, payload); raise _HttpError to shed)
@@ -362,27 +390,21 @@ class EmbeddingServer:
         snapshot["quantize"] = self.service.quantize
         snapshot["bytes_resident"] = self.service.bytes_resident()
         snapshot["queue"]["max"] = self.config.max_queue
-        if self._batcher is not None:
-            snapshot["batcher"] = {
-                **self._batcher.stats.snapshot(),
-                "depth": self._batcher.depth,
+        with self._batchers_lock:
+            batchers = dict(self._batchers)
+        snapshot["batchers"] = {
+            _batcher_name(query_class): {
+                **batcher.stats.snapshot(),
+                "depth": batcher.depth,
             }
-        with self._similar_lock:
-            similar_batchers = dict(self._similar_batchers)
-        if similar_batchers:
-            snapshot["similar_batchers"] = {
-                f"{side}/{mode}": {
-                    **batcher.stats.snapshot(),
-                    "depth": batcher.depth,
-                }
-                for (side, mode), batcher in similar_batchers.items()
-            }
+            for query_class, batcher in batchers.items()
+        }
         return 200, snapshot
 
     def handle_reload(self, read_json) -> Tuple[int, Dict[str, Any]]:
         body = read_json()
         version = body.get("version")
-        if version is not None and not isinstance(version, int):
+        if version is not None and not _is_int(version):
             raise _HttpError(400, "'version' must be an integer")
         try:
             previous, current = self.service.reload(version)
@@ -391,14 +413,44 @@ class EmbeddingServer:
         return 200, {"previous": previous, "current": current}
 
     def handle_topk(self, read_json) -> Tuple[int, Dict[str, Any]]:
+        return self._answer(read_json, "user", "users", self._topk_class)
+
+    def handle_similar(self, read_json) -> Tuple[int, Dict[str, Any]]:
+        return self._answer(read_json, "source", "sources", self._similar_class)
+
+    def _topk_class(self, body: Dict[str, Any]) -> Tuple[QueryClass, int]:
+        return ("topk", _flag(body, "exclude", True)), self.service.num_users
+
+    def _similar_class(self, body: Dict[str, Any]) -> Tuple[QueryClass, int]:
+        side = body.get("side", "u")
+        if side not in ("u", "v"):
+            raise _HttpError(400, "'side' must be 'u' or 'v'")
+        mode = body.get("mode", "mhs")
+        if mode not in ("mhs", "mhp"):
+            raise _HttpError(400, "'mode' must be 'mhs' or 'mhp'")
+        bound = self.service.num_users if side == "u" else self.service.num_items
+        return ("similar", side, mode), bound
+
+    # ------------------------------------------------------------------
+    # The read path shared by /v1/topk and /v1/similar
+    # ------------------------------------------------------------------
+    def _answer(
+        self,
+        read_json,
+        single_key: str,
+        multi_key: str,
+        classify: Callable[[Dict[str, Any]], Tuple[QueryClass, int]],
+    ) -> Tuple[int, Dict[str, Any]]:
+        """Parse, admit, answer and reply; ``classify`` maps the body to its
+        query class and the index bound."""
         arrived = time.perf_counter()
         body = read_json()
-        users, single = self._parse_users(body)
+        query_class, bound = classify(body)
+        indices, single = _parse_indices(body, single_key, multi_key, bound)
         n = body.get("n", self.config.default_n)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if not _is_int(n) or n < 0:
             raise _HttpError(400, "'n' must be a non-negative integer")
-        with_scores = bool(body.get("with_scores", False))
-        exclude = bool(body.get("exclude", True))
+        with_scores = _flag(body, "with_scores", False)
         deadline = self._deadline(body, arrived)
 
         # Admission: over capacity -> 429 before any scoring work.
@@ -410,42 +462,67 @@ class EmbeddingServer:
             )
         self.service.metrics.queue_entered()
         try:
-            payload = self._answer_topk(
-                users, single, n, with_scores, exclude, deadline
-            )
+            self._check_deadline(deadline)
+            if single:
+                items, scores, fields = self._coalesce(
+                    query_class, int(indices[0]), n, with_scores, deadline
+                )
+                items, scores = [items], [scores]
+            else:
+                items, scores, fields = self._score(
+                    query_class, indices, n, with_scores
+                )
+            self._check_deadline(deadline)
+            payload = {
+                **fields,
+                multi_key: indices.tolist(),
+                "items": [row.tolist() for row in items],
+                "n": len(items[0]),
+                "batched": single,
+            }
+            if with_scores:
+                payload["scores"] = _json_scores(scores)
             self.service.metrics.observe("request", time.perf_counter() - arrived)
             return 200, payload
+        except ArtifactError as exc:
+            # The served artifact cannot answer this class at all (no graph
+            # for similarity): a deployment mismatch, not a malformed
+            # request — and carrying the republish hint to the client.
+            raise _HttpError(409, str(exc)) from exc
         finally:
             self.service.metrics.queue_left()
             self._admission.release()
 
-    def _parse_indices(
-        self, body: Dict[str, Any], single_key: str, multi_key: str, bound: int
-    ) -> Tuple[np.ndarray, bool]:
-        """Exactly one of ``single_key`` / ``multi_key``, bounds-checked."""
-        if (single_key in body) == (multi_key in body):
-            raise _HttpError(
-                400, f"give exactly one of '{single_key}' or '{multi_key}'"
+    def _coalesce(
+        self,
+        query_class: QueryClass,
+        index: int,
+        n: int,
+        with_scores: bool,
+        deadline: float,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Dict[str, Any]]:
+        """One index through its class's batcher, waited on until ``deadline``."""
+        try:
+            future = self._batcher(query_class).submit(
+                index, n, with_scores=with_scores
             )
-        if single_key in body:
-            value = body[single_key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise _HttpError(400, f"'{single_key}' must be an integer")
-            values, single = [value], True
-        else:
-            values, single = body[multi_key], False
-            if not isinstance(values, list) or not values or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in values
-            ):
-                raise _HttpError(
-                    400, f"'{multi_key}' must be a non-empty integer list"
-                )
-        indices = np.asarray(values, dtype=np.int64)
-        if indices.min() < 0 or indices.max() >= bound:
-            raise _HttpError(
-                400, f"{single_key} indices must be in [0, {bound})"
-            )
-        return indices, single
+        except QueueFull:
+            self.service.metrics.count("shed")
+            raise _HttpError(429, "batch queue full") from None
+        except BatcherClosed:
+            # A request that raced stop(): shutting down is an
+            # availability event, not a server bug.
+            raise _HttpError(503, "server shutting down") from None
+        timeout = max(deadline - time.perf_counter(), 0.0)
+        try:
+            return future.result(timeout=timeout)
+        except FutureTimeoutError:
+            future.cancel()
+            self.service.metrics.count("deadline_exceeded")
+            raise _HttpError(503, "deadline exceeded") from None
+        except CancelledError:
+            self.service.metrics.count("deadline_exceeded")
+            raise _HttpError(503, "request cancelled") from None
 
     def _deadline(self, body: Dict[str, Any], arrived: float) -> float:
         """The request's absolute deadline on the ``perf_counter`` clock.
@@ -467,182 +544,36 @@ class EmbeddingServer:
             )
         return arrived + float(deadline_ms) / 1e3
 
-    def _parse_users(self, body: Dict[str, Any]) -> Tuple[np.ndarray, bool]:
-        return self._parse_indices(
-            body, "user", "users", self.service.num_users
-        )
-
-    def handle_similar(self, read_json) -> Tuple[int, Dict[str, Any]]:
-        arrived = time.perf_counter()
-        body = read_json()
-        side = body.get("side", "u")
-        if side not in ("u", "v"):
-            raise _HttpError(400, "'side' must be 'u' or 'v'")
-        mode = body.get("mode", "mhs")
-        if mode not in ("mhs", "mhp"):
-            raise _HttpError(400, "'mode' must be 'mhs' or 'mhp'")
-        bound = self.service.num_users if side == "u" else self.service.num_items
-        sources, single = self._parse_indices(body, "source", "sources", bound)
-        n = body.get("n", self.config.default_n)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise _HttpError(400, "'n' must be a non-negative integer")
-        with_scores = bool(body.get("with_scores", False))
-        deadline = self._deadline(body, arrived)
-
-        # Admission: over capacity -> 429 before any scoring work.
-        if not self._admission.acquire(blocking=False):
-            self.service.metrics.count("shed")
-            raise _HttpError(
-                429,
-                f"admission queue full ({self.config.max_queue} in flight)",
-            )
-        self.service.metrics.queue_entered()
-        try:
-            payload = self._answer_similar(
-                sources, single, side, mode, n, with_scores, deadline
-            )
-            self.service.metrics.observe("request", time.perf_counter() - arrived)
-            return 200, payload
-        except ArtifactError as exc:
-            # The served artifact cannot answer similarity at all (no
-            # graph): a deployment mismatch, not a malformed request — and
-            # carrying the republish hint to the client.
-            raise _HttpError(409, str(exc)) from exc
-        finally:
-            self.service.metrics.queue_left()
-            self._admission.release()
-
-    def _answer_similar(
-        self,
-        sources: np.ndarray,
-        single: bool,
-        side: str,
-        mode: str,
-        n: int,
-        with_scores: bool,
-        deadline: float,
-    ) -> Dict[str, Any]:
-        self._check_deadline(deadline)
-        batcher = self._similar_batcher(side, mode) if single else None
-        if batcher is not None:
-            try:
-                future = batcher.submit(
-                    int(sources[0]), n, with_scores=with_scores
-                )
-            except QueueFull:
-                self.service.metrics.count("shed")
-                raise _HttpError(429, "batch queue full") from None
-            except BatcherClosed:
-                raise _HttpError(503, "server shutting down") from None
-            timeout = max(deadline - time.perf_counter(), 0.0)
-            try:
-                items, scores, model = future.result(timeout=timeout)
-            except FutureTimeoutError:
-                future.cancel()
-                self.service.metrics.count("deadline_exceeded")
-                raise _HttpError(503, "deadline exceeded") from None
-            except CancelledError:
-                self.service.metrics.count("deadline_exceeded")
-                raise _HttpError(503, "request cancelled") from None
-            payload: Dict[str, Any] = {
-                "model": model,
-                "sources": [int(sources[0])],
-                "side": side,
-                "mode": mode,
-                "items": [[int(i) for i in items]],
-                "n": int(items.size),
-                "batched": True,
-            }
-            if with_scores:
-                payload["scores"] = _json_scores([scores])
-        else:
-            response = self.service.similar(
-                sources, n, mode=mode, side=side, with_scores=with_scores
-            )
-            payload = {
-                "model": response["model"],
-                "sources": [int(s) for s in response["sources"]],
-                "side": side,
-                "mode": mode,
-                "items": [[int(i) for i in row] for row in response["items"]],
-                "n": int(response["n"]),
-                "batched": False,
-            }
-            if with_scores:
-                payload["scores"] = _json_scores(response["scores"])
-        self._check_deadline(deadline)
-        return payload
-
     def _check_deadline(self, deadline: float) -> None:
         if time.perf_counter() > deadline:
             self.service.metrics.count("deadline_exceeded")
             raise _HttpError(503, "deadline exceeded")
 
-    def _answer_topk(
-        self,
-        users: np.ndarray,
-        single: bool,
-        n: int,
-        with_scores: bool,
-        exclude: bool,
-        deadline: float,
-    ) -> Dict[str, Any]:
-        self._check_deadline(deadline)
-        use_batcher = (
-            single
-            and exclude  # the batcher is bound to the masked read-out
-            and self._batcher is not None
+
+def _parse_indices(
+    body: Dict[str, Any], single_key: str, multi_key: str, bound: int
+) -> Tuple[np.ndarray, bool]:
+    """Exactly one of ``single_key`` / ``multi_key``, bounds-checked.
+
+    The bounds are checked on the Python ints, before the int64 cast: an
+    index past int64 would raise ``OverflowError`` inside numpy.
+    """
+    if (single_key in body) == (multi_key in body):
+        raise _HttpError(
+            400, f"give exactly one of '{single_key}' or '{multi_key}'"
         )
-        if use_batcher:
-            try:
-                future = self._batcher.submit(
-                    int(users[0]), n, with_scores=with_scores
-                )
-            except QueueFull:
-                self.service.metrics.count("shed")
-                raise _HttpError(429, "batch queue full") from None
-            except BatcherClosed:
-                # A request that raced stop(): shutting down is an
-                # availability event, not a server bug.
-                raise _HttpError(503, "server shutting down") from None
-            timeout = max(deadline - time.perf_counter(), 0.0)
-            try:
-                items, scores, model = future.result(timeout=timeout)
-            except FutureTimeoutError:
-                future.cancel()
-                self.service.metrics.count("deadline_exceeded")
-                raise _HttpError(503, "deadline exceeded") from None
-            except CancelledError:
-                self.service.metrics.count("deadline_exceeded")
-                raise _HttpError(503, "request cancelled") from None
-            # ``requests`` counts scoring calls: the coalesced batch already
-            # counted one inside ``top_items``; this HTTP request is tallied
-            # under ``batched_requests`` by ``_score_batch``.  ``model`` is
-            # the version that scored the batch, not the one served now.
-            payload = {
-                "model": model,
-                "users": [int(users[0])],
-                "items": [[int(i) for i in items]],
-                "n": int(items.size),
-                "batched": True,
-            }
-            if with_scores:
-                payload["scores"] = _json_scores([scores])
-        else:
-            response = self.service.top_items(
-                users, n, with_scores=with_scores, exclude_train=exclude
+    if single_key in body:
+        values, single = [body[single_key]], True
+        if not _is_int(values[0]):
+            raise _HttpError(400, f"'{single_key}' must be an integer")
+    else:
+        values, single = body[multi_key], False
+        if not isinstance(values, list) or not values or not all(
+            _is_int(v) for v in values
+        ):
+            raise _HttpError(
+                400, f"'{multi_key}' must be a non-empty integer list"
             )
-            payload = {
-                "model": response["model"],
-                "users": [int(u) for u in response["users"]],
-                "items": [[int(i) for i in row] for row in response["items"]],
-                "n": int(response["n"]),
-                "batched": False,
-            }
-            if with_scores:
-                payload["scores"] = _json_scores(response["scores"])
-            if response.get("mode") == "ann":
-                payload["mode"] = "ann"
-                payload["nprobe"] = int(response["nprobe"])
-        self._check_deadline(deadline)
-        return payload
+    if min(values) < 0 or max(values) >= bound:
+        raise _HttpError(400, f"{single_key} indices must be in [0, {bound})")
+    return np.asarray(values, dtype=np.int64), single

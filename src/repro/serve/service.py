@@ -42,7 +42,7 @@ import numpy as np
 from ..ann import INDEX_FILE, IVFIndex
 from ..core.base import EmbeddingResult
 from ..graph import BipartiteGraph
-from ..core.pmf import PathLengthPMF, PoissonPMF
+from ..core.pmf import PoissonPMF
 from ..linalg.policy import DtypePolicy
 from ..tasks.similarity import SIMILARITY_MODES, SimilarityEngine, transposed_graph
 from ..tasks.topk import QuantizedTopKEngine, TopKEngine
@@ -53,6 +53,13 @@ __all__ = ["EmbeddingService", "ServiceMetrics", "percentile"]
 #: Ring-buffer length for per-stage latency samples; bounds the memory of a
 #: long-lived service while keeping enough history for stable percentiles.
 LATENCY_WINDOW = 2048
+
+#: The measure :meth:`EmbeddingService.similar` answers under: path lengths
+#: Poisson(lambda = 1) truncated at tau = 5 hops, over "sym"-normalized
+#: weights (the solvers' default preprocessing).
+SIMILAR_PMF = PoissonPMF(lam=1.0)
+SIMILAR_TAU = 5
+SIMILAR_NORMALIZATION = "sym"
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -194,6 +201,7 @@ class _Model:
         policy: DtypePolicy,
         block_rows: Optional[int],
         ann: bool = False,
+        nprobe: Optional[int] = None,
     ):
         self.ref = loaded.ref
         self.quantize: Optional[str] = loaded.quantize
@@ -203,6 +211,7 @@ class _Model:
         self._similarity: Dict[str, SimilarityEngine] = {}
         self._similarity_lock = threading.Lock()
         self.ivf: Optional[IVFIndex] = None
+        self.nprobe: Optional[int] = None
         if loaded.quantize is not None:
             if ann:
                 raise ArtifactError(
@@ -242,6 +251,9 @@ class _Model:
             # digest against this artifact version — an index built from a
             # different version is rejected here, before it serves anything.
             self.ivf = IVFIndex.load(index_path, loaded.v)
+            # The effective probe count of this version's index (``None``:
+            # every cell), which every ANN reply reports.
+            self.nprobe = self.ivf.resolve_nprobe(nprobe)
 
     def bytes_resident(self) -> int:
         """Heap bytes this model pins: engine arrays (memmaps excluded,
@@ -249,13 +261,7 @@ class _Model:
         return self.template.resident_bytes()
 
     def similarity_template(
-        self,
-        side: str,
-        *,
-        pmf: PathLengthPMF,
-        tau: int,
-        normalization: str,
-        policy: DtypePolicy,
+        self, side: str, policy: DtypePolicy
     ) -> SimilarityEngine:
         """The per-side similarity engine template, built once and cached.
 
@@ -281,9 +287,9 @@ class _Model:
                 )
                 engine = SimilarityEngine(
                     graph,
-                    pmf,
-                    tau,
-                    normalization=normalization,
+                    SIMILAR_PMF,
+                    SIMILAR_TAU,
+                    normalization=SIMILAR_NORMALIZATION,
                     policy=policy,
                 )
                 self._similarity[side] = engine
@@ -315,12 +321,11 @@ class EmbeddingService:
         rejected with a pointed error otherwise, or when the index was
         built from a different version).  ``nprobe`` is the recall knob —
         ``None`` probes every cell, which is exact.
-    similar_pmf, similar_tau, similar_normalization:
-        The measure instantiation :meth:`similar` answers queries under
-        (``None`` pmf: Poisson with ``lam=1.0``; ``"sym"`` normalization —
-        the solvers' default preprocessing).  The engines are built lazily
-        on the first similarity query per side, since only graph-bearing
-        artifacts can answer them at all.
+
+    :meth:`similar` answers under one measure (:data:`SIMILAR_PMF`,
+    :data:`SIMILAR_TAU`, :data:`SIMILAR_NORMALIZATION`).  Its engines are
+    built lazily on the first similarity query per side, since only
+    graph-bearing artifacts can answer them at all.
     """
 
     def __init__(
@@ -335,9 +340,6 @@ class EmbeddingService:
         mmap: bool = True,
         ann: bool = False,
         nprobe: Optional[int] = None,
-        similar_pmf: Optional[PathLengthPMF] = None,
-        similar_tau: int = 5,
-        similar_normalization: str = "sym",
     ):
         if nprobe is not None and not ann:
             raise ValueError("nprobe requires ann=True")
@@ -349,11 +351,6 @@ class EmbeddingService:
         self._mmap = bool(mmap)
         self._ann = bool(ann)
         self._nprobe = nprobe
-        self._similar_pmf = (
-            similar_pmf if similar_pmf is not None else PoissonPMF(lam=1.0)
-        )
-        self._similar_tau = int(similar_tau)
-        self._similar_normalization = similar_normalization
         self._reload_lock = threading.Lock()
         self._local = threading.local()
         self.metrics = ServiceMetrics()
@@ -366,7 +363,9 @@ class EmbeddingService:
         loaded = self._store.load(
             self._name, version, verify=self._verify, mmap=self._mmap
         )
-        return _Model(loaded, self._policy, self._block_rows, ann=self._ann)
+        return _Model(
+            loaded, self._policy, self._block_rows, ann=self._ann, nprobe=self._nprobe
+        )
 
     @property
     def artifact(self) -> ArtifactRef:
@@ -428,13 +427,7 @@ class EmbeddingService:
             self._local.similar_model = model
         engine = self._local.similar.get(side)
         if engine is None:
-            template = model.similarity_template(
-                side,
-                pmf=self._similar_pmf,
-                tau=self._similar_tau,
-                normalization=self._similar_normalization,
-                policy=self._policy,
-            )
+            template = model.similarity_template(side, self._policy)
             engine = self._local.similar[side] = template.clone_for_worker()
         return engine, model
 
@@ -526,7 +519,7 @@ class EmbeddingService:
         result = index.search(
             model.result.u[users],
             n,
-            nprobe=self._nprobe,
+            nprobe=model.nprobe,
             exclude=exclude,
             users=users if exclude is not None else None,
             with_scores=True,
@@ -544,7 +537,7 @@ class EmbeddingService:
             "items": items,
             "n": items.shape[1],
             "mode": "ann",
-            "nprobe": stats["nprobe"],
+            "nprobe": model.nprobe,
         }
         if with_scores:
             payload["scores"] = scores

@@ -228,6 +228,27 @@ class TestFlushOrder:
         dest = write()
         assert log.fsynced(dest.parent.parent)
 
+    @pytest.mark.parametrize("writer", ["artifact-new-root", "graph-store-new-parent"])
+    def test_directories_created_above_the_commit_are_durable(
+        self, writer, tmp_path, monkeypatch
+    ):
+        """A store root or parent that does not exist yet: each directory
+        created on the way to the commit has its parent fsynced."""
+        top = tmp_path / "new"
+        edges = _write_edges(tmp_path / "edges.tsv", 4)
+        log = _FlushLog(monkeypatch)
+        if writer == "artifact-new-root":
+            dest = ArtifactStore(top / "artifacts").publish("toy", *_embeddings(3)).path
+        else:
+            dest = build_graph_store(edges, top / "graphs" / "graph")[0].path
+        monkeypatch.undo()
+        created = [p for p in dest.parents if p == top or top in p.parents]
+        assert created
+        for directory in created:
+            assert log.fsynced(directory.parent), (
+                f"{directory} was created but its parent was never fsynced"
+            )
+
 
 # ---------------------------------------------------------------------------
 # Process death: a child killed at every step of a clean publish
@@ -708,6 +729,35 @@ class TestAtomicFileWriters:
             IVFIndex.build(v, n_cells=5, seed=1).save(path)
         monkeypatch.undo()
         assert IVFIndex.load(path, v).n_cells == 4
+        assert _tmp_files(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["embed", "query", "similar", "datasets"])
+    def test_interrupted_cli_export_keeps_the_previous_file(
+        self, command, tmp_path, monkeypatch
+    ):
+        embeddings = tmp_path / "emb.npz"
+        np.savez(embeddings, u=np.eye(4), v=np.eye(4))
+        suffix = ".tsv" if command == "datasets" else ".npz"
+        out = tmp_path / f"out{suffix}"
+        out.write_bytes(b"previous export")
+        argv = {
+            "embed": ["embed", "--dataset", "toy", "--dimension", "4", str(out)],
+            "query": ["query", str(embeddings), "-n", "2", "--output", str(out)],
+            "similar": ["similar", "--dataset", "toy", "--sources", "0",
+                        "--output", str(out)],
+            "datasets": ["datasets", "--generate", "dblp", "--output", str(out)],
+        }[command]
+        if command == "datasets":
+            monkeypatch.setattr(
+                "repro.cli.write_edge_list", lambda graph, path: _torn_write(path)
+            )
+        else:
+            monkeypatch.setattr(
+                np, "savez_compressed", lambda file, **arrays: _torn_write(file)
+            )
+        with pytest.raises(OSError, match="disk full"):
+            main(argv)
+        assert out.read_bytes() == b"previous export"
         assert _tmp_files(tmp_path) == []
 
     def test_interrupted_cache_write_leaves_no_entry(

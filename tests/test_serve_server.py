@@ -13,6 +13,7 @@ whole tier must hold regardless of how the scoring executor is sized.
 
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -219,16 +220,99 @@ class TestRoundTrip:
             {"user": 2, "n": 4, "with_scores": True, "exclude": False},
         )
         assert status == 200
-        assert body["batched"] is False  # unmasked queries bypass the batcher
+        assert body["batched"] is True
         raw = result.u[2] @ result.v.T
         np.testing.assert_allclose(
             body["scores"][0], np.sort(raw)[::-1][:4], rtol=1e-12
         )
 
+    def test_unmasked_single_user_rides_its_own_batcher(self, server, result):
+        engine = TopKEngine.from_result(result)
+        for user in (2, 17):
+            status, body = _call(
+                server, "/v1/topk", {"user": user, "n": 7, "exclude": False}
+            )
+            assert status == 200
+            assert body["batched"] is True
+            assert body["items"] == [engine.top_items(7, users=[user])[0].tolist()]
+        _, metrics = _call(server, "/metrics")
+        assert metrics["batchers"]["topk/unmasked"]["requests"] == 2
+        assert "topk" not in metrics["batchers"]
+
+    def test_ann_single_user_reply_names_mode_and_nprobe(self, store, result):
+        from repro.ann import INDEX_FILE, IVFIndex
+
+        ref = store.resolve("toy")
+        index = IVFIndex.build(
+            result.v, n_cells=4, seed=0,
+            v_checksum=ArtifactStore.v_checksum(ref), source=ref.tag,
+        )
+        index.save(ref.path / INDEX_FILE)
+        service = EmbeddingService(store, "toy", ann=True, nprobe=2)
+        with EmbeddingServer(service, ServerConfig()) as server:
+            _, single = _call(server, "/v1/topk", {"user": 5, "n": 4})
+            _, multi = _call(server, "/v1/topk", {"users": [5, 6], "n": 4})
+        assert single["batched"] is True and multi["batched"] is False
+        assert single["mode"] == multi["mode"] == "ann"
+        assert single["nprobe"] == multi["nprobe"] == 2
+        assert single["items"] == multi["items"][:1]
+
     def test_healthz_reports_model(self, server):
         status, body = _call(server, "/healthz")
         assert status == 200
         assert body == {"status": "ok", "model": "toy@v1"}
+
+    def test_metrics_have_one_batcher_per_query_class_used(self, server):
+        _call(server, "/v1/topk", {"user": 0})
+        _call(server, "/v1/topk", {"user": 1})
+        _call(server, "/v1/topk", {"user": 0, "exclude": False})
+        _call(server, "/v1/topk", {"users": [0, 1], "exclude": False})
+        _call(server, "/v1/similar", {"source": 0})
+        _call(server, "/v1/similar", {"source": 0, "side": "v", "mode": "mhp"})
+        _call(server, "/v1/similar", {"sources": [0, 1], "mode": "mhp"})
+        status, body = _call(server, "/metrics")
+        assert status == 200
+        assert {
+            name: stats["requests"] for name, stats in body["batchers"].items()
+        } == {"topk": 2, "topk/unmasked": 1, "similar/u/mhs": 1, "similar/v/mhp": 1}
+        assert body["counters"]["batched_requests"] == 5
+
+    def test_racing_first_requests_build_one_batcher_per_class(self, server):
+        """16 threads race to the first request of four query classes: the
+        registry builds one batcher per class, and each counts its four.
+        The threads call the handlers directly, so the race is the
+        registry's, not the listen backlog's."""
+        bodies = [
+            ("handle_topk", {"user": 1}),
+            ("handle_topk", {"user": 1, "exclude": False}),
+            ("handle_similar", {"source": 1}),
+            ("handle_similar", {"source": 1, "side": "v", "mode": "mhp"}),
+        ]
+        barrier = threading.Barrier(16)
+        statuses = []
+
+        def client(handler, body):
+            barrier.wait(10)
+            statuses.append(getattr(server, handler)(lambda: body)[0])
+
+        threads = [
+            threading.Thread(target=client, args=bodies[i % 4]) for i in range(16)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == [200] * 16
+        _, metrics = _call(server, "/metrics")
+        assert {
+            name: stats["requests"] for name, stats in metrics["batchers"].items()
+        } == {"topk": 4, "topk/unmasked": 4, "similar/u/mhs": 4, "similar/v/mhp": 4}
 
     def test_metrics_shape(self, server):
         _call(server, "/v1/topk", {"user": 0})
@@ -236,11 +320,11 @@ class TestRoundTrip:
         assert status == 200
         assert body["model"] == "toy@v1"
         assert body["queue"]["max"] == 64
-        assert body["batcher"]["requests"] >= 1
+        assert body["batchers"]["topk"]["requests"] >= 1
         assert (
             0.0
-            <= body["batcher"]["queue_wait_ms_mean"]
-            <= body["batcher"]["queue_wait_ms_max"]
+            <= body["batchers"]["topk"]["queue_wait_ms_mean"]
+            <= body["batchers"]["topk"]["queue_wait_ms_max"]
         )
         assert set(body["counters"]) >= {
             "requests", "batched_requests", "batches", "shed",
@@ -284,6 +368,11 @@ class TestValidation:
             ({"user": 0, "n": -3}, "non-negative integer"),
             ({"user": 0, "n": 2.5}, "non-negative integer"),
             ({"user": 0, "deadline_ms": 0}, "positive number"),
+            ({"user": 2**70}, "indices must be in"),
+            ({"users": [0, 2**63]}, "indices must be in"),
+            ({"user": 0, "with_scores": "yes"}, "'with_scores' must be true or false"),
+            ({"users": [0], "with_scores": 1}, "'with_scores' must be true or false"),
+            ({"user": 0, "exclude": "false"}, "'exclude' must be true or false"),
         ],
     )
     def test_bad_bodies_rejected(self, server, payload, fragment):
@@ -311,6 +400,14 @@ class TestValidation:
         after = _call(server, "/metrics")[1]["counters"]
         assert after["errors"] == before["errors"]
         assert after["deadline_exceeded"] == before["deadline_exceeded"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_batch", 0), ("max_queue", 0), ("deadline_ms", 0), ("default_n", -1)],
+    )
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServerConfig(**{field: value})
 
     def test_malformed_json_rejected(self, server):
         status, body = _call(server, "/v1/topk", raw=b"{not json")
@@ -355,7 +452,7 @@ class TestLoadShedding:
     def test_admission_full_returns_429(self, service):
         """max_queue=1 + a slow service + a burst -> 429s, no crash."""
         _slow_service(service, 0.2)
-        config = ServerConfig(max_queue=1, batch=False, deadline_ms=10_000.0)
+        config = ServerConfig(max_queue=1, deadline_ms=10_000.0)
         with EmbeddingServer(service, config) as server:
             statuses = []
             barrier = threading.Barrier(8)
@@ -381,10 +478,9 @@ class TestLoadShedding:
 
     def test_blown_deadline_returns_503_direct(self, service):
         _slow_service(service, 0.15)
-        config = ServerConfig(batch=False)
-        with EmbeddingServer(service, config) as server:
+        with EmbeddingServer(service, ServerConfig()) as server:
             status, body = _call(
-                server, "/v1/topk", {"user": 0, "deadline_ms": 40}
+                server, "/v1/topk", {"users": [0], "deadline_ms": 40}
             )
             assert status == 503
             assert "deadline" in body["error"]
@@ -420,6 +516,13 @@ class TestReload:
     def test_reload_bad_version_type_400(self, server):
         status, _ = _call(server, "/admin/reload", {"version": "latest"})
         assert status == 400
+
+    def test_reload_bool_version_400(self, server):
+        """JSON true parses as the int 1; it must not serve v1 as "toy@vTrue"."""
+        status, body = _call(server, "/admin/reload", {"version": True})
+        assert status == 400
+        assert "'version' must be an integer" in body["error"]
+        assert _call(server, "/healthz")[1]["model"] == "toy@v1"
 
     def test_reload_under_traffic_fails_no_request(
         self, server, store, result, graph
@@ -508,14 +611,36 @@ class TestShutdownRace:
         closed it is an availability event: clean 503 ("server shutting
         down"), never a RuntimeError-turned-500."""
         with EmbeddingServer(service, ServerConfig()) as server:
-            # stop() shuts the listener first, then the batcher — a request
+            # stop() shuts the listener first, then the batchers — a request
             # already past admission can hit the closed batcher.  Reproduce
             # that interleaving deterministically.
-            server._batcher.close()
+            server._batcher(("topk", True)).close()
             status, body = _call(server, "/v1/topk", {"user": 0, "n": 5})
         assert status == 503
         assert body["error"] == "server shutting down"
         assert service.metrics["requests"] == 0  # nothing was scored
+
+    def test_new_query_class_after_stop_gets_503_and_no_thread(self, service):
+        """A class whose batcher was never built: once stop() has begun the
+        registry builds none, so the request is a clean 503 and no batcher
+        thread outlives the server."""
+        from repro.serve import server as server_module
+
+        def batcher_threads():
+            return {
+                thread for thread in threading.enumerate()
+                if thread.name == "repro-serve-batcher"
+            }
+
+        before = batcher_threads()
+        server = EmbeddingServer(service, ServerConfig()).start()
+        server.stop()
+        with pytest.raises(server_module._HttpError) as raised:
+            server.handle_similar(lambda: {"source": 0, "n": 5})
+        assert raised.value.status == 503
+        assert str(raised.value) == "server shutting down"
+        assert batcher_threads() <= before
+        assert service.metrics["requests"] == 0
 
 
 class TestQuantizedServing:
@@ -708,8 +833,7 @@ class TestSimilarEndpoint:
         assert status == 200
         assert body["counters"]["similar_queries"] >= 3
         assert body["counters"]["similar_matvecs"] > 0
-        assert "u/mhs" in body["similar_batchers"]
-        assert body["similar_batchers"]["u/mhs"]["requests"] >= 1
+        assert body["batchers"]["similar/u/mhs"]["requests"] >= 1
 
     @pytest.mark.parametrize(
         "payload, fragment",
@@ -724,6 +848,9 @@ class TestSimilarEndpoint:
             ({"source": 0, "side": "w"}, "side"),
             ({"source": 0, "mode": "cosine"}, "mode"),
             ({"source": 0, "n": -1}, "'n'"),
+            ({"source": 2**70}, "indices must be in"),
+            ({"sources": [0, 2**63]}, "indices must be in"),
+            ({"source": 0, "with_scores": "false"}, "'with_scores' must be true or false"),
         ],
     )
     def test_rejects_bad_requests(self, server, payload, fragment):
