@@ -9,9 +9,7 @@ from .gebe_p import GEBEPoisson, poisson_eigenvalues
 from .measures import (
     h_matrix,
     h_matrix_v_side,
-    mhp,
     mhp_matrix,
-    mhs,
     mhs_matrix,
     mhs_matrix_v_side,
     path_weight_matrix,
@@ -51,8 +49,6 @@ __all__ = [
     "mhs_matrix",
     "mhs_matrix_v_side",
     "mhp_matrix",
-    "mhs",
-    "mhp",
     "ObjectiveValue",
     "evaluate_objective",
     "proximity_loss",

@@ -84,7 +84,9 @@ class MHPOnlyBNE(BipartiteEmbedder):
         self, graph: BipartiteGraph
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         k = min(self.dimension, graph.num_u, graph.num_v)
-        w = normalize_weights(graph, self.normalization)
+        w = normalize_weights(
+            graph, self.normalization, ooc_budget_mb=self.dtype_policy.ooc_budget_mb
+        )
         weights = PoissonPMF(lam=self.lam).weights(self.tau)
         proximity = ProximityOperator(w, weights, policy=self.dtype_policy)
         svd = randomized_svd(proximity, k, self.epsilon, rng=self._rng())
@@ -151,7 +153,9 @@ class MHSOnlyBNE(BipartiteEmbedder):
         self, graph: BipartiteGraph
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         k = min(self.dimension, graph.num_u, graph.num_v)
-        w = normalize_weights(graph, self.normalization)
+        w = normalize_weights(
+            graph, self.normalization, ooc_budget_mb=self.dtype_policy.ooc_budget_mb
+        )
         weights = PoissonPMF(lam=self.lam).weights(self.tau)
         svd = randomized_svd(
             w, k, self.epsilon, rng=self._rng(), policy=self.dtype_policy

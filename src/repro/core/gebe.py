@@ -20,15 +20,35 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..graph import BipartiteGraph
-from ..linalg import DtypePolicy, MatrixFreeOperator, subspace_iteration
+from ..linalg import DtypePolicy, MatrixFreeOperator, SparseKernel, subspace_iteration
 from ..obs import active as _obs_active
 from .base import BipartiteEmbedder
 from .pmf import GeometricPMF, PathLengthPMF, PoissonPMF, UniformPMF
 from .preprocess import normalize_weights
 
 __all__ = ["GEBE", "gebe_uniform", "gebe_geometric", "gebe_poisson"]
+
+
+def project(w, u: np.ndarray, policy: DtypePolicy) -> np.ndarray:
+    """Eq. (13)'s ``V = W^T U``, counted as ``U.shape[1]`` sparse matvecs.
+
+    A resident ``w`` takes scipy's product; a memory-mapped
+    :class:`~repro.graph.store.StoreCSR` goes through
+    :class:`~repro.linalg.SparseKernel`, whose CSC scatter stages under
+    ``policy.ooc_budget_mb`` and is bit-identical to it.
+    """
+    collector = _obs_active()
+    collector.count_spmv(w.nnz, u.shape[1])
+    collector.note_array(u.nbytes)
+    if sp.issparse(w):
+        return np.asarray(w.T @ u)
+    kernel = SparseKernel(w, policy)
+    v = kernel.t_matmul(u)
+    collector.count_ooc_copy(kernel.ooc_bytes_copied())
+    return v
 
 
 class GEBE(BipartiteEmbedder):
@@ -102,7 +122,11 @@ class GEBE(BipartiteEmbedder):
         weights = self.pmf.weights(self.tau)
         with collector.stage("gebe"):
             with collector.stage("normalize"):
-                w = normalize_weights(graph, self.normalization)
+                w = normalize_weights(
+                    graph,
+                    self.normalization,
+                    ooc_budget_mb=self.dtype_policy.ooc_budget_mb,
+                )
             operator = MatrixFreeOperator(w, weights, policy=self.dtype_policy)
             eigen = subspace_iteration(
                 operator,
@@ -118,9 +142,7 @@ class GEBE(BipartiteEmbedder):
             with collector.stage("project"):
                 values = np.clip(eigen.values, 0.0, None)
                 u = eigen.vectors * np.sqrt(values)[np.newaxis, :]
-                collector.count_spmv(w.nnz, u.shape[1])
-                collector.note_array(u.nbytes)
-                v = w.T @ u
+                v = project(w, u, self.dtype_policy)
         if k < self.dimension:
             # Graph smaller than the requested dimension: pad with zero
             # columns so results from different graphs remain stackable.
@@ -137,7 +159,7 @@ class GEBE(BipartiteEmbedder):
             "effective_dimension": k,
             "eigenvalues": values,
         }
-        return u, np.asarray(v), metadata
+        return u, v, metadata
 
 
 def gebe_uniform(

@@ -28,12 +28,12 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph import BipartiteGraph
-from ..linalg import DtypePolicy, SparseKernel, SpectrumCache, randomized_svd, refresh_svd
+from ..linalg import DtypePolicy, SpectrumCache, randomized_svd, refresh_svd
 from ..obs import active as _obs_active
 from .base import BipartiteEmbedder
+from .gebe import project
 from .preprocess import normalize_weights
 
 __all__ = ["GEBEPoisson", "poisson_eigenvalues"]
@@ -90,11 +90,6 @@ class GEBEPoisson(BipartiteEmbedder):
         :func:`~repro.linalg.refresh_svd`: counter-measurably fewer
         matvecs when the basis is close, a bit-identical cold fit when the
         residual check rejects it (``metadata["refresh"]`` records which).
-    warm:
-        When ``True`` and a ``spectrum_cache`` is supplied, cache misses
-        look for a nearest-ancestor entry (same strategy/epsilon/seed over
-        a different matrix) and warm-start from it.  Ignored without a
-        cache or when ``warm_start`` is given explicitly.
 
     Examples
     --------
@@ -120,7 +115,6 @@ class GEBEPoisson(BipartiteEmbedder):
         dtype_policy: Optional[DtypePolicy] = None,
         spectrum_cache: Optional[SpectrumCache] = None,
         warm_start: Optional[np.ndarray] = None,
-        warm: bool = False,
     ):
         super().__init__(dimension=dimension, seed=seed)
         if lam <= 0:
@@ -134,7 +128,6 @@ class GEBEPoisson(BipartiteEmbedder):
         self.dtype_policy = dtype_policy if dtype_policy is not None else DtypePolicy()
         self.spectrum_cache = spectrum_cache
         self.warm_start = warm_start
-        self.warm = bool(warm)
 
     def _embed(
         self, graph: BipartiteGraph
@@ -173,10 +166,7 @@ class GEBEPoisson(BipartiteEmbedder):
                     strategy=self.svd_strategy,
                     seed=self.seed,
                     policy=self.dtype_policy,
-                    warm=self.warm,
                 )
-                if cache_event in ("warm", "warm_fallback"):
-                    refresh_info = self.spectrum_cache.last_refresh
             else:
                 svd = randomized_svd(
                     w,
@@ -193,16 +183,7 @@ class GEBEPoisson(BipartiteEmbedder):
             # Line 4 (via Eq. 13): U = Z'_k sqrt(Lambda'_k), V = W^T U.
             with collector.stage("project"):
                 u = svd.u * np.sqrt(eigenvalues)[np.newaxis, :]
-                collector.count_spmv(w.nnz, u.shape[1])
-                collector.note_array(u.nbytes)
-                if sp.issparse(w):
-                    v = w.T @ u
-                else:
-                    # Memory-mapped store: budget-bounded CSC scatter via
-                    # the kernel — bit-identical to `w.T @ u`.
-                    kernel = SparseKernel(w, self.dtype_policy)
-                    v = kernel.t_matmul(u)
-                    collector.count_ooc_copy(kernel.ooc_bytes_copied())
+                v = project(w, u, self.dtype_policy)
         if k < self.dimension:
             pad = self.dimension - k
             u = np.hstack([u, np.zeros((u.shape[0], pad))])
@@ -221,4 +202,4 @@ class GEBEPoisson(BipartiteEmbedder):
             metadata["spectrum_cache"] = cache_event
         if refresh_info is not None:
             metadata["refresh"] = refresh_info.to_dict()
-        return u, np.asarray(v), metadata
+        return u, v, metadata

@@ -30,8 +30,6 @@ __all__ = [
     "mhs_matrix",
     "mhs_matrix_v_side",
     "mhp_matrix",
-    "mhs",
-    "mhp",
 ]
 
 
@@ -142,13 +140,3 @@ def mhp_matrix(graph: BipartiteGraph, pmf: PathLengthPMF, tau: int) -> np.ndarra
         h = h_matrix(graph, pmf, tau)
         collector.count_gemm(graph.num_u, graph.num_u, graph.num_v)
         return np.asarray(h @ graph.w.toarray())
-
-
-def mhs(graph: BipartiteGraph, pmf: PathLengthPMF, tau: int, i: int, l: int) -> float:
-    """MHS score of the single U-side pair ``(u_i, u_l)``."""
-    return float(mhs_matrix(graph, pmf, tau)[i, l])
-
-
-def mhp(graph: BipartiteGraph, pmf: PathLengthPMF, tau: int, i: int, j: int) -> float:
-    """MHP score of the single cross-side pair ``(u_i, v_j)``."""
-    return float(mhp_matrix(graph, pmf, tau)[i, j])

@@ -42,10 +42,6 @@ class PathLengthPMF(ABC):
             raise ValueError("tau must be non-negative")
         return np.array([self.omega(ell) for ell in range(tau + 1)], dtype=np.float64)
 
-    def truncation_mass(self, tau: int) -> float:
-        """Total PMF mass captured by truncating at ``tau`` (diagnostics)."""
-        return float(self.weights(tau).sum())
-
 
 @dataclass(frozen=True)
 class UniformPMF(PathLengthPMF):

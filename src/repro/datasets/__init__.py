@@ -1,6 +1,5 @@
 """Synthetic dataset generators standing in for the paper's 10 real graphs."""
 
-from .cache import DatasetCache
 from .community import BlockModel, stochastic_block_bipartite
 from .random_bipartite import erdos_renyi_bipartite, power_law_bipartite
 from .rating import RatingModel, latent_factor_ratings
@@ -15,7 +14,6 @@ from .toy import (
 from .zoo import DATASETS, PAPER_SIZES, DatasetSpec, dataset_names, load_dataset
 
 __all__ = [
-    "DatasetCache",
     "figure1_graph",
     "path_graph",
     "star_graph",

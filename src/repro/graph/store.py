@@ -21,8 +21,8 @@ the old store back, and :meth:`GraphStore.open` names the leftover.
 
 Loading uses ``np.load(mmap_mode="r")``: opening a store touches only the
 manifest; CSR arrays page in lazily as the kernels stream them.
-:class:`StoreCSR` wraps the mapped triplet and provides the budget-bounded
-blocked products the fit path builds on:
+:class:`StoreCSR` wraps the mapped triplet; the budget-bounded staging that
+:class:`repro.linalg.kernels.SparseKernel` streams it through lives here:
 
 * :func:`row_blocks` — contiguous row ranges whose nnz slice fits a byte
   budget;
@@ -54,7 +54,6 @@ from pathlib import Path
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.sparse import _sparsetools  # in-place csr/csc_matvecs (scipy >= 1.7)
 
 from ..durable import commit_dir, make_dirs
 
@@ -76,7 +75,7 @@ GRAPH_STORE_SCHEMA = "repro.graph-store"
 GRAPH_STORE_VERSION = 1
 
 #: Staging-workspace budget used when no explicit ``ooc_budget_mb`` is
-#: configured (kernels, CLI, and the ``StoreCSR`` operators share it).
+#: configured (the kernels, the streamed normalize and the CLI share it).
 DEFAULT_OOC_BUDGET_MB = 256.0
 
 #: Directions stored on disk; each is a CSR triplet of the named matrix.
@@ -299,19 +298,15 @@ class OocWorkspace:
 
 
 class StoreCSR:
-    """A (possibly memory-mapped) CSR triplet with blocked operator support.
+    """A (possibly memory-mapped) CSR triplet.
 
     Quacks enough like ``scipy.sparse.csr_matrix`` for the kernel layer:
-    ``shape``, ``nnz``, ``dtype``, the three arrays, ``@`` and ``.T @``.
-    The operators run the serial budget-bounded blocked sweeps — per output
-    element, bit-identical to scipy's ``w @ x`` / ``w.T @ x`` — with the
-    module default budget; solvers route through
-    :class:`repro.linalg.kernels.SparseKernel`, which honors the policy's
-    ``ooc_budget_mb`` and reuses staging buffers across applies.
+    ``shape``, ``nnz``, ``dtype``, the three arrays and ``.T`` (for its
+    ``shape`` and ``nnz``).  It has no products of its own: every apply
+    goes through :class:`repro.linalg.kernels.SparseKernel`, which stages
+    budget-bounded row blocks under the policy's ``ooc_budget_mb`` and is
+    bit-identical to scipy's ``w @ x`` / ``w.T @ x``.
     """
-
-    #: Keep ``ndarray @ StoreCSR`` dispatching to our ``__rmatmul__``.
-    __array_ufunc__ = None
 
     def __init__(
         self,
@@ -342,10 +337,6 @@ class StoreCSR:
     def T(self) -> "_TransposedStoreCSR":
         return _TransposedStoreCSR(self)
 
-    def release(self) -> None:
-        """Drop resident pages of the mapped arrays (best effort)."""
-        release_mmap(self.indptr, self.indices, self.data)
-
     def to_scipy(self):
         """Materialize as a resident ``scipy.sparse.csr_matrix`` (copies)."""
         import scipy.sparse as sp
@@ -369,34 +360,6 @@ class StoreCSR:
             self.indptr, self.indices, data, self.shape, owner=(self._owner, owner)
         )
 
-    # -- serial blocked operators ------------------------------------------
-    def _budget_bytes(self) -> int:
-        return int(DEFAULT_OOC_BUDGET_MB * 1024 * 1024)
-
-    def __matmul__(self, block: np.ndarray) -> np.ndarray:
-        """``W @ block`` — serial row-blocked sweep, bit-identical to scipy."""
-        block = np.asarray(block)
-        squeeze = block.ndim == 1
-        x = np.ascontiguousarray(block.reshape(block.shape[0], -1), dtype=self.dtype)
-        m, n = self.shape
-        if x.shape[0] != n:
-            raise ValueError(f"dimension mismatch: {self.shape} @ {block.shape}")
-        cols = x.shape[1]
-        out = np.zeros((m, cols), dtype=self.dtype)
-        ws = OocWorkspace(self._budget_bytes(), self.indices.dtype, self.dtype)
-        xr = x.ravel()
-        for r0, r1 in row_blocks(self.indptr, 0, m, ws.max_nnz):
-            ipb, ixb, db = ws.stage(self, r0, r1)
-            _sparsetools.csr_matvecs(
-                r1 - r0, n, cols, ipb, ixb, db, xr, out[r0:r1].ravel()
-            )
-        return out[:, 0] if squeeze else out
-
-    def __rmatmul__(self, block: np.ndarray) -> np.ndarray:
-        # block @ W == (W.T @ block.T).T — the same transpose trick scipy's
-        # own dense-@-sparse dispatch uses, hence bit-identical to it.
-        return (self.T @ np.asarray(block).T).T
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mapped = isinstance(self.data, np.memmap)
         return (
@@ -406,9 +369,7 @@ class StoreCSR:
 
 
 class _TransposedStoreCSR:
-    """The ``W.T`` view: serial blocked CSC scatter over ``W``'s arrays."""
-
-    __array_ufunc__ = None
+    """The ``W.T`` view: the transposed ``shape`` and ``nnz`` of ``W``."""
 
     def __init__(self, parent: StoreCSR):
         self._parent = parent
@@ -426,35 +387,6 @@ class _TransposedStoreCSR:
     def T(self) -> StoreCSR:
         return self._parent
 
-    def __matmul__(self, block: np.ndarray) -> np.ndarray:
-        """``W.T @ block`` via ascending row-block CSC scatters.
-
-        Sequential row blocks accumulate into the output in exactly the
-        order of scipy's full ``csc_matvecs`` sweep — bit-identical for
-        every budget.
-        """
-        parent = self._parent
-        block = np.asarray(block)
-        squeeze = block.ndim == 1
-        x = np.ascontiguousarray(
-            block.reshape(block.shape[0], -1), dtype=parent.dtype
-        )
-        m, n = parent.shape
-        if x.shape[0] != m:
-            raise ValueError(f"dimension mismatch: {self.shape} @ {block.shape}")
-        cols = x.shape[1]
-        out = np.zeros((n, cols), dtype=parent.dtype)
-        ws = OocWorkspace(parent._budget_bytes(), parent.indices.dtype, parent.dtype)
-        for r0, r1 in row_blocks(parent.indptr, 0, m, ws.max_nnz):
-            ipb, ixb, db = ws.stage(parent, r0, r1)
-            _sparsetools.csc_matvecs(
-                n, r1 - r0, cols, ipb, ixb, db, x[r0:r1].ravel(), out.ravel()
-            )
-        return out[:, 0] if squeeze else out
-
-    def __rmatmul__(self, block: np.ndarray) -> np.ndarray:
-        return (self._parent @ np.asarray(block).T).T
-
 
 # ---------------------------------------------------------------------------
 # The store itself
@@ -463,7 +395,7 @@ class StoreBackedGraph:
     """A bipartite graph whose ``w`` is a memory-mapped :class:`StoreCSR`.
 
     Duck-types the slice of :class:`~repro.graph.bipartite.BipartiteGraph`
-    the fit path consumes (``num_u``/``num_v``/``num_edges``/``w``/labels);
+    the fit path consumes (``num_u``/``num_v``/``num_edges``/``w``);
     it deliberately does not offer the dense-leaning conveniences of the
     resident class — materializing is exactly what the out-of-core path
     exists to avoid.
@@ -484,22 +416,6 @@ class StoreBackedGraph:
     @property
     def num_edges(self) -> int:
         return self.w.nnz
-
-    @property
-    def u_labels(self) -> Optional[List[Hashable]]:
-        return self.store.u_labels()
-
-    @property
-    def v_labels(self) -> Optional[List[Hashable]]:
-        return self.store.v_labels()
-
-    def u_degrees(self, weighted: bool = False) -> np.ndarray:
-        if weighted:
-            raise NotImplementedError(
-                "weighted degrees on a store-backed graph: stream them via "
-                "repro.core.preprocess or load a resident graph"
-            )
-        return np.diff(self.w.indptr).astype(np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

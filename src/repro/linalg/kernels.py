@@ -1,11 +1,12 @@
 """Workspace-reusing blocked kernels for the ``W (W^T Q)`` hot path.
 
-Every GEBE-family solver spends its time in two products: the Gram apply
-``(W W^T) @ Q`` (expanded as ``W @ (W^T @ Q)``, the paper's re-association
-trick) and its PMF-weighted power series.  The reference implementations in
-:mod:`repro.linalg.ops` allocate fresh ``|U| x k`` and ``|V| x k``
-temporaries on every hop of every iteration; at scale that is thousands of
-multi-megabyte allocations per fit.
+Every GEBE-family solver spends its time in the PMF-weighted power series
+of the Gram apply ``(W W^T) @ Q`` (each hop expanded as ``W @ (W^T @ Q)``,
+the paper's re-association trick) and, for GEBE^p, in the single products
+``W @ X`` and ``W^T @ X`` of the randomized SVD.  The reference
+implementations in :mod:`repro.linalg.ops` allocate fresh ``|U| x k`` and
+``|V| x k`` temporaries on every hop of every iteration; at scale that is
+thousands of multi-megabyte allocations per fit.
 
 This module provides the production kernels:
 
@@ -16,7 +17,7 @@ This module provides the production kernels:
   The transpose product deliberately uses the CSC *scatter* form on ``W``'s
   own arrays rather than a materialized transpose: the scatter streams the
   large side sequentially and keeps the small side resident in cache.
-* :class:`GramKernel` — the blocked Gram/PMF applies on top of it, with
+* :class:`GramKernel` — the blocked PMF-series apply on top of it, with
   ping-pong hop buffers, ``out=``-style fused scale-and-add, and
   column-chunked application for blocks wider than
   :attr:`DtypePolicy.block_cols`.
@@ -351,13 +352,11 @@ class SparseKernel:
 
 
 class GramKernel:
-    """Workspace-reusing blocked Gram and PMF-series applies.
+    """Workspace-reusing blocked PMF-series apply.
 
-    Implements the two hot operations of Algorithms 1 and 2 against
-    preallocated ping-pong buffers:
-
-    * :meth:`gram_apply` — ``(W W^T) @ block``
-    * :meth:`pmf_apply` — ``sum_l weights[l] (W W^T)^l @ block``
+    Implements the hot operation of Algorithm 1,
+    :meth:`pmf_apply` — ``sum_l weights[l] (W W^T)^l @ block`` — against
+    preallocated ping-pong buffers.
 
     Blocks wider than ``policy.block_cols`` are processed in column chunks so
     workspace memory stays bounded by ``O((|U| + |V|) * block_cols)`` no
@@ -383,10 +382,6 @@ class GramKernel:
         self._slots: List[SparseKernel] = []
         self._threads_used = 1
         self._ooc_reported = 0
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.kernel.shape
 
     @property
     def threads_used(self) -> int:
@@ -472,41 +467,6 @@ class GramKernel:
                 if mine
             ]
         )
-
-    def _gram_chunk(
-        self, kernel: SparseKernel, block: np.ndarray, out: np.ndarray, lo: int, hi: int
-    ) -> None:
-        v = kernel.t_matmul(block[:, lo:hi], reuse=True)
-        out[:, lo:hi] = kernel.matmul(v, reuse=True)
-
-    def gram_apply(self, block: np.ndarray) -> np.ndarray:
-        """``(W @ W.T) @ block``, column-chunked, workspace-reusing."""
-        block = np.asarray(block)
-        squeeze = block.ndim == 1
-        if squeeze:
-            block = block.reshape(-1, 1)
-        m = self.kernel.shape[0]
-        cols = block.shape[1]
-        out = np.empty((m, cols), dtype=self.dtype)
-        collector = _obs_active()
-        # Once per logical apply, shard-count independent: equals the sum of
-        # the per-chunk counts the serial reference path reports.
-        collector.count_spmv(self.kernel.w.nnz, 2 * cols)
-        n_slots, width = self._plan(cols)
-        if n_slots == 1:
-            for lo, hi in self._chunks(cols):
-                self._gram_chunk(self.kernel, block, out, lo, hi)
-        else:
-            self._run_sharded(
-                n_slots,
-                width,
-                cols,
-                lambda kernel, lo, hi: self._gram_chunk(kernel, block, out, lo, hi),
-            )
-        collector.note_threads(self.threads_used)
-        collector.note_workspace(self.workspace_bytes())
-        self._report_ooc(collector)
-        return out[:, 0] if squeeze else out
 
     def _pmf_chunk(
         self,

@@ -197,10 +197,6 @@ class ProximityOperator:
     def shape(self) -> tuple:
         return self._w.shape
 
-    @property
-    def policy(self) -> DtypePolicy:
-        return self._policy
-
     def _w_kernel(self) -> SparseKernel:
         if self._sparse_kernel is None:
             self._sparse_kernel = SparseKernel(self._h._w_compute, self._policy)

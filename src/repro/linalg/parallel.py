@@ -113,11 +113,6 @@ class ExecPolicy:
             ),
         )
 
-    @classmethod
-    def serial(cls) -> "ExecPolicy":
-        """One thread: the exact legacy execution path."""
-        return cls(n_threads=1)
-
     def shards_for(self, work: int, limit: int) -> int:
         """How many shards a logical apply of ``work`` units should use.
 

@@ -20,13 +20,13 @@ started (the warm attempt consumes entropy only from its own generator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .policy import DtypePolicy
-from .randomized_svd import MatrixLike, SVDResult, _count_apply, randomized_svd
+from .randomized_svd import MatrixLike, SVDResult, _make_appliers, randomized_svd
 
 __all__ = [
     "RefreshInfo",
@@ -73,16 +73,21 @@ def default_residual_tolerance(epsilon: float) -> float:
     return math.sqrt(epsilon) / 2.0
 
 
-def svd_residual(matrix: MatrixLike, svd: SVDResult) -> float:
+def svd_residual(
+    matrix: MatrixLike, svd: SVDResult, policy: Optional[DtypePolicy] = None
+) -> float:
     """Relative triplet residual ``||A V - U diag(S)||_F / ||S||_2``.
 
     Zero for exact singular triplets regardless of truncation rank (since
     ``A v_i = s_i u_i`` holds exactly), so this measures *convergence* of
     the returned triplets, not the truncation error.  One ``k``-wide apply
-    of ``A`` (counted against the obs matvec counters like any other).
+    of ``A`` (counted against the obs matvec counters like any other),
+    through the same kernels as the SVD itself: ``policy`` supplies their
+    threads and staging budget, and the apply always runs in float64.
     """
-    _count_apply(matrix, svd.vt.shape[0])
-    image = np.asarray(matrix @ svd.vt.T)
+    policy = replace(policy if policy is not None else DtypePolicy(), compute="float64")
+    apply, _ = _make_appliers(matrix, policy)
+    image = apply(svd.vt.T)
     scale = float(svd.s[0]) if svd.rank and float(svd.s[0]) > 0.0 else 1.0
     return float(np.linalg.norm(image - svd.u * svd.s) / scale)
 
@@ -207,7 +212,7 @@ def refresh_svd(
         policy=policy,
         warm_start=ws,
     )
-    residual = svd_residual(matrix, warm)
+    residual = svd_residual(matrix, warm, policy)
     if residual <= tolerance:
         info = RefreshInfo(
             mode="warm",

@@ -38,25 +38,25 @@ import scipy.sparse as sp
 
 from .policy import DtypePolicy
 from .randomized_svd import SVDResult, randomized_svd
-from .refresh import RefreshInfo, refresh_svd
 
 __all__ = ["SpectrumCache", "matrix_fingerprint"]
 
 
-def matrix_fingerprint(w: sp.spmatrix) -> str:
-    """A content hash of a sparse matrix (CSR canonical form).
+def matrix_fingerprint(w) -> str:
+    """A content hash of a CSR matrix.
 
     blake2b over the shape and the raw ``indptr``/``indices``/``data``
     bytes.  Two matrices collide only if they are element-identical in the
     same CSR layout — exactly the condition under which an SVD can be
-    reused.
+    reused.  ``w`` is a scipy sparse matrix (hashed in canonical CSR form)
+    or a memory-mapped :class:`~repro.graph.store.StoreCSR`, whose triplet
+    is hashed as stored.
     """
-    csr = sp.csr_matrix(w)
+    csr = sp.csr_matrix(w) if sp.issparse(w) else w
     digest = hashlib.blake2b(digest_size=16)
     digest.update(np.asarray(csr.shape, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(csr.indptr).tobytes())
-    digest.update(np.ascontiguousarray(csr.indices).tobytes())
-    digest.update(np.ascontiguousarray(csr.data).tobytes())
+    for array in (csr.indptr, csr.indices, csr.data):
+        digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()
 
 
@@ -74,16 +74,6 @@ class SpectrumCache:
     hits / misses / bypasses:
         Event counters: ``hits`` includes sliced ``k <= rank`` reuse;
         ``bypasses`` counts unseeded requests the cache refused to serve.
-    warm_hits / warm_fallbacks:
-        Incremental-refresh counters (``warm=True`` requests only):
-        ``warm_hits`` counts misses served by a warm-started refresh from a
-        nearest-ancestor entry; ``warm_fallbacks`` counts warm attempts
-        whose residual check rejected the result (the returned fit is the
-        bit-identical cold one).
-    last_refresh:
-        The :class:`~repro.linalg.refresh.RefreshInfo` of the most recent
-        warm attempt (``None`` until one runs) — residuals and tolerances
-        for observability.
     """
 
     def __init__(self, capacity: int = 8):
@@ -94,9 +84,6 @@ class SpectrumCache:
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
-        self.warm_hits = 0
-        self.warm_fallbacks = 0
-        self.last_refresh: Optional[RefreshInfo] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -108,37 +95,6 @@ class SpectrumCache:
         # do (bit-identity invariant), so they stay out of the key.
         return (matrix_fingerprint(w), strategy, float(epsilon), int(seed), policy.compute)
 
-    def warm_candidate(
-        self,
-        w: sp.spmatrix,
-        k: int,
-        epsilon: float,
-        *,
-        strategy: str,
-        seed: int,
-        policy: Optional[DtypePolicy] = None,
-    ) -> Optional[np.ndarray]:
-        """The nearest-ancestor left basis usable to warm-start a fit of ``w``.
-
-        Scans entries most-recently-used first for one computed with the
-        same strategy/epsilon/seed/dtype — the knobs that make bases
-        comparable — over a **different** matrix with the same row count
-        (the typical refresh: ``W + dW`` with unchanged node sets).
-        Returns the cached ``u`` factor (sliced to at most ``k`` columns),
-        or ``None`` when no compatible ancestor exists.
-        """
-        policy = policy if policy is not None else DtypePolicy()
-        fingerprint = matrix_fingerprint(w)
-        wanted = (strategy, float(epsilon), int(seed), policy.compute)
-        for key in reversed(self._entries):
-            if key[0] == fingerprint or key[1:] != wanted:
-                continue
-            cached = self._entries[key]
-            if cached.u.shape[0] != w.shape[0] or cached.rank < 1:
-                continue
-            return cached.u[:, : min(k, cached.rank)]
-        return None
-
     def get_or_compute(
         self,
         w: sp.spmatrix,
@@ -149,24 +105,13 @@ class SpectrumCache:
         seed: Optional[int],
         policy: Optional[DtypePolicy] = None,
         n_oversamples: int = 8,
-        warm: bool = False,
     ) -> Tuple[SVDResult, str]:
         """The top-``k`` SVD of ``w``, from cache when the key matches.
 
         Returns ``(result, event)`` with ``event`` one of ``"hit"``,
-        ``"miss"``, ``"bypass"``, ``"warm"``, ``"warm_fallback"``.  On a
-        miss the freshly computed rank-``k`` result is stored (replacing
-        any lower-rank entry under the same key); a hit with ``k`` below
-        the cached rank returns sliced views.
-
-        With ``warm=True`` a miss first looks for a nearest-ancestor entry
-        (:meth:`warm_candidate`) and refreshes from it via
-        :func:`~repro.linalg.refresh.refresh_svd`: the ``"warm"`` event
-        means the warm result passed its residual check (fewer matvecs
-        than a cold fit), ``"warm_fallback"`` means it was rejected and
-        the stored/returned result is the bit-identical cold one.  Either
-        way the result is cached under the new matrix's own key, so it
-        serves as the ancestor for the *next* delta.
+        ``"miss"``, ``"bypass"``.  On a miss the freshly computed rank-``k``
+        result is stored (replacing any lower-rank entry under the same
+        key); a hit with ``k`` below the cached rank returns sliced views.
         """
         policy = policy if policy is not None else DtypePolicy()
         if seed is None:
@@ -189,46 +134,21 @@ class SpectrumCache:
             if cached.rank == k:
                 return cached, "hit"
             return SVDResult(u=cached.u[:, :k], s=cached.s[:k], vt=cached.vt[:k]), "hit"
-        event = "miss"
-        warm_basis = None
-        if warm:
-            warm_basis = self.warm_candidate(
-                w, k, epsilon, strategy=strategy, seed=seed, policy=policy
-            )
-        if warm_basis is not None:
-            result, info = refresh_svd(
-                w,
-                k,
-                epsilon,
-                warm_start=warm_basis,
-                n_oversamples=n_oversamples,
-                strategy=strategy,
-                seed=seed,
-                policy=policy,
-            )
-            self.last_refresh = info
-            if info.mode == "warm":
-                self.warm_hits += 1
-                event = "warm"
-            else:
-                self.warm_fallbacks += 1
-                event = "warm_fallback"
-        else:
-            self.misses += 1
-            result = randomized_svd(
-                w,
-                k,
-                epsilon,
-                n_oversamples=n_oversamples,
-                strategy=strategy,
-                rng=np.random.default_rng(seed),
-                policy=policy,
-            )
+        self.misses += 1
+        result = randomized_svd(
+            w,
+            k,
+            epsilon,
+            n_oversamples=n_oversamples,
+            strategy=strategy,
+            rng=np.random.default_rng(seed),
+            policy=policy,
+        )
         self._entries[key] = result
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-        return result, event
+        return result, "miss"
 
     def clear(self) -> None:
         """Drop all entries (counters are retained)."""

@@ -187,9 +187,7 @@ class ProfileCollector(NullCollector):
         """Freeze the collected data into a :class:`RunReport`.
 
         ``sections`` attaches the report's optional sections by name (see
-        :data:`repro.obs.report.SECTIONS`): ``service`` from
-        :meth:`repro.serve.service.ServiceMetrics.service_report`,
-        ``refresh`` from a warm :class:`~repro.core.gebe_p.GEBEPoisson`
+        :data:`repro.obs.report.SECTIONS`): ``refresh`` from a warm :class:`~repro.core.gebe_p.GEBEPoisson`
         fit's ``metadata["refresh"]``, ``ooc`` from :meth:`ooc_section`,
         ``similarity`` from :meth:`similarity_section`.  ``None`` values are
         dropped, so callers can pass a section they may not have.

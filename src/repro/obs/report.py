@@ -33,7 +33,6 @@ Schema (see ``docs/OBSERVABILITY.md`` for the narrative version)::
 carries only the sections it produced.  :data:`SECTIONS` is the field spec
 of each (see :func:`check_fields` for the notation):
 
-* ``service`` — serving-tier tallies of a :mod:`repro.serve` run;
 * ``refresh`` — the warm/cold outcome and matvec counters of an
   incremental refresh (:mod:`repro.linalg.refresh`);
 * ``ooc`` — staging budget, block-copy traffic and peak RSS of a fit
@@ -42,9 +41,9 @@ of each (see :func:`check_fields` for the notation):
   :class:`repro.tasks.similarity.SimilarityEngine`.
 
 Only the current version is read: a document of any other version is
-rejected with a message naming it.  v9 replaced v8's four nullable
-top-level ``service`` / ``refresh`` / ``ooc`` / ``similarity`` fields with
-the ``sections`` map.
+rejected with a message naming it.  v9 replaced v8's nullable top-level
+section fields with the ``sections`` map; a section name outside
+:data:`SECTIONS` is rejected.
 """
 
 from __future__ import annotations
@@ -86,16 +85,6 @@ _STAGE_KEYS = ("name", "path", "seconds", "calls", "children")
 
 #: Field spec of every optional report section (notation: :func:`check_fields`).
 SECTIONS: Dict[str, Dict[str, Any]] = {
-    "service": {
-        "requests": "int>=0",
-        "batched_requests": "int>=0",
-        "batches": "int>=0",
-        "shed": "int>=0",
-        "deadline_exceeded": "int>=0",
-        "reloads": "int>=0",
-        "queue_depth_max": "int>=0",
-        "latency_ms": {"p50": "num>=0", "p95": "num>=0"},
-    },
     "refresh": {
         "mode": ("warm", "cold_fallback"),
         "reason": "text",

@@ -54,10 +54,6 @@ class StageRecord:
             self.children[name] = record
         return record
 
-    def child_seconds(self) -> float:
-        """Total time attributed to direct children."""
-        return sum(child.seconds for child in self.children.values())
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready representation (see ``docs/OBSERVABILITY.md``)."""
         return {
@@ -75,11 +71,6 @@ class StageTimer:
     def __init__(self) -> None:
         self.root = StageRecord(name="", path="")
         self._stack: List[StageRecord] = [self.root]
-
-    @property
-    def depth(self) -> int:
-        """Current nesting depth (0 when no stage is open)."""
-        return len(self._stack) - 1
 
     @contextmanager
     def stage(self, name: str) -> Iterator[StageRecord]:

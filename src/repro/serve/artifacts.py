@@ -403,14 +403,6 @@ class ArtifactStore:
             )
         return name
 
-    def names(self) -> List[str]:
-        """Artifact names with at least one published version."""
-        return sorted(
-            entry.name
-            for entry in self.root.iterdir()
-            if entry.is_dir() and self.versions(entry.name)
-        )
-
     def versions(self, name: str) -> List[int]:
         """Published (complete) version numbers of ``name``, ascending."""
         base = self.root / self._check_name(name)

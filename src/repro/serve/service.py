@@ -10,7 +10,6 @@ see the engine's class notes), and answers:
 
 * :meth:`top_items` — batched top-``n`` retrieval, element-identical to the
   offline engine path;
-* :meth:`scores` — raw ``U[u] . V[v]`` scores for one user;
 * :meth:`similar` — *exact* matrix-free MHS/MHP neighbors through a
   :class:`~repro.tasks.similarity.SimilarityEngine` over the artifact's
   shipped training graph (graph-bearing artifacts only).
@@ -25,8 +24,8 @@ All bookkeeping lives in :class:`ServiceMetrics`, a lock-guarded, always-on
 counterpart of the per-run :mod:`repro.obs` collector (which is
 single-threaded by design and therefore cannot sit on a multi-threaded hot
 path).  Counter names match the RunReport ``ops`` vocabulary
-(``gemms``, ``topk_candidates``) so ``/metrics`` and the ``service`` entry
-of the RunReport ``sections`` map read the same language.
+(``gemms``, ``topk_candidates``) so ``/metrics`` and a profiled run's
+report read the same language.
 """
 
 from __future__ import annotations
@@ -138,12 +137,6 @@ class ServiceMetrics:
         with self._lock:
             self._queue_depth = max(0, self._queue_depth - 1)
 
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently admitted and in flight."""
-        with self._lock:
-            return self._queue_depth
-
     def __getitem__(self, name: str) -> int:
         with self._lock:
             return self._counts[name]
@@ -166,24 +159,6 @@ class ServiceMetrics:
                 for name, samples in stages.items()
             },
             "uptime_seconds": time.time() - self.started,
-        }
-
-    def service_report(self) -> Dict[str, Any]:
-        """The ``service`` section of a RunReport (see repro.obs.report)."""
-        snap = self.snapshot()
-        request_stage = snap["stages"].get("request", {})
-        return {
-            "requests": snap["counters"]["requests"],
-            "batched_requests": snap["counters"]["batched_requests"],
-            "batches": snap["counters"]["batches"],
-            "shed": snap["counters"]["shed"],
-            "deadline_exceeded": snap["counters"]["deadline_exceeded"],
-            "reloads": snap["counters"]["reloads"],
-            "queue_depth_max": snap["queue"]["depth_max"],
-            "latency_ms": {
-                "p50": float(request_stage.get("p50_ms", 0.0)),
-                "p95": float(request_stage.get("p95_ms", 0.0)),
-            },
         }
 
 
@@ -542,39 +517,6 @@ class EmbeddingService:
         if with_scores:
             payload["scores"] = scores
         return payload
-
-    def scores(
-        self, user: int, items: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Raw ``U[user] . V[item]`` scores (all items, or a subset).
-
-        For a quantized artifact the row is the exact float64 product over
-        the *dequantized* embeddings — the ground truth every quantized
-        read-out is pinned to.
-        """
-        engine, model = self._engine()
-        user = int(user)
-        if not 0 <= user < engine.num_users:
-            raise ValueError(
-                f"user index must be in [0, {engine.num_users})"
-            )
-        row = (
-            model.result.scores_for_u(user)
-            if model.result is not None
-            else engine.user_scores(user)
-        )
-        if items is None:
-            self.metrics.count("requests")
-            self.metrics.count("topk_candidates", row.size)
-            return row
-        items_array = np.asarray(items, dtype=np.int64)
-        if items_array.size and (
-            items_array.min() < 0 or items_array.max() >= row.size
-        ):
-            raise ValueError(f"item indices must be in [0, {row.size})")
-        self.metrics.count("requests")
-        self.metrics.count("topk_candidates", row.size)
-        return row[items_array]
 
     def similar(
         self,

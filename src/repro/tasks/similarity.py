@@ -350,17 +350,3 @@ class SimilarityEngine:
                              f"{SIMILARITY_MODES}")
         hops = 2 * (self._weights.size - 1)
         return hops + 1 if mode == "mhp" else hops
-
-    def diagonal_matvecs(self) -> int:
-        """Sparse matvecs the one-time exact-diagonal probe costs."""
-        return 2 * (self._weights.size - 1) * self.num_u
-
-    def workspace_bytes(self) -> int:
-        """Reusable-buffer bytes held by this engine (kernels + one-hot)."""
-        total = 0
-        kernel = self._operator._kernel
-        if kernel is not None:
-            total += kernel.workspace_bytes()
-        if self._onehot is not None:
-            total += self._onehot.nbytes
-        return total

@@ -570,25 +570,6 @@ class QuantizedTopKEngine(TopKEngine):
         """
         return np.einsum("bk,ck->bc", u_deq, v_deq)
 
-    def user_scores(self, user: int) -> np.ndarray:
-        """Exact float64 scores of one user against every item (chunked).
-
-        Bit-identical to the scores :meth:`iter_top_items` emits for the
-        same ``(user, item)`` pairs — both run :meth:`_exact_dots`.
-        """
-        row = self._dequant_u(np.asarray([int(user)], dtype=np.int64))
-        out = np.empty(self.num_items, dtype=np.float64)
-        chunk = max(1, (1 << 22) // max(1, self.dimension))
-        for lo in range(0, self.num_items, chunk):
-            rows = np.arange(lo, min(lo + chunk, self.num_items), dtype=np.int64)
-            out[lo : lo + rows.size] = self._exact_dots(
-                row, self._dequant_v(rows)
-            )[0]
-        return out
-
-    # ------------------------------------------------------------------
-    # Margin-reranked retrieval
-    # ------------------------------------------------------------------
     def _mask_candidate_exclusions(
         self,
         scores: np.ndarray,

@@ -1,4 +1,4 @@
-"""Unit tests for KSI convergence diagnostics and the dataset cache."""
+"""Unit tests for KSI convergence diagnostics."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.analysis import (
     trace_subspace_iteration,
 )
 from repro.core import PoissonPMF
-from repro.datasets import DatasetCache, erdos_renyi_bipartite
+from repro.datasets import erdos_renyi_bipartite
 
 
 @pytest.fixture(scope="module")
@@ -82,52 +82,3 @@ class TestConvergenceTrace:
             trace_subspace_iteration(
                 graph, PoissonPMF(lam=1.0), 6, 4, max_iterations=0
             )
-
-
-class TestDatasetCache:
-    def test_generate_then_hit(self, tmp_path):
-        cache = DatasetCache(tmp_path / "zoo")
-        assert not cache.has("dblp", 0)
-        first = cache.load("dblp", seed=0)
-        assert cache.has("dblp", 0)
-        second = cache.load("dblp", seed=0)
-        assert first == second
-
-    def test_entries_listing(self, tmp_path):
-        cache = DatasetCache(tmp_path / "zoo")
-        assert cache.entries() == []
-        cache.load("dblp", seed=0)
-        cache.load("dblp", seed=1)
-        assert cache.entries() == ["dblp-seed0.npz", "dblp-seed1.npz"]
-
-    def test_invalidate_specific(self, tmp_path):
-        cache = DatasetCache(tmp_path / "zoo")
-        cache.load("dblp", seed=0)
-        cache.load("dblp", seed=1)
-        assert cache.invalidate("dblp", 0) == 1
-        assert cache.entries() == ["dblp-seed1.npz"]
-
-    def test_invalidate_all(self, tmp_path):
-        cache = DatasetCache(tmp_path / "zoo")
-        cache.load("dblp", seed=0)
-        assert cache.invalidate() == 1
-        assert cache.entries() == []
-
-    def test_invalidate_empty_dir(self, tmp_path):
-        cache = DatasetCache(tmp_path / "missing")
-        assert cache.invalidate() == 0
-
-    def test_invalidate_escapes_glob_metacharacters(self, tmp_path):
-        # Regression: invalidate("x*") used to glob-expand the name and
-        # delete unrelated entries.
-        directory = tmp_path / "zoo"
-        directory.mkdir()
-        (directory / "x-seed0.npz").touch()
-        (directory / "xy-seed0.npz").touch()
-        cache = DatasetCache(directory)
-        assert cache.invalidate("x*") == 0
-        assert cache.invalidate("x?") == 0
-        assert cache.invalidate("[xy]") == 0
-        assert cache.entries() == ["x-seed0.npz", "xy-seed0.npz"]
-        assert cache.invalidate("x") == 1
-        assert cache.entries() == ["xy-seed0.npz"]

@@ -27,20 +27,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.datasets.cache as cache_module
 import repro.graph.delta as delta_module
 import repro.serve.artifacts as artifacts_module
 from repro.ann import IVFIndex
 from repro.cli import main
 from repro.core import GEBEPoisson
-from repro.datasets import DatasetCache
 from repro.graph import (
     BipartiteGraph,
     DeltaLog,
     GraphStore,
     GraphStoreError,
     build_graph_store,
-    load_npz,
     save_npz,
     write_edge_list,
 )
@@ -187,16 +184,6 @@ def _save_ivf_index(tmp_path):
     return write
 
 
-def _fill_dataset_cache(tmp_path):
-    cache = DatasetCache(tmp_path / "zoo")
-
-    def write():
-        cache.load("dblp", seed=0)
-        return cache.directory / "dblp-seed0.npz"
-
-    return write
-
-
 WRITERS = {
     "artifact-publish": _publish_artifact,
     "artifact-first-publish": _publish_first_artifact,
@@ -204,7 +191,6 @@ WRITERS = {
     "graph-store-forced": _ingest_forced_store,
     "delta-log": _save_delta_log,
     "ivf-index": _save_ivf_index,
-    "dataset-cache": _fill_dataset_cache,
 }
 
 
@@ -759,18 +745,3 @@ class TestAtomicFileWriters:
             main(argv)
         assert out.read_bytes() == b"previous export"
         assert _tmp_files(tmp_path) == []
-
-    def test_interrupted_cache_write_leaves_no_entry(
-        self, tmp_path, monkeypatch
-    ):
-        cache = DatasetCache(tmp_path / "zoo")
-        monkeypatch.setattr(
-            cache_module, "save_npz", lambda graph, path: _torn_write(path)
-        )
-        with pytest.raises(OSError, match="disk full"):
-            cache.load("dblp", seed=0)
-        assert not cache.has("dblp", 0)
-        assert cache.entries() == []
-        assert _tmp_files(cache.directory) == []
-        monkeypatch.undo()
-        assert cache.load("dblp", seed=0) == load_npz(cache._path("dblp", 0))

@@ -1,8 +1,12 @@
 """Integration tests: full pipelines and the paper's headline orderings."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     BipartiteGraph,
     GEBEPoisson,
@@ -114,3 +118,17 @@ class TestEndToEndIO:
         np.savez(path, u=result.u, v=result.v)
         loaded = np.load(path)
         np.testing.assert_array_equal(loaded["u"], result.u)
+
+
+class TestImportSurface:
+    def test_every_all_entry_resolves(self):
+        # A name deleted from a module but left in an ``__all__`` breaks
+        # ``from repro.x import *`` and every documented import of it.
+        stale = [
+            f"{info.name}.{name}"
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            for module in [importlib.import_module(info.name)]
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+        assert stale == []

@@ -27,7 +27,6 @@ from repro.linalg import (
     MatrixFreeOperator,
     ProximityOperator,
     SparseKernel,
-    gram_apply,
     pmf_weighted_apply,
     randomized_svd,
 )
@@ -136,14 +135,6 @@ class TestSparseKernel:
 
 class TestGramKernelBitIdentity:
     @settings(max_examples=50, deadline=None)
-    @given(sparse_and_block())
-    def test_gram_apply_bit_identical(self, data):
-        w, block = data
-        np.testing.assert_array_equal(
-            GramKernel(w).gram_apply(block), gram_apply(w, block)
-        )
-
-    @settings(max_examples=50, deadline=None)
     @given(sparse_and_block(), st.integers(0, 6))
     def test_pmf_apply_bit_identical(self, data, tau):
         w, block = data
@@ -164,12 +155,6 @@ class TestGramKernelBitIdentity:
             chunked.pmf_apply(block, weights),
             pmf_weighted_apply(w, block, weights),
         )
-
-    def test_gram_apply_chunked_bit_identical(self, rng):
-        w = random_sparse(rng, 10, 7, 0.4)
-        block = rng.standard_normal((10, 9))
-        chunked = GramKernel(w, DtypePolicy(block_cols=2))
-        np.testing.assert_array_equal(chunked.gram_apply(block), gram_apply(w, block))
 
     def test_1d_block(self, rng):
         w = random_sparse(rng, 6, 4, 0.5)

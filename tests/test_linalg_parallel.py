@@ -2,8 +2,8 @@
 
 The headline invariants, per the determinism contract:
 
-* **bit-identity across thread counts** — ``W @ X``, ``W.T @ X``,
-  ``gram_apply`` and ``pmf_apply`` produce byte-for-byte identical results
+* **bit-identity across thread counts** — ``W @ X``, ``W.T @ X`` and
+  ``pmf_apply`` produce byte-for-byte identical results
   for ``n_threads in {1, 2, 4}``, in float64 *and* float32 (hypothesis
   property tests);
 * **determinism across repeated runs** at a fixed thread count;
@@ -13,6 +13,8 @@ The headline invariants, per the determinism contract:
 * the partitionings are exact covers: row shards tile ``[0, n_rows)``,
   column shards tile ``[0, cols)``, each exactly once.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,12 +30,13 @@ from repro.linalg import (
     GramKernel,
     ParallelExecutor,
     SparseKernel,
-    gram_apply,
     pmf_weighted_apply,
 )
 from repro.linalg.parallel import column_shards, row_shards
 
 THREAD_COUNTS = (1, 2, 4)
+#: PMF weights whose series is one Gram apply: ``0 I + 1 (W W^T)``.
+GRAM_HOP = (0.0, 1.0)
 
 
 def _policy(n_threads: int, compute: str = "float64") -> DtypePolicy:
@@ -73,9 +76,6 @@ class TestExecPolicy:
         policy = ExecPolicy()
         assert policy.n_threads == 1
         assert policy.serial_threshold > 0
-
-    def test_serial_constructor(self):
-        assert ExecPolicy.serial().n_threads == 1
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="n_threads"):
@@ -207,16 +207,6 @@ class TestBitIdentityAcrossThreads:
                 )
 
     @settings(max_examples=40, deadline=None)
-    @given(sparse_and_block())
-    def test_gram_apply(self, data):
-        w, _, u_block = data
-        expected = gram_apply(w, u_block)
-        for n_threads in THREAD_COUNTS:
-            np.testing.assert_array_equal(
-                GramKernel(w, _policy(n_threads)).gram_apply(u_block), expected
-            )
-
-    @settings(max_examples=40, deadline=None)
     @given(sparse_and_block(), st.integers(0, 5))
     def test_pmf_apply(self, data, tau):
         w, _, u_block = data
@@ -278,7 +268,7 @@ class TestObsCountsThreadInvariant:
             SparseKernel(w, policy).matmul(v_block)
             SparseKernel(w, policy).t_matmul(block)
             gram = GramKernel(w, policy)
-            gram.gram_apply(block)
+            gram.pmf_apply(block, GRAM_HOP)
             gram.pmf_apply(block, weights)
         return collector.report(method="counts", wall_seconds=0.0).ops
 
@@ -294,7 +284,7 @@ class TestThreadReporting:
         w = random_sparse(rng, 16, 10, 0.5)
         block = rng.standard_normal((16, 8))
         gram = GramKernel(w, _policy(4))
-        gram.gram_apply(block)
+        gram.pmf_apply(block, GRAM_HOP)
         assert gram.threads_used > 1
 
     def test_serial_threshold_keeps_toy_applies_serial(self, rng):
@@ -304,7 +294,7 @@ class TestThreadReporting:
             exec_policy=ExecPolicy(n_threads=4)  # default (large) threshold
         )
         gram = GramKernel(w, policy)
-        gram.gram_apply(block)
+        gram.pmf_apply(block, GRAM_HOP)
         assert gram.threads_used == 1
 
     def test_collector_records_threads_and_workspace(self, rng):
@@ -322,9 +312,11 @@ class TestThreadReporting:
     def test_workspace_sums_per_slot_pools(self, rng):
         w = random_sparse(rng, 16, 10, 0.5)
         block = rng.standard_normal((16, 8))
-        serial = GramKernel(w, _policy(1))
-        serial.gram_apply(block)
-        sharded = GramKernel(w, _policy(4))
-        sharded.gram_apply(block)
+        # Two-column chunks, so the serial apply reuses one chunk's hop
+        # buffers for all four chunks.
+        serial = GramKernel(w, replace(_policy(1), block_cols=2))
+        serial.pmf_apply(block, GRAM_HOP)
+        sharded = GramKernel(w, replace(_policy(4), block_cols=2))
+        sharded.pmf_apply(block, GRAM_HOP)
         # Per-thread hop buffers make the sharded pool strictly bigger.
         assert sharded.workspace_bytes() > serial.workspace_bytes()

@@ -9,9 +9,7 @@ from repro.core import (
     UniformPMF,
     h_matrix,
     h_matrix_v_side,
-    mhp,
     mhp_matrix,
-    mhs,
     mhs_matrix,
     mhs_matrix_v_side,
     path_weight_matrix,
@@ -160,20 +158,6 @@ class TestMHP:
         p = mhp_matrix(figure1, PoissonPMF(lam=1.0), tau=10)
         # u1's direct neighbor v1 outranks v5 (reachable only via 3+ hops).
         assert p[0, 0] > p[0, 4]
-
-
-class TestScalarAccessors:
-    def test_mhs_scalar(self, figure1):
-        s = mhs_matrix(figure1, PoissonPMF(lam=2.0), tau=20)
-        assert mhs(figure1, PoissonPMF(lam=2.0), 20, 0, 1) == pytest.approx(
-            s[0, 1]
-        )
-
-    def test_mhp_scalar(self, figure1):
-        p = mhp_matrix(figure1, PoissonPMF(lam=2.0), tau=20)
-        assert mhp(figure1, PoissonPMF(lam=2.0), 20, 2, 3) == pytest.approx(
-            p[2, 3]
-        )
 
 
 class TestVSideMHS:

@@ -47,8 +47,7 @@ class TestStageTimer:
             time.sleep(0.001)  # time in the parent outside any child
         flat = timer.flatten()
         parent = flat["parent"]
-        assert parent.seconds >= parent.child_seconds()
-        assert parent.child_seconds() == pytest.approx(
+        assert parent.seconds >= (
             flat["parent/child_a"].seconds + flat["parent/child_b"].seconds
         )
 
@@ -77,15 +76,6 @@ class TestStageTimer:
         with pytest.raises(ValueError, match="must not contain"):
             with timer.stage("a/b"):
                 pass
-
-    def test_depth_tracks_stack(self):
-        timer = StageTimer()
-        assert timer.depth == 0
-        with timer.stage("a"):
-            assert timer.depth == 1
-            with timer.stage("b"):
-                assert timer.depth == 2
-        assert timer.depth == 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,47 +386,6 @@ class TestRunReport:
         payload = profiled_toy_report().to_dict()
         assert payload["sections"] == {}
         assert "service" not in RunReport.from_dict(payload).sections
-
-    def test_v4_service_section_round_trips(self):
-        service = {
-            "requests": 12,
-            "batched_requests": 8,
-            "batches": 2,
-            "shed": 1,
-            "deadline_exceeded": 0,
-            "reloads": 1,
-            "queue_depth_max": 4,
-            "latency_ms": {"p50": 1.5, "p95": 9.0},
-        }
-        payload = self._with_section("service", service)
-        assert payload["sections"]["service"]["requests"] == 12
-        assert RunReport.from_dict(payload).sections["service"] == service
-
-    @pytest.mark.parametrize(
-        "mutate, match",
-        [
-            (lambda p: p["sections"].update(service=None), "service"),
-            (lambda p: p["sections"].update(service=[]), "service"),
-            (lambda p: p["sections"]["service"].pop("shed"), "shed"),
-            (lambda p: p["sections"]["service"].update(requests=-1), "requests"),
-            (lambda p: p["sections"]["service"].pop("latency_ms"), "latency_ms"),
-            (lambda p: p["sections"]["service"]["latency_ms"].update(p95=-2.0), "p95"),
-        ],
-    )
-    def test_v4_service_violations_rejected(self, mutate, match):
-        payload = self._with_section("service", {
-            "requests": 1,
-            "batched_requests": 0,
-            "batches": 0,
-            "shed": 0,
-            "deadline_exceeded": 0,
-            "reloads": 0,
-            "queue_depth_max": 1,
-            "latency_ms": {"p50": 0.1, "p95": 0.2},
-        })
-        mutate(payload)
-        with pytest.raises(ValueError, match=match):
-            validate_report(payload)
 
     def test_v6_refresh_section_null_for_plain_fits(self):
         payload = profiled_toy_report().to_dict()

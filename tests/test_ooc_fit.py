@@ -18,11 +18,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.preprocess as preprocess_module
 from repro import obs
-from repro.core import GEBEPoisson
+from repro.core import GEBEPoisson, MHPOnlyBNE, MHSOnlyBNE, gebe_poisson
 from repro.graph import build_graph_store
 from repro.graph.store import OocWorkspace, StoreCSR, row_blocks
-from repro.linalg import DtypePolicy, SparseKernel
+from repro.linalg import DtypePolicy, SparseKernel, SpectrumCache, warm_basis_from_embedding
 from repro.obs import current_rss_bytes
 
 
@@ -138,16 +139,6 @@ class TestBlockedProductsBitIdentical:
         assert np.array_equal(kernel.matmul(x), w @ x)
         assert np.array_equal(kernel.t_matmul(y), w.T @ y)
 
-    def test_serial_operators_match_scipy(self):
-        rng = np.random.default_rng(43)
-        w = sp.random(23, 31, density=0.2, random_state=13, format="csr")
-        csr = StoreCSR(w.indptr, w.indices, w.data, w.shape)
-        x = rng.standard_normal((31, 3))
-        y = rng.standard_normal((23, 3))
-        assert np.array_equal(csr @ x, w @ x)
-        assert np.array_equal(csr.T @ y, w.T @ y)
-        assert np.array_equal(y.T @ csr, y.T @ w)
-
 
 # ---------------------------------------------------------------------------
 # The fit-level contract
@@ -175,6 +166,74 @@ class TestFitBitIdentity:
         result = _fit(fit_store.resident_graph(), threads=4)
         assert np.array_equal(result.u, anchor_fit.u)
         assert np.array_equal(result.v, anchor_fit.v)
+
+
+class TestStoreBackedSolvers:
+    """Every store-backed solver stages under the policy's budget, and the
+    solver features built on GEBE^p's SVD work on a store as they do
+    resident."""
+
+    BUDGET_MB = 0.05
+
+    @pytest.mark.parametrize(
+        "method", [gebe_poisson, MHPOnlyBNE, MHSOnlyBNE], ids=["gebe", "mhp", "mhs"]
+    )
+    def test_staging_stays_within_the_budget(self, fit_store, method, monkeypatch):
+        budget_bytes = self.BUDGET_MB * 1024 * 1024
+        workspace_budgets, normalize_blocks = [], []
+        init = OocWorkspace.__init__
+
+        def recording_init(ws, budget, *args, **kwargs):
+            workspace_budgets.append(budget)
+            init(ws, budget, *args, **kwargs)
+
+        def recording_row_blocks(indptr, lo, hi, max_nnz):
+            normalize_blocks.append(max_nnz)
+            return row_blocks(indptr, lo, hi, max_nnz)
+
+        monkeypatch.setattr(OocWorkspace, "__init__", recording_init)
+        monkeypatch.setattr(preprocess_module, "row_blocks", recording_row_blocks)
+        policy = DtypePolicy.default().with_ooc_budget(self.BUDGET_MB)
+        result = method(8, seed=7, dtype_policy=policy).fit(fit_store.graph())
+        assert workspace_budgets and normalize_blocks
+        assert max(workspace_budgets) <= budget_bytes
+        # The streamed normalize reads three arrays per staged element.
+        assert max(normalize_blocks) * 24 <= budget_bytes
+        monkeypatch.undo()
+        resident = method(8, seed=7).fit(fit_store.resident_graph())
+        assert np.array_equal(result.u, resident.u)
+        assert np.array_equal(result.v, resident.v)
+
+    def test_lambda_sweep_over_a_store_runs_one_svd(self, fit_store):
+        def sweep(graph):
+            cache = SpectrumCache()
+            fits = [
+                GEBEPoisson(8, lam=lam, seed=7, spectrum_cache=cache).fit(graph)
+                for lam in (0.5, 2.0)
+            ]
+            return cache, fits
+
+        cache, fits = sweep(fit_store.graph())
+        assert (cache.misses, cache.hits) == (1, 1)
+        _, resident = sweep(fit_store.resident_graph())
+        for got, want in zip(fits, resident):
+            assert np.array_equal(got.u, want.u)
+            assert np.array_equal(got.v, want.v)
+
+    def test_warm_refit_over_a_store_matches_resident(self, fit_store, anchor):
+        anchor_fit, _ = anchor
+        basis = warm_basis_from_embedding(
+            anchor_fit.u, anchor_fit.metadata["effective_dimension"]
+        )
+        policy = DtypePolicy.default().with_ooc_budget(self.BUDGET_MB)
+        store_fit, resident_fit = (
+            GEBEPoisson(8, seed=7, dtype_policy=policy, warm_start=basis).fit(graph)
+            for graph in (fit_store.graph(), fit_store.resident_graph())
+        )
+        assert store_fit.metadata["refresh"]["mode"] == "warm"
+        assert store_fit.metadata["refresh"] == resident_fit.metadata["refresh"]
+        assert np.array_equal(store_fit.u, resident_fit.u)
+        assert np.array_equal(store_fit.v, resident_fit.v)
 
 
 @pytest.mark.slow

@@ -21,7 +21,7 @@ class TestUniform:
     def test_paper_mass_quirk(self):
         # Eq. (6) sums to (tau + 1) / tau, reproduced verbatim.
         pmf = UniformPMF(tau=4)
-        assert pmf.truncation_mass(4) == pytest.approx(5 / 4)
+        assert pmf.weights(4).sum() == pytest.approx(5 / 4)
 
     def test_requires_positive_tau(self):
         with pytest.raises(ValueError):
@@ -40,7 +40,7 @@ class TestGeometric:
 
     def test_mass_approaches_one(self):
         pmf = GeometricPMF(alpha=0.5)
-        assert pmf.truncation_mass(60) == pytest.approx(1.0, abs=1e-12)
+        assert pmf.weights(60).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_decreasing(self):
         pmf = GeometricPMF(alpha=0.2)
@@ -63,7 +63,7 @@ class TestPoisson:
 
     def test_mass_approaches_one(self):
         pmf = PoissonPMF(lam=1.0)
-        assert pmf.truncation_mass(40) == pytest.approx(1.0, abs=1e-12)
+        assert pmf.weights(40).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_mode_at_lambda(self):
         # For integer lambda the PMF peaks at ell = lambda (and lambda - 1).

@@ -207,15 +207,6 @@ class TestDifferentialGrid:
         )
 
     @pytest.mark.parametrize("quant_dtype", QUANT_DTYPES)
-    def test_user_scores_bit_identical_to_iter(self, quant_dtype):
-        u, v = _random_embeddings(seed=31)
-        engine = _quant_engine(u, v, quant_dtype)
-        u_deq, v_deq = engine.dequantized()
-        truth = _einsum_truth(u_deq, v_deq)
-        for user in (0, 13, NUM_USERS - 1):
-            np.testing.assert_array_equal(engine.user_scores(user), truth[user])
-
-    @pytest.mark.parametrize("quant_dtype", QUANT_DTYPES)
     def test_n_larger_than_item_count_clamps(self, quant_dtype):
         u, v = _random_embeddings(seed=37)
         engine = _quant_engine(u, v, quant_dtype)

@@ -1,10 +1,9 @@
 """Tests for warm-started SVD refresh (repro.linalg.refresh) and its wiring.
 
-Covers the three layers of the incremental pipeline's refit step:
+Covers the two layers of the incremental pipeline's refit step:
 
 * ``refresh_svd`` — warm acceptance, bit-identical cold fallback for every
   rejection reason, and the matvec savings the warm schedule exists for.
-* ``SpectrumCache`` warm mode — nearest-ancestor lookup on a miss.
 * ``GEBEPoisson(warm_start=...)`` — the solver-level entry point and its
   ``metadata["refresh"]`` record.
 """
@@ -19,7 +18,7 @@ from repro.core import GEBEPoisson
 from repro.datasets import erdos_renyi_bipartite
 from repro.graph import DeltaLog, apply_deltas
 from repro.linalg import (
-    SpectrumCache,
+    DtypePolicy,
     default_residual_tolerance,
     exact_svd,
     randomized_svd,
@@ -123,6 +122,12 @@ class TestRefreshSVD:
         assert payload["residual"] is None
         assert payload["mode"] == "cold_fallback"
 
+    def test_residual_is_float64_at_any_policy(self, sparse_w):
+        svd = randomized_svd(sparse_w, 6, rng=np.random.default_rng(0))
+        expected = np.linalg.norm(sparse_w @ svd.vt.T - svd.u * svd.s) / svd.s[0]
+        for policy in (None, DtypePolicy.float32(), DtypePolicy().with_threads(4)):
+            assert svd_residual(sparse_w, svd, policy) == expected
+
     def test_default_tolerance_validates(self):
         assert default_residual_tolerance(0.1) == pytest.approx(np.sqrt(0.1) / 2)
         with pytest.raises(ValueError):
@@ -155,45 +160,6 @@ class TestWarmBasisFromEmbedding:
             warm_basis_from_embedding(np.ones(4))
 
 
-class TestSpectrumCacheWarm:
-    def test_nearest_ancestor_served_on_miss(self, sparse_w):
-        cache = SpectrumCache()
-        kwargs = dict(strategy="power", seed=0)
-        _, first = cache.get_or_compute(sparse_w, 8, 0.1, **kwargs)
-        assert first == "miss"
-        nearby = _perturbed(sparse_w)
-        _, second = cache.get_or_compute(nearby, 8, 0.1, warm=True, **kwargs)
-        assert second == "warm"
-        assert cache.warm_hits == 1
-        assert cache.last_refresh is not None
-        assert cache.last_refresh.mode == "warm"
-        # The refreshed entry is cached under the new matrix's key.
-        _, third = cache.get_or_compute(nearby, 8, 0.1, warm=True, **kwargs)
-        assert third == "hit"
-
-    def test_warm_candidate_ignores_other_settings(self, sparse_w):
-        cache = SpectrumCache()
-        cache.get_or_compute(sparse_w, 8, 0.1, strategy="power", seed=0)
-        nearby = _perturbed(sparse_w)
-        assert (
-            cache.warm_candidate(nearby, 8, 0.1, strategy="power", seed=1) is None
-        )
-        assert (
-            cache.warm_candidate(nearby, 8, 0.2, strategy="power", seed=0) is None
-        )
-        found = cache.warm_candidate(nearby, 8, 0.1, strategy="power", seed=0)
-        assert found is not None and found.shape == (sparse_w.shape[0], 8)
-
-    def test_warm_false_stays_cold(self, sparse_w):
-        cache = SpectrumCache()
-        cache.get_or_compute(sparse_w, 8, 0.1, strategy="power", seed=0)
-        _, event = cache.get_or_compute(
-            _perturbed(sparse_w), 8, 0.1, strategy="power", seed=0
-        )
-        assert event == "miss"
-        assert cache.warm_hits == 0
-
-
 class TestGEBEPoissonWarm:
     def test_explicit_warm_start_records_metadata_and_saves_matvecs(self):
         graph = erdos_renyi_bipartite(60, 40, 400, weighted=True, seed=2)
@@ -216,22 +182,6 @@ class TestGEBEPoissonWarm:
         assert refresh["mode"] == "warm"
         assert refresh["reason"] == "ok"
         assert warm_collector.ops.sparse_matvecs < cold_collector.ops.sparse_matvecs
-
-    def test_cache_warm_mode_end_to_end(self):
-        graph = erdos_renyi_bipartite(50, 30, 300, weighted=True, seed=4)
-        cache = SpectrumCache()
-        GEBEPoisson(dimension=6, seed=0, spectrum_cache=cache).fit(graph)
-        log = DeltaLog.for_graph(graph)
-        coo = graph.w.tocoo()
-        log.reweight(int(coo.row[0]), int(coo.col[0]), float(coo.data[0]) * 1.2)
-        new_graph = apply_deltas(graph, log)
-        result = GEBEPoisson(
-            dimension=6, seed=0, spectrum_cache=cache, warm=True
-        ).fit(new_graph)
-        assert result.metadata["spectrum_cache"] in ("warm", "warm_fallback")
-        assert "refresh" in result.metadata
-        if result.metadata["spectrum_cache"] == "warm":
-            assert result.metadata["refresh"]["mode"] == "warm"
 
     def test_warm_quality_matches_cold(self):
         # The accepted warm refit is an eps-class approximation like the

@@ -70,7 +70,6 @@ class TestPublishResolve:
         assert store.publish("toy", u, v).version == 1
         assert store.publish("toy", u * 2, v).version == 2
         assert store.versions("toy") == [1, 2]
-        assert store.names() == ["toy"]
 
     def test_resolve_latest_and_pinned(self, store, embeddings):
         u, v = embeddings

@@ -9,8 +9,7 @@ Two jobs live here:
   :meth:`~repro.tasks.topk.TopKEngine.clone_for_worker` is shown to be the
   fix — clones share the embedding arrays but never the buffer.
 * Exercise :class:`~repro.serve.service.EmbeddingService`: queries identical
-  to the offline engine, hot reload, metrics bookkeeping, and the
-  RunReport ``service`` section.
+  to the offline engine, hot reload and metrics bookkeeping.
 """
 
 import threading
@@ -20,7 +19,6 @@ import pytest
 
 from repro.core.base import EmbeddingResult
 from repro.graph import BipartiteGraph
-from repro.obs import RunReport
 from repro.serve import ArtifactStore, EmbeddingService
 from repro.serve.service import ServiceMetrics, percentile
 from repro.tasks import TopKEngine
@@ -171,14 +169,6 @@ class TestEmbeddingService:
         assert neighbors.isdisjoint(masked[: 40 - len(neighbors)].tolist())
         assert not neighbors.isdisjoint(unmasked.tolist())
 
-    def test_scores(self, store, result):
-        service = EmbeddingService(store, "toy")
-        np.testing.assert_allclose(
-            service.scores(4), result.u[4] @ result.v.T, rtol=1e-12
-        )
-        with pytest.raises(ValueError, match="user index"):
-            service.scores(60)
-
     def test_reload_swaps_to_latest(self, store, result):
         service = EmbeddingService(store, "toy")
         assert service.artifact.tag == "toy@v1"
@@ -243,19 +233,6 @@ class TestEmbeddingService:
         assert snapshot["counters"]["gemms"] >= 1
         assert snapshot["stages"]["score"]["count"] == 1
 
-    def test_service_report_slots_into_v4_run_report(self, store):
-        service = EmbeddingService(store, "toy")
-        service.top_items([0], 5)
-        service.metrics.observe("request", 0.01)
-        report = RunReport(
-            method="serve", wall_seconds=0.1,
-            sections={"service": service.metrics.service_report()},
-        )
-        payload = report.to_dict()  # validates
-        assert payload["sections"]["service"]["requests"] == 1
-        assert payload["sections"]["service"]["latency_ms"]["p50"] > 0
-
-
 class TestServiceMetrics:
     def test_unknown_counter_rejected(self):
         with pytest.raises(KeyError):
@@ -312,15 +289,6 @@ class TestQuantizedService:
         expected = offline.top_items(8, exclude=graph)
         out = service.top_items(range(result.u.shape[0]), 8)
         np.testing.assert_array_equal(out["items"], expected)
-
-    def test_scores_are_exact_dequantized_dots(
-        self, quant_store, result, codec
-    ):
-        service = EmbeddingService(quant_store, "toy")
-        offline = self._offline(result, codec)
-        np.testing.assert_array_equal(
-            service.scores(11), offline.user_scores(11)
-        )
 
     def test_quantized_rejects_ann_mode(self, quant_store):
         from repro.serve import ArtifactError

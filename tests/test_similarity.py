@@ -339,19 +339,26 @@ class TestAccounting:
         engine = _engine(graph)
         assert engine.matvecs_per_source("mhs") == 2 * TAU
         assert engine.matvecs_per_source("mhp") == 2 * TAU + 1
-        assert engine.diagonal_matvecs() == 2 * TAU * graph.num_u
+        with obs.collect() as collector:
+            engine.h_diagonal()
+        assert collector.ops.sparse_matvecs == 2 * TAU * graph.num_u
 
     def test_workspace_reused_across_queries(self, graph):
         engine = _engine(graph)
+
+        def workspace_bytes():
+            # The reusable buffers: the kernels' pools plus the one-hot block.
+            return engine._operator._kernel.workspace_bytes() + engine._onehot.nbytes
+
         engine.query([0, 1, 2], 5, mode="mhp")
-        held = engine.workspace_bytes()
+        held = workspace_bytes()
         assert held > 0
         engine.query(np.arange(graph.num_u), 5, mode="mhs")
         # Wider batches may grow the one-hot buffer once; repeating the
         # same shapes must not.
-        grown = engine.workspace_bytes()
+        grown = workspace_bytes()
         engine.query(np.arange(graph.num_u), 5, mode="mhs")
-        assert engine.workspace_bytes() == grown
+        assert workspace_bytes() == grown
 
 
 # ---------------------------------------------------------------------------
