@@ -99,7 +99,8 @@ lint-durable:
 
 # End-to-end serving round trip: fit the toy graph, publish to a throwaway
 # artifact store, answer concurrent HTTP top-k requests in-process, and
-# verify every response against the offline engine.  Part of `make test`.
+# verify every top-k response against an independent numpy reference
+# (BLAS scores, masked, lexsorted).  Part of `make test`.
 # See docs/SERVING.md.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve --smoke

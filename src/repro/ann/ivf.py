@@ -1,9 +1,11 @@
 """IVF approximate retrieval: coarse-quantized candidates, exact rerank.
 
-Exact blocked-GEMM retrieval (:class:`repro.tasks.topk.TopKEngine`) scores
-every (user, item) pair — ``O(|U| |V| k)`` per sweep, which cannot reach
+Exact retrieval (:class:`repro.tasks.topk.TopKEngine`) sweeps every
+(user, item) pair — ``O(|U| |V| k)`` per sweep, which cannot reach
 millions of items at interactive latency.  :class:`IVFIndex` is the
-classic inverted-file compromise, built from scratch on numpy:
+classic inverted-file compromise, built from scratch on numpy, and only a
+routing structure: centroids, inverted lists and provenance.  It holds the
+item matrix it routes over by reference and stages no copy of it.
 
 * **Build** — k-means over the item embeddings (:mod:`repro.ann.kmeans`)
   partitions the ``|V|`` items into ``n_cells`` cells; the inverted lists
@@ -15,13 +17,14 @@ classic inverted-file compromise, built from scratch on numpy:
   keeps the top ``nprobe`` via :func:`~repro.core.selection.select_topn`
   (the same deterministic total order as everywhere else), so the
   candidate set is monotone non-decreasing in ``nprobe``.
-* **Exact rerank** — surviving candidates are scored with the *same*
-  float64 staged-``V.T`` product the exact engine uses and selected with
-  the same :func:`select_topn`.  Approximation lives only in which
-  candidates survive the probe: at ``nprobe = n_cells`` every item
-  survives and the output is element-identical to :class:`TopKEngine`
-  (the differential suite's anchor).  Recall@k is therefore a measured
-  knob, not a hope.
+* **Exact rerank** — each query row's cell candidates go through the
+  engine's :func:`~repro.tasks.topk.rerank`: the same fixed-order float64
+  dot, the same CSR masking and the same :func:`select_topn`.  A full
+  probe (every cell) is the engine's own sweep, margin and rerank
+  (:meth:`~repro.tasks.topk.TopKEngine.top_block`), so its lists and
+  scores are the exact engine's.  Approximation lives only in which
+  candidates a partial probe proposes: recall@k is a measured knob, not a
+  hope.
 
 Provenance: the index stores a blake2b digest of the item matrix it was
 built from (:func:`repro.serve.artifacts.array_checksum` — the same digest
@@ -32,9 +35,10 @@ against v4" failure mode.
 
 Observability: every search wave reports probed cells
 (``count_ann_probe``) and exactly reranked candidates
-(``count_ann_candidates``) plus one GEMM for the centroid scoring; the
-rerank coverage is deliberately *not* double-counted into
-``topk_candidates`` so exact and ANN sweeps stay separable in reports.
+(``count_ann_candidates``), plus one GEMM for the centroid scoring of a
+partial probe; a partial probe's rerank coverage is deliberately *not*
+counted into ``topk_candidates``, so exact and ANN sweeps stay separable
+in reports.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from ..core.selection import select_topn
 from ..durable import replace_file
 from ..graph import BipartiteGraph
 from ..obs import active as _obs_active
-from ..tasks.topk import neighbor_items
+from ..tasks.topk import TopKEngine, check_exclude, csr_pairs, rerank
 
 __all__ = ["IVFIndex", "INDEX_FILE", "DEFAULT_CELLS"]
 
@@ -81,10 +85,11 @@ class IVFIndex:
     """An inverted-file index over one item-embedding matrix.
 
     Construct with :meth:`build` (trains the quantizer) or :meth:`load`
-    (re-attaches a saved index to its embeddings).  The index itself holds
-    only the routing structure — centroids and inverted lists; the item
-    matrix is passed in and staged exactly like the exact engine stages it,
-    which is what makes full-probe output element-identical.
+    (re-attaches a saved index to its embeddings).  The index holds the
+    routing structure — centroids and inverted lists — and a reference to
+    the item matrix (``v``, read as float64 and never copied when it
+    already is, e.g. an artifact's memory-mapped array), whose rows the
+    rerank reads.
     """
 
     def __init__(
@@ -98,9 +103,9 @@ class IVFIndex:
         v_checksum: Optional[str] = None,
         source: Optional[str] = None,
     ):
-        v = np.asarray(v)
-        if v.ndim != 2:
-            raise ValueError(f"item embeddings must be 2-D, got {v.ndim}-D")
+        self.v = np.asarray(v, dtype=np.float64)
+        if self.v.ndim != 2:
+            raise ValueError(f"item embeddings must be 2-D, got {self.v.ndim}-D")
         self.centroids = np.ascontiguousarray(centroids, dtype=np.float64)
         self.cell_offsets = np.ascontiguousarray(cell_offsets, dtype=np.int64)
         self.cell_items = np.ascontiguousarray(cell_items, dtype=np.int64)
@@ -113,20 +118,16 @@ class IVFIndex:
                 f"cell_offsets has {self.cell_offsets.size} entries for "
                 f"{self.centroids.shape[0]} cells (want n_cells + 1)"
             )
-        if self.cell_items.size != v.shape[0]:
+        if self.cell_items.size != self.v.shape[0]:
             raise ValueError(
                 f"inverted lists cover {self.cell_items.size} items, "
-                f"embeddings have {v.shape[0]}"
+                f"embeddings have {self.v.shape[0]}"
             )
-        if self.centroids.shape[1] != v.shape[1]:
+        if self.centroids.shape[1] != self.v.shape[1]:
             raise ValueError(
                 f"centroid dimension {self.centroids.shape[1]} != "
-                f"embedding dimension {v.shape[1]}"
+                f"embedding dimension {self.v.shape[1]}"
             )
-        # Stage V.T C-contiguous in float64 — the exact engine's layout, so
-        # the rerank GEMM sees bit-identical operands (column gathers of
-        # this staging are C-contiguous (k, c) blocks).
-        self._vt = np.ascontiguousarray(np.asarray(v, dtype=np.float64).T)
         self.seed = int(seed)
         self.v_checksum = v_checksum
         self.source = source
@@ -137,12 +138,12 @@ class IVFIndex:
     @property
     def num_items(self) -> int:
         """Items covered by the inverted lists."""
-        return self._vt.shape[1]
+        return self.v.shape[0]
 
     @property
     def dimension(self) -> int:
         """Embedding dimensionality ``k``."""
-        return self._vt.shape[0]
+        return self.v.shape[1]
 
     @property
     def n_cells(self) -> int:
@@ -243,6 +244,7 @@ class IVFIndex:
         users: Optional[np.ndarray] = None,
         with_scores: bool = False,
         return_stats: bool = False,
+        engine: Optional[TopKEngine] = None,
     ) -> Union[np.ndarray, Tuple[Any, ...]]:
         """Top-``n`` item ids per query row, best first.
 
@@ -271,6 +273,11 @@ class IVFIndex:
             ``probed_cells``, and exactly reranked ``candidates`` — the
             same numbers the obs counters see, for callers (the serving
             metrics) that cannot use the process-global collector.
+        engine:
+            A :class:`~repro.tasks.topk.TopKEngine` over these items whose
+            staged sweep a full probe runs (the serving tier passes its
+            model's engine).  ``None``: a full probe stages one for the
+            call.
 
         Returns
         -------
@@ -297,73 +304,72 @@ class IVFIndex:
                     f"users must align with queries: {users.shape} vs "
                     f"{queries.shape[0]} rows"
                 )
-            if exclude.num_v > self.num_items:
-                raise ValueError(
-                    f"exclusion graph has {exclude.num_v} items but the "
-                    f"index covers only {self.num_items}"
-                )
+            check_exclude(exclude, users, self.num_items)
         n_probe = self.resolve_nprobe(nprobe)
         n_keep = max(0, min(int(n), self.num_items))
         batch = queries.shape[0]
         out_items = np.full((batch, n_keep), -1, dtype=np.int64)
         out_scores = np.full((batch, n_keep), -np.inf, dtype=np.float64)
-
-        def _pack(probed: int, candidates: int):
-            parts: Tuple[Any, ...] = (out_items,)
-            if with_scores:
-                parts += (out_scores,)
-            if return_stats:
-                parts += (
-                    {
-                        "nprobe": n_probe,
-                        "probed_cells": probed,
-                        "candidates": candidates,
-                    },
+        probed = candidates = 0
+        if n_keep and batch:
+            probed = batch * n_probe
+            if n_probe == self.n_cells:
+                candidates = self._full_probe(
+                    queries, n_keep, users, exclude, engine, out_items, out_scores
                 )
-            return parts if len(parts) > 1 else parts[0]
+            else:
+                candidates = self._partial_probe(
+                    queries, n_keep, n_probe, users, exclude, out_items, out_scores
+                )
+            collector = _obs_active()
+            collector.count_ann_probe(probed)
+            collector.count_ann_candidates(candidates)
+        parts: Tuple[Any, ...] = (out_items,)
+        if with_scores:
+            parts += (out_scores,)
+        if return_stats:
+            parts += (
+                {"nprobe": n_probe, "probed_cells": probed, "candidates": candidates},
+            )
+        return parts if len(parts) > 1 else parts[0]
 
-        if n_keep == 0 or batch == 0:
-            return _pack(0, 0)
+    def _full_probe(self, queries, n, users, exclude, engine, out_items, out_scores):
+        """Every item is a candidate: the engine's own sweep and rerank."""
+        if engine is None:
+            engine = TopKEngine(queries, self.v)
+        if engine.num_items != self.num_items:
+            raise ValueError(
+                f"engine scores {engine.num_items} items, the index covers "
+                f"{self.num_items}"
+            )
+        for lo in range(0, queries.shape[0], engine.block_rows):
+            rows = slice(lo, lo + engine.block_rows)
+            out_items[rows], out_scores[rows] = engine.top_block(
+                queries[rows],
+                n,
+                users=None if users is None else users[rows],
+                exclude=exclude,
+            )
+        return queries.shape[0] * self.num_items
 
-        collector = _obs_active()
+    def _partial_probe(self, queries, n, n_probe, users, exclude, out_items, out_scores):
+        """Each row reranks the items of its own ``n_probe`` best cells."""
         # One GEMM routes the whole wave: (B, k) @ (k, n_cells).
         cell_scores = queries @ self.centroids.T
-        collector.count_gemm(batch, self.dimension, self.n_cells)
-        probes = select_topn(cell_scores, n_probe)
-        collector.count_ann_probe(batch * n_probe)
-
-        total_candidates = 0
-        offsets, items = self.cell_offsets, self.cell_items
-        for row in range(batch):
-            if n_probe == self.n_cells:
-                # Full probe: the candidate set is every item, already in
-                # ascending id order — skip the gather entirely.
-                cand = None
-                scores = np.matmul(queries[row : row + 1], self._vt)[0]
-                total_candidates += self.num_items
-            else:
-                cells = probes[row]
-                pieces = [items[offsets[c] : offsets[c + 1]] for c in cells]
-                cand = np.sort(np.concatenate(pieces))
-                total_candidates += cand.size
-                if cand.size == 0:
-                    continue
-                # Column gather of the staged V.T: a C-contiguous (k, c)
-                # block, the same operand layout as the exact engine's GEMM.
-                scores = np.matmul(queries[row : row + 1], self._vt[:, cand])[0]
-            if exclude is not None:
-                neighbors = neighbor_items(exclude, int(users[row]))
-                if neighbors.size:
-                    if cand is None:
-                        scores[neighbors] = -np.inf
-                    else:
-                        scores[np.isin(cand, neighbors)] = -np.inf
-            keep = select_topn(scores, n_keep)
-            picked = keep if cand is None else cand[keep]
-            out_items[row, : picked.size] = picked
-            out_scores[row, : keep.size] = scores[keep]
-        collector.count_ann_candidates(total_candidates)
-        return _pack(batch * n_probe, total_candidates)
+        _obs_active().count_gemm(queries.shape[0], self.dimension, self.n_cells)
+        cells = select_topn(cell_scores, n_probe)
+        slots, items = csr_pairs(self.cell_offsets, self.cell_items, cells.ravel())
+        m = self.num_items
+        # Row-major pair keys, ids ascending inside a row (every item sits
+        # in one cell, so the keys are distinct).
+        key = np.sort(slots // n_probe * m + items)
+        masked = None
+        if exclude is not None:
+            edges = csr_pairs(exclude.w.indptr, exclude.w.indices, users)
+            masked = np.intersect1d(key, edges[0] * m + edges[1], return_indices=True)[1]
+        rows, cols = np.divmod(key, m)
+        out_items[...], out_scores[...] = rerank(queries, self.v, rows, cols, n, masked)
+        return key.size
 
     # ------------------------------------------------------------------
     # Persistence

@@ -1399,9 +1399,18 @@ def _serve_smoke() -> int:
     graph = toy_graph()
     method = make_method("GEBE^p", dimension=8, seed=0)
     result = method.fit(graph)
-    n = min(10, graph.num_v)
-    engine = TopKEngine.from_result(result)
-    reference = engine.top_items(n, exclude=graph)
+    # Short lists, so the sweep's margin decides the candidates (a list of
+    # every item would rerank them all).
+    n = min(3, graph.num_v)
+    # An independent numpy reference, not the engine under test: BLAS
+    # float64 scores, the training edges masked, (score desc, id asc).
+    scores = result.u @ result.v.T
+    w = graph.w
+    scores[np.repeat(np.arange(graph.num_u), np.diff(w.indptr)), w.indices] = -np.inf
+    order = np.lexsort(
+        (np.broadcast_to(np.arange(graph.num_v), scores.shape), -scores)
+    )
+    reference = order[:, :n]
     # Offline similarity reference with the service's engine defaults
     # (PoissonPMF(lam=1.0), tau=5, "sym" normalization).
     similar_n = min(5, graph.num_u - 1)
@@ -1487,8 +1496,8 @@ def _serve_smoke() -> int:
     )
     if len(answers) != len(users) or mismatched:
         print(
-            f"error: {len(mismatched)} responses diverge from the offline "
-            "engine path",
+            f"error: {len(users) - len(answers) + len(mismatched)} /v1/topk "
+            "responses missing or diverging from the numpy reference",
             file=sys.stderr,
         )
         return 1

@@ -114,11 +114,15 @@ class EmbeddingResult:
     ) -> np.ndarray:
         """Top-``n`` item lists for many users at once (the serving path).
 
-        Scores users in blocks of ``block_rows`` via one GEMM per block
-        (``U_block @ V.T``) instead of one GEMV per user, masks ``exclude``'s
-        training edges straight from its CSR arrays, and selects with the
-        same deterministic tie-break as :meth:`top_items` — the differential
-        suite pins the two paths element-for-element equal.
+        Scores users in blocks of ``block_rows`` through
+        :class:`~repro.tasks.topk.TopKEngine` (a float32 ``U_block @ V.T``
+        sweep, then an exact float64 rerank of a provable margin) instead
+        of one GEMV per user, masks ``exclude``'s training edges straight
+        from its CSR arrays, and selects with the same deterministic
+        tie-break as :meth:`top_items`.  The two paths' lists agree wherever
+        no two scores lie within an ulp of each other (the engine's
+        fixed-order dot and this path's BLAS GEMV may differ in the last
+        bit); the differential suite pins them equal.
 
         Parameters
         ----------
@@ -134,8 +138,9 @@ class EmbeddingResult:
             ``block_rows x |V|`` score buffer.  ``None`` uses the engine
             default.
         policy:
-            A :class:`~repro.linalg.DtypePolicy` controlling compute dtype
-            and executor threads (``None``: the default policy).
+            A :class:`~repro.linalg.DtypePolicy` whose executor threads the
+            sweep (``None``: the default policy); its compute dtype does not
+            change top-k.
 
         Returns
         -------

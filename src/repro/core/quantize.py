@@ -7,14 +7,16 @@ column cuts the stored bytes 4-8x while keeping the error *boundable*:
 every column's codes live in a fixed range, so the absolute dequantization
 error of any element is at most a known fraction of that column's scale.
 
-That bound is what makes quantized retrieval exact rather than
-approximate.  :class:`repro.tasks.topk.QuantizedTopKEngine` scores
-candidates on the quantized values, widens the selection boundary by the
-accumulated per-column bound (:func:`column_error_bound`), and reranks the
-widened margin in float64 — the same candidate-generation/verification
-split the IVF index uses, so the final lists are element-identical to an
-exact engine over the dequantized embeddings (pinned by
-``tests/test_quant.py``).
+:func:`column_error_bound` states that codec error; the codec tests pin
+it.  Retrieval does not use it: quantized retrieval is exact over the
+*dequantized* values, not the originals.
+:class:`repro.tasks.topk.QuantizedTopKEngine` sweeps a float32 staging of
+the dequantized values, widens the selection boundary by a bound on the
+float32 staging (measured per column at load) and accumulation error
+against those values, and reranks the widened margin in float64 — the
+same sweep, margin and rerank as every other artifact, so the final lists
+are element-identical to an exact engine over the dequantized embeddings
+(pinned by ``tests/test_quant.py``).
 
 Codec contract (a pure function of the input array):
 
@@ -108,9 +110,10 @@ def dequantize_columns(codes: np.ndarray, scales: np.ndarray) -> np.ndarray:
 def column_error_bound(scales: np.ndarray, quant_dtype: str) -> np.ndarray:
     """Per-column absolute error bound ``|x - dequantized(x)| <= bound_j``.
 
-    The margin arithmetic of the quantized engine sums these against a
-    query row to bound how far a quantized score can sit from the exact
-    one; see :mod:`repro.tasks.topk`.
+    How far a column's codes can sit from the values they encode — the
+    precision a codec trades away.  The top-k margin does not use it
+    (retrieval is exact over the dequantized values); see
+    :mod:`repro.tasks.topk`.
     """
     _check_dtype(quant_dtype)
     scales = np.asarray(scales, dtype=np.float64)

@@ -225,6 +225,8 @@ class _Model:
             # load() cross-checks dimension, item count, and the v-array
             # digest against this artifact version — an index built from a
             # different version is rejected here, before it serves anything.
+            # The index reads the mapped v; the template's float32 V.T is
+            # the model's one staged copy, swept by full probes.
             self.ivf = IVFIndex.load(index_path, loaded.v)
             # The effective probe count of this version's index (``None``:
             # every cell), which every ANN reply reports.
@@ -433,10 +435,11 @@ class EmbeddingService:
             raise ValueError("users must be a 1-D index sequence")
         if model.ivf is not None:
             return self._top_items_ann(
-                model, users_array, n, with_scores, exclude_train
+                engine, model, users_array, n, with_scores, exclude_train
             )
         exclude = model.graph if exclude_train else None
         started = time.perf_counter()
+        gemms = engine.gemms
         item_blocks: List[np.ndarray] = []
         score_blocks: List[np.ndarray] = []
         for block in engine.iter_top_items(
@@ -454,9 +457,8 @@ class EmbeddingService:
             if item_blocks
             else np.empty((users_array.size, n_keep), dtype=np.int64)
         )
-        blocks = -(-users_array.size // engine.block_rows) if users_array.size else 0
         self.metrics.count("requests")
-        self.metrics.count("gemms", blocks)
+        self.metrics.count("gemms", engine.gemms - gemms)
         self.metrics.count("topk_candidates", users_array.size * engine.num_items)
         self.metrics.observe("score", elapsed)
         payload: Dict[str, Any] = {
@@ -475,13 +477,15 @@ class EmbeddingService:
 
     def _top_items_ann(
         self,
+        engine: TopKEngine,
         model: _Model,
         users: np.ndarray,
         n: int,
         with_scores: bool,
         exclude_train: bool,
     ) -> Dict[str, Any]:
-        """The IVF read-out: probe, exact rerank, measured recall knob."""
+        """The IVF read-out: probe, the engine's exact rerank, measured
+        recall knob (a full probe is ``engine``'s own sweep)."""
         index = model.ivf
         if users.size and (
             users.min() < 0 or users.max() >= model.result.u.shape[0]
@@ -499,6 +503,7 @@ class EmbeddingService:
             users=users if exclude is not None else None,
             with_scores=True,
             return_stats=True,
+            engine=engine,
         )
         items, scores, stats = result
         elapsed = time.perf_counter() - started

@@ -119,7 +119,9 @@ class SimilarityEngine:
         self.normalization = normalization
         self.policy = policy if policy is not None else DtypePolicy()
         self.block_sources = int(block_sources)
-        self._w = normalize_weights(graph, normalization)
+        self._w = normalize_weights(
+            graph, normalization, ooc_budget_mb=self.policy.ooc_budget_mb
+        )
         self._weights = np.asarray(pmf.weights(tau), dtype=np.float64)
         # One ProximityOperator supplies both applies, so MHS and MHP share a
         # single GramKernel workspace and every op is counted at the linalg

@@ -8,38 +8,57 @@ training edges, keep the best ``n``.  Done one user at a time that is one
 GEMV plus one partial sort per user — the Python and BLAS call overhead
 dwarfs the arithmetic at scale.
 
-:class:`TopKEngine` is the batched engine:
+:class:`TopKEngine` is the one engine for every artifact — exact float64
+or quantized (:class:`QuantizedTopKEngine`, which differs only in how its
+stored codes decode to float64).  Users are answered ``block_rows`` at a
+time, each block in four steps:
 
-* **Blocked GEMM scoring** — users are scored ``block_rows`` at a time with
-  one ``U_block @ V.T`` product per block, column-sharded across the thread
-  pool of :mod:`repro.linalg.parallel` when the configured
-  :class:`~repro.linalg.DtypePolicy`'s executor allows (``--threads`` and
-  ``REPRO_NUM_THREADS`` apply exactly as they do to the training kernels).
-  Each output element is one whole ``k``-dot regardless of sharding, so the
-  thread count never changes which items win.
-* **CSR exclusion masking** — training edges are masked per block straight
-  from the graph's ``indptr``/``indices`` arrays with one vectorized
-  gather, not one ``u_neighbors`` call per user.
-* **Deterministic selection** — items are kept with
-  :func:`~repro.core.selection.select_topn`, the same primitive the
-  per-user :meth:`~repro.core.base.EmbeddingResult.top_items` path uses, so
-  batch and per-user lists are element-for-element identical (pinned by the
-  differential suite in ``tests/test_topk.py``).
-* **Bounded memory** — results stream block by block; the full
-  ``num_users x num_items`` score matrix is never materialized.  Peak extra
-  memory is one reusable ``block_rows x num_items`` score buffer (reported
-  through the obs workspace watermark) plus selection temporaries of the
-  same block footprint.
+1. **Float32 sweep** — one ``U_block @ V.T`` GEMM in float32 over a
+   float32 ``V.T`` staged once at construction, in blocks of
+   :data:`STAGE_ROWS` item rows (half the bytes of a float64 staging, and
+   no temporary the size of ``V``).  The GEMM is column-sharded across the
+   thread pool of :mod:`repro.linalg.parallel` when the
+   :class:`~repro.linalg.DtypePolicy`'s executor allows (``--threads`` and
+   ``REPRO_NUM_THREADS`` apply as they do to the training kernels).  The
+   training edges are masked straight from the graph's
+   ``indptr``/``indices`` arrays with one vectorized gather
+   (:func:`csr_pairs`).
+2. **Margin** — the sweep is within ``B_i`` of the exact score of user
+   ``i``: ``B_i = sum_j |u_ij| colerr_j`` plus a subnormal floor, where
+   ``colerr_j`` is the staging error of column ``j`` (at most half a
+   float32 ulp of its maximum for float codes, measured for quantized
+   ones) plus the float32 cast of ``u`` and the length-``k``
+   accumulation.  Every item whose approximate score reaches within
+   ``2 B_i`` of a lower bound on the row's ``n``-th best (the ``n``-th best
+   maximum of :data:`GROUPS_PER_N` ``* n`` strided item groups) is a
+   candidate of that row; anything below is beaten by ``n`` items in exact
+   score.  A block whose sweep could overflow float32 (``sum_j |u_ij|
+   colmax_j`` near float32's range, or a ``u`` or column beyond it) skips
+   the sweep and reranks every item instead.
+3. **Exact rerank** — each row's own candidates are scored again by
+   :func:`rerank`: a fixed-order float64 dot per (row, item) pair of the
+   decoded rows, the same CSR masking, and
+4. :func:`~repro.core.selection.select_topn`, the ``(score desc, id asc)``
+   order of every read-out.
 
-Observability: every block reports one GEMM (``count_gemm``) and its
-scored-candidate coverage (``count_topk``) to the active collector; the
-score buffer feeds the workspace watermark.  Counting happens once per
-logical block in the calling thread — worker threads never touch the
-collector.
+Results stream block by block; the full ``num_users x num_items`` score
+matrix is never materialized.  Peak extra memory is one reusable
+``block_rows x num_items`` float32 score buffer (reported through the obs
+workspace watermark), its candidate mask, and the rerank's pairs, gathered
+:data:`RERANK_ELEMENTS` row elements at a time.
+
+Observability: every block reports two GEMMs (``count_gemm``: the sweep and
+the rerank; one when it skips the sweep) and its coverage (``count_topk``)
+to the active collector, and adds them to the engine's own ``gemms`` count,
+which the serving metrics read; the score buffer feeds the workspace
+watermark.  Counting happens once per logical block in the calling thread
+— worker threads never touch the collector.
 """
 
 from __future__ import annotations
 
+import copy
+import mmap
 from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -55,7 +74,12 @@ __all__ = [
     "TopKEngine",
     "QuantizedTopKEngine",
     "DEFAULT_BLOCK_ROWS",
-    "neighbor_items",
+    "STAGE_ROWS",
+    "RERANK_ELEMENTS",
+    "GROUPS_PER_N",
+    "check_exclude",
+    "csr_pairs",
+    "rerank",
 ]
 
 #: Default users-per-GEMM.  256 rows keep the score buffer in the tens of
@@ -63,41 +87,183 @@ __all__ = [
 #: BLAS dispatch overhead; see docs/SERVING.md for the measured tuning curve.
 DEFAULT_BLOCK_ROWS = 256
 
+#: Item rows cast per pass while staging the float32 ``V.T``.  A block this
+#: size transposes within the cache: staging 200 000 x 32 took 17 ms in
+#: 1 024-row blocks against 157 ms for one whole-matrix transpose.
+STAGE_ROWS = 1024
 
-def neighbor_items(graph: BipartiteGraph, user: int) -> np.ndarray:
-    """The item ids adjacent to ``user`` — one CSR ``indptr`` slice.
+#: Row elements gathered per pass of the rerank (128 KiB of float64 a
+#: side), so the gathered rows stay bounded whatever the candidate count (a
+#: full rerank pairs every row of a block with every item) and are served
+#: from the allocator's heap.  Whole-block gathers of a 256-row block were
+#: fresh memory maps, page-faulted on every block: 3.9 against 1.2 ms per
+#: block of the ``dblp`` stand-in at n = 30.
+RERANK_ELEMENTS = 1 << 14
 
-    The per-user complement of :meth:`TopKEngine._mask_exclusions`: the ANN
-    rerank (:mod:`repro.ann.ivf`) works on candidate *subsets*, where a
-    flat neighbor array to ``isin`` against beats a dense block mask.  Returned ascending (CSR column order), int64.
+#: Item groups per listed item when bounding each row's n-th best sweep
+#: score.  One strided max-reduction and a sort of the group maxima replace
+#: an ``np.partition`` of the block, which degrades on rows holding many
+#: equal scores (items with identical rows, such as the all-zero rows of
+#: items without training edges): 41 ms against 1.8 ms on a 256 x 5 200
+#: block of the ``mag`` stand-in, and 0.39 against 0.16 ms on one
+#: 200 000-item row.  Top items that share a group lower the bound, adding
+#: about ``n / 16`` candidates to a row on average.
+GROUPS_PER_N = 8
+
+_EPS32 = float(np.finfo(np.float32).eps)
+
+#: A row whose ``sum_j |u_ij| (colmax_j + 1/2)`` reaches this may overflow
+#: a float32 cast of ``u`` or partial sum of the sweep (float32 ends just
+#: below 2^128).
+_SWEEP_LIMIT = 2.0 ** 126
+
+
+def _mapped(array) -> bool:
+    """Whether ``array`` views a file mapping (``np.load(mmap_mode=...)``).
+
+    Walks the ``base`` chain: ``np.asarray`` of a memmap is a plain
+    ndarray, but its memory is still the mapping's.
     """
-    indptr = graph.w.indptr
-    return graph.w.indices[indptr[user] : indptr[user + 1]].astype(np.int64)
+    while array is not None:
+        if isinstance(array, mmap.mmap):
+            return True
+        array = getattr(array, "base", None)
+    return False
+
+
+def _decode(codes: np.ndarray, scales: Optional[np.ndarray], index) -> np.ndarray:
+    """The float64 values of ``codes[index]`` (``scales`` None: float codes)."""
+    rows = codes[index]
+    return rows if scales is None else rows.astype(np.float64) * scales
+
+
+def csr_pairs(
+    indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, value)`` arrays of the CSR rows ``keys`` (row ``i`` for
+    ``keys[i]``, values in stored order).
+
+    One vectorized gather — the ragged rows become flat pairs without a
+    Python-level loop: a block's training edges (``graph.w``'s arrays) and
+    a probe's inverted lists (:mod:`repro.ann.ivf`) alike.
+    """
+    starts = indptr[keys]
+    counts = indptr[keys + 1] - starts
+    rows = np.arange(keys.size).repeat(counts)
+    # Absolute CSR positions: starts[i] + arange(counts[i]), flattened.
+    shift = (starts - counts.cumsum() + counts).repeat(counts)
+    return rows, indices[np.arange(rows.size) + shift]
+
+
+def check_exclude(
+    exclude: Optional[BipartiteGraph], users: np.ndarray, num_items: int
+) -> None:
+    """Every masked ``(user, item)`` index must land inside the scores.
+
+    The exclusion graph may be *smaller* than the embeddings (e.g. a
+    core-filtered training graph scored with embeddings fit elsewhere) —
+    mirroring the per-user path, which only ever asks for the neighbors of
+    users it scores — but never larger on the item side, and it must cover
+    every requested user row.
+    """
+    if exclude is None:
+        return
+    if exclude.num_v > num_items:
+        raise ValueError(
+            f"exclusion graph has {exclude.num_v} items but the "
+            f"embeddings score only {num_items}"
+        )
+    if users.size and int(users.max()) >= exclude.num_u:
+        raise ValueError(
+            f"user {int(users.max())} outside the exclusion graph's "
+            f"{exclude.num_u} rows"
+        )
+
+
+def rerank(
+    u_rows: np.ndarray,
+    v: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    n: int,
+    masked=None,
+    v_scales: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact top-``n`` of each row's own candidates: ``(items, scores)``.
+
+    ``u_rows`` (``b x k``) are float64 query rows; ``(rows, cols)`` the
+    candidate ``(row, item)`` pairs, row-major with items ascending inside
+    a row (so the id tie-break is the global one); ``v`` the item codes
+    (float64 values, or codes times ``v_scales``); ``masked`` selects the
+    pairs that are training edges (a mask or positions into the pairs),
+    scored ``-inf``.  The result is ``(b, n)``: a row with fewer than ``n``
+    candidates is right-padded with item ``-1`` and score ``-inf``.
+
+    ``einsum`` (no ``optimize``) accumulates every dot in ascending
+    dimension order whatever the operand shapes, so a score is a pure
+    function of its two rows — the same bits in every block, candidate set
+    and thread count, where a BLAS GEMM's summation order (and last bit)
+    follows the operand shapes.  Pairs are scored :data:`RERANK_ELEMENTS`
+    row elements at a time, which bounds the gathered rows however many
+    candidates there are.
+    """
+    b, k = u_rows.shape
+    exact = np.empty(rows.size)
+    step = max(1, RERANK_ELEMENTS // max(k, 1))
+    for lo in range(0, rows.size, step):
+        pairs = slice(lo, lo + step)
+        exact[pairs] = np.einsum(
+            "pk,pk->p", u_rows[rows[pairs]], _decode(v, v_scales, cols[pairs])
+        )
+    if masked is not None:
+        exact[masked] = -np.inf
+    # Each row's candidates side by side, padded: a dense block for
+    # select_topn, whose position tie-break is the id tie-break.
+    slot = np.arange(rows.size) - rows.searchsorted(rows)
+    scores = np.full((b, max(n, int(slot.max(initial=-1)) + 1)), -np.inf)
+    items = np.full(scores.shape, -1, dtype=np.int64)
+    scores[rows, slot] = exact
+    items[rows, slot] = cols
+    keep = select_topn(scores, n)
+    picked = np.arange(b)[:, None]
+    return items[picked, keep], scores[picked, keep]
+
+
+def _check_pair(u: np.ndarray, v: np.ndarray) -> None:
+    if u.ndim != 2 or v.ndim != 2:
+        raise ValueError("embeddings must be 2-D matrices")
+    if u.shape[1] != v.shape[1]:
+        raise ValueError(f"dimension mismatch: u is {u.shape}, v is {v.shape}")
 
 
 class TopKEngine:
-    """Batched ``U_block @ V.T`` scoring with masking and top-n selection.
+    """Exact top-``n`` retrieval: float32 sweep, margin, float64 rerank.
 
     Parameters
     ----------
     u, v:
         The two embedding matrices (``|U| x k`` and ``|V| x k``), typically
         ``result.u`` / ``result.v`` of an
-        :class:`~repro.core.base.EmbeddingResult` (see :meth:`from_result`).
-        Cast once to the policy's compute dtype at construction.
+        :class:`~repro.core.base.EmbeddingResult` (see :meth:`from_result`),
+        or an artifact's memory-mapped arrays.  They are read as float64
+        and never copied when they already are; only the float32 ``V.T``
+        sweep operand is staged.
     policy:
-        The :class:`~repro.linalg.DtypePolicy` governing compute dtype,
-        workspace reuse, and the executor's thread count (``None``: default
-        policy — float64, workspace reuse, ``REPRO_NUM_THREADS`` threads).
+        The :class:`~repro.linalg.DtypePolicy` whose executor threads the
+        sweep (``None``: default policy, ``REPRO_NUM_THREADS`` threads).
+        Its compute dtype does not change top-k: the sweep is always
+        float32 and the rerank always float64.
     block_rows:
-        Users scored per GEMM (``None``: :data:`DEFAULT_BLOCK_ROWS`).
+        Users per block (``None``: :data:`DEFAULT_BLOCK_ROWS`).
 
     Notes
     -----
-    With workspace reuse on (the policy default) the score buffer is grown
-    once and overwritten by every block, so score views yielded by
-    :meth:`iter_top_items` are only valid until the next block is produced —
-    the standard streaming contract.
+    **Lists.**  A list orders items by the fixed-order float64 dot
+    (:func:`rerank`, descending), then by id (ascending), at every block
+    size and thread count.  That dot is within about an ulp of a BLAS
+    float64 score, so a list can differ from a BLAS-scored reference only
+    where two real scores lie within an ulp of each other; where every dot
+    is exactly representable (integer embeddings) they agree exactly.
 
     **A single engine instance must not be shared across threads.**  The
     grow-once score workspace is overwritten by every block, so two threads
@@ -117,31 +283,66 @@ class TopKEngine:
         policy: Optional[DtypePolicy] = None,
         block_rows: Optional[int] = None,
     ):
-        self.policy = policy if policy is not None else DtypePolicy()
-        self.dtype = self.policy.compute_dtype
-        u = np.asarray(u)
-        v = np.asarray(v)
-        if u.ndim != 2 or v.ndim != 2:
-            raise ValueError("embeddings must be 2-D matrices")
-        if u.shape[1] != v.shape[1]:
-            raise ValueError(
-                f"dimension mismatch: u is {u.shape}, v is {v.shape}"
-            )
+        u = np.asarray(u, dtype=np.float64)
+        v = np.asarray(v, dtype=np.float64)
+        _check_pair(u, v)
+        self._setup(u, None, v, None, policy, block_rows)
+
+    def _setup(self, u, u_scales, v, v_scales, policy, block_rows) -> None:
+        """Hold the codes (never copied) and stage the sweep operand."""
         if block_rows is None:
             block_rows = DEFAULT_BLOCK_ROWS
         if block_rows < 1:
             raise ValueError(f"block_rows must be >= 1, got {block_rows}")
+        self.policy = policy if policy is not None else DtypePolicy()
         self.block_rows = int(block_rows)
-        self._u = np.ascontiguousarray(u, dtype=self.dtype)
-        # V.T staged C-contiguous once so every block GEMM streams it in
-        # column-major-free layout; column shards slice it without copying.
-        self._vt = np.ascontiguousarray(self._as_dtype(v).T)
+        self._u, self._u_scales = u, u_scales
+        self._v, self._v_scales = v, v_scales
+        self._stage()
         self._exec = ParallelExecutor(self.policy.exec_policy)
         self._scores_flat: Optional[np.ndarray] = None
         self.threads_used = 1
+        #: Cumulative (user, candidate) pairs reranked in float64 — the
+        #: margin cost, at most the full ``users x items`` product.
+        self.reranked_candidates = 0
+        #: Cumulative GEMMs: two per block (sweep and rerank), one for a
+        #: block that skips the sweep.  ``/metrics`` reports the deltas.
+        self.gemms = 0
 
-    def _as_dtype(self, block: np.ndarray) -> np.ndarray:
-        return np.asarray(block, dtype=self.dtype)
+    def _stage(self) -> None:
+        """Stage the float32 ``V.T`` and the margin's column terms, one pass."""
+        m, k = self._v.shape
+        self._vt = np.empty((k, m), dtype=np.float32)
+        colmax = np.zeros(k, dtype=np.float32)
+        measured = None if self._v_scales is None else np.zeros(k)
+        for lo in range(0, m, STAGE_ROWS):
+            exact = _decode(self._v, self._v_scales, slice(lo, lo + STAGE_ROWS))
+            staged = self._vt[:, lo : lo + STAGE_ROWS]
+            with np.errstate(over="ignore"):  # inf: that column's colmax
+                staged[...] = exact.T
+            np.maximum(colmax, np.abs(staged).max(axis=1), out=colmax)
+            if measured is not None:
+                err = np.abs(staged.T - exact).max(axis=0)
+                np.maximum(measured, err, out=measured)
+        colmax = colmax.astype(np.float64)
+        if measured is None:
+            # Round to nearest: within half a float32 ulp of the staged
+            # value (at most eps/2 of the column maximum) or, below the
+            # normal range, half the smallest subnormal.  Finite for every
+            # finite column maximum, FLT_MAX included; inf for a column
+            # beyond float32, which sends every block to a full rerank.
+            measured = 0.5 * _EPS32 * colmax + 2.0 ** -150
+        # Per column: the error weight of the bound (staging, plus the
+        # float32 cast of u and the length-k accumulation, ~k eps each with
+        # 4x headroom), doubled for the margin's two sides; and the reach
+        # weight: the largest magnitude a sweep term can take, plus 1/2 so
+        # that a reach under _SWEEP_LIMIT also keeps every |u_ij| under
+        # 2^127, from where a float32 cast may round to inf.
+        colerr = measured + (4.0 * (k + 8) * _EPS32) * colmax
+        self._margin = np.stack([2.0 * colerr, colmax + 0.5], axis=1)
+        # The margin's absolute floor, doubled: subnormal casts of u and
+        # float32 products that underflow.
+        self._margin_floor = 2.0 * ((2.0 ** -140) * float(colmax.sum()) + k * 2.0 ** -148)
 
     @classmethod
     def from_result(
@@ -157,21 +358,18 @@ class TopKEngine:
     def clone_for_worker(self) -> "TopKEngine":
         """A worker-private engine sharing this engine's embedding arrays.
 
-        The clone aliases the read-only ``U`` and staged ``V.T`` matrices —
-        zero copy, so per-thread clones cost only the (lazily grown) score
+        The clone aliases the read-only codes and staged ``V.T`` — zero
+        copy, so per-thread clones cost only the (lazily grown) score
         workspace — but owns a fresh workspace and executor handle.  This is
         the supported way to score concurrently: one clone per thread, never
         one shared instance (see the class notes on the workspace race).
         """
-        clone = type(self).__new__(type(self))
-        clone.policy = self.policy
-        clone.dtype = self.dtype
-        clone.block_rows = self.block_rows
-        clone._u = self._u
-        clone._vt = self._vt
+        clone = copy.copy(self)
         clone._exec = ParallelExecutor(self.policy.exec_policy)
         clone._scores_flat = None
         clone.threads_used = 1
+        clone.reranked_candidates = 0
+        clone.gemms = 0
         return clone
 
     # ------------------------------------------------------------------
@@ -190,34 +388,32 @@ class TopKEngine:
     @property
     def dimension(self) -> int:
         """The embedding dimensionality ``k``."""
-        return self._u.shape[1]
+        return self._vt.shape[0]
 
     def workspace_bytes(self) -> int:
         """Bytes held in the reusable score buffer (0 before first use)."""
         return 0 if self._scores_flat is None else self._scores_flat.nbytes
 
     def resident_bytes(self) -> int:
-        """Process-resident bytes this engine pins: staged arrays + workspace.
+        """Heap bytes this engine pins: codes, scales, staging, workspace.
 
-        Memory-mapped inputs are excluded — their pages live in the shared
-        OS page cache, which is exactly the point of the quantized
-        memory-mapped artifact tier (``/metrics`` reports this number as
+        File-mapped codes are excluded — their pages live in the shared OS
+        page cache (``/metrics`` reports this number as
         ``bytes_resident``).
         """
-
-        def _nbytes(array: Optional[np.ndarray]) -> int:
-            if array is None or isinstance(array, np.memmap):
-                return 0
-            return array.nbytes
-
-        return _nbytes(self._u) + _nbytes(self._vt) + self.workspace_bytes()
+        held = (self._u, self._u_scales, self._v, self._v_scales)
+        return (
+            sum(a.nbytes for a in held if a is not None and not _mapped(a))
+            + self._vt.nbytes
+            + self.workspace_bytes()
+        )
 
     def _score_buffer(self, rows: int) -> np.ndarray:
-        """A C-contiguous ``rows x num_items`` score block."""
+        """A C-contiguous float32 ``rows x num_items`` score block."""
         needed = rows * self.num_items
         if self._scores_flat is None or self._scores_flat.size < needed:
             self._scores_flat = np.empty(
-                self.block_rows * self.num_items, dtype=self.dtype
+                self.block_rows * self.num_items, dtype=np.float32
             )
             _obs_active().note_array(self._scores_flat.nbytes)
         return self._scores_flat[:needed].reshape(rows, self.num_items)
@@ -226,13 +422,14 @@ class TopKEngine:
     # Scoring
     # ------------------------------------------------------------------
     def _score_into(self, u_block: np.ndarray, out: np.ndarray) -> None:
-        """``out[...] = u_block @ V.T``, column-sharded across the executor.
+        """``out[...] = u_block @ V.T`` in float32, column-sharded.
 
         Shards partition the *output columns*; every element is one whole
         ``k``-length dot product either way, so sharding affects wall time
         only.  ``np.matmul`` releases the GIL inside BLAS, which is what
         makes the thread pool effective here.
         """
+        u_block = u_block.astype(np.float32, copy=False)
         rows, k = u_block.shape
         m = self.num_items
         n_shards = self._exec.shards_for(rows * k * m, m)
@@ -251,51 +448,77 @@ class TopKEngine:
             ]
         )
 
-    @staticmethod
-    def _mask_exclusions(
-        scores: np.ndarray, users: np.ndarray, graph: BipartiteGraph
-    ) -> None:
-        """Set ``scores[i, j] = -inf`` for every edge ``(users[i], j)``.
+    def top_block(
+        self,
+        u_rows: np.ndarray,
+        n: int,
+        *,
+        users: Optional[np.ndarray] = None,
+        exclude: Optional[BipartiteGraph] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One block: sweep, margin, rerank; ``(items, scores)``.
 
-        One vectorized gather over the CSR ``indptr``/``indices`` arrays —
-        the ragged per-user neighbor lists become flat ``(row, col)`` pairs
-        without a Python-level loop.
+        ``u_rows`` are float64 query rows (at most ``block_rows``),
+        ``1 <= n <= num_items``, and ``exclude``'s edges of graph rows
+        ``users`` are masked.  :meth:`iter_top_items` feeds it user rows;
+        the IVF full probe (:mod:`repro.ann.ivf`) feeds it query rows.
         """
-        indptr = graph.w.indptr
-        starts = indptr[users].astype(np.int64)
-        counts = indptr[users + 1].astype(np.int64) - starts
-        total = int(counts.sum())
-        if total == 0:
-            return
-        # Absolute CSR positions: starts[i] + arange(counts[i]), flattened.
-        bases = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        cols = graph.w.indices[np.arange(total, dtype=np.int64) + bases]
-        rows = np.repeat(np.arange(users.size, dtype=np.int64), counts)
-        scores[rows, cols] = -np.inf
-
-    def _check_exclude(
-        self, exclude: Optional[BipartiteGraph], users: np.ndarray
-    ) -> None:
-        """Every masked ``(user, item)`` index must land inside the block.
-
-        The exclusion graph may be *smaller* than the embeddings (e.g. a
-        core-filtered training graph scored with embeddings fit elsewhere) —
-        mirroring the per-user path, which only ever asks for the neighbors
-        of users it scores — but never larger on the item side, and it must
-        cover every requested user row.
-        """
-        if exclude is None:
-            return
-        if exclude.num_v > self.num_items:
-            raise ValueError(
-                f"exclusion graph has {exclude.num_v} items but the "
-                f"embeddings score only {self.num_items}"
+        collector = _obs_active()
+        b, m = u_rows.shape[0], self.num_items
+        # inf or nan (a huge u, a column beyond float32) fails the test below.
+        with np.errstate(invalid="ignore", over="ignore"):
+            bound, reach = (np.abs(u_rows) @ self._margin).T
+        excluded = (
+            None
+            if exclude is None
+            else csr_pairs(exclude.w.indptr, exclude.w.indices, users)
+        )
+        collector.count_topk(b * m)
+        masked = None
+        if reach.max() < _SWEEP_LIMIT:
+            # No u cast, sweep term or partial sum can leave float32's range.
+            scores = self._score_buffer(b)
+            self._score_into(u_rows, scores)
+            collector.count_gemm(b, self.dimension, m)
+            self.gemms += 1
+            if excluded is not None:
+                scores[excluded] = -np.inf
+            # kth: at or below each row's n-th best approximate score — the
+            # n-th best maximum of GROUPS_PER_N * n disjoint strided item
+            # groups, which n distinct items reach.  |approx - exact| <=
+            # half the bound on both sides of every comparison, so an item
+            # under kth - bound is beaten by n items exactly.  A -inf kth
+            # (fewer than n groups with an unmasked item) keeps all.
+            groups = min(m, GROUPS_PER_N * n)
+            cut = m - m % groups
+            maxima = scores[:, :cut].reshape(b, -1, groups).max(axis=1)
+            np.maximum(maxima[:, : m - cut], scores[:, cut:], out=maxima[:, : m - cut])
+            maxima.sort(axis=1)
+            kth = maxima[:, -n]
+            # One float32 step below the nearest float32: at or under the
+            # float64 threshold, so the float32 comparison keeps every item
+            # the float64 one would.
+            floor32 = np.nextafter(
+                (kth - (bound + self._margin_floor)).astype(np.float32),
+                np.float32(-np.inf),
             )
-        if users.size and int(users.max()) >= exclude.num_u:
-            raise ValueError(
-                f"user {int(users.max())} outside the exclusion graph's "
-                f"{exclude.num_u} rows"
-            )
+            # Each row keeps its own candidates, row-major, ids ascending
+            # (flat positions: a 2-D nonzero costs several times more).
+            rows, cols = np.divmod(np.flatnonzero(scores >= floor32[:, None]), m)
+            if excluded is not None and kth.min() == -np.inf:
+                # Only a row whose kth is -inf keeps masked items.
+                masked = scores[rows, cols] == -np.inf
+        else:
+            # A float32 sweep could overflow, and inf or nan approximate
+            # scores prove nothing: rerank every item.
+            rows, cols = np.divmod(np.arange(b * m), m)
+            if excluded is not None:
+                masked = excluded[0] * m + excluded[1]
+        collector.count_gemm(rows.size, self.dimension, 1)
+        self.gemms += 1
+        self.reranked_candidates += rows.size
+        collector.note_workspace(self.workspace_bytes())
+        return rerank(u_rows, self._v, rows, cols, n, masked, self._v_scales)
 
     # ------------------------------------------------------------------
     # Retrieval
@@ -312,8 +535,8 @@ class TopKEngine:
 
         ``items_block`` is ``(B, min(n, num_items))`` int64, best first,
         ordered by ``(score desc, index asc)``.  With ``with_scores`` the
-        selected scores come along as a freshly allocated float block (safe
-        to keep across iterations, unlike the internal score buffer).
+        selected float64 scores come along as a freshly allocated block
+        (safe to keep across iterations, unlike the internal score buffer).
         """
         if users is None:
             users = np.arange(self.num_users, dtype=np.int64)
@@ -327,27 +550,18 @@ class TopKEngine:
                 raise ValueError(
                     f"user indices must be in [0, {self.num_users})"
                 )
-        self._check_exclude(exclude, users)
+        check_exclude(exclude, users, self.num_items)
         n_keep = max(0, min(int(n), self.num_items))
         if n_keep == 0:
             return
         for lo in range(0, users.size, self.block_rows):
             block_users = users[lo : lo + self.block_rows]
-            collector = _obs_active()
-            scores = self._score_buffer(block_users.size)
-            self._score_into(self._u[block_users], scores)
-            collector.count_gemm(
-                block_users.size, self.dimension, self.num_items
+            u_rows = _decode(self._u, self._u_scales, block_users)
+            items, scores = self.top_block(
+                u_rows, n_keep, users=block_users, exclude=exclude
             )
-            collector.count_topk(block_users.size * self.num_items)
-            if exclude is not None:
-                self._mask_exclusions(scores, block_users, exclude)
-            items = select_topn(scores, n_keep)
-            collector.note_workspace(self.workspace_bytes())
             if with_scores:
-                yield block_users, items, np.take_along_axis(
-                    scores, items, axis=1
-                ).copy()
+                yield block_users, items, scores
             else:
                 yield block_users, items
 
@@ -375,54 +589,18 @@ class TopKEngine:
 
 
 class QuantizedTopKEngine(TopKEngine):
-    """Top-``n`` retrieval over per-column-quantized embeddings, still exact.
+    """Top-``n`` over per-column-quantized embeddings, exact over their values.
 
     The engine of the quantized artifact tier
     (:meth:`repro.serve.artifacts.ArtifactStore.publish` with
-    ``quantize="float16"|"int8"``): it never materializes the float64
-    embedding matrices.  Instead it scores *approximately* and reranks a
-    provably sufficient margin *exactly* — the same candidate-generation /
-    verification split as the IVF index of :mod:`repro.ann.ivf`:
-
-    1. **Approximate sweep** — one ``u_block @ V.T`` GEMM per block in
-       float32 over a staged float32 ``V.T`` built from the codes and
-       per-column scales (half the float64 staging footprint; the codes
-       themselves usually stay memory-mapped).
-    2. **Margin from the per-column error bound** — the scales bound every
-       dequantized value per column (``scale_j`` for float16 codes in
-       ``[-1, 1]``, ``127 * scale_j`` for int8), so the gap between the
-       float32 approximate score and the exact float64 score of user ``i``
-       is at most ``B_i = c * sum_j |u_ij| * colmax_j`` with
-       ``c = 8 (k + 8) eps_f32`` (cast + staging + length-``k``
-       accumulation error, with headroom).  Every item whose approximate
-       score reaches within ``2 B_i`` of the block's ``n``-th best is a
-       candidate; anything below is *provably* beaten by ``n`` items in
-       exact score and can never appear in the exact list.
-    3. **Exact rerank** — candidate rows are dequantized to float64 and
-       rescored with a *fixed-order* dot product (``np.einsum``, ascending
-       dimension index), then selected with
-       :func:`~repro.core.selection.select_topn`; because candidates come
-       out ascending by global id, the tie-break coincides with the exact
-       engine's.
-
-    The fixed-order rerank is deliberate: BLAS GEMM kernels change their
-    per-element summation order with the operand *shape*, so a
-    candidate-subset GEMM is not bit-reproducible against a full-width one.
-    ``einsum`` accumulates every dot identically regardless of block size,
-    candidate count, or thread count — the rerank scores are a pure
-    function of the codes and scales.
-
-    The result is **list-identical to a plain :class:`TopKEngine` over the
-    dequantized embeddings** at every block size and thread count, for both
-    codecs, all-ties included, and the returned scores are the exact
-    float64 dot products of those dequantized embeddings (pinned
-    bit-for-bit against an independent fixed-order evaluation by
-    ``tests/test_quant.py``).  Relative to the exact engine's BLAS-computed
-    scores the agreement is exact wherever the dots are exactly
-    representable (the all-ties integer fixtures) and within one unit in
-    the last place otherwise — summation-order noise far below the
-    quantization error, and never enough to reorder a list unless two real
-    scores are themselves sub-ulp ties.
+    ``quantize="float16"|"int8"``).  It is :class:`TopKEngine` with other
+    codes: the stored codes (usually memory-mapped) are decoded to float64
+    per block — the user rows and the candidates' item rows — and the
+    float32 ``V.T`` is staged from the decoded values in the same blocked
+    pass, which also measures each column's staging error for the margin.
+    The lists are therefore identical to a :class:`TopKEngine` over
+    :meth:`dequantized`, and the scores are the exact fixed-order float64
+    dots of those arrays (pinned by ``tests/test_quant.py``).
 
     Parameters
     ----------
@@ -434,9 +612,7 @@ class QuantizedTopKEngine(TopKEngine):
     quant_dtype:
         ``"float16"`` or ``"int8"`` — must match the codes' dtype.
     policy, block_rows:
-        As for :class:`TopKEngine`.  The approximate sweep always runs in
-        float32 regardless of the policy's compute dtype; the rerank is
-        always float64.
+        As for :class:`TopKEngine`.
     """
 
     def __init__(
@@ -454,17 +630,9 @@ class QuantizedTopKEngine(TopKEngine):
             raise ValueError(
                 f"quant_dtype must be one of {QUANT_DTYPES}, got {quant_dtype!r}"
             )
-        self.policy = policy if policy is not None else DtypePolicy()
-        self.quant_dtype = str(quant_dtype)
-        self.dtype = np.dtype(np.float32)  # the approximate-sweep dtype
         u_codes = np.asarray(u_codes)
         v_codes = np.asarray(v_codes)
-        if u_codes.ndim != 2 or v_codes.ndim != 2:
-            raise ValueError("quantized embeddings must be 2-D matrices")
-        if u_codes.shape[1] != v_codes.shape[1]:
-            raise ValueError(
-                f"dimension mismatch: u is {u_codes.shape}, v is {v_codes.shape}"
-            )
+        _check_pair(u_codes, v_codes)
         expected = np.dtype(quant_dtype)
         for name, codes in (("u", u_codes), ("v", v_codes)):
             if codes.dtype != expected:
@@ -472,212 +640,22 @@ class QuantizedTopKEngine(TopKEngine):
                     f"{name} codes are {codes.dtype}, expected {expected} "
                     f"for quant_dtype={quant_dtype!r}"
                 )
-        u_scales = np.ascontiguousarray(u_scales, dtype=np.float64)
-        v_scales = np.ascontiguousarray(v_scales, dtype=np.float64)
+        # Copied: the scales are heap bytes the model pins, mapped or not.
+        u_scales = np.array(u_scales, dtype=np.float64)
+        v_scales = np.array(v_scales, dtype=np.float64)
         k = u_codes.shape[1]
         if u_scales.shape != (k,) or v_scales.shape != (k,):
             raise ValueError(
                 f"scales must be ({k},), got u {u_scales.shape} / "
                 f"v {v_scales.shape}"
             )
-        if block_rows is None:
-            block_rows = DEFAULT_BLOCK_ROWS
-        if block_rows < 1:
-            raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-        self.block_rows = int(block_rows)
-        self._u = u_codes  # codes, possibly memory-mapped; dequantized per block
-        self._u_scales = u_scales
-        self._v_codes = v_codes
-        self._v_scales = v_scales
-        # The staged approximate V.T: float32 dequantized codes, C-contiguous
-        # like the exact engine's staging so the sweep GEMM shards the same.
-        self._vt = np.ascontiguousarray(
-            (v_codes.astype(np.float32) * v_scales.astype(np.float32)).T
-        )
-        # Per-column bound on any |dequantized v| — from the scales alone.
-        code_max = 1.0 if self.quant_dtype == "float16" else 127.0
-        colmax = v_scales * code_max
-        # Measured per-column staging error max_i |float32 staged - exact|,
-        # computed in one chunked pass.  A column whose values fall outside
-        # float32's graceful range inflates its entry (up to inf), which
-        # only widens the margin toward a full rerank — never breaks
-        # exactness.
-        stage_err = np.zeros(k)
-        chunk = max(1, (1 << 22) // max(1, k))
-        for lo in range(0, v_codes.shape[0], chunk):
-            exact_chunk = v_codes[lo : lo + chunk].astype(np.float64) * v_scales
-            staged_chunk = self._vt[:, lo : lo + chunk].T.astype(np.float64)
-            if exact_chunk.size:
-                np.maximum(
-                    stage_err,
-                    np.abs(staged_chunk - exact_chunk).max(axis=0),
-                    out=stage_err,
-                )
-        # Per-column score-error weights: staging error plus the float32
-        # cast of u and the length-k accumulation (~k*eps each, 4x headroom).
-        eps32 = float(np.finfo(np.float32).eps)
-        self._colerr = stage_err + (4.0 * (k + 8) * eps32) * colmax
-        # Absolute floor covering subnormal-u cast error (spacing 2^-149).
-        self._abs_bound = (2.0 ** -140) * float(np.sum(colmax))
-        self._exec = ParallelExecutor(self.policy.exec_policy)
-        self._scores_flat: Optional[np.ndarray] = None
-        self.threads_used = 1
-        #: Cumulative (user, candidate) pairs reranked in float64 — the
-        #: margin cost, at most the full ``users x items`` product.
-        self.reranked_candidates = 0
-
-    def clone_for_worker(self) -> "QuantizedTopKEngine":
-        """Per-thread clone; same contract as the exact engine's."""
-        clone = super().clone_for_worker()
-        clone.quant_dtype = self.quant_dtype
-        clone._u_scales = self._u_scales
-        clone._v_codes = self._v_codes
-        clone._v_scales = self._v_scales
-        clone._colerr = self._colerr
-        clone._abs_bound = self._abs_bound
-        clone.reranked_candidates = 0
-        return clone
-
-    def resident_bytes(self) -> int:
-        base = super().resident_bytes()
-        if not isinstance(self._v_codes, np.memmap):
-            # _vt is staged from the codes; avoid double counting only the
-            # mmap case (the resident copy is the staging, not the codes).
-            base += self._v_codes.nbytes
-        return base + self._u_scales.nbytes + self._v_scales.nbytes
-
-    # ------------------------------------------------------------------
-    # Dequantization (float64, bit-reproducible)
-    # ------------------------------------------------------------------
-    def _dequant_u(self, rows: np.ndarray) -> np.ndarray:
-        """The exact float64 values of the requested user rows."""
-        return self._u[rows].astype(np.float64) * self._u_scales
-
-    def _dequant_v(self, rows: np.ndarray) -> np.ndarray:
-        """The exact float64 values of the requested item rows, ``(c, k)``."""
-        return self._v_codes[rows].astype(np.float64) * self._v_scales
-
-    @staticmethod
-    def _exact_dots(u_deq: np.ndarray, v_deq: np.ndarray) -> np.ndarray:
-        """Fixed-order float64 dots: ``(b, k) x (c, k) -> (b, c)``.
-
-        ``einsum`` (no ``optimize``) accumulates each dot in ascending
-        dimension index whatever the operand shapes, so these scores are a
-        pure function of the dequantized values — unlike a BLAS GEMM,
-        whose summation order (and hence last bit) shifts with the block
-        and candidate widths.  Every exact score the engine emits flows
-        through here.
-        """
-        return np.einsum("bk,ck->bc", u_deq, v_deq)
-
-    def _mask_candidate_exclusions(
-        self,
-        scores: np.ndarray,
-        users: np.ndarray,
-        cand: np.ndarray,
-        graph: BipartiteGraph,
-    ) -> None:
-        """``-inf`` the excluded ``(user, item)`` pairs *within* ``cand``.
-
-        The candidate-subset complement of :meth:`_mask_exclusions`:
-        global CSR columns are located in the ascending candidate array by
-        binary search, misses (excluded items that did not make the
-        margin) are simply dropped.
-        """
-        indptr = graph.w.indptr
-        starts = indptr[users].astype(np.int64)
-        counts = indptr[users + 1].astype(np.int64) - starts
-        total = int(counts.sum())
-        if total == 0:
-            return
-        bases = np.repeat(
-            starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        )
-        cols = graph.w.indices[np.arange(total, dtype=np.int64) + bases]
-        rows = np.repeat(np.arange(users.size, dtype=np.int64), counts)
-        pos = np.searchsorted(cand, cols)
-        pos_clipped = np.minimum(pos, cand.size - 1)
-        hit = cand[pos_clipped] == cols
-        scores[rows[hit], pos_clipped[hit]] = -np.inf
-
-    def iter_top_items(
-        self,
-        n: int,
-        *,
-        users: Optional[np.ndarray] = None,
-        exclude: Optional[BipartiteGraph] = None,
-        with_scores: bool = False,
-    ) -> Iterator[Union[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-        """Stream exact top-``n`` blocks; see the class notes for the proof.
-
-        Yields exactly what the exact engine yields — int64 item blocks
-        ordered by ``(score desc, id asc)`` and, when requested, their
-        float64 scores at full precision.
-        """
-        if users is None:
-            users = np.arange(self.num_users, dtype=np.int64)
-        else:
-            users = np.asarray(users, dtype=np.int64)
-            if users.ndim != 1:
-                raise ValueError("users must be a 1-D index array")
-            if users.size and (
-                users.min() < 0 or users.max() >= self.num_users
-            ):
-                raise ValueError(
-                    f"user indices must be in [0, {self.num_users})"
-                )
-        self._check_exclude(exclude, users)
-        n_keep = max(0, min(int(n), self.num_items))
-        if n_keep == 0:
-            return
-        for lo in range(0, users.size, self.block_rows):
-            block_users = users[lo : lo + self.block_rows]
-            collector = _obs_active()
-            u_deq = self._dequant_u(block_users)
-            scores = self._score_buffer(block_users.size)
-            self._score_into(u_deq.astype(np.float32), scores)
-            collector.count_gemm(
-                block_users.size, self.dimension, self.num_items
-            )
-            collector.count_topk(block_users.size * self.num_items)
-            if exclude is not None:
-                self._mask_exclusions(scores, block_users, exclude)
-            approx_top = select_topn(scores, n_keep)
-            # The selection boundary, widened by twice the per-user score
-            # error bound: |exact - approx| <= B on both sides of any
-            # comparison.  A -inf boundary (fewer than n unmasked items)
-            # widens to everything — still exact, just a full rerank.
-            kth = np.take_along_axis(
-                scores, approx_top[:, -1:], axis=1
-            ).astype(np.float64)
-            bound = np.abs(u_deq) @ self._colerr + self._abs_bound
-            # A nan bound (0 * inf from an overflowed staging column on a
-            # zero coordinate) would silently shrink the candidate set;
-            # widen it to inf (full rerank) instead.
-            np.copyto(bound, np.inf, where=np.isnan(bound))
-            cand_mask = scores >= (kth - 2.0 * bound[:, None])
-            cand = np.flatnonzero(cand_mask.any(axis=0)).astype(np.int64)
-            exact = self._exact_dots(u_deq, self._dequant_v(cand))
-            collector.count_gemm(block_users.size, self.dimension, cand.size)
-            self.reranked_candidates += int(block_users.size) * int(cand.size)
-            if exclude is not None:
-                self._mask_candidate_exclusions(
-                    exact, block_users, cand, exclude
-                )
-            keep = select_topn(exact, n_keep)
-            items = cand[keep]
-            collector.note_workspace(self.workspace_bytes())
-            if with_scores:
-                yield block_users, items, np.take_along_axis(
-                    exact, keep, axis=1
-                ).copy()
-            else:
-                yield block_users, items
+        self.quant_dtype = str(quant_dtype)
+        self._setup(u_codes, u_scales, v_codes, v_scales, policy, block_rows)
 
     def dequantized(self) -> Tuple[np.ndarray, np.ndarray]:
         """Materialized float64 ``(u, v)`` — the matrices this engine is
         exact against.  Test/tooling helper; serving never calls it."""
         return (
             dequantize_columns(np.asarray(self._u), self._u_scales),
-            dequantize_columns(np.asarray(self._v_codes), self._v_scales),
+            dequantize_columns(np.asarray(self._v), self._v_scales),
         )

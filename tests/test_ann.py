@@ -20,6 +20,7 @@ from repro.ann import (
     assign_clusters,
     kmeans_fit,
 )
+from repro.core.selection import select_topn
 from repro.graph import BipartiteGraph
 from repro.linalg.parallel import ExecPolicy
 from repro.serve import ArtifactError
@@ -157,6 +158,78 @@ class TestRecallKnob:
         u, _ = clustered
         with pytest.raises(ValueError, match="nprobe"):
             clustered_index.search(u, 5, nprobe=0)
+
+
+class TestEngineRerank:
+    """A partial probe reranks each row's cell candidates through the
+    engine's rerank; the index itself stages no copy of V."""
+
+    @staticmethod
+    def _probe_reference(index, u, v, n, nprobe, exclude=None):
+        """Per row: the probed cells' items, fixed-order float64 dots,
+        training edges masked, (score desc, id asc), -1/-inf padded."""
+        cells = select_topn(u @ index.centroids.T, nprobe)
+        truth = np.einsum("uk,ik->ui", u, v)
+        if exclude is not None:
+            truth[exclude.w.toarray() != 0] = -np.inf
+        items = np.full((len(u), n), -1)
+        scores = np.full((len(u), n), -np.inf)
+        for row in range(len(u)):
+            cand = np.sort(np.concatenate([
+                index.cell_items[index.cell_offsets[c]:index.cell_offsets[c + 1]]
+                for c in cells[row]
+            ]))
+            order = cand[np.lexsort((cand, -truth[row, cand]))][:n]
+            items[row, : order.size] = order
+            scores[row, : order.size] = truth[row, order]
+        return items, scores
+
+    @pytest.mark.parametrize("nprobe", [1, 3, 8])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_partial_probe_lists_and_scores(
+        self, clustered, clustered_index, nprobe, masked
+    ):
+        u, v = clustered
+        exclude = None
+        if masked:
+            rng = np.random.default_rng(13)
+            exclude = BipartiteGraph.from_dense(
+                (rng.random((u.shape[0], v.shape[0])) < 0.05).astype(float)
+            )
+        users = np.arange(u.shape[0]) if masked else None
+        items, scores = clustered_index.search(
+            u, 12, nprobe=nprobe, exclude=exclude, users=users, with_scores=True
+        )
+        want_items, want_scores = self._probe_reference(
+            clustered_index, u, v, 12, nprobe, exclude
+        )
+        np.testing.assert_array_equal(items, want_items)
+        np.testing.assert_array_equal(scores, want_scores)
+
+    def test_full_probe_through_a_given_engine(self, clustered, clustered_index):
+        u, v = clustered
+        engine = TopKEngine(np.zeros((1, v.shape[1])), v, block_rows=5)
+        got = clustered_index.search(u, 10, with_scores=True, engine=engine)
+        want = clustered_index.search(u, 10, with_scores=True)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        with pytest.raises(ValueError, match="items"):
+            clustered_index.search(u, 10, engine=TopKEngine(u, v[:-1]))
+
+    def test_index_holds_no_staged_copy_of_v(self, clustered, tmp_path):
+        _, v = clustered
+        np.save(tmp_path / "v.npy", v)
+        mapped = np.load(tmp_path / "v.npy", mmap_mode="r")
+        index = IVFIndex.build(v, n_cells=9, seed=0)
+        index.save(tmp_path / "index-ivf.npz")
+        for built in (index, IVFIndex.load(tmp_path / "index-ivf.npz", mapped)):
+            arrays = [a for a in vars(built).values() if isinstance(a, np.ndarray)]
+            # The item matrix is the caller's (a view, never a copy); every
+            # other array is routing state, far smaller than V.
+            assert sum(np.shares_memory(a, v) or np.shares_memory(a, mapped)
+                       for a in arrays) == 1
+            assert all(a.nbytes < v.nbytes // 2 for a in arrays
+                       if not (np.shares_memory(a, v) or np.shares_memory(a, mapped)))
 
 
 class TestInvertedListProperties:

@@ -204,6 +204,35 @@ class TestStoreBackedSolvers:
         assert np.array_equal(result.u, resident.u)
         assert np.array_equal(result.v, resident.v)
 
+    def test_similarity_engine_stages_within_the_budget(self, fit_store, monkeypatch):
+        from repro.core.pmf import PoissonPMF
+        from repro.tasks import SimilarityEngine
+
+        budget_bytes = self.BUDGET_MB * 1024 * 1024
+        normalize_blocks = []
+
+        def recording_row_blocks(indptr, lo, hi, max_nnz):
+            normalize_blocks.append(max_nnz)
+            return row_blocks(indptr, lo, hi, max_nnz)
+
+        monkeypatch.setattr(preprocess_module, "row_blocks", recording_row_blocks)
+        policy = DtypePolicy.default().with_ooc_budget(self.BUDGET_MB)
+
+        def lists(graph, policy=None):
+            engine = SimilarityEngine(
+                graph, PoissonPMF(lam=1.0), 3, normalization="sym", policy=policy
+            )
+            return engine.query(list(range(graph.num_u)), 5, mode="mhp")
+
+        store_items, store_scores = lists(fit_store.graph(), policy)
+        assert normalize_blocks
+        # The streamed normalize reads three arrays per staged element.
+        assert max(normalize_blocks) * 24 <= budget_bytes
+        monkeypatch.undo()
+        items, scores = lists(fit_store.resident_graph())
+        assert np.array_equal(store_items, items)
+        assert np.array_equal(store_scores, scores)
+
     def test_lambda_sweep_over_a_store_runs_one_svd(self, fit_store):
         def sweep(graph):
             cache = SpectrumCache()

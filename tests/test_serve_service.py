@@ -233,6 +233,55 @@ class TestEmbeddingService:
         assert snapshot["counters"]["gemms"] >= 1
         assert snapshot["stages"]["score"]["count"] == 1
 
+    def test_gemms_are_the_engines_own_count(self, tmp_path, result, graph):
+        from repro import obs
+
+        # Two per block (sweep and rerank); one for a block whose float32
+        # sweep could overflow, which reranks every item instead.
+        store = ArtifactStore(tmp_path / "gemms")
+        store.publish("toy", result.u, result.v, graph=graph)
+        store.publish("huge", result.u * 1e40, result.v, graph=graph)
+        for name, per_block in (("toy", 2), ("huge", 1)):
+            service = EmbeddingService(store, name)
+            with obs.collect() as collector:
+                service.top_items([0, 1, 2], 4)
+                service.top_items([3], 0)  # n = 0 scores nothing
+            assert service.metrics.snapshot()["counters"]["gemms"] == per_block
+            assert collector.ops.gemms == per_block
+
+class TestResidentBytes:
+    """``bytes_resident`` counts heap bytes; file-mapped codes stay out."""
+
+    def test_mapped_float_model_pins_only_its_staging(self, store, result):
+        service = EmbeddingService(store, "toy")
+        num_v, k = result.v.shape
+        assert service.bytes_resident() == k * num_v * 4
+
+    def test_eager_load_counts_the_embeddings(self, store, result):
+        num_v, k = result.v.shape
+        for mmap in (True, False):
+            loaded = store.load("toy", mmap=mmap)
+            engine = TopKEngine(loaded.u, loaded.v)
+            held = 0 if mmap else result.u.nbytes + result.v.nbytes
+            assert engine.resident_bytes() == held + k * num_v * 4
+
+    @pytest.mark.parametrize("codec", ["float16", "int8"])
+    def test_mapped_codes_are_not_counted(self, tmp_path, result, codec):
+        from repro.tasks.topk import QuantizedTopKEngine
+
+        store = ArtifactStore(tmp_path / "q")
+        store.publish("toy", result.u, result.v, quantize=codec)
+        num_v, k = result.v.shape
+        for mmap in (True, False):
+            loaded = store.load("toy", mmap=mmap)
+            engine = QuantizedTopKEngine(
+                loaded.u, loaded.u_scales, loaded.v, loaded.v_scales,
+                quant_dtype=codec,
+            )
+            codes = 0 if mmap else loaded.u.nbytes + loaded.v.nbytes
+            assert engine.resident_bytes() == codes + k * num_v * 4 + 2 * k * 8
+
+
 class TestServiceMetrics:
     def test_unknown_counter_rejected(self):
         with pytest.raises(KeyError):
@@ -297,11 +346,15 @@ class TestQuantizedService:
             EmbeddingService(quant_store, "toy", ann=True)
 
     def test_quantized_resident_smaller_than_exact(
-        self, quant_store, store, codec
+        self, quant_store, store, result, codec
     ):
         quant = EmbeddingService(quant_store, "toy")
         exact = EmbeddingService(store, "toy")
-        assert 0 < quant.bytes_resident() < exact.bytes_resident()
+        # Both stage the same float32 V.T from mapped codes; the quantized
+        # model pins its two float64 scale vectors on top.
+        k = result.u.shape[1]
+        assert 0 < exact.bytes_resident()
+        assert quant.bytes_resident() == exact.bytes_resident() + 2 * k * 8
 
     def test_reload_crosses_codec_boundary(
         self, quant_store, result, graph, codec

@@ -130,6 +130,17 @@ class TestSelectTopn:
             if rows == 1:
                 np.testing.assert_array_equal(select_topn(block[0], n), picked[0])
 
+    @pytest.mark.parametrize("kind", ["normal", "ties", "masked", "nan"])
+    def test_both_sides_of_the_sort_width(self, kind):
+        from repro.core.selection import SORT_WIDTH
+
+        for m in (SORT_WIDTH - 1, SORT_WIDTH, SORT_WIDTH + 1):
+            for n in (1, 10, m - 1, m):
+                block = serving_block(kind, 16, m, n, seed=m + n)
+                np.testing.assert_array_equal(
+                    select_topn(block, n), lexsort_reference(block, n)
+                )
+
     def test_2d_rows_independent(self):
         rng = np.random.default_rng(1)
         block = rng.standard_normal((9, 30))
@@ -299,10 +310,11 @@ class TestObsContract:
             engine = TopKEngine.from_result(random_result, block_rows=block)
             engine.top_items(5)
         blocks = -(-engine_users // block)  # ceil division
-        assert collector.ops.gemms == blocks
+        # Two GEMMs per block: the float32 sweep and the float64 rerank.
+        assert collector.ops.gemms == 2 * blocks
         assert collector.ops.topk_candidates == engine_users * num_items
-        # One block_rows x num_items compute-dtype buffer.
-        assert collector.memory.workspace_bytes == block * num_items * 8
+        # One block_rows x num_items float32 sweep buffer.
+        assert collector.memory.workspace_bytes == block * num_items * 4
 
     def test_null_collector_path_unaffected(self, random_result):
         # No collector active: the engine still produces correct output.
@@ -366,3 +378,216 @@ class TestBatchedEvaluation:
             two.update(rec, truth)
         assert one.summary() == two.summary()
         assert one.num_users == two.num_users == 2
+
+
+# ---------------------------------------------------------------------------
+# One engine: float32 sweep, margin, fixed-order float64 rerank
+# ---------------------------------------------------------------------------
+def numpy_reference(u, v, n, exclude=None):
+    """Independent lists: BLAS float64 ``u @ v.T``, masked, lexsorted."""
+    scores = u @ v.T
+    if exclude is not None:
+        w = exclude.w
+        rows = np.repeat(np.arange(exclude.num_u), np.diff(w.indptr))
+        scores[rows, w.indices] = -np.inf
+    return lexsort_reference(scores, n)
+
+
+def fixed_order_scores(u, v, items, exclude=None):
+    """Fixed-order float64 dots of the listed pairs (masked pairs -inf)."""
+    truth = np.einsum("uk,ik->ui", u, v)
+    if exclude is not None:
+        truth[exclude.w.toarray() != 0] = -np.inf
+    return np.take_along_axis(truth, items, axis=1)
+
+
+def gaussian_with_duplicate_items(seed=17):
+    """Gaussian embeddings whose items 30..39 repeat items 0..9: exact ties."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((33, 6))
+    v = rng.standard_normal((40, 6))
+    v[30:] = v[:10]
+    return u, v
+
+
+def integer_all_ties(seed=5):
+    """Constant user rows against small-integer items: massive exact ties."""
+    rng = np.random.default_rng(seed)
+    return np.ones((33, 4)), rng.integers(0, 3, size=(40, 4)).astype(float)
+
+
+def exclusion_graph(num_u, num_v, seed=23):
+    """~20% of pairs masked; user 0 keeps only 3 items, user 1 keeps none,
+    so their rows hold fewer unmasked items than most n."""
+    rng = np.random.default_rng(seed)
+    dense = (rng.uniform(size=(num_u, num_v)) < 0.2).astype(float)
+    dense[0] = 1.0
+    dense[0, [4, 17, 31]] = 0.0
+    dense[1] = 1.0
+    return BipartiteGraph.from_dense(dense)
+
+
+class TestOneEngine:
+    @pytest.mark.parametrize("fixture", [gaussian_with_duplicate_items, integer_all_ties])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("block_rows", [1, 7, 256])
+    def test_lists_and_scores_against_independent_references(
+        self, fixture, masked, block_rows
+    ):
+        u, v = fixture()
+        exclude = exclusion_graph(u.shape[0], v.shape[0]) if masked else None
+        engine = TopKEngine(u, v, block_rows=block_rows)
+        for n in (0, 1, 10, v.shape[0], v.shape[0] + 5):
+            blocks = list(engine.iter_top_items(n, exclude=exclude, with_scores=True))
+            if n == 0:
+                assert blocks == []
+                assert engine.top_items(n, exclude=exclude).shape == (u.shape[0], 0)
+                continue
+            items = np.concatenate([block[1] for block in blocks])
+            scores = np.concatenate([block[2] for block in blocks])
+            np.testing.assert_array_equal(items, numpy_reference(u, v, n, exclude))
+            np.testing.assert_array_equal(
+                scores, fixed_order_scores(u, v, items, exclude)
+            )
+
+    def test_duplicate_items_tie_exactly(self):
+        u, v = gaussian_with_duplicate_items()
+        _, items, scores = next(
+            TopKEngine(u, v).iter_top_items(v.shape[0], with_scores=True)
+        )
+        by_item = np.empty_like(scores)
+        np.put_along_axis(by_item, items, scores, axis=1)
+        np.testing.assert_array_equal(by_item[:, 30:], by_item[:, :10])
+
+    def test_policy_dtype_does_not_change_top_k(self):
+        u, v = gaussian_with_duplicate_items(seed=3)
+        lists = [
+            TopKEngine(u, v, policy=policy).top_items(10)
+            for policy in (DtypePolicy.default(), DtypePolicy.float32())
+        ]
+        np.testing.assert_array_equal(lists[0], lists[1])
+
+    def test_margin_reranks_a_strict_subset(self):
+        u, v = gaussian_with_duplicate_items(seed=9)
+        engine = TopKEngine(u, v, block_rows=1)
+        engine.top_items(3)
+        # At least the 3 winners per user, far from the full cross product.
+        assert 3 * u.shape[0] <= engine.reranked_candidates < u.shape[0] * v.shape[0] // 2
+
+    def test_a_block_reranks_each_rows_own_candidates(self):
+        u, v = gaussian_with_duplicate_items(seed=9)
+        exclude = exclusion_graph(u.shape[0], v.shape[0])
+        for graph in (None, exclude):
+            narrow = TopKEngine(u, v, block_rows=1)
+            wide = TopKEngine(u, v, block_rows=256)
+            np.testing.assert_array_equal(
+                wide.top_items(3, exclude=graph), narrow.top_items(3, exclude=graph)
+            )
+            # Not the union of the block's candidate sets: within one item
+            # per row (a last-bit difference of the float32 GEMM at another
+            # shape) of what the rows cost one at a time.
+            assert narrow.reranked_candidates <= wide.reranked_candidates + u.shape[0]
+            assert wide.reranked_candidates <= narrow.reranked_candidates + u.shape[0]
+
+    def test_csr_pairs_is_the_per_row_gather(self):
+        from repro.tasks.topk import csr_pairs
+
+        graph = exclusion_graph(33, 40)
+        indptr, indices = graph.w.indptr, graph.w.indices
+        keys = np.array([5, 1, 5, 0, 32, 7])
+        rows, cols = csr_pairs(indptr, indices, keys)
+        want = [indices[indptr[key] : indptr[key + 1]] for key in keys]
+        np.testing.assert_array_equal(rows, np.repeat(np.arange(keys.size), [w.size for w in want]))
+        np.testing.assert_array_equal(cols, np.concatenate(want))
+        empty = csr_pairs(indptr, indices, np.array([], dtype=np.int64))
+        assert empty[0].size == empty[1].size == 0
+
+
+class TestSweepOverflow:
+    """A sweep that can overflow float32 falls back to a full rerank."""
+
+    @staticmethod
+    def _engine(u, v, codec):
+        from repro.core.quantize import quantize_columns
+        from repro.tasks.topk import QuantizedTopKEngine
+
+        if codec == "float":
+            return TopKEngine(u, v, block_rows=7), u, v
+        (u_codes, u_scales), (v_codes, v_scales) = (
+            quantize_columns(u, codec), quantize_columns(v, codec)
+        )
+        engine = QuantizedTopKEngine(
+            u_codes, u_scales, v_codes, v_scales, quant_dtype=codec, block_rows=7
+        )
+        # The values the quantized engine is exact against, decoded here.
+        return (
+            engine,
+            u_codes.astype(np.float64) * u_scales,
+            v_codes.astype(np.float64) * v_scales,
+        )
+
+    @pytest.mark.parametrize("codec", ["float", "float16", "int8"])
+    @pytest.mark.parametrize(
+        "u_scale,v_scale", [(1e40, 1.0), (1.0, 1e40), (1e20, 1e20), (1e-45, 1.0)]
+    )
+    def test_lists_equal_float64_reference(self, codec, u_scale, v_scale):
+        rng = np.random.default_rng(29)
+        u = rng.standard_normal((20, 4)) * u_scale
+        v = rng.standard_normal((50, 4)) * v_scale
+        engine, u_exact, v_exact = self._engine(u, v, codec)
+        exclude = exclusion_graph(20, 50, seed=31)
+        for graph in (None, exclude):
+            np.testing.assert_array_equal(
+                engine.top_items(5, exclude=graph),
+                numpy_reference(u_exact, v_exact, 5, graph),
+            )
+
+
+    @pytest.mark.parametrize("codec", ["float", "float16", "int8"])
+    def test_float32_max_column_with_zero_user_coordinates(self, codec):
+        # A column whose maximum is FLT_MAX: half its float32 ulp is inf, so
+        # a staging error taken from it turns 0 * inf into a nan bound for a
+        # row that gives the column no weight, and that row's candidates
+        # vanish.  Rows 0, 3 and 6 (the first block) weigh the column a
+        # little, the later blocks not at all, and row 10 is all zero (an
+        # edgeless user: every score ties at 0).
+        rng = np.random.default_rng(37)
+        u = rng.standard_normal((20, 4))
+        v = rng.standard_normal((50, 4))
+        v[::2, 0] = np.finfo(np.float32).max
+        u[:, 0] = 0.0
+        u[:7:3, 0] = 1e-30
+        u[10] = 0.0
+        engine, u_exact, v_exact = self._engine(u, v, codec)
+        exclude = exclusion_graph(20, 50, seed=41)
+        for graph in (None, exclude):
+            np.testing.assert_array_equal(
+                engine.top_items(5, exclude=graph),
+                numpy_reference(u_exact, v_exact, 5, graph),
+            )
+            # The sweep still runs: two GEMMs per block of 7 rows.
+            with obs.collect() as collector:
+                engine.top_items(5, exclude=graph)
+            assert collector.ops.gemms == 2 * 3
+
+
+class TestStagingMemory:
+    def test_construction_peaks_at_the_staging_plus_one_row_block(self):
+        import tracemalloc
+
+        from repro.tasks.topk import STAGE_ROWS
+
+        rng = np.random.default_rng(2)
+        u = rng.standard_normal((100, 16))
+        v = rng.standard_normal((20_000, 16))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            engine = TopKEngine(u, v)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        staged = 16 * 20_000 * 4
+        assert engine.resident_bytes() == u.nbytes + v.nbytes + staged
+        assert staged <= peak <= staged + STAGE_ROWS * 16 * 8
