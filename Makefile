@@ -100,7 +100,8 @@ lint-durable:
 # End-to-end serving round trip: fit the toy graph, publish to a throwaway
 # artifact store, answer concurrent HTTP top-k requests in-process, and
 # verify every top-k response against an independent numpy reference
-# (BLAS scores, masked, lexsorted).  Part of `make test`.
+# (BLAS scores, masked, lexsorted), then reload a second version and check
+# one mhs similarity answer from it.  Part of `make test`.
 # See docs/SERVING.md.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve --smoke

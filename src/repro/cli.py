@@ -34,7 +34,6 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__, obs
-from .baselines import make_method, method_names, resolve_method_name
 from .core import select_topn
 from .datasets import DATASETS, load_dataset, toy_graph
 from .durable import replace_file
@@ -46,6 +45,8 @@ __all__ = ["main", "build_parser"]
 
 def _method_name(name: str) -> str:
     """argparse ``type=`` hook: canonicalize a method name or alias."""
+    from .baselines import method_names, resolve_method_name
+
     try:
         return resolve_method_name(name)
     except KeyError:
@@ -593,6 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
+    from .baselines import make_method, method_names
+
     if args.graph_store is not None and args.dataset is not None:
         print(
             "error: give either --graph-store or --dataset, not both",
@@ -758,6 +761,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
+    from .baselines import make_method
+
     graph = read_edge_list(args.input)
     try:
         user = graph.u_id(args.user)
@@ -1112,6 +1117,8 @@ def _cmd_similar(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .baselines import make_method
+
     graph = read_edge_list(args.input)
     if args.task == "recommendation":
         task = RecommendationTask(
@@ -1386,14 +1393,14 @@ def _serve_smoke() -> int:
     import urllib.error
     import urllib.request
 
+    from .baselines import make_method
+    from .core.pmf import PoissonPMF
     from .serve import (
         ArtifactStore,
         EmbeddingServer,
         EmbeddingService,
         ServerConfig,
     )
-
-    from .core.pmf import PoissonPMF
     from .tasks import SimilarityEngine
 
     graph = toy_graph()
@@ -1484,6 +1491,14 @@ def _serve_smoke() -> int:
             store.publish("toy", result.u, result.v, graph=graph,
                           method=result.method, dataset="toy")
             reload_payload = post("/admin/reload", {})
+            # The requests above probed v1's side-u H diagonal, so the
+            # reload probed v2's before its swap; v2 holds the same graph.
+            after_reload = post("/v1/similar", {"source": 0, "n": similar_n})
+            if (
+                after_reload["model"] != "toy@v2"
+                or after_reload["items"][0] != similar_reference[0].tolist()
+            ):
+                similar_mismatched.append("after reload")
             with urllib.request.urlopen(url + "/metrics", timeout=30) as resp:
                 metrics = json.loads(resp.read())
     counters = metrics["counters"]

@@ -56,6 +56,7 @@ from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tupl
 import numpy as np
 
 from ..durable import commit_dir, make_dirs
+from .io import parse_labels
 
 __all__ = [
     "GRAPH_STORE_SCHEMA",
@@ -569,13 +570,12 @@ class GraphStore:
         if file_name is None:
             self._labels[side] = None
             return None
-        labels: List[Hashable] = []
-        with open(self.path / file_name, "r", encoding="utf-8") as handle:
-            for line in handle:
-                value = json.loads(line)
-                # JSON has no tuples; edge-list labels are always scalars,
-                # but keep any future list-valued label hashable.
-                labels.append(tuple(value) if isinstance(value, list) else value)
+        # One JSON label per line, and lines end at "\n" only: a label may
+        # hold U+2028, U+0085 or other characters str.splitlines() breaks at.
+        with open(
+            self.path / file_name, "r", encoding="utf-8", newline="\n"
+        ) as handle:
+            labels = parse_labels(handle)
         expected = self.num_u if side == "u" else self.num_v
         if len(labels) != expected:
             raise GraphStoreError(

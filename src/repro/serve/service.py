@@ -44,7 +44,7 @@ from ..graph import BipartiteGraph
 from ..core.pmf import PoissonPMF
 from ..linalg.policy import DtypePolicy
 from ..tasks.similarity import SIMILARITY_MODES, SimilarityEngine, transposed_graph
-from ..tasks.topk import QuantizedTopKEngine, TopKEngine
+from ..tasks.topk import QuantizedTopKEngine, TopKEngine, heap_bytes
 from .artifacts import ArtifactError, ArtifactRef, ArtifactStore, LoadedArtifact
 
 __all__ = ["EmbeddingService", "ServiceMetrics", "percentile"]
@@ -181,8 +181,10 @@ class _Model:
         self.ref = loaded.ref
         self.quantize: Optional[str] = loaded.quantize
         self.graph: Optional[BipartiteGraph] = loaded.graph
+        self.num_users, self.num_items = loaded.u.shape[0], loaded.v.shape[0]
         # Per-side similarity templates, built on the first /v1/similar of
-        # that side; the H diagonal is probed on the side's first mhs query.
+        # that side (or by a reload, see EmbeddingService.reload); the H
+        # diagonal is probed on the side's first mhs query.
         self._similarity: Dict[str, SimilarityEngine] = {}
         self._similarity_lock = threading.Lock()
         self.ivf: Optional[IVFIndex] = None
@@ -197,7 +199,7 @@ class _Model:
             # No EmbeddingResult over codes: every read-out goes through the
             # quantized engine, which is exact over the dequantized arrays.
             self.result: Optional[EmbeddingResult] = None
-            self.template: TopKEngine = QuantizedTopKEngine(
+            self.template: Optional[TopKEngine] = QuantizedTopKEngine(
                 loaded.u,
                 loaded.u_scales,
                 loaded.v,
@@ -212,9 +214,6 @@ class _Model:
             v=loaded.v,
             method=loaded.ref.manifest.get("method") or "artifact",
         )
-        self.template = TopKEngine(
-            self.result.u, self.result.v, policy=policy, block_rows=block_rows
-        )
         if ann:
             index_path = loaded.ref.path / INDEX_FILE
             if not index_path.is_file():
@@ -225,17 +224,36 @@ class _Model:
             # load() cross-checks dimension, item count, and the v-array
             # digest against this artifact version — an index built from a
             # different version is rejected here, before it serves anything.
-            # The index reads the mapped v; the template's float32 V.T is
-            # the model's one staged copy, swept by full probes.
             self.ivf = IVFIndex.load(index_path, loaded.v)
             # The effective probe count of this version's index (``None``:
             # every cell), which every ANN reply reports.
             self.nprobe = self.ivf.resolve_nprobe(nprobe)
+            if self.nprobe < self.ivf.n_cells:
+                # A partial probe reranks rows of the mapped v and never
+                # sweeps: no engine, so no staged float32 V.T.
+                self.template = None
+                return
+        # The template's float32 V.T is the model's one staged copy, which
+        # exact reads and full probes sweep.
+        self.template = TopKEngine(
+            self.result.u, self.result.v, policy=policy, block_rows=block_rows
+        )
 
     def bytes_resident(self) -> int:
         """Heap bytes this model pins: engine arrays (memmaps excluded,
         they live in the shared page cache)."""
+        if self.template is None:
+            return heap_bytes(self.result.u, self.result.v)
         return self.template.resident_bytes()
+
+    def probed_sides(self) -> List[str]:
+        """The sides whose H diagonal this model has probed."""
+        with self._similarity_lock:
+            return [
+                side
+                for side, engine in self._similarity.items()
+                if engine.diagonal_probed
+            ]
 
     def similarity_template(
         self, side: str, policy: DtypePolicy
@@ -245,7 +263,9 @@ class _Model:
         The exact ``H`` diagonal (blocked one-hot probing, ``2 tau |U|``
         matvecs) is not probed here: only MHS reads it, so the first mhs
         query of this model and side probes it, once, and every worker clone
-        shares the result.  A side only ever queried by mhp never pays it.
+        shares the result (a reload probes it ahead of the swap for the
+        sides the outgoing model had probed).  A side only ever queried by
+        mhp never pays it.
         Only graph-bearing artifacts qualify: the engine queries the
         *graph's* multi-hop measures, which the embedding arrays alone
         cannot answer.
@@ -360,33 +380,47 @@ class EmbeddingService:
 
     @property
     def num_users(self) -> int:
-        return self._model.template.num_users
+        return self._model.num_users
 
     @property
     def num_items(self) -> int:
-        return self._model.template.num_items
+        return self._model.num_items
 
     def reload(self, version: Optional[int] = None) -> Tuple[str, str]:
         """Hot-swap to ``version`` (``None``: latest); returns (old, new) tags.
 
         The replacement model is fully loaded and verified *before* the
         swap, so a corrupt artifact leaves the service on the old version.
-        The swap itself is one reference assignment: requests already
-        scoring keep the old arrays alive until they return, and every
-        worker thread re-clones its engine on its next call.
+        Before the swap, too, it probes the H diagonal of exactly the sides
+        whose diagonal the outgoing model had probed (a side that only saw
+        mhp traffic stays unprobed), so the first mhs request of the new
+        version does not wait behind a probe; the old version answers
+        meanwhile.  The swap itself is one reference assignment: requests
+        already scoring keep the old arrays alive until they return, and
+        every worker thread re-clones its engine on its next call.
         """
         with self._reload_lock:
-            old_tag = self._model.ref.tag
+            old = self._model
             model = self._load(version)
+            if model.graph is not None:
+                for side in old.probed_sides():
+                    # A throwaway clone probes into the shared diagonal, so
+                    # the template keeps no kernel workspace of its own.
+                    template = model.similarity_template(side, self._policy)
+                    template.clone_for_worker().h_diagonal()
             self._model = model
             self.metrics.count("reloads")
-        return old_tag, model.ref.tag
+        return old.ref.tag, model.ref.tag
 
-    def _engine(self) -> Tuple[TopKEngine, _Model]:
-        """This thread's engine clone for the current model (re-cloned on swap)."""
+    def _engine(self) -> Tuple[Optional[TopKEngine], _Model]:
+        """This thread's engine clone for the current model (re-cloned on
+        swap; ``None`` for a partial-probe model, which has no engine)."""
         model = self._model
         if getattr(self._local, "model", None) is not model:
-            self._local.engine = model.template.clone_for_worker()
+            template = model.template
+            self._local.engine = (
+                None if template is None else template.clone_for_worker()
+            )
             self._local.model = model
         return self._local.engine, model
 
@@ -477,7 +511,7 @@ class EmbeddingService:
 
     def _top_items_ann(
         self,
-        engine: TopKEngine,
+        engine: Optional[TopKEngine],
         model: _Model,
         users: np.ndarray,
         n: int,

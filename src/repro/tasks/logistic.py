@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = ["LogisticRegression"]
 
@@ -71,6 +70,10 @@ class LogisticRegression:
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "LogisticRegression":
         """Fit on ``n x d`` features and binary labels; returns ``self``."""
+        # Imported on use: scipy.optimize brings scipy's special, fft and
+        # spatial packages, which no serving, refresh or fit process runs.
+        from scipy.optimize import minimize
+
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.float64).ravel()
         if features.ndim != 2:

@@ -271,6 +271,11 @@ class SimilarityEngine:
                     shared.value = self._probe_diagonal(block_size, seed)
         return shared.value
 
+    @property
+    def diagonal_probed(self) -> bool:
+        """Whether the H diagonal this engine shares has been probed."""
+        return self._shared.value is not None
+
     def _probe_diagonal(self, block_size: int, seed: Optional[int]) -> np.ndarray:
         n = self.num_u
         diagonal = np.empty(n, dtype=np.float64)

@@ -79,6 +79,7 @@ __all__ = [
     "GROUPS_PER_N",
     "check_exclude",
     "csr_pairs",
+    "heap_bytes",
     "rerank",
 ]
 
@@ -129,6 +130,12 @@ def _mapped(array) -> bool:
             return True
         array = getattr(array, "base", None)
     return False
+
+
+def heap_bytes(*arrays) -> int:
+    """Bytes ``arrays`` hold on the heap (file-mapped arrays and ``None``
+    count zero: their pages live in the shared OS page cache)."""
+    return sum(a.nbytes for a in arrays if a is not None and not _mapped(a))
 
 
 def _decode(codes: np.ndarray, scales: Optional[np.ndarray], index) -> np.ndarray:
@@ -401,9 +408,8 @@ class TopKEngine:
         page cache (``/metrics`` reports this number as
         ``bytes_resident``).
         """
-        held = (self._u, self._u_scales, self._v, self._v_scales)
         return (
-            sum(a.nbytes for a in held if a is not None and not _mapped(a))
+            heap_bytes(self._u, self._u_scales, self._v, self._v_scales)
             + self._vt.nbytes
             + self.workspace_bytes()
         )

@@ -287,3 +287,94 @@ class TestCorruptBundles:
         path = self._write(tmp_path, arrays)
         with pytest.raises(ValueError, match="corrupt.npz"):
             load_npz(path)
+
+
+#: Labels a line-per-label file must keep intact: quotes, a tab, backslashes,
+#: non-ASCII text, and characters ``str.splitlines()`` breaks lines at.
+AWKWARD_LABELS = [
+    'say "hi"',
+    "tab\there",
+    "back\\slash\\",
+    "naïve café 東京",
+    "line\u2028separator",
+    "next\u0085line",
+    "file\x1cgroup\x1drecord\x1eseparators",
+    "42",
+]
+
+
+class TestLabelFiles:
+    """Label files and label arrays parse in blocks, one value per text."""
+
+    @staticmethod
+    def _ingest(tmp_path, u_labels, v_labels):
+        from repro.graph import build_graph_store
+
+        path = tmp_path / "edges.txt"
+        path.write_text(
+            "".join(f"{a}|{b}\n" for a, b in zip(u_labels, v_labels)),
+            encoding="utf-8",
+            newline="\n",
+        )
+        store, _ = build_graph_store(path, tmp_path / "store", delimiter="|")
+        return store.path
+
+    def test_npz_round_trip(self, tmp_path):
+        u_labels = AWKWARD_LABELS + [("pair", (1, "x")), 42]
+        v_labels = list(reversed(AWKWARD_LABELS))
+        graph = BipartiteGraph.from_edges(
+            [(a, v_labels[i % len(v_labels)], 1.0) for i, a in enumerate(u_labels)]
+        )
+        save_npz(graph, tmp_path / "graph.npz")
+        loaded = load_npz(tmp_path / "graph.npz")
+        assert loaded.u_labels == graph.u_labels == u_labels
+        assert loaded.v_labels == graph.v_labels == v_labels
+
+    def test_store_round_trip(self, tmp_path):
+        from repro.graph import GraphStore
+
+        v_labels = list(reversed(AWKWARD_LABELS))
+        store = GraphStore.open(self._ingest(tmp_path, AWKWARD_LABELS, v_labels))
+        graph = store.resident_graph()
+        assert graph.u_labels == AWKWARD_LABELS
+        assert graph.v_labels == v_labels
+
+    def test_store_reads_raw_line_separators_and_lists(self, tmp_path, monkeypatch):
+        """A label file written without escapes, with a list label, parsed
+        three labels per block."""
+        import json
+
+        import repro.graph.io as graph_io
+        from repro.graph import GraphStore
+
+        labels = AWKWARD_LABELS + [["pair", [1, "x"]]]
+        path = self._ingest(
+            tmp_path, [f"u{i}" for i in range(len(labels))], ["v"] * len(labels)
+        )
+        (path / "u_labels.jsonl").write_text(
+            "".join(json.dumps(label, ensure_ascii=False) + "\n" for label in labels),
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(graph_io, "LABEL_BLOCK", 3)
+        assert GraphStore.open(path).u_labels() == AWKWARD_LABELS + [
+            ("pair", (1, "x"))
+        ]
+
+    def test_label_file_one_line_short_raises(self, tmp_path):
+        from repro.graph import GraphStore, GraphStoreError
+
+        path = self._ingest(tmp_path, AWKWARD_LABELS, ["v"] * len(AWKWARD_LABELS))
+        label_file = path / "u_labels.jsonl"
+        lines = label_file.read_text(encoding="utf-8").split("\n")
+        label_file.write_text("\n".join(lines[:-2]) + "\n", encoding="utf-8")
+        with pytest.raises(GraphStoreError, match="7 labels for 8 nodes"):
+            GraphStore.open(path).resident_graph()
+
+    def test_a_text_must_hold_one_value(self):
+        from repro.graph.io import parse_labels
+
+        assert parse_labels(['"a"', " 1 ", "[2, [3]]"]) == ["a", 1, (2, (3,))]
+        with pytest.raises(ValueError, match="3 label texts hold 4"):
+            parse_labels(['"a"', '"b", "c"', '"d"'])
+        with pytest.raises(ValueError):
+            parse_labels(['"a"', " ", '"d"'])

@@ -265,6 +265,35 @@ class TestResidentBytes:
             held = 0 if mmap else result.u.nbytes + result.v.nbytes
             assert engine.resident_bytes() == held + k * num_v * 4
 
+    def test_partial_probe_stages_no_sweep_operand(self, store, result, graph):
+        """A partial probe reranks rows of V and never sweeps, so its model
+        stages no float32 V.T; its lists are the index's own."""
+        from repro.ann import INDEX_FILE, IVFIndex
+
+        ref = store.resolve("toy")
+        index = IVFIndex.build(
+            result.v, n_cells=4, seed=0,
+            v_checksum=ArtifactStore.v_checksum(ref), source=ref.tag,
+        )
+        index.save(ref.path / INDEX_FILE)
+        num_v, k = result.v.shape
+        for mmap in (True, False):
+            full = EmbeddingService(store, "toy", ann=True, mmap=mmap)
+            partial = EmbeddingService(store, "toy", ann=True, nprobe=2, mmap=mmap)
+            assert full.bytes_resident() - partial.bytes_resident() == k * num_v * 4
+        users = np.array([0, 3, 17, 59], dtype=np.int64)
+        response = partial.top_items(users, 6, with_scores=True)
+        items, scores = IVFIndex.load(ref.path / INDEX_FILE, result.v).search(
+            result.u[users], 6, nprobe=2, exclude=graph, users=users,
+            with_scores=True,
+        )
+        np.testing.assert_array_equal(response["items"], items)
+        np.testing.assert_array_equal(response["scores"], scores)
+        assert response["nprobe"] == 2
+        assert (partial.num_users, partial.num_items) == (60, num_v)
+        # Partial probes allocate no score workspace either.
+        assert partial.bytes_resident() == result.u.nbytes + result.v.nbytes
+
     @pytest.mark.parametrize("codec", ["float16", "int8"])
     def test_mapped_codes_are_not_counted(self, tmp_path, result, codec):
         from repro.tasks.topk import QuantizedTopKEngine
@@ -443,6 +472,65 @@ class TestSimilarQueries:
             thread.join()
         assert failures == []
         assert probes == [service.num_users]  # one probe, shared by every clone
+
+    def test_reload_probes_before_the_swap(self, service, store, graph,
+                                           result, monkeypatch):
+        """The reload probes the H diagonal of exactly the sides the old
+        model had probed, so the new version's first mhs request makes no
+        probe; graphless and refused versions probe nothing."""
+        from repro.core.pmf import PoissonPMF
+        from repro.serve import ArtifactError
+        from repro.tasks import SimilarityEngine, transposed_graph
+
+        rng = np.random.default_rng(10)
+        new_graph = BipartiteGraph.from_edges(
+            [
+                (int(u), int(v), 1.0)
+                for u in range(60)
+                for v in rng.choice(40, size=4, replace=False)
+            ]
+        )
+        sources = np.arange(6, dtype=np.int64)
+        expected = SimilarityEngine(
+            transposed_graph(new_graph), PoissonPMF(lam=1.0), 5,
+            normalization="sym",
+        ).query(sources, 7, mode="mhs", with_scores=True)
+        probes = []
+        original = SimilarityEngine._probe_diagonal
+
+        def probe(engine, *args):
+            probes.append(engine.num_u)
+            return original(engine, *args)
+
+        monkeypatch.setattr(SimilarityEngine, "_probe_diagonal", probe)
+        service.similar(np.array([0]), 5, mode="mhs", side="v")
+        service.similar(np.array([0]), 5, mode="mhp")  # side u: mhp only
+        assert probes == [40]
+        store.publish("toy", result.u, result.v, graph=new_graph, method="random")
+        assert service.reload() == ("toy@v1", "toy@v2")
+        assert probes == [40, 40]  # side v before the swap; side u (60) never
+        response = service.similar(sources, 7, mode="mhs", side="v",
+                                   with_scores=True)
+        assert probes == [40, 40]  # the first mhs request made no probe
+        assert response["model"] == "toy@v2"
+        np.testing.assert_array_equal(response["items"], expected[0])
+        np.testing.assert_array_equal(response["scores"], expected[1])
+        service.similar(np.array([0]), 5, mode="mhp")
+        assert probes == [40, 40]
+        # A version refused by verification probes nothing ...
+        ref = store.publish("toy", result.u, result.v, graph=graph, method="random")
+        stored = bytearray((ref.path / "v.npy").read_bytes())
+        stored[-1] ^= 0xFF
+        (ref.path / "v.npy").write_bytes(bytes(stored))
+        with pytest.raises(ArtifactError, match="checksum mismatch"):
+            service.reload()
+        assert probes == [40, 40] and service.artifact.tag == "toy@v2"
+        # ... nor does one without a graph, which answers no similarity.
+        store.publish("toy", result.u, result.v, method="random")
+        assert service.reload() == ("toy@v2", "toy@v4")
+        assert probes == [40, 40]
+        with pytest.raises(ArtifactError, match="republish"):
+            service.similar(np.array([0]), 5, side="v")
 
     def test_rejects_bad_arguments(self, service):
         with pytest.raises(ValueError, match="mode"):
