@@ -34,7 +34,6 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__, obs
-from .core import select_topn
 from .datasets import DATASETS, load_dataset, toy_graph
 from .durable import replace_file
 from .graph import BipartiteGraph, read_edge_list, write_edge_list
@@ -190,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--method", default="GEBE^p", type=_method_name)
     recommend.add_argument("--dimension", type=int, default=64)
     recommend.add_argument("--seed", type=int, default=0)
-    recommend.add_argument(
-        "--block-rows",
-        type=int,
-        metavar="B",
-        help="users per scoring block when routed through the batched "
-        "engine (default: engine default)",
-    )
 
     query = commands.add_parser(
         "query",
@@ -218,12 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="ROW",
         help="user row indices to query (default: every row of u)",
-    )
-    query.add_argument(
-        "--block-rows",
-        type=int,
-        metavar="B",
-        help="users per scoring block (default: engine default)",
     )
     query.add_argument(
         "--threads",
@@ -341,13 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: none — the paper's raw Eq. 3-5 measures)",
     )
     similar.add_argument(
-        "--block-sources",
-        type=int,
-        metavar="B",
-        help="sources per one-hot block (default: engine default); never "
-        "changes results, only batching",
-    )
-    similar.add_argument(
         "--threads",
         type=int,
         metavar="N",
@@ -392,12 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--core", type=int, default=5)
     evaluate.add_argument("--n", type=int, default=10)
     evaluate.add_argument("--seed", type=int, default=0)
-    evaluate.add_argument(
-        "--block-rows",
-        type=int,
-        metavar="B",
-        help="users per scoring block for the recommendation read-out",
-    )
 
     datasets = commands.add_parser(
         "datasets", help="list or generate the synthetic dataset zoo"
@@ -533,9 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="0 picks an ephemeral port"
     )
     serve.add_argument(
-        "--block-rows", type=int, metavar="B", help="users per scoring GEMM"
-    )
-    serve.add_argument(
         "--threads",
         type=int,
         metavar="N",
@@ -574,13 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P",
         help="cells probed per ANN query (requires --ann; default: all "
         "cells — exact full probe)",
-    )
-    serve.add_argument(
-        "--no-mmap",
-        action="store_true",
-        help="load artifact arrays eagerly instead of memory-mapping them "
-        "(mmap is the default: near-instant loads, page cache shared "
-        "across processes)",
     )
     serve.add_argument(
         "--smoke",
@@ -771,31 +734,19 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         return 2
     method = make_method(args.method, dimension=args.dimension, seed=args.seed)
     result = method.fit(graph)
-    if args.block_rows is not None:
-        # Route through the batched engine (one-user block) so --block-rows
-        # exercises the exact serving path.
-        engine = TopKEngine.from_result(result, block_rows=args.block_rows)
-        _, top, top_scores = next(
-            engine.iter_top_items(
-                args.n,
-                users=np.array([user], dtype=np.int64),
-                exclude=graph,
-                with_scores=True,
-            )
-        )
-        top, top_scores = top[0], top_scores[0]
-        n = top.size
-        print(f"top-{n} for {args.user!r} ({result.method}):")
-        for rank, (item, score) in enumerate(zip(top, top_scores), start=1):
-            print(f"  {rank:2d}. {graph.v_label(int(item))}  ({score:+.4f})")
-        return 0
-    scores = result.scores_for_u(user).copy()
-    scores[graph.u_neighbors(user)] = -np.inf
-    n = min(args.n, graph.num_v)
-    top = select_topn(scores, n)
-    print(f"top-{n} for {args.user!r} ({result.method}):")
-    for rank, item in enumerate(top, start=1):
-        print(f"  {rank:2d}. {graph.v_label(int(item))}  ({scores[item]:+.4f})")
+    # One user's block of the engine every top-N read-out goes through; the
+    # training edges are masked.  n = 0 yields no block: an empty list.
+    top, top_scores = (), ()
+    for _, items, scores in TopKEngine.from_result(result).iter_top_items(
+        args.n,
+        users=np.array([user], dtype=np.int64),
+        exclude=graph,
+        with_scores=True,
+    ):
+        top, top_scores = items[0], scores[0]
+    print(f"top-{len(top)} for {args.user!r} ({result.method}):")
+    for rank, (item, score) in enumerate(zip(top, top_scores), start=1):
+        print(f"  {rank:2d}. {graph.v_label(int(item))}  ({score:+.4f})")
     return 0
 
 
@@ -891,12 +842,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
                         v_scales,
                         quant_dtype=args.quantize,
                         policy=policy,
-                        block_rows=args.block_rows,
                     )
                 else:
-                    engine = TopKEngine(
-                        u, v, policy=policy, block_rows=args.block_rows
-                    )
+                    engine = TopKEngine(u, v, policy=policy)
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
@@ -965,7 +913,7 @@ def _cmd_similar(args: argparse.Namespace) -> int:
     import time
 
     from .core.pmf import make_pmf
-    from .tasks import DEFAULT_BLOCK_SOURCES, SimilarityEngine, transposed_graph
+    from .tasks import SimilarityEngine, transposed_graph
 
     given = sum(
         source is not None
@@ -983,9 +931,6 @@ def _cmd_similar(args: argparse.Namespace) -> int:
         return 2
     if args.tau < 0:
         print("error: --tau must be non-negative", file=sys.stderr)
-        return 2
-    if args.block_sources is not None and args.block_sources < 1:
-        print("error: --block-sources must be >= 1", file=sys.stderr)
         return 2
     policy = None
     if args.threads is not None:
@@ -1023,11 +968,6 @@ def _cmd_similar(args: argparse.Namespace) -> int:
         return 2
 
     pmf = make_pmf(args.pmf, lam=args.lam, alpha=args.alpha, tau=args.tau)
-    block = (
-        args.block_sources
-        if args.block_sources is not None
-        else DEFAULT_BLOCK_SOURCES
-    )
     try:
         engine = SimilarityEngine(
             transposed_graph(graph) if args.side == "v" else graph,
@@ -1035,7 +975,6 @@ def _cmd_similar(args: argparse.Namespace) -> int:
             args.tau,
             normalization=args.normalization,
             policy=policy,
-            block_sources=block,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1064,7 +1003,7 @@ def _cmd_similar(args: argparse.Namespace) -> int:
             side=args.side,
             tau=args.tau,
             sources=sources.size,
-            block_sources=block,
+            block_sources=engine.block_sources,
         )
         report = collector.report(
             method=f"similarity:{args.mode}",
@@ -1122,19 +1061,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     graph = read_edge_list(args.input)
     if args.task == "recommendation":
         task = RecommendationTask(
-            graph,
-            n=args.n,
-            core=args.core,
-            seed=args.seed,
-            block_rows=args.block_rows,
+            graph, n=args.n, core=args.core, seed=args.seed
         )
     else:
-        if args.block_rows is not None:
-            print(
-                "error: --block-rows only applies to --task recommendation",
-                file=sys.stderr,
-            )
-            return 2
         task = LinkPredictionTask(graph, seed=args.seed)
     for name in args.methods:
         method = make_method(name, dimension=args.dimension, seed=args.seed)
@@ -1564,10 +1493,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.name,
             version=args.artifact_version,
             policy=policy,
-            block_rows=args.block_rows,
             ann=args.ann,
             nprobe=args.nprobe,
-            mmap=not args.no_mmap,
         )
         config = ServerConfig(
             host=args.host,

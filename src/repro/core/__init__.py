@@ -20,7 +20,6 @@ from .objective import (
     proximity_loss,
     similarity_loss,
 )
-from .queries import MeasureQueries
 from .pmf import GeometricPMF, PathLengthPMF, PoissonPMF, UniformPMF, make_pmf
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "GeometricPMF",
     "PoissonPMF",
     "make_pmf",
-    "MeasureQueries",
     "path_weight_matrix",
     "h_matrix",
     "h_matrix_v_side",

@@ -95,64 +95,15 @@ class EmbeddingResult:
         ``exclude`` hides already-known items (e.g. training edges), the
         standard recommendation read-out.  Ties resolve toward the smaller
         index (the :func:`~repro.core.selection.select_topn` contract), so
-        the list is a pure function of the scores — element-for-element
-        identical to what :meth:`top_items_batch` produces for this user.
+        the list is a pure function of the scores.  This is the per-user
+        reference the tests compare :class:`~repro.tasks.topk.TopKEngine`
+        against: the two agree wherever no two scores lie within an ulp of
+        each other.
         """
         scores = self.scores_for_u(u_index).copy()
         if exclude is not None and len(exclude):
             scores[np.asarray(exclude)] = -np.inf
         return select_topn(scores, n)
-
-    def top_items_batch(
-        self,
-        n: int,
-        *,
-        users: Optional[np.ndarray] = None,
-        exclude: Optional[BipartiteGraph] = None,
-        block_rows: Optional[int] = None,
-        policy: Optional[Any] = None,
-    ) -> np.ndarray:
-        """Top-``n`` item lists for many users at once (the serving path).
-
-        Scores users in blocks of ``block_rows`` through
-        :class:`~repro.tasks.topk.TopKEngine` (a float32 ``U_block @ V.T``
-        sweep, then an exact float64 rerank of a provable margin) instead
-        of one GEMV per user, masks ``exclude``'s training edges straight
-        from its CSR arrays, and selects with the same deterministic
-        tie-break as :meth:`top_items`.  The two paths' lists agree wherever
-        no two scores lie within an ulp of each other (the engine's
-        fixed-order dot and this path's BLAS GEMV may differ in the last
-        bit); the differential suite pins them equal.
-
-        Parameters
-        ----------
-        n:
-            List length (capped at ``|V|``).
-        users:
-            U-node indices to score (default: every U-node, in order).
-        exclude:
-            A graph (typically the training graph) whose edges are hidden
-            from each user's list, mirroring ``top_items``'s ``exclude``.
-        block_rows:
-            Users scored per GEMM; bounds peak extra memory at one
-            ``block_rows x |V|`` score buffer.  ``None`` uses the engine
-            default.
-        policy:
-            A :class:`~repro.linalg.DtypePolicy` whose executor threads the
-            sweep (``None``: the default policy); its compute dtype does not
-            change top-k.
-
-        Returns
-        -------
-        np.ndarray
-            ``(len(users), min(n, |V|))`` int64 item indices, best first.
-        """
-        from ..tasks.topk import TopKEngine  # deferred: tasks imports core
-
-        engine = TopKEngine.from_result(
-            self, policy=policy, block_rows=block_rows
-        )
-        return engine.top_items(n, users=users, exclude=exclude)
 
     def most_similar_u(self, u_index: int, n: int = 10) -> np.ndarray:
         """The ``n`` U-nodes most similar to ``u_index`` by normalized cosine.

@@ -383,25 +383,6 @@ class BipartiteGraph:
         w.data = np.ones_like(w.data)
         return BipartiteGraph(w, u_labels=self.u_labels, v_labels=self.v_labels)
 
-    def normalized(self, max_weight: Optional[float] = None) -> "BipartiteGraph":
-        """A copy with weights divided by ``max_weight`` (default: the max edge weight).
-
-        GEBE's Poisson solver exponentiates squared singular values of ``W``,
-        so rescaling weights into ``[0, 1]`` keeps ``e^{lambda * sigma^2}``
-        numerically tame.  This mirrors standard preprocessing for the paper's
-        weighted rating graphs.
-        """
-        if self.num_edges == 0:
-            return BipartiteGraph(
-                self.w.copy(), u_labels=self.u_labels, v_labels=self.v_labels
-            )
-        scale = float(max_weight) if max_weight is not None else float(self.w.data.max())
-        if scale <= 0:
-            raise ValueError("max_weight must be positive")
-        w = self.w.copy()
-        w.data = w.data / scale
-        return BipartiteGraph(w, u_labels=self.u_labels, v_labels=self.v_labels)
-
     def transpose(self) -> "BipartiteGraph":
         """Swap the two sides: ``U`` becomes the column side and vice versa."""
         return BipartiteGraph(

@@ -8,9 +8,8 @@ two pieces the kernels need:
 * :class:`ExecPolicy` — how many worker threads to use and when *not* to use
   them.  The thread count resolves from ``REPRO_NUM_THREADS`` (default:
   ``os.cpu_count()``); ``1`` selects the exact legacy serial path.  An
-  auto-tune threshold (``serial_threshold``, overridable via
-  ``REPRO_SERIAL_THRESHOLD``) keeps toy-sized applies on the serial path so
-  small graphs never pay pool dispatch overhead.
+  auto-tune threshold (``serial_threshold``) keeps toy-sized applies on the
+  serial path so small graphs never pay pool dispatch overhead.
 * :class:`ParallelExecutor` — a thin wrapper over a process-wide, lazily
   created thread pool.  It runs a list of thunks and re-raises the first
   worker exception in the caller.
@@ -53,7 +52,6 @@ __all__ = ["ExecPolicy", "ParallelExecutor", "row_shards", "column_shards"]
 DEFAULT_SERIAL_THRESHOLD = 500_000
 
 _ENV_THREADS = "REPRO_NUM_THREADS"
-_ENV_THRESHOLD = "REPRO_SERIAL_THRESHOLD"
 
 
 def _env_int(name: str, default: int, minimum: int) -> int:
@@ -103,15 +101,10 @@ class ExecPolicy:
         """Resolve from the environment.
 
         ``REPRO_NUM_THREADS`` sets the thread count (default
-        ``os.cpu_count()``); ``REPRO_SERIAL_THRESHOLD`` overrides the
-        auto-tune threshold.
+        ``os.cpu_count()``); the auto-tune threshold is
+        :data:`DEFAULT_SERIAL_THRESHOLD`.
         """
-        return cls(
-            n_threads=_env_int(_ENV_THREADS, os.cpu_count() or 1, 1),
-            serial_threshold=_env_int(
-                _ENV_THRESHOLD, DEFAULT_SERIAL_THRESHOLD, 0
-            ),
-        )
+        return cls(n_threads=_env_int(_ENV_THREADS, os.cpu_count() or 1, 1))
 
     def shards_for(self, work: int, limit: int) -> int:
         """How many shards a logical apply of ``work`` units should use.

@@ -342,12 +342,10 @@ def _npz_arrays(path: Path) -> Dict[str, np.ndarray]:
         return {name: bundle[name] for name in bundle.files}
 
 
-def _load_npy(path: Path, *, mmap: bool) -> np.ndarray:
-    """One ``.npy`` array, memory-mapped read-only when asked."""
+def _load_npy(path: Path) -> np.ndarray:
+    """One ``.npy`` array, memory-mapped read-only."""
     try:
-        return np.load(
-            path, allow_pickle=False, mmap_mode="r" if mmap else None
-        )
+        return np.load(path, allow_pickle=False, mmap_mode="r")
     except (OSError, ValueError) as exc:
         raise ArtifactError(f"{path}: cannot read array: {exc}") from exc
 
@@ -602,7 +600,7 @@ class ArtifactStore:
             path = ref.path / filename
             if filename.endswith(".npy"):
                 arrays = {
-                    next(iter(expected_arrays)): _load_npy(path, mmap=True)
+                    next(iter(expected_arrays)): _load_npy(path)
                 }
             else:
                 try:
@@ -645,21 +643,21 @@ class ArtifactStore:
         version: Optional[int] = None,
         *,
         verify: bool = True,
-        mmap: bool = True,
     ) -> LoadedArtifact:
         """Resolve, (optionally) verify, and load one artifact version.
 
-        Arrays are memory-mapped by default (``mmap=False`` reads them
-        eagerly).  With ``verify=False`` a load touches no array bytes at
-        all — the near-instant reload path when checksums were already
-        checked.
+        Arrays are always memory-mapped: on POSIX a mapped file stays
+        readable after it is unlinked, so a ``prune`` cannot pull arrays
+        out from under a reader.  With ``verify=False`` a load touches no
+        array bytes at all — the near-instant reload path when checksums
+        were already checked.
         """
         ref = self.resolve(name, version)
         if verify:
             self.verify(ref)
         quantize = ref.quantize
-        u = _load_npy(ref.path / U_FILE, mmap=mmap)
-        v = _load_npy(ref.path / V_FILE, mmap=mmap)
+        u = _load_npy(ref.path / U_FILE)
+        v = _load_npy(ref.path / V_FILE)
         expected = (
             ref.manifest["num_u"],
             ref.manifest["num_v"],
@@ -683,8 +681,8 @@ class ArtifactStore:
                     f"{ref.path}: codes are {u.dtype}/{v.dtype}, manifest "
                     f"says quantize={quantize!r}"
                 )
-            u_scales = _load_npy(ref.path / U_SCALES_FILE, mmap=mmap)
-            v_scales = _load_npy(ref.path / V_SCALES_FILE, mmap=mmap)
+            u_scales = _load_npy(ref.path / U_SCALES_FILE)
+            v_scales = _load_npy(ref.path / V_SCALES_FILE)
             k = ref.manifest["dimension"]
             if u_scales.shape != (k,) or v_scales.shape != (k,):
                 raise ArtifactError(

@@ -174,7 +174,6 @@ class _Model:
         self,
         loaded: LoadedArtifact,
         policy: DtypePolicy,
-        block_rows: Optional[int],
         ann: bool = False,
         nprobe: Optional[int] = None,
     ):
@@ -206,7 +205,6 @@ class _Model:
                 loaded.v_scales,
                 quant_dtype=loaded.quantize,
                 policy=policy,
-                block_rows=block_rows,
             )
             return
         self.result = EmbeddingResult(
@@ -235,9 +233,7 @@ class _Model:
                 return
         # The template's float32 V.T is the model's one staged copy, which
         # exact reads and full probes sweep.
-        self.template = TopKEngine(
-            self.result.u, self.result.v, policy=policy, block_rows=block_rows
-        )
+        self.template = TopKEngine(self.result.u, self.result.v, policy=policy)
 
     def bytes_resident(self) -> int:
         """Heap bytes this model pins: engine arrays (memmaps excluded,
@@ -307,11 +303,6 @@ class EmbeddingService:
     policy:
         :class:`~repro.linalg.DtypePolicy` for the scoring engines
         (``None``: default — float64, ``REPRO_NUM_THREADS`` threads).
-    block_rows:
-        Users per scoring GEMM (``None``: engine default).
-    verify:
-        Checksum-verify artifacts on every load (default on; the whole
-        point of the manifest).
     ann, nprobe:
         Serve :meth:`top_items` through the artifact's IVF index
         (``repro index`` must have built one for the served version;
@@ -319,6 +310,8 @@ class EmbeddingService:
         built from a different version).  ``nprobe`` is the recall knob —
         ``None`` probes every cell, which is exact.
 
+    Every load and reload checksum-verifies the artifact and memory-maps
+    its arrays (:meth:`~repro.serve.artifacts.ArtifactStore.load`).
     :meth:`similar` answers under one measure (:data:`SIMILAR_PMF`,
     :data:`SIMILAR_TAU`, :data:`SIMILAR_NORMALIZATION`).  Its engines are
     built lazily on the first similarity query per side, since only
@@ -332,9 +325,6 @@ class EmbeddingService:
         *,
         version: Optional[int] = None,
         policy: Optional[DtypePolicy] = None,
-        block_rows: Optional[int] = None,
-        verify: bool = True,
-        mmap: bool = True,
         ann: bool = False,
         nprobe: Optional[int] = None,
     ):
@@ -343,9 +333,6 @@ class EmbeddingService:
         self._store = store
         self._name = name
         self._policy = policy if policy is not None else DtypePolicy()
-        self._block_rows = block_rows
-        self._verify = verify
-        self._mmap = bool(mmap)
         self._ann = bool(ann)
         self._nprobe = nprobe
         self._reload_lock = threading.Lock()
@@ -357,12 +344,8 @@ class EmbeddingService:
     # Model lifecycle
     # ------------------------------------------------------------------
     def _load(self, version: Optional[int]) -> _Model:
-        loaded = self._store.load(
-            self._name, version, verify=self._verify, mmap=self._mmap
-        )
-        return _Model(
-            loaded, self._policy, self._block_rows, ann=self._ann, nprobe=self._nprobe
-        )
+        loaded = self._store.load(self._name, version)
+        return _Model(loaded, self._policy, ann=self._ann, nprobe=self._nprobe)
 
     @property
     def artifact(self) -> ArtifactRef:

@@ -17,7 +17,6 @@ from .recommendation import (
     RecommendationTask,
     evaluate_recommendation,
     ground_truth_lists,
-    recommend_top_n,
 )
 from .similarity import (
     DEFAULT_BLOCK_SOURCES,
@@ -49,7 +48,6 @@ __all__ = [
     "RecommendationReport",
     "evaluate_recommendation",
     "ground_truth_lists",
-    "recommend_top_n",
     "TopKEngine",
     "DEFAULT_BLOCK_ROWS",
     "SimilarityEngine",

@@ -21,7 +21,6 @@ import numpy as np
 
 from ..core.base import BipartiteEmbedder, EmbeddingResult
 from ..graph import BipartiteGraph, k_core
-from ..linalg.policy import DtypePolicy
 from ..metrics import RankingScores
 from .splits import EdgeSplit, split_edges
 from .topk import TopKEngine
@@ -30,7 +29,6 @@ __all__ = [
     "RecommendationTask",
     "RecommendationReport",
     "ground_truth_lists",
-    "recommend_top_n",
     "evaluate_recommendation",
 ]
 
@@ -86,67 +84,42 @@ def ground_truth_lists(split: EdgeSplit) -> Dict[int, List[int]]:
     return {int(u): group.tolist() for u, group in zip(users, groups)}
 
 
-def recommend_top_n(
-    result: EmbeddingResult,
-    train: BipartiteGraph,
-    user: int,
-    n: int,
-) -> List[int]:
-    """Top-N items for ``user`` by embedding score, excluding train edges."""
-    return result.top_items(user, n, exclude=train.u_neighbors(user)).tolist()
-
-
 def evaluate_recommendation(
     result: EmbeddingResult,
     split: EdgeSplit,
     n: int = 10,
-    *,
-    batched: bool = True,
-    block_rows: Optional[int] = None,
-    policy: Optional[DtypePolicy] = None,
 ) -> RecommendationReport:
     """Score fitted embeddings against a recommendation split.
 
-    With ``batched`` (the default) recommendation lists come from the
-    :class:`~repro.tasks.topk.TopKEngine` streaming read-out: users with test
-    edges are scored ``block_rows`` at a time and each block's metrics are
+    Recommendation lists come from the :class:`~repro.tasks.topk.TopKEngine`
+    streaming read-out, with the training edges masked: users with test
+    edges are scored a block at a time and each block's metrics are
     accumulated before the next block is produced, so peak extra memory is
     one block's score buffer — the full ``users x items`` matrix is never
-    materialized.  ``batched=False`` selects the per-user reference path
-    (pinned equal by the differential suite).  Either way the report splits
-    ``scoring_seconds`` (producing the lists) from ``metrics_seconds``
-    (F1/NDCG/MRR accumulation); ``elapsed_seconds`` remains the fit time.
+    materialized.  The report splits ``scoring_seconds`` (producing the
+    lists) from ``metrics_seconds`` (F1/NDCG/MRR accumulation);
+    ``elapsed_seconds`` remains the fit time.
     """
     truths = ground_truth_lists(split)
     scores = RankingScores()
     scoring_seconds = 0.0
     metrics_seconds = 0.0
-    if batched:
-        users = np.fromiter(truths.keys(), dtype=np.int64, count=len(truths))
-        engine = TopKEngine.from_result(
-            result, policy=policy, block_rows=block_rows
+    users = np.fromiter(truths.keys(), dtype=np.int64, count=len(truths))
+    blocks = TopKEngine.from_result(result).iter_top_items(
+        n, users=users, exclude=split.train
+    )
+    while True:
+        started = time.perf_counter()
+        block = next(blocks, None)
+        scoring_seconds += time.perf_counter() - started
+        if block is None:
+            break
+        block_users, items = block
+        started = time.perf_counter()
+        scores.update_batch(
+            items.tolist(), [truths[int(u)] for u in block_users]
         )
-        blocks = engine.iter_top_items(n, users=users, exclude=split.train)
-        while True:
-            started = time.perf_counter()
-            block = next(blocks, None)
-            scoring_seconds += time.perf_counter() - started
-            if block is None:
-                break
-            block_users, items = block
-            started = time.perf_counter()
-            scores.update_batch(
-                items.tolist(), [truths[int(u)] for u in block_users]
-            )
-            metrics_seconds += time.perf_counter() - started
-    else:
-        for user, truth in truths.items():
-            started = time.perf_counter()
-            recommended = recommend_top_n(result, split.train, user, n)
-            scoring_seconds += time.perf_counter() - started
-            started = time.perf_counter()
-            scores.update(recommended, truth)
-            metrics_seconds += time.perf_counter() - started
+        metrics_seconds += time.perf_counter() - started
     summary = scores.summary()
     return RecommendationReport(
         method=result.method,
@@ -180,9 +153,6 @@ class RecommendationTask:
     seed:
         Controls the split; fixed per task so every method sees the same
         train/test partition.
-    block_rows:
-        Users per scoring block for the batched evaluation read-out
-        (``None``: the engine default).
     """
 
     def __init__(
@@ -193,7 +163,6 @@ class RecommendationTask:
         train_fraction: float = 0.6,
         core: int = 10,
         seed: Optional[int] = 0,
-        block_rows: Optional[int] = None,
     ):
         if core > 0:
             graph = k_core(graph, core)
@@ -201,12 +170,9 @@ class RecommendationTask:
             raise ValueError("k-core filtering removed every node; lower `core`")
         self.graph = graph
         self.n = n
-        self.block_rows = block_rows
         self.split = split_edges(graph, train_fraction, seed=seed)
 
     def run(self, method: BipartiteEmbedder) -> RecommendationReport:
         """Fit ``method`` on the training graph and evaluate top-N quality."""
         result = method.fit(self.split.train)
-        return evaluate_recommendation(
-            result, self.split, self.n, block_rows=self.block_rows
-        )
+        return evaluate_recommendation(result, self.split, self.n)

@@ -1,9 +1,8 @@
 """Blocked multi-source matrix-free MHS/MHP similarity queries.
 
 The dense measures in :mod:`repro.core.measures` materialize ``H`` and
-``P`` and stop at test-sized graphs; :class:`~repro.core.queries.MeasureQueries`
-answers single rows exactly but allocates per call and never ranks.  This
-module turns the same identities into a served query class:
+``P`` and stop at test-sized graphs.  This module answers their rows
+exactly, matrix-free, and ranks them as a served query class:
 
 * ``H[u, :] = H e_u``            (``H`` is symmetric, Eq. 3),
 * ``P[u, :] = (H e_u)^T W``      (Eq. 5),

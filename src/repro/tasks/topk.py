@@ -45,7 +45,9 @@ Results stream block by block; the full ``num_users x num_items`` score
 matrix is never materialized.  Peak extra memory is one reusable
 ``block_rows x num_items`` float32 score buffer (reported through the obs
 workspace watermark), its candidate mask, and the rerank's pairs, gathered
-:data:`RERANK_ELEMENTS` row elements at a time.
+:data:`RERANK_ELEMENTS` row elements at a time.  Unless told otherwise,
+the engine works out ``block_rows`` from the catalog width, so that buffer
+stays within :data:`SCORE_BUFFER_BYTES` however wide the item side.
 
 Observability: every block reports two GEMMs (``count_gemm``: the sweep and
 the rerank; one when it skips the sweep) and its coverage (``count_topk``)
@@ -74,6 +76,7 @@ __all__ = [
     "TopKEngine",
     "QuantizedTopKEngine",
     "DEFAULT_BLOCK_ROWS",
+    "SCORE_BUFFER_BYTES",
     "STAGE_ROWS",
     "RERANK_ELEMENTS",
     "GROUPS_PER_N",
@@ -83,10 +86,14 @@ __all__ = [
     "rerank",
 ]
 
-#: Default users-per-GEMM.  256 rows keep the score buffer in the tens of
-#: megabytes even for ~10^4 items while amortizing per-block Python and
-#: BLAS dispatch overhead; see docs/SERVING.md for the measured tuning curve.
+#: Users per GEMM up to a 65 536-item catalog: enough rows to amortize
+#: per-block Python and BLAS dispatch overhead; see docs/SERVING.md for the
+#: measured tuning curve.
 DEFAULT_BLOCK_ROWS = 256
+
+#: The float32 score buffer's cap, 64 MiB: :data:`DEFAULT_BLOCK_ROWS` rows
+#: of a 65 536-item catalog.  Wider catalogs get fewer rows per block.
+SCORE_BUFFER_BYTES = 64 << 20
 
 #: Item rows cast per pass while staging the float32 ``V.T``.  A block this
 #: size transposes within the cache: staging 200 000 x 32 took 17 ms in
@@ -261,7 +268,9 @@ class TopKEngine:
         Its compute dtype does not change top-k: the sweep is always
         float32 and the rerank always float64.
     block_rows:
-        Users per block (``None``: :data:`DEFAULT_BLOCK_ROWS`).
+        Users per block (``None``: the most rows, up to
+        :data:`DEFAULT_BLOCK_ROWS`, whose float32 scores fit in
+        :data:`SCORE_BUFFER_BYTES`; at least one).
 
     Notes
     -----
@@ -298,7 +307,8 @@ class TopKEngine:
     def _setup(self, u, u_scales, v, v_scales, policy, block_rows) -> None:
         """Hold the codes (never copied) and stage the sweep operand."""
         if block_rows is None:
-            block_rows = DEFAULT_BLOCK_ROWS
+            row_bytes = 4 * max(v.shape[0], 1)  # one float32 score row
+            block_rows = max(1, min(DEFAULT_BLOCK_ROWS, SCORE_BUFFER_BYTES // row_bytes))
         if block_rows < 1:
             raise ValueError(f"block_rows must be >= 1, got {block_rows}")
         self.policy = policy if policy is not None else DtypePolicy()

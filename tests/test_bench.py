@@ -165,38 +165,39 @@ class TestQuantAxis:
 
     @pytest.fixture(scope="class")
     def served(self, tmp_path_factory):
-        """``{(mode, mmap): (artifact bytes, engine)}`` over one artifact store."""
+        """``{mode: (artifact bytes, engine over the mapped load)}`` over one
+        artifact store, and ``"in-memory"``: an engine over the published
+        arrays themselves."""
         v, u = _clustered(5_000, 16)
         store = ArtifactStore(str(tmp_path_factory.mktemp("quant")))
-        cells = {}
+        cells = {"in-memory": (None, TopKEngine(u, v, policy=_serial()))}
         for mode in ("exact", "float16", "int8"):
             ref = store.publish("standin", u, v, quantize=None if mode == "exact" else mode)
             size = sum(entry.stat().st_size for entry in ref.path.iterdir())
-            for mmap in (False, True) if mode == "exact" else (True,):
-                loaded = store.load("standin", ref.version, verify=False, mmap=mmap)
-                if mode == "exact":
-                    engine = TopKEngine(loaded.u, loaded.v, policy=_serial())
-                else:
-                    engine = QuantizedTopKEngine(loaded.u, loaded.u_scales, loaded.v,
-                                                 loaded.v_scales, quant_dtype=mode,
-                                                 policy=_serial())
-                cells[mode, mmap] = size, engine
+            loaded = store.load("standin", ref.version, verify=False)
+            if mode == "exact":
+                engine = TopKEngine(loaded.u, loaded.v, policy=_serial())
+            else:
+                engine = QuantizedTopKEngine(loaded.u, loaded.u_scales, loaded.v,
+                                             loaded.v_scales, quant_dtype=mode,
+                                             policy=_serial())
+            cells[mode] = size, engine
         return cells
 
     def test_every_row_list_identical(self, served):
-        eager = served["exact", False][1].top_items(N)
-        np.testing.assert_array_equal(served["exact", True][1].top_items(N), eager)
+        in_memory = served["in-memory"][1].top_items(N)
+        np.testing.assert_array_equal(served["exact"][1].top_items(N), in_memory)
         for codec in ("float16", "int8"):
-            engine = served[codec, True][1]
+            engine = served[codec][1]
             # Against the dequantized arrays: the margin rerank may not move
             # the lists beyond what quantization itself moved.
             exact = TopKEngine(*engine.dequantized(), policy=_serial()).top_items(N)
             np.testing.assert_array_equal(engine.top_items(N), exact)
 
     def test_quantized_artifacts_smaller_and_margin_bounded(self, served):
-        exact_bytes, exact = served["exact", True]
+        exact_bytes, exact = served["exact"]
         for codec in ("float16", "int8"):
-            size, engine = served[codec, True]
+            size, engine = served[codec]
             assert size < exact_bytes
             # Both tiers stage the same float32 V.T from mapped codes; the
             # quantized one pins its two float64 scale vectors on top.

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,63 @@ class TestParser:
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["embed", "a", "b", "--method", "GloVe"])
+
+
+#: Every option string of every subcommand (help excluded).  A flag added or
+#: dropped changes this table, so the change shows in review.
+OPTION_SURFACE = {
+    "": {"--version"},
+    "embed": {
+        "--dataset", "--dimension", "--graph-store", "--method",
+        "--ooc-budget-mb", "--profile", "--profile-out", "--seed", "--threads",
+    },
+    "ingest": {
+        "--chunk-edges", "--comment", "--delimiter", "--force", "--verify",
+        "--weighted",
+    },
+    "recommend": {"--dimension", "--method", "--seed", "-n"},
+    "query": {
+        "--exclude", "--index", "--nprobe", "--output", "--profile",
+        "--quantize", "--threads", "--users", "--with-scores", "-n",
+    },
+    "similar": {
+        "--alpha", "--dataset", "--graph-store", "--k", "--lam", "--mode",
+        "--normalization", "--output", "--pmf", "--profile", "--profile-out",
+        "--seed", "--side", "--sources", "--tau", "--threads", "--with-scores",
+        "-n",
+    },
+    "evaluate": {"--core", "--dimension", "--methods", "--n", "--seed", "--task"},
+    "datasets": {"--generate", "--output", "--seed"},
+    "publish": {"--dataset", "--graph", "--method", "--name", "--quantize", "--store"},
+    "refresh": {
+        "--artifact-version", "--cold", "--name", "--profile", "--profile-out",
+        "--seed", "--store",
+    },
+    "artifacts": set(),
+    "artifacts gc": {"--keep", "--name", "--store"},
+    "index": {"--artifact-version", "--cells", "--name", "--seed", "--store"},
+    "serve": {
+        "--ann", "--artifact-version", "--deadline-ms", "--host", "--max-batch",
+        "--max-queue", "--name", "--nprobe", "--port", "--smoke", "--store",
+        "--threads",
+    },
+}
+
+
+def _option_surface(parser, prefix=()):
+    """``{"sub command": {option strings}}`` of ``parser`` and its subparsers."""
+    surface = {" ".join(prefix): set()}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                surface.update(_option_surface(sub, (*prefix, name)))
+        elif not isinstance(action, argparse._HelpAction):
+            surface[" ".join(prefix)].update(action.option_strings)
+    return surface
+
+
+def test_option_surface():
+    assert _option_surface(build_parser()) == OPTION_SURFACE
 
 
 class TestEmbed:
@@ -95,13 +154,29 @@ class TestRecommend:
         assert code == 2
         assert "unknown user" in capsys.readouterr().err
 
-    def test_block_rows_path_matches_per_user(self, edge_file, capsys):
+    def test_matches_per_user_reference(self, edge_file, capsys):
+        # The engine's list (training edges masked) printed as the per-user
+        # reference of the same fit would print it.
+        from repro.baselines import make_method
+        from repro.graph import read_edge_list
+
+        graph = read_edge_list(edge_file)
+        result = make_method("GEBE^p", dimension=8, seed=0).fit(graph)
+        user = graph.u_id("0")
+        top = result.top_items(user, 5, exclude=graph.u_neighbors(user))
+        scores = result.scores_for_u(user)
+        expected = "top-5 for '0' (GEBE^p):\n" + "".join(
+            f"  {rank:2d}. {graph.v_label(int(item))}  ({scores[item]:+.4f})\n"
+            for rank, item in enumerate(top, start=1)
+        )
         assert main(["recommend", edge_file, "0", "-n", "5",
                      "--dimension", "8"]) == 0
-        per_user = capsys.readouterr().out
-        assert main(["recommend", edge_file, "0", "-n", "5",
-                     "--dimension", "8", "--block-rows", "16"]) == 0
-        assert capsys.readouterr().out == per_user
+        assert capsys.readouterr().out == expected
+
+    def test_zero_n_prints_an_empty_list(self, edge_file, capsys):
+        assert main(["recommend", edge_file, "0", "-n", "0",
+                     "--dimension", "4"]) == 0
+        assert capsys.readouterr().out == "top-0 for '0' (GEBE^p):\n"
 
     def test_negative_n_rejected(self, edge_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -151,8 +226,7 @@ class TestQuery:
     def test_npz_output_round_trips(self, embeddings, tmp_path, capsys):
         out = str(tmp_path / "topk.npz")
         code = main(
-            ["query", embeddings, "-n", "6", "--output", out, "--with-scores",
-             "--block-rows", "7"]
+            ["query", embeddings, "-n", "6", "--output", out, "--with-scores"]
         )
         assert code == 0
         with np.load(out) as payload:
@@ -172,10 +246,16 @@ class TestQuery:
         assert "cannot read embedding bundle" in capsys.readouterr().err
 
     def test_block_sizes_agree(self, embeddings, capsys):
-        assert main(["query", embeddings, "-n", "5", "--block-rows", "1"]) == 0
-        first = capsys.readouterr().out
-        assert main(["query", embeddings, "-n", "5", "--block-rows", "64"]) == 0
-        assert capsys.readouterr().out == first
+        # The derived block size lists what one-user blocks list.
+        from repro.tasks import TopKEngine
+
+        with np.load(embeddings) as bundle:
+            lists = TopKEngine(bundle["u"], bundle["v"], block_rows=1).top_items(5)
+        assert main(["query", embeddings, "-n", "5"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{user}\t{' '.join(map(str, row))}\n"
+            for user, row in enumerate(lists.tolist())
+        )
 
     def test_negative_n_rejected(self, embeddings, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -284,27 +364,6 @@ class TestEvaluate:
         )
         assert code == 0
         assert "F1=" in capsys.readouterr().out
-
-    def test_block_rows_flag(self, edge_file, capsys):
-        code = main(
-            [
-                "evaluate", edge_file, "--task", "recommendation",
-                "--methods", "GEBE^p", "--dimension", "8", "--core", "2",
-                "--block-rows", "8",
-            ]
-        )
-        assert code == 0
-        assert "F1=" in capsys.readouterr().out
-
-    def test_block_rows_rejected_for_link_prediction(self, edge_file, capsys):
-        code = main(
-            [
-                "evaluate", edge_file, "--task", "link_prediction",
-                "--methods", "GEBE^p", "--block-rows", "8",
-            ]
-        )
-        assert code == 2
-        assert "recommendation" in capsys.readouterr().err
 
     def test_link_prediction_protocol(self, edge_file, capsys):
         code = main(

@@ -189,19 +189,6 @@ class TestTransformations:
         assert unit.is_unweighted()
         assert unit.num_edges == tiny_graph.num_edges
 
-    def test_normalized_by_max(self, tiny_graph):
-        normalized = tiny_graph.normalized()
-        assert normalized.w.data.max() == pytest.approx(1.0)
-        assert normalized.weight(0, 1) == pytest.approx(2.0 / 3.0)
-
-    def test_normalized_explicit_scale(self, tiny_graph):
-        normalized = tiny_graph.normalized(max_weight=6.0)
-        assert normalized.weight(2, 2) == pytest.approx(0.5)
-
-    def test_normalized_rejects_bad_scale(self, tiny_graph):
-        with pytest.raises(ValueError):
-            tiny_graph.normalized(max_weight=0.0)
-
     def test_transpose_swaps_sides(self, figure1):
         transposed = figure1.transpose()
         assert transposed.num_u == 5

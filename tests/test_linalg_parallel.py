@@ -32,7 +32,7 @@ from repro.linalg import (
     SparseKernel,
     pmf_weighted_apply,
 )
-from repro.linalg.parallel import column_shards, row_shards
+from repro.linalg.parallel import DEFAULT_SERIAL_THRESHOLD, column_shards, row_shards
 
 THREAD_COUNTS = (1, 2, 4)
 #: PMF weights whose series is one Gram apply: ``0 I + 1 (W W^T)``.
@@ -85,16 +85,14 @@ class TestExecPolicy:
 
     def test_from_env_reads_thread_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "3")
-        monkeypatch.setenv("REPRO_SERIAL_THRESHOLD", "123")
         policy = ExecPolicy.from_env()
         assert policy.n_threads == 3
-        assert policy.serial_threshold == 123
+        assert policy.serial_threshold == DEFAULT_SERIAL_THRESHOLD
 
     def test_from_env_defaults_to_cpu_count(self, monkeypatch):
         import os
 
         monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
-        monkeypatch.delenv("REPRO_SERIAL_THRESHOLD", raising=False)
         assert ExecPolicy.from_env().n_threads == (os.cpu_count() or 1)
 
     def test_from_env_rejects_garbage(self, monkeypatch):

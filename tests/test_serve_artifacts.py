@@ -217,7 +217,7 @@ class TestVerifyLoad:
 
 
 class TestMemoryMappedLoad:
-    """The v2 per-array layout: mmap by default, eager on request."""
+    """The per-array layout: every load memory-maps the arrays."""
 
     def test_mmap_load_returns_memmaps(self, store, embeddings):
         u, v = embeddings
@@ -227,14 +227,6 @@ class TestMemoryMappedLoad:
         assert isinstance(loaded.v, np.memmap)
         np.testing.assert_array_equal(np.asarray(loaded.u), u)
         np.testing.assert_array_equal(np.asarray(loaded.v), v)
-
-    def test_eager_load_returns_plain_arrays(self, store, embeddings):
-        u, v = embeddings
-        store.publish("toy", u, v)
-        loaded = store.load("toy", mmap=False)
-        assert not isinstance(loaded.u, np.memmap)
-        assert not isinstance(loaded.v, np.memmap)
-        np.testing.assert_array_equal(loaded.u, u)
 
     def test_checksum_of_memmap_matches_manifest(self, store, embeddings):
         """array_checksum must hash a memmap to the same digest as the
@@ -497,8 +489,9 @@ class TestIndexProvenance:
             EmbeddingService(store, "toy", version=2, ann=True)
 
     def test_republished_embeddings_invalidate_index(self, store, embeddings):
-        """Same version directory, tampered embeddings: even with manifest
-        verification off, the index's own digest check still fires."""
+        """Same version directory, tampered embeddings: the service's
+        manifest verification refuses them, and with manifest verification
+        off the index's own digest check still fires."""
         u, v = embeddings
         ref = store.publish("toy", u, v)
         self._index_for(store, 1)
@@ -506,7 +499,10 @@ class TestIndexProvenance:
         tampered[0, 0] += 1.0
         np.save(ref.path / "v.npy", tampered)
         with pytest.raises(ArtifactError, match="checksum"):
-            EmbeddingService(store, "toy", ann=True, verify=False)
+            EmbeddingService(store, "toy", ann=True)
+        loaded = store.load("toy", verify=False)
+        with pytest.raises(ArtifactError, match="checksum.*repro index"):
+            IVFIndex.load(ref.path / INDEX_FILE, loaded.v)
 
 
 class TestRetention:

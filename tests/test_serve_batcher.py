@@ -3,8 +3,8 @@
 The load-bearing property: however concurrent single-user requests
 interleave, and however the worker happens to slice them into batches, every
 caller receives lists **element-identical** to
-:meth:`repro.core.base.EmbeddingResult.top_items_batch` — the offline
-serving read-out.  That holds because ``select_topn``'s total order (score
+``TopKEngine.from_result(result).top_items(...)`` — the offline serving
+read-out.  That holds because ``select_topn``'s total order (score
 descending, index ascending) makes every top-``n`` list the length-``n``
 prefix of the top-``m`` list for ``m >= n``, so scoring a batch at
 ``n_max`` and slicing prefixes loses nothing.
@@ -56,7 +56,7 @@ def graph():
 @pytest.fixture(scope="module")
 def reference(result, graph):
     """Offline truth at N_CAP; any smaller n is a prefix of these rows."""
-    items = result.top_items_batch(N_CAP, exclude=graph)
+    items = TopKEngine.from_result(result).top_items(N_CAP, exclude=graph)
     scores = np.take_along_axis(result.u @ result.v.T, items, axis=1)
     return items, scores
 
@@ -91,11 +91,11 @@ class TestEquivalence:
         ),
         max_batch=st.integers(1, 16),
     )
-    def test_any_interleaving_matches_top_items_batch(
+    def test_any_interleaving_matches_offline_lists(
         self, score_fn, reference, requests, max_batch
     ):
-        """Arbitrary request streams and batch sizes all reproduce
-        ``top_items_batch`` exactly — mixed ``n`` included."""
+        """Arbitrary request streams and batch sizes all reproduce the
+        offline engine's lists exactly — mixed ``n`` included."""
         expected_items, _ = reference
         with MicroBatcher(score_fn, max_batch=max_batch) as batcher:
             futures = [batcher.submit(u, n) for u, n in requests]

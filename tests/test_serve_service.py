@@ -257,13 +257,14 @@ class TestResidentBytes:
         num_v, k = result.v.shape
         assert service.bytes_resident() == k * num_v * 4
 
-    def test_eager_load_counts_the_embeddings(self, store, result):
+    def test_heap_embeddings_are_counted(self, store, result):
         num_v, k = result.v.shape
-        for mmap in (True, False):
-            loaded = store.load("toy", mmap=mmap)
-            engine = TopKEngine(loaded.u, loaded.v)
-            held = 0 if mmap else result.u.nbytes + result.v.nbytes
-            assert engine.resident_bytes() == held + k * num_v * 4
+        loaded = store.load("toy")
+        assert TopKEngine(loaded.u, loaded.v).resident_bytes() == k * num_v * 4
+        in_memory = TopKEngine(result.u, result.v)
+        assert in_memory.resident_bytes() == (
+            result.u.nbytes + result.v.nbytes + k * num_v * 4
+        )
 
     def test_partial_probe_stages_no_sweep_operand(self, store, result, graph):
         """A partial probe reranks rows of V and never sweeps, so its model
@@ -277,10 +278,9 @@ class TestResidentBytes:
         )
         index.save(ref.path / INDEX_FILE)
         num_v, k = result.v.shape
-        for mmap in (True, False):
-            full = EmbeddingService(store, "toy", ann=True, mmap=mmap)
-            partial = EmbeddingService(store, "toy", ann=True, nprobe=2, mmap=mmap)
-            assert full.bytes_resident() - partial.bytes_resident() == k * num_v * 4
+        full = EmbeddingService(store, "toy", ann=True)
+        partial = EmbeddingService(store, "toy", ann=True, nprobe=2)
+        assert full.bytes_resident() - partial.bytes_resident() == k * num_v * 4
         users = np.array([0, 3, 17, 59], dtype=np.int64)
         response = partial.top_items(users, 6, with_scores=True)
         items, scores = IVFIndex.load(ref.path / INDEX_FILE, result.v).search(
@@ -291,8 +291,9 @@ class TestResidentBytes:
         np.testing.assert_array_equal(response["scores"], scores)
         assert response["nprobe"] == 2
         assert (partial.num_users, partial.num_items) == (60, num_v)
-        # Partial probes allocate no score workspace either.
-        assert partial.bytes_resident() == result.u.nbytes + result.v.nbytes
+        # Partial probes allocate no score workspace either, and the
+        # embeddings are mapped.
+        assert partial.bytes_resident() == 0
 
     @pytest.mark.parametrize("codec", ["float16", "int8"])
     def test_mapped_codes_are_not_counted(self, tmp_path, result, codec):
@@ -301,14 +302,18 @@ class TestResidentBytes:
         store = ArtifactStore(tmp_path / "q")
         store.publish("toy", result.u, result.v, quantize=codec)
         num_v, k = result.v.shape
-        for mmap in (True, False):
-            loaded = store.load("toy", mmap=mmap)
+        loaded = store.load("toy")
+        staged = k * num_v * 4 + 2 * k * 8  # float32 V.T and two scale vectors
+        in_memory = np.array(loaded.u), np.array(loaded.v)
+        for (u_codes, v_codes), codes in (
+            ((loaded.u, loaded.v), 0),
+            (in_memory, loaded.u.nbytes + loaded.v.nbytes),
+        ):
             engine = QuantizedTopKEngine(
-                loaded.u, loaded.u_scales, loaded.v, loaded.v_scales,
+                u_codes, loaded.u_scales, v_codes, loaded.v_scales,
                 quant_dtype=codec,
             )
-            codes = 0 if mmap else loaded.u.nbytes + loaded.v.nbytes
-            assert engine.resident_bytes() == codes + k * num_v * 4 + 2 * k * 8
+            assert engine.resident_bytes() == codes + staged
 
 
 class TestServiceMetrics:

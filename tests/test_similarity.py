@@ -22,7 +22,7 @@ from repro import obs
 from repro.core.measures import h_matrix, mhp_matrix, mhs_matrix
 from repro.core.pmf import PoissonPMF, UniformPMF
 from repro.core.selection import select_topn
-from repro.datasets import erdos_renyi_bipartite
+from repro.datasets import erdos_renyi_bipartite, figure1_graph
 from repro.graph import BipartiteGraph, build_graph_store
 from repro.linalg import DtypePolicy
 from repro.tasks import (
@@ -249,6 +249,19 @@ class TestStoreBacked:
             expected, _ = anchor.query(sources, 5, mode=mode)
             items, _ = engine.query(sources, 5, mode=mode)
             np.testing.assert_array_equal(items, expected)
+
+
+# ---------------------------------------------------------------------------
+# Paper anchor
+# ---------------------------------------------------------------------------
+class TestTable2Anchor:
+    def test_matrix_free_rows_reproduce_table2(self):
+        # Figure 1's running example, Poisson(2) over 60 hops (Table 2).
+        engine = SimilarityEngine(
+            figure1_graph(), PoissonPMF(lam=2.0), 60, normalization="none"
+        )
+        assert engine.h_rows([0])[0][0] == pytest.approx(3.641, abs=2e-3)
+        assert engine.mhs_rows([1])[0][3] == pytest.approx(0.914, abs=2e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,20 @@ import pytest
 from repro.core.base import BipartiteEmbedder, EmbeddingResult
 from repro.tasks import (
     RecommendationTask,
+    TopKEngine,
     evaluate_recommendation,
     ground_truth_lists,
-    recommend_top_n,
     split_edges,
 )
+
+
+def _engine_list(result, train, user, n):
+    """One user's list as ``evaluate_recommendation`` reads it: the engine
+    over ``result`` with ``train``'s edges masked."""
+    items = TopKEngine.from_result(result).top_items(
+        n, users=np.array([user]), exclude=train
+    )
+    return items[0].tolist()
 
 
 class _OracleEmbedder(BipartiteEmbedder):
@@ -58,7 +67,7 @@ class TestRecommendTopN:
             v=np.ones((rating_graph.num_v, 2)),
         )
         user = int(split.train.edge_array()[0][0])
-        recommended = recommend_top_n(result, split.train, user, 10)
+        recommended = _engine_list(result, split.train, user, 10)
         seen = set(split.train.u_neighbors(user).tolist())
         assert not seen & set(recommended)
 
@@ -68,7 +77,7 @@ class TestRecommendTopN:
             u=np.random.default_rng(0).random((rating_graph.num_u, 3)),
             v=np.random.default_rng(1).random((rating_graph.num_v, 3)),
         )
-        recommended = recommend_top_n(result, split.train, 0, 7)
+        recommended = _engine_list(result, split.train, 0, 7)
         assert len(recommended) == 7
         assert len(set(recommended)) == 7
 
@@ -79,7 +88,7 @@ class TestRecommendTopN:
             u=rng.random((rating_graph.num_u, 3)),
             v=rng.random((rating_graph.num_v, 3)),
         )
-        recommended = recommend_top_n(result, split.train, 0, 5)
+        recommended = _engine_list(result, split.train, 0, 5)
         scores = [result.score(0, item) for item in recommended]
         assert scores == sorted(scores, reverse=True)
 

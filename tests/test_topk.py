@@ -26,6 +26,8 @@ from repro.tasks import (
     ground_truth_lists,
     split_edges,
 )
+from repro.tasks import topk as topk_module
+from repro.tasks.topk import SCORE_BUFFER_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +299,26 @@ class TestEngineEdges:
             DEFAULT_BLOCK_ROWS
         )
 
+    @pytest.mark.parametrize(
+        "num_items,rows",
+        [(0, 256), (500, 256), (65_536, 256), (100_000, 167), (200_000, 83)],
+    )
+    def test_block_rows_derived_from_catalog_width(self, num_items, rows):
+        # The float32 score buffer stays within SCORE_BUFFER_BYTES.
+        engine = TopKEngine(np.ones((1, 1)), np.zeros((num_items, 1)))
+        assert engine.block_rows == rows
+        assert rows * max(num_items, 1) * 4 <= SCORE_BUFFER_BYTES
+
+    def test_derived_block_lists_equal_explicit_block(self):
+        rng = np.random.default_rng(41)
+        u = rng.standard_normal((250, 4))
+        v = rng.standard_normal((70_000, 4))
+        derived = TopKEngine(u, v)
+        assert derived.block_rows == 239
+        np.testing.assert_array_equal(
+            derived.top_items(5), TopKEngine(u, v, block_rows=256).top_items(5)
+        )
+
 
 # ---------------------------------------------------------------------------
 # Observability contract
@@ -349,17 +371,24 @@ class TestBatchedEvaluation:
 
     @pytest.mark.parametrize("block_rows", [1, 7, None])
     def test_batched_equals_legacy(
-        self, random_result, rating_graph_module, block_rows
+        self, random_result, rating_graph_module, block_rows, monkeypatch
     ):
+        # Metrics accumulated a block at a time equal metrics accumulated one
+        # user at a time from per_user_reference lists, whatever block size
+        # the engine derives (None: the shipped default).
+        if block_rows is not None:
+            monkeypatch.setattr(topk_module, "DEFAULT_BLOCK_ROWS", block_rows)
+            assert TopKEngine.from_result(random_result).block_rows == block_rows
         split = split_edges(rating_graph_module, 0.6, seed=0)
-        batched = evaluate_recommendation(
-            random_result, split, n=10, batched=True, block_rows=block_rows
-        )
-        legacy = evaluate_recommendation(
-            random_result, split, n=10, batched=False
-        )
-        for metric in ("f1", "ndcg", "mrr", "precision", "recall", "num_users"):
-            assert getattr(batched, metric) == getattr(legacy, metric)
+        report = evaluate_recommendation(random_result, split, n=10)
+        lists = per_user_reference(random_result, 10, split.train)
+        reference = RankingScores()
+        for user, truth in ground_truth_lists(split).items():
+            reference.update(lists[user].tolist(), truth)
+        summary = reference.summary()
+        for metric in ("f1", "ndcg", "mrr", "precision", "recall"):
+            assert getattr(report, metric) == summary[metric]
+        assert report.num_users == reference.num_users
 
     def test_timing_split_populated(self, random_result, rating_graph_module):
         split = split_edges(rating_graph_module, 0.6, seed=0)
