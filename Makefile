@@ -9,10 +9,11 @@ PYTHON ?= python
 # topk differential suite rides along: batched retrieval must stay identical
 # to the per-user path at any thread count, and the serving tier (per-thread
 # engine clones + micro-batcher) must coalesce correctly however the
-# executor is sized.  Same deal for the ANN rerank (full probe must stay
-# element-identical to the exact engine) and the quantized margin rerank
-# (block size, thread count, and codec never move a list or a score bit off
-# the exact engine over the dequantized arrays).
+# executor is sized.  Same deal for the engine's other codecs and candidate
+# source: a full IVF probe must stay element-identical to the engine
+# without the index, a partial probe must not depend on the block size,
+# and quantized codes (block size, thread count, and codec) never move a
+# list or a score bit off the exact engine over the dequantized arrays.
 # The delta-replay and warm-refresh suites ride along too: delta
 # application and the warm/cold refit split are bit-deterministic claims,
 # so they must hold at any executor width.  The out-of-core suite joins
@@ -79,23 +80,26 @@ lint-dense:
 # Grep lint: renames of trusted on-disk state go through repro.durable
 # (commit_dir / replace_file), which fsyncs the data before the rename and
 # the directory after it, and so do the directories created on the way to
-# a commit (make_dirs fsyncs the parent of each one it creates).  A bare
-# os.rename/os.replace or .mkdir( anywhere else in src/repro skips that
-# order.  Part of `make test`.
+# a commit (make_dirs fsyncs the parent of each one it creates) and the
+# directories deleted (remove_dir renames a listed one to a hidden trash
+# name and fsyncs the parent before removing it).  A bare
+# os.rename/os.replace, .mkdir( or rmtree( anywhere else in src/repro skips
+# that order.  Part of `make test`.
 DURABLE_MODULE = src/repro/durable\.py
 
 lint-durable:
-	@matches=$$(grep -rn --include='*.py' -E 'os\.(rename|replace)\(|\.mkdir\(' src/repro \
+	@matches=$$(grep -rn --include='*.py' -E 'os\.(rename|replace)\(|\.mkdir\(|rmtree\(' src/repro \
 	  | grep -vE '^($(DURABLE_MODULE)):' || true); \
 	if [ -n "$$matches" ]; then \
-	  echo "lint-durable: renames or mkdirs outside repro.durable:"; \
+	  echo "lint-durable: renames, mkdirs or rmtrees outside repro.durable:"; \
 	  echo "$$matches"; \
 	  echo "commit a staged directory with repro.durable.commit_dir, write"; \
-	  echo "one file with repro.durable.replace_file, or create directories"; \
-	  echo "with repro.durable.make_dirs."; \
+	  echo "one file with repro.durable.replace_file, create directories"; \
+	  echo "with repro.durable.make_dirs, or delete them with"; \
+	  echo "repro.durable.remove_dir."; \
 	  exit 1; \
 	fi; \
-	echo "lint-durable: OK (renames and mkdirs confined to src/repro/durable.py)"
+	echo "lint-durable: OK (renames, mkdirs and rmtrees confined to src/repro/durable.py)"
 
 # End-to-end serving round trip: fit the toy graph, publish to a throwaway
 # artifact store, answer concurrent HTTP top-k requests in-process, and

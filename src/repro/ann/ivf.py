@@ -4,8 +4,8 @@ Exact retrieval (:class:`repro.tasks.topk.TopKEngine`) sweeps every
 (user, item) pair — ``O(|U| |V| k)`` per sweep, which cannot reach
 millions of items at interactive latency.  :class:`IVFIndex` is the
 classic inverted-file compromise, built from scratch on numpy, and only a
-routing structure: centroids, inverted lists and provenance.  It holds the
-item matrix it routes over by reference and stages no copy of it.
+routing structure: centroids, inverted lists and provenance.  It holds no
+reference to the item matrix it routes over and stages no copy of it.
 
 * **Build** — k-means over the item embeddings (:mod:`repro.ann.kmeans`)
   partitions the ``|V|`` items into ``n_cells`` cells; the inverted lists
@@ -17,14 +17,16 @@ item matrix it routes over by reference and stages no copy of it.
   keeps the top ``nprobe`` via :func:`~repro.core.selection.select_topn`
   (the same deterministic total order as everywhere else), so the
   candidate set is monotone non-decreasing in ``nprobe``.
-* **Exact rerank** — each query row's cell candidates go through the
-  engine's :func:`~repro.tasks.topk.rerank`: the same fixed-order float64
-  dot, the same CSR masking and the same :func:`select_topn`.  A full
-  probe (every cell) is the engine's own sweep, margin and rerank
-  (:meth:`~repro.tasks.topk.TopKEngine.top_block`), so its lists and
-  scores are the exact engine's.  Approximation lives only in which
-  candidates a partial probe proposes: recall@k is a measured knob, not a
-  hope.
+  :meth:`IVFIndex.probe` returns one block's ``(row, item)`` candidate
+  pairs.
+* **Exact rerank** — the index is a candidate source of the top-k engine
+  (``TopKEngine(u, v, index=..., nprobe=...)``): each query row's cell
+  candidates go through the engine's :func:`~repro.tasks.topk.rerank`, the
+  same fixed-order float64 dot, the same CSR masking and the same
+  :func:`select_topn`.  A full probe (every cell) is the engine's own
+  sweep, margin and rerank, so its lists and scores are the exact
+  engine's.  Approximation lives only in which candidates a partial probe
+  proposes: recall@k is a measured knob, not a hope.
 
 Provenance: the index stores a blake2b digest of the item matrix it was
 built from (:func:`repro.serve.artifacts.array_checksum` — the same digest
@@ -32,28 +34,19 @@ the artifact manifest records for the ``v`` array).  :meth:`IVFIndex.load`
 refuses, with a pointed error, to attach an index to embeddings with a
 different dimension or digest — the "index built from artifact v3, served
 against v4" failure mode.
-
-Observability: every search wave reports probed cells
-(``count_ann_probe``) and exactly reranked candidates
-(``count_ann_candidates``), plus one GEMM for the centroid scoring of a
-partial probe; a partial probe's rerank coverage is deliberately *not*
-counted into ``topk_candidates``, so exact and ANN sweeps stay separable
-in reports.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.selection import select_topn
 from ..durable import replace_file
-from ..graph import BipartiteGraph
-from ..obs import active as _obs_active
-from ..tasks.topk import TopKEngine, check_exclude, csr_pairs, rerank
+from ..tasks.topk import csr_pairs
 
 __all__ = ["IVFIndex", "INDEX_FILE", "DEFAULT_CELLS"]
 
@@ -86,15 +79,12 @@ class IVFIndex:
 
     Construct with :meth:`build` (trains the quantizer) or :meth:`load`
     (re-attaches a saved index to its embeddings).  The index holds the
-    routing structure — centroids and inverted lists — and a reference to
-    the item matrix (``v``, read as float64 and never copied when it
-    already is, e.g. an artifact's memory-mapped array), whose rows the
-    rerank reads.
+    routing structure — centroids and inverted lists — and provenance; the
+    item rows themselves stay with the engine that reranks them.
     """
 
     def __init__(
         self,
-        v: np.ndarray,
         centroids: np.ndarray,
         cell_offsets: np.ndarray,
         cell_items: np.ndarray,
@@ -103,9 +93,6 @@ class IVFIndex:
         v_checksum: Optional[str] = None,
         source: Optional[str] = None,
     ):
-        self.v = np.asarray(v, dtype=np.float64)
-        if self.v.ndim != 2:
-            raise ValueError(f"item embeddings must be 2-D, got {self.v.ndim}-D")
         self.centroids = np.ascontiguousarray(centroids, dtype=np.float64)
         self.cell_offsets = np.ascontiguousarray(cell_offsets, dtype=np.int64)
         self.cell_items = np.ascontiguousarray(cell_items, dtype=np.int64)
@@ -118,16 +105,6 @@ class IVFIndex:
                 f"cell_offsets has {self.cell_offsets.size} entries for "
                 f"{self.centroids.shape[0]} cells (want n_cells + 1)"
             )
-        if self.cell_items.size != self.v.shape[0]:
-            raise ValueError(
-                f"inverted lists cover {self.cell_items.size} items, "
-                f"embeddings have {self.v.shape[0]}"
-            )
-        if self.centroids.shape[1] != self.v.shape[1]:
-            raise ValueError(
-                f"centroid dimension {self.centroids.shape[1]} != "
-                f"embedding dimension {self.v.shape[1]}"
-            )
         self.seed = int(seed)
         self.v_checksum = v_checksum
         self.source = source
@@ -138,12 +115,12 @@ class IVFIndex:
     @property
     def num_items(self) -> int:
         """Items covered by the inverted lists."""
-        return self.v.shape[0]
+        return self.cell_items.size
 
     @property
     def dimension(self) -> int:
         """Embedding dimensionality ``k``."""
-        return self.v.shape[1]
+        return self.centroids.shape[1]
 
     @property
     def n_cells(self) -> int:
@@ -213,7 +190,6 @@ class IVFIndex:
         items = np.argsort(labels, kind="stable").astype(np.int64)
         checksum = v_checksum if v_checksum is not None else _checksum(v)
         return cls(
-            v,
             centroids,
             offsets,
             items,
@@ -223,10 +199,10 @@ class IVFIndex:
         )
 
     # ------------------------------------------------------------------
-    # Search
+    # Probe
     # ------------------------------------------------------------------
     def resolve_nprobe(self, nprobe: Optional[int]) -> int:
-        """The cells :meth:`search` probes for ``nprobe`` (``None``: all)."""
+        """The cells a probe for ``nprobe`` visits (``None``: all)."""
         if nprobe is None:
             return self.n_cells
         nprobe = int(nprobe)
@@ -234,142 +210,19 @@ class IVFIndex:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
         return min(nprobe, self.n_cells)
 
-    def search(
-        self,
-        queries: np.ndarray,
-        n: int,
-        *,
-        nprobe: Optional[int] = None,
-        exclude: Optional[BipartiteGraph] = None,
-        users: Optional[np.ndarray] = None,
-        with_scores: bool = False,
-        return_stats: bool = False,
-        engine: Optional[TopKEngine] = None,
-    ) -> Union[np.ndarray, Tuple[Any, ...]]:
-        """Top-``n`` item ids per query row, best first.
+    def probe(self, queries: np.ndarray, nprobe: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(row, item)`` candidate pairs of ``queries``' best cells.
 
-        Parameters
-        ----------
-        queries:
-            ``(B, k)`` query embeddings (user rows of ``U``).
-        n:
-            List length; capped at ``num_items``.
-        nprobe:
-            Cells probed per query (``None`` or ``>= n_cells``: all cells —
-            the exact, full-probe mode).
-        exclude:
-            Training graph whose edges are masked, exactly as the exact
-            engine masks them (scores forced to ``-inf``; excluded items
-            surface last, in id order, only when the probed candidate pool
-            runs out of better ones).
-        users:
-            Graph row ids aligned with ``queries`` (required with
-            ``exclude``; the index cannot guess which graph rows the query
-            embeddings came from).
-        with_scores:
-            Also return the selected float64 scores.
-        return_stats:
-            Also return (last) a dict with the effective ``nprobe``, total
-            ``probed_cells``, and exactly reranked ``candidates`` — the
-            same numbers the obs counters see, for callers (the serving
-            metrics) that cannot use the process-global collector.
-        engine:
-            A :class:`~repro.tasks.topk.TopKEngine` over these items whose
-            staged sweep a full probe runs (the serving tier passes its
-            model's engine).  ``None``: a full probe stages one for the
-            call.
-
-        Returns
-        -------
-        ``(B, n')`` int64 item ids (``n' = min(n, num_items)``), plus the
-        matching scores when requested, plus the stats dict when
-        requested.  When a partial probe surfaces fewer than ``n'``
-        candidates the row is right-padded with ``-1`` (score ``-inf``) —
-        full probe never pads.
+        ``queries`` are ``(B, k)`` float64 rows and ``nprobe`` a resolved
+        cell count (:meth:`resolve_nprobe`).  The pairs are row-major with
+        item ids ascending inside a row — the order
+        :func:`~repro.tasks.topk.rerank` needs for the id tie-break — and
+        distinct, since every item sits in one cell.
         """
-        queries = np.ascontiguousarray(queries, dtype=np.float64)
-        if queries.ndim != 2:
-            raise ValueError(f"queries must be 2-D, got {queries.ndim}-D")
-        if queries.shape[1] != self.dimension:
-            raise ValueError(
-                f"query dimension {queries.shape[1]} != index dimension "
-                f"{self.dimension}"
-            )
-        if exclude is not None:
-            if users is None:
-                raise ValueError("exclude requires users (the aligned user ids)")
-            users = np.asarray(users, dtype=np.int64)
-            if users.shape != (queries.shape[0],):
-                raise ValueError(
-                    f"users must align with queries: {users.shape} vs "
-                    f"{queries.shape[0]} rows"
-                )
-            check_exclude(exclude, users, self.num_items)
-        n_probe = self.resolve_nprobe(nprobe)
-        n_keep = max(0, min(int(n), self.num_items))
-        batch = queries.shape[0]
-        out_items = np.full((batch, n_keep), -1, dtype=np.int64)
-        out_scores = np.full((batch, n_keep), -np.inf, dtype=np.float64)
-        probed = candidates = 0
-        if n_keep and batch:
-            probed = batch * n_probe
-            if n_probe == self.n_cells:
-                candidates = self._full_probe(
-                    queries, n_keep, users, exclude, engine, out_items, out_scores
-                )
-            else:
-                candidates = self._partial_probe(
-                    queries, n_keep, n_probe, users, exclude, out_items, out_scores
-                )
-            collector = _obs_active()
-            collector.count_ann_probe(probed)
-            collector.count_ann_candidates(candidates)
-        parts: Tuple[Any, ...] = (out_items,)
-        if with_scores:
-            parts += (out_scores,)
-        if return_stats:
-            parts += (
-                {"nprobe": n_probe, "probed_cells": probed, "candidates": candidates},
-            )
-        return parts if len(parts) > 1 else parts[0]
-
-    def _full_probe(self, queries, n, users, exclude, engine, out_items, out_scores):
-        """Every item is a candidate: the engine's own sweep and rerank."""
-        if engine is None:
-            engine = TopKEngine(queries, self.v)
-        if engine.num_items != self.num_items:
-            raise ValueError(
-                f"engine scores {engine.num_items} items, the index covers "
-                f"{self.num_items}"
-            )
-        for lo in range(0, queries.shape[0], engine.block_rows):
-            rows = slice(lo, lo + engine.block_rows)
-            out_items[rows], out_scores[rows] = engine.top_block(
-                queries[rows],
-                n,
-                users=None if users is None else users[rows],
-                exclude=exclude,
-            )
-        return queries.shape[0] * self.num_items
-
-    def _partial_probe(self, queries, n, n_probe, users, exclude, out_items, out_scores):
-        """Each row reranks the items of its own ``n_probe`` best cells."""
-        # One GEMM routes the whole wave: (B, k) @ (k, n_cells).
-        cell_scores = queries @ self.centroids.T
-        _obs_active().count_gemm(queries.shape[0], self.dimension, self.n_cells)
-        cells = select_topn(cell_scores, n_probe)
+        cells = select_topn(queries @ self.centroids.T, nprobe)
         slots, items = csr_pairs(self.cell_offsets, self.cell_items, cells.ravel())
-        m = self.num_items
-        # Row-major pair keys, ids ascending inside a row (every item sits
-        # in one cell, so the keys are distinct).
-        key = np.sort(slots // n_probe * m + items)
-        masked = None
-        if exclude is not None:
-            edges = csr_pairs(exclude.w.indptr, exclude.w.indices, users)
-            masked = np.intersect1d(key, edges[0] * m + edges[1], return_indices=True)[1]
-        rows, cols = np.divmod(key, m)
-        out_items[...], out_scores[...] = rerank(queries, self.v, rows, cols, n, masked)
-        return key.size
+        key = np.sort(slots // nprobe * self.num_items + items)
+        return np.divmod(key, self.num_items)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -465,7 +318,6 @@ class IVFIndex:
                 "(repro index)"
             )
         return cls(
-            v,
             centroids,
             cell_offsets,
             cell_items,

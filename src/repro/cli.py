@@ -783,115 +783,59 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.users is None
         else np.asarray(args.users, dtype=np.int64)
     )
-    if users is not None and users.size and (
-        users.min() < 0 or users.max() >= u.shape[0]
-    ):
-        print(
-            f"error: user indices must be in [0, {u.shape[0]})",
-            file=sys.stderr,
-        )
-        return 2
-    out_users = (
-        np.arange(u.shape[0], dtype=np.int64) if users is None else users
-    )
+    index = scales = None
+    if args.index is not None:
+        # load() refuses an index built from different embeddings
+        # (dimension, item count, or content digest mismatch) with a
+        # pointed error.
+        from .ann import IVFIndex
+
+        try:
+            index = IVFIndex.load(args.index, v)
+        except ArtifactError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     collector_cm = obs.collect() if args.profile else None
     collector = collector_cm.__enter__() if collector_cm is not None else None
     try:
-        if args.index is not None:
-            # ANN path: route retrieval through the IVF index.  load()
-            # refuses an index built from different embeddings (dimension,
-            # item count, or content digest mismatch) with a pointed error.
-            from .ann import IVFIndex
-            from .serve import ArtifactError
+        if args.quantize is not None:
+            from .core.quantize import quantize_columns
 
-            try:
-                index = IVFIndex.load(args.index, v)
-            except ArtifactError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            try:
-                out_items, out_scores = index.search(
-                    np.asarray(u, dtype=np.float64)[out_users],
-                    args.n,
-                    nprobe=args.nprobe,
-                    exclude=exclude,
-                    users=out_users,
-                    with_scores=True,
-                )
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            n_keep = min(args.n, index.num_items)
-        else:
-            try:
-                if args.quantize is not None:
-                    from .core.quantize import quantize_columns
-                    from .tasks.topk import QuantizedTopKEngine
-
-                    u_codes, u_scales = quantize_columns(
-                        np.asarray(u, dtype=np.float64), args.quantize
-                    )
-                    v_codes, v_scales = quantize_columns(
-                        np.asarray(v, dtype=np.float64), args.quantize
-                    )
-                    engine = QuantizedTopKEngine(
-                        u_codes,
-                        u_scales,
-                        v_codes,
-                        v_scales,
-                        quant_dtype=args.quantize,
-                        policy=policy,
-                    )
-                else:
-                    engine = TopKEngine(u, v, policy=policy)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            item_blocks, score_blocks = [], []
-            try:
-                for _, items, scores in engine.iter_top_items(
-                    args.n, users=users, exclude=exclude, with_scores=True
-                ):
-                    item_blocks.append(items)
-                    score_blocks.append(scores)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            n_keep = min(args.n, engine.num_items)
-            if item_blocks:
-                out_items = np.concatenate(item_blocks)
-                out_scores = np.concatenate(score_blocks)
-            else:
-                # n = 0 yields no blocks: one empty row per requested user,
-                # as the ANN path and /v1/topk answer.
-                out_items = np.empty((out_users.size, n_keep), dtype=np.int64)
-                out_scores = np.empty((out_users.size, n_keep))
+            (u, u_scales), (v, v_scales) = (
+                quantize_columns(np.asarray(side, dtype=np.float64), args.quantize)
+                for side in (u, v)
+            )
+            scales = (u_scales, v_scales)
+        engine = TopKEngine(
+            u, v, scales=scales, index=index, nprobe=args.nprobe, policy=policy
+        )
+        out_items, out_scores = engine.top_items(
+            args.n, users=users, exclude=exclude, with_scores=True
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if collector_cm is not None:
             collector_cm.__exit__(None, None, None)
     if collector is not None:
-        if args.index is not None:
-            print(
-                f"profile: {collector.ops.gemms} gemm, "
-                f"{collector.ops.ann_probes} cells probed, "
-                f"{collector.ops.ann_candidates} candidates reranked",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"profile: {collector.ops.gemms} gemm, "
-                f"{collector.ops.topk_candidates} candidates scored, "
-                f"workspace {collector.memory.workspace_bytes / 1e6:.1f} MB",
-                file=sys.stderr,
-            )
+        ops = collector.ops
+        print(
+            f"profile: {ops.gemms} gemm, {ops.topk_candidates} candidates "
+            f"scored, {ops.ann_probes} cells probed, {ops.ann_candidates} "
+            f"probe candidates, workspace "
+            f"{collector.memory.workspace_bytes / 1e6:.1f} MB",
+            file=sys.stderr,
+        )
+    out_users = np.arange(engine.num_users) if users is None else users
     if args.output is not None:
         arrays = {"users": out_users, "items": out_items}
         if args.with_scores:
             arrays["scores"] = out_scores
         _save_npz(args.output, **arrays)
         print(
-            f"top-{n_keep} for {out_users.size} users "
+            f"top-{out_items.shape[1]} for {out_users.size} users "
             f"({v.shape[0]} items) -> {args.output}"
         )
         return 0

@@ -10,10 +10,11 @@ error of any element is at most a known fraction of that column's scale.
 :func:`column_error_bound` states that codec error; the codec tests pin
 it.  Retrieval does not use it: quantized retrieval is exact over the
 *dequantized* values, not the originals.
-:class:`repro.tasks.topk.QuantizedTopKEngine` sweeps a float32 staging of
-the dequantized values, widens the selection boundary by a bound on the
-float32 staging (measured per column at load) and accumulation error
-against those values, and reranks the widened margin in float64 — the
+:class:`repro.tasks.topk.TopKEngine`, given the codes and their scales,
+sweeps a float32 staging of the dequantized values, widens the selection
+boundary by a bound on the float32 staging (measured per column at load)
+and accumulation error against those values, and reranks the widened
+margin in float64 — the
 same sweep, margin and rerank as every other artifact, so the final lists
 are element-identical to an exact engine over the dequantized embeddings
 (pinned by ``tests/test_quant.py``).

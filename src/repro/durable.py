@@ -13,6 +13,10 @@ this module, so the order of writes, fsyncs and renames is decided once:
 * :func:`make_dirs` — a directory and its missing parents are created,
   each one's parent fsynced, so the path a commit lands under is as
   durable as the commit.
+* :func:`remove_dir` — a directory is deleted.  One a reader may list is
+  first renamed to a hidden ``.trash-`` name and the parent fsynced, so a
+  kill part-way through the removal never leaves it listed with files
+  missing.
 * :func:`fsync_file` / :func:`fsync_dir` — the two flush primitives.
 
 A rename alone is atomic against readers and against a killed writer,
@@ -23,20 +27,32 @@ files.  With them, the new name is either absent or names durable contents,
 and the fsync of the parent makes the rename itself durable before the
 writer reports success.
 
-``make lint-durable`` keeps ``os.rename``, ``os.replace`` and ``.mkdir(``
-out of every other module under ``src/repro``.
+``make lint-durable`` keeps ``os.rename``, ``os.replace``, ``.mkdir(`` and
+``rmtree(`` out of every other module under ``src/repro``.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-__all__ = ["commit_dir", "fsync_dir", "fsync_file", "make_dirs", "replace_file"]
+__all__ = [
+    "TRASH_PREFIX",
+    "commit_dir",
+    "fsync_dir",
+    "fsync_file",
+    "make_dirs",
+    "remove_dir",
+    "replace_file",
+]
 
 PathLike = Union[str, Path]
+
+#: Prefix of a directory :func:`remove_dir` is deleting.
+TRASH_PREFIX = ".trash-"
 
 
 def _fsync_path(path: PathLike, flags: int) -> None:
@@ -124,3 +140,26 @@ def replace_file(path: PathLike) -> Iterator[Path]:
         tmp.unlink(missing_ok=True)
         raise
     fsync_dir(path.parent)
+
+
+def remove_dir(path: PathLike) -> None:
+    """Delete the directory ``path`` so that no reader sees it half-deleted.
+
+    A directory a reader may list (its name does not start with a dot) is
+    first renamed to a hidden ``.trash-<name>-<random>`` sibling, and the
+    parent is fsynced; only then is the tree removed.  A kill during the
+    removal leaves that trash directory, never ``path`` with files missing;
+    :class:`~repro.serve.artifacts.ArtifactStore` sweeps trash directories
+    when it opens.  A dot-named directory (a staging or trash directory) is
+    listed by no reader, so it is removed in place, and best effort: a
+    leftover is harmless, and the removal must not mask the error a
+    teardown cleans up after.
+    """
+    path = Path(path)
+    if path.name.startswith("."):
+        shutil.rmtree(path, ignore_errors=True)
+        return
+    trash = path.with_name(f"{TRASH_PREFIX}{path.name}-{os.urandom(4).hex()}")
+    os.rename(path, trash)
+    fsync_dir(path.parent)
+    shutil.rmtree(trash)

@@ -48,14 +48,13 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import shutil
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..durable import commit_dir, make_dirs
+from ..durable import commit_dir, make_dirs, remove_dir
 from .io import parse_labels
 
 __all__ = [
@@ -684,12 +683,12 @@ def publish_store(
             handle.write("\n")
         if dest.exists():
             if aside.exists():
-                shutil.rmtree(aside)
+                remove_dir(aside)
             commit_dir(staging, dest, aside=aside)
-            shutil.rmtree(aside)
+            remove_dir(aside)
         else:
             commit_dir(staging, dest)
     except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
+        remove_dir(staging)
         raise
     return GraphStore.open(dest)

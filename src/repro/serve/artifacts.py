@@ -27,7 +27,7 @@ hundreds of megabytes — it re-reads bytes only to checksum them.
 ``publish(..., quantize="float16"|"int8")`` stores per-column-quantized
 codes plus their scales (:mod:`repro.core.quantize`), cutting the stored
 and resident bytes 4-8x while the serving engine stays exact
-(:class:`~repro.tasks.topk.QuantizedTopKEngine`).
+(:class:`~repro.tasks.topk.TopKEngine` over the codes and their scales).
 
 Every version directory holds all of its own files; the reader never
 follows references into other versions, so any version can be deleted on
@@ -71,7 +71,6 @@ import hashlib
 import json
 import os
 import re
-import shutil
 import tempfile
 import time
 import zipfile
@@ -83,7 +82,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.quantize import QUANT_DTYPES, quantize_columns
-from ..durable import commit_dir, make_dirs
+from ..durable import TRASH_PREFIX, commit_dir, make_dirs, remove_dir
 from ..graph import BipartiteGraph, load_npz, save_npz
 
 __all__ = [
@@ -102,7 +101,8 @@ ARTIFACT_SCHEMA_VERSION = 3
 
 #: Prefix of in-flight publish staging directories (swept on store init).
 STAGING_PREFIX = ".staging-"
-#: Per-name lock file; publishers and the staging sweep ``flock`` it.
+#: Per-name lock file; publishers, retention and the leftover sweep
+#: ``flock`` it.
 LOCK_FILE = ".publish.lock"
 
 MANIFEST_FILE = "manifest.json"
@@ -328,11 +328,13 @@ def _publish_lock(base: Path, *, wait: bool = True) -> Iterator[bool]:
         os.close(fd)
 
 
-def _staging_dirs(base: Path) -> List[Path]:
+def _leftover_dirs(base: Path) -> List[Path]:
+    """The staging and trash directories of a publish or a removal that
+    never finished."""
     return [
         entry
         for entry in base.iterdir()
-        if entry.is_dir() and entry.name.startswith(STAGING_PREFIX)
+        if entry.is_dir() and entry.name.startswith((STAGING_PREFIX, TRASH_PREFIX))
     ]
 
 
@@ -363,28 +365,30 @@ class ArtifactStore:
     def __init__(self, root: PathLike):
         self.root = Path(root)
         make_dirs(self.root)
-        self._sweep_stale_staging()
+        self._sweep_leftovers()
 
-    def _sweep_stale_staging(self) -> None:
-        """Remove staging directories orphaned by a crashed publish.
+    def _sweep_leftovers(self) -> None:
+        """Remove the leftovers of a crashed publish or removal.
 
         A publish that dies between ``mkdtemp`` and the rename (hard kill,
-        OOM, power loss) leaves a ``.staging-*`` directory behind that no
-        reader ever resolves but that leaks disk forever.  Store
+        OOM, power loss) leaves a ``.staging-*`` directory behind, and a
+        removal that dies after its rename a ``.trash-*`` one; no reader
+        ever resolves either, but both leak disk forever.  Store
         construction is the natural sweep point: a store is opened before
-        any publish, and the dot-prefixed staging names can never collide
-        with published ``vNNNN`` directories.  A name is swept only under
-        its publish lock, taken without waiting, so the staging directory
-        of a publisher still running is skipped.  The lock file is opened
-        only when leftovers exist, so a store on a read-only mount opens.
+        any publish, and the dot-prefixed names can never collide with
+        published ``vNNNN`` directories.  A name is swept only under its
+        publish lock, taken without waiting, so the directories of a
+        publisher or a removal still running are skipped.  The lock file is
+        opened only when leftovers exist, so a store on a read-only mount
+        opens.
         """
         for entry in self.root.iterdir():
-            if not entry.is_dir() or not _staging_dirs(entry):
+            if not entry.is_dir() or not _leftover_dirs(entry):
                 continue
             with _publish_lock(entry, wait=False) as held:
                 if held:
-                    for stale in _staging_dirs(entry):
-                        shutil.rmtree(stale, ignore_errors=True)
+                    for stale in _leftover_dirs(entry):
+                        remove_dir(stale)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ArtifactStore({str(self.root)!r})"
@@ -549,12 +553,11 @@ class ArtifactStore:
                     ) from None
             finally:
                 # Publish failed before the rename: tear the staging
-                # directory down unconditionally (rmtree, so a partially
-                # written tree or an unlink error cannot leave an orphan
-                # behind or mask the original exception).  Hard crashes
+                # directory down unconditionally (best effort, so an unlink
+                # error cannot mask the original exception).  Hard crashes
                 # that skip even this are caught by the init-time sweep.
                 if staging.exists():
-                    shutil.rmtree(staging, ignore_errors=True)
+                    remove_dir(staging)
         return ArtifactRef(name=name, version=version, path=final, manifest=manifest)
 
     def resolve(self, name: str, version: Optional[int] = None) -> ArtifactRef:
@@ -738,6 +741,24 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Retention (versions accumulate; gc keeps disk bounded)
     # ------------------------------------------------------------------
+    @contextmanager
+    def _retention(self, name: str) -> Iterator[List[int]]:
+        """The published versions of ``name``, listed and held under its
+        publish lock.
+
+        A version is removed through :func:`repro.durable.remove_dir`: it is
+        renamed to a hidden ``.trash-`` name and the name directory fsynced
+        before any of its files goes, so a kill part-way leaves no listed
+        version that fails verification (the next store open sweeps the
+        trash).  The lock keeps a removal and a publish of one name apart.
+        """
+        base = self.root / self._check_name(name)
+        if not base.is_dir():
+            yield []
+            return
+        with _publish_lock(base):
+            yield self.versions(name)
+
     def delete(self, name: str, version: int) -> None:
         """Delete one published version of ``name``.
 
@@ -746,12 +767,12 @@ class ArtifactStore:
         ArtifactError
             When the version does not exist.
         """
-        published = self.versions(name)
-        if version not in published:
-            raise ArtifactError(
-                f"{name!r} has no version {version}; published: {published}"
-            )
-        shutil.rmtree(self.root / name / f"v{version:04d}")
+        with self._retention(name) as published:
+            if version not in published:
+                raise ArtifactError(
+                    f"{name!r} has no version {version}; published: {published}"
+                )
+            remove_dir(self.root / name / f"v{version:04d}")
 
     def prune(self, name: str, *, keep: int) -> Tuple[List[int], List[int]]:
         """Delete old versions of ``name``, keeping the newest ``keep``.
@@ -764,8 +785,8 @@ class ArtifactStore:
         """
         if keep < 1:
             raise ArtifactError(f"keep must be >= 1, got {keep}")
-        published = self.versions(name)
-        deleted, retained = published[:-keep], published[-keep:]
-        for version in deleted:
-            shutil.rmtree(self.root / name / f"v{version:04d}")
+        with self._retention(name) as published:
+            deleted, retained = published[:-keep], published[-keep:]
+            for version in deleted:
+                remove_dir(self.root / name / f"v{version:04d}")
         return deleted, retained

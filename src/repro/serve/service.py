@@ -8,7 +8,8 @@ a notebook).  It loads an artifact **once**, keeps one
 engine's grow-once score workspace must never be shared across threads —
 see the engine's class notes), and answers:
 
-* :meth:`top_items` — batched top-``n`` retrieval, element-identical to the
+* :meth:`top_items` — batched top-``n`` retrieval through that one engine,
+  for exact, quantized and ``--ann`` models alike, element-identical to the
   offline engine path;
 * :meth:`similar` — *exact* matrix-free MHS/MHP neighbors through a
   :class:`~repro.tasks.similarity.SimilarityEngine` over the artifact's
@@ -24,8 +25,10 @@ All bookkeeping lives in :class:`ServiceMetrics`, a lock-guarded, always-on
 counterpart of the per-run :mod:`repro.obs` collector (which is
 single-threaded by design and therefore cannot sit on a multi-threaded hot
 path).  Counter names match the RunReport ``ops`` vocabulary
-(``gemms``, ``topk_candidates``) so ``/metrics`` and a profiled run's
-report read the same language.
+(``gemms``, ``topk_candidates``, ``ann_probes``, ``ann_candidates``), and
+the top-k ones are the deltas of the engine's own counts
+(:attr:`~repro.tasks.topk.TopKEngine.ops`), so ``/metrics`` and a profiled
+run's report count the same operations.
 """
 
 from __future__ import annotations
@@ -39,12 +42,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ann import INDEX_FILE, IVFIndex
-from ..core.base import EmbeddingResult
 from ..graph import BipartiteGraph
 from ..core.pmf import PoissonPMF
 from ..linalg.policy import DtypePolicy
 from ..tasks.similarity import SIMILARITY_MODES, SimilarityEngine, transposed_graph
-from ..tasks.topk import QuantizedTopKEngine, TopKEngine, heap_bytes
+from ..tasks.topk import TopKEngine
 from .artifacts import ArtifactError, ArtifactRef, ArtifactStore, LoadedArtifact
 
 __all__ = ["EmbeddingService", "ServiceMetrics", "percentile"]
@@ -59,6 +61,10 @@ LATENCY_WINDOW = 2048
 SIMILAR_PMF = PoissonPMF(lam=1.0)
 SIMILAR_TAU = 5
 SIMILAR_NORMALIZATION = "sym"
+
+
+#: The engine's op counts that ``/metrics`` reports, as per-call deltas.
+_ENGINE_COUNTERS = ("gemms", "topk_candidates", "ann_probes", "ann_candidates")
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -163,7 +169,7 @@ class ServiceMetrics:
 
 
 class _Model:
-    """One immutable loaded artifact: arrays, engine template, IVF index.
+    """One immutable loaded artifact: its top-k engine template and graph.
 
     Instances are swapped atomically on reload; nothing in here mutates
     after construction except the template engine's private workspace, which
@@ -180,39 +186,19 @@ class _Model:
         self.ref = loaded.ref
         self.quantize: Optional[str] = loaded.quantize
         self.graph: Optional[BipartiteGraph] = loaded.graph
-        self.num_users, self.num_items = loaded.u.shape[0], loaded.v.shape[0]
         # Per-side similarity templates, built on the first /v1/similar of
         # that side (or by a reload, see EmbeddingService.reload); the H
         # diagonal is probed on the side's first mhs query.
         self._similarity: Dict[str, SimilarityEngine] = {}
         self._similarity_lock = threading.Lock()
-        self.ivf: Optional[IVFIndex] = None
-        self.nprobe: Optional[int] = None
-        if loaded.quantize is not None:
-            if ann:
+        index = None
+        if ann:
+            if loaded.quantize is not None:
                 raise ArtifactError(
                     f"{loaded.ref.tag} is quantized ({loaded.quantize}); the "
                     "ann serving mode needs a float artifact — republish "
                     "without --quantize to use it"
                 )
-            # No EmbeddingResult over codes: every read-out goes through the
-            # quantized engine, which is exact over the dequantized arrays.
-            self.result: Optional[EmbeddingResult] = None
-            self.template: Optional[TopKEngine] = QuantizedTopKEngine(
-                loaded.u,
-                loaded.u_scales,
-                loaded.v,
-                loaded.v_scales,
-                quant_dtype=loaded.quantize,
-                policy=policy,
-            )
-            return
-        self.result = EmbeddingResult(
-            u=loaded.u,
-            v=loaded.v,
-            method=loaded.ref.manifest.get("method") or "artifact",
-        )
-        if ann:
             index_path = loaded.ref.path / INDEX_FILE
             if not index_path.is_file():
                 raise ArtifactError(
@@ -222,25 +208,17 @@ class _Model:
             # load() cross-checks dimension, item count, and the v-array
             # digest against this artifact version — an index built from a
             # different version is rejected here, before it serves anything.
-            self.ivf = IVFIndex.load(index_path, loaded.v)
-            # The effective probe count of this version's index (``None``:
-            # every cell), which every ANN reply reports.
-            self.nprobe = self.ivf.resolve_nprobe(nprobe)
-            if self.nprobe < self.ivf.n_cells:
-                # A partial probe reranks rows of the mapped v and never
-                # sweeps: no engine, so no staged float32 V.T.
-                self.template = None
-                return
-        # The template's float32 V.T is the model's one staged copy, which
-        # exact reads and full probes sweep.
-        self.template = TopKEngine(self.result.u, self.result.v, policy=policy)
-
-    def bytes_resident(self) -> int:
-        """Heap bytes this model pins: engine arrays (memmaps excluded,
-        they live in the shared page cache)."""
-        if self.template is None:
-            return heap_bytes(self.result.u, self.result.v)
-        return self.template.resident_bytes()
+            index = IVFIndex.load(index_path, loaded.v)
+        # One engine for every artifact: exact or quantized codes, swept or
+        # probed (a partial probe stages no float32 V.T).
+        self.template = TopKEngine(
+            loaded.u,
+            loaded.v,
+            scales=None if loaded.quantize is None else (loaded.u_scales, loaded.v_scales),
+            index=index,
+            nprobe=nprobe,
+            policy=policy,
+        )
 
     def probed_sides(self) -> List[str]:
         """The sides whose H diagonal this model has probed."""
@@ -359,15 +337,15 @@ class EmbeddingService:
 
     def bytes_resident(self) -> int:
         """Heap bytes the current model pins (memmapped arrays excluded)."""
-        return self._model.bytes_resident()
+        return self._model.template.resident_bytes()
 
     @property
     def num_users(self) -> int:
-        return self._model.num_users
+        return self._model.template.num_users
 
     @property
     def num_items(self) -> int:
-        return self._model.num_items
+        return self._model.template.num_items
 
     def reload(self, version: Optional[int] = None) -> Tuple[str, str]:
         """Hot-swap to ``version`` (``None``: latest); returns (old, new) tags.
@@ -395,15 +373,12 @@ class EmbeddingService:
             self.metrics.count("reloads")
         return old.ref.tag, model.ref.tag
 
-    def _engine(self) -> Tuple[Optional[TopKEngine], _Model]:
+    def _engine(self) -> Tuple[TopKEngine, _Model]:
         """This thread's engine clone for the current model (re-cloned on
-        swap; ``None`` for a partial-probe model, which has no engine)."""
+        swap)."""
         model = self._model
         if getattr(self._local, "model", None) is not model:
-            template = model.template
-            self._local.engine = (
-                None if template is None else template.clone_for_worker()
-            )
+            self._local.engine = model.template.clone_for_worker()
             self._local.model = model
         return self._local.engine, model
 
@@ -450,92 +425,28 @@ class EmbeddingService:
         users_array = np.asarray(users, dtype=np.int64)
         if users_array.ndim != 1:
             raise ValueError("users must be a 1-D index sequence")
-        if model.ivf is not None:
-            return self._top_items_ann(
-                engine, model, users_array, n, with_scores, exclude_train
-            )
-        exclude = model.graph if exclude_train else None
         started = time.perf_counter()
-        gemms = engine.gemms
-        item_blocks: List[np.ndarray] = []
-        score_blocks: List[np.ndarray] = []
-        for block in engine.iter_top_items(
-            n, users=users_array, exclude=exclude, with_scores=with_scores
-        ):
-            item_blocks.append(block[1])
-            if with_scores:
-                score_blocks.append(block[2])
-        elapsed = time.perf_counter() - started
-        n_keep = min(max(int(n), 0), engine.num_items)
-        # The engine yields no block for n == 0 (or no users): still one
-        # (empty) row per user.
-        items = (
-            np.concatenate(item_blocks)
-            if item_blocks
-            else np.empty((users_array.size, n_keep), dtype=np.int64)
+        before = engine.ops.to_dict()
+        items, scores = engine.top_items(
+            n,
+            users=users_array,
+            exclude=model.graph if exclude_train else None,
+            with_scores=True,
         )
+        elapsed = time.perf_counter() - started
+        after = engine.ops.to_dict()
         self.metrics.count("requests")
-        self.metrics.count("gemms", engine.gemms - gemms)
-        self.metrics.count("topk_candidates", users_array.size * engine.num_items)
+        for name in _ENGINE_COUNTERS:
+            self.metrics.count(name, after[name] - before[name])
         self.metrics.observe("score", elapsed)
         payload: Dict[str, Any] = {
             "model": model.ref.tag,
             "users": users_array,
             "items": items,
-            "n": n_keep,
-        }
-        if with_scores:
-            payload["scores"] = (
-                np.concatenate(score_blocks)
-                if score_blocks
-                else np.empty((users_array.size, n_keep))
-            )
-        return payload
-
-    def _top_items_ann(
-        self,
-        engine: Optional[TopKEngine],
-        model: _Model,
-        users: np.ndarray,
-        n: int,
-        with_scores: bool,
-        exclude_train: bool,
-    ) -> Dict[str, Any]:
-        """The IVF read-out: probe, the engine's exact rerank, measured
-        recall knob (a full probe is ``engine``'s own sweep)."""
-        index = model.ivf
-        if users.size and (
-            users.min() < 0 or users.max() >= model.result.u.shape[0]
-        ):
-            raise ValueError(
-                f"user indices must be in [0, {model.result.u.shape[0]})"
-            )
-        exclude = model.graph if exclude_train else None
-        started = time.perf_counter()
-        result = index.search(
-            model.result.u[users],
-            n,
-            nprobe=model.nprobe,
-            exclude=exclude,
-            users=users if exclude is not None else None,
-            with_scores=True,
-            return_stats=True,
-            engine=engine,
-        )
-        items, scores, stats = result
-        elapsed = time.perf_counter() - started
-        self.metrics.count("requests")
-        self.metrics.count("ann_probes", stats["probed_cells"])
-        self.metrics.count("ann_candidates", stats["candidates"])
-        self.metrics.observe("score", elapsed)
-        payload: Dict[str, Any] = {
-            "model": model.ref.tag,
-            "users": users,
-            "items": items,
             "n": items.shape[1],
-            "mode": "ann",
-            "nprobe": model.nprobe,
         }
+        if engine.index is not None:
+            payload.update(mode="ann", nprobe=engine.nprobe)
         if with_scores:
             payload["scores"] = scores
         return payload

@@ -8,37 +8,46 @@ training edges, keep the best ``n``.  Done one user at a time that is one
 GEMV plus one partial sort per user — the Python and BLAS call overhead
 dwarfs the arithmetic at scale.
 
-:class:`TopKEngine` is the one engine for every artifact — exact float64
-or quantized (:class:`QuantizedTopKEngine`, which differs only in how its
-stored codes decode to float64).  Users are answered ``block_rows`` at a
-time, each block in four steps:
+:class:`TopKEngine` is the one engine for every artifact and every
+candidate source: float embeddings or per-column quantized codes (which
+differ only in how the stored codes decode to float64), with or without an
+IVF index (:class:`repro.ann.IVFIndex`).  Users are answered
+``block_rows`` at a time, each block in three steps:
 
-1. **Float32 sweep** — one ``U_block @ V.T`` GEMM in float32 over a
-   float32 ``V.T`` staged once at construction, in blocks of
-   :data:`STAGE_ROWS` item rows (half the bytes of a float64 staging, and
-   no temporary the size of ``V``).  The GEMM is column-sharded across the
-   thread pool of :mod:`repro.linalg.parallel` when the
-   :class:`~repro.linalg.DtypePolicy`'s executor allows (``--threads`` and
-   ``REPRO_NUM_THREADS`` apply as they do to the training kernels).  The
-   training edges are masked straight from the graph's
-   ``indptr``/``indices`` arrays with one vectorized gather
-   (:func:`csr_pairs`).
-2. **Margin** — the sweep is within ``B_i`` of the exact score of user
-   ``i``: ``B_i = sum_j |u_ij| colerr_j`` plus a subnormal floor, where
-   ``colerr_j`` is the staging error of column ``j`` (at most half a
-   float32 ulp of its maximum for float codes, measured for quantized
-   ones) plus the float32 cast of ``u`` and the length-``k``
-   accumulation.  Every item whose approximate score reaches within
-   ``2 B_i`` of a lower bound on the row's ``n``-th best (the ``n``-th best
-   maximum of :data:`GROUPS_PER_N` ``* n`` strided item groups) is a
-   candidate of that row; anything below is beaten by ``n`` items in exact
-   score.  A block whose sweep could overflow float32 (``sum_j |u_ij|
-   colmax_j`` near float32's range, or a ``u`` or column beyond it) skips
-   the sweep and reranks every item instead.
-3. **Exact rerank** — each row's own candidates are scored again by
+1. **Candidates**, from one of two sources.
+
+   * **Float32 sweep and margin** (no index, or one probing every cell).
+     One ``U_block @ V.T`` GEMM in float32 over a float32 ``V.T`` staged
+     once at construction, in blocks of :data:`STAGE_ROWS` item rows (half
+     the bytes of a float64 staging, and no temporary the size of ``V``).
+     The GEMM is column-sharded across the thread pool of
+     :mod:`repro.linalg.parallel` when the
+     :class:`~repro.linalg.DtypePolicy`'s executor allows (``--threads``
+     and ``REPRO_NUM_THREADS`` apply as they do to the training kernels).
+     The training edges are masked straight from the graph's
+     ``indptr``/``indices`` arrays with one vectorized gather
+     (:func:`csr_pairs`).  The sweep is within ``B_i`` of the exact score
+     of user ``i``: ``B_i = sum_j |u_ij| colerr_j`` plus a subnormal floor,
+     where ``colerr_j`` is the staging error of column ``j`` (at most half a
+     float32 ulp of its maximum for float codes, measured for quantized
+     ones) plus the float32 cast of ``u`` and the length-``k``
+     accumulation.  Every item whose approximate score reaches within
+     ``2 B_i`` of a lower bound on the row's ``n``-th best (the ``n``-th
+     best maximum of :data:`GROUPS_PER_N` ``* n`` strided item groups) is
+     a candidate of that row; anything below is beaten by ``n`` items in
+     exact score.  A block whose sweep could overflow float32 (``sum_j
+     |u_ij| colmax_j`` near float32's range, or a ``u`` or column beyond
+     it) skips the sweep and reranks every item instead.
+   * **Partial IVF probe** (an index probing fewer cells than it has).
+     The index proposes the items of each row's ``nprobe`` best cells
+     (:meth:`repro.ann.IVFIndex.probe`).  Such an engine never sweeps, so
+     it stages no ``V.T``.  Approximation lives only here: recall is a
+     measured knob.
+
+2. **Exact rerank** — each row's own candidates are scored again by
    :func:`rerank`: a fixed-order float64 dot per (row, item) pair of the
    decoded rows, the same CSR masking, and
-4. :func:`~repro.core.selection.select_topn`, the ``(score desc, id asc)``
+3. :func:`~repro.core.selection.select_topn`, the ``(score desc, id asc)``
    order of every read-out.
 
 Results stream block by block; the full ``num_users x num_items`` score
@@ -49,32 +58,35 @@ workspace watermark), its candidate mask, and the rerank's pairs, gathered
 the engine works out ``block_rows`` from the catalog width, so that buffer
 stays within :data:`SCORE_BUFFER_BYTES` however wide the item side.
 
-Observability: every block reports two GEMMs (``count_gemm``: the sweep and
-the rerank; one when it skips the sweep) and its coverage (``count_topk``)
-to the active collector, and adds them to the engine's own ``gemms`` count,
-which the serving metrics read; the score buffer feeds the workspace
-watermark.  Counting happens once per logical block in the calling thread
-— worker threads never touch the collector.
+Observability: every count a block makes goes to the active collector and
+to the engine's own :attr:`TopKEngine.ops`, whose deltas ``/metrics``
+reports.  A swept block counts two GEMMs (``count_gemm``: the sweep and the
+rerank; one when it skips the sweep) and its coverage (``count_topk``); a
+probed block counts its probed cells (``count_ann_probe``) and its
+candidates (``count_ann_candidates``: every item under a full probe), and a
+partial probe one GEMM, the routing of its rows to cells.  The score buffer
+feeds the workspace watermark.  Counting happens once per logical block in
+the calling thread — worker threads never touch the collector.
 """
 
 from __future__ import annotations
 
 import copy
 import mmap
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.quantize import QUANT_DTYPES, dequantize_columns
+from ..core.quantize import QUANT_DTYPES
 from ..core.selection import select_topn
 from ..graph import BipartiteGraph
 from ..linalg.parallel import ParallelExecutor, column_shards
 from ..linalg.policy import DtypePolicy
+from ..obs import OpCounter
 from ..obs import active as _obs_active
 
 __all__ = [
     "TopKEngine",
-    "QuantizedTopKEngine",
     "DEFAULT_BLOCK_ROWS",
     "SCORE_BUFFER_BYTES",
     "STAGE_ROWS",
@@ -243,25 +255,30 @@ def rerank(
     return items[picked, keep], scores[picked, keep]
 
 
-def _check_pair(u: np.ndarray, v: np.ndarray) -> None:
-    if u.ndim != 2 or v.ndim != 2:
-        raise ValueError("embeddings must be 2-D matrices")
-    if u.shape[1] != v.shape[1]:
-        raise ValueError(f"dimension mismatch: u is {u.shape}, v is {v.shape}")
-
-
 class TopKEngine:
-    """Exact top-``n`` retrieval: float32 sweep, margin, float64 rerank.
+    """Exact top-``n`` retrieval: candidates, float64 rerank, selection.
 
     Parameters
     ----------
     u, v:
-        The two embedding matrices (``|U| x k`` and ``|V| x k``), typically
-        ``result.u`` / ``result.v`` of an
-        :class:`~repro.core.base.EmbeddingResult` (see :meth:`from_result`),
-        or an artifact's memory-mapped arrays.  They are read as float64
-        and never copied when they already are; only the float32 ``V.T``
-        sweep operand is staged.
+        The two embedding matrices (``|U| x k`` and ``|V| x k``): float
+        values, typically ``result.u`` / ``result.v`` of an
+        :class:`~repro.core.base.EmbeddingResult` (see :meth:`from_result`)
+        or an artifact's memory-mapped arrays, read as float64 and never
+        copied when they already are; or, with ``scales``, per-column codes
+        (:mod:`repro.core.quantize`), whose dtype (float16 or int8) names
+        the codec.  Only the float32 ``V.T`` sweep operand is staged.
+    scales:
+        ``(u_scales, v_scales)``: the per-column float64 scales of quantized
+        codes (``None``: ``u`` and ``v`` are float values).  The lists are
+        then identical to an engine over the dequantized arrays, and the
+        scores are the exact fixed-order float64 dots of those arrays.
+    index, nprobe:
+        An :class:`~repro.ann.IVFIndex` over ``v``'s rows and the cells it
+        probes per query row (``None``: every cell).  A full probe is the
+        sweep, so its lists and scores are those of the engine without the
+        index.  A partial probe takes each block's candidates from the
+        index and stages no ``V.T``.
     policy:
         The :class:`~repro.linalg.DtypePolicy` whose executor threads the
         sweep (``None``: default policy, ``REPRO_NUM_THREADS`` threads).
@@ -296,18 +313,43 @@ class TopKEngine:
         u: np.ndarray,
         v: np.ndarray,
         *,
+        scales: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        index=None,
+        nprobe: Optional[int] = None,
         policy: Optional[DtypePolicy] = None,
         block_rows: Optional[int] = None,
     ):
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        _check_pair(u, v)
-        self._setup(u, None, v, None, policy, block_rows)
-
-    def _setup(self, u, u_scales, v, v_scales, policy, block_rows) -> None:
-        """Hold the codes (never copied) and stage the sweep operand."""
+        if scales is None:
+            u = np.asarray(u, dtype=np.float64)
+            v = np.asarray(v, dtype=np.float64)
+            u_scales = v_scales = None
+        else:
+            u, v = np.asarray(u), np.asarray(v)
+            if u.dtype.name not in QUANT_DTYPES or v.dtype != u.dtype:
+                raise ValueError(
+                    f"quantized codes must share one dtype of {QUANT_DTYPES}, "
+                    f"got u {u.dtype} / v {v.dtype}"
+                )
+            # Copied: the scales are heap bytes the model pins, mapped or not.
+            u_scales, v_scales = (np.array(s, dtype=np.float64) for s in scales)
+        if u.ndim != 2 or v.ndim != 2:
+            raise ValueError("embeddings must be 2-D matrices")
+        m, k = v.shape
+        if u.shape[1] != k:
+            raise ValueError(f"dimension mismatch: u is {u.shape}, v is {v.shape}")
+        if scales is not None and (u_scales.shape != (k,) or v_scales.shape != (k,)):
+            raise ValueError(
+                f"scales must be ({k},), got u {u_scales.shape} / v {v_scales.shape}"
+            )
+        if index is None and nprobe is not None:
+            raise ValueError("nprobe requires an index")
+        if index is not None and (index.num_items, index.dimension) != (m, k):
+            raise ValueError(
+                f"the index covers {index.num_items} items of dimension "
+                f"{index.dimension}, the embeddings {m} items of dimension {k}"
+            )
         if block_rows is None:
-            row_bytes = 4 * max(v.shape[0], 1)  # one float32 score row
+            row_bytes = 4 * max(m, 1)  # one float32 score row
             block_rows = max(1, min(DEFAULT_BLOCK_ROWS, SCORE_BUFFER_BYTES // row_bytes))
         if block_rows < 1:
             raise ValueError(f"block_rows must be >= 1, got {block_rows}")
@@ -315,16 +357,22 @@ class TopKEngine:
         self.block_rows = int(block_rows)
         self._u, self._u_scales = u, u_scales
         self._v, self._v_scales = v, v_scales
-        self._stage()
+        self.index = index
+        #: Cells probed per query row (``None`` without an index).
+        self.nprobe = None if index is None else index.resolve_nprobe(nprobe)
+        # Only a sweep reads the float32 V.T; a partial probe stages none.
+        self._vt: Optional[np.ndarray] = None
+        if index is None or self.nprobe == index.n_cells:
+            self._stage()
         self._exec = ParallelExecutor(self.policy.exec_policy)
         self._scores_flat: Optional[np.ndarray] = None
         self.threads_used = 1
         #: Cumulative (user, candidate) pairs reranked in float64 — the
         #: margin cost, at most the full ``users x items`` product.
         self.reranked_candidates = 0
-        #: Cumulative GEMMs: two per block (sweep and rerank), one for a
-        #: block that skips the sweep.  ``/metrics`` reports the deltas.
-        self.gemms = 0
+        #: Cumulative op counts: what every block also reports to the
+        #: active collector.  ``/metrics`` reports their deltas.
+        self.ops = OpCounter()
 
     def _stage(self) -> None:
         """Stage the float32 ``V.T`` and the margin's column terms, one pass."""
@@ -375,18 +423,19 @@ class TopKEngine:
     def clone_for_worker(self) -> "TopKEngine":
         """A worker-private engine sharing this engine's embedding arrays.
 
-        The clone aliases the read-only codes and staged ``V.T`` — zero
-        copy, so per-thread clones cost only the (lazily grown) score
-        workspace — but owns a fresh workspace and executor handle.  This is
-        the supported way to score concurrently: one clone per thread, never
-        one shared instance (see the class notes on the workspace race).
+        The clone aliases the read-only codes, staged ``V.T`` and index —
+        zero copy, so per-thread clones cost only the (lazily grown) score
+        workspace — but owns a fresh workspace, executor handle and counts.
+        This is the supported way to score concurrently: one clone per
+        thread, never one shared instance (see the class notes on the
+        workspace race).
         """
         clone = copy.copy(self)
         clone._exec = ParallelExecutor(self.policy.exec_policy)
         clone._scores_flat = None
         clone.threads_used = 1
         clone.reranked_candidates = 0
-        clone.gemms = 0
+        clone.ops = OpCounter()
         return clone
 
     # ------------------------------------------------------------------
@@ -400,12 +449,12 @@ class TopKEngine:
     @property
     def num_items(self) -> int:
         """Rows of the V-side embedding (the candidate set size)."""
-        return self._vt.shape[1]
+        return self._v.shape[0]
 
     @property
     def dimension(self) -> int:
         """The embedding dimensionality ``k``."""
-        return self._vt.shape[0]
+        return self._v.shape[1]
 
     def workspace_bytes(self) -> int:
         """Bytes held in the reusable score buffer (0 before first use)."""
@@ -416,11 +465,10 @@ class TopKEngine:
 
         File-mapped codes are excluded — their pages live in the shared OS
         page cache (``/metrics`` reports this number as
-        ``bytes_resident``).
+        ``bytes_resident``) — and so is the index's routing state.
         """
         return (
-            heap_bytes(self._u, self._u_scales, self._v, self._v_scales)
-            + self._vt.nbytes
+            heap_bytes(self._u, self._u_scales, self._v, self._v_scales, self._vt)
             + self.workspace_bytes()
         )
 
@@ -433,6 +481,12 @@ class TopKEngine:
             )
             _obs_active().note_array(self._scores_flat.nbytes)
         return self._scores_flat[:needed].reshape(rows, self.num_items)
+
+    def _count(self, name: str, *args: int) -> None:
+        """One op count (an ``OpCounter`` method), to the active collector
+        and to :attr:`ops`."""
+        getattr(_obs_active(), name)(*args)
+        getattr(self.ops, name)(*args)
 
     # ------------------------------------------------------------------
     # Scoring
@@ -464,76 +518,98 @@ class TopKEngine:
             ]
         )
 
-    def top_block(
-        self,
-        u_rows: np.ndarray,
-        n: int,
-        *,
-        users: Optional[np.ndarray] = None,
-        exclude: Optional[BipartiteGraph] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One block: sweep, margin, rerank; ``(items, scores)``.
+    def _sweep(self, u_rows: np.ndarray, n: int, excluded) -> Tuple[np.ndarray, ...]:
+        """The sweep's candidates of one block: ``(rows, cols, masked)``.
 
-        ``u_rows`` are float64 query rows (at most ``block_rows``),
-        ``1 <= n <= num_items``, and ``exclude``'s edges of graph rows
-        ``users`` are masked.  :meth:`iter_top_items` feeds it user rows;
-        the IVF full probe (:mod:`repro.ann.ivf`) feeds it query rows.
+        ``excluded`` holds the block's training edges as ``(row, item)``
+        arrays (or ``None``); ``masked`` selects the candidates among them
+        that :func:`rerank` must score ``-inf``.
         """
-        collector = _obs_active()
         b, m = u_rows.shape[0], self.num_items
         # inf or nan (a huge u, a column beyond float32) fails the test below.
         with np.errstate(invalid="ignore", over="ignore"):
             bound, reach = (np.abs(u_rows) @ self._margin).T
+        self._count("count_topk", b * m)
+        if reach.max() >= _SWEEP_LIMIT:
+            # A float32 sweep could overflow, and inf or nan approximate
+            # scores prove nothing: rerank every item.
+            rows, cols = np.divmod(np.arange(b * m), m)
+            masked = None if excluded is None else excluded[0] * m + excluded[1]
+            return rows, cols, masked
+        # No u cast, sweep term or partial sum can leave float32's range.
+        scores = self._score_buffer(b)
+        self._score_into(u_rows, scores)
+        self._count("count_gemm", b, self.dimension, m)
+        if excluded is not None:
+            scores[excluded] = -np.inf
+        # kth: at or below each row's n-th best approximate score — the
+        # n-th best maximum of GROUPS_PER_N * n disjoint strided item
+        # groups, which n distinct items reach.  |approx - exact| <=
+        # half the bound on both sides of every comparison, so an item
+        # under kth - bound is beaten by n items exactly.  A -inf kth
+        # (fewer than n groups with an unmasked item) keeps all.
+        groups = min(m, GROUPS_PER_N * n)
+        cut = m - m % groups
+        maxima = scores[:, :cut].reshape(b, -1, groups).max(axis=1)
+        np.maximum(maxima[:, : m - cut], scores[:, cut:], out=maxima[:, : m - cut])
+        maxima.sort(axis=1)
+        kth = maxima[:, -n]
+        # One float32 step below the nearest float32: at or under the
+        # float64 threshold, so the float32 comparison keeps every item
+        # the float64 one would.
+        floor32 = np.nextafter(
+            (kth - (bound + self._margin_floor)).astype(np.float32),
+            np.float32(-np.inf),
+        )
+        # Each row keeps its own candidates, row-major, ids ascending
+        # (flat positions: a 2-D nonzero costs several times more).
+        rows, cols = np.divmod(np.flatnonzero(scores >= floor32[:, None]), m)
+        masked = None
+        if excluded is not None and kth.min() == -np.inf:
+            # Only a row whose kth is -inf keeps masked items.
+            masked = scores[rows, cols] == -np.inf
+        return rows, cols, masked
+
+    def top_block(
+        self,
+        users: np.ndarray,
+        n: int,
+        *,
+        exclude: Optional[BipartiteGraph] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One block of users: candidates, exact rerank; ``(items, scores)``.
+
+        ``users`` are at most ``block_rows`` U-side rows, ``1 <= n <=
+        num_items``, and ``exclude``'s edges of those rows are masked.  The
+        candidates come from the sweep and its margin, or from the index's
+        probe of the block's rows under a partial probe; either way they go
+        through the same :func:`rerank`.
+        """
+        u_rows = _decode(self._u, self._u_scales, users)
+        b, (m, k) = u_rows.shape[0], self._v.shape
         excluded = (
             None
             if exclude is None
             else csr_pairs(exclude.w.indptr, exclude.w.indices, users)
         )
-        collector.count_topk(b * m)
-        masked = None
-        if reach.max() < _SWEEP_LIMIT:
-            # No u cast, sweep term or partial sum can leave float32's range.
-            scores = self._score_buffer(b)
-            self._score_into(u_rows, scores)
-            collector.count_gemm(b, self.dimension, m)
-            self.gemms += 1
+        if self._vt is None:
+            rows, cols = self.index.probe(u_rows, self.nprobe)
+            self._count("count_gemm", b, k, self.index.n_cells)
+            proposed = rows.size
+            masked = None
             if excluded is not None:
-                scores[excluded] = -np.inf
-            # kth: at or below each row's n-th best approximate score — the
-            # n-th best maximum of GROUPS_PER_N * n disjoint strided item
-            # groups, which n distinct items reach.  |approx - exact| <=
-            # half the bound on both sides of every comparison, so an item
-            # under kth - bound is beaten by n items exactly.  A -inf kth
-            # (fewer than n groups with an unmasked item) keeps all.
-            groups = min(m, GROUPS_PER_N * n)
-            cut = m - m % groups
-            maxima = scores[:, :cut].reshape(b, -1, groups).max(axis=1)
-            np.maximum(maxima[:, : m - cut], scores[:, cut:], out=maxima[:, : m - cut])
-            maxima.sort(axis=1)
-            kth = maxima[:, -n]
-            # One float32 step below the nearest float32: at or under the
-            # float64 threshold, so the float32 comparison keeps every item
-            # the float64 one would.
-            floor32 = np.nextafter(
-                (kth - (bound + self._margin_floor)).astype(np.float32),
-                np.float32(-np.inf),
-            )
-            # Each row keeps its own candidates, row-major, ids ascending
-            # (flat positions: a 2-D nonzero costs several times more).
-            rows, cols = np.divmod(np.flatnonzero(scores >= floor32[:, None]), m)
-            if excluded is not None and kth.min() == -np.inf:
-                # Only a row whose kth is -inf keeps masked items.
-                masked = scores[rows, cols] == -np.inf
+                masked = np.intersect1d(
+                    rows * m + cols, excluded[0] * m + excluded[1], return_indices=True
+                )[1]
         else:
-            # A float32 sweep could overflow, and inf or nan approximate
-            # scores prove nothing: rerank every item.
-            rows, cols = np.divmod(np.arange(b * m), m)
-            if excluded is not None:
-                masked = excluded[0] * m + excluded[1]
-        collector.count_gemm(rows.size, self.dimension, 1)
-        self.gemms += 1
+            rows, cols, masked = self._sweep(u_rows, n, excluded)
+            self._count("count_gemm", rows.size, k, 1)
+            proposed = b * m  # a full probe proposes every item
+        if self.index is not None:
+            self._count("count_ann_probe", b * self.nprobe)
+            self._count("count_ann_candidates", proposed)
         self.reranked_candidates += rows.size
-        collector.note_workspace(self.workspace_bytes())
+        _obs_active().note_workspace(self.workspace_bytes())
         return rerank(u_rows, self._v, rows, cols, n, masked, self._v_scales)
 
     # ------------------------------------------------------------------
@@ -553,6 +629,8 @@ class TopKEngine:
         ordered by ``(score desc, index asc)``.  With ``with_scores`` the
         selected float64 scores come along as a freshly allocated block
         (safe to keep across iterations, unlike the internal score buffer).
+        A partial probe that proposes fewer than ``n`` items for a row pads
+        it with item ``-1`` and score ``-inf``.
         """
         if users is None:
             users = np.arange(self.num_users, dtype=np.int64)
@@ -572,10 +650,7 @@ class TopKEngine:
             return
         for lo in range(0, users.size, self.block_rows):
             block_users = users[lo : lo + self.block_rows]
-            u_rows = _decode(self._u, self._u_scales, block_users)
-            items, scores = self.top_block(
-                u_rows, n_keep, users=block_users, exclude=exclude
-            )
+            items, scores = self.top_block(block_users, n_keep, exclude=exclude)
             if with_scores:
                 yield block_users, items, scores
             else:
@@ -587,91 +662,28 @@ class TopKEngine:
         *,
         users: Optional[np.ndarray] = None,
         exclude: Optional[BipartiteGraph] = None,
-    ) -> np.ndarray:
+        with_scores: bool = False,
+    ) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         """All requested users' top-``n`` lists as one ``(U, n')`` array.
 
-        Streams through :meth:`iter_top_items`; only the *selected* indices
-        are accumulated, never the score blocks.
+        With ``with_scores``, ``(items, scores)``.  Streams through
+        :meth:`iter_top_items`; only the *selected* entries are accumulated,
+        never the score blocks.
         """
-        count = self.num_users if users is None else np.asarray(users).size
-        n_keep = max(0, min(int(n), self.num_items))
-        blocks = [
-            items
-            for _, items in self.iter_top_items(n, users=users, exclude=exclude)
-        ]
-        if not blocks:
-            return np.empty((count, n_keep), dtype=np.int64)
-        return np.concatenate(blocks, axis=0)
-
-
-class QuantizedTopKEngine(TopKEngine):
-    """Top-``n`` over per-column-quantized embeddings, exact over their values.
-
-    The engine of the quantized artifact tier
-    (:meth:`repro.serve.artifacts.ArtifactStore.publish` with
-    ``quantize="float16"|"int8"``).  It is :class:`TopKEngine` with other
-    codes: the stored codes (usually memory-mapped) are decoded to float64
-    per block — the user rows and the candidates' item rows — and the
-    float32 ``V.T`` is staged from the decoded values in the same blocked
-    pass, which also measures each column's staging error for the margin.
-    The lists are therefore identical to a :class:`TopKEngine` over
-    :meth:`dequantized`, and the scores are the exact fixed-order float64
-    dots of those arrays (pinned by ``tests/test_quant.py``).
-
-    Parameters
-    ----------
-    u_codes, v_codes:
-        Quantized embedding matrices (float16 or int8), typically the
-        memory-mapped arrays of a quantized artifact.
-    u_scales, v_scales:
-        The matching per-column float64 scales.
-    quant_dtype:
-        ``"float16"`` or ``"int8"`` — must match the codes' dtype.
-    policy, block_rows:
-        As for :class:`TopKEngine`.
-    """
-
-    def __init__(
-        self,
-        u_codes: np.ndarray,
-        u_scales: np.ndarray,
-        v_codes: np.ndarray,
-        v_scales: np.ndarray,
-        *,
-        quant_dtype: str,
-        policy: Optional[DtypePolicy] = None,
-        block_rows: Optional[int] = None,
-    ):
-        if quant_dtype not in QUANT_DTYPES:
-            raise ValueError(
-                f"quant_dtype must be one of {QUANT_DTYPES}, got {quant_dtype!r}"
-            )
-        u_codes = np.asarray(u_codes)
-        v_codes = np.asarray(v_codes)
-        _check_pair(u_codes, v_codes)
-        expected = np.dtype(quant_dtype)
-        for name, codes in (("u", u_codes), ("v", v_codes)):
-            if codes.dtype != expected:
-                raise ValueError(
-                    f"{name} codes are {codes.dtype}, expected {expected} "
-                    f"for quant_dtype={quant_dtype!r}"
-                )
-        # Copied: the scales are heap bytes the model pins, mapped or not.
-        u_scales = np.array(u_scales, dtype=np.float64)
-        v_scales = np.array(v_scales, dtype=np.float64)
-        k = u_codes.shape[1]
-        if u_scales.shape != (k,) or v_scales.shape != (k,):
-            raise ValueError(
-                f"scales must be ({k},), got u {u_scales.shape} / "
-                f"v {v_scales.shape}"
-            )
-        self.quant_dtype = str(quant_dtype)
-        self._setup(u_codes, u_scales, v_codes, v_scales, policy, block_rows)
-
-    def dequantized(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Materialized float64 ``(u, v)`` — the matrices this engine is
-        exact against.  Test/tooling helper; serving never calls it."""
-        return (
-            dequantize_columns(np.asarray(self._u), self._u_scales),
-            dequantize_columns(np.asarray(self._v), self._v_scales),
-        )
+        items: List[np.ndarray] = []
+        scores: List[np.ndarray] = []
+        for block in self.iter_top_items(
+            n, users=users, exclude=exclude, with_scores=with_scores
+        ):
+            items.append(block[1])
+            if with_scores:
+                scores.append(block[2])
+        if not items:
+            # No block (n = 0, or no users): still one, empty, row per user.
+            count = self.num_users if users is None else np.asarray(users).size
+            n_keep = max(0, min(int(n), self.num_items))
+            items = [np.empty((count, n_keep), dtype=np.int64)]
+            scores = [np.empty((count, n_keep))]
+        if with_scores:
+            return np.concatenate(items), np.concatenate(scores)
+        return np.concatenate(items)

@@ -1,11 +1,13 @@
 """Differential and property tests for the IVF ANN index (repro.ann).
 
-The load-bearing contract: at full probe (``nprobe = n_cells``) the index
-must produce lists *element-identical* to the exact
-:class:`~repro.tasks.topk.TopKEngine` — same items, same order, same
-tie-breaks — because the rerank runs the same staged-``V.T`` float64 GEMM
-and the same :func:`~repro.core.selection.select_topn`.  Partial probes
-trade recall for latency along a measured, monotone knob.
+The index is a candidate source of :class:`~repro.tasks.topk.TopKEngine`
+(``TopKEngine(u, v, index=..., nprobe=...)``).  The load-bearing contract:
+at full probe (``nprobe = n_cells``) the engine must produce lists and
+scores *identical* to the engine without the index — same items, same
+order, same tie-breaks — because the candidates come from the same sweep
+and go through the same float64 rerank and
+:func:`~repro.core.selection.select_topn`.  Partial probes trade recall for
+latency along a measured, monotone knob.
 """
 
 import numpy as np
@@ -25,6 +27,11 @@ from repro.graph import BipartiteGraph
 from repro.linalg.parallel import ExecPolicy
 from repro.serve import ArtifactError
 from repro.tasks import TopKEngine
+
+
+def _probed(u, v, index, nprobe=None, **kwargs):
+    """The engine over ``u``, ``v`` whose candidates ``index`` proposes."""
+    return TopKEngine(u, v, index=index, nprobe=nprobe, **kwargs)
 
 
 def _clustered(num_items=500, num_queries=40, dimension=16, centers=8, seed=42):
@@ -56,31 +63,26 @@ class TestFullProbeDifferential:
         u, v = clustered
         engine = TopKEngine(u, v, block_rows=block_rows)
         expected = engine.top_items(10)
-        items = clustered_index.search(u, 10, nprobe=clustered_index.n_cells)
+        items = _probed(
+            u, v, clustered_index, clustered_index.n_cells, block_rows=block_rows
+        ).top_items(10)
         np.testing.assert_array_equal(items, expected)
 
     def test_nprobe_none_means_full_probe(self, clustered, clustered_index):
         u, v = clustered
         expected = TopKEngine(u, v).top_items(10)
-        np.testing.assert_array_equal(
-            clustered_index.search(u, 10), expected
-        )
+        engine = _probed(u, v, clustered_index)
+        assert engine.nprobe == clustered_index.n_cells
+        np.testing.assert_array_equal(engine.top_items(10), expected)
 
     def test_scores_identical_to_engine(self, clustered, clustered_index):
         u, v = clustered
-        # The full-probe search scores one query row at a time, so the
-        # bitwise claim is against the engine's block_rows=1 GEMM — the
-        # identical (1, k) @ (k, m) call on the same staged V.T.  (Wider
-        # engine blocks may differ by ULPs; the *lists* stay identical,
-        # which test_identical_to_engine_at_every_block_size pins.)
-        engine = TopKEngine(u, v, block_rows=1)
-        expected_items = np.vstack(
-            [block[1] for block in engine.iter_top_items(10, with_scores=True)]
+        # A full probe is the engine's own sweep and fixed-order rerank, so
+        # scores are bit-identical at any block size.
+        expected_items, expected_scores = TopKEngine(u, v, block_rows=1).top_items(
+            10, with_scores=True
         )
-        expected_scores = np.vstack(
-            [block[2] for block in engine.iter_top_items(10, with_scores=True)]
-        )
-        items, scores = clustered_index.search(u, 10, with_scores=True)
+        items, scores = _probed(u, v, clustered_index).top_items(10, with_scores=True)
         np.testing.assert_array_equal(items, expected_items)
         np.testing.assert_array_equal(scores, expected_scores)
 
@@ -89,9 +91,8 @@ class TestFullProbeDifferential:
         rng = np.random.default_rng(7)
         mask = (rng.random((u.shape[0], v.shape[0])) < 0.02).astype(float)
         graph = BipartiteGraph.from_dense(mask)
-        users = np.arange(u.shape[0], dtype=np.int64)
         expected = TopKEngine(u, v).top_items(10, exclude=graph)
-        items = clustered_index.search(u, 10, exclude=graph, users=users)
+        items = _probed(u, v, clustered_index).top_items(10, exclude=graph)
         np.testing.assert_array_equal(items, expected)
 
     def test_identical_under_total_ties(self):
@@ -103,14 +104,8 @@ class TestFullProbeDifferential:
         v = rng.integers(0, 2, size=(90, 6)).astype(np.float64)
         index = IVFIndex.build(v, n_cells=9, seed=0)
         expected = TopKEngine(u, v).top_items(15)
-        items = index.search(u, 15, nprobe=index.n_cells)
+        items = _probed(u, v, index, index.n_cells).top_items(15)
         np.testing.assert_array_equal(items, expected)
-
-    def test_exclusion_requires_users(self, clustered, clustered_index):
-        u, v = clustered
-        graph = BipartiteGraph.from_dense(np.ones((u.shape[0], v.shape[0])))
-        with pytest.raises(ValueError, match="users"):
-            clustered_index.search(u, 5, exclude=graph)
 
 
 class TestRecallKnob:
@@ -122,15 +117,14 @@ class TestRecallKnob:
         recalls, candidates = [], []
         probes = [1, 2, 4, 8, 16, clustered_index.n_cells]
         for nprobe in probes:
-            items, stats = clustered_index.search(
-                u, 10, nprobe=nprobe, return_stats=True
-            )
+            engine = _probed(u, v, clustered_index, nprobe)
+            items = engine.top_items(10)
             recalls.append(
                 np.mean(
                     [np.isin(exact[i], items[i]).mean() for i in range(len(u))]
                 )
             )
-            candidates.append(stats["candidates"])
+            candidates.append(engine.ops.ann_candidates)
         assert recalls == sorted(recalls)
         assert candidates == sorted(candidates)
         assert recalls[-1] == 1.0
@@ -143,9 +137,7 @@ class TestRecallKnob:
         v = rng.standard_normal((30, 4))
         index = IVFIndex.build(v, n_cells=10, seed=0)
         smallest = int(index.cell_sizes().min())
-        items, scores = index.search(
-            v[:3], 25, nprobe=1, with_scores=True
-        )
+        items, scores = _probed(v[:3], v, index, 1).top_items(25, with_scores=True)
         assert items.shape == (3, 25)
         for row in range(3):
             real = items[row] >= 0
@@ -155,14 +147,16 @@ class TestRecallKnob:
         assert smallest >= 0  # cells may legally be tiny or empty
 
     def test_bad_nprobe_rejected(self, clustered, clustered_index):
-        u, _ = clustered
+        u, v = clustered
         with pytest.raises(ValueError, match="nprobe"):
-            clustered_index.search(u, 5, nprobe=0)
+            _probed(u, v, clustered_index, 0)
+        with pytest.raises(ValueError, match="nprobe requires an index"):
+            TopKEngine(u, v, nprobe=2)
 
 
 class TestEngineRerank:
     """A partial probe reranks each row's cell candidates through the
-    engine's rerank; the index itself stages no copy of V."""
+    engine's rerank, in the engine's blocks; the index holds no V."""
 
     @staticmethod
     def _probe_reference(index, u, v, n, nprobe, exclude=None):
@@ -196,9 +190,8 @@ class TestEngineRerank:
             exclude = BipartiteGraph.from_dense(
                 (rng.random((u.shape[0], v.shape[0])) < 0.05).astype(float)
             )
-        users = np.arange(u.shape[0]) if masked else None
-        items, scores = clustered_index.search(
-            u, 12, nprobe=nprobe, exclude=exclude, users=users, with_scores=True
+        items, scores = _probed(u, v, clustered_index, nprobe).top_items(
+            12, exclude=exclude, with_scores=True
         )
         want_items, want_scores = self._probe_reference(
             clustered_index, u, v, 12, nprobe, exclude
@@ -207,14 +200,56 @@ class TestEngineRerank:
         np.testing.assert_array_equal(scores, want_scores)
 
     def test_full_probe_through_a_given_engine(self, clustered, clustered_index):
+        """A full probe is the engine's sweep: it stages the same V.T as the
+        engine without the index and lists what it lists; a partial probe
+        stages none.  An index over other items is refused."""
         u, v = clustered
-        engine = TopKEngine(np.zeros((1, v.shape[1])), v, block_rows=5)
-        got = clustered_index.search(u, 10, with_scores=True, engine=engine)
-        want = clustered_index.search(u, 10, with_scores=True)
+        exact = TopKEngine(u, v, block_rows=5)
+        full = _probed(u, v, clustered_index, block_rows=5)
+        partial = _probed(u, v, clustered_index, 2, block_rows=5)
+        assert full.resident_bytes() == exact.resident_bytes() > partial.resident_bytes()
+        got = full.top_items(10, with_scores=True)
+        want = exact.top_items(10, with_scores=True)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         with pytest.raises(ValueError, match="items"):
-            clustered_index.search(u, 10, engine=TopKEngine(u, v[:-1]))
+            _probed(u, v[:-1], clustered_index)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_partial_probe_runs_in_the_engines_blocks(
+        self, clustered, clustered_index, masked, monkeypatch
+    ):
+        """No probe sees more than ``block_rows`` query rows, and the lists
+        and scores do not depend on the block size; training edges stay
+        masked across block edges."""
+        u, v = clustered
+        exclude = None
+        if masked:
+            rng = np.random.default_rng(17)
+            exclude = BipartiteGraph.from_dense(
+                (rng.random((u.shape[0], v.shape[0])) < 0.05).astype(float)
+            )
+        seen = []
+        probe = IVFIndex.probe
+
+        def recording(index, queries, nprobe):
+            seen.append(queries.shape[0])
+            return probe(index, queries, nprobe)
+
+        monkeypatch.setattr(IVFIndex, "probe", recording)
+        results = {}
+        for block_rows in (1, 7, None):
+            seen.clear()
+            engine = _probed(u, v, clustered_index, 3, block_rows=block_rows)
+            results[block_rows] = engine.top_items(12, exclude=exclude, with_scores=True)
+            assert sum(seen) == u.shape[0]
+            assert max(seen) == min(engine.block_rows, u.shape[0])
+        want_items, want_scores = self._probe_reference(
+            clustered_index, u, v, 12, 3, exclude
+        )
+        for items, scores in results.values():
+            np.testing.assert_array_equal(items, want_items)
+            np.testing.assert_array_equal(scores, want_scores)
 
     def test_index_holds_no_staged_copy_of_v(self, clustered, tmp_path):
         _, v = clustered
@@ -224,12 +259,11 @@ class TestEngineRerank:
         index.save(tmp_path / "index-ivf.npz")
         for built in (index, IVFIndex.load(tmp_path / "index-ivf.npz", mapped)):
             arrays = [a for a in vars(built).values() if isinstance(a, np.ndarray)]
-            # The item matrix is the caller's (a view, never a copy); every
-            # other array is routing state, far smaller than V.
-            assert sum(np.shares_memory(a, v) or np.shares_memory(a, mapped)
-                       for a in arrays) == 1
-            assert all(a.nbytes < v.nbytes // 2 for a in arrays
-                       if not (np.shares_memory(a, v) or np.shares_memory(a, mapped)))
+            # No reference to the item matrix: every array is routing state,
+            # far smaller than V.
+            assert not any(np.shares_memory(a, v) or np.shares_memory(a, mapped)
+                           for a in arrays)
+            assert all(a.nbytes < v.nbytes // 2 for a in arrays)
 
 
 class TestInvertedListProperties:
@@ -265,10 +299,10 @@ class TestInvertedListProperties:
         u = np.ones((4, 3))
         expected = TopKEngine(u, v).top_items(6)
         np.testing.assert_array_equal(
-            index.search(u, 6, nprobe=index.n_cells), expected
+            _probed(u, v, index, index.n_cells).top_items(6), expected
         )
         # Probing only empty-ish cells still answers (possibly padded).
-        items = index.search(u, 6, nprobe=1)
+        items = _probed(u, v, index, 1).top_items(6)
         assert items.shape == (4, 6)
 
     def test_n_larger_than_num_items(self, clustered, clustered_index):
@@ -276,7 +310,7 @@ class TestInvertedListProperties:
         u, v = clustered
         small = IVFIndex.build(v[:7], n_cells=3, seed=0)
         expected = TopKEngine(u, v[:7]).top_items(50)
-        items = small.search(u, 50, nprobe=small.n_cells)
+        items = _probed(u, v[:7], small, small.n_cells).top_items(50)
         assert items.shape == expected.shape == (u.shape[0], 7)
         np.testing.assert_array_equal(items, expected)
 
@@ -324,8 +358,8 @@ class TestPersistence:
         clustered_index.save(path)
         loaded = IVFIndex.load(path, v)
         np.testing.assert_array_equal(
-            loaded.search(u, 10, nprobe=4),
-            clustered_index.search(u, 10, nprobe=4),
+            _probed(u, v, loaded, 4).top_items(10),
+            _probed(u, v, clustered_index, 4).top_items(10),
         )
         assert loaded.v_checksum == clustered_index.v_checksum
         assert loaded.n_cells == clustered_index.n_cells
@@ -383,14 +417,13 @@ class TestObservability:
     def test_counters_report_probes_and_candidates(
         self, clustered, clustered_index
     ):
-        u, _ = clustered
+        u, v = clustered
+        engine = _probed(u, v, clustered_index, 3)
         with obs.collect() as collector:
-            _, stats = clustered_index.search(
-                u, 10, nprobe=3, return_stats=True
-            )
+            engine.top_items(10)
         assert collector.ops.ann_probes == len(u) * 3
-        assert collector.ops.ann_probes == stats["probed_cells"]
-        assert collector.ops.ann_candidates == stats["candidates"]
+        assert collector.ops.ann_probes == engine.ops.ann_probes
+        assert collector.ops.ann_candidates == engine.ops.ann_candidates
         assert collector.ops.gemms >= 1  # the centroid routing GEMM
 
 

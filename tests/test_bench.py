@@ -16,13 +16,13 @@ from repro.ann import IVFIndex
 from repro.baselines import make_method
 from repro.core import GEBEPoisson, PoissonPMF
 from repro.core.measures import mhp_matrix, mhs_matrix
+from repro.core.quantize import dequantize_columns, quantize_columns
 from repro.core.selection import select_topn
 from repro.datasets import DATASETS, erdos_renyi_bipartite
 from repro.graph import DeltaLog, apply_deltas, build_graph_store
 from repro.linalg import DtypePolicy, ExecPolicy, warm_basis_from_embedding
 from repro.serve.artifacts import ArtifactStore
 from repro.tasks import SimilarityEngine, TopKEngine
-from repro.tasks.topk import QuantizedTopKEngine
 
 DIMENSION = 16
 METHODS = ("GEBE^p", "GEBE (Poisson)")
@@ -131,8 +131,11 @@ class TestAnnAxis:
         return v, queries, engine.top_items(N), IVFIndex.build(v, seed=0)
 
     def _probe(self, standin, nprobe):
-        _, queries, _, index = standin
-        return index.search(queries, N, nprobe=nprobe, return_stats=True)
+        """``(lists, candidates)`` of the engine whose candidates the index
+        proposes, probing ``nprobe`` cells."""
+        v, queries, _, index = standin
+        engine = TopKEngine(queries, v, index=index, nprobe=nprobe, policy=_serial())
+        return engine.top_items(N), engine.ops.ann_candidates
 
     def test_exact_row_first(self, standin):
         v, queries, reference, _ = standin
@@ -143,19 +146,19 @@ class TestAnnAxis:
 
     def test_full_probe_row_rides_along_and_is_exact(self, standin):
         v, queries, reference, index = standin
-        lists, stats = self._probe(standin, index.n_cells)
+        lists, candidates = self._probe(standin, index.n_cells)
         np.testing.assert_array_equal(lists, reference)
-        assert stats["candidates"] == len(v) * len(queries)
+        assert candidates == len(v) * len(queries)
 
     def test_recall_monotone_in_nprobe(self, standin):
         _, _, reference, index = standin
         probes = sorted({min(p, index.n_cells) for p in (1, 2, 8)} | {index.n_cells})
         recalls, candidates = [], []
         for nprobe in probes:
-            lists, stats = self._probe(standin, nprobe)
+            lists, probed = self._probe(standin, nprobe)
             # -1 padding (a starved partial probe) counts against recall.
             recalls.append(_overlap(lists, reference))
-            candidates.append(stats["candidates"])
+            candidates.append(probed)
         assert recalls == sorted(recalls) and candidates == sorted(candidates)
         assert recalls[0] < 1.0 == recalls[-1]
 
@@ -175,23 +178,22 @@ class TestQuantAxis:
             ref = store.publish("standin", u, v, quantize=None if mode == "exact" else mode)
             size = sum(entry.stat().st_size for entry in ref.path.iterdir())
             loaded = store.load("standin", ref.version, verify=False)
-            if mode == "exact":
-                engine = TopKEngine(loaded.u, loaded.v, policy=_serial())
-            else:
-                engine = QuantizedTopKEngine(loaded.u, loaded.u_scales, loaded.v,
-                                             loaded.v_scales, quant_dtype=mode,
-                                             policy=_serial())
-            cells[mode] = size, engine
+            scales = None if mode == "exact" else (loaded.u_scales, loaded.v_scales)
+            cells[mode] = size, TopKEngine(loaded.u, loaded.v, scales=scales,
+                                           policy=_serial())
         return cells
 
     def test_every_row_list_identical(self, served):
         in_memory = served["in-memory"][1].top_items(N)
         np.testing.assert_array_equal(served["exact"][1].top_items(N), in_memory)
+        v, u = _clustered(5_000, 16)
         for codec in ("float16", "int8"):
             engine = served[codec][1]
             # Against the dequantized arrays: the margin rerank may not move
             # the lists beyond what quantization itself moved.
-            exact = TopKEngine(*engine.dequantized(), policy=_serial()).top_items(N)
+            dequantized = (dequantize_columns(*quantize_columns(side, codec))
+                           for side in (u, v))
+            exact = TopKEngine(*dequantized, policy=_serial()).top_items(N)
             np.testing.assert_array_equal(engine.top_items(N), exact)
 
     def test_quantized_artifacts_smaller_and_margin_bounded(self, served):

@@ -337,6 +337,31 @@ class TestIndex:
         assert main(["query", emb, "-n", "3", "--nprobe", "2"]) == 2
         assert "--index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nprobe", [[], ["--nprobe", "2"]])
+    def test_query_index_honours_threads(self, published, nprobe, monkeypatch, capsys):
+        """Full and partial probes score on the --threads policy, whatever
+        REPRO_NUM_THREADS says."""
+        from repro.tasks import TopKEngine
+
+        store, emb = published
+        assert main(
+            ["index", "--store", store, "--name", "toy", "--cells", "4"]
+        ) == 0
+        index = f"{store}/toy/v0001/index-ivf.npz"
+        monkeypatch.setenv("REPRO_NUM_THREADS", "4")
+        threads = []
+        init = TopKEngine.__init__
+
+        def recording(engine, *args, **kwargs):
+            init(engine, *args, **kwargs)
+            threads.append(engine.policy.n_threads)
+
+        monkeypatch.setattr(TopKEngine, "__init__", recording)
+        assert main(
+            ["query", emb, "-n", "3", "--index", index, "--threads", "1", *nprobe]
+        ) == 0
+        assert threads == [1]
+
     def test_stale_index_is_pointed_error(self, published, tmp_path, capsys):
         """Index built from toy@v1, queried against different embeddings:
         the digest cross-check names the rebuild command."""
@@ -352,6 +377,92 @@ class TestIndex:
         assert main(["query", other, "-n", "3", "--index", index]) == 2
         err = capsys.readouterr().err
         assert "checksum" in err and "repro index" in err
+
+
+class TestEntryPointDifferential:
+    """One read-out: ``TopKEngine.top_items``, ``EmbeddingService.top_items``
+    over the mapped artifact and ``repro query`` return the same items and
+    scores for every codec and candidate source."""
+
+    CASES = {
+        "float64": (None, None),
+        "float16": ("float16", None),
+        "int8": ("int8", None),
+        "full-probe": (None, "all"),
+        "partial-probe": (None, "2"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_items_and_scores(self, case, edge_file, tmp_path):
+        from repro.ann import INDEX_FILE, IVFIndex
+        from repro.core.quantize import quantize_columns
+        from repro.graph import read_edge_list
+        from repro.serve import ArtifactStore, EmbeddingService
+        from repro.tasks import TopKEngine
+
+        codec, probe = self.CASES[case]
+        emb, out = str(tmp_path / "emb.npz"), str(tmp_path / "topk.npz")
+        store = str(tmp_path / "store")
+        assert main(["embed", edge_file, emb, "--dimension", "8"]) == 0
+        publish = ["publish", emb, "--store", store, "--name", "toy",
+                   "--graph", edge_file]
+        query = ["query", emb, "-n", "7", "--exclude", edge_file,
+                 "--with-scores", "--output", out]
+        if codec is not None:
+            publish += ["--quantize", codec]
+            query += ["--quantize", codec]
+        assert main(publish) == 0
+        with np.load(emb) as bundle:
+            u, v = bundle["u"], bundle["v"]
+        index = scales = nprobe = None
+        if probe is not None:
+            assert main(["index", "--store", store, "--name", "toy", "--cells", "5"]) == 0
+            path = f"{store}/toy/v0001/{INDEX_FILE}"
+            index = IVFIndex.load(path, v)
+            query += ["--index", path]
+            if probe != "all":
+                nprobe = int(probe)
+                query += ["--nprobe", probe]
+        if codec is not None:
+            (u, u_scales), (v, v_scales) = (
+                quantize_columns(side, codec) for side in (u, v)
+            )
+            scales = (u_scales, v_scales)
+        engine = TopKEngine(u, v, scales=scales, index=index, nprobe=nprobe)
+        want_items, want_scores = engine.top_items(
+            7, exclude=read_edge_list(edge_file), with_scores=True
+        )
+        service = EmbeddingService(
+            ArtifactStore(store), "toy", ann=probe is not None, nprobe=nprobe
+        )
+        served = service.top_items(np.arange(u.shape[0]), 7, with_scores=True)
+        assert main(query) == 0
+        with np.load(out) as queried:
+            answers = {"service": served, "query": dict(queried)}
+        for name, answer in answers.items():
+            np.testing.assert_array_equal(answer["items"], want_items, err_msg=name)
+            np.testing.assert_array_equal(answer["scores"], want_scores, err_msg=name)
+        if probe is not None:
+            assert (served["mode"], served["nprobe"]) == ("ann", engine.nprobe)
+
+    def test_quantized_model_with_an_index_is_refused(self, edge_file, tmp_path, capsys):
+        emb, store = str(tmp_path / "emb.npz"), str(tmp_path / "store")
+        assert main(["embed", edge_file, emb, "--dimension", "8"]) == 0
+        assert main(
+            ["publish", emb, "--store", store, "--name", "toy", "--quantize", "int8"]
+        ) == 0
+        capsys.readouterr()
+        refusals = {
+            "serve": (["serve", "--store", store, "--name", "toy", "--ann"],
+                      "the ann serving mode needs a float artifact"),
+            "index": (["index", "--store", store, "--name", "toy"],
+                      "republish without --quantize to index"),
+            "query": (["query", emb, "--quantize", "int8", "--index", "idx.npz"],
+                      "--quantize and --index are mutually exclusive"),
+        }
+        for command, (argv, message) in refusals.items():
+            assert main(argv) == 2, command
+            assert message in capsys.readouterr().err, command
 
 
 class TestEvaluate:

@@ -7,9 +7,9 @@
   every file in the renamed directory and the directory itself, was
   fsynced before it, and the parent directory after it.
 * **Process death.**  A runner subprocess forks one child per step of a
-  clean publish (file write, fsync, rename) and kills it with ``os._exit``
-  at that step.  Every tree left behind must read as the old state or the
-  new one.
+  clean publish (file write, fsync, rename), or of a retention pass (also
+  each unlink and rmdir), and kills it with ``os._exit`` at that step.
+  Every tree left behind must read as the old state or the new one.
 * **Concurrent writers and interrupted writes.**  Same-host publishers of
   one artifact name, the staging sweep of a store opened mid-publish, torn
   delta-log appends, and single-file writers that fail mid-write.
@@ -41,6 +41,7 @@ from repro.graph import (
     save_npz,
     write_edge_list,
 )
+from repro.durable import TRASH_PREFIX
 from repro.serve import ArtifactError, ArtifactStore
 from repro.serve.artifacts import STAGING_PREFIX
 
@@ -237,26 +238,24 @@ class TestFlushOrder:
 
 
 # ---------------------------------------------------------------------------
-# Process death: a child killed at every step of a clean publish
+# Process death: a child killed at every step of a publish or a removal
 # ---------------------------------------------------------------------------
 _CRASHED = 86
 
 #: Runner run in a fresh interpreter (argv: inputs, template, out).  It
 #: intercepts every file opened for writing, every fsync and every rename;
-#: runs one clean publish of an artifact version (with its graph) and one
-#: forced graph-store ingest on a copy of the template; then for each step
-#: N of that run forks a child that repeats the publish on a fresh copy and
-#: calls os._exit at step N.  Forking from one single-threaded runner keeps
-#: the interpreter start-up to one per test module.  Prints the clean run's
-#: steps and each child's exit code as JSON.
-_CRASH_RUNNER = r"""
+#: runs one clean operation on a copy of the template; then for each step
+#: N of that run forks a child that repeats the operation on a fresh copy
+#: and calls os._exit at step N.  Forking from one single-threaded runner
+#: keeps the interpreter start-up to one per test module.  Prints the clean
+#: run's steps and each child's exit code as JSON.  The operation is the
+#: ``setup(work)`` its body defines: it prepares ``work`` unarmed and
+#: returns the call to crash-inject.
+_CRASH_HOOKS = r"""
 import builtins, io, json, os, shutil, sys
 from pathlib import Path
 
 import numpy as np
-
-from repro.graph import build_graph_store, load_npz
-from repro.serve import ArtifactStore
 
 inputs, template, out = (Path(arg) for arg in sys.argv[1:4])
 CRASHED = int(sys.argv[4])
@@ -297,25 +296,19 @@ def renaming(real):
 builtins.open = io.open = open_
 os.fsync = fsync
 os.rename, os.replace = renaming(real_rename), renaming(real_replace)
+"""
 
-with np.load(inputs / "embeddings-new.npz") as bundle:
-    u, v = bundle["u"], bundle["v"]
-graph = load_npz(inputs / "graph-new.npz")
-
-
-def publish(work, crash_at):
-    store = ArtifactStore(work / "artifacts")
+_CRASH_LOOP = r"""
+def run(work, crash_at):
+    action = setup(work)
     steps.clear()
     state.update(armed=True, crash_at=crash_at)
-    store.publish("toy", u, v, graph=graph)
-    build_graph_store(
-        inputs / "edges-new.tsv", work / "graph", force=True, workdir=work
-    )
+    action()
     state["armed"] = False
 
 
 shutil.copytree(template, out / "clean")
-publish(out / "clean", 0)
+run(out / "clean", 0)
 clean_steps = list(steps)
 exits = []
 for n in range(1, len(clean_steps) + 1):
@@ -323,12 +316,87 @@ for n in range(1, len(clean_steps) + 1):
     shutil.copytree(template, work)
     pid = os.fork()
     if pid == 0:
-        publish(work, n)
+        run(work, n)
         os._exit(0)
     _, status = os.waitpid(pid, 0)
     exits.append(os.waitstatus_to_exitcode(status))
 print(json.dumps({"steps": clean_steps, "exits": exits}))
 """
+
+#: One publish of an artifact version (with its graph) and one forced
+#: graph-store ingest.
+_PUBLISH_RUNNER = _CRASH_HOOKS + r"""
+from repro.graph import build_graph_store, load_npz
+from repro.serve import ArtifactStore
+
+with np.load(inputs / "embeddings-new.npz") as bundle:
+    u, v = bundle["u"], bundle["v"]
+graph = load_npz(inputs / "graph-new.npz")
+
+
+def setup(work):
+    store = ArtifactStore(work / "artifacts")
+
+    def publish():
+        store.publish("toy", u, v, graph=graph)
+        build_graph_store(
+            inputs / "edges-new.tsv", work / "graph", force=True, workdir=work
+        )
+
+    return publish
+""" + _CRASH_LOOP
+
+#: Retention of an artifact: ``delete`` of version 2, then ``prune`` down to
+#: the newest version.  Unlinks and rmdirs are steps too: a removal is
+#: made of them.
+_RETENTION_RUNNER = _CRASH_HOOKS + r"""
+from repro.serve import ArtifactStore
+
+
+def removing(kind, real):
+    def remove(path, *args, **kwargs):
+        step(kind, os.path.basename(str(path)))
+        real(path, *args, **kwargs)
+    return remove
+
+
+os.unlink = removing("unlink", os.unlink)
+os.rmdir = removing("rmdir", os.rmdir)
+
+
+def setup(work):
+    store = ArtifactStore(work / "artifacts")
+
+    def retain():
+        store.delete("toy", 2)
+        store.prune("toy", keep=1)
+
+    return retain
+""" + _CRASH_LOOP
+
+
+def _run_crashes(runner, inputs, template, out):
+    """``{"steps", "exits"}`` of ``runner`` over ``template``'s trees."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(Path(__file__).resolve().parent.parent / "src")
+        + os.pathsep
+        + env.get("PYTHONPATH", "")
+    )
+    # One BLAS thread: the runner forks, and must hold no worker threads.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", runner,
+            str(inputs), str(template), str(out), str(_CRASHED),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 @pytest.fixture(scope="module")
@@ -348,27 +416,7 @@ def crashes(tmp_path_factory):
         "toy", u_old, v_old, graph=_random_graph(6)
     )
     build_graph_store(inputs / "edges-old.tsv", template / "graph")
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        str(Path(__file__).resolve().parent.parent / "src")
-        + os.pathsep
-        + env.get("PYTHONPATH", "")
-    )
-    # One BLAS thread: the runner forks, and must hold no worker threads.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    proc = subprocess.run(
-        [
-            sys.executable, "-c", _CRASH_RUNNER,
-            str(inputs), str(template), str(out), str(_CRASHED),
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    result = json.loads(proc.stdout)
+    result = _run_crashes(_PUBLISH_RUNNER, inputs, template, out)
     return {
         "root": root,
         "steps": result["steps"],
@@ -430,6 +478,19 @@ def _swap_crash(crashes):
     pytest.fail(f"no dest -> .replaced -> dest rename pair in {steps}")
 
 
+@pytest.fixture(scope="module")
+def retention_crashes(tmp_path_factory):
+    """Trees left by a retention pass killed at each of its steps."""
+    root = tmp_path_factory.mktemp("retention")
+    inputs, template, out = root / "inputs", root / "template", root / "out"
+    for directory in (inputs, template, out):
+        directory.mkdir()
+    store = ArtifactStore(template / "artifacts")
+    for seed in (1, 2, 3):
+        store.publish("toy", *_embeddings(seed), quantize="int8")
+    return {**_run_crashes(_RETENTION_RUNNER, inputs, template, out), "out": out}
+
+
 class TestCrashInjection:
     def test_every_step_was_killed(self, crashes):
         kinds = {kind for kind, _ in crashes["steps"]}
@@ -482,6 +543,33 @@ class TestCrashInjection:
             build_graph_store(crashes["inputs"] / "edges-new.tsv", work / "graph")
         assert _graph_store_state(work / "graph", crashes) == "old"
         assert not (work / "graph.replaced").exists()
+
+
+class TestRetentionCrashInjection:
+    """``delete`` and ``prune`` of quantized versions, killed at every step:
+    a listed version always verifies, and no trash outlives the next open."""
+
+    def test_every_step_was_killed(self, retention_crashes):
+        steps = retention_crashes["steps"]
+        assert {kind for kind, _ in steps} == {"rename", "fsync", "unlink", "rmdir"}
+        assert retention_crashes["exits"] == [_CRASHED] * len(steps)
+
+    def test_every_listed_version_verifies(self, retention_crashes):
+        out = retention_crashes["out"]
+        trees = ["clean"] + [
+            f"crash-{n}" for n in range(1, len(retention_crashes["steps"]) + 1)
+        ]
+        for tree in trees:
+            root = out / tree / "artifacts"
+            store = ArtifactStore(root)
+            trash = [p.name for p in (root / "toy").iterdir()
+                     if p.name.startswith(TRASH_PREFIX)]
+            assert trash == [], f"{tree}: the reopened store kept {trash}"
+            versions = store.versions("toy")
+            assert versions in ([1, 2, 3], [1, 3], [3]), (tree, versions)
+            for version in versions:
+                store.verify(store.resolve("toy", version))
+        assert ArtifactStore(out / "clean" / "artifacts").versions("toy") == [3]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Differential suite for the quantized top-k engine and its codec.
 
-The headline claim of :class:`repro.tasks.topk.QuantizedTopKEngine` is that
-quantization moves the *embeddings*, never the *retrieval*: over the
-dequantized float64 matrices the engine's lists are element-identical to a
-plain :class:`~repro.tasks.TopKEngine`, and its scores are the exact
+The headline claim of :class:`repro.tasks.topk.TopKEngine` over quantized
+codes is that quantization moves the *embeddings*, never the *retrieval*:
+over the dequantized float64 matrices the engine's lists are
+element-identical to a plain :class:`~repro.tasks.TopKEngine`, and its
+scores are the exact
 float64 dot products — at every block size, every thread count, and both
 storage codecs.  This suite pins that claim three ways:
 
 * **lists** — ``array_equal`` against the exact engine over
-  ``engine.dequantized()`` across block sizes {1, 7, all} x threads
+  the dequantized arrays across block sizes {1, 7, all} x threads
   {1, 4} x {float16, int8};
 * **scores** — ``array_equal`` against an independent fixed-order
   ``einsum`` evaluation of the dequantized matrices (the engine's scores
@@ -35,7 +36,6 @@ from repro.core.quantize import (
 from repro.graph import BipartiteGraph
 from repro.linalg.policy import DtypePolicy
 from repro.tasks import TopKEngine
-from repro.tasks.topk import QuantizedTopKEngine
 
 NUM_USERS, NUM_ITEMS, DIM = 24, 64, 12
 
@@ -51,8 +51,14 @@ def _random_embeddings(seed=101):
 def _quant_engine(u, v, quant_dtype, **kwargs):
     u_codes, u_scales = quantize_columns(u, quant_dtype)
     v_codes, v_scales = quantize_columns(v, quant_dtype)
-    return QuantizedTopKEngine(
-        u_codes, u_scales, v_codes, v_scales, quant_dtype=quant_dtype, **kwargs
+    return TopKEngine(u_codes, v_codes, scales=(u_scales, v_scales), **kwargs)
+
+
+def _dequantized(u, v, quant_dtype):
+    """The float64 ``(u, v)`` a quantized engine over ``u``, ``v`` is exact
+    against: each side's codes times their scales."""
+    return tuple(
+        dequantize_columns(*quantize_columns(side, quant_dtype)) for side in (u, v)
     )
 
 
@@ -144,7 +150,7 @@ class TestDifferentialGrid:
         engine = _quant_engine(
             u, v, quant_dtype, policy=policy, block_rows=block_rows
         )
-        u_deq, v_deq = engine.dequantized()
+        u_deq, v_deq = _dequantized(u, v, quant_dtype)
         expected = TopKEngine(u_deq, v_deq, policy=policy).top_items(10)
         users, items, scores = _gather(engine, 10)
         np.testing.assert_array_equal(users, np.arange(NUM_USERS))
@@ -181,7 +187,7 @@ class TestDifferentialGrid:
         ]
         graph = BipartiteGraph.from_edges(edges)
         engine = _quant_engine(u, v, quant_dtype, block_rows=5)
-        u_deq, v_deq = engine.dequantized()
+        u_deq, v_deq = _dequantized(u, v, quant_dtype)
         expected = TopKEngine(u_deq, v_deq).top_items(8, exclude=graph)
         _, items, scores = _gather(engine, 8, exclude=graph)
         np.testing.assert_array_equal(items, expected)
@@ -200,7 +206,7 @@ class TestDifferentialGrid:
         u, v = _random_embeddings(seed=23)
         users = np.array([2, 11, 23], dtype=np.int64)
         engine = _quant_engine(u, v, quant_dtype)
-        u_deq, v_deq = engine.dequantized()
+        u_deq, v_deq = _dequantized(u, v, quant_dtype)
         expected = TopKEngine(u_deq, v_deq).top_items(6, users=users)
         np.testing.assert_array_equal(
             engine.top_items(6, users=users), expected
@@ -210,7 +216,7 @@ class TestDifferentialGrid:
     def test_n_larger_than_item_count_clamps(self, quant_dtype):
         u, v = _random_embeddings(seed=37)
         engine = _quant_engine(u, v, quant_dtype)
-        u_deq, v_deq = engine.dequantized()
+        u_deq, v_deq = _dequantized(u, v, quant_dtype)
         expected = TopKEngine(u_deq, v_deq).top_items(NUM_ITEMS + 50)
         np.testing.assert_array_equal(
             engine.top_items(NUM_ITEMS + 50), expected
@@ -258,7 +264,7 @@ class TestAllTiesIntegerFixtures:
     ):
         u, v = fixture()
         engine = _quant_engine(u, v, quant_dtype, block_rows=block_rows)
-        u_deq, v_deq = engine.dequantized()
+        u_deq, v_deq = _dequantized(u, v, quant_dtype)
         # The fixture's whole point: dequantization is the identity here.
         np.testing.assert_array_equal(u_deq, u)
         np.testing.assert_array_equal(v_deq, v)
@@ -290,33 +296,24 @@ class TestEnginePlumbing:
         u, v = _random_embeddings()
         u_codes, u_scales = quantize_columns(u, "int8")
         v_codes, v_scales = quantize_columns(v, "int8")
-        with pytest.raises(ValueError, match="quant_dtype"):
-            QuantizedTopKEngine(
-                u_codes, u_scales, v_codes, v_scales, quant_dtype="int4"
-            )
-        with pytest.raises(ValueError, match="expected float16"):
-            QuantizedTopKEngine(
-                u_codes, u_scales, v_codes, v_scales, quant_dtype="float16"
-            )
+        scales = (u_scales, v_scales)
+        # The codec follows from the codes' dtype: float values or codes of
+        # two codecs are not quantized codes.
+        with pytest.raises(ValueError, match="quantized codes"):
+            TopKEngine(u, v, scales=scales)
+        with pytest.raises(ValueError, match="quantized codes"):
+            TopKEngine(u_codes, v_codes.astype(np.float16), scales=scales)
         with pytest.raises(ValueError, match="scales must be"):
-            QuantizedTopKEngine(
-                u_codes, u_scales[:-1], v_codes, v_scales, quant_dtype="int8"
-            )
+            TopKEngine(u_codes, v_codes, scales=(u_scales[:-1], v_scales))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            QuantizedTopKEngine(
-                u_codes,
-                u_scales,
-                v_codes[:, :-1],
-                v_scales[:-1],
-                quant_dtype="int8",
-            )
+            TopKEngine(u_codes, v_codes[:, :-1], scales=(u_scales, v_scales[:-1]))
 
     def test_clone_for_worker_identical_results(self):
         u, v = _random_embeddings(seed=53)
         engine = _quant_engine(u, v, "float16", block_rows=7)
         _, items, scores = _gather(engine, 8)
         clone = engine.clone_for_worker()
-        assert clone.quant_dtype == engine.quant_dtype
+        assert clone.workspace_bytes() == 0
         assert clone.reranked_candidates == 0
         _, clone_items, clone_scores = _gather(clone, 8)
         np.testing.assert_array_equal(clone_items, items)

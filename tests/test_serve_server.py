@@ -671,13 +671,10 @@ class TestQuantizedServing:
         self, tmp_path, result, graph, codec
     ):
         from repro.core.quantize import quantize_columns
-        from repro.tasks.topk import QuantizedTopKEngine
 
         u_codes, u_scales = quantize_columns(result.u, codec)
         v_codes, v_scales = quantize_columns(result.v, codec)
-        offline = QuantizedTopKEngine(
-            u_codes, u_scales, v_codes, v_scales, quant_dtype=codec
-        )
+        offline = TopKEngine(u_codes, v_codes, scales=(u_scales, v_scales))
         expected = offline.top_items(6, exclude=graph)
         store = ArtifactStore(tmp_path / "qstore")
         store.publish(

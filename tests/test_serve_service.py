@@ -268,7 +268,7 @@ class TestResidentBytes:
 
     def test_partial_probe_stages_no_sweep_operand(self, store, result, graph):
         """A partial probe reranks rows of V and never sweeps, so its model
-        stages no float32 V.T; its lists are the index's own."""
+        stages no float32 V.T; its lists are the probed engine's own."""
         from repro.ann import INDEX_FILE, IVFIndex
 
         ref = store.resolve("toy")
@@ -283,10 +283,11 @@ class TestResidentBytes:
         assert full.bytes_resident() - partial.bytes_resident() == k * num_v * 4
         users = np.array([0, 3, 17, 59], dtype=np.int64)
         response = partial.top_items(users, 6, with_scores=True)
-        items, scores = IVFIndex.load(ref.path / INDEX_FILE, result.v).search(
-            result.u[users], 6, nprobe=2, exclude=graph, users=users,
-            with_scores=True,
+        engine = TopKEngine(
+            result.u, result.v, index=IVFIndex.load(ref.path / INDEX_FILE, result.v),
+            nprobe=2,
         )
+        items, scores = engine.top_items(6, users=users, exclude=graph, with_scores=True)
         np.testing.assert_array_equal(response["items"], items)
         np.testing.assert_array_equal(response["scores"], scores)
         assert response["nprobe"] == 2
@@ -297,8 +298,6 @@ class TestResidentBytes:
 
     @pytest.mark.parametrize("codec", ["float16", "int8"])
     def test_mapped_codes_are_not_counted(self, tmp_path, result, codec):
-        from repro.tasks.topk import QuantizedTopKEngine
-
         store = ArtifactStore(tmp_path / "q")
         store.publish("toy", result.u, result.v, quantize=codec)
         num_v, k = result.v.shape
@@ -309,9 +308,8 @@ class TestResidentBytes:
             ((loaded.u, loaded.v), 0),
             (in_memory, loaded.u.nbytes + loaded.v.nbytes),
         ):
-            engine = QuantizedTopKEngine(
-                u_codes, loaded.u_scales, v_codes, loaded.v_scales,
-                quant_dtype=codec,
+            engine = TopKEngine(
+                u_codes, v_codes, scales=(loaded.u_scales, loaded.v_scales)
             )
             assert engine.resident_bytes() == codes + staged
 
@@ -355,13 +353,10 @@ class TestQuantizedService:
 
     def _offline(self, result, codec):
         from repro.core.quantize import quantize_columns
-        from repro.tasks.topk import QuantizedTopKEngine
 
         u_codes, u_scales = quantize_columns(result.u, codec)
         v_codes, v_scales = quantize_columns(result.v, codec)
-        return QuantizedTopKEngine(
-            u_codes, u_scales, v_codes, v_scales, quant_dtype=codec
-        )
+        return TopKEngine(u_codes, v_codes, scales=(u_scales, v_scales))
 
     def test_top_items_matches_offline_quant_engine(
         self, quant_store, result, graph, codec

@@ -538,15 +538,14 @@ class TestSweepOverflow:
     @staticmethod
     def _engine(u, v, codec):
         from repro.core.quantize import quantize_columns
-        from repro.tasks.topk import QuantizedTopKEngine
 
         if codec == "float":
             return TopKEngine(u, v, block_rows=7), u, v
         (u_codes, u_scales), (v_codes, v_scales) = (
             quantize_columns(u, codec), quantize_columns(v, codec)
         )
-        engine = QuantizedTopKEngine(
-            u_codes, u_scales, v_codes, v_scales, quant_dtype=codec, block_rows=7
+        engine = TopKEngine(
+            u_codes, v_codes, scales=(u_scales, v_scales), block_rows=7
         )
         # The values the quantized engine is exact against, decoded here.
         return (
