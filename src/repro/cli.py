@@ -16,10 +16,17 @@ Subcommands::
     python -m repro serve      # long-lived HTTP top-k service (repro.serve)
 
 Every command reads TSV edge lists (``u<TAB>v[<TAB>weight]``) so the CLI
-composes with standard unix tooling.  ``embed`` can alternatively pull a
-named graph with ``--dataset`` (the zoo plus the deterministic ``toy``
-graph) and emit a profiling :class:`~repro.obs.RunReport` with
-``--profile [--profile-out PATH]``; see ``docs/OBSERVABILITY.md``.
+composes with standard unix tooling.  ``embed`` and ``similar`` can
+alternatively read a named graph with ``--dataset`` (the zoo plus the
+deterministic ``toy`` graph) or an on-disk store with ``--graph-store``, and
+emit a profiling :class:`~repro.obs.RunReport` with ``--profile
+[--profile-out PATH]``, as ``refresh`` does; see ``docs/OBSERVABILITY.md``.
+
+Exit codes: a bad argument or a bad input (a missing or malformed file, a
+refused artifact, a port in use) exits 2 with one ``error: <message>`` line
+on stderr; ``ingest --verify`` and ``serve --smoke`` exit 1 when their check
+fails.  A failed write (``--output``, ``--profile-out``, ``datasets
+--generate``) still raises.
 
 Method names accept shell-friendly aliases (``gebe_p`` for ``GEBE^p``,
 ``gebe_poisson`` for ``GEBE (Poisson)``, ...).
@@ -28,18 +35,43 @@ Method names accept shell-friendly aliases (``gebe_p`` for ``GEBE^p``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional
+from typing import ContextManager, Iterator, List, Optional, TextIO, Union
 
 import numpy as np
 
 from . import __version__, obs
 from .datasets import DATASETS, load_dataset, toy_graph
 from .durable import replace_file
-from .graph import BipartiteGraph, read_edge_list, write_edge_list
-from .tasks import LinkPredictionTask, RecommendationTask, TopKEngine
+from .graph import (
+    BipartiteGraph,
+    GraphStore,
+    StoreBackedGraph,
+    read_edge_list,
+    write_edge_list,
+)
+from .linalg import DtypePolicy
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "CliError"]
+
+
+class CliError(ValueError):
+    """A refused command: ``main`` prints ``error: <message>`` and exits 2.
+
+    ``main`` treats every ``ValueError`` a command raises the same way, so
+    ``ArtifactError``, ``GraphStoreError`` and ``DeltaError`` pass through.
+    """
+
+
+@contextlib.contextmanager
+def _input_errors() -> Iterator[None]:
+    """Reading a command's inputs (or binding its port): an ``OSError`` is
+    the user's bad path, so it becomes a :class:`CliError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _method_name(name: str) -> str:
@@ -65,15 +97,101 @@ def _list_length(text: str) -> int:
     return value
 
 
-def _cli_dataset_names() -> List[str]:
-    """Datasets reachable via ``--dataset``: the zoo plus ``toy``."""
-    return ["toy", *DATASETS]
-
-
 def _load_cli_dataset(name: str, seed: int) -> BipartiteGraph:
     if name == "toy":
         return toy_graph()
     return load_dataset(name, seed=seed)
+
+
+#: The graph sources of ``embed`` and ``similar``, as messages name them.
+_GRAPH_SOURCES = {
+    "input": "an edge-list file",
+    "graph_store": "--graph-store",
+    "dataset": "--dataset",
+}
+
+
+def _graph_source(args: argparse.Namespace, *, lone_output: bool = False) -> str:
+    """Check that ``args`` names one graph source; return its value (the
+    path, store or dataset name a profile report records).
+
+    ``embed`` (``lone_output``) reads a lone positional as its output when a
+    flag names the graph, and names the pair that conflicts; ``similar``
+    asks for exactly one.
+    """
+    given = [name for name in _GRAPH_SOURCES if getattr(args, name) is not None]
+    if lone_output and len(given) == 2 and args.output is None:
+        # `embed OUT --dataset NAME` reads the lone positional as output.
+        args.output, args.input = args.input, None
+        given.pop(0)
+    if len(given) == 1:
+        return getattr(args, given[0])
+    if not lone_output:
+        raise CliError(
+            "need exactly one of an edge-list file, --dataset, or --graph-store"
+        )
+    if given:
+        first, second = (_GRAPH_SOURCES[name] for name in given[-2:])
+        raise CliError(f"give either {first} or {second}, not both")
+    raise CliError("need an edge-list file, --dataset, or --graph-store")
+
+
+def _read_graph(
+    path: Optional[str] = None,
+    *,
+    dataset: Optional[str] = None,
+    store: Optional[str] = None,
+    seed: int = 0,
+) -> Union[BipartiteGraph, StoreBackedGraph]:
+    """The graph a command reads: a graph store, a named dataset or an edge
+    list.  A missing or malformed input is a :class:`CliError`."""
+    with _input_errors():
+        if store is not None:
+            return GraphStore.open(store).graph()
+        if dataset is not None:
+            return _load_cli_dataset(dataset, seed)
+        return read_edge_list(path)
+
+
+def _policy(
+    threads: Optional[int], ooc_budget_mb: Optional[float] = None
+) -> Optional[DtypePolicy]:
+    """The kernel policy of ``--threads`` (and ``embed``'s
+    ``--ooc-budget-mb``), or ``None`` when neither is set."""
+    if threads is not None and threads < 1:
+        raise CliError("--threads must be >= 1")
+    if threads is None and ooc_budget_mb is None:
+        return None
+    policy = DtypePolicy()
+    if threads is not None:
+        policy = policy.with_threads(threads)
+    if ooc_budget_mb is not None:
+        policy = policy.with_ooc_budget(ooc_budget_mb)
+    return policy
+
+
+def _profiling(
+    args: argparse.Namespace,
+) -> ContextManager[Optional[obs.ProfileCollector]]:
+    """A profiling collector under ``--profile``; otherwise nothing (``None``)."""
+    return obs.collect() if args.profile else contextlib.nullcontext()
+
+
+def _write_profile(report: Optional[obs.RunReport], path: Optional[str]) -> TextIO:
+    """Write a ``--profile`` report to ``--profile-out`` (with a one-line
+    summary) or as JSON on stdout.
+
+    Returns the stream for the command's own summary line: stderr when the
+    report JSON owns stdout, so stdout stays machine-parseable (jq-able).
+    """
+    if report is None:
+        return sys.stdout
+    if path:
+        report.write(path)
+        print(f"profile: {report.summary()} -> {path}")
+        return sys.stdout
+    print(report.to_json())
+    return sys.stderr
 
 
 def _save_npz(path: str, **arrays: np.ndarray) -> None:
@@ -88,6 +206,90 @@ def _save_npz(path: str, **arrays: np.ndarray) -> None:
         np.savez_compressed(tmp, **arrays)
 
 
+def _float_artifact(args: argparse.Namespace, refusal: str):
+    """Resolve and load ``--name`` (at ``--artifact-version``) from
+    ``--store``: ``(store, ref, loaded)``.  A quantized artifact is refused
+    with ``refusal``, the reason the command needs the float arrays."""
+    from .serve import ArtifactStore
+
+    store = ArtifactStore(args.store)
+    ref = store.resolve(args.name, args.artifact_version)
+    if ref.quantize is not None:
+        raise CliError(f"{ref.tag} is quantized ({ref.quantize}); {refusal}")
+    return store, ref, store.load(args.name, ref.version)
+
+
+_EDGE_LIST = "TSV edge list (u, v[, weight] per line)"
+_EMBEDDINGS = ".npz with arrays u, v (as written by `repro embed`)"
+_QUANTIZE = ("float16", "int8")
+
+
+def _graph_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("input", nargs="?", help=_EDGE_LIST)
+    parser.add_argument(
+        "--dataset",
+        choices=["toy", *DATASETS],
+        help="read a named dataset instead of an edge-list file",
+    )
+    parser.add_argument(
+        "--graph-store",
+        metavar="DIR",
+        help="read an on-disk CSR graph store (built by `repro ingest`) "
+        "instead of an edge-list file; the weight matrix stays memory-mapped",
+    )
+
+
+def _threads_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--threads",
+        type=int,
+        metavar="N",
+        help="kernel worker threads (default: REPRO_NUM_THREADS or cpu count)",
+    )
+
+
+def _profile_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="collect stage timings, op counts, and peak memory",
+    )
+    parser.add_argument(
+        "--profile-out",
+        metavar="PATH",
+        help="write the profiling report JSON here (default: stdout)",
+    )
+
+
+def _output_options(parser: argparse.ArgumentParser, rows: str) -> None:
+    parser.add_argument(
+        "--with-scores",
+        action="store_true",
+        help="include the scores in the output",
+    )
+    parser.add_argument(
+        "--output",
+        metavar="OUT.npz",
+        help=f"write arrays {rows}, items[, scores] instead of printing",
+    )
+
+
+def _artifact_options(
+    parser: argparse.ArgumentParser, *, required: bool = True, version: bool = False
+) -> None:
+    parser.add_argument(
+        "--store", required=required, metavar="DIR", help="artifact store root"
+    )
+    parser.add_argument("--name", required=required, help="artifact name")
+    if version:
+        parser.add_argument(
+            "--artifact-version",
+            type=int,
+            metavar="N",
+            help="pin a version (default: latest)",
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -100,23 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     embed = commands.add_parser(
         "embed", help="train embeddings from an edge list or named dataset"
     )
-    embed.add_argument(
-        "input", nargs="?", help="TSV edge list (u, v[, weight] per line)"
-    )
+    _graph_options(embed)
     embed.add_argument(
         "output", nargs="?", help="output .npz path (arrays u, v); optional"
-    )
-    embed.add_argument(
-        "--dataset",
-        choices=_cli_dataset_names(),
-        help="embed a named dataset instead of an edge-list file",
-    )
-    embed.add_argument(
-        "--graph-store",
-        metavar="DIR",
-        help="fit out-of-core from an on-disk CSR graph store (built by "
-        "`repro ingest`) instead of an edge-list file; the weight matrix "
-        "is memory-mapped and streamed under --ooc-budget-mb",
     )
     embed.add_argument(
         "--ooc-budget-mb",
@@ -128,30 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     embed.add_argument("--method", default="GEBE^p", type=_method_name)
     embed.add_argument("--dimension", type=int, default=128)
     embed.add_argument("--seed", type=int, default=0)
-    embed.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        help="kernel worker threads for proposed methods "
-        "(default: REPRO_NUM_THREADS or cpu count; 1 = exact legacy path)",
-    )
-    embed.add_argument(
-        "--profile",
-        action="store_true",
-        help="collect stage timings, op counts, and peak memory",
-    )
-    embed.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        help="write the profiling report JSON here (default: stdout)",
-    )
+    _threads_option(embed)
+    _profile_options(embed)
 
     ingest = commands.add_parser(
         "ingest",
         help="stream an edge list into an on-disk CSR graph store with "
         "bounded memory",
     )
-    ingest.add_argument("input", help="TSV edge list (u, v[, weight] per line)")
+    ingest.add_argument("input", help=_EDGE_LIST)
     ingest.add_argument("output", help="graph store directory to create")
     ingest.add_argument(
         "--weighted",
@@ -183,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     recommend = commands.add_parser(
         "recommend", help="top-N recommendations for one user"
     )
-    recommend.add_argument("input", help="TSV edge list")
+    recommend.add_argument("input", help=_EDGE_LIST)
     recommend.add_argument("user", help="user label as it appears in the file")
     recommend.add_argument("-n", type=_list_length, default=10)
     recommend.add_argument("--method", default="GEBE^p", type=_method_name)
@@ -194,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         "query",
         help="batched top-N retrieval from saved embeddings (.npz)",
     )
-    query.add_argument(
-        "embeddings", help=".npz with arrays u, v (as written by `repro embed`)"
-    )
+    query.add_argument("embeddings", help=_EMBEDDINGS)
     query.add_argument("-n", type=_list_length, default=10)
     query.add_argument(
         "--exclude",
@@ -211,23 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ROW",
         help="user row indices to query (default: every row of u)",
     )
-    query.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        help="worker threads for block scoring "
-        "(default: REPRO_NUM_THREADS or cpu count)",
-    )
-    query.add_argument(
-        "--output",
-        metavar="OUT.npz",
-        help="write arrays users, items[, scores] instead of printing",
-    )
-    query.add_argument(
-        "--with-scores",
-        action="store_true",
-        help="include the selected scores in the output",
-    )
+    _threads_option(query)
+    _output_options(query, "users")
     query.add_argument(
         "--profile",
         action="store_true",
@@ -248,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--quantize",
-        choices=("float16", "int8"),
+        choices=_QUANTIZE,
         help="quantize the embeddings per column and retrieve through the "
         "margin-reranked quantized engine (lists identical to the exact "
         "engine over the dequantized values); mutually exclusive with "
@@ -259,20 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         "similar",
         help="matrix-free MHS/MHP similarity queries over a bipartite graph",
     )
-    similar.add_argument(
-        "input", nargs="?", help="TSV edge list (u, v[, weight] per line)"
-    )
-    similar.add_argument(
-        "--dataset",
-        choices=_cli_dataset_names(),
-        help="query a named dataset instead of an edge-list file",
-    )
-    similar.add_argument(
-        "--graph-store",
-        metavar="DIR",
-        help="query an on-disk CSR graph store (built by `repro ingest`) "
-        "instead of an edge-list file; the weight matrix stays memory-mapped",
-    )
+    _graph_options(similar)
     similar.add_argument(
         "--sources",
         nargs="+",
@@ -326,39 +469,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="edge-weight normalization before the hop recurrence "
         "(default: none — the paper's raw Eq. 3-5 measures)",
     )
-    similar.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        help="kernel worker threads "
-        "(default: REPRO_NUM_THREADS or cpu count)",
-    )
-    similar.add_argument(
-        "--with-scores",
-        action="store_true",
-        help="include the similarity scores in the output",
-    )
-    similar.add_argument(
-        "--output",
-        metavar="OUT.npz",
-        help="write arrays sources, items[, scores] instead of printing JSON",
-    )
+    _threads_option(similar)
+    _output_options(similar, "sources")
     similar.add_argument("--seed", type=int, default=0)
-    similar.add_argument(
-        "--profile",
-        action="store_true",
-        help="collect stage timings, matvec counts, and peak memory",
-    )
-    similar.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        help="write the profiling report JSON here (default: stdout)",
-    )
+    _profile_options(similar)
 
     evaluate = commands.add_parser(
         "evaluate", help="run the paper's recommendation or LP protocol"
     )
-    evaluate.add_argument("input", help="TSV edge list")
+    evaluate.add_argument("input", help=_EDGE_LIST)
     evaluate.add_argument(
         "--task",
         choices=("recommendation", "link_prediction"),
@@ -383,15 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         "publish",
         help="publish an embeddings .npz as a new versioned serving artifact",
     )
-    publish.add_argument(
-        "embeddings", help=".npz with arrays u, v (as written by `repro embed`)"
-    )
-    publish.add_argument(
-        "--store", required=True, metavar="DIR", help="artifact store root"
-    )
-    publish.add_argument(
-        "--name", required=True, help="artifact name (e.g. 'dblp-gebe')"
-    )
+    publish.add_argument("embeddings", help=_EMBEDDINGS)
+    _artifact_options(publish)
     publish.add_argument(
         "--graph",
         metavar="EDGES.tsv",
@@ -402,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     publish.add_argument("--dataset", help="dataset name recorded in the manifest")
     publish.add_argument(
         "--quantize",
-        choices=("float16", "int8"),
+        choices=_QUANTIZE,
         help="store the embeddings as per-column-quantized codes + scales; "
         "the server reranks through an exact float64 margin, so top-k "
         "lists stay identical to the unquantized artifact's engine over "
@@ -417,34 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
     refresh.add_argument(
         "deltas", help="edge-delta log (JSONL written by DeltaLog.save)"
     )
-    refresh.add_argument(
-        "--store", required=True, metavar="DIR", help="artifact store root"
-    )
-    refresh.add_argument(
-        "--name", required=True, help="artifact name to refresh"
-    )
-    refresh.add_argument(
-        "--artifact-version",
-        type=int,
-        metavar="N",
-        help="base version to refresh from (default: latest)",
-    )
+    _artifact_options(refresh, version=True)
     refresh.add_argument("--seed", type=int, default=0)
     refresh.add_argument(
         "--cold",
         action="store_true",
         help="skip the warm start and refit from scratch",
     )
-    refresh.add_argument(
-        "--profile",
-        action="store_true",
-        help="collect stage timings, op counts, and the refresh outcome",
-    )
-    refresh.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        help="write the profiling report JSON here (default: stdout)",
-    )
+    _profile_options(refresh)
 
     artifacts = commands.add_parser(
         "artifacts", help="artifact store maintenance"
@@ -455,10 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc = artifacts_commands.add_parser(
         "gc", help="delete old artifact versions, keeping the newest N"
     )
-    gc.add_argument(
-        "--store", required=True, metavar="DIR", help="artifact store root"
-    )
-    gc.add_argument("--name", required=True, help="artifact name to prune")
+    _artifact_options(gc)
     gc.add_argument(
         "--keep",
         type=int,
@@ -472,16 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         "index",
         help="build an IVF ANN index next to a published artifact version",
     )
-    index.add_argument(
-        "--store", required=True, metavar="DIR", help="artifact store root"
-    )
-    index.add_argument("--name", required=True, help="artifact name to index")
-    index.add_argument(
-        "--artifact-version",
-        type=int,
-        metavar="N",
-        help="pin a version (default: latest)",
-    )
+    _artifact_options(index, version=True)
     index.add_argument(
         "--cells",
         type=int,
@@ -493,25 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="serve top-k queries over HTTP from a published artifact"
     )
-    serve.add_argument("--store", metavar="DIR", help="artifact store root")
-    serve.add_argument("--name", help="artifact name to serve")
-    serve.add_argument(
-        "--artifact-version",
-        type=int,
-        metavar="N",
-        help="pin a version (default: latest; reload resolves latest again)",
-    )
+    _artifact_options(serve, required=False, version=True)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8080, help="0 picks an ephemeral port"
     )
-    serve.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        help="worker threads for block scoring "
-        "(default: REPRO_NUM_THREADS or cpu count)",
-    )
+    _threads_option(serve)
     serve.add_argument(
         "--max-queue",
         type=int,
@@ -560,118 +627,51 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     from .baselines import make_method, method_names
 
     if args.graph_store is not None and args.dataset is not None:
-        print(
-            "error: give either --graph-store or --dataset, not both",
-            file=sys.stderr,
+        raise CliError("give either --graph-store or --dataset, not both")
+    budget = args.ooc_budget_mb
+    if budget is not None and args.graph_store is None:
+        raise CliError("--ooc-budget-mb requires --graph-store")
+    if budget is not None and budget <= 0:
+        raise CliError("--ooc-budget-mb must be positive")
+    source = _graph_source(args, lone_output=True)
+    graph = _read_graph(
+        args.input, dataset=args.dataset, store=args.graph_store, seed=args.seed
+    )
+    policy = _policy(args.threads, budget)
+    proposed = method_names("proposed")
+    if (policy is not None or args.graph_store is not None) and (
+        args.method not in proposed
+    ):
+        raise CliError(
+            f"--threads/--graph-store only apply to proposed methods "
+            f"({proposed}), not {args.method!r}"
         )
-        return 2
-    if args.ooc_budget_mb is not None:
-        if args.graph_store is None:
-            print(
-                "error: --ooc-budget-mb requires --graph-store",
-                file=sys.stderr,
-            )
-            return 2
-        if args.ooc_budget_mb <= 0:
-            print("error: --ooc-budget-mb must be positive", file=sys.stderr)
-            return 2
-    if args.graph_store is not None:
-        if args.input is not None and args.output is None:
-            # `embed OUT --graph-store DIR` reads the positional as output.
-            args.output = args.input
-        elif args.input is not None:
-            print(
-                "error: give either an edge-list file or --graph-store, "
-                "not both",
-                file=sys.stderr,
-            )
-            return 2
-        from .graph.store import GraphStore, GraphStoreError
-
-        try:
-            graph = GraphStore.open(args.graph_store).graph()
-        except (OSError, GraphStoreError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        source = args.graph_store
-    elif args.dataset is not None:
-        if args.input is not None and args.output is None:
-            # `embed OUT --dataset NAME` reads the lone positional as output.
-            args.output = args.input
-        elif args.input is not None:
-            print(
-                "error: give either an edge-list file or --dataset, not both",
-                file=sys.stderr,
-            )
-            return 2
-        graph = _load_cli_dataset(args.dataset, args.seed)
-        source = args.dataset
-    elif args.input is not None:
-        graph = read_edge_list(args.input)
-        source = args.input
-    else:
-        print(
-            "error: need an edge-list file, --dataset, or --graph-store",
-            file=sys.stderr,
-        )
-        return 2
-
-    extras = {}
-    if args.threads is not None or args.graph_store is not None:
-        if args.threads is not None and args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        if args.method not in method_names("proposed"):
-            print(
-                f"error: --threads/--graph-store only apply to proposed "
-                f"methods ({method_names('proposed')}), not {args.method!r}",
-                file=sys.stderr,
-            )
-            return 2
-        from .linalg import DtypePolicy
-
-        policy = DtypePolicy()
-        if args.threads is not None:
-            policy = policy.with_threads(args.threads)
-        if args.ooc_budget_mb is not None:
-            policy = policy.with_ooc_budget(args.ooc_budget_mb)
-        extras["dtype_policy"] = policy
+    extras = {} if policy is None else {"dtype_policy": policy}
     method = make_method(
         args.method, dimension=args.dimension, seed=args.seed, **extras
     )
-    if args.profile:
-        with obs.collect() as collector:
-            result = method.fit(graph)
-        ooc_section = (
-            collector.ooc_section(budget_mb=args.ooc_budget_mb)
-            if args.graph_store is not None
-            else None
-        )
+    with _profiling(args) as collector:
+        result = method.fit(graph)
+    report = None
+    if collector is not None:
+        ooc = None
+        if args.graph_store is not None:
+            ooc = collector.ooc_section(budget_mb=budget)
         report = collector.report(
             method=result.method,
             dataset=source,
             dimension=args.dimension,
             seed=args.seed,
             wall_seconds=result.elapsed_seconds,
-            sections={"ooc": ooc_section},
+            sections={"ooc": ooc},
             metadata={"num_u": graph.num_u, "num_v": graph.num_v,
                       "num_edges": graph.num_edges},
         )
-        if args.profile_out:
-            report.write(args.profile_out)
-            print(f"profile: {report.summary()} -> {args.profile_out}")
-        else:
-            print(report.to_json())
-    else:
-        result = method.fit(graph)
+    stream = _write_profile(report, args.profile_out)
+    destination = ""
     if args.output is not None:
         _save_npz(args.output, u=result.u, v=result.v)
         destination = f" -> {args.output}"
-    else:
-        destination = ""
-    # When the report JSON owns stdout, keep it machine-parseable (jq-able)
-    # by moving the human summary to stderr.
-    stream = sys.stderr if args.profile and not args.profile_out else sys.stdout
     print(
         f"{result.method}: embedded {graph.num_u}+{graph.num_v} nodes "
         f"(k={result.dimension}) in {result.elapsed_seconds:.2f}s{destination}",
@@ -685,13 +685,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from .graph.store import GraphStoreError
 
     if args.chunk_edges is not None and args.chunk_edges < 1:
-        print("error: --chunk-edges must be >= 1", file=sys.stderr)
-        return 2
+        raise CliError("--chunk-edges must be >= 1")
     weighted = {"auto": None, "yes": True, "no": False}[args.weighted]
     kwargs = {}
     if args.chunk_edges is not None:
         kwargs["chunk_edges"] = args.chunk_edges
-    try:
+    with _input_errors():
         store, stats = build_graph_store(
             args.input,
             args.output,
@@ -701,9 +700,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             force=args.force,
             **kwargs,
         )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     verified = ""
     if args.verify:
         try:
@@ -725,13 +721,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
     from .baselines import make_method
+    from .tasks.topk import TopKEngine
 
-    graph = read_edge_list(args.input)
+    graph = _read_graph(args.input)
     try:
         user = graph.u_id(args.user)
     except (KeyError, ValueError):
-        print(f"error: unknown user {args.user!r}", file=sys.stderr)
-        return 2
+        raise CliError(f"unknown user {args.user!r}") from None
     method = make_method(args.method, dimension=args.dimension, seed=args.seed)
     result = method.fit(graph)
     # One user's block of the engine every top-N read-out goes through; the
@@ -751,33 +747,16 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from .serve import ArtifactError, load_embedding_arrays
+    from .serve import load_embedding_arrays
+    from .tasks.topk import TopKEngine
 
-    try:
-        u, v = load_embedding_arrays(args.embeddings)
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    exclude = None
-    if args.exclude is not None:
-        exclude = read_edge_list(args.exclude)
-    policy = None
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        from .linalg import DtypePolicy
-
-        policy = DtypePolicy().with_threads(args.threads)
+    u, v = load_embedding_arrays(args.embeddings)
+    exclude = None if args.exclude is None else _read_graph(args.exclude)
+    policy = _policy(args.threads)
     if args.nprobe is not None and args.index is None:
-        print("error: --nprobe requires --index", file=sys.stderr)
-        return 2
+        raise CliError("--nprobe requires --index")
     if args.quantize is not None and args.index is not None:
-        print(
-            "error: --quantize and --index are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
+        raise CliError("--quantize and --index are mutually exclusive")
     users = (
         None
         if args.users is None
@@ -790,15 +769,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         # pointed error.
         from .ann import IVFIndex
 
-        try:
-            index = IVFIndex.load(args.index, v)
-        except ArtifactError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        index = IVFIndex.load(args.index, v)
 
-    collector_cm = obs.collect() if args.profile else None
-    collector = collector_cm.__enter__() if collector_cm is not None else None
-    try:
+    with _profiling(args) as collector:
         if args.quantize is not None:
             from .core.quantize import quantize_columns
 
@@ -813,12 +786,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         out_items, out_scores = engine.top_items(
             args.n, users=users, exclude=exclude, with_scores=True
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if collector_cm is not None:
-            collector_cm.__exit__(None, None, None)
     if collector is not None:
         ops = collector.ops
         print(
@@ -857,87 +824,37 @@ def _cmd_similar(args: argparse.Namespace) -> int:
     import time
 
     from .core.pmf import make_pmf
-    from .tasks import SimilarityEngine, transposed_graph
+    from .tasks.similarity import SimilarityEngine, transposed_graph
 
-    given = sum(
-        source is not None
-        for source in (args.input, args.dataset, args.graph_store)
-    )
-    if given != 1:
-        print(
-            "error: need exactly one of an edge-list file, --dataset, or "
-            "--graph-store",
-            file=sys.stderr,
-        )
-        return 2
+    source = _graph_source(args)
     if args.n < 1:
-        print("error: -n must be >= 1", file=sys.stderr)
-        return 2
+        raise CliError("-n must be >= 1")
     if args.tau < 0:
-        print("error: --tau must be non-negative", file=sys.stderr)
-        return 2
-    policy = None
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        from .linalg import DtypePolicy
-
-        policy = DtypePolicy().with_threads(args.threads)
-
-    if args.graph_store is not None:
-        from .graph.store import GraphStore, GraphStoreError
-
-        try:
-            graph = GraphStore.open(args.graph_store).graph()
-        except (OSError, GraphStoreError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        source = args.graph_store
-    elif args.dataset is not None:
-        graph = _load_cli_dataset(args.dataset, args.seed)
-        source = args.dataset
-    else:
-        graph = read_edge_list(args.input)
-        source = args.input
-
+        raise CliError("--tau must be non-negative")
+    policy = _policy(args.threads)
+    graph = _read_graph(
+        args.input, dataset=args.dataset, store=args.graph_store, seed=args.seed
+    )
     bound = graph.num_u if args.side == "u" else graph.num_v
     sources = np.asarray(args.sources, dtype=np.int64)
     if sources.min() < 0 or sources.max() >= bound:
-        print(
-            f"error: --sources indices must be in [0, {bound}) "
-            f"for side {args.side!r}",
-            file=sys.stderr,
+        raise CliError(
+            f"--sources indices must be in [0, {bound}) for side {args.side!r}"
         )
-        return 2
-
     pmf = make_pmf(args.pmf, lam=args.lam, alpha=args.alpha, tau=args.tau)
-    try:
-        engine = SimilarityEngine(
-            transposed_graph(graph) if args.side == "v" else graph,
-            pmf,
-            args.tau,
-            normalization=args.normalization,
-            policy=policy,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    engine = SimilarityEngine(
+        transposed_graph(graph) if args.side == "v" else graph,
+        pmf,
+        args.tau,
+        normalization=args.normalization,
+        policy=policy,
+    )
 
-    collector_cm = obs.collect() if args.profile else None
-    collector = collector_cm.__enter__() if collector_cm is not None else None
-    start = time.perf_counter()
-    try:
-        if args.mode == "mhs":
-            # The one-time exact-diagonal probe; seeded so the probe-block
-            # schedule is reproducible (the values never depend on it).
-            engine.h_diagonal(seed=args.seed)
+    with _profiling(args) as collector:
+        start = time.perf_counter()
         items, scores = engine.query(
             sources, args.n, mode=args.mode, with_scores=True
         )
-    finally:
-        if collector_cm is not None:
-            collector_cm.__exit__(None, None, None)
     elapsed = time.perf_counter() - start
 
     report = None
@@ -962,19 +879,15 @@ def _cmd_similar(args: argparse.Namespace) -> int:
                 "n": int(items.shape[1]),
             },
         )
-        if args.profile_out:
-            report.write(args.profile_out)
-            print(f"profile: {report.summary()} -> {args.profile_out}")
-            report = None
-
+    # The JSON result carries its profile inline (one jq-able document);
+    # otherwise the report is written like every command's.
+    inline = report is not None and args.output is None and not args.profile_out
+    stream = _write_profile(None if inline else report, args.profile_out)
     if args.output is not None:
         arrays = {"sources": sources, "items": items}
         if args.with_scores:
             arrays["scores"] = scores
         _save_npz(args.output, **arrays)
-        if report is not None:
-            print(report.to_json())
-        stream = sys.stderr if report is not None else sys.stdout
         print(
             f"similar ({args.mode}, side={args.side}): top-{items.shape[1]} "
             f"for {sources.size} sources in {elapsed:.2f}s -> {args.output}",
@@ -991,9 +904,7 @@ def _cmd_similar(args: argparse.Namespace) -> int:
     }
     if args.with_scores:
         payload["scores"] = [[float(value) for value in row] for row in scores]
-    if report is not None:
-        # One jq-able document: fold the profiling report into the result
-        # instead of interleaving two JSON docs on stdout.
+    if inline:
         payload["profile"] = report.to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -1001,8 +912,10 @@ def _cmd_similar(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .baselines import make_method
+    from .tasks.link_prediction import LinkPredictionTask
+    from .tasks.recommendation import RecommendationTask
 
-    graph = read_edge_list(args.input)
+    graph = _read_graph(args.input)
     if args.task == "recommendation":
         task = RecommendationTask(
             graph, n=args.n, core=args.core, seed=args.seed
@@ -1026,8 +939,7 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
             )
         return 0
     if args.output is None:
-        print("error: --generate requires --output", file=sys.stderr)
-        return 2
+        raise CliError("--generate requires --output")
     graph = load_dataset(args.generate, seed=args.seed)
     with replace_file(args.output) as tmp:
         write_edge_list(graph, tmp)
@@ -1036,37 +948,26 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_publish(args: argparse.Namespace) -> int:
-    from .serve import ArtifactError, ArtifactStore, load_embedding_arrays
+    from .serve import ArtifactStore, load_embedding_arrays
 
-    try:
-        u, v = load_embedding_arrays(args.embeddings)
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    u, v = load_embedding_arrays(args.embeddings)
     graph = None
     if args.graph is not None:
-        graph = read_edge_list(args.graph)
+        graph = _read_graph(args.graph)
         if graph.num_u != u.shape[0] or graph.num_v > v.shape[0]:
-            print(
-                f"error: graph is {graph.num_u}x{graph.num_v} but embeddings "
-                f"cover {u.shape[0]} users / {v.shape[0]} items",
-                file=sys.stderr,
+            raise CliError(
+                f"graph is {graph.num_u}x{graph.num_v} but embeddings "
+                f"cover {u.shape[0]} users / {v.shape[0]} items"
             )
-            return 2
-    store = ArtifactStore(args.store)
-    try:
-        ref = store.publish(
-            args.name,
-            u,
-            v,
-            graph=graph,
-            method=args.method,
-            dataset=args.dataset,
-            quantize=args.quantize,
-        )
-    except (ArtifactError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ref = ArtifactStore(args.store).publish(
+        args.name,
+        u,
+        v,
+        graph=graph,
+        method=args.method,
+        dataset=args.dataset,
+        quantize=args.quantize,
+    )
     manifest = ref.manifest
     quant = f", quantized={ref.quantize}" if ref.quantize else ""
     print(
@@ -1080,36 +981,23 @@ def _cmd_publish(args: argparse.Namespace) -> int:
 
 def _cmd_refresh(args: argparse.Namespace) -> int:
     from .core import GEBEPoisson
-    from .graph import DeltaError, DeltaLog, apply_deltas
+    from .graph import DeltaLog, apply_deltas
     from .linalg import warm_basis_from_embedding
-    from .serve import ArtifactError, ArtifactStore
 
-    store = ArtifactStore(args.store)
-    try:
-        ref = store.resolve(args.name, args.artifact_version)
-        if ref.quantize is not None:
-            raise ArtifactError(
-                f"{ref.tag} is quantized ({ref.quantize}); refresh needs the "
-                "exact float embeddings — republish without --quantize"
-            )
-        loaded = store.load(args.name, ref.version)
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    store, ref, loaded = _float_artifact(
+        args,
+        "refresh needs the exact float embeddings — republish without "
+        "--quantize",
+    )
     if loaded.graph is None:
-        print(
-            f"error: {ref.tag} was published without its training graph; "
+        raise CliError(
+            f"{ref.tag} was published without its training graph; "
             "refresh needs it to apply the delta log (republish with "
-            "--graph)",
-            file=sys.stderr,
+            "--graph)"
         )
-        return 2
-    try:
+    with _input_errors():
         log = DeltaLog.load(args.deltas)
-        new_graph = apply_deltas(loaded.graph, log)
-    except (OSError, DeltaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    new_graph = apply_deltas(loaded.graph, log)
     if log.torn_bytes:
         print(
             f"warning: {args.deltas}: dropped a torn final line "
@@ -1124,57 +1012,33 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
     method = GEBEPoisson(
         dimension=dimension, seed=args.seed, warm_start=warm_start
     )
-    collector_cm = obs.collect() if args.profile else None
-    collector = collector_cm.__enter__() if collector_cm is not None else None
-    try:
+    with _profiling(args) as collector:
         result = method.fit(new_graph)
-    finally:
-        if collector_cm is not None:
-            collector_cm.__exit__(None, None, None)
     refresh_meta = result.metadata.get("refresh")
 
-    try:
-        new_ref = store.publish(
-            args.name,
-            result.u,
-            result.v,
-            graph=new_graph,
-            method=result.method,
-            dataset=ref.manifest.get("dataset"),
-        )
-    except (ArtifactError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    new_ref = store.publish(
+        args.name,
+        result.u,
+        result.v,
+        graph=new_graph,
+        method=result.method,
+        dataset=ref.manifest.get("dataset"),
+    )
+    report = None
     if collector is not None:
-        refresh_section = None
-        if refresh_meta is not None:
-            refresh_section = {
-                **refresh_meta, "warm_matvecs": None, "cold_matvecs": None
-            }
-            counter_key = (
-                "warm_matvecs"
-                if refresh_section["mode"] == "warm"
-                else "cold_matvecs"
-            )
-            refresh_section[counter_key] = int(collector.ops.sparse_matvecs)
         report = collector.report(
             method=result.method,
             dataset=ref.manifest.get("dataset"),
             dimension=dimension,
             seed=args.seed,
             wall_seconds=result.elapsed_seconds,
-            sections={"refresh": refresh_section},
+            sections={"refresh": collector.refresh_section(refresh_meta)},
             metadata={
                 "base_version": ref.version,
                 "delta_counts": log.counts(),
             },
         )
-        if args.profile_out:
-            report.write(args.profile_out)
-            print(f"profile: {report.summary()} -> {args.profile_out}")
-        else:
-            print(report.to_json())
+    stream = _write_profile(report, args.profile_out)
 
     counts = log.counts()
     applied = ", ".join(
@@ -1185,7 +1049,6 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
         if refresh_meta is None
         else f"{refresh_meta['mode']} ({refresh_meta['reason']})"
     )
-    stream = sys.stderr if args.profile and not args.profile_out else sys.stdout
     print(
         f"refreshed {ref.tag} -> {new_ref.tag}: applied {applied or 'no'} "
         f"deltas, refit {outcome} in {result.elapsed_seconds:.2f}s",
@@ -1195,17 +1058,11 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
 
 
 def _cmd_artifacts(args: argparse.Namespace) -> int:
-    from .serve import ArtifactError, ArtifactStore
+    from .serve import ArtifactStore
 
     if args.keep < 1:
-        print("error: --keep must be >= 1", file=sys.stderr)
-        return 2
-    store = ArtifactStore(args.store)
-    try:
-        deleted, retained = store.prune(args.name, keep=args.keep)
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError("--keep must be >= 1")
+    deleted, retained = ArtifactStore(args.store).prune(args.name, keep=args.keep)
     rendered = (
         ", ".join(f"v{version}" for version in deleted) if deleted else "none"
     )
@@ -1218,33 +1075,21 @@ def _cmd_artifacts(args: argparse.Namespace) -> int:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     from .ann import INDEX_FILE, IVFIndex
-    from .serve import ArtifactError, ArtifactStore
 
     if args.cells is not None and args.cells < 1:
-        print("error: --cells must be >= 1", file=sys.stderr)
-        return 2
-    store = ArtifactStore(args.store)
-    try:
-        ref = store.resolve(args.name, args.artifact_version)
-        if ref.quantize is not None:
-            raise ArtifactError(
-                f"{ref.tag} is quantized ({ref.quantize}); the IVF index "
-                "needs the exact float embeddings — republish without "
-                "--quantize to index"
-            )
-        loaded = store.load(args.name, args.artifact_version)
-        v = np.asarray(loaded.v, dtype=np.float64)
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError("--cells must be >= 1")
+    store, ref, loaded = _float_artifact(
+        args,
+        "the IVF index needs the exact float embeddings — republish "
+        "without --quantize to index",
+    )
     # Record the manifest's own digest of the v array as the index's
     # provenance, so load() can prove index and artifact version agree.
-    checksum = store.v_checksum(ref)
     index = IVFIndex.build(
-        v,
+        np.asarray(loaded.v, dtype=np.float64),
         n_cells=args.cells,
         seed=args.seed,
-        v_checksum=checksum,
+        v_checksum=store.v_checksum(ref),
         source=ref.tag,
     )
     out = ref.path / INDEX_FILE
@@ -1274,7 +1119,7 @@ def _serve_smoke() -> int:
         EmbeddingService,
         ServerConfig,
     )
-    from .tasks import SimilarityEngine
+    from .tasks.similarity import SimilarityEngine
 
     graph = toy_graph()
     method = make_method("GEBE^p", dimension=8, seed=0)
@@ -1412,26 +1257,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.smoke:
         return _serve_smoke()
     if args.store is None or args.name is None:
-        print("error: --store and --name are required (or use --smoke)",
-              file=sys.stderr)
-        return 2
+        raise CliError("--store and --name are required (or use --smoke)")
     from .serve import (
-        ArtifactError,
         ArtifactStore,
         EmbeddingServer,
         EmbeddingService,
         ServerConfig,
     )
 
-    policy = None
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        from .linalg import DtypePolicy
-
-        policy = DtypePolicy().with_threads(args.threads)
-    try:
+    policy = _policy(args.threads)
+    with _input_errors():
         service = EmbeddingService(
             ArtifactStore(args.store),
             args.name,
@@ -1448,9 +1283,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
         )
         server = EmbeddingServer(service, config)
-    except (ArtifactError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     host, port = server.address
     mode = ""
     if args.ann:
@@ -1494,6 +1326,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except ValueError as exc:
+        # CliError, and the pointed refusals of the layers below
+        # (ArtifactError, GraphStoreError, DeltaError, bad parameters).
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output was piped into a consumer that closed early (e.g. head).
         return 0

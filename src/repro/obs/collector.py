@@ -187,8 +187,8 @@ class ProfileCollector(NullCollector):
         """Freeze the collected data into a :class:`RunReport`.
 
         ``sections`` attaches the report's optional sections by name (see
-        :data:`repro.obs.report.SECTIONS`): ``refresh`` from a warm :class:`~repro.core.gebe_p.GEBEPoisson`
-        fit's ``metadata["refresh"]``, ``ooc`` from :meth:`ooc_section`,
+        :data:`repro.obs.report.SECTIONS`): ``refresh`` from
+        :meth:`refresh_section`, ``ooc`` from :meth:`ooc_section`,
         ``similarity`` from :meth:`similarity_section`.  ``None`` values are
         dropped, so callers can pass a section they may not have.
         """
@@ -250,6 +250,23 @@ class ProfileCollector(NullCollector):
             "block_sources": int(block_sources),
             "matvecs": int(self.ops.sparse_matvecs),
         }
+
+    def refresh_section(
+        self, refresh: Optional[Dict[str, Any]]
+    ) -> Optional[Dict[str, Any]]:
+        """The RunReport ``refresh`` section of a refit, or ``None``.
+
+        ``refresh`` is the fit's ``metadata["refresh"]`` (``None`` after a
+        cold refit, which has no section).  This collector's sparse-matvec
+        count goes under ``warm_matvecs`` or ``cold_matvecs`` by the refit's
+        mode, so call it with the collection window scoped to the refit.
+        """
+        if refresh is None:
+            return None
+        section = {**refresh, "warm_matvecs": None, "cold_matvecs": None}
+        key = "warm_matvecs" if refresh["mode"] == "warm" else "cold_matvecs"
+        section[key] = int(self.ops.sparse_matvecs)
+        return section
 
 
 #: The module-wide no-op collector (singleton; identity-tested in the suite).

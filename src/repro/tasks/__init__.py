@@ -1,60 +1,45 @@
-"""Downstream evaluation tasks: recommendation, link prediction, classification."""
+"""Downstream evaluation tasks: recommendation, link prediction, classification.
 
-from .link_prediction import (
-    LinkPredictionReport,
-    LinkPredictionTask,
-    evaluate_link_prediction,
-)
-from .logistic import LogisticRegression
-from .node_classification import (
-    NodeClassificationReport,
-    NodeClassificationTask,
-    OneVsRestClassifier,
-    macro_f1,
-)
-from .recommendation import (
-    RecommendationReport,
-    RecommendationTask,
-    evaluate_recommendation,
-    ground_truth_lists,
-)
-from .similarity import (
-    DEFAULT_BLOCK_SOURCES,
-    SIMILARITY_MODES,
-    SimilarityEngine,
-    transposed_graph,
-)
-from .topk import DEFAULT_BLOCK_ROWS, TopKEngine
-from .splits import (
-    EdgeSplit,
-    LinkPredictionData,
-    link_prediction_split,
-    sample_negative_edges,
-    split_edges,
-)
+Each public name is imported from its submodule on first use, so a process
+that reads only top-k lists or similarity (``repro serve``, ``repro
+refresh``) never loads the classification tasks or :mod:`repro.metrics`.
+"""
 
-__all__ = [
-    "EdgeSplit",
-    "split_edges",
-    "sample_negative_edges",
-    "LinkPredictionData",
-    "link_prediction_split",
-    "LogisticRegression",
-    "OneVsRestClassifier",
-    "NodeClassificationTask",
-    "NodeClassificationReport",
-    "macro_f1",
-    "RecommendationTask",
-    "RecommendationReport",
-    "evaluate_recommendation",
-    "ground_truth_lists",
-    "TopKEngine",
-    "DEFAULT_BLOCK_ROWS",
-    "SimilarityEngine",
-    "SIMILARITY_MODES",
-    "DEFAULT_BLOCK_SOURCES",
-    "transposed_graph",
-    "LinkPredictionTask",
-    "LinkPredictionReport",
-    "evaluate_link_prediction",
-]
+import importlib
+
+#: Every public name and the submodule that defines it.
+_SUBMODULE = {
+    "EdgeSplit": "splits",
+    "split_edges": "splits",
+    "sample_negative_edges": "splits",
+    "LinkPredictionData": "splits",
+    "link_prediction_split": "splits",
+    "LogisticRegression": "logistic",
+    "OneVsRestClassifier": "node_classification",
+    "NodeClassificationTask": "node_classification",
+    "NodeClassificationReport": "node_classification",
+    "macro_f1": "node_classification",
+    "RecommendationTask": "recommendation",
+    "RecommendationReport": "recommendation",
+    "evaluate_recommendation": "recommendation",
+    "ground_truth_lists": "recommendation",
+    "TopKEngine": "topk",
+    "DEFAULT_BLOCK_ROWS": "topk",
+    "SimilarityEngine": "similarity",
+    "SIMILARITY_MODES": "similarity",
+    "DEFAULT_BLOCK_SOURCES": "similarity",
+    "transposed_graph": "similarity",
+    "LinkPredictionTask": "link_prediction",
+    "LinkPredictionReport": "link_prediction",
+    "evaluate_link_prediction": "link_prediction",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -248,18 +248,15 @@ class SimilarityEngine:
     # ------------------------------------------------------------------
     # Diagonal
     # ------------------------------------------------------------------
-    def h_diagonal(self, block_size: int = 64, *, seed: Optional[int] = None) -> np.ndarray:
+    def h_diagonal(self, block_size: int = 64) -> np.ndarray:
         """Exact diagonal of ``H``, computed by blocked probing and cached.
 
         ``ceil(|U| / block_size)`` one-hot applies of width ``block_size``.
         Every diagonal entry comes from its own one-hot column, and columns
         evolve independently through the hop recurrence — the result is
-        bit-identical for every ``block_size``, probe order, and thread
-        count.  ``seed`` fixes the probe-block *schedule* (a seeded
-        permutation of the blocks); it exists so the schedule is
-        reproducible under randomized probing policies, not because the
-        values depend on it.  The cache is shared with every
-        :meth:`clone_for_worker` clone; concurrent first calls probe once.
+        bit-identical for every ``block_size`` and thread count.  The cache
+        is shared with every :meth:`clone_for_worker` clone; concurrent
+        first calls probe once.
         """
         shared = self._shared
         if shared.value is None:
@@ -267,7 +264,7 @@ class SimilarityEngine:
                 raise ValueError("block_size must be >= 1")
             with shared.lock:
                 if shared.value is None:
-                    shared.value = self._probe_diagonal(block_size, seed)
+                    shared.value = self._probe_diagonal(block_size)
         return shared.value
 
     @property
@@ -275,14 +272,11 @@ class SimilarityEngine:
         """Whether the H diagonal this engine shares has been probed."""
         return self._shared.value is not None
 
-    def _probe_diagonal(self, block_size: int, seed: Optional[int]) -> np.ndarray:
+    def _probe_diagonal(self, block_size: int) -> np.ndarray:
         n = self.num_u
         diagonal = np.empty(n, dtype=np.float64)
-        starts = np.arange(0, n, block_size)
-        if seed is not None:
-            starts = np.random.default_rng(seed).permutation(starts)
-        for start in starts:
-            stop = min(int(start) + block_size, n)
+        for start in range(0, n, block_size):
+            stop = min(start + block_size, n)
             chunk = np.arange(start, stop, dtype=np.int64)
             result = self._operator.matmat(self._one_hot_block(chunk))
             diagonal[chunk] = result[chunk, np.arange(chunk.size)]

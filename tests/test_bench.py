@@ -332,7 +332,7 @@ class TestSimilarAxis:
         engine = SimilarityEngine(graph, pmf, self.TAU, normalization="none",
                                   policy=policy, block_sources=block)
         if mode == "mhs":
-            engine.h_diagonal(seed=7)  # one-time serving state, not per-query cost
+            engine.h_diagonal()  # one-time serving state, not per-query cost
         blocked, _ = engine.query(sources, self.N, mode=mode)
         with obs.collect() as collector:
             singles = np.concatenate([

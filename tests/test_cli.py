@@ -791,3 +791,363 @@ class TestIngestCli:
         )
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Every error exit, pinned whole: the exit code and the exact stderr.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def error_inputs(tmp_path_factory):
+    """The ``{name}`` fields of the error table: a small edge list, its
+    embeddings, an artifact store (``toy`` with its training graph, ``bare``
+    without, ``quant`` int8-quantized), a graph store, delta logs, an IVF
+    index, and a port that is already bound."""
+    import errno
+    import os
+    import socket
+
+    from repro.graph import BipartiteGraph, DeltaLog, read_edge_list
+
+    tmp = tmp_path_factory.mktemp("errors")
+    edges = str(tmp / "graph.tsv")
+    model = RatingModel(
+        num_users=30, num_items=20, edges_per_user=6,
+        num_factors=4, num_communities=2,
+    )
+    write_edge_list(latent_factor_ratings(model, seed=0), edges)
+    emb, store, gstore = (str(tmp / name) for name in ("emb.npz", "store", "gs"))
+    small = str(tmp / "small.tsv")
+    write_edge_list(BipartiteGraph.from_dense([[1.0, 2.0], [0.0, 1.0]]), small)
+    setup = [
+        ["embed", edges, emb, "--dimension", "4"],
+        ["publish", emb, "--store", store, "--name", "toy", "--graph", edges],
+        ["publish", emb, "--store", store, "--name", "bare"],
+        ["publish", emb, "--store", store, "--name", "quant", "--quantize", "int8"],
+        ["index", "--store", store, "--name", "toy", "--cells", "3"],
+        ["ingest", edges, gstore],
+    ]
+    for argv in setup:
+        assert main(argv) == 0, argv
+    graph = read_edge_list(edges)
+    log = DeltaLog.for_graph(graph)
+    log.reweight(0, int(graph.u_neighbors(0)[0]), 2.5)
+    log.save(tmp / "deltas.jsonl")
+    other = DeltaLog.for_graph(read_edge_list(small))
+    other.reweight(0, 0, 3.0)
+    other.save(tmp / "other.jsonl")
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        yield {
+            "tmp": str(tmp), "edges": edges, "small": small, "emb": emb,
+            "store": store, "gstore": gstore,
+            "index": f"{store}/toy/v0001/index-ivf.npz",
+            "deltas": str(tmp / "deltas.jsonl"),
+            "other": str(tmp / "other.jsonl"),
+            "port": str(busy.getsockname()[1]),
+            "in_use": f"[Errno {errno.EADDRINUSE}] {os.strerror(errno.EADDRINUSE)}",
+        }
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return raiser
+
+
+#: ``id: (argv, exit code, stderr)``: every error exit of the commands, in
+#: the order each command checks.  ``{name}`` fields are ``error_inputs``.
+ERROR_TABLE = {
+    "embed-store-and-dataset": (
+        "embed --dataset toy --graph-store {gstore}", 2,
+        "error: give either --graph-store or --dataset, not both\n",
+    ),
+    "embed-budget-without-store": (
+        "embed {edges} {tmp}/o.npz --ooc-budget-mb 8", 2,
+        "error: --ooc-budget-mb requires --graph-store\n",
+    ),
+    "embed-budget-not-positive": (
+        "embed --graph-store {gstore} --ooc-budget-mb 0", 2,
+        "error: --ooc-budget-mb must be positive\n",
+    ),
+    "embed-file-and-store": (
+        "embed {edges} {tmp}/o.npz --graph-store {gstore}", 2,
+        "error: give either an edge-list file or --graph-store, not both\n",
+    ),
+    "embed-missing-store": (
+        "embed {tmp}/o.npz --graph-store {tmp}/nope", 2,
+        "error: {tmp}/nope: graph store directory does not exist\n",
+    ),
+    "embed-file-and-dataset": (
+        "embed {edges} {tmp}/o.npz --dataset toy", 2,
+        "error: give either an edge-list file or --dataset, not both\n",
+    ),
+    "embed-no-graph": (
+        "embed", 2,
+        "error: need an edge-list file, --dataset, or --graph-store\n",
+    ),
+    "embed-threads": (
+        "embed --dataset toy --threads 0", 2,
+        "error: --threads must be >= 1\n",
+    ),
+    "embed-threads-competitor": (
+        "embed --dataset toy --method DeepWalk --threads 2", 2,
+        "error: --threads/--graph-store only apply to proposed methods "
+        "(['GEBE^p', 'GEBE (Poisson)', 'GEBE (Geometric)', 'GEBE (Uniform)', "
+        "'MHP-BNE', 'MHS-BNE']), not 'DeepWalk'\n",
+    ),
+    "ingest-chunk-edges": (
+        "ingest {edges} {tmp}/s --chunk-edges 0", 2,
+        "error: --chunk-edges must be >= 1\n",
+    ),
+    "ingest-exists": (
+        "ingest {edges} {gstore}", 2,
+        "error: {gstore}: destination already exists (pass force=True / --force "
+        "to replace it)\n",
+    ),
+    "ingest-verify-fails": (
+        "ingest {edges} {tmp}/verified --verify", 1,
+        "error: verification failed: boom\n",
+    ),
+    "recommend-unknown-user": (
+        "recommend {edges} ghost --dimension 4", 2,
+        "error: unknown user 'ghost'\n",
+    ),
+    "query-missing-bundle": (
+        "query {tmp}/nope.npz", 2,
+        "error: {tmp}/nope.npz: cannot read embedding bundle: [Errno 2] "
+        "No such file or directory: '{tmp}/nope.npz'\n",
+    ),
+    "query-threads": (
+        "query {emb} --threads 0", 2, "error: --threads must be >= 1\n",
+    ),
+    "query-nprobe-without-index": (
+        "query {emb} --nprobe 2", 2, "error: --nprobe requires --index\n",
+    ),
+    "query-quantize-and-index": (
+        "query {emb} --quantize int8 --index {index}", 2,
+        "error: --quantize and --index are mutually exclusive\n",
+    ),
+    "query-missing-index": (
+        "query {emb} --index {tmp}/nope.npz", 2,
+        "error: {tmp}/nope.npz: cannot read IVF index: [Errno 2] "
+        "No such file or directory: '{tmp}/nope.npz'\n",
+    ),
+    "query-user-out-of-range": (
+        "query {emb} --users 999", 2,
+        "error: user indices must be in [0, 30)\n",
+    ),
+    "similar-no-graph": (
+        "similar --sources 0", 2,
+        "error: need exactly one of an edge-list file, --dataset, or "
+        "--graph-store\n",
+    ),
+    "similar-n": (
+        "similar --dataset toy --sources 0 -n 0", 2,
+        "error: -n must be >= 1\n",
+    ),
+    "similar-tau": (
+        "similar --dataset toy --sources 0 --tau -1", 2,
+        "error: --tau must be non-negative\n",
+    ),
+    "similar-threads": (
+        "similar --dataset toy --sources 0 --threads 0", 2,
+        "error: --threads must be >= 1\n",
+    ),
+    "similar-missing-store": (
+        "similar --graph-store {tmp}/nope --sources 0", 2,
+        "error: {tmp}/nope: graph store directory does not exist\n",
+    ),
+    "similar-sources-out-of-range": (
+        "similar --dataset toy --sources 0 12 --side u", 2,
+        "error: --sources indices must be in [0, 12) for side 'u'\n",
+    ),
+    "similar-engine-refuses": (
+        "similar --dataset toy --sources 0", 2, "error: boom\n",
+    ),
+    "datasets-generate-without-output": (
+        "datasets --generate dblp", 2, "error: --generate requires --output\n",
+    ),
+    "publish-missing-bundle": (
+        "publish {tmp}/nope.npz --store {store} --name toy", 2,
+        "error: {tmp}/nope.npz: cannot read embedding bundle: [Errno 2] "
+        "No such file or directory: '{tmp}/nope.npz'\n",
+    ),
+    "publish-graph-shape": (
+        "publish {emb} --store {store} --name toy --graph {small}", 2,
+        "error: graph is 2x2 but embeddings cover 30 users / 18 items\n",
+    ),
+    "publish-bad-name": (
+        "publish {emb} --store {store} --name bad/name", 2,
+        "error: invalid artifact name 'bad/name' (letters, digits, '.', '_', "
+        "'-'; must not start with a separator)\n",
+    ),
+    "refresh-unknown-name": (
+        "refresh {deltas} --store {store} --name ghost", 2,
+        "error: no published versions of 'ghost' under {store}\n",
+    ),
+    "refresh-quantized": (
+        "refresh {deltas} --store {store} --name quant", 2,
+        "error: quant@v1 is quantized (int8); refresh needs the exact float "
+        "embeddings — republish without --quantize\n",
+    ),
+    "refresh-no-training-graph": (
+        "refresh {deltas} --store {store} --name bare", 2,
+        "error: bare@v1 was published without its training graph; refresh "
+        "needs it to apply the delta log (republish with --graph)\n",
+    ),
+    "refresh-missing-deltas": (
+        "refresh {tmp}/nope.jsonl --store {store} --name toy", 2,
+        "error: [Errno 2] No such file or directory: '{tmp}/nope.jsonl'\n",
+    ),
+    "refresh-other-graph": (
+        "refresh {other} --store {store} --name toy", 2,
+        "error: delta log binds a 2 x 2 base but the graph is 30 x 18\n",
+    ),
+    "refresh-publish-fails": (
+        "refresh {deltas} --store {store} --name toy", 2, "error: boom\n",
+    ),
+    "gc-keep": (
+        "artifacts gc --store {store} --name toy --keep 0", 2,
+        "error: --keep must be >= 1\n",
+    ),
+    "gc-bad-name": (
+        "artifacts gc --store {store} --name bad/name", 2,
+        "error: invalid artifact name 'bad/name' (letters, digits, '.', '_', "
+        "'-'; must not start with a separator)\n",
+    ),
+    "index-cells": (
+        "index --store {store} --name toy --cells 0", 2,
+        "error: --cells must be >= 1\n",
+    ),
+    "index-quantized": (
+        "index --store {store} --name quant", 2,
+        "error: quant@v1 is quantized (int8); the IVF index needs the exact "
+        "float embeddings — republish without --quantize to index\n",
+    ),
+    "serve-no-store": (
+        "serve", 2, "error: --store and --name are required (or use --smoke)\n",
+    ),
+    "serve-threads": (
+        "serve --store {store} --name toy --threads 0", 2,
+        "error: --threads must be >= 1\n",
+    ),
+    "serve-unknown-name": (
+        "serve --store {store} --name ghost", 2,
+        "error: no published versions of 'ghost' under {store}\n",
+    ),
+    "serve-max-queue": (
+        "serve --store {store} --name toy --max-queue 0 --port 0", 2,
+        "error: max_queue must be >= 1, got 0\n",
+    ),
+    "serve-port-in-use": (
+        "serve --store {store} --name toy --port {port}", 2,
+        "error: {in_use}\n",
+    ),
+}
+
+#: Error exits no argv reaches on a sound machine, driven by a method that
+#: raises ``error("boom")``: ``id: (module, class, method, error)``.
+ERROR_FAULTS = {
+    "ingest-verify-fails": (
+        "repro.graph.store", "GraphStore", "verify", "GraphStoreError",
+    ),
+    "similar-engine-refuses": (
+        "repro.tasks.similarity", "SimilarityEngine", "__init__", None,
+    ),
+    "refresh-publish-fails": (
+        "repro.serve.artifacts", "ArtifactStore", "publish", "ArtifactError",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_TABLE))
+def test_error_exit_pinned(case, error_inputs, monkeypatch, capsys):
+    import importlib
+
+    argv, code, stderr = ERROR_TABLE[case]
+    if case in ERROR_FAULTS:
+        module, owner, method, error = ERROR_FAULTS[case]
+        module = importlib.import_module(module)
+        error = ValueError if error is None else getattr(module, error)
+        monkeypatch.setattr(
+            getattr(module, owner), method, _raise(error("boom"))
+        )
+    capsys.readouterr()
+    assert main([part.format(**error_inputs) for part in argv.split()]) == code
+    assert capsys.readouterr().err == stderr.format(**error_inputs)
+
+
+#: The argv of each command that reads an edge list, ``{bad}`` the file.
+EDGE_LIST_READERS = {
+    "embed": "embed {bad}",
+    "similar": "similar {bad} --sources 0",
+    "recommend": "recommend {bad} a",
+    "evaluate": "evaluate {bad}",
+    "query": "query {emb} --exclude {bad}",
+    "publish": "publish {emb} --store {tmp}/bad-input --name toy --graph {bad}",
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "malformed"])
+@pytest.mark.parametrize("command", list(EDGE_LIST_READERS))
+def test_bad_edge_list_exits_2(command, fault, error_inputs, tmp_path, capsys):
+    """A missing or malformed edge list is one ``error:`` line and exit 2 on
+    every command that reads one, the line ``repro ingest`` prints."""
+    bad = tmp_path / "bad.tsv"
+    if fault == "malformed":
+        bad.write_text("a\tb\nbad\n")
+    assert main(["ingest", str(bad), str(tmp_path / "store")]) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: ") and expected.count("\n") == 1
+    argv = EDGE_LIST_READERS[command].format(bad=bad, **error_inputs)
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == expected
+
+
+def _documented_commands():
+    """``(where, argv)`` of every ``python -m repro`` line in a fenced bash
+    block of the README, ``docs/`` and the verification notes: continuation
+    lines joined, comments and pipes cut."""
+    import shlex
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    pages = [root / "README.md", *sorted((root / "docs").glob("*.md")),
+             *root.glob(".*/skills/verify/SKILL.md")]
+    found = []
+    for page in pages:
+        fence, command = None, ""
+        for number, line in enumerate(page.read_text().splitlines(), start=1):
+            if line.lstrip().startswith("```"):
+                fence = line.strip()[3:] if fence is None else None
+                continue
+            if fence != "bash":
+                continue
+            start = number if not command else start
+            command += line
+            if command.endswith("\\"):
+                command = command[:-1]
+                continue
+            words, command = shlex.split(command, comments=True), ""
+            words = words[: words.index("|")] if "|" in words else words
+            if "repro" in words and words[words.index("repro") - 1] == "-m":
+                argv = words[words.index("repro") + 1:]
+                found.append((f"{page.relative_to(root)}:{start}", argv))
+    return found
+
+
+DOCUMENTED = _documented_commands()
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for _, argv in DOCUMENTED], ids=[where for where, _ in DOCUMENTED]
+)
+def test_documented_command_parses(argv, capsys):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(capsys.readouterr().err)

@@ -2,9 +2,10 @@
 
 ``repro serve``, ``repro refresh`` and the fit pipeline never call the
 link-prediction classifier (``scipy.optimize``, which brings scipy's
-special, fft and spatial packages along) or the fifteen competitor
-methods, so a fresh interpreter that imports them must not load those
-modules: they cost every process start-up time and resident memory.
+special, fft and spatial packages along), the fifteen competitor methods
+or the evaluation tasks and their metrics, so a fresh interpreter that
+imports them must not load those modules: they cost every process
+start-up time and resident memory.
 """
 
 import json
@@ -18,7 +19,18 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Modules no serving, refresh or fit process runs.
-UNUSED = ("scipy.optimize", "repro.baselines", "repro.experiments", "repro.walks")
+UNUSED = (
+    "scipy.optimize",
+    "repro.baselines",
+    "repro.experiments",
+    "repro.walks",
+    "repro.metrics",
+    "repro.tasks.link_prediction",
+    "repro.tasks.logistic",
+    "repro.tasks.node_classification",
+    "repro.tasks.recommendation",
+    "repro.tasks.splits",
+)
 
 
 def _run(code: str) -> str:

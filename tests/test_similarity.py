@@ -279,13 +279,6 @@ class TestDiagonal:
         probed = _engine(graph).h_diagonal(block_size)
         np.testing.assert_array_equal(probed, anchor)
 
-    def test_seed_fixes_schedule_not_values(self, graph):
-        anchor = _engine(graph).h_diagonal()
-        for seed in (0, 1, 99):
-            np.testing.assert_array_equal(
-                _engine(graph).h_diagonal(7, seed=seed), anchor
-            )
-
     def test_cached_after_first_probe(self, graph):
         engine = _engine(graph)
         first = engine.h_diagonal()
