@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench-pytest perf perf-trace lint-dense lint-durable examples quicktest profile-smoke serve-smoke clean
+.PHONY: install test test-fast bench-pytest perf perf-trace lint-dense lint-durable lint-config examples quicktest profile-smoke serve-smoke clean
 
 # Kernel-level suites that must hold under a parallel executor; `make test`
 # reruns them with REPRO_NUM_THREADS=4 after the default serial pass.  The
@@ -40,7 +40,7 @@ install:
 	  echo $(CURDIR)/src > $$($(PYTHON) -c 'import site; print(site.getsitepackages()[0])')/repro-editable.pth; \
 	}
 
-test: lint-dense lint-durable serve-smoke
+test: lint-dense lint-durable lint-config serve-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 	PYTHONPATH=src REPRO_NUM_THREADS=4 $(PYTHON) -m pytest $(THREADED_TESTS) -q
 
@@ -100,6 +100,28 @@ lint-durable:
 	  exit 1; \
 	fi; \
 	echo "lint-durable: OK (renames, mkdirs and rmtrees confined to src/repro/durable.py)"
+
+# Grep lint: the kernels' thread count is read from the environment, and
+# their thread pool created, in src/repro/linalg/parallel.py alone; every
+# other setting of the kernels and the engines on them is a DtypePolicy
+# field or a module constant.  An os.environ read, a getenv( call or a
+# ThreadPoolExecutor( anywhere else in src/repro would bring back a second
+# place that decides them.  Part of `make test`.
+CONFIG_MODULE = src/repro/linalg/parallel\.py
+
+lint-config:
+	@matches=$$(grep -rn --include='*.py' -E 'os\.environ|getenv\(|ThreadPoolExecutor\(' src/repro \
+	  | grep -vE '^($(CONFIG_MODULE)):' || true); \
+	if [ -n "$$matches" ]; then \
+	  echo "lint-config: environment reads or thread pools outside repro.linalg.parallel:"; \
+	  echo "$$matches"; \
+	  echo "take the thread count from DtypePolicy (resolved by"; \
+	  echo "repro.linalg.parallel.env_threads), run threads through"; \
+	  echo "repro.linalg.parallel.run_tasks, and make any other setting a"; \
+	  echo "module constant."; \
+	  exit 1; \
+	fi; \
+	echo "lint-config: OK (environment reads and thread pools confined to src/repro/linalg/parallel.py)"
 
 # End-to-end serving round trip: fit the toy graph, publish to a throwaway
 # artifact store, answer concurrent HTTP top-k requests in-process, and

@@ -10,12 +10,7 @@ recall@k knob in between.  See ``docs/SERVING.md``.
 """
 
 from .ivf import DEFAULT_CELLS, INDEX_FILE, IVFIndex
-from .kmeans import (
-    DEFAULT_ITERATIONS,
-    DEFAULT_SAMPLE,
-    assign_clusters,
-    kmeans_fit,
-)
+from .kmeans import ITERATIONS, SAMPLE, assign_clusters, kmeans_fit
 
 __all__ = [
     "IVFIndex",
@@ -23,6 +18,6 @@ __all__ = [
     "DEFAULT_CELLS",
     "kmeans_fit",
     "assign_clusters",
-    "DEFAULT_ITERATIONS",
-    "DEFAULT_SAMPLE",
+    "ITERATIONS",
+    "SAMPLE",
 ]

@@ -7,7 +7,8 @@ classic inverted-file compromise, built from scratch on numpy, and only a
 routing structure: centroids, inverted lists and provenance.  It holds no
 reference to the item matrix it routes over and stages no copy of it.
 
-* **Build** — k-means over the item embeddings (:mod:`repro.ann.kmeans`)
+* **Build** — k-means over the item embeddings (:mod:`repro.ann.kmeans`,
+  on the threads of a default :class:`~repro.linalg.DtypePolicy`)
   partitions the ``|V|`` items into ``n_cells`` cells; the inverted lists
   are stored as one CSR-style pair (``cell_offsets``/``cell_items``) with
   item ids ascending inside every cell.  Every item lands in exactly one
@@ -29,7 +30,7 @@ reference to the item matrix it routes over and stages no copy of it.
   proposes: recall@k is a measured knob, not a hope.
 
 Provenance: the index stores a blake2b digest of the item matrix it was
-built from (:func:`repro.serve.artifacts.array_checksum` — the same digest
+built from (:func:`repro.graph.store.array_checksum` — the same digest
 the artifact manifest records for the ``v`` array).  :meth:`IVFIndex.load`
 refuses, with a pointed error, to attach an index to embeddings with a
 different dimension or digest — the "index built from artifact v3, served
@@ -46,6 +47,7 @@ import numpy as np
 
 from ..core.selection import select_topn
 from ..durable import replace_file
+from ..graph.store import array_checksum
 from ..tasks.topk import csr_pairs
 
 __all__ = ["IVFIndex", "INDEX_FILE", "DEFAULT_CELLS"]
@@ -60,15 +62,9 @@ def DEFAULT_CELLS(num_items: int) -> int:
     return int(max(1, min(num_items, round(float(num_items) ** 0.5))))
 
 
-def _checksum(array: np.ndarray) -> str:
+def _provenance_error(message: str) -> Exception:
     # Imported lazily: repro.serve imports repro.ann for the --ann serving
     # path, so a module-level import here would be circular.
-    from ..serve.artifacts import array_checksum
-
-    return array_checksum(array)
-
-
-def _provenance_error(message: str) -> Exception:
     from ..serve.artifacts import ArtifactError
 
     return ArtifactError(message)
@@ -141,9 +137,6 @@ class IVFIndex:
         *,
         n_cells: Optional[int] = None,
         seed: int = 0,
-        iterations: Optional[int] = None,
-        sample: Optional[int] = None,
-        exec_policy=None,
         v_checksum: Optional[str] = None,
         source: Optional[str] = None,
     ) -> "IVFIndex":
@@ -155,9 +148,8 @@ class IVFIndex:
             ``(|V|, k)`` item embeddings.
         n_cells:
             Cell count (``None``: the ``sqrt(|V|)`` heuristic).
-        seed, iterations, sample, exec_policy:
-            Forwarded to :func:`repro.ann.kmeans.kmeans_fit`
-            (``exec_policy`` threads the assignment sweeps; the fit is
+        seed:
+            Forwarded to :func:`repro.ann.kmeans.kmeans_fit` (the fit is
             bit-identical at every thread count).
         v_checksum:
             Digest to record as provenance (``None``: computed from ``v``
@@ -166,7 +158,7 @@ class IVFIndex:
         source:
             Free-form provenance tag, e.g. an artifact's ``name@vN``.
         """
-        from .kmeans import DEFAULT_ITERATIONS, DEFAULT_SAMPLE, kmeans_fit
+        from .kmeans import kmeans_fit
 
         v = np.asarray(v)
         if v.ndim != 2:
@@ -177,9 +169,6 @@ class IVFIndex:
             np.asarray(v, dtype=np.float64),
             n_cells,
             seed=seed,
-            iterations=DEFAULT_ITERATIONS if iterations is None else iterations,
-            sample=DEFAULT_SAMPLE if sample is None else sample,
-            exec_policy=exec_policy,
         )
         n_cells = centroids.shape[0]  # kmeans clips to the point count
         counts = np.bincount(labels, minlength=n_cells)
@@ -188,7 +177,7 @@ class IVFIndex:
         # argsort with a stable kind keeps item ids ascending inside every
         # cell — the rerank depends on it to preserve the global tie order.
         items = np.argsort(labels, kind="stable").astype(np.int64)
-        checksum = v_checksum if v_checksum is not None else _checksum(v)
+        checksum = v_checksum if v_checksum is not None else array_checksum(v)
         return cls(
             centroids,
             offsets,
@@ -309,7 +298,7 @@ class IVFIndex:
                 "the index against this artifact version (repro index)"
             )
         expected = meta.get("v_checksum")
-        actual = _checksum(v)
+        actual = array_checksum(v)
         if expected is not None and actual != expected:
             raise _provenance_error(
                 f"{path}: index checksum {expected} does not match the "

@@ -19,10 +19,14 @@ Everything is deterministic for a fixed ``seed``:
   farthest from its current centroid (largest assignment distance),
   the standard Lloyd rescue; repeats until no empty cluster remains or
   every point is a singleton.
-* **Subsample training** — for large collections the Lloyd iterations run
-  on a seeded subsample (``sample`` points) and only the final assignment
-  sweeps the full collection, so 1M+ item quantizers build without
-  quadratic training cost.
+* **Subsample training** — for large collections the :data:`ITERATIONS`
+  Lloyd iterations run on a seeded subsample of :data:`SAMPLE` points and
+  only the final assignment sweeps the full collection, so 1M+ item
+  quantizers build without quadratic training cost.
+* **Threads** — the assignment sweeps' distance GEMMs run on the pool of
+  :mod:`repro.linalg.parallel` under a default
+  :class:`~repro.linalg.DtypePolicy` (``REPRO_NUM_THREADS``), and are
+  bit-identical at every thread count.
 
 The quantizer is a *router*, not a compressor: index quality only affects
 recall, never correctness, because the IVF search reranks surviving
@@ -31,21 +35,22 @@ candidates exactly (see :mod:`repro.ann.ivf`).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..linalg.parallel import ExecPolicy, ParallelExecutor
+from ..linalg.parallel import run_tasks
+from ..linalg.policy import DtypePolicy
 from ..obs import active as _obs_active
 
-__all__ = ["kmeans_fit", "assign_clusters", "DEFAULT_ITERATIONS", "DEFAULT_SAMPLE"]
+__all__ = ["kmeans_fit", "assign_clusters", "ITERATIONS", "SAMPLE"]
 
 #: Lloyd iterations; the quantizer only routes, so a handful suffices.
-DEFAULT_ITERATIONS = 8
+ITERATIONS = 8
 
 #: Training-subsample ceiling (points); the full collection is still swept
 #: once for the final assignment.
-DEFAULT_SAMPLE = 65_536
+SAMPLE = 65_536
 
 #: Bound on distance-block entries per assignment chunk (~128 MB float64).
 _CHUNK_ENTRIES = 1 << 24
@@ -78,18 +83,16 @@ def _assign_span(
 def assign_clusters(
     points: np.ndarray,
     centroids: np.ndarray,
-    *,
-    exec_policy: Optional[ExecPolicy] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels (ties to the smallest index) and distances.
 
     The sweep is chunked by ``_CHUNK_ENTRIES`` alone — the span partition
     never depends on the thread count — and each span writes disjoint
     output slices with an unchanged operation order, so labels and
-    distances are bit-identical at every ``exec_policy.n_threads``
-    (pinned in ``tests/test_ann.py``).  ``exec_policy=None`` resolves from
-    the environment (``REPRO_NUM_THREADS``), the same default the linalg
-    kernels use.
+    distances are bit-identical at every thread count (pinned in
+    ``tests/test_ann.py``).  The spans run on the threads of a default
+    :class:`~repro.linalg.DtypePolicy` (``REPRO_NUM_THREADS``), as the
+    linalg kernels do.
 
     Returns
     -------
@@ -100,7 +103,7 @@ def assign_clusters(
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
-    policy = exec_policy if exec_policy is not None else ExecPolicy.from_env()
+    policy = DtypePolicy()
     n = points.shape[0]
     n_centroids = max(1, centroids.shape[0])
     labels = np.empty(n, dtype=np.int64)
@@ -117,8 +120,7 @@ def assign_clusters(
         for lo, hi in spans:
             _assign_span(points, centroids, c_norms, labels, distances, lo, hi)
     else:
-        executor = ParallelExecutor(policy)
-        executor.run(
+        run_tasks(
             [
                 (
                     lambda lo=lo, hi=hi: _assign_span(
@@ -126,7 +128,8 @@ def assign_clusters(
                     )
                 )
                 for lo, hi in spans
-            ]
+            ],
+            policy.n_threads,
         )
     return labels, distances
 
@@ -167,9 +170,6 @@ def kmeans_fit(
     n_clusters: int,
     *,
     seed: int = 0,
-    iterations: int = DEFAULT_ITERATIONS,
-    sample: Optional[int] = DEFAULT_SAMPLE,
-    exec_policy: Optional[ExecPolicy] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Train a coarse quantizer; return ``(centroids, labels)``.
 
@@ -182,19 +182,11 @@ def kmeans_fit(
         two cells).
     seed:
         Controls init and the training subsample; the whole fit is a pure
-        function of ``(points, n_clusters, seed, iterations, sample)``.
-    iterations:
-        Lloyd iterations over the training set.
-    sample:
-        Train on at most this many points (``None``: all).  The returned
-        ``labels`` always cover the *full* collection via one final
-        assignment sweep.
-    exec_policy:
-        Thread policy for the assignment sweeps' distance GEMMs
-        (``None``: resolve from ``REPRO_NUM_THREADS``).  Parallelism never
-        changes the fit — assignments are bit-identical at every thread
-        count, so the whole fit stays a pure function of
-        ``(points, n_clusters, seed, iterations, sample)``.
+        function of ``(points, n_clusters, seed)`` at every thread count.
+
+    :data:`ITERATIONS` Lloyd iterations run over at most :data:`SAMPLE`
+    training points; the returned ``labels`` always cover the *full*
+    collection via one final assignment sweep.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -206,20 +198,16 @@ def kmeans_fit(
     rng = np.random.default_rng(seed)
 
     train = points
-    if sample is not None and n > int(sample):
-        train = points[np.sort(rng.choice(n, size=int(sample), replace=False))]
+    if n > SAMPLE:
+        train = points[np.sort(rng.choice(n, size=SAMPLE, replace=False))]
     centroids = train[
         np.sort(rng.choice(train.shape[0], size=n_clusters, replace=False))
     ].copy()
 
-    for _ in range(max(0, int(iterations))):
-        labels, distances = assign_clusters(
-            train, centroids, exec_policy=exec_policy
-        )
+    for _ in range(ITERATIONS):
+        labels, distances = assign_clusters(train, centroids)
         while _repair_empty(train, centroids, labels, distances):
-            labels, distances = assign_clusters(
-                train, centroids, exec_policy=exec_policy
-            )
+            labels, distances = assign_clusters(train, centroids)
         # Mean update via bincount — one pass, no per-cluster Python loop.
         # A cell left empty by the repair loop (duplicate-heavy data) keeps
         # its centroid instead of dividing by zero.
@@ -230,13 +218,9 @@ def kmeans_fit(
         centroids = centroids.copy()
         centroids[filled] = sums[filled] / counts[filled, None].astype(np.float64)
 
-    labels, distances = assign_clusters(
-        points, centroids, exec_policy=exec_policy
-    )
+    labels, distances = assign_clusters(points, centroids)
     if train is points:
         # Training saw every point, so empty cells are repairable here too.
         while _repair_empty(points, centroids, labels, distances):
-            labels, distances = assign_clusters(
-                points, centroids, exec_policy=exec_policy
-            )
+            labels, distances = assign_clusters(points, centroids)
     return centroids, labels

@@ -494,7 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     datasets = commands.add_parser(
         "datasets", help="list or generate the synthetic dataset zoo"
     )
-    datasets.add_argument("--generate", metavar="NAME", help="dataset to write out")
+    datasets.add_argument(
+        "--generate", choices=list(DATASETS), help="dataset to write out"
+    )
     datasets.add_argument("--output", help="TSV path for --generate")
     datasets.add_argument("--seed", type=int, default=0)
 
@@ -824,7 +826,7 @@ def _cmd_similar(args: argparse.Namespace) -> int:
     import time
 
     from .core.pmf import make_pmf
-    from .tasks.similarity import SimilarityEngine, transposed_graph
+    from .tasks.similarity import BLOCK_SOURCES, SimilarityEngine, transposed_graph
 
     source = _graph_source(args)
     if args.n < 1:
@@ -864,7 +866,7 @@ def _cmd_similar(args: argparse.Namespace) -> int:
             side=args.side,
             tau=args.tau,
             sources=sources.size,
-            block_sources=engine.block_sources,
+            block_sources=BLOCK_SOURCES,
         )
         report = collector.report(
             method=f"similarity:{args.mode}",
@@ -1266,6 +1268,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     policy = _policy(args.threads)
+    # Refuse a bad setting before resolving, mapping and verifying anything.
+    config = ServerConfig(
+        host=args.host,
+        port=args.port,
+        max_queue=args.max_queue,
+        deadline_ms=args.deadline_ms,
+        max_batch=args.max_batch,
+    )
     with _input_errors():
         service = EmbeddingService(
             ArtifactStore(args.store),
@@ -1274,13 +1284,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             policy=policy,
             ann=args.ann,
             nprobe=args.nprobe,
-        )
-        config = ServerConfig(
-            host=args.host,
-            port=args.port,
-            max_queue=args.max_queue,
-            deadline_ms=args.deadline_ms,
-            max_batch=args.max_batch,
         )
         server = EmbeddingServer(service, config)
     host, port = server.address

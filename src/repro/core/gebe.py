@@ -17,10 +17,10 @@ Complexity (Section 4.2): ``O(k t tau |E| + k^2 t |U|)`` time and
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph import BipartiteGraph
 from ..linalg import DtypePolicy, MatrixFreeOperator, SparseKernel, subspace_iteration
@@ -35,17 +35,16 @@ __all__ = ["GEBE", "gebe_uniform", "gebe_geometric", "gebe_poisson"]
 def project(w, u: np.ndarray, policy: DtypePolicy) -> np.ndarray:
     """Eq. (13)'s ``V = W^T U``, counted as ``U.shape[1]`` sparse matvecs.
 
-    A resident ``w`` takes scipy's product; a memory-mapped
-    :class:`~repro.graph.store.StoreCSR` goes through
-    :class:`~repro.linalg.SparseKernel`, whose CSC scatter stages under
-    ``policy.ooc_budget_mb`` and is bit-identical to it.
+    One :class:`~repro.linalg.SparseKernel` CSC scatter, bit-identical to
+    scipy's ``w.T @ u``, for a resident ``w`` and for a memory-mapped
+    :class:`~repro.graph.store.StoreCSR` (staged under
+    ``policy.ooc_budget_mb``) alike.  It runs in float64 under every
+    compute dtype, as the float64 ``U`` and ``W`` make scipy's product.
     """
     collector = _obs_active()
     collector.count_spmv(w.nnz, u.shape[1])
     collector.note_array(u.nbytes)
-    if sp.issparse(w):
-        return np.asarray(w.T @ u)
-    kernel = SparseKernel(w, policy)
+    kernel = SparseKernel(w, replace(policy, compute="float64"))
     v = kernel.t_matmul(u)
     collector.count_ooc_copy(kernel.ooc_bytes_copied())
     return v

@@ -8,8 +8,9 @@ CSR arrays, one file per array, in **both** directions:
   queries stream sequentially too.
 
 A ``manifest.json`` records shapes, dtypes, and a blake2b content digest
-per array (the same digest format as the serving tier's
-:func:`repro.serve.artifacts.array_checksum`), plus ingest statistics.
+per array (:func:`array_checksum`, the digest the serving tier's artifact
+manifests and the IVF index's provenance record too), plus ingest
+statistics.
 Stores are written staging-dir-first and committed through
 :func:`repro.durable.commit_dir`, mirroring the ``ArtifactStore``
 discipline: every file and the staging directory are fsynced, the rename
@@ -66,6 +67,7 @@ __all__ = [
     "StoreCSR",
     "StoreBackedGraph",
     "OocWorkspace",
+    "array_checksum",
     "row_blocks",
 ]
 
@@ -102,7 +104,7 @@ class GraphStoreError(ValueError):
 # Streaming .npy + checksum helpers
 # ---------------------------------------------------------------------------
 def _checksum_hasher(dtype: np.dtype, shape: Tuple[int, ...]) -> "hashlib._Hash":
-    """A blake2b hasher seeded like ``serve.artifacts.array_checksum``.
+    """The :func:`array_checksum` hasher, seeded with dtype and shape.
 
     Feeding the array bytes in any block decomposition yields the same
     digest as hashing the whole array at once, so streamed writes can
@@ -112,6 +114,21 @@ def _checksum_hasher(dtype: np.dtype, shape: Tuple[int, ...]) -> "hashlib._Hash"
     digest.update(str(np.dtype(dtype)).encode("ascii"))
     digest.update(np.asarray(shape, dtype=np.int64).tobytes())
     return digest
+
+
+def array_checksum(array: np.ndarray) -> str:
+    """A blake2b content digest of one array (dtype + shape + raw bytes).
+
+    The one digest of the package: graph-store and artifact manifests and
+    IVF provenance all record it.  Two arrays collide only if they are
+    bit-identical in the same dtype and shape — exactly the condition under
+    which serving them is equivalent.  Memory-mapped arrays hash straight
+    from the page cache (no copy).
+    """
+    array = np.ascontiguousarray(array)
+    digest = _checksum_hasher(array.dtype, array.shape)
+    digest.update(array.data)
+    return digest.hexdigest()
 
 
 def write_npy_stream(
@@ -160,25 +177,6 @@ def iter_raw_blocks(
             if not raw:
                 return
             yield np.frombuffer(raw, dtype=dtype)
-
-
-def _file_checksum(path: Path, dtype: np.dtype, shape: Tuple[int, ...]) -> str:
-    """Streaming blake2b digest of an on-disk ``.npy`` payload."""
-    digest = _checksum_hasher(np.dtype(dtype), shape)
-    with open(path, "rb") as handle:
-        version = np.lib.format.read_magic(handle)
-        if version == (1, 0):
-            np.lib.format.read_array_header_1_0(handle)
-        elif version == (2, 0):  # pragma: no cover - we only write 1.0
-            np.lib.format.read_array_header_2_0(handle)
-        else:  # pragma: no cover
-            raise GraphStoreError(f"{path}: unsupported .npy version {version}")
-        while True:
-            raw = handle.read(_COPY_BLOCK_BYTES)
-            if not raw:
-                break
-            digest.update(raw)
-    return digest.hexdigest()
 
 
 def release_mmap(*arrays: np.ndarray) -> None:
@@ -508,7 +506,12 @@ class GraphStore:
 
     def _load(self, name: str, *, mmap_mode: Optional[str] = "r") -> np.ndarray:
         entry = self.manifest["arrays"][name]
-        array = np.load(self.path / entry["file"], mmap_mode=mmap_mode)
+        try:
+            array = np.load(self.path / entry["file"], mmap_mode=mmap_mode)
+        except (ValueError, EOFError) as exc:  # a short or damaged file
+            raise GraphStoreError(
+                f"{self.path}: cannot read {entry['file']!r}: {exc}"
+            ) from exc
         if array.ndim != 1 or array.shape[0] != entry["shape"][0]:
             raise GraphStoreError(
                 f"{self.path}: array {name!r} has shape {array.shape}, "
@@ -594,13 +597,26 @@ class GraphStore:
 
     # -- integrity ---------------------------------------------------------
     def verify(self) -> None:
-        """Re-hash every array file against the manifest (reads all bytes)."""
+        """Re-hash every mapped array against the manifest (reads all bytes).
+
+        A file that does not map as its manifest entry declares (a short
+        payload, a damaged header) or holds bytes past its array fails too.
+        Each array's pages are dropped once it is hashed.
+        """
         for name, entry in self.manifest["arrays"].items():
-            actual = _file_checksum(
-                self.path / entry["file"],
-                np.dtype(entry["dtype"]),
-                tuple(entry["shape"]),
+            array = self._load(name)
+            trailing = (
+                (self.path / entry["file"]).stat().st_size
+                - array.offset
+                - array.nbytes
             )
+            if trailing:
+                raise GraphStoreError(
+                    f"{self.path}: {entry['file']!r} holds {trailing} bytes "
+                    "past its array"
+                )
+            actual = array_checksum(array)
+            release_mmap(array)
             if actual != entry["checksum"]:
                 raise GraphStoreError(
                     f"{self.path}: checksum mismatch for {entry['file']!r}: "

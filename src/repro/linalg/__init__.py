@@ -1,15 +1,14 @@
 """Linear algebra substrate: matrix-free operators, KSI, randomized SVD.
 
 The hot-path kernels live in :mod:`repro.linalg.kernels`; how they run
-(dtype, workspace reuse, chunking) is configured by
-:class:`~repro.linalg.policy.DtypePolicy` and threaded through operators and
-solvers via configuration.
+(dtype, threads, out-of-core staging budget) is configured by
+:class:`~repro.linalg.policy.DtypePolicy` alone and threaded through
+operators and solvers via configuration.
 """
 
 from .kernels import GramKernel, SparseKernel
 from .krylov import EigenResult, subspace_distance, subspace_iteration
 from .ops import MatrixFreeOperator, ProximityOperator, gram_apply, pmf_weighted_apply
-from .parallel import ExecPolicy, ParallelExecutor
 from .policy import DtypePolicy
 from .qr import is_semi_unitary, random_semi_unitary, thin_qr
 from .randomized_svd import (
@@ -30,8 +29,6 @@ from .spectrum_cache import SpectrumCache, matrix_fingerprint
 
 __all__ = [
     "DtypePolicy",
-    "ExecPolicy",
-    "ParallelExecutor",
     "SpectrumCache",
     "matrix_fingerprint",
     "SparseKernel",

@@ -19,17 +19,15 @@ This module provides the production kernels:
   large side sequentially and keeps the small side resident in cache.
 * :class:`GramKernel` — the blocked PMF-series apply on top of it, with
   ping-pong hop buffers, ``out=``-style fused scale-and-add, and
-  column-chunked application for blocks wider than
-  :attr:`DtypePolicy.block_cols`.
+  column-chunked application for blocks wider than :data:`BLOCK_COLS`.
 
 Both kernels shard their applies across the thread pool of
-:mod:`repro.linalg.parallel` when the policy's
-:class:`~repro.linalg.parallel.ExecPolicy` allows (scipy's sparsetools
-routines release the GIL): ``W @ X`` by nnz-balanced **row ranges** of the
-CSR (disjoint output rows), ``W^T @ X`` and the PMF series by **column
-chunks** of ``X`` (disjoint output columns, per-slot staging and hop
-buffers).  One thread — or any apply below the auto-tune threshold — is the
-exact legacy serial path.
+:mod:`repro.linalg.parallel` when :meth:`DtypePolicy.shards_for` allows
+(scipy's sparsetools routines release the GIL): ``W @ X`` by nnz-balanced
+**row ranges** of the CSR (disjoint output rows), ``W^T @ X`` and the PMF
+series by **column chunks** of ``X`` (disjoint output columns, per-slot
+staging and hop buffers).  One thread — or any apply below
+:data:`~repro.linalg.policy.SERIAL_THRESHOLD` — is the exact serial path.
 
 Bit-identity with the reference float64 path is a hard invariant (pinned by
 the hypothesis suite) *regardless of thread count*: per output element both
@@ -38,24 +36,26 @@ Observability counters are likewise identical — every logical apply is
 counted exactly once, in the calling thread, never per shard; worker threads
 never touch the collector (it is not thread-safe).
 
-**Out-of-core applies.** Both kernels also accept a memory-mapped
-:class:`~repro.graph.store.StoreCSR` in place of a resident scipy matrix.
-Row shards (``W @ X``) and the CSC scatter (``W^T @ X``) then stream the
-CSR arrays in row blocks whose nnz slices fit the policy's
-``ooc_budget_mb``, block-copying each slice once into a reusable resident
-:class:`~repro.graph.store.OocWorkspace` and dropping the mapped pages
-afterwards, so the kernel's resident share of the graph is bounded by the
-budget instead of the file size.  The budget is split evenly across
-executor threads (each worker owns one workspace), and the blocked sweeps
-perform, per output element, exactly the serial resident path's operations
-in the same order — bit-identity holds at every thread count *and* budget.
+**One row-block sweep.** Both products read ``W`` through one sweep,
+:meth:`SparseKernel._row_blocks`, which yields row blocks
+``(r0, r1, indptr, indices, data)`` ready for ``csr_matvecs`` /
+``csc_matvecs``.  A resident scipy matrix is a single block of its own
+arrays, nothing copied.  A memory-mapped
+:class:`~repro.graph.store.StoreCSR` streams in row blocks whose nnz slices
+fit the policy's ``ooc_budget_mb``, each block-copied once into a reusable
+resident :class:`~repro.graph.store.OocWorkspace` whose mapped pages are
+dropped afterwards, so the kernel's resident share of the graph is bounded
+by the budget instead of the file size.  The budget is split evenly across
+threads (each worker owns one workspace), and the blocked sweeps perform,
+per output element, exactly the resident single block's operations in the
+same order — bit-identity holds at every thread count *and* budget.
 Out-of-core runs require the float64 compute policy (stores hold float64
 data; a converting copy would defeat the memory bound).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,10 +63,15 @@ from scipy.sparse import _sparsetools  # in-place csr/csc_matvecs (scipy >= 1.7)
 
 from ..graph.store import DEFAULT_OOC_BUDGET_MB, OocWorkspace, row_blocks
 from ..obs import active as _obs_active
-from .parallel import ParallelExecutor, column_shards, row_shards
+from .parallel import column_shards, row_shards, run_tasks
 from .policy import DtypePolicy
 
-__all__ = ["SparseKernel", "GramKernel"]
+__all__ = ["SparseKernel", "GramKernel", "BLOCK_COLS"]
+
+#: Column-chunk width of the PMF series: blocks wider than this run in
+#: chunks, bounding workspace memory at ``O((|U| + |V|) * BLOCK_COLS)``
+#: however large ``k`` grows.
+BLOCK_COLS = 256
 
 
 class SparseKernel:
@@ -128,14 +133,13 @@ class SparseKernel:
             else DEFAULT_OOC_BUDGET_MB
         )
         # Fixed per-workspace share: the aggregate staging of this kernel
-        # never exceeds the budget at any shard count the executor picks.
+        # never exceeds the budget at any shard count the policy picks.
         self._ooc_slot_budget = int(
-            budget_mb * 1024 * 1024 / max(1, self.policy.n_threads)
+            budget_mb * 1024 * 1024 / self.policy.n_threads
         )
         self._ooc_ws: List[OocWorkspace] = []
         self._flat: Dict[str, np.ndarray] = {}
         self._notify_obs = notify_obs
-        self._exec = ParallelExecutor(self.policy.exec_policy)
         self.threads_used = 1
 
     @property
@@ -162,8 +166,13 @@ class SparseKernel:
             ws.workspace_bytes() for ws in self._ooc_ws
         )
 
-    def _ooc_workspaces(self, count: int) -> List[OocWorkspace]:
-        """``count`` staging workspaces, allocated on the calling thread."""
+    def _workspaces(self, count: int) -> List[Optional[OocWorkspace]]:
+        """One staging workspace per shard (``None`` each for a resident CSR).
+
+        Allocated on the calling thread, before any shard runs.
+        """
+        if not self._ooc:
+            return [None] * count
         while len(self._ooc_ws) < count:
             self._ooc_ws.append(
                 OocWorkspace(
@@ -188,103 +197,71 @@ class SparseKernel:
     # ------------------------------------------------------------------
     # Products
     # ------------------------------------------------------------------
+    def _row_blocks(
+        self, ws: Optional[OocWorkspace], lo: int, hi: int
+    ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Rows ``[lo, hi)`` as ``(r0, r1, indptr, indices, data)`` blocks.
+
+        A resident CSR (``ws`` is ``None``) is one block of its own arrays:
+        ``indptr[lo:hi+1]`` holds absolute offsets into the full
+        ``indices``/``data``, and nothing is copied.  A mapped CSR streams
+        through ``ws`` in budget-sized blocks, each staged with a rebased
+        ``indptr``.  Either way ``csr_matvecs``/``csc_matvecs`` see, row by
+        row, the same entries in the same order, so every product is
+        bit-identical at any block size.
+        """
+        w = self.w
+        if ws is None:
+            yield lo, hi, w.indptr[lo : hi + 1], w.indices, w.data
+            return
+        for r0, r1 in row_blocks(w.indptr, lo, hi, ws.max_nnz):
+            yield (r0, r1) + ws.stage(w, r0, r1)
+
     def _csr_into(self, x: np.ndarray, out: np.ndarray) -> None:
         """``out += W @ x`` for pre-zeroed C-contiguous ``out``.
 
-        Row-sharded across the executor when the apply is large enough:
-        each worker runs ``csr_matvecs`` over a contiguous nnz-balanced row
-        range, passing ``indptr[lo:hi+1]`` (absolute offsets into the full
-        ``indices``/``data``) and writing ``out[lo:hi]``.  Output rows are
-        disjoint and each element sees the exact serial multiply/add order,
-        so the result is bit-identical for every shard count.
+        Row-sharded across the pool when the apply is large enough: each
+        worker sweeps a contiguous nnz-balanced row range and writes
+        ``out[lo:hi]``.  Output rows are disjoint and each element sees the
+        exact serial multiply/add order, so the result is bit-identical for
+        every shard count.
         """
         w = self.w
         m, n = w.shape
         cols = x.shape[1]
-        if self._ooc:
-            self._csr_into_ooc(x, out)
-            return
-        n_shards = self._exec.shards_for(w.nnz * cols, m)
-        if n_shards == 1:
-            _sparsetools.csr_matvecs(
-                m, n, cols, w.indptr, w.indices, w.data, x.ravel(), out.ravel()
-            )
-            return
-        self.threads_used = max(self.threads_used, n_shards)
-        xr = x.ravel()
-        tasks: List[Callable[[], None]] = [
-            (
-                lambda lo=lo, hi=hi: _sparsetools.csr_matvecs(
-                    hi - lo,
-                    n,
-                    cols,
-                    w.indptr[lo : hi + 1],
-                    w.indices,
-                    w.data,
-                    xr,
-                    out[lo:hi].ravel(),
-                )
-            )
-            for lo, hi in row_shards(w.indptr, n_shards)
-        ]
-        self._exec.run(tasks)
-
-    def _csr_into_ooc(self, x: np.ndarray, out: np.ndarray) -> None:
-        """The out-of-core ``out += W @ x``: budget-bounded row blocks.
-
-        Identical sharding decision to the resident path; within each shard
-        the rows stream through the workspace in budget-sized blocks.  The
-        rebased block indptr plus copied nnz slice feed ``csr_matvecs``
-        exactly the arrays the resident call sees for those rows, so every
-        output row is bit-identical at any block size.
-        """
-        w = self.w
-        m, n = w.shape
-        cols = x.shape[1]
-        n_shards = self._exec.shards_for(w.nnz * cols, m)
-        shards = row_shards(w.indptr, n_shards) if n_shards > 1 else [(0, m)]
-        workspaces = self._ooc_workspaces(len(shards))
+        shards = row_shards(w.indptr, self.policy.shards_for(w.nnz * cols, m))
         xr = x.ravel()
 
-        def run_range(ws: OocWorkspace, lo: int, hi: int) -> None:
-            for r0, r1 in row_blocks(w.indptr, lo, hi, ws.max_nnz):
-                ipb, ixb, db = ws.stage(w, r0, r1)
+        def run_range(ws: Optional[OocWorkspace], lo: int, hi: int) -> None:
+            for r0, r1, indptr, indices, data in self._row_blocks(ws, lo, hi):
                 _sparsetools.csr_matvecs(
-                    r1 - r0, n, cols, ipb, ixb, db, xr, out[r0:r1].ravel()
+                    r1 - r0, n, cols, indptr, indices, data, xr, out[r0:r1].ravel()
                 )
 
-        if len(shards) == 1:
-            run_range(workspaces[0], 0, m)
-            return
         self.threads_used = max(self.threads_used, len(shards))
-        self._exec.run(
+        run_tasks(
             [
                 (lambda ws=ws, lo=lo, hi=hi: run_range(ws, lo, hi))
-                for ws, (lo, hi) in zip(workspaces, shards)
-            ]
+                for ws, (lo, hi) in zip(self._workspaces(len(shards)), shards)
+            ],
+            self.policy.n_threads,
         )
 
     def _csc_into(
-        self, x: np.ndarray, out: np.ndarray, ws: Optional[OocWorkspace] = None
+        self, x: np.ndarray, out: np.ndarray, ws: Optional[OocWorkspace]
     ) -> None:
         """``out += W.T @ x`` (CSC scatter) for pre-zeroed ``out``, serial.
 
-        The out-of-core variant sweeps row blocks in ascending order, which
-        is the exact accumulation order of the resident full-matrix scatter
-        — bit-identical at any budget.
+        The row blocks come in ascending order, which is the exact
+        accumulation order of the full-matrix scatter — bit-identical at
+        any budget.
         """
         w = self.w
         m, n = w.shape
         cols = x.shape[1]
-        if not self._ooc:
+        for r0, r1, indptr, indices, data in self._row_blocks(ws, 0, m):
             _sparsetools.csc_matvecs(
-                n, m, cols, w.indptr, w.indices, w.data, x.ravel(), out.ravel()
-            )
-            return
-        for r0, r1 in row_blocks(w.indptr, 0, m, ws.max_nnz):
-            ipb, ixb, db = ws.stage(w, r0, r1)
-            _sparsetools.csc_matvecs(
-                n, r1 - r0, cols, ipb, ixb, db, x[r0:r1].ravel(), out.ravel()
+                n, r1 - r0, cols, indptr, indices, data, x[r0:r1].ravel(), out.ravel()
             )
 
     def matmul(self, block: np.ndarray, *, reuse: bool = False) -> np.ndarray:
@@ -312,13 +289,12 @@ class SparseKernel:
         out = self._buf("out_v", n, cols) if reuse else np.empty((n, cols), self.dtype)
         # W.T viewed as an n x m CSC matrix shares W's CSR arrays verbatim;
         # csc_matvecs is the routine scipy's own `w.T @ block` dispatches to.
-        n_shards = self._exec.shards_for(w.nnz * cols, cols)
+        n_shards = self.policy.shards_for(w.nnz * cols, cols)
+        workspaces = self._workspaces(n_shards)
         if n_shards == 1:
             x = self._as_input(block, "in_u")
             out.fill(0.0)
-            self._csc_into(
-                x, out, ws=self._ooc_workspaces(1)[0] if self._ooc else None
-            )
+            self._csc_into(x, out, workspaces[0])
             return out
         # Column shards: each worker owns a disjoint column slice of the
         # output.  The scatter needs C-contiguous column slices, so every
@@ -331,22 +307,20 @@ class SparseKernel:
             (self._buf(f"t_in_{i}", m, hi - lo), self._buf(f"t_out_{i}", n, hi - lo))
             for i, (lo, hi) in enumerate(shards)
         ]
-        workspaces = self._ooc_workspaces(len(shards)) if self._ooc else None
 
         def run_shard(i: int, lo: int, hi: int) -> None:
             xin, xout = staged[i]
             xin[...] = block[:, lo:hi]
             xout.fill(0.0)
-            self._csc_into(
-                xin, xout, ws=workspaces[i] if workspaces is not None else None
-            )
+            self._csc_into(xin, xout, workspaces[i])
             out[:, lo:hi] = xout
 
-        self._exec.run(
+        run_tasks(
             [
                 (lambda i=i, lo=lo, hi=hi: run_shard(i, lo, hi))
                 for i, (lo, hi) in enumerate(shards)
-            ]
+            ],
+            self.policy.n_threads,
         )
         return out
 
@@ -358,18 +332,18 @@ class GramKernel:
     :meth:`pmf_apply` — ``sum_l weights[l] (W W^T)^l @ block`` — against
     preallocated ping-pong buffers.
 
-    Blocks wider than ``policy.block_cols`` are processed in column chunks so
-    workspace memory stays bounded by ``O((|U| + |V|) * block_cols)`` no
+    Blocks wider than :data:`BLOCK_COLS` are processed in column chunks so
+    workspace memory stays bounded by ``O((|U| + |V|) * BLOCK_COLS)`` no
     matter how large ``k`` grows.  Results are freshly allocated (they are
     the operator API's return values); every intermediate is reused.
 
-    When the policy's executor allows, large applies distribute their column
+    When the policy's threads allow, large applies distribute their column
     chunks round-robin over per-slot :class:`SparseKernel` instances — each
     slot shares ``W``'s CSR storage but owns its own ping-pong hop buffers
     and writes a disjoint column slice of the output.  Slot kernels run
     serial (no nested sharding) and never touch the obs collector; sharded
     applies narrow the chunk width to ``ceil(cols / n_slots)`` when a single
-    ``block_cols`` chunk would cover the whole block.  Columns evolve
+    :data:`BLOCK_COLS` chunk would cover the whole block.  Columns evolve
     independently through the whole hop recurrence, so results stay
     bit-identical to the serial path for every thread count.
     """
@@ -378,7 +352,6 @@ class GramKernel:
         self.policy = policy if policy is not None else DtypePolicy()
         self.kernel = SparseKernel(w, self.policy)
         self.dtype = self.kernel.dtype
-        self._exec = ParallelExecutor(self.policy.exec_policy)
         self._slots: List[SparseKernel] = []
         self._threads_used = 1
         self._ooc_reported = 0
@@ -402,8 +375,6 @@ class GramKernel:
 
     def _report_ooc(self, collector) -> None:
         """Report staging traffic accrued since the last logical apply."""
-        if not self.kernel._ooc:
-            return
         total = self.ooc_bytes_copied()
         delta = total - self._ooc_reported
         if delta:
@@ -413,34 +384,32 @@ class GramKernel:
     def _slot_kernels(self, count: int) -> List[SparseKernel]:
         """``count`` serial kernels sharing W's storage, one per worker slot."""
         while len(self._slots) < count:
-            slot_policy = self.policy.with_threads(1)
-            if self.kernel._ooc:
-                # Slot kernels run concurrently; each gets the same 1/n_threads
-                # share of the budget the owning kernel's own shards would.
-                total_mb = (
-                    self.policy.ooc_budget_mb
-                    if self.policy.ooc_budget_mb is not None
-                    else DEFAULT_OOC_BUDGET_MB
-                )
-                slot_policy = slot_policy.with_ooc_budget(
-                    total_mb / max(1, self.policy.n_threads)
-                )
+            # Slot kernels run concurrently; each gets the same 1/n_threads
+            # share of the budget the owning kernel's own shards would.
+            total_mb = (
+                self.policy.ooc_budget_mb
+                if self.policy.ooc_budget_mb is not None
+                else DEFAULT_OOC_BUDGET_MB
+            )
+            slot_policy = self.policy.with_threads(1).with_ooc_budget(
+                total_mb / self.policy.n_threads
+            )
             self._slots.append(
                 SparseKernel(self.kernel.w, slot_policy, notify_obs=False)
             )
         return self._slots[:count]
 
     def _chunks(self, cols: int, width: Optional[int] = None):
-        width = self.policy.block_cols if width is None else width
+        width = BLOCK_COLS if width is None else width
         for lo in range(0, cols, width):
             yield lo, min(cols, lo + width)
 
     def _plan(self, cols: int) -> Tuple[int, int]:
         """``(n_slots, chunk_width)`` for one logical apply over ``cols``."""
-        n_slots = self._exec.shards_for(self.kernel.w.nnz * cols, cols)
+        n_slots = self.policy.shards_for(self.kernel.w.nnz * cols, cols)
         if n_slots <= 1:
-            return 1, self.policy.block_cols
-        return n_slots, min(self.policy.block_cols, -(-cols // n_slots))
+            return 1, BLOCK_COLS
+        return n_slots, min(BLOCK_COLS, -(-cols // n_slots))
 
     def _run_sharded(
         self,
@@ -458,14 +427,15 @@ class GramKernel:
             for lo, hi in mine:
                 chunk_fn(kernel, lo, hi)
 
-        self._exec.run(
+        run_tasks(
             [
                 (lambda kernel=kernel, mine=mine: run_slot(kernel, mine))
                 for kernel, mine in (
                     (slots[i], chunks[i::n_slots]) for i in range(n_slots)
                 )
                 if mine
-            ]
+            ],
+            self.policy.n_threads,
         )
 
     def _pmf_chunk(

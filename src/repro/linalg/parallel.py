@@ -2,17 +2,17 @@
 
 scipy's low-level ``csr_matvecs`` / ``csc_matvecs`` routines release the GIL
 for the duration of the product, so plain Python threads scale the sparse
-applies across cores without any extra dependency.  This module provides the
-two pieces the kernels need:
+applies across cores without any extra dependency.  This module is the one
+place that decides the thread count and owns the pool:
 
-* :class:`ExecPolicy` — how many worker threads to use and when *not* to use
-  them.  The thread count resolves from ``REPRO_NUM_THREADS`` (default:
-  ``os.cpu_count()``); ``1`` selects the exact legacy serial path.  An
-  auto-tune threshold (``serial_threshold``) keeps toy-sized applies on the
-  serial path so small graphs never pay pool dispatch overhead.
-* :class:`ParallelExecutor` — a thin wrapper over a process-wide, lazily
-  created thread pool.  It runs a list of thunks and re-raises the first
-  worker exception in the caller.
+* :func:`env_threads` — the thread count a new
+  :class:`~repro.linalg.policy.DtypePolicy` takes from ``REPRO_NUM_THREADS``
+  (default: ``os.cpu_count()``); ``1`` selects the exact serial path.  How
+  many shards one apply uses is :meth:`DtypePolicy.shards_for`, which keeps
+  toy-sized applies serial below a fixed work threshold.
+* :func:`run_tasks` — runs a list of thunks on a process-wide, lazily
+  created thread pool and re-raises the first worker exception in the
+  caller.
 
 Determinism contract
 --------------------
@@ -39,86 +39,29 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ExecPolicy", "ParallelExecutor", "row_shards", "column_shards"]
-
-#: Work units (``nnz * cols`` of one logical apply) below which sharding is
-#: not worth the pool dispatch overhead.  At ~2 FLOPs per unit this is a few
-#: hundred microseconds of serial work — comparable to waking the pool.
-DEFAULT_SERIAL_THRESHOLD = 500_000
+__all__ = ["env_threads", "run_tasks", "row_shards", "column_shards"]
 
 _ENV_THREADS = "REPRO_NUM_THREADS"
 
 
-def _env_int(name: str, default: int, minimum: int) -> int:
-    raw = os.environ.get(name)
+def env_threads() -> int:
+    """The kernel thread count ``REPRO_NUM_THREADS`` sets (default: the CPUs)."""
+    raw = os.environ.get(_ENV_THREADS)
     if raw is None or raw.strip() == "":
-        return default
+        return os.cpu_count() or 1
     try:
         value = int(raw)
     except ValueError:
         raise ValueError(
-            f"{name} must be an integer, got {raw!r}"
+            f"{_ENV_THREADS} must be an integer, got {raw!r}"
         ) from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if value < 1:
+        raise ValueError(f"{_ENV_THREADS} must be >= 1, got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class ExecPolicy:
-    """Thread count and auto-tune threshold for the kernel executor.
-
-    Attributes
-    ----------
-    n_threads:
-        Worker threads for sharded applies.  ``1`` (the serial policy) is
-        the exact legacy path: no pool, no sharding, byte-for-byte the
-        pre-parallel control flow.
-    serial_threshold:
-        Minimum work size (``nnz * cols`` of the logical apply) before a
-        product is sharded.  Applies below the threshold always run
-        serially, so toy graphs never pay pool overhead.
-    """
-
-    n_threads: int = 1
-    serial_threshold: int = DEFAULT_SERIAL_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if self.n_threads < 1:
-            raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
-        if self.serial_threshold < 0:
-            raise ValueError(
-                f"serial_threshold must be >= 0, got {self.serial_threshold}"
-            )
-
-    @classmethod
-    def from_env(cls) -> "ExecPolicy":
-        """Resolve from the environment.
-
-        ``REPRO_NUM_THREADS`` sets the thread count (default
-        ``os.cpu_count()``); the auto-tune threshold is
-        :data:`DEFAULT_SERIAL_THRESHOLD`.
-        """
-        return cls(n_threads=_env_int(_ENV_THREADS, os.cpu_count() or 1, 1))
-
-    def shards_for(self, work: int, limit: int) -> int:
-        """How many shards a logical apply of ``work`` units should use.
-
-        ``limit`` caps the shard count at the available parallel grain
-        (rows for CSR row shards, columns for column shards).  Returns 1
-        — the serial path — for sub-threshold work or a single-thread
-        policy.
-        """
-        if self.n_threads <= 1 or limit <= 1:
-            return 1
-        if work < self.serial_threshold:
-            return 1
-        return min(self.n_threads, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -169,38 +112,26 @@ def _pool(n_workers: int) -> ThreadPoolExecutor:
         return pool
 
 
-class ParallelExecutor:
-    """Runs shard thunks on the shared pool; serial below the threshold.
+def run_tasks(tasks: Sequence[Callable[[], None]], n_threads: int) -> None:
+    """Execute ``tasks`` on the ``n_threads`` pool; block until all complete.
 
-    Stateless besides the policy — the pool itself is shared process-wide
-    so repeated applies reuse warm threads.
+    A single task runs inline on the caller thread.  Worker exceptions
+    propagate to the caller: all submitted tasks are still awaited, so no
+    worker outlives the apply that spawned it, and the first exception is
+    re-raised.
     """
-
-    def __init__(self, policy: ExecPolicy):
-        self.policy = policy
-
-    def shards_for(self, work: int, limit: int) -> int:
-        """Delegates to :meth:`ExecPolicy.shards_for`."""
-        return self.policy.shards_for(work, limit)
-
-    def run(self, tasks: Sequence[Callable[[], None]]) -> None:
-        """Execute ``tasks``; block until all complete.
-
-        A single task runs inline on the caller thread.  Worker exceptions
-        propagate to the caller (all submitted tasks are still awaited so
-        no worker outlives the apply that spawned it).
-        """
-        if len(tasks) == 1:
-            tasks[0]()
-            return
-        pool = _pool(self.policy.n_threads)
-        futures = [pool.submit(task) for task in tasks]
-        error = None
-        for future in futures:
-            try:
-                future.result()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
+    if len(tasks) < 2:
+        for task in tasks:
+            task()
+        return
+    pool = _pool(n_threads)
+    futures = [pool.submit(task) for task in tasks]
+    error = None
+    for future in futures:
+        try:
+            future.result()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            if error is None:
+                error = exc
+    if error is not None:
+        raise error

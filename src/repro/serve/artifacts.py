@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import errno
 import fcntl
-import hashlib
 import json
 import os
 import re
@@ -84,6 +83,7 @@ import numpy as np
 from ..core.quantize import QUANT_DTYPES, quantize_columns
 from ..durable import TRASH_PREFIX, commit_dir, make_dirs, remove_dir
 from ..graph import BipartiteGraph, load_npz, save_npz
+from ..graph.store import array_checksum
 
 __all__ = [
     "ARTIFACT_SCHEMA_NAME",
@@ -122,21 +122,6 @@ PathLike = Union[str, Path]
 
 class ArtifactError(ValueError):
     """A model artifact is missing, malformed, or fails verification."""
-
-
-def array_checksum(array: np.ndarray) -> str:
-    """A blake2b content digest of one array (dtype + shape + raw bytes).
-
-    Two arrays collide only if they are bit-identical in the same dtype and
-    shape — exactly the condition under which serving them is equivalent.
-    Memory-mapped arrays hash straight from the page cache (no copy).
-    """
-    array = np.ascontiguousarray(array)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(str(array.dtype).encode("ascii"))
-    digest.update(np.asarray(array.shape, dtype=np.int64).tobytes())
-    digest.update(array.data if array.flags.c_contiguous else array.tobytes())
-    return digest.hexdigest()
 
 
 def load_embedding_arrays(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ _SUBMODULE = {
     "DEFAULT_BLOCK_ROWS": "topk",
     "SimilarityEngine": "similarity",
     "SIMILARITY_MODES": "similarity",
-    "DEFAULT_BLOCK_SOURCES": "similarity",
+    "BLOCK_SOURCES": "similarity",
     "transposed_graph": "similarity",
     "LinkPredictionTask": "link_prediction",
     "LinkPredictionReport": "link_prediction",

@@ -9,14 +9,16 @@ exactly, matrix-free, and ranks them as a served query class:
 * ``s(u, :) = H[u, :] * scale[u] * scale``  with ``scale = diag(H)^{-1/2}``
   (Eq. 4; the diagonal is computed exactly once by blocked probing).
 
-A *block* of one-hot sources becomes one PMF-weighted sparse-chain apply
-through the workspace-reusing kernels (`GramKernel.pmf_apply` under the
-engine's :class:`~repro.linalg.policy.DtypePolicy`), so a batch of ``b``
-queries costs one ``O(tau |E| b)`` apply instead of ``b`` separate ones.
-Columns evolve independently through the hop recurrence, so every per-source
-row is bit-identical at every thread count and block size, and ranking goes
-through the shared :func:`~repro.core.selection.select_topn` — lists are
-fully lexicographic and element-identical to the dense reference.
+A *block* of :data:`BLOCK_SOURCES` one-hot sources becomes one PMF-weighted
+sparse-chain apply through the workspace-reusing kernels
+(`GramKernel.pmf_apply` under the engine's
+:class:`~repro.linalg.policy.DtypePolicy`), so a batch of ``b`` queries
+costs one ``O(tau |E| b)`` apply instead of ``b`` separate ones; the
+diagonal probe uses the same width.  Columns evolve independently through
+the hop recurrence, so every per-source row is bit-identical at every
+thread count and block width, and ranking goes through the shared
+:func:`~repro.core.selection.select_topn` — lists are fully lexicographic
+and element-identical to the dense reference.
 
 Both same-side (MHS, ``mode="mhs"``) and opposite-side (MHP, ``mode="mhp"``)
 neighbor rankings are supported; V-side sources run the engine over
@@ -39,16 +41,16 @@ from ..linalg import DtypePolicy, ProximityOperator
 from ..obs import active as _obs_active
 
 __all__ = [
-    "DEFAULT_BLOCK_SOURCES",
+    "BLOCK_SOURCES",
     "SIMILARITY_MODES",
     "SimilarityEngine",
     "transposed_graph",
 ]
 
-#: Default width of the one-hot source blocks (matches the top-k engine's
-#: sweet spot: wide enough to amortize the sparse-chain setup, small enough
-#: to keep the ``|U| x b`` workspace resident).
-DEFAULT_BLOCK_SOURCES = 64
+#: Width of the one-hot source blocks of queries and of the diagonal probe:
+#: wide enough to amortize the sparse-chain setup, small enough to keep the
+#: ``|U| x b`` workspace resident.
+BLOCK_SOURCES = 64
 
 #: Supported neighbor rankings: same-side (Eq. 4) and opposite-side (Eq. 5).
 SIMILARITY_MODES = ("mhs", "mhp")
@@ -92,10 +94,10 @@ class SimilarityEngine:
     policy:
         Dtype/kernel/thread policy; ``None`` means the default (float64,
         workspace-reusing kernels, bit-identical to the reference path).
-    block_sources:
-        Internal width of the one-hot blocks.  Any number of sources is
-        accepted; they are chunked to this width.  Per-source results do
-        not depend on the chunking.
+
+    Any number of sources is accepted; they are chunked to
+    :data:`BLOCK_SOURCES`.  Per-source results do not depend on the
+    chunking.
     """
 
     def __init__(
@@ -106,18 +108,14 @@ class SimilarityEngine:
         *,
         normalization: str = "none",
         policy: Optional[DtypePolicy] = None,
-        block_sources: int = DEFAULT_BLOCK_SOURCES,
     ):
         if tau < 0:
             raise ValueError("tau must be non-negative")
-        if block_sources < 1:
-            raise ValueError("block_sources must be >= 1")
         self.graph = graph
         self.pmf = pmf
         self.tau = int(tau)
         self.normalization = normalization
         self.policy = policy if policy is not None else DtypePolicy()
-        self.block_sources = int(block_sources)
         self._w = normalize_weights(
             graph, normalization, ooc_budget_mb=self.policy.ooc_budget_mb
         )
@@ -160,7 +158,6 @@ class SimilarityEngine:
         clone.tau = self.tau
         clone.normalization = self.normalization
         clone.policy = self.policy
-        clone.block_sources = self.block_sources
         clone._w = self._w
         clone._weights = self._weights
         clone._proximity = ProximityOperator(
@@ -184,7 +181,7 @@ class SimilarityEngine:
     def _one_hot_block(self, sources: np.ndarray) -> np.ndarray:
         """A reused ``|U| x b`` one-hot block for ``sources`` (grow-once)."""
         b = sources.size
-        width = max(b, self.block_sources)
+        width = max(b, BLOCK_SOURCES)
         if self._onehot is None or self._onehot.shape[1] < b:
             self._onehot = np.zeros((self.num_u, width), dtype=np.float64)
             _obs_active().note_array(self._onehot.nbytes)
@@ -194,13 +191,13 @@ class SimilarityEngine:
         return block
 
     def _blocks(self, sources: np.ndarray):
-        for lo in range(0, sources.size, self.block_sources):
-            yield lo, sources[lo : lo + self.block_sources]
+        for lo in range(0, sources.size, BLOCK_SOURCES):
+            yield lo, sources[lo : lo + BLOCK_SOURCES]
 
     def h_rows(self, sources: Sequence[int]) -> np.ndarray:
         """Exact rows ``H[sources, :]``, shape ``(len(sources), |U|)``.
 
-        One blocked PMF-weighted apply per ``block_sources`` chunk; ``H`` is
+        One blocked PMF-weighted apply per :data:`BLOCK_SOURCES` chunk; ``H`` is
         symmetric, so the apply's columns *are* the requested rows.
         """
         sources = self._check_sources(sources)
@@ -248,23 +245,21 @@ class SimilarityEngine:
     # ------------------------------------------------------------------
     # Diagonal
     # ------------------------------------------------------------------
-    def h_diagonal(self, block_size: int = 64) -> np.ndarray:
+    def h_diagonal(self) -> np.ndarray:
         """Exact diagonal of ``H``, computed by blocked probing and cached.
 
-        ``ceil(|U| / block_size)`` one-hot applies of width ``block_size``.
-        Every diagonal entry comes from its own one-hot column, and columns
-        evolve independently through the hop recurrence — the result is
-        bit-identical for every ``block_size`` and thread count.  The cache
-        is shared with every :meth:`clone_for_worker` clone; concurrent
-        first calls probe once.
+        ``ceil(|U| / BLOCK_SOURCES)`` one-hot applies of width
+        :data:`BLOCK_SOURCES`.  Every diagonal entry comes from its own
+        one-hot column, and columns evolve independently through the hop
+        recurrence — the result is bit-identical for every block width and
+        thread count.  The cache is shared with every
+        :meth:`clone_for_worker` clone; concurrent first calls probe once.
         """
         shared = self._shared
         if shared.value is None:
-            if block_size < 1:
-                raise ValueError("block_size must be >= 1")
             with shared.lock:
                 if shared.value is None:
-                    shared.value = self._probe_diagonal(block_size)
+                    shared.value = self._probe_diagonal()
         return shared.value
 
     @property
@@ -272,11 +267,11 @@ class SimilarityEngine:
         """Whether the H diagonal this engine shares has been probed."""
         return self._shared.value is not None
 
-    def _probe_diagonal(self, block_size: int) -> np.ndarray:
+    def _probe_diagonal(self) -> np.ndarray:
         n = self.num_u
         diagonal = np.empty(n, dtype=np.float64)
-        for start in range(0, n, block_size):
-            stop = min(start + block_size, n)
+        for start in range(0, n, BLOCK_SOURCES):
+            stop = min(start + BLOCK_SOURCES, n)
             chunk = np.arange(start, stop, dtype=np.int64)
             result = self._operator.matmat(self._one_hot_block(chunk))
             diagonal[chunk] = result[chunk, np.arange(chunk.size)]

@@ -22,7 +22,7 @@ IVF index (:class:`repro.ann.IVFIndex`).  Users are answered
      the bytes of a float64 staging, and no temporary the size of ``V``).
      The GEMM is column-sharded across the thread pool of
      :mod:`repro.linalg.parallel` when the
-     :class:`~repro.linalg.DtypePolicy`'s executor allows (``--threads``
+     :class:`~repro.linalg.DtypePolicy`'s threads allow (``--threads``
      and ``REPRO_NUM_THREADS`` apply as they do to the training kernels).
      The training edges are masked straight from the graph's
      ``indptr``/``indices`` arrays with one vectorized gather
@@ -54,9 +54,10 @@ Results stream block by block; the full ``num_users x num_items`` score
 matrix is never materialized.  Peak extra memory is one reusable
 ``block_rows x num_items`` float32 score buffer (reported through the obs
 workspace watermark), its candidate mask, and the rerank's pairs, gathered
-:data:`RERANK_ELEMENTS` row elements at a time.  Unless told otherwise,
-the engine works out ``block_rows`` from the catalog width, so that buffer
-stays within :data:`SCORE_BUFFER_BYTES` however wide the item side.
+:data:`RERANK_ELEMENTS` row elements at a time.  The engine works out
+``block_rows`` from the catalog width: :data:`DEFAULT_BLOCK_ROWS`, or fewer
+so that the buffer stays within :data:`SCORE_BUFFER_BYTES` however wide
+the item side.
 
 Observability: every count a block makes goes to the active collector and
 to the engine's own :attr:`TopKEngine.ops`, whose deltas ``/metrics``
@@ -80,7 +81,7 @@ import numpy as np
 from ..core.quantize import QUANT_DTYPES
 from ..core.selection import select_topn
 from ..graph import BipartiteGraph
-from ..linalg.parallel import ParallelExecutor, column_shards
+from ..linalg.parallel import column_shards, run_tasks
 from ..linalg.policy import DtypePolicy
 from ..obs import OpCounter
 from ..obs import active as _obs_active
@@ -280,14 +281,14 @@ class TopKEngine:
         index.  A partial probe takes each block's candidates from the
         index and stages no ``V.T``.
     policy:
-        The :class:`~repro.linalg.DtypePolicy` whose executor threads the
+        The :class:`~repro.linalg.DtypePolicy` whose threads shard the
         sweep (``None``: default policy, ``REPRO_NUM_THREADS`` threads).
         Its compute dtype does not change top-k: the sweep is always
         float32 and the rerank always float64.
-    block_rows:
-        Users per block (``None``: the most rows, up to
-        :data:`DEFAULT_BLOCK_ROWS`, whose float32 scores fit in
-        :data:`SCORE_BUFFER_BYTES`; at least one).
+
+    Users are scored :attr:`block_rows` at a time: the most rows, up to
+    :data:`DEFAULT_BLOCK_ROWS`, whose float32 scores fit in
+    :data:`SCORE_BUFFER_BYTES` (at least one).
 
     Notes
     -----
@@ -317,7 +318,6 @@ class TopKEngine:
         index=None,
         nprobe: Optional[int] = None,
         policy: Optional[DtypePolicy] = None,
-        block_rows: Optional[int] = None,
     ):
         if scales is None:
             u = np.asarray(u, dtype=np.float64)
@@ -348,13 +348,9 @@ class TopKEngine:
                 f"the index covers {index.num_items} items of dimension "
                 f"{index.dimension}, the embeddings {m} items of dimension {k}"
             )
-        if block_rows is None:
-            row_bytes = 4 * max(m, 1)  # one float32 score row
-            block_rows = max(1, min(DEFAULT_BLOCK_ROWS, SCORE_BUFFER_BYTES // row_bytes))
-        if block_rows < 1:
-            raise ValueError(f"block_rows must be >= 1, got {block_rows}")
         self.policy = policy if policy is not None else DtypePolicy()
-        self.block_rows = int(block_rows)
+        row_bytes = 4 * max(m, 1)  # one float32 score row
+        self.block_rows = max(1, min(DEFAULT_BLOCK_ROWS, SCORE_BUFFER_BYTES // row_bytes))
         self._u, self._u_scales = u, u_scales
         self._v, self._v_scales = v, v_scales
         self.index = index
@@ -364,7 +360,6 @@ class TopKEngine:
         self._vt: Optional[np.ndarray] = None
         if index is None or self.nprobe == index.n_cells:
             self._stage()
-        self._exec = ParallelExecutor(self.policy.exec_policy)
         self._scores_flat: Optional[np.ndarray] = None
         self.threads_used = 1
         #: Cumulative (user, candidate) pairs reranked in float64 — the
@@ -415,23 +410,21 @@ class TopKEngine:
         result,
         *,
         policy: Optional[DtypePolicy] = None,
-        block_rows: Optional[int] = None,
     ) -> "TopKEngine":
         """An engine over ``result.u`` / ``result.v`` (duck-typed)."""
-        return cls(result.u, result.v, policy=policy, block_rows=block_rows)
+        return cls(result.u, result.v, policy=policy)
 
     def clone_for_worker(self) -> "TopKEngine":
         """A worker-private engine sharing this engine's embedding arrays.
 
         The clone aliases the read-only codes, staged ``V.T`` and index —
         zero copy, so per-thread clones cost only the (lazily grown) score
-        workspace — but owns a fresh workspace, executor handle and counts.
+        workspace — but owns a fresh workspace and counts.
         This is the supported way to score concurrently: one clone per
         thread, never one shared instance (see the class notes on the
         workspace race).
         """
         clone = copy.copy(self)
-        clone._exec = ParallelExecutor(self.policy.exec_policy)
         clone._scores_flat = None
         clone.threads_used = 1
         clone.reranked_candidates = 0
@@ -502,12 +495,12 @@ class TopKEngine:
         u_block = u_block.astype(np.float32, copy=False)
         rows, k = u_block.shape
         m = self.num_items
-        n_shards = self._exec.shards_for(rows * k * m, m)
+        n_shards = self.policy.shards_for(rows * k * m, m)
         if n_shards == 1:
             np.matmul(u_block, self._vt, out=out)
             return
         self.threads_used = max(self.threads_used, n_shards)
-        self._exec.run(
+        run_tasks(
             [
                 (
                     lambda lo=lo, hi=hi: np.matmul(
@@ -515,7 +508,8 @@ class TopKEngine:
                     )
                 )
                 for lo, hi in column_shards(m, n_shards)
-            ]
+            ],
+            self.policy.n_threads,
         )
 
     def _sweep(self, u_rows: np.ndarray, n: int, excluded) -> Tuple[np.ndarray, ...]:

@@ -10,6 +10,8 @@ and go through the same float64 rerank and
 latency along a measured, monotone knob.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,14 +26,24 @@ from repro.ann import (
 )
 from repro.core.selection import select_topn
 from repro.graph import BipartiteGraph
-from repro.linalg.parallel import ExecPolicy
+from repro.linalg import policy as policy_module
 from repro.serve import ArtifactError
 from repro.tasks import TopKEngine
+from repro.tasks import topk as topk_module
+
+
+def _engine(u, v, block_rows=None, **kwargs):
+    """The engine over ``u``, ``v``, answering ``block_rows`` users per
+    block (``None``: the engine's own rule)."""
+    if block_rows is None:
+        return TopKEngine(u, v, **kwargs)
+    with mock.patch.object(topk_module, "DEFAULT_BLOCK_ROWS", block_rows):
+        return TopKEngine(u, v, **kwargs)
 
 
 def _probed(u, v, index, nprobe=None, **kwargs):
     """The engine over ``u``, ``v`` whose candidates ``index`` proposes."""
-    return TopKEngine(u, v, index=index, nprobe=nprobe, **kwargs)
+    return _engine(u, v, index=index, nprobe=nprobe, **kwargs)
 
 
 def _clustered(num_items=500, num_queries=40, dimension=16, centers=8, seed=42):
@@ -61,7 +73,7 @@ class TestFullProbeDifferential:
         self, clustered, clustered_index, block_rows
     ):
         u, v = clustered
-        engine = TopKEngine(u, v, block_rows=block_rows)
+        engine = _engine(u, v, block_rows)
         expected = engine.top_items(10)
         items = _probed(
             u, v, clustered_index, clustered_index.n_cells, block_rows=block_rows
@@ -79,7 +91,7 @@ class TestFullProbeDifferential:
         u, v = clustered
         # A full probe is the engine's own sweep and fixed-order rerank, so
         # scores are bit-identical at any block size.
-        expected_items, expected_scores = TopKEngine(u, v, block_rows=1).top_items(
+        expected_items, expected_scores = _engine(u, v, 1).top_items(
             10, with_scores=True
         )
         items, scores = _probed(u, v, clustered_index).top_items(10, with_scores=True)
@@ -204,7 +216,7 @@ class TestEngineRerank:
         engine without the index and lists what it lists; a partial probe
         stages none.  An index over other items is refused."""
         u, v = clustered
-        exact = TopKEngine(u, v, block_rows=5)
+        exact = _engine(u, v, 5)
         full = _probed(u, v, clustered_index, block_rows=5)
         partial = _probed(u, v, clustered_index, 2, block_rows=5)
         assert full.resident_bytes() == exact.resident_bytes() > partial.resident_bytes()
@@ -430,8 +442,13 @@ class TestObservability:
 class TestKMeansThreadInvariance:
     """The satellite pin: the assignment sweep's span partition depends on
     ``_CHUNK_ENTRIES`` alone, never the thread count, so routing the
-    distance GEMMs through ``ParallelExecutor`` is bit-invisible — same
-    labels, same distances, same GEMM tally at every ``n_threads``."""
+    distance GEMMs through the shared pool is bit-invisible — same labels,
+    same distances, same GEMM tally at every ``REPRO_NUM_THREADS``.  The
+    threshold is 0, so the small sweeps here shard."""
+
+    @pytest.fixture(autouse=True)
+    def _shard_every_sweep(self, monkeypatch):
+        monkeypatch.setattr(policy_module, "SERIAL_THRESHOLD", 0)
 
     def test_assignments_bit_identical_and_counters_pinned(self, monkeypatch):
         import repro.ann.kmeans as kmeans_mod
@@ -441,49 +458,38 @@ class TestKMeansThreadInvariance:
         points = rng.standard_normal((300, 6))
         centroids = rng.standard_normal((10, 6))
         # chunk = 640 // 10 = 64 points -> ceil(300 / 64) = 5 spans.
-        serial = ExecPolicy(n_threads=1, serial_threshold=0)
+        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
         with obs.collect() as baseline:
-            ref_labels, ref_distances = assign_clusters(
-                points, centroids, exec_policy=serial
-            )
+            ref_labels, ref_distances = assign_clusters(points, centroids)
         assert baseline.ops.gemms == 5
         assert baseline.threads == 1
         for n_threads in (2, 4):
-            policy = ExecPolicy(n_threads=n_threads, serial_threshold=0)
+            monkeypatch.setenv("REPRO_NUM_THREADS", str(n_threads))
             with obs.collect() as collector:
-                labels, distances = assign_clusters(
-                    points, centroids, exec_policy=policy
-                )
+                labels, distances = assign_clusters(points, centroids)
             np.testing.assert_array_equal(labels, ref_labels)
             np.testing.assert_array_equal(distances, ref_distances)
             # One GEMM per span — the tally must not shift with threads.
             assert collector.ops.gemms == 5
             assert collector.threads == min(n_threads, 5)
 
-    def test_kmeans_fit_bit_identical_across_thread_counts(self):
+    def test_kmeans_fit_bit_identical_across_thread_counts(self, monkeypatch):
         rng = np.random.default_rng(7)
         points = rng.standard_normal((240, 5))
-        serial = ExecPolicy(n_threads=1, serial_threshold=0)
-        ref_centroids, ref_labels = kmeans_fit(
-            points, 8, seed=3, exec_policy=serial
-        )
+        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
+        ref_centroids, ref_labels = kmeans_fit(points, 8, seed=3)
         for n_threads in (2, 4):
-            policy = ExecPolicy(n_threads=n_threads, serial_threshold=0)
-            centroids, labels = kmeans_fit(
-                points, 8, seed=3, exec_policy=policy
-            )
+            monkeypatch.setenv("REPRO_NUM_THREADS", str(n_threads))
+            centroids, labels = kmeans_fit(points, 8, seed=3)
             np.testing.assert_array_equal(centroids, ref_centroids)
             np.testing.assert_array_equal(labels, ref_labels)
 
-    def test_index_build_unchanged_by_exec_policy(self):
+    def test_index_build_unchanged_by_exec_policy(self, monkeypatch):
         _, v = _clustered(num_items=200, num_queries=1, seed=13)
+        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
         reference = IVFIndex.build(v, n_cells=12, seed=0)
-        threaded = IVFIndex.build(
-            v,
-            n_cells=12,
-            seed=0,
-            exec_policy=ExecPolicy(n_threads=4, serial_threshold=0),
-        )
+        monkeypatch.setenv("REPRO_NUM_THREADS", "4")
+        threaded = IVFIndex.build(v, n_cells=12, seed=0)
         np.testing.assert_array_equal(
             reference.centroids, threaded.centroids
         )

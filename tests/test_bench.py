@@ -8,6 +8,8 @@ the out-of-core fit; an Erdos-Renyi graph for similarity queries.  No test
 reads a clock: every assertion is on lists, bits or operation counts.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,12 @@ from repro.core.quantize import dequantize_columns, quantize_columns
 from repro.core.selection import select_topn
 from repro.datasets import DATASETS, erdos_renyi_bipartite
 from repro.graph import DeltaLog, apply_deltas, build_graph_store
-from repro.linalg import DtypePolicy, ExecPolicy, warm_basis_from_embedding
+from repro.linalg import DtypePolicy, kernels, warm_basis_from_embedding
+from repro.linalg import policy as policy_module
 from repro.serve.artifacts import ArtifactStore
 from repro.tasks import SimilarityEngine, TopKEngine
+from repro.tasks import similarity as similarity_module
+from repro.tasks import topk as topk_module
 
 DIMENSION = 16
 METHODS = ("GEBE^p", "GEBE (Poisson)")
@@ -34,8 +39,15 @@ def _serial() -> DtypePolicy:
 
 
 def _sharded(threads: int) -> DtypePolicy:
-    # serial_threshold=0 shards every apply, however small the block.
-    return DtypePolicy(exec_policy=ExecPolicy(n_threads=threads, serial_threshold=0))
+    return DtypePolicy(n_threads=threads)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _shard_every_apply():
+    # A zero threshold shards every apply of a _sharded policy, however
+    # small the block.
+    with mock.patch.object(policy_module, "SERIAL_THRESHOLD", 0):
+        yield
 
 
 def _overlap(lists: np.ndarray, reference: np.ndarray) -> float:
@@ -93,8 +105,8 @@ class TestRunBench:
     def test_matvec_counts_identical_across_kernel_paths(self, dblp, reference):
         # Column chunks narrower than the sketch split every block apply.
         for block_cols in (1, 3):
-            self._assert_same_schedule(dblp, DtypePolicy(block_cols=block_cols).with_threads(1),
-                                       reference)
+            with mock.patch.object(kernels, "BLOCK_COLS", block_cols):
+                self._assert_same_schedule(dblp, _serial(), reference)
 
     def test_comparisons_cover_every_new_kernel_policy(self, dblp, reference):
         policy = DtypePolicy.float32().with_threads(1)
@@ -113,8 +125,8 @@ class TestRunBench:
         ])
         for block_rows in (1, 64, 1024):
             for threads in (1, 2):
-                engine = TopKEngine.from_result(gebe_p, policy=_sharded(threads),
-                                                block_rows=block_rows)
+                with mock.patch.object(topk_module, "DEFAULT_BLOCK_ROWS", block_rows):
+                    engine = TopKEngine.from_result(gebe_p, policy=_sharded(threads))
                 with obs.collect() as collector:
                     lists = engine.top_items(N, exclude=dblp)
                 np.testing.assert_array_equal(lists, per_user)
@@ -329,15 +341,15 @@ class TestSimilarAxis:
     def _run(self, setup, mode, block, policy):
         """Blocked lists, per-source lists and sparse matvecs per single query."""
         graph, pmf, sources, _ = setup
-        engine = SimilarityEngine(graph, pmf, self.TAU, normalization="none",
-                                  policy=policy, block_sources=block)
-        if mode == "mhs":
-            engine.h_diagonal()  # one-time serving state, not per-query cost
-        blocked, _ = engine.query(sources, self.N, mode=mode)
-        with obs.collect() as collector:
-            singles = np.concatenate([
-                engine.query([int(source)], self.N, mode=mode)[0] for source in sources
-            ])
+        engine = SimilarityEngine(graph, pmf, self.TAU, normalization="none", policy=policy)
+        with mock.patch.object(similarity_module, "BLOCK_SOURCES", block):
+            if mode == "mhs":
+                engine.h_diagonal()  # one-time serving state, not per-query cost
+            blocked, _ = engine.query(sources, self.N, mode=mode)
+            with obs.collect() as collector:
+                singles = np.concatenate([
+                    engine.query([int(source)], self.N, mode=mode)[0] for source in sources
+                ])
         return blocked, singles, collector.ops.sparse_matvecs / sources.size
 
     def _assert_lists_equal(self, setup, block, policy):

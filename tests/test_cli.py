@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import argparse
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,9 +249,12 @@ class TestQuery:
     def test_block_sizes_agree(self, embeddings, capsys):
         # The derived block size lists what one-user blocks list.
         from repro.tasks import TopKEngine
+        from repro.tasks import topk as topk_module
 
-        with np.load(embeddings) as bundle:
-            lists = TopKEngine(bundle["u"], bundle["v"], block_rows=1).top_items(5)
+        with np.load(embeddings) as bundle, mock.patch.object(
+            topk_module, "DEFAULT_BLOCK_ROWS", 1
+        ):
+            lists = TopKEngine(bundle["u"], bundle["v"]).top_items(5)
         assert main(["query", embeddings, "-n", "5"]) == 0
         assert capsys.readouterr().out == "".join(
             f"{user}\t{' '.join(map(str, row))}\n"
@@ -497,6 +501,16 @@ class TestDatasets:
     def test_generate_requires_output(self, capsys):
         assert main(["datasets", "--generate", "dblp"]) == 2
         assert "--output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["nope", "toy"])
+    def test_generate_unknown_name_exits_2(self, name, tmp_path, capsys):
+        # An argparse refusal, as for --dataset: `toy` is no zoo member.
+        out = tmp_path / "x.tsv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["datasets", "--generate", name, "--output", str(out)])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generate_writes_tsv(self, tmp_path, capsys):
         out = str(tmp_path / "dblp.tsv")
@@ -1079,6 +1093,26 @@ def test_error_exit_pinned(case, error_inputs, monkeypatch, capsys):
     capsys.readouterr()
     assert main([part.format(**error_inputs) for part in argv.split()]) == code
     assert capsys.readouterr().err == stderr.format(**error_inputs)
+
+
+@pytest.mark.parametrize(
+    "flag", ["--max-queue 0", "--max-batch 0", "--deadline-ms 0"]
+)
+def test_serve_refuses_bad_setting_before_loading(
+    flag, error_inputs, monkeypatch, capsys
+):
+    """A bad server setting exits 2 before the artifact is resolved, mapped
+    and checksum-verified."""
+    from repro.serve import ArtifactStore
+
+    loads = []
+    monkeypatch.setattr(
+        ArtifactStore, "load", lambda store, *args, **kwargs: loads.append(args)
+    )
+    argv = f"serve --store {error_inputs['store']} --name toy --port 0 {flag}"
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert loads == []
 
 
 #: The argv of each command that reads an edge list, ``{bad}`` the file.

@@ -210,6 +210,27 @@ class TestBuildGraphStore:
         with pytest.raises(GraphStoreError, match="checksum mismatch"):
             GraphStore.open(store.path).verify()
 
+    @pytest.mark.parametrize("damage", ["truncated", "appended", "header", "empty"])
+    def test_verify_names_a_damaged_file(self, tmp_path, damage):
+        path = tmp_path / "g.tsv"
+        _random_edge_file(path, np.random.default_rng(17), num_edges=120)
+        store, _ = build_graph_store(path, tmp_path / "store")
+        name = store.manifest["arrays"]["v2u_indices"]["file"]
+        raw = (store.path / name).read_bytes()
+        raw = {
+            "truncated": raw[:-3],
+            "appended": raw + b"\0",
+            "header": b"\0" * 16 + raw[16:],
+            "empty": b"",
+        }[damage]
+        (store.path / name).write_bytes(raw)
+        with pytest.raises(GraphStoreError, match=name):
+            GraphStore.open(store.path).verify()
+        if damage != "appended":
+            # Mapping the direction for a fit names the file too.
+            with pytest.raises(GraphStoreError, match=name):
+                GraphStore.open(store.path).csr("v2u")
+
     def test_open_missing_or_invalid(self, tmp_path):
         with pytest.raises(GraphStoreError, match="does not exist"):
             GraphStore.open(tmp_path / "nope")

@@ -4,11 +4,13 @@ The headline invariants:
 
 * the workspace kernels are **bit-identical** to the allocation-per-call
   reference path in float64 (hypothesis property tests, including chunked
-  application with ``block_cols`` smaller than the block width);
+  application with ``BLOCK_COLS`` smaller than the block width);
 * the obs matvec counters are **unchanged** by the dtype, column-chunk
   and thread-count policies (differential test: identical counts);
 * the float32 policy agrees with float64 within a tolerance budget.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,12 +24,13 @@ from repro.core import GEBEPoisson, PoissonPMF, gebe_poisson
 from repro.datasets import toy_graph
 from repro.linalg import (
     DtypePolicy,
-    ExecPolicy,
     GramKernel,
     MatrixFreeOperator,
     ProximityOperator,
     SparseKernel,
+    kernels,
     pmf_weighted_apply,
+    policy as policy_module,
     randomized_svd,
 )
 
@@ -81,9 +84,37 @@ class TestDtypePolicy:
         with pytest.raises(ValueError, match="compute dtype"):
             DtypePolicy(compute="float16")
 
-    def test_block_cols_must_be_positive(self):
-        with pytest.raises(ValueError, match="block_cols"):
-            DtypePolicy(block_cols=0)
+    def test_one_configuration_surface(self, rng):
+        """The policy's three fields are the only settings of the kernels and
+        of every engine on them; a resident matrix is swept in place."""
+        import dataclasses
+        import inspect
+        import re
+
+        import repro.linalg
+        from repro.ann import IVFIndex, assign_clusters, kmeans_fit
+        from repro.tasks import SimilarityEngine, TopKEngine
+
+        fields = [field.name for field in dataclasses.fields(DtypePolicy)]
+        assert fields == ["compute", "n_threads", "ooc_budget_mb"]
+        constant = re.compile(r"block|threshold|exec|iterations|sample")
+        for target in (
+            SparseKernel, GramKernel, TopKEngine, TopKEngine.from_result,
+            SimilarityEngine, SimilarityEngine.h_diagonal, assign_clusters,
+            kmeans_fit, IVFIndex.build,
+        ):
+            names = inspect.signature(target).parameters
+            assert not [name for name in names if constant.search(name)], target
+        assert not {"ExecPolicy", "ParallelExecutor"} & set(dir(repro.linalg))
+        w = random_sparse(rng, 30, 20, 0.3)
+        v_block, u_block = rng.standard_normal((20, 6)), rng.standard_normal((30, 6))
+        with mock.patch.object(policy_module, "SERIAL_THRESHOLD", 0):
+            for threads in (1, 4):
+                kernel = SparseKernel(w, DtypePolicy(n_threads=threads))
+                np.testing.assert_array_equal(kernel.matmul(v_block), w @ v_block)
+                np.testing.assert_array_equal(kernel.t_matmul(u_block), w.T @ u_block)
+                assert kernel.threads_used == threads
+                assert kernel.ooc_bytes_copied() == 0
 
 
 class TestSparseKernel:
@@ -150,11 +181,9 @@ class TestGramKernelBitIdentity:
         # Column chunking must preserve the per-element operation order.
         w, block = data
         weights = PoissonPMF(lam=1.0).weights(4)
-        chunked = GramKernel(w, DtypePolicy(block_cols=block_cols))
-        np.testing.assert_array_equal(
-            chunked.pmf_apply(block, weights),
-            pmf_weighted_apply(w, block, weights),
-        )
+        with mock.patch.object(kernels, "BLOCK_COLS", block_cols):
+            chunked = GramKernel(w).pmf_apply(block, weights)
+        np.testing.assert_array_equal(chunked, pmf_weighted_apply(w, block, weights))
 
     def test_1d_block(self, rng):
         w = random_sparse(rng, 6, 4, 0.5)
@@ -227,10 +256,13 @@ class TestObsCounterDifferential:
 
     def test_matvec_counts_identical_across_policies(self):
         reference = self._report(DtypePolicy().with_threads(1)).ops
-        # serial_threshold=0 shards even the toy applies across 4 threads.
-        threaded = DtypePolicy(exec_policy=ExecPolicy(n_threads=4, serial_threshold=0))
-        for policy in (DtypePolicy.float32(), DtypePolicy(block_cols=3), threaded):
-            report = self._report(policy)
+        reports = [self._report(DtypePolicy.float32())]
+        with mock.patch.object(kernels, "BLOCK_COLS", 3):
+            reports.append(self._report(DtypePolicy()))
+        # A zero threshold shards even the toy applies across 4 threads.
+        with mock.patch.object(policy_module, "SERIAL_THRESHOLD", 0):
+            reports.append(self._report(DtypePolicy(n_threads=4)))
+        for report in reports:
             candidate = report.ops
             assert candidate["sparse_matvecs"] == reference["sparse_matvecs"]
             assert candidate["flops"] == reference["flops"]

@@ -1,4 +1,4 @@
-"""Tests for the parallel kernel executor (``repro.linalg.parallel``).
+"""Tests for the parallel kernel execution (``repro.linalg.parallel``).
 
 The headline invariants, per the determinism contract:
 
@@ -12,9 +12,13 @@ The headline invariants, per the determinism contract:
   identical `sparse_matvecs` / `flops`;
 * the partitionings are exact covers: row shards tile ``[0, n_rows)``,
   column shards tile ``[0, cols)``, each exactly once.
+
+Every test here runs with :data:`repro.linalg.policy.SERIAL_THRESHOLD` at 0
+(a module-scoped patch: hypothesis rejects function-scoped fixtures), so
+even test-sized applies exercise the sharded path.
 """
 
-from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,26 +30,29 @@ from repro import obs
 from repro.core import PoissonPMF
 from repro.linalg import (
     DtypePolicy,
-    ExecPolicy,
     GramKernel,
-    ParallelExecutor,
     SparseKernel,
+    kernels,
     pmf_weighted_apply,
+    policy as policy_module,
 )
-from repro.linalg.parallel import DEFAULT_SERIAL_THRESHOLD, column_shards, row_shards
+from repro.linalg.parallel import column_shards, row_shards, run_tasks
+from repro.linalg.policy import SERIAL_THRESHOLD
 
 THREAD_COUNTS = (1, 2, 4)
 #: PMF weights whose series is one Gram apply: ``0 I + 1 (W W^T)``.
 GRAM_HOP = (0.0, 1.0)
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _shard_every_apply():
+    with mock.patch.object(policy_module, "SERIAL_THRESHOLD", 0):
+        yield
+
+
 def _policy(n_threads: int, compute: str = "float64") -> DtypePolicy:
-    """A policy pinned to ``n_threads`` with the auto-tuner disabled,
-    so even test-sized applies exercise the sharded path."""
-    return DtypePolicy(
-        compute=compute,
-        exec_policy=ExecPolicy(n_threads=n_threads, serial_threshold=0),
-    )
+    """A policy pinned to ``n_threads``."""
+    return DtypePolicy(compute=compute, n_threads=n_threads)
 
 
 def random_sparse(rng: np.random.Generator, m: int, n: int, density: float):
@@ -72,44 +79,43 @@ def sparse_and_block(draw):
 
 
 class TestExecPolicy:
+    """The thread half of :class:`DtypePolicy`."""
+
     def test_defaults(self):
-        policy = ExecPolicy()
-        assert policy.n_threads == 1
-        assert policy.serial_threshold > 0
+        policy = DtypePolicy()
+        assert (policy.compute, policy.ooc_budget_mb) == ("float64", None)
+        assert SERIAL_THRESHOLD > 0
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="n_threads"):
-            ExecPolicy(n_threads=0)
-        with pytest.raises(ValueError, match="serial_threshold"):
-            ExecPolicy(serial_threshold=-1)
+            DtypePolicy(n_threads=0)
 
     def test_from_env_reads_thread_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "3")
-        policy = ExecPolicy.from_env()
-        assert policy.n_threads == 3
-        assert policy.serial_threshold == DEFAULT_SERIAL_THRESHOLD
+        assert DtypePolicy().n_threads == 3
 
     def test_from_env_defaults_to_cpu_count(self, monkeypatch):
         import os
 
         monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
-        assert ExecPolicy.from_env().n_threads == (os.cpu_count() or 1)
+        assert DtypePolicy().n_threads == (os.cpu_count() or 1)
 
     def test_from_env_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "lots")
         with pytest.raises(ValueError, match="REPRO_NUM_THREADS"):
-            ExecPolicy.from_env()
+            DtypePolicy()
         monkeypatch.setenv("REPRO_NUM_THREADS", "0")
         with pytest.raises(ValueError, match="REPRO_NUM_THREADS"):
-            ExecPolicy.from_env()
+            DtypePolicy()
 
-    def test_shards_for_auto_tune(self):
-        policy = ExecPolicy(n_threads=4, serial_threshold=1000)
+    def test_shards_for_auto_tune(self, monkeypatch):
+        monkeypatch.setattr(policy_module, "SERIAL_THRESHOLD", 1000)
+        policy = DtypePolicy(n_threads=4)
         assert policy.shards_for(999, limit=100) == 1  # below threshold
         assert policy.shards_for(1000, limit=100) == 4
         assert policy.shards_for(1000, limit=2) == 2  # grain-limited
         assert policy.shards_for(1000, limit=1) == 1
-        assert ExecPolicy(n_threads=1).shards_for(10**9, limit=100) == 1
+        assert DtypePolicy(n_threads=1).shards_for(10**9, limit=100) == 1
 
     def test_dtype_policy_with_threads(self):
         policy = DtypePolicy().with_threads(4)
@@ -153,27 +159,25 @@ class TestShardPartitionings:
 
 
 class TestParallelExecutor:
+    """:func:`run_tasks` on the shared pool."""
+
     def test_single_task_runs_inline(self):
         import threading
 
         ran_on = []
-        executor = ParallelExecutor(ExecPolicy(n_threads=4))
-        executor.run([lambda: ran_on.append(threading.current_thread().name)])
+        run_tasks([lambda: ran_on.append(threading.current_thread().name)], 4)
         assert ran_on == [threading.current_thread().name]
 
     def test_worker_exception_propagates(self):
-        executor = ParallelExecutor(ExecPolicy(n_threads=2))
-
         def boom():
             raise RuntimeError("shard failed")
 
         with pytest.raises(RuntimeError, match="shard failed"):
-            executor.run([boom, lambda: None])
+            run_tasks([boom, lambda: None], 2)
 
     def test_all_tasks_complete(self):
-        executor = ParallelExecutor(ExecPolicy(n_threads=4))
         hits = [0] * 8
-        executor.run([lambda i=i: hits.__setitem__(i, 1) for i in range(8)])
+        run_tasks([lambda i=i: hits.__setitem__(i, 1) for i in range(8)], 4)
         assert hits == [1] * 8
 
 
@@ -235,20 +239,17 @@ class TestBitIdentityAcrossThreads:
                 GramKernel(w, policy).pmf_apply(u_block, weights), expected_pmf
             )
 
-    def test_chunked_and_sharded_compose(self, rng):
-        # block_cols chunking and column sharding stack without changing
+    def test_chunked_and_sharded_compose(self, rng, monkeypatch):
+        # BLOCK_COLS chunking and column sharding stack without changing
         # results.
         w = random_sparse(rng, 14, 9, 0.4)
         block = rng.standard_normal((14, 11))
         weights = PoissonPMF(lam=1.0).weights(4)
         expected = pmf_weighted_apply(w, block, weights)
         for block_cols in (1, 2, 3):
-            policy = DtypePolicy(
-                block_cols=block_cols,
-                exec_policy=ExecPolicy(n_threads=4, serial_threshold=0),
-            )
+            monkeypatch.setattr(kernels, "BLOCK_COLS", block_cols)
             np.testing.assert_array_equal(
-                GramKernel(w, policy).pmf_apply(block, weights), expected
+                GramKernel(w, _policy(4)).pmf_apply(block, weights), expected
             )
 
 
@@ -285,13 +286,11 @@ class TestThreadReporting:
         gram.pmf_apply(block, GRAM_HOP)
         assert gram.threads_used > 1
 
-    def test_serial_threshold_keeps_toy_applies_serial(self, rng):
+    def test_serial_threshold_keeps_toy_applies_serial(self, rng, monkeypatch):
         w = random_sparse(rng, 16, 10, 0.5)
         block = rng.standard_normal((16, 8))
-        policy = DtypePolicy(
-            exec_policy=ExecPolicy(n_threads=4)  # default (large) threshold
-        )
-        gram = GramKernel(w, policy)
+        monkeypatch.setattr(policy_module, "SERIAL_THRESHOLD", SERIAL_THRESHOLD)
+        gram = GramKernel(w, _policy(4))
         gram.pmf_apply(block, GRAM_HOP)
         assert gram.threads_used == 1
 
@@ -307,14 +306,15 @@ class TestThreadReporting:
         assert report.memory["workspace_bytes"] > 0
         assert f"{report.threads} thread" in report.summary()
 
-    def test_workspace_sums_per_slot_pools(self, rng):
+    def test_workspace_sums_per_slot_pools(self, rng, monkeypatch):
         w = random_sparse(rng, 16, 10, 0.5)
         block = rng.standard_normal((16, 8))
         # Two-column chunks, so the serial apply reuses one chunk's hop
         # buffers for all four chunks.
-        serial = GramKernel(w, replace(_policy(1), block_cols=2))
+        monkeypatch.setattr(kernels, "BLOCK_COLS", 2)
+        serial = GramKernel(w, _policy(1))
         serial.pmf_apply(block, GRAM_HOP)
-        sharded = GramKernel(w, replace(_policy(4), block_cols=2))
+        sharded = GramKernel(w, _policy(4))
         sharded.pmf_apply(block, GRAM_HOP)
         # Per-thread hop buffers make the sharded pool strictly bigger.
         assert sharded.workspace_bytes() > serial.workspace_bytes()

@@ -24,6 +24,8 @@ storage codecs.  This suite pins that claim three ways:
 Runs under ``REPRO_NUM_THREADS=4`` as well (Makefile THREADED_TESTS).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ from repro.core.quantize import (
 from repro.graph import BipartiteGraph
 from repro.linalg.policy import DtypePolicy
 from repro.tasks import TopKEngine
+from repro.tasks import topk as topk_module
 
 NUM_USERS, NUM_ITEMS, DIM = 24, 64, 12
 
@@ -48,10 +51,14 @@ def _random_embeddings(seed=101):
     )
 
 
-def _quant_engine(u, v, quant_dtype, **kwargs):
+def _quant_engine(u, v, quant_dtype, block_rows=None, **kwargs):
+    """The engine over ``u``, ``v``'s codes, answering ``block_rows`` users
+    per block (``None``: the engine's own rule)."""
     u_codes, u_scales = quantize_columns(u, quant_dtype)
     v_codes, v_scales = quantize_columns(v, quant_dtype)
-    return TopKEngine(u_codes, v_codes, scales=(u_scales, v_scales), **kwargs)
+    rows = topk_module.DEFAULT_BLOCK_ROWS if block_rows is None else block_rows
+    with mock.patch.object(topk_module, "DEFAULT_BLOCK_ROWS", rows):
+        return TopKEngine(u_codes, v_codes, scales=(u_scales, v_scales), **kwargs)
 
 
 def _dequantized(u, v, quant_dtype):

@@ -13,6 +13,7 @@ Two jobs live here:
 """
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from repro.graph import BipartiteGraph
 from repro.serve import ArtifactStore, EmbeddingService
 from repro.serve.service import ServiceMetrics, percentile
 from repro.tasks import TopKEngine
+from repro.tasks import topk as topk_module
 
+
+
+def _blocked_engine(result, block_rows):
+    """An engine over ``result`` answering ``block_rows`` users per block."""
+    with mock.patch.object(topk_module, "DEFAULT_BLOCK_ROWS", block_rows):
+        return TopKEngine.from_result(result)
 
 @pytest.fixture(scope="module")
 def result():
@@ -58,7 +66,7 @@ class TestWorkspaceRace:
     """The documented reason a TopKEngine must not be shared across threads."""
 
     def test_score_buffer_is_shared_between_calls(self, result):
-        engine = TopKEngine.from_result(result, block_rows=8)
+        engine = _blocked_engine(result, 8)
         first = engine._score_buffer(8)
         second = engine._score_buffer(8)
         assert np.shares_memory(first, second)
@@ -71,7 +79,7 @@ class TestWorkspaceRace:
         selects.  A's selection runs over B's scores — exactly the
         corruption concurrent callers of one instance would see.
         """
-        engine = TopKEngine.from_result(result, block_rows=8)
+        engine = _blocked_engine(result, 8)
         users_a = np.arange(8, dtype=np.int64)
         users_b = np.arange(8, 16, dtype=np.int64)
 
@@ -89,7 +97,7 @@ class TestWorkspaceRace:
         np.testing.assert_array_equal(corrupted, expected_b)
 
     def test_clones_have_independent_buffers(self, result):
-        engine = TopKEngine.from_result(result, block_rows=8)
+        engine = _blocked_engine(result, 8)
         clone = engine.clone_for_worker()
         users_a = np.arange(8, dtype=np.int64)
         users_b = np.arange(8, 16, dtype=np.int64)
@@ -114,7 +122,7 @@ class TestWorkspaceRace:
         assert clone.policy is engine.policy
 
     def test_clone_results_identical(self, result, graph):
-        engine = TopKEngine.from_result(result, block_rows=16)
+        engine = _blocked_engine(result, 16)
         clone = engine.clone_for_worker()
         np.testing.assert_array_equal(
             engine.top_items(7, exclude=graph), clone.top_items(7, exclude=graph)
@@ -122,7 +130,7 @@ class TestWorkspaceRace:
 
     def test_concurrent_clones_match_serial_reference(self, result, graph):
         """Stress: 4 threads, one clone each, full sweep — no corruption."""
-        engine = TopKEngine.from_result(result, block_rows=8)
+        engine = _blocked_engine(result, 8)
         reference = engine.top_items(5, exclude=graph)
         rounds = 10
         outputs = [None] * 4

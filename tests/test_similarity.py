@@ -8,10 +8,11 @@ order, same tie-breaks — at every block size and thread count, because a
 one-hot column evolves independently through the hop recurrence and the
 diagonal scaling replicates the dense elementwise order.  The blocked
 applies are a pure batching knob: per-source rows are bit-identical for
-every ``block_sources`` and every executor width.
+every ``BLOCK_SOURCES`` width and every thread count.
 """
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,11 +27,11 @@ from repro.datasets import erdos_renyi_bipartite, figure1_graph
 from repro.graph import BipartiteGraph, build_graph_store
 from repro.linalg import DtypePolicy
 from repro.tasks import (
-    DEFAULT_BLOCK_SOURCES,
     SIMILARITY_MODES,
     SimilarityEngine,
     transposed_graph,
 )
+from repro.tasks import similarity as similarity_module
 
 TAU = 4
 PMF = PoissonPMF(lam=1.5)
@@ -41,12 +42,14 @@ BLOCKS = (1, 7, 10_000)
 THREADS = (1, 2, 4)
 
 
-def _engine(graph, *, block=DEFAULT_BLOCK_SOURCES, threads=1, pmf=PMF, tau=TAU):
+def _engine(graph, *, threads=1, pmf=PMF, tau=TAU):
     policy = DtypePolicy.default().with_threads(threads)
-    return SimilarityEngine(
-        graph, pmf, tau, normalization="none", policy=policy,
-        block_sources=block,
-    )
+    return SimilarityEngine(graph, pmf, tau, normalization="none", policy=policy)
+
+
+def _blocks(width):
+    """Run queries and diagonal probes in ``width``-source blocks."""
+    return mock.patch.object(similarity_module, "BLOCK_SOURCES", width)
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +90,9 @@ class TestDifferential:
     ):
         sources = np.arange(graph.num_u, dtype=np.int64)
         expected = select_topn(dense[mode], 10)
-        engine = _engine(graph, block=block, threads=threads)
-        items, scores = engine.query(sources, 10, mode=mode, with_scores=True)
+        with _blocks(block):
+            engine = _engine(graph, threads=threads)
+            items, scores = engine.query(sources, 10, mode=mode, with_scores=True)
         np.testing.assert_array_equal(items, expected)
         assert scores.shape == items.shape
 
@@ -96,13 +100,13 @@ class TestDifferential:
     def test_rows_bitwise_identical_across_blocks(self, graph, block):
         # The block width is pure batching: per-source rows never move a bit.
         sources = np.arange(graph.num_u, dtype=np.int64)
-        anchor = _engine(graph, block=DEFAULT_BLOCK_SOURCES)
-        engine = _engine(graph, block=block)
+        anchor = _engine(graph)
+        with _blocks(block):
+            engine = _engine(graph)
+            h_rows, mhp_rows = engine.h_rows(sources), engine.mhp_rows(sources)
+        np.testing.assert_array_equal(h_rows, anchor.h_rows(sources))
         np.testing.assert_array_equal(
-            engine.h_rows(sources), anchor.h_rows(sources)
-        )
-        np.testing.assert_array_equal(
-            engine.mhp_rows(sources), anchor.mhp_rows(sources)
+            mhp_rows, anchor.mhp_rows(sources)
         )
         np.testing.assert_array_equal(
             engine.mhs_rows(sources), anchor.mhs_rows(sources)
@@ -151,10 +155,10 @@ class TestDifferential:
             np.fill_diagonal(reference, -np.inf)
         n = reference.shape[1]
         expected = select_topn(reference, n)
-        engine = _engine(ties_graph, block=block)
-        items, _ = engine.query(
-            np.arange(ties_graph.num_u), n, mode=mode
-        )
+        with _blocks(block):
+            items, _ = _engine(ties_graph).query(
+                np.arange(ties_graph.num_u), n, mode=mode
+            )
         np.testing.assert_array_equal(items, expected)
 
     def test_v_side_via_transposed_graph(self, graph):
@@ -195,12 +199,13 @@ class TestDifferential:
         s = mhs_matrix(graph, pmf, tau)
         np.fill_diagonal(s, -np.inf)
         p = mhp_matrix(graph, pmf, tau)
-        engine = _engine(graph, block=block, pmf=pmf, tau=tau)
+        engine = _engine(graph, pmf=pmf, tau=tau)
         sources = np.arange(num_u, dtype=np.int64)
-        items, _ = engine.query(sources, n, mode="mhs")
-        np.testing.assert_array_equal(items, select_topn(s, n))
-        items, _ = engine.query(sources, n, mode="mhp")
-        np.testing.assert_array_equal(items, select_topn(p, n))
+        with _blocks(block):
+            mhs_items, _ = engine.query(sources, n, mode="mhs")
+            mhp_items, _ = engine.query(sources, n, mode="mhp")
+        np.testing.assert_array_equal(mhs_items, select_topn(s, n))
+        np.testing.assert_array_equal(mhp_items, select_topn(p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +281,15 @@ class TestDiagonal:
     @pytest.mark.parametrize("block_size", (1, 5, 64, 1000))
     def test_bitwise_identical_at_every_block_size(self, graph, block_size):
         anchor = _engine(graph).h_diagonal()
-        probed = _engine(graph).h_diagonal(block_size)
+        with _blocks(block_size):
+            probed = _engine(graph).h_diagonal()
         np.testing.assert_array_equal(probed, anchor)
 
     def test_cached_after_first_probe(self, graph):
         engine = _engine(graph)
         first = engine.h_diagonal()
-        assert engine.h_diagonal(block_size=3) is first
+        with _blocks(3):
+            assert engine.h_diagonal() is first
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +381,6 @@ class TestValidation:
     def test_rejects_bad_parameters(self, graph):
         with pytest.raises(ValueError, match="tau"):
             SimilarityEngine(graph, PMF, -1)
-        with pytest.raises(ValueError, match="block_sources"):
-            SimilarityEngine(graph, PMF, 2, block_sources=0)
 
     def test_rejects_unknown_mode(self, graph):
         engine = _engine(graph)
@@ -390,7 +395,3 @@ class TestValidation:
             engine.query([graph.num_u], 3)
         with pytest.raises(IndexError, match="out of range"):
             engine.h_rows([-1])
-
-    def test_rejects_bad_diagonal_block(self, graph):
-        with pytest.raises(ValueError, match="block_size"):
-            _engine(graph).h_diagonal(0)

@@ -10,6 +10,8 @@ random embeddings (well-separated scores) and integer-valued embeddings
 summation-order difference cannot reorder ties).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,12 @@ from repro.tasks import (
 )
 from repro.tasks import topk as topk_module
 from repro.tasks.topk import SCORE_BUFFER_BYTES
+
+
+def blocked_engine(u, v, block_rows, **kwargs):
+    """A :class:`TopKEngine` answering ``block_rows`` users per block."""
+    with mock.patch.object(topk_module, "DEFAULT_BLOCK_ROWS", block_rows):
+        return TopKEngine(u, v, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -184,10 +192,11 @@ class TestDifferential:
     ):
         split = split_edges(rating_graph_module, 0.6, seed=0)
         reference = per_user_reference(random_result, 10, split.train)
-        engine = TopKEngine.from_result(
-            random_result,
+        engine = blocked_engine(
+            random_result.u,
+            random_result.v,
+            block_rows,
             policy=DtypePolicy.default().with_threads(threads),
-            block_rows=block_rows,
         )
         batched = engine.top_items(10, exclude=split.train)
         np.testing.assert_array_equal(batched, reference)
@@ -204,10 +213,11 @@ class TestDifferential:
         )
         reference = per_user_reference(result, 7)
         for threads in (1, 2, 4):
-            engine = TopKEngine.from_result(
-                result,
+            engine = blocked_engine(
+                result.u,
+                result.v,
+                block_rows,
                 policy=DtypePolicy.default().with_threads(threads),
-                block_rows=block_rows,
             )
             np.testing.assert_array_equal(engine.top_items(7), reference)
 
@@ -228,7 +238,7 @@ class TestDifferential:
         np.testing.assert_array_equal(lists32, lists64)
 
     def test_with_scores_matches_score_method(self, random_result):
-        engine = TopKEngine.from_result(random_result, block_rows=16)
+        engine = blocked_engine(random_result.u, random_result.v, 16)
         users = np.array([3, 9, 40])
         for block_users, items, scores in engine.iter_top_items(
             5, users=users, with_scores=True
@@ -260,9 +270,7 @@ class TestEngineEdges:
             u=rng.standard_normal((12, 4)), v=rng.standard_normal((9, 4))
         )
         full = BipartiteGraph.from_dense(np.ones((12, 9)))
-        out = TopKEngine.from_result(result, block_rows=5).top_items(
-            4, exclude=full
-        )
+        out = blocked_engine(result.u, result.v, 5).top_items(4, exclude=full)
         # Everything is -inf: ties resolve to ascending index order, the
         # historical per-user behavior.
         np.testing.assert_array_equal(out, np.tile(np.arange(4), (12, 1)))
@@ -291,8 +299,6 @@ class TestEngineEdges:
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             TopKEngine(np.zeros((4, 3)), np.zeros((5, 2)))
-        with pytest.raises(ValueError, match="block_rows"):
-            TopKEngine(np.zeros((4, 3)), np.zeros((5, 3)), block_rows=0)
 
     def test_default_block_rows(self, random_result):
         assert TopKEngine.from_result(random_result).block_rows == (
@@ -315,9 +321,11 @@ class TestEngineEdges:
         v = rng.standard_normal((70_000, 4))
         derived = TopKEngine(u, v)
         assert derived.block_rows == 239
-        np.testing.assert_array_equal(
-            derived.top_items(5), TopKEngine(u, v, block_rows=256).top_items(5)
-        )
+        # A buffer cap that admits all 256 rows of the default block.
+        with mock.patch.object(topk_module, "SCORE_BUFFER_BYTES", 256 * 70_000 * 4):
+            explicit = TopKEngine(u, v)
+        assert explicit.block_rows == 256
+        np.testing.assert_array_equal(derived.top_items(5), explicit.top_items(5))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +337,7 @@ class TestObsContract:
         num_items = random_result.v.shape[0]
         block = 32
         with obs.collect() as collector:
-            engine = TopKEngine.from_result(random_result, block_rows=block)
+            engine = blocked_engine(random_result.u, random_result.v, block)
             engine.top_items(5)
         blocks = -(-engine_users // block)  # ceil division
         # Two GEMMs per block: the float32 sweep and the float64 rerank.
@@ -340,7 +348,7 @@ class TestObsContract:
 
     def test_null_collector_path_unaffected(self, random_result):
         # No collector active: the engine still produces correct output.
-        engine = TopKEngine.from_result(random_result, block_rows=16)
+        engine = blocked_engine(random_result.u, random_result.v, 16)
         assert engine.top_items(5).shape == (random_result.u.shape[0], 5)
 
 
@@ -465,7 +473,7 @@ class TestOneEngine:
     ):
         u, v = fixture()
         exclude = exclusion_graph(u.shape[0], v.shape[0]) if masked else None
-        engine = TopKEngine(u, v, block_rows=block_rows)
+        engine = blocked_engine(u, v, block_rows)
         for n in (0, 1, 10, v.shape[0], v.shape[0] + 5):
             blocks = list(engine.iter_top_items(n, exclude=exclude, with_scores=True))
             if n == 0:
@@ -498,7 +506,7 @@ class TestOneEngine:
 
     def test_margin_reranks_a_strict_subset(self):
         u, v = gaussian_with_duplicate_items(seed=9)
-        engine = TopKEngine(u, v, block_rows=1)
+        engine = blocked_engine(u, v, 1)
         engine.top_items(3)
         # At least the 3 winners per user, far from the full cross product.
         assert 3 * u.shape[0] <= engine.reranked_candidates < u.shape[0] * v.shape[0] // 2
@@ -507,8 +515,8 @@ class TestOneEngine:
         u, v = gaussian_with_duplicate_items(seed=9)
         exclude = exclusion_graph(u.shape[0], v.shape[0])
         for graph in (None, exclude):
-            narrow = TopKEngine(u, v, block_rows=1)
-            wide = TopKEngine(u, v, block_rows=256)
+            narrow = blocked_engine(u, v, 1)
+            wide = blocked_engine(u, v, 256)
             np.testing.assert_array_equal(
                 wide.top_items(3, exclude=graph), narrow.top_items(3, exclude=graph)
             )
@@ -540,13 +548,11 @@ class TestSweepOverflow:
         from repro.core.quantize import quantize_columns
 
         if codec == "float":
-            return TopKEngine(u, v, block_rows=7), u, v
+            return blocked_engine(u, v, 7), u, v
         (u_codes, u_scales), (v_codes, v_scales) = (
             quantize_columns(u, codec), quantize_columns(v, codec)
         )
-        engine = TopKEngine(
-            u_codes, v_codes, scales=(u_scales, v_scales), block_rows=7
-        )
+        engine = blocked_engine(u_codes, v_codes, 7, scales=(u_scales, v_scales))
         # The values the quantized engine is exact against, decoded here.
         return (
             engine,
